@@ -2,27 +2,31 @@
 /// \brief Traced layer replay for the perfbench workloads.
 ///
 /// Reads the job lines a perfbench run sent to `bmh_engine --serve` and
-/// replays them in three passes, recording a span around every call it makes
+/// replays them in four passes, recording a span around every call it makes
 /// into the library. Nothing here changes how the library runs; the spans
 /// live in this file only.
 ///
-///   replay  one caller thread, the server's pipeline order per job:
-///           parse_job_spec_line -> graph acquire (GraphCache::get_or_build
-///           | GraphStore::try_load / build_graph / GraphStore::spill) ->
-///           scale -> make_algorithm(...)->run_ws -> is_valid_matching /
-///           sprank_ws -> to_json_line. Writes the --no-timings records, so
-///           the caller can compare their digest with the server's.
-///   sweep   the first instance of the timed jobs, each layer called three
-///           times at 1, threads-per-job and 4 OpenMP threads: the 1->4
-///           thread speedups, plus a measurement for any layer the
-///           workload's own jobs never reach.
-///   engine  an in-process bmh::Engine serving the same jobs as a closed
-///           loop; spans around submit and from submit to callback, queue
-///           wait and stage histograms read back from Engine::metrics().
+///   replay    one caller thread, the server's pipeline order per job:
+///             parse_job_spec_line -> graph acquire (GraphCache::get_or_build
+///             without a store | GraphStore::try_load / build_graph /
+///             GraphStore::spill with one) -> scale ->
+///             make_algorithm(...)->run_ws -> is_valid_matching / sprank_ws
+///             -> to_json_line. Writes the --no-timings records, so the
+///             caller can compare their digest with the server's.
+///   untraced  the same replay with every span reduced to the bare call,
+///             from the same starting state; its timed-phase wall time
+///             against the traced pass's is the tracing overhead.
+///   sweep     one pinned instance (--sweep-spec), each layer called three
+///             times at 1, threads-per-job and 4 OpenMP threads: the 1->4
+///             thread speedups, plus a measurement for any layer the
+///             workload's own jobs never reach.
+///   engine    an in-process bmh::Engine serving the same jobs as a closed
+///             loop; spans around submit and from submit to callback, queue
+///             wait and stage histograms read back from Engine::metrics().
 ///
 /// Usage (perfbench/run.py builds the arguments):
-///   bmh_trace --jobs FILE --tpj N --workers N --window N --cache-mb N
-///             --memory-tier 0|1 [--replay-store DIR] [--engine-store DIR]
+///   bmh_trace --jobs FILE --sweep-spec LINE --tpj N --workers N --window N
+///             --cache-mb N [--replay-store DIR] [--engine-store DIR]
 ///             --sweep-dir DIR --records-out FILE --trace-out FILE
 /// FILE lines are `PHASE<TAB>INDEX<TAB>SPEC` with PHASE warm|discard|timed.
 /// Prints one JSON object on stdout; the stage cross-check goes to stderr.
@@ -77,14 +81,18 @@ std::vector<JobLine> read_jobs(const std::string& path) {
 }
 
 /// Complete spans in Chrome trace-event form ("ph":"X"), kept in memory and
-/// written once at the end.
+/// written once at the end. A trace built with `record = false` keeps no
+/// spans, and timed() around it runs the bare call.
 class Trace {
 public:
-  Trace() : origin_ns_(now_ns()) {}
+  explicit Trace(bool record = true) : origin_ns_(now_ns()), record_(record) {}
+
+  [[nodiscard]] bool recording() const { return record_; }
+  void reserve(std::size_t spans) { spans_.reserve(spans); }
 
   /// Records [start, end) and returns its length in seconds.
   double add(const char* name, int tid, long job, std::int64_t start, std::int64_t end) {
-    spans_.push_back({name, tid, job, start, end});
+    if (record_) spans_.push_back({name, tid, job, start, end});
     return static_cast<double>(end - start) * 1e-9;
   }
 
@@ -115,6 +123,7 @@ private:
     std::int64_t end;
   };
   std::int64_t origin_ns_;
+  bool record_;
   std::vector<Span> spans_;
 };
 
@@ -152,17 +161,25 @@ struct Samples {
 
 using Layers = std::map<std::string, Samples>;
 
-/// Times `fn` as one span on `tid` and returns its length in seconds.
+/// Times `fn` as one span on `tid` and returns its length in seconds (0 when
+/// `trace` does not record).
 template <typename Fn>
 double timed(Trace& trace, const char* name, int tid, long job, Fn&& fn) {
+  if (!trace.recording()) {
+    fn();
+    return 0.0;
+  }
   const std::int64_t start = now_ns();
   fn();
   return trace.add(name, tid, job, start, now_ns());
 }
 
-std::string match_layer(const std::string& algorithm) {
+const char* match_layer(const std::string& algorithm) {
+  if (algorithm == "two_sided") return "core.two_sided";
+  if (algorithm == "one_sided") return "core.one_sided";
+  if (algorithm == "k_out") return "core.k_out";
   if (algorithm == "karp_sipser") return "matching.karp_sipser";
-  return "core." + algorithm;
+  return "matching.other";
 }
 
 std::size_t file_bytes(const std::string& path) {
@@ -176,8 +193,7 @@ struct Options {
   int workers = 1;
   std::size_t window = 1;
   std::size_t cache_mb = 256;
-  bool memory_tier = true;
-  std::string replay_store;
+  std::string replay_store;  ///< empty: the replay acquires through a GraphCache
   std::string engine_store;
   std::string sweep_dir;
 };
@@ -210,7 +226,7 @@ struct ReplayTotals {
   std::size_t store_hits = 0;
   std::size_t store_lookups = 0;
   std::size_t failed = 0;
-  std::string first_timed_spec;
+  std::vector<double> unaccounted;  ///< per timed job: share of its wall time outside spans
   std::vector<double> stage_scale, stage_match, stage_analyze;  ///< timed jobs
 };
 
@@ -221,26 +237,39 @@ ReplayTotals replay(const std::vector<JobLine>& jobs, const Options& opt, Trace&
   bmh::Workspace ws;
   AlgorithmCache algorithms;
   std::optional<bmh::GraphCache> cache;
-  if (opt.memory_tier) {
+  std::optional<bmh::GraphStore> store;
+  if (opt.replay_store.empty()) {
     bmh::GraphCache::Options co;
     co.max_bytes = opt.cache_mb << 20;
     cache.emplace(co);
+  } else {
+    store.emplace(opt.replay_store);
   }
-  std::optional<bmh::GraphStore> store;
-  if (!opt.replay_store.empty()) store.emplace(opt.replay_store);
   std::set<std::string> seen_keys;
+  // A job's layer samples, filed into `layers` after its span closes, so the
+  // bookkeeping does not sit between its child spans.
+  struct Pending {
+    const char* layer;
+    double seconds;
+    double work;
+  };
+  std::vector<Pending> pending;
 
   for (const JobLine& line : jobs) {
     const long id = static_cast<long>(line.index);
     double children = 0.0;
-    double scale_s = 0.0, match_s = 0.0, analyze_s = 0.0, sprank_s = 0.0;
+    double scale_s = 0.0, match_s = 0.0, analyze_s = 0.0, sprank_s = 0.0, spill_s = -1.0;
+    pending.clear();
+    const auto child = [&](double seconds, const char* layer = nullptr, double work = 0.0) {
+      children += seconds;
+      if (layer != nullptr) pending.push_back({layer, seconds, work});
+    };
     const std::int64_t job_start = now_ns();
 
     bmh::JobSpec job;
-    double s = timed(trace, "parse_job_spec_line", kReplayTid, id,
-                     [&] { job = bmh::parse_job_spec_line(line.spec); });
-    layers["engine.parse"].add(s);
-    children += s;
+    child(timed(trace, "parse_job_spec_line", kReplayTid, id,
+                [&] { job = bmh::parse_job_spec_line(line.spec); }),
+          "engine.parse");
     if (job.name.empty()) job.name = "job" + std::to_string(line.index);
 
     bmh::JobResult out;
@@ -254,54 +283,42 @@ ReplayTotals replay(const std::vector<JobLine>& jobs, const Options& opt, Trace&
     // Graph acquire, tier by tier, the way the server's cache walks them.
     std::shared_ptr<const bmh::BipartiteGraph> graph;
     std::string key;
-    s = timed(trace, "canonical_graph_key", kReplayTid, id,
-              [&] { key = bmh::canonical_graph_key(job.input, out.seed); });
-    children += s;
+    child(timed(trace, "canonical_graph_key", kReplayTid, id,
+                [&] { key = bmh::canonical_graph_key(job.input, out.seed); }));
     if (cache) {
       if (seen_keys.insert(key).second) {
         // First touch: time the build itself; the cache call below then
         // builds its own resident copy (a miss, spanned separately).
         bmh::BipartiteGraph built;
-        s = timed(trace, "build_graph", kReplayTid, id,
-                  [&] { built = bmh::build_graph(job.input, out.seed); });
-        layers["graph.build"].add(s, static_cast<double>(built.num_edges()));
-        children += s;
+        const double s = timed(trace, "build_graph", kReplayTid, id,
+                               [&] { built = bmh::build_graph(job.input, out.seed); });
+        child(s, "graph.build", static_cast<double>(built.num_edges()));
       }
       const std::uint64_t hits_before = cache->stats().hits;
-      s = timed(trace, "GraphCache::get_or_build", kReplayTid, id,
-                [&] { graph = cache->get_or_build(job.input, out.seed); });
-      children += s;
+      const double s = timed(trace, "GraphCache::get_or_build", kReplayTid, id,
+                             [&] { graph = cache->get_or_build(job.input, out.seed); });
       ++totals.cache_lookups;
-      if (cache->stats().hits > hits_before) {
-        ++totals.cache_hits;
-        layers["graph_cache.hit"].add(s);
-      }
+      const bool hit = cache->stats().hits > hits_before;
+      totals.cache_hits += hit ? 1 : 0;
+      child(s, hit ? "graph_cache.hit" : nullptr);
     } else {
-      if (store) {
-        ++totals.store_lookups;
-        s = timed(trace, "GraphStore::try_load", kReplayTid, id,
-                  [&] { graph = store->try_load(key); });
-        children += s;
-        if (graph != nullptr) {
-          ++totals.store_hits;
-          layers["graph_store.load"].add(s, static_cast<double>(graph->memory_bytes()));
-        }
-      }
-      if (graph == nullptr) {
+      ++totals.store_lookups;
+      const double s = timed(trace, "GraphStore::try_load", kReplayTid, id,
+                             [&] { graph = store->try_load(key); });
+      if (graph != nullptr) {
+        ++totals.store_hits;
+        child(s, "graph_store.load", static_cast<double>(graph->memory_bytes()));
+      } else {
+        child(s);
         std::shared_ptr<bmh::BipartiteGraph> built;
-        s = timed(trace, "build_graph", kReplayTid, id, [&] {
+        const double build_s = timed(trace, "build_graph", kReplayTid, id, [&] {
           built = std::make_shared<bmh::BipartiteGraph>(bmh::build_graph(job.input, out.seed));
         });
-        layers["graph.build"].add(s, static_cast<double>(built->num_edges()));
-        children += s;
+        child(build_s, "graph.build", static_cast<double>(built->num_edges()));
         graph = built;
-        if (store) {
-          s = timed(trace, "GraphStore::spill", kReplayTid, id,
-                    [&] { (void)store->spill(key, *graph); });
-          layers["graph_store.spill"].add(
-              s, static_cast<double>(file_bytes(store->path_for(key))));
-          children += s;
-        }
+        spill_s = timed(trace, "GraphStore::spill", kReplayTid, id,
+                        [&] { (void)store->spill(key, *graph); });
+        child(spill_s);  // filed below, once the file's size is read
       }
     }
     const bmh::BipartiteGraph& g = *graph;
@@ -326,8 +343,8 @@ ReplayTotals replay(const std::vector<JobLine>& jobs, const Options& opt, Trace&
     if (scale && config.scaling == bmh::ScalingMethod::kSinkhornKnopp) {
       scale_s = timed(trace, "scale_sinkhorn_knopp_ws", kReplayTid, id,
                       [&] { bmh::scale_sinkhorn_knopp_ws(g, scaling_opts, ws, scaling); });
-      layers["scaling.sinkhorn_knopp"].add(
-          scale_s, static_cast<double>(g.num_edges()) * scaling.iterations);
+      pending.push_back({"scaling.sinkhorn_knopp", scale_s,
+                         static_cast<double>(g.num_edges()) * scaling.iterations});
     } else if (scale) {
       scale_s = timed(trace, "scale_ruiz_ws", kReplayTid, id,
                       [&] { bmh::scale_ruiz_ws(g, scaling_opts, ws, scaling); });
@@ -342,21 +359,23 @@ ReplayTotals replay(const std::vector<JobLine>& jobs, const Options& opt, Trace&
     match_s = timed(trace, "MatchingAlgorithm::run_ws", kReplayTid, id, [&] {
       algorithm.run_ws(g, scaling, config.options, ws, r.matching);
     });
-    layers[match_layer(config.algorithm)].add(match_s);
-    r.heuristic_cardinality = r.matching.cardinality();
+    pending.push_back({match_layer(config.algorithm), match_s, 0.0});
+    // The pipeline counts the matching outside its stages; so does the replay.
+    child(timed(trace, "Matching::cardinality", kReplayTid, id,
+                [&] { r.heuristic_cardinality = r.matching.cardinality(); }));
     r.exact = algorithm.is_exact();
-    r.cardinality = r.matching.cardinality();
-    s = timed(trace, "is_valid_matching", kReplayTid, id,
-              [&] { r.valid = bmh::is_valid_matching(g, r.matching); });
-    layers["matching.validate"].add(s);
-    analyze_s += s;
+    r.cardinality = r.heuristic_cardinality;
+    const double validate_s = timed(trace, "is_valid_matching", kReplayTid, id,
+                                    [&] { r.valid = bmh::is_valid_matching(g, r.matching); });
+    pending.push_back({"matching.validate", validate_s, 0.0});
+    analyze_s += validate_s;
     if (config.compute_quality) {
       if (r.exact) {
         r.sprank = r.cardinality;
       } else {
         sprank_s = timed(trace, "sprank_ws", kReplayTid, id,
                          [&] { r.sprank = bmh::sprank_ws(g, ws); });
-        layers["matching.sprank"].add(sprank_s);
+        pending.push_back({"matching.sprank", sprank_s, 0.0});
         analyze_s += sprank_s;
       }
       r.quality = bmh::matching_quality(r.matching, r.sprank);
@@ -366,18 +385,21 @@ ReplayTotals replay(const std::vector<JobLine>& jobs, const Options& opt, Trace&
     children += scale_s + match_s + analyze_s;
 
     std::string record;
-    s = timed(trace, "to_json_line", kReplayTid, id,
-              [&] { record = bmh::to_json_line(out, /*include_timings=*/false); });
-    layers["engine.encode"].add(s);
-    children += s;
+    child(timed(trace, "to_json_line", kReplayTid, id,
+                [&] { record = bmh::to_json_line(out, /*include_timings=*/false); }),
+          "engine.encode");
     const double job_s = trace.add("job", kReplayTid, id, job_start, now_ns());
     records << record << '\n';
+    for (const Pending& sample : pending) layers[sample.layer].add(sample.seconds, sample.work);
+    if (spill_s >= 0.0)
+      layers["graph_store.spill"].add(spill_s,
+                                      static_cast<double>(file_bytes(store->path_for(key))));
 
     if (line.phase == "timed") {
-      if (totals.timed_jobs == 0) totals.first_timed_spec = line.spec;
       ++totals.timed_jobs;
       totals.timed_job_seconds += job_s;
       totals.timed_child_seconds += children;
+      totals.unaccounted.push_back((job_s - children) / job_s);
       totals.timed_sprank_seconds += sprank_s;
       totals.stage_scale.push_back(scale_s);
       totals.stage_match.push_back(match_s);
@@ -401,7 +423,7 @@ struct SweepResult {
   std::map<std::string, double> speedup_4t;
 };
 
-/// The layer sweep on one instance (see the file comment).
+/// The layer sweep on the pinned instance (see the file comment).
 SweepResult sweep(const std::string& spec_line, const Options& opt, Trace& trace) {
   SweepResult out;
   const bmh::JobSpec job = bmh::parse_job_spec_line(spec_line);
@@ -591,6 +613,15 @@ double median(std::vector<double> v) {
   return s.median();
 }
 
+/// The p-th percentile, linear between the closest ranks (as perfbench/stats.py).
+double percentile(std::vector<double> v, double p) {
+  std::sort(v.begin(), v.end());
+  const double pos = static_cast<double>(v.size() - 1) * p / 100.0;
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
@@ -601,22 +632,32 @@ int main(int argc, char** argv) {
     opt.workers = static_cast<int>(args.get_int("workers", 1));
     opt.window = static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int("window", 1)));
     opt.cache_mb = static_cast<std::size_t>(args.get_int("cache-mb", 256));
-    opt.memory_tier = args.get_int("memory-tier", 1) != 0;
     opt.replay_store = args.get("replay-store", "");
     opt.engine_store = args.get("engine-store", "");
     opt.sweep_dir = args.get("sweep-dir", "");
     const std::vector<JobLine> jobs = read_jobs(args.get("jobs", ""));
+    const std::string sweep_spec = args.get("sweep-spec", "");
     if (opt.sweep_dir.empty()) throw std::runtime_error("--sweep-dir is required");
+    if (sweep_spec.empty()) throw std::runtime_error("--sweep-spec is required");
 
     Trace trace;
+    trace.reserve(jobs.size() * 16 + 1024);
     Layers layers;
     std::ofstream records(args.get("records-out", ""));
     if (!records) throw std::runtime_error("cannot write --records-out");
+    // A store that does not exist yet is a fresh one: the untraced pass
+    // starts from an absent store too.
+    const bool fresh_store = !opt.replay_store.empty() && !fs::exists(opt.replay_store);
     const std::int64_t replay_start = now_ns();
     const ReplayTotals rt = replay(jobs, opt, trace, layers, records);
     const double replay_seconds = static_cast<double>(now_ns() - replay_start) * 1e-9;
     if (rt.timed_jobs == 0) throw std::runtime_error("no timed jobs to replay");
-    const SweepResult sw = sweep(rt.first_timed_spec, opt, trace);
+    if (fresh_store) fs::remove_all(opt.replay_store);
+    Trace untraced_trace(/*record=*/false);
+    Layers untraced_layers;
+    std::ostringstream untraced_records;
+    const ReplayTotals ut = replay(jobs, opt, untraced_trace, untraced_layers, untraced_records);
+    const SweepResult sw = sweep(sweep_spec, opt, trace);
     const EngineTotals et = engine_pass(jobs, opt, trace);
     trace.write_chrome(args.get("trace-out", ""));
 
@@ -657,6 +698,7 @@ int main(int argc, char** argv) {
     metrics["matching.sprank.share_of_job"] = rt.timed_sprank_seconds / rt.timed_job_seconds;
     metrics["trace.unaccounted_share"] =
         (rt.timed_job_seconds - rt.timed_child_seconds) / rt.timed_job_seconds;
+    metrics["trace.overhead_share"] = 1.0 - ut.timed_job_seconds / rt.timed_job_seconds;
     metrics["engine.submit.us_per_call"] = et.submit_us;
     metrics["engine.queue_wait.p50_ms"] = et.queue_wait_p50_ms;
     metrics["engine.overhead.us_per_job"] = et.latency_us - et.queue_wait_us - et.job_us;
@@ -686,7 +728,12 @@ int main(int argc, char** argv) {
          << ",\"failed\":" << rt.failed << ",\"cache_hits\":" << rt.cache_hits
          << ",\"cache_lookups\":" << rt.cache_lookups << ",\"store_hits\":" << rt.store_hits
          << ",\"store_lookups\":" << rt.store_lookups
-         << "},\"engine\":{\"jobs_per_s\":" << et.jobs_per_s << ",\"failed\":" << et.failed
+         << ",\"timed_job_s\":" << rt.timed_job_seconds
+         << ",\"untraced_timed_job_s\":" << ut.timed_job_seconds
+         << ",\"unaccounted_p95\":" << percentile(rt.unaccounted, 95.0)
+         << ",\"unaccounted_max\":"
+         << *std::max_element(rt.unaccounted.begin(), rt.unaccounted.end())
+         << "},\"sweep_spec\":\"" << sweep_spec << "\",\"engine\":{\"jobs_per_s\":" << et.jobs_per_s << ",\"failed\":" << et.failed
          << ",\"latency_us\":" << et.latency_us << ",\"queue_wait_us\":" << et.queue_wait_us
          << ",\"job_us\":" << et.job_us << "}}";
     std::cout << json.str() << '\n';

@@ -30,9 +30,11 @@ def proc_peak_rss_mb(pid):
     raise BenchError("no VmHWM in /proc status")
 
 
-def host_steal_ticks():
+def host_cpu_ticks():
+    """(steal, total) ticks of all CPUs so far, from /proc/stat."""
     with open("/proc/stat") as f:
-        return int(f.readline().split()[8])
+        ticks = [int(t) for t in f.readline().split()[1:9]]
+    return ticks[7], sum(ticks)
 
 
 class Server:

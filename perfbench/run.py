@@ -25,13 +25,14 @@ import json
 import math
 import os
 import shutil
+import statistics
 import subprocess
 import time
 import unittest
 from pathlib import Path
 
 import stats
-from client import BenchError, Server, host_steal_ticks
+from client import BenchError, Server, host_cpu_ticks
 from workloads import WORKLOADS
 
 HERE = Path(__file__).resolve().parent
@@ -86,9 +87,15 @@ PER_LAYER = {
 
 # The paper's guarantees, checked per algorithm on large_warm.
 PAPER_BOUNDS = {"one_sided": 1.0 - 1.0 / math.e, "two_sided": 0.86}
-# Replayed layer self-times must sum to the replayed job's wall time within
-# this share.
+# Replayed layer self-times must sum to the replayed jobs' wall time within
+# this share, in aggregate and for 95% of the jobs one by one.
 CLOSURE_LIMIT = 0.05
+# A timed phase during which other tenants stole more than this share of the
+# host's CPU time (and more than a few ticks) is run again, once; the run
+# keeps the phase with less steal.
+STEAL_LIMIT = 0.02
+STEAL_MIN_TICKS = 10
+MAX_TIMED_PHASES = 2
 
 
 def build():
@@ -190,8 +197,34 @@ def read_counters(path):
 
 
 def host_context():
+    steal, total = host_cpu_ticks()
     return {"nproc": len(os.sched_getaffinity(0)), "loadavg_1m": os.getloadavg()[0],
-            "steal_ticks": host_steal_ticks()}
+            "steal_ticks": steal, "total_ticks": total}
+
+
+def timed_phase(server, lines, window):
+    """One timed pass of `lines`, with the server's CPU and the host's steal
+    over it."""
+    before = host_context()
+    cpu0 = server.cpu_seconds()
+    first = server.index
+    start_ns, done_ns, latency_ns = server.run(lines, window)
+    cpu_s = server.cpu_seconds() - cpu0
+    after = host_context()
+    steal = after["steal_ticks"] - before["steal_ticks"]
+    total = after["total_ticks"] - before["total_ticks"]
+    return {"first": first, "start_ns": start_ns, "done_ns": done_ns, "latency_ns": latency_ns,
+            "cpu_s": cpu_s,
+            "host": {"before": before, "after": after, "steal_ticks_delta": steal,
+                     "total_ticks_delta": total,
+                     "steal_share": steal / total if total > 0 else 0.0}}
+
+
+def stolen(phase):
+    """Whether other tenants took too much of the host during `phase`."""
+    host = phase["host"]
+    return host["steal_ticks_delta"] > max(STEAL_MIN_TICKS,
+                                           STEAL_LIMIT * host["total_ticks_delta"])
 
 
 def serve(run, plan, trace):
@@ -217,33 +250,24 @@ def serve(run, plan, trace):
             if w.store == "fresh":
                 shutil.rmtree(store_dir)
     server.run(plan.discard, w.window)
-    before = host_context()
-    cpu0 = server.cpu_seconds()
-    start_ns, done_ns, latency_ns = server.run(plan.timed, w.window)
-    cpu1 = server.cpu_seconds()
+    phases = [timed_phase(server, plan.timed, w.window)]
+    while not trace and len(phases) < MAX_TIMED_PHASES and stolen(phases[-1]):
+        phases.append(timed_phase(server, plan.retry, w.window))
     rss_mb = server.peak_rss_mb()
-    after = host_context()
-    first_timed = len(warm) + len(plan.discard)
     records = run.finish(server)
     raw = dict(server.records)
-    timing = {"setups": setups, "start_ns": start_ns, "done_ns": done_ns,
-              "latency_ns": latency_ns,
-              "cpu_s": cpu1 - cpu0, "rss_mb": rss_mb, "first_timed": first_timed,
-              "warm": warm, "store_dir": store_dir,
-              "metrics_path": work / f"setup{n_setups - 1}.metrics.jsonl",
-              "host": {"before": before, "after": after,
-                       "steal_ticks_delta": after["steal_ticks"] - before["steal_ticks"]}}
+    timing = min(phases, key=lambda phase: phase["host"]["steal_share"])
+    timing.update(setups=setups, rss_mb=rss_mb, warm=warm, store_dir=store_dir,
+                  metrics_path=work / f"setup{n_setups - 1}.metrics.jsonl",
+                  phases=[{"steal_share": phase["host"]["steal_share"],
+                           "kept": phase is timing} for phase in phases])
     return records, raw, timing
 
 
-def end_to_end(run, plan, records, timing):
-    w = run.w
-    timed = [records[timing["first_timed"] + i] for i in range(len(plan.timed))]
-    is_ok = lambda r: bool(r.get("ok") and r.get("valid"))
-    ok = [r for r in timed if is_ok(r)]
-    # Throughput and latency per block of consecutive jobs; the run reports
-    # their medians, so a host stall spoils a few blocks, not the run.
-    block = w.block or len(timed)
+def blocks(timed, timing, block, is_ok):
+    """Diagnostics only: rate, p50 and tail per block of `block` consecutive
+    jobs, and their medians. A host stall moves a few blocks; the spread of
+    the blocks shows how steady the phase was."""
     tail_p = stats.tail_percentile(block)
     rates, p50s, tails = [], [], []
     block_start = timing["start_ns"]
@@ -254,6 +278,20 @@ def end_to_end(run, plan, records, timing):
         p50s.append(stats.median(latency_ms))
         tails.append(stats.percentile(latency_ms, tail_p))
         block_start = block_end
+    quartiles = lambda v: [round(q, 4) for q in statistics.quantiles(v, n=4)]
+    return {"block": block, "percentile": tail_p, "count": len(rates),
+            "jobs_per_s_quartiles": quartiles(rates), "p50_ms_quartiles": quartiles(p50s),
+            "tail_ms_quartiles": quartiles(tails)}
+
+
+def end_to_end(run, plan, records, timing):
+    w = run.w
+    timed = [records[timing["first"] + i] for i in range(len(plan.timed))]
+    is_ok = lambda r: bool(r.get("ok") and r.get("valid"))
+    ok = [r for r in timed if is_ok(r)]
+    wall_s = (max(timing["done_ns"]) - timing["start_ns"]) / 1e9
+    latency_ms = [ns / 1e6 for ns in timing["latency_ns"]]
+    tail_p = stats.tail_percentile(len(latency_ms))
     if w.quality == "sprank":
         quality = [r["quality"] for r in ok]
     else:  # planted instances have a perfect matching: sprank = rows
@@ -266,20 +304,23 @@ def end_to_end(run, plan, records, timing):
                                     f"below the paper's {bound:.4f}")
     values = {
         "setup_s": stats.median(timing["setups"]),
-        "jobs_per_s": stats.median(rates),
-        "latency_p50_ms": stats.median(p50s),
-        "latency_tail_ms": stats.median(tails),
+        "jobs_per_s": len(ok) / wall_s,
+        "latency_p50_ms": stats.median(latency_ms),
+        "latency_tail_ms": stats.percentile(latency_ms, tail_p),
         "cpu_ms_per_job": timing["cpu_s"] * 1e3 / len(timed),
         "quality_mean": sum(quality) / max(len(quality), 1),
         "rss_peak_mb": timing["rss_mb"],
     }
-    tail = {"percentile": tail_p, "samples_per_block": block,
-            "beyond_per_block": block - math.ceil(block * tail_p / 100),
-            "blocks": len(tails)}
+    tail = {"percentile": tail_p, "samples": len(latency_ms),
+            "beyond": len(latency_ms) - math.ceil(len(latency_ms) * tail_p / 100),
+            "ladder_ms": {p: round(stats.percentile(latency_ms, p), 4)
+                          for p in stats.TAIL_LADDER}}
+    if w.block:
+        tail["blocks"] = blocks(timed, timing, w.block, is_ok)
     return values, tail
 
 
-def traced(run, plan, raw, timing, trace_bin, jobs_per_s):
+def traced(run, plan, raw, timing, trace_bin):
     """The traced run: bmh_trace replays the jobs the server just ran."""
     w, work = run.w, run.work
     jobs_file = work / "jobs.tsv"
@@ -292,11 +333,10 @@ def traced(run, plan, raw, timing, trace_bin, jobs_per_s):
     stores = {"none": (None, None),
               "fresh": (work / "replay_store", work / "engine_store"),
               "prespilled": (timing["store_dir"], timing["store_dir"])}[w.store]
-    cmd = [str(trace_bin), "--jobs", str(jobs_file), "--tpj", str(w.tpj),
-           "--workers", str(w.workers), "--window", str(w.window),
-           "--cache-mb", str(w.cache_mb), "--memory-tier", "1" if w.store == "none" else "0",
-           "--sweep-dir", str(work / "sweep"), "--records-out", str(work / "replay.jsonl"),
-           "--trace-out", str(work / "trace.json")]
+    cmd = [str(trace_bin), "--jobs", str(jobs_file), "--sweep-spec", plan.sweep,
+           "--tpj", str(w.tpj), "--workers", str(w.workers), "--window", str(w.window),
+           "--cache-mb", str(w.cache_mb), "--sweep-dir", str(work / "sweep"),
+           "--records-out", str(work / "replay.jsonl"), "--trace-out", str(work / "trace.json")]
     if stores[0] is not None:
         cmd += ["--replay-store", str(stores[0]), "--engine-store", str(stores[1])]
     done = subprocess.run(cmd, env=run.env, capture_output=True, text=True, timeout=120)
@@ -314,6 +354,10 @@ def traced(run, plan, raw, timing, trace_bin, jobs_per_s):
     if layers["trace.unaccounted_share"] > CLOSURE_LIMIT:
         run.problems.append(f"closure: {layers['trace.unaccounted_share']:.4f} of replayed "
                             f"job time outside the layer spans")
+    if out["replay"]["unaccounted_p95"] > CLOSURE_LIMIT:
+        run.problems.append(f"closure: 5% of replayed jobs have more than "
+                            f"{out['replay']['unaccounted_p95']:.4f} of their time outside "
+                            f"the layer spans")
     counters = read_counters(timing["metrics_path"])
     hits = counters.get(("graph_cache", "hits"), 0)
     lookups = hits + counters.get(("graph_cache", "misses"), 0)
@@ -325,9 +369,9 @@ def traced(run, plan, raw, timing, trace_bin, jobs_per_s):
         "graph_cache.hit_ratio": hits / lookups if lookups else 0.0,
         "graph_cache.evictions": counters.get(("graph_cache", "evictions"), 0),
         "graph_store.hit_ratio": store_hits / store_lookups if store_lookups else 0.0,
-        "trace.overhead_share": 1.0 - out["engine"]["jobs_per_s"] / jobs_per_s,
     })
     context = {"sources": out["sources"], "replay": out["replay"], "engine": out["engine"],
+               "sweep_spec": out["sweep_spec"],
                "replay_digest": replay_digest,
                "trace_file": str((work / "trace.json").relative_to(ROOT))}
     return layers, context
@@ -358,10 +402,10 @@ def run_workload(args):
                    "jobs": {"warm": len(timing["warm"]), "discard": len(plan.discard),
                             "timed": len(plan.timed)},
                    "setups_s": timing["setups"], "tail": tail, "host": timing["host"],
+                   "timed_phases": timing["phases"],
                    "server_digest": digest(raw)}
         if args.trace:
-            layers, trace_context = traced(run, plan, raw, timing, trace_bin,
-                                           values["jobs_per_s"])
+            layers, trace_context = traced(run, plan, raw, timing, trace_bin)
             context.update(trace_context)
             metrics = {name: {"value": layers[name], "unit": unit}
                        for name, unit in PER_LAYER.items()}

@@ -11,6 +11,7 @@ UNIT_RE = re.compile(r"[A-Za-z0-9_/%.-]{1,16}\Z")
 # Tail percentiles a workload may report, highest first.
 TAIL_LADDER = (99.9, 99.5, 99.0, 98.0, 95.0, 90.0, 80.0, 75.0, 50.0)
 MIN_BEYOND = 10
+MIN_BEYOND_SHARE = 0.05
 
 
 def median(values):
@@ -28,11 +29,14 @@ def percentile(values, p):
     return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
-def tail_percentile(n_samples, min_beyond=MIN_BEYOND):
+def tail_percentile(n_samples, min_beyond=MIN_BEYOND, min_share=MIN_BEYOND_SHARE):
     """The highest ladder percentile that leaves at least `min_beyond` of
-    `n_samples` beyond it."""
+    `n_samples`, and at least `min_share` of them, beyond it. The share keeps
+    a long phase's tail off the rungs that a few host preemptions decide:
+    p95, not p99.9, for 50k samples; below 200 samples it changes nothing."""
+    need = max(min_beyond, min_share * n_samples)
     for p in TAIL_LADDER:
-        if n_samples * (100.0 - p) / 100.0 >= min_beyond - 1e-9:
+        if n_samples * (100.0 - p) / 100.0 >= need - 1e-9:
             return p
     raise ValueError(f"{n_samples} samples cannot leave {min_beyond} beyond "
                      f"a percentile of at least {TAIL_LADDER[-1]}")

@@ -6,6 +6,7 @@
 
 import json
 import math
+from collections import Counter
 import statistics
 import sys
 import unittest
@@ -16,24 +17,27 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
 import stats  # noqa: E402
-from run import END_TO_END, PER_LAYER  # noqa: E402
+from run import END_TO_END, PER_LAYER, stolen  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
 class TailPercentile(unittest.TestCase):
-    def test_leaves_at_least_ten_beyond(self):
+    def test_leaves_at_least_ten_and_five_percent_beyond(self):
         for n in (20, 49, 50, 80, 99, 100, 120, 199, 200, 1000, 2500, 9999, 10000, 50000):
             p = stats.tail_percentile(n)
-            self.assertGreaterEqual(n * (100 - p) / 100, 10 - 1e-9, (n, p))
+            need = max(10, n / 20)
+            self.assertGreaterEqual(n * (100 - p) / 100, need - 1e-9, (n, p))
             higher = [q for q in stats.TAIL_LADDER if q > p]
-            if higher:  # the next rung up would leave fewer than ten
-                self.assertLess(n * (100 - min(higher)) / 100, 10, (n, p))
+            if higher:  # the next rung up would leave too few
+                self.assertLess(n * (100 - min(higher)) / 100, need, (n, p))
 
     def test_known_rungs(self):
         self.assertEqual(stats.tail_percentile(50), 80.0)
         self.assertEqual(stats.tail_percentile(100), 90.0)
-        self.assertEqual(stats.tail_percentile(2500), 99.5)
-        self.assertEqual(stats.tail_percentile(10000), 99.9)
+        self.assertEqual(stats.tail_percentile(180), 90.0)
+        self.assertEqual(stats.tail_percentile(2500), 95.0)
+        self.assertEqual(stats.tail_percentile(50000), 95.0)
+        self.assertEqual(stats.tail_percentile(10000, min_share=0.0), 99.9)
 
     def test_too_few_samples(self):
         with self.assertRaises(ValueError):
@@ -98,7 +102,18 @@ class Plans(unittest.TestCase):
     def test_work_is_fixed_by_seconds_not_time(self):
         for w in WORKLOADS.values():
             n = len(w.plan(1, 10, smoke=False, trace=False).timed)
-            self.assertEqual(n, max(50, round(10 * w.rate)), w.name)
+            least = max(50, round(10 * w.rate))
+            if w.name == "large_warm":  # rounded up to whole rounds of 12 pairs
+                self.assertEqual(n, -(-least // 12) * 12)
+            else:
+                self.assertEqual(n, least, w.name)
+
+    def test_large_warm_runs_every_pair_equally_often(self):
+        for seed in (1, 2, 3):
+            timed = WORKLOADS["large_warm"].plan(seed, 10, smoke=False, trace=False).timed
+            pairs = Counter(" ".join(line.split()[:2]) for line in timed)
+            self.assertEqual(len(pairs), 12)
+            self.assertEqual(set(pairs.values()), {len(timed) // 12})
 
     def test_layouts_fit_four_cores(self):
         for w in WORKLOADS.values():
@@ -106,8 +121,34 @@ class Plans(unittest.TestCase):
 
     def test_cold_build_instances_are_distinct(self):
         plan = WORKLOADS["cold_build"].plan(3, 10, smoke=False, trace=False)
-        inputs = [line.split()[0] for line in plan.probes + plan.discard + plan.timed]
+        inputs = [line.split()[0]
+                  for line in plan.probes + plan.discard + plan.timed + plan.retry]
         self.assertEqual(len(inputs), len(set(inputs)))
+
+    def test_retry_repeats_the_timed_work(self):
+        for w in WORKLOADS.values():
+            plan = w.plan(5, 10, smoke=False, trace=False)
+            self.assertEqual(len(plan.retry), len(plan.timed), w.name)
+
+    def test_sweep_instance_is_pinned(self):
+        family = {"serve_tiny": "er", "large_warm": "er", "cold_build": "planted",
+                  "store_restart": "planted"}
+        for w in WORKLOADS.values():
+            for seed in range(1, 6):
+                sweep = w.plan(seed, 10, smoke=False, trace=True).sweep
+                self.assertTrue(sweep.startswith(f"input=gen:{family[w.name]}:n="),
+                                (w.name, seed, sweep))
+
+
+class StealGate(unittest.TestCase):
+    def phase(self, steal, total):
+        return {"host": {"steal_ticks_delta": steal, "total_ticks_delta": total}}
+
+    def test_repeats_only_a_phase_with_real_steal(self):
+        self.assertFalse(stolen(self.phase(0, 4000)))
+        self.assertFalse(stolen(self.phase(60, 4000)))   # 1.5%
+        self.assertTrue(stolen(self.phase(300, 4000)))   # 7.5%
+        self.assertFalse(stolen(self.phase(3, 40)))      # a few ticks of a short phase
 
 
 if __name__ == "__main__":

@@ -23,8 +23,10 @@ class Plan:
     warm: list = field(default_factory=list)      # set-up pass (warm workloads)
     discard: list = field(default_factory=list)   # untimed warm-up run
     timed: list = field(default_factory=list)
+    retry: list = field(default_factory=list)     # timed lines of a repeated timed phase
     prespill: list = field(default_factory=list)  # store_restart's earlier process
     probes: list = field(default_factory=list)    # set-up k's readiness job (cold)
+    sweep: str = ""                               # the traced run's pinned sweep instance
 
 
 @dataclass(frozen=True)
@@ -38,8 +40,8 @@ class Workload:
     store: str         # "none" | "fresh" | "prespilled"
     rate: float        # nominal timed jobs per second of --seconds
     setups: int        # set-ups per run; setup_s is their median
-    block: int         # jobs per throughput/latency block (0: the whole timed
-                       # phase); the run reports the medians over blocks
+    block: int         # jobs per block of the context record's per-block
+                       # diagnostics (0: none)
     quality: str       # how quality_mean is read: "sprank" | "planted"
     paper_bounds: bool # check the paper's per-algorithm quality bounds
     generate: object   # (rng, n_timed, n) -> Plan
@@ -51,7 +53,8 @@ class Workload:
 
     def plan(self, seed, seconds, smoke, trace):
         """The run's job lines. Trace runs replay a third of the list; smoke
-        runs a token 20 jobs, or 4 blocks."""
+        runs a token 20 jobs, or 4 blocks. `retry` repeats the timed work:
+        the same lines, or on cold_build as many fresh instances."""
         least = max(20, 4 * self.block)
         if smoke:
             n_timed = least
@@ -105,17 +108,24 @@ def _balanced(rng, specs, algos, count):
 def _serve_tiny(rng, n_timed, n):
     specs = _tiny_instances(rng, 100 if n == BIG_N else 8)
     jobs = _balanced(rng, specs, ALGOS, n_timed // 10 + n_timed)
-    return Plan(warm=[_line(s, ALGOS[i % 4], rng) for i, s in enumerate(specs)],
-                discard=jobs[:n_timed // 10], timed=jobs[n_timed // 10:])
+    warm = [_line(s, ALGOS[i % 4], rng) for i, s in enumerate(specs)]
+    timed = jobs[n_timed // 10:]
+    return Plan(warm=warm, discard=jobs[:n_timed // 10], timed=timed, retry=timed,
+                sweep=warm[0])
 
 
 def _large_warm(rng, n_timed, n):
     specs = [f"gen:er:n={n},deg=8,seed={_seed(rng)}",
              f"gen:powerlaw:n={n},avg=8,seed={_seed(rng)}",
              f"gen:planted:n={n},extra=7,seed={_seed(rng)}"]
-    jobs = _balanced(rng, specs, ALGOS, n_timed + 4)
-    return Plan(warm=[_line(s, "karp_sipser", rng, quality=False) for s in specs],
-                discard=jobs[:4], timed=jobs[4:])
+    # Whole rounds only: every (instance, algorithm) pair runs equally often,
+    # so the median and quality_mean do not hinge on which pairs a seed's
+    # shuffle leaves out. Their job times differ tenfold.
+    pairs = len(specs) * len(ALGOS)
+    timed = _balanced(rng, specs, ALGOS, -(-n_timed // pairs) * pairs)
+    warm = [_line(s, "karp_sipser", rng, quality=False) for s in specs]
+    return Plan(warm=warm, discard=_balanced(rng, specs, ALGOS, 4), timed=timed, retry=timed,
+                sweep=warm[0])
 
 
 def _planted(rng, n):
@@ -124,28 +134,32 @@ def _planted(rng, n):
 
 def _cold_build(rng, n_timed, n):
     jobs = [_line(_planted(rng, n), "two_sided", rng, quality=False)
-            for _ in range(MAX_SETUPS + n_timed + 4)]
-    return Plan(probes=jobs[:MAX_SETUPS], discard=jobs[MAX_SETUPS:MAX_SETUPS + 4],
-                timed=jobs[MAX_SETUPS + 4:])
+            for _ in range(MAX_SETUPS + 4 + 2 * n_timed)]
+    timed = MAX_SETUPS + 4
+    return Plan(probes=jobs[:MAX_SETUPS], discard=jobs[MAX_SETUPS:timed],
+                timed=jobs[timed:timed + n_timed], retry=jobs[timed + n_timed:],
+                sweep=jobs[0])
 
 
 def _store_restart(rng, n_timed, n):
     specs = [_planted(rng, n) for _ in range(24 if n == BIG_N else 4)]
     pick = lambda: _line(rng.choice(specs), "two_sided", rng, quality=False)
-    return Plan(prespill=[_line(s, "greedy", rng, quality=False) for s in specs],
-                probes=[pick() for _ in range(MAX_SETUPS)],
-                discard=[pick() for _ in range(4)],
-                timed=[pick() for _ in range(n_timed)])
+    prespill = [_line(s, "greedy", rng, quality=False) for s in specs]
+    probes = [pick() for _ in range(MAX_SETUPS)]
+    discard = [pick() for _ in range(4)]
+    timed = [pick() for _ in range(n_timed)]
+    return Plan(prespill=prespill, probes=probes, discard=discard, timed=timed, retry=timed,
+                sweep=prespill[0])
 
 
 WORKLOADS = {w.name: w for w in (
     Workload("serve_tiny",
              workers=2, tpj=1, build_team=1, window=4, cache_mb=256, store="none",
-             rate=5000.0, setups=3, block=100, quality="sprank", paper_bounds=False,
+             rate=5000.0, setups=9, block=100, quality="sprank", paper_bounds=False,
              generate=_serve_tiny),
     Workload("large_warm",
              workers=1, tpj=3, build_team=3, window=1, cache_mb=256, store="none",
-             rate=4.5, setups=3, block=0, quality="sprank", paper_bounds=True,
+             rate=4.5, setups=5, block=0, quality="sprank", paper_bounds=True,
              generate=_large_warm),
     Workload("cold_build",
              workers=1, tpj=3, build_team=3, window=1, cache_mb=256, store="fresh",
