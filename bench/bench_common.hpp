@@ -55,16 +55,14 @@ double time_geomean(Fn&& fn, int runs, int warmup) {
 /// the p50/p99 of the engine's per-worker latency histograms, merged across
 /// workers — per-job wall time, queue wait, and graph acquisition. Percentiles
 /// come from the obs layer's log-scale buckets (~12.5% worst-case width), so
-/// they are estimates, not exact order statistics. `"enabled": false` (all
-/// histograms empty) when the build compiles the latency layer out
-/// (-DBMH_OBS_DISABLED=ON).
+/// they are estimates, not exact order statistics.
 inline std::string latency_json(const Engine& engine) {
   const obs::Snapshot snap = engine.metrics();
-  std::string out = "{\"enabled\": ";
-  out += obs::kEnabled ? "true" : "false";
+  std::string out = "{";
   for (const char* metric : {"job", "queue_wait", "graph_acquire"}) {
     const obs::HistogramData h = snap.histogram_merged("worker", metric);
-    out += ", \"";
+    if (out.size() > 1) out += ", ";
+    out += '"';
     out += metric;
     out += "\": {\"samples\": ";
     out += std::to_string(h.count);

@@ -4,7 +4,7 @@
 /// times of ScaleSK (one iteration), OneSidedMatch, KarpSipserMT, and
 /// TwoSidedMatch on the 12-instance suite.
 ///
-/// The UFL matrices are replaced by structural stand-ins (see DESIGN.md §3)
+/// The UFL matrices are replaced by structural stand-ins (see graph/generators_suite.hpp)
 /// at ~1/10 the paper's sizes by default; absolute times therefore differ
 /// from the paper's Sandy Bridge numbers, but the orderings (road networks
 /// dominate scaling cost; TwoSided ~ 2-3x OneSided; sprank/n < 1 exactly

@@ -41,7 +41,7 @@ PipelineConfig serving_config() {
   config.scaling_iterations = 5;
   config.options.seed = 7;
   config.options.threads = 1;     // one OpenMP lane per worker: jobs are the
-                                  // parallelism, as in the batch runner
+                                  // parallelism, as in the engine
   config.compute_quality = false; // serving mode: no exact solve per request
   return config;
 }
@@ -146,20 +146,18 @@ int main() {
   const double batch_allocs_per_job =
       static_cast<double>(b1.allocations - b0.allocations) / jobs;
   std::cout << "engine batch: " << batch_allocs_per_job
-            << " allocations/job warm (graph build + result record), "
+            << " allocations/job warm (graph build + result record + JobSpec copy), "
             << jobs / batch_seconds << " jobs/s, " << failed << " failed\n";
 
   // Per-job latency distribution of the warm engine (both engine passes),
   // merged across its workers.
   const std::string latency = bench::latency_json(engine);
-  if constexpr (obs::kEnabled) {
-    const obs::HistogramData job_hist =
-        engine.metrics().histogram_merged("worker", "job");
-    std::cout << "engine batch job latency: p50 "
-              << static_cast<double>(job_hist.p50_ns()) / 1e6 << " ms, p99 "
-              << static_cast<double>(job_hist.p99_ns()) / 1e6 << " ms over "
-              << job_hist.count << " jobs\n";
-  }
+  const obs::HistogramData job_hist =
+      engine.metrics().histogram_merged("worker", "job");
+  std::cout << "engine batch job latency: p50 "
+            << static_cast<double>(job_hist.p50_ns()) / 1e6 << " ms, p99 "
+            << static_cast<double>(job_hist.p99_ns()) / 1e6 << " ms over "
+            << job_hist.count << " jobs\n";
 
   // ---- 2. Throughput: cold (per-call allocation) vs warm (arena reuse). --
   const auto sweep_throughput = [&](const std::vector<BipartiteGraph>& pool,
@@ -179,7 +177,7 @@ int main() {
   const auto [cold_best, warm_best] = sweep_throughput(graphs, jobs, "n=main");
 
   // Small-graph sweep: fixed per-job overheads (allocation among them) are
-  // a larger share of tiny jobs, the regime the batch runner serves.
+  // a larger share of tiny jobs, the regime the engine serves.
   std::vector<BipartiteGraph> small_graphs;
   for (std::uint64_t s = 0; s < 16; ++s)
     small_graphs.push_back(make_erdos_renyi(128, 128, 8LL * 128, 2000 + s));
@@ -205,8 +203,9 @@ int main() {
        << "  \"engine_batch\": {\"allocations_per_job_warm\": "
        << bmh::json_number(batch_allocs_per_job)
        << ", \"jobs_per_second\": " << bmh::json_number(jobs / batch_seconds)
-       << ", \"note\": \"remaining per-job allocations are the generated graph and "
-          "the retained JobResult record, not algorithm scratch\"},\n"
+       << ", \"note\": \"remaining per-job allocations are the generated graph, "
+          "the JobSpec copied into its submit slot and the retained JobResult "
+          "record, not algorithm scratch\"},\n"
        << "  \"throughput\": {\"cold_jobs_per_second\": " << bmh::json_number(cold_best)
        << ", \"warm_jobs_per_second\": " << bmh::json_number(warm_best)
        << ", \"speedup\": " << bmh::json_number(speedup)

@@ -7,7 +7,7 @@
 ///   bmh_engine --spec jobs.txt [--out results.jsonl] [--threads 4]
 ///              [--threads-per-job 2] [--seed 1] [--graph-cache-mb 256]
 ///              [--graph-store DIR] [--graph-store-budget-mb N]
-///              [--store-fsync] [--stream] [--no-timings] [--quiet]
+///              [--store-fsync] [--queue-depth N] [--no-timings] [--quiet]
 ///              [--metrics-out FILE] [--metrics-interval-ms N]
 ///   bmh_engine --serve           # read job spec lines from stdin, emit
 ///                                # each result as soon as it completes
@@ -40,9 +40,11 @@
 /// against unclean shutdown. `--threads 0` auto-detects one worker per
 /// processor (the summary prints the resolved count).
 ///
-/// Batch modes are emitted in job index order (`--stream` additionally
-/// drops each record once written, bounding memory for very large
-/// batches). `--serve` is the server shape: job spec lines arrive on
+/// Batch modes stream each record in job index order as soon as every
+/// lower index is written, then drop it, so memory stays bounded for very
+/// large batches. A batch rides the same submission ring as `--serve`, so
+/// `--queue-depth` bounds how many of its jobs wait unclaimed at once.
+/// `--serve` is the server shape: job spec lines arrive on
 /// stdin, each result is written (and flushed) the moment it completes —
 /// completion order, so with more than one worker thread, lines can leave
 /// out of order; the `job` field carries the input line's position. A
@@ -53,8 +55,8 @@
 /// exit status is the usual one (0 when every emitted record was ok).
 ///
 /// With a fixed --seed the emitted records are byte-identical across
-/// reruns and thread counts (cache, store, streaming and serve-with-one-
-/// thread included); pass --no-timings to drop the wall-clock fields (the
+/// reruns and thread counts (cache, store and serve-with-one-thread
+/// included); pass --no-timings to drop the wall-clock fields (the
 /// only nondeterministic ones) when diffing runs.
 ///
 /// Observability (see README "Observability"): `--metrics-out FILE` writes
@@ -192,8 +194,7 @@ int main(int argc, char** argv) {
           << "bmh_engine --spec FILE | --serve | --demo | --list\n"
              "  --out FILE            write JSON lines here (default stdout)\n"
              "  --threads N           engine worker threads (default 1;\n"
-             "                        0 = one per processor). --workers is a\n"
-             "                        deprecated alias\n"
+             "                        0 = one per processor)\n"
              "  --threads-per-job N   OpenMP threads inside each job (default 1;\n"
              "                        0 = ambient)\n"
              "  --seed S              base seed for per-job RNG derivation (default 1)\n"
@@ -205,8 +206,6 @@ int main(int argc, char** argv) {
              "                        prune DIR (least recently used first) when\n"
              "                        spills push it past N MiB (default 0 = off)\n"
              "  --store-fsync         fsync each spilled graph (durability)\n"
-             "  --stream              batch: emit each record in index order as\n"
-             "                        it completes and drop it (bounded memory)\n"
              "  --serve               read job spec lines from stdin, emit each\n"
              "                        result as it completes (flushed per line);\n"
              "                        SIGTERM/SIGINT drain in-flight jobs, then\n"
@@ -244,8 +243,8 @@ int main(int argc, char** argv) {
     const bool serve = args.has("serve");
     std::vector<bmh::JobSpec> jobs;
     if (serve) {
-      if (args.has("spec") || args.has("demo") || args.has("stream"))
-        throw std::runtime_error("--serve reads stdin; it excludes --spec/--demo/--stream");
+      if (args.has("spec") || args.has("demo"))
+        throw std::runtime_error("--serve reads stdin; it excludes --spec/--demo");
     } else if (args.has("demo")) {
       jobs = bmh::demo_batch();
     } else if (args.has("spec")) {
@@ -260,8 +259,7 @@ int main(int argc, char** argv) {
     }
 
     bmh::EngineConfig config;
-    config.threads = static_cast<int>(
-        args.get_int("threads", args.get_int("workers", 1)));
+    config.threads = static_cast<int>(args.get_int("threads", 1));
     config.threads_per_job = static_cast<int>(args.get_int("threads-per-job", 1));
     config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
     const auto cache_mb = args.get_int("graph-cache-mb", 256);
@@ -397,16 +395,11 @@ int main(int argc, char** argv) {
                 << ",\"job_count\":" << job_latency.count
                 << ",\"p50_ms\":" << job_latency.p50_ns() / 1e6
                 << ",\"p99_ms\":" << job_latency.p99_ns() / 1e6 << "}\n";
-    } else if (args.has("stream")) {
+    } else {
       failed = engine.run(jobs, [&](const bmh::JobResult& r) {
         *out << bmh::to_json_line(r, include_timings) << '\n';
         progress(r);
       });
-    } else {
-      const std::vector<bmh::JobResult> results = engine.run_collect(jobs, progress);
-      bmh::write_jsonl(*out, results, include_timings);
-      for (const bmh::JobResult& r : results)
-        if (!r.ok) ++failed;
     }
     if (args.has("out") && !quiet)
       std::cerr << "wrote " << total << " records to " << args.get("out", "")
@@ -442,23 +435,21 @@ int main(int argc, char** argv) {
                       << '\n';
         }
       }
-      if (bmh::obs::kEnabled) {
-        // Stage latency percentiles from the per-worker histograms, merged
-        // across the pool (log-bucketed: ~12.5% worst-case bucket error).
-        const bmh::obs::Snapshot snapshot = engine.metrics();
-        const auto line = [&](const char* label, const char* metric) {
-          const bmh::obs::HistogramData h =
-              snapshot.histogram_merged("worker", metric);
-          if (h.count == 0) return;
-          std::cerr << "latency " << label << ": p50 " << h.p50_ns() / 1e6
-                    << " ms, p99 " << h.p99_ns() / 1e6 << " ms ("
-                    << h.count << " samples)\n";
-        };
-        line("job", "job");
-        line("queue-wait", "queue_wait");
-        line("graph-acquire", "graph_acquire");
-        line("match", "stage_match");
-      }
+      // Stage latency percentiles from the per-worker histograms, merged
+      // across the pool (log-bucketed: ~12.5% worst-case bucket error).
+      const bmh::obs::Snapshot snapshot = engine.metrics();
+      const auto line = [&](const char* label, const char* metric) {
+        const bmh::obs::HistogramData h =
+            snapshot.histogram_merged("worker", metric);
+        if (h.count == 0) return;
+        std::cerr << "latency " << label << ": p50 " << h.p50_ns() / 1e6
+                  << " ms, p99 " << h.p99_ns() / 1e6 << " ms ("
+                  << h.count << " samples)\n";
+      };
+      line("job", "job");
+      line("queue-wait", "queue_wait");
+      line("graph-acquire", "graph_acquire");
+      line("match", "stage_match");
     }
     if (!metrics_out.empty()) write_metrics_file(engine, metrics_out);
     return failed == 0 ? 0 : 3;

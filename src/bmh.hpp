@@ -9,7 +9,7 @@
 ///   bmh::one_sided_match(graph, scaling_iterations, seed)   // >= 0.632
 ///   bmh::two_sided_match(graph, scaling_iterations, seed)   // ~= 0.866
 ///
-/// See README.md for a quickstart and DESIGN.md for the system inventory.
+/// See README.md for a quickstart and the system inventory.
 
 // Utilities
 #include "util/cli.hpp"
@@ -53,8 +53,15 @@
 #include "core/profile.hpp"
 #include "core/two_sided.hpp"
 
-// Matching engine (registry, pipelines, batch runner)
-#include "engine/engine.hpp"
+// Matching engine (registry, pipelines, the serving Engine)
+#include "engine/algorithm.hpp"
+#include "engine/engine_api.hpp"
+#include "engine/graph_cache.hpp"
+#include "engine/graph_store.hpp"
+#include "engine/job.hpp"
+#include "engine/json.hpp"
+#include "engine/pipeline.hpp"
+#include "engine/registry.hpp"
 
 // Observability (metrics, tracing, exporters)
 #include "obs/export.hpp"

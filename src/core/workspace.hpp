@@ -5,7 +5,7 @@
 /// Every matcher in the library needs the same few working arrays each call
 /// (degree counters, BFS queues, choice vectors, ...). Allocating them per
 /// invocation is invisible on one large instance but dominates small-graph
-/// jobs in the batch runner, where a worker thread executes thousands of
+/// jobs in the engine, where a worker thread executes thousands of
 /// pipelines back to back. A Workspace is the fix: a bag of named, typed
 /// buffers that grow monotonically and are reused across calls, so the
 /// steady state of a warm worker performs no heap allocations at all.

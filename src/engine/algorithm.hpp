@@ -4,7 +4,7 @@
 ///
 /// Every matcher in the library — the paper's heuristics, the cheap
 /// baselines, the exact solvers — is wrapped behind this interface so that
-/// pipelines, benches and the batch runner can be written once against
+/// pipelines, benches and the engine can be written once against
 /// string algorithm names instead of hand-wiring each entry point. The
 /// scaling vectors are computed by the *pipeline* (they are a shared stage,
 /// reused across algorithms on the same graph); algorithms that do not

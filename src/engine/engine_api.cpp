@@ -1,6 +1,7 @@
 #include "engine/engine_api.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cstdio>
@@ -108,49 +109,24 @@ void warn_callback_error(const char* what) noexcept {
 
 } // namespace
 
-/// A caller's batch, viewed — the caller blocks in run()/run_collect()
-/// until `finished`, so the vector outlives the batch. Workers claim
-/// indices with one atomic fetch_add each, exactly the pull model the old
-/// per-batch pool used, so a million-job batch costs a handful of ring
-/// descriptors (one per worker), not a million. Single-job submits don't
-/// come through here anymore — they ride the slot freelist (SubmitSlot).
-struct Engine::Batch {
-  const JobSpec* jobs = nullptr;  ///< base of the job array
-  std::size_t count = 0;
-  std::size_t base_index = 0;     ///< derivation index of jobs[0]
-  std::uint64_t enqueue_ns = 0;   ///< obs::now_ns() when accepted (queue wait)
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> completed{0};
-  /// Invoked on worker threads, unsynchronized — each caller owns its
-  /// ordering (run() reorders by index, run_collect() writes by slot,
-  /// submit() fulfils its promise).
-  std::function<void(std::size_t, JobResult&&)> deliver;
-  std::promise<void> finished;    ///< fulfilled when completed == count
-};
-
 /// A worker's pre-resolved instruments: looked up once at thread start (the
 /// find-or-create path takes a mutex), then every per-job update is a
 /// relaxed atomic through these pointers — the hot path never touches a
 /// lock or an allocation. Also carries the per-job scratch execute() hands
-/// back to the publish burst in worker_loop (single-threaded per worker).
+/// back to the publish burst in run_single (single-threaded per worker).
 struct Engine::WorkerObs {
   obs::MetricDomain* domain = nullptr;
   obs::Counter* jobs_run = nullptr;
   obs::Counter* jobs_failed = nullptr;
   obs::Counter* direct_builds = nullptr;
-  // Per-kind slices of jobs_run (their sum), so dashboards can tell a
-  // matching-serving engine from an analysis one at a glance.
-  obs::Counter* jobs_run_match = nullptr;
-  obs::Counter* jobs_run_undirected_match = nullptr;
-  obs::Counter* jobs_run_analyze = nullptr;
-  // Per-ErrorKind slices of jobs_failed (their sum): "the disk is dying"
-  // (store_io) and "clients send garbage" (parse) are different pages.
-  obs::Counter* jobs_failed_parse = nullptr;
-  obs::Counter* jobs_failed_source_io = nullptr;
-  obs::Counter* jobs_failed_store_io = nullptr;
-  obs::Counter* jobs_failed_build = nullptr;
-  obs::Counter* jobs_failed_exec = nullptr;
-  obs::Counter* jobs_failed_timeout = nullptr;
+  // Per-JobKind slices of jobs_run (their sum), indexed by the enum value,
+  // so dashboards can tell a matching-serving engine from an analysis one.
+  std::array<obs::Counter*, 3> jobs_run_by_kind{};
+  // Per-ErrorKind slices of jobs_failed (their sum), indexed by the enum
+  // value: "the disk is dying" (store_io) and "clients send garbage"
+  // (parse) are different pages. kNone never labels a failure; it shares
+  // the exec slice defensively.
+  std::array<obs::Counter*, 7> jobs_failed_by_kind{};
   obs::Counter* io_retries = nullptr;        ///< transient acquire retries taken
   obs::Counter* callback_errors = nullptr;   ///< deliver callbacks that threw
   obs::Histogram* queue_wait = nullptr;
@@ -174,15 +150,17 @@ Engine::WorkerObs Engine::resolve_worker_obs(obs::MetricDomain& domain) {
   wo.jobs_run = &domain.counter("jobs_run");
   wo.jobs_failed = &domain.counter("jobs_failed");
   wo.direct_builds = &domain.counter("direct_builds");
-  wo.jobs_run_match = &domain.counter("jobs_run_match");
-  wo.jobs_run_undirected_match = &domain.counter("jobs_run_undirected_match");
-  wo.jobs_run_analyze = &domain.counter("jobs_run_analyze");
-  wo.jobs_failed_parse = &domain.counter("jobs_failed_parse");
-  wo.jobs_failed_source_io = &domain.counter("jobs_failed_source_io");
-  wo.jobs_failed_store_io = &domain.counter("jobs_failed_store_io");
-  wo.jobs_failed_build = &domain.counter("jobs_failed_build");
-  wo.jobs_failed_exec = &domain.counter("jobs_failed_exec");
-  wo.jobs_failed_timeout = &domain.counter("jobs_failed_timeout");
+  wo.jobs_run_by_kind = {&domain.counter("jobs_run_match"),
+                         &domain.counter("jobs_run_undirected_match"),
+                         &domain.counter("jobs_run_analyze")};
+  obs::Counter* failed_exec = &domain.counter("jobs_failed_exec");
+  wo.jobs_failed_by_kind = {failed_exec,  // kNone
+                            &domain.counter("jobs_failed_parse"),
+                            &domain.counter("jobs_failed_source_io"),
+                            &domain.counter("jobs_failed_store_io"),
+                            &domain.counter("jobs_failed_build"),
+                            failed_exec,
+                            &domain.counter("jobs_failed_timeout")};
   wo.io_retries = &domain.counter("io_retries");
   wo.callback_errors = &domain.counter("callback_errors");
   wo.queue_wait = &domain.histogram("queue_wait");
@@ -214,7 +192,7 @@ EngineConfig Engine::resolve(EngineConfig config) {
 Engine::Engine(EngineConfig config)
     : config_(resolve(std::move(config))),
       threads_(config_.threads),
-      ring_(2 * config_.submit_queue_depth),
+      ring_(config_.submit_queue_depth),
       free_slots_(config_.submit_queue_depth),
       slots_(config_.submit_queue_depth) {
   // The freelist starts full: every slot index is available to producers.
@@ -301,101 +279,11 @@ void Engine::wake_one() noexcept {
   }
 }
 
-void Engine::enqueue(std::shared_ptr<Batch> batch) {
-  if constexpr (obs::kEnabled) batch->enqueue_ns = obs::now_ns();
-  // seq_cst: the drain protocol's pending_submits_ check must totally order
-  // against this registration (see worker_loop's stopping branch).
-  pending_submits_.fetch_add(1, std::memory_order_seq_cst);
-  // Fan out one descriptor per worker that could usefully join the drain;
-  // claims inside the batch are fetch_add on Batch::next, so extra
-  // descriptors popped after the batch is exhausted are dropped harmlessly.
-  const std::size_t fanout =
-      std::min<std::size_t>(static_cast<std::size_t>(threads_),
-                            std::max<std::size_t>(batch->count, 1));
-  for (std::size_t k = 0; k < fanout; ++k) {
-    ring_.push(WorkItem{batch, 0});
-    wake_one();
-  }
-  // release: deregistration must order after the ring publishes above.
-  pending_submits_.fetch_sub(1, std::memory_order_release);
-}
-
-/// Per-worker accumulator for the counters that tolerate batching: the
-/// per-kind and per-ErrorKind slices, retry and direct-build tallies. The
-/// invariant-bearing trio (jobs_run, jobs_failed, every histogram) still
-/// publishes per job under one PublishGuard; these slices flush once per
-/// drain run (plus every 64 jobs as a staleness bound), so a hot drain pays
-/// one seqlock bracket for the breakdown instead of one per job. Flushed
-/// before any blocking caller can observe completion — see drain_batch and
-/// run_single.
-struct Engine::WorkerSlices {
-  std::uint64_t run_match = 0;
-  std::uint64_t run_undirected_match = 0;
-  std::uint64_t run_analyze = 0;
-  std::uint64_t failed_parse = 0;
-  std::uint64_t failed_source_io = 0;
-  std::uint64_t failed_store_io = 0;
-  std::uint64_t failed_build = 0;
-  std::uint64_t failed_exec = 0;
-  std::uint64_t failed_timeout = 0;
-  std::uint64_t io_retries = 0;
-  std::uint64_t direct_builds = 0;
-  unsigned since_flush = 0;
-
-  void account(const JobResult& result, const WorkerObs& wo) noexcept {
-    switch (result.kind) {
-      case JobKind::kMatch: ++run_match; break;
-      case JobKind::kUndirectedMatch: ++run_undirected_match; break;
-      case JobKind::kAnalyze: ++run_analyze; break;
-    }
-    if (!result.ok) {
-      switch (result.error_kind) {
-        case ErrorKind::kParse: ++failed_parse; break;
-        case ErrorKind::kSourceIo: ++failed_source_io; break;
-        case ErrorKind::kStoreIo: ++failed_store_io; break;
-        case ErrorKind::kBuild: ++failed_build; break;
-        case ErrorKind::kTimeout: ++failed_timeout; break;
-        case ErrorKind::kExec:
-        case ErrorKind::kNone: ++failed_exec; break;
-      }
-    }
-    io_retries += wo.job_io_retries;
-    if (wo.direct_build) ++direct_builds;
-    ++since_flush;
-  }
-
-  void flush(WorkerObs& wo) {
-    if (since_flush == 0) return;
-    obs::PublishGuard guard(*wo.domain);
-    if (run_match != 0) wo.jobs_run_match->inc(run_match);
-    if (run_undirected_match != 0)
-      wo.jobs_run_undirected_match->inc(run_undirected_match);
-    if (run_analyze != 0) wo.jobs_run_analyze->inc(run_analyze);
-    if (failed_parse != 0) wo.jobs_failed_parse->inc(failed_parse);
-    if (failed_source_io != 0) wo.jobs_failed_source_io->inc(failed_source_io);
-    if (failed_store_io != 0) wo.jobs_failed_store_io->inc(failed_store_io);
-    if (failed_build != 0) wo.jobs_failed_build->inc(failed_build);
-    if (failed_exec != 0) wo.jobs_failed_exec->inc(failed_exec);
-    if (failed_timeout != 0) wo.jobs_failed_timeout->inc(failed_timeout);
-    if (io_retries != 0) wo.io_retries->inc(io_retries);
-    if (direct_builds != 0) wo.direct_builds->inc(direct_builds);
-    *this = WorkerSlices{};
-  }
-};
-
-namespace {
-/// Staleness bound on the deferred slice counters: a worker in a long drain
-/// flushes at least this often, so dashboards never trail by more than a
-/// blink even when the ring never runs dry.
-constexpr unsigned kSliceFlushEvery = 64;
-} // namespace
-
 void Engine::worker_loop(int worker) {
   // Each worker owns one scratch arena, reused across every job it ever
-  // executes — batches and submits alike. After its first job of each
-  // shape the pipeline hot path performs no heap allocations, and unlike
-  // the per-call pools of the legacy free functions, the warmth survives
-  // across batches for the engine's whole lifetime.
+  // executes. After its first job of each shape the pipeline hot path
+  // performs no heap allocations, and the warmth survives across batches
+  // for the engine's whole lifetime.
   Workspace ws;
 
   // Re-resolve this worker's instruments (pure find: the constructor already
@@ -405,17 +293,11 @@ void Engine::worker_loop(int worker) {
   WorkerObs wo =
       resolve_worker_obs(*worker_domains_[static_cast<std::size_t>(worker)]);
   obs::bind_thread_journal(journals_[static_cast<std::size_t>(worker)].get());
-  WorkerSlices slices;
 
-  WorkItem item;
+  std::uint32_t slot = 0;
   for (;;) {
-    if (ring_.try_pop(item)) {
-      if (item.batch != nullptr) {
-        drain_batch(item.batch, ws, wo, slices);
-        item.batch.reset();  // drop the ref before sleeping on an idle ring
-      } else {
-        run_single(item.slot, ws, wo, slices);
-      }
+    if (ring_.try_pop(slot)) {
+      run_single(slot, ws, wo);
       continue;
     }
     // acquire pairs with the destructor's release store of stopping_.
@@ -431,22 +313,13 @@ void Engine::worker_loop(int worker) {
         std::this_thread::yield();
         continue;
       }
-      if (ring_.try_pop(item)) {
-        if (item.batch != nullptr) {
-          drain_batch(item.batch, ws, wo, slices);
-          item.batch.reset();
-        } else {
-          run_single(item.slot, ws, wo, slices);
-        }
-        continue;
-      }
-      slices.flush(wo);
-      return;
+      if (!ring_.try_pop(slot)) return;
+      run_single(slot, ws, wo);
+      continue;
     }
     // Nothing ready: park. Register as a sleeper first, then re-check the
     // ring (Dekker pairing with wake_one's fence) so a publish that raced
     // our pop either sees our registration or is seen by this re-check.
-    slices.flush(wo);
     UniqueLock lock(wake_mutex_);
     // seq_cst registration + fence: Dekker pairing with wake_one()'s fence,
     // so a racing producer either sees the sleeper or is seen by the
@@ -461,81 +334,7 @@ void Engine::worker_loop(int worker) {
   }
 }
 
-void Engine::drain_batch(const std::shared_ptr<Batch>& batch, Workspace& ws,
-                         WorkerObs& wo, WorkerSlices& slices) {
-  // Drain without re-touching any queue state: each claim is one
-  // uncontended fetch_add, so a million-job batch costs a million atomic
-  // increments against its own counter, not a million ring operations.
-  std::size_t drained = 0;
-  for (;;) {
-    const std::size_t i = batch->next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= batch->count) break;
-    const std::uint64_t claimed_ns = obs::kEnabled ? obs::now_ns() : 0;
-    const std::uint64_t queue_wait_ns =
-        claimed_ns > batch->enqueue_ns ? claimed_ns - batch->enqueue_ns : 0;
-    obs::record_phase("queue_wait", batch->enqueue_ns, queue_wait_ns);
-    wo.graph_acquire_ns = 0;
-    wo.direct_build = false;
-    wo.job_io_retries = 0;
-    JobResult result = execute(batch->jobs[i], batch->base_index + i, ws, wo);
-    // One seqlock-bracketed burst publishes the job's invariant-bearing
-    // counters: a concurrent metrics() snapshot sees all of it or none of
-    // it — jobs_run can never lead its own latency sample or its failure
-    // count within one worker domain. The breakdown slices accumulate in
-    // `slices` and flush per drain run.
-    {
-      obs::PublishGuard guard(*wo.domain);
-      wo.jobs_run->inc();
-      if (!result.ok) wo.jobs_failed->inc();
-      if constexpr (obs::kEnabled) {
-        wo.queue_wait->record(queue_wait_ns);
-        wo.graph_acquire->record(wo.graph_acquire_ns);
-        wo.job->record(obs::now_ns() - claimed_ns);
-        for (const StageStats& st : result.result.stages) {
-          if (st.stage == "scale") wo.stage_scale->record_seconds(st.seconds);
-          else if (st.stage == "match") wo.stage_match->record_seconds(st.seconds);
-          else if (st.stage == "augment") wo.stage_augment->record_seconds(st.seconds);
-          else if (st.stage == "analyze") wo.stage_analyze->record_seconds(st.seconds);
-          else if (st.stage == "convert") wo.stage_convert->record_seconds(st.seconds);
-        }
-        wo.ws_bytes->set(static_cast<std::int64_t>(ws.bytes_reserved()));
-      }
-    }
-    slices.account(result, wo);
-    if (slices.since_flush >= kSliceFlushEvery) slices.flush(wo);
-    // Containment boundary: deliver runs caller code (run()'s sink, a
-    // submit callback) on this pool thread. A throw here used to unwind
-    // through worker_loop and terminate the process via the std::thread —
-    // now it costs the caller its own notification and nothing else: the
-    // counter ticks, one note hits stderr per process, the batch still
-    // completes and every other job still delivers.
-    try {
-      batch->deliver(i, std::move(result));
-    } catch (const std::exception& e) {
-      wo.callback_errors->inc();
-      warn_callback_error(e.what());
-    } catch (...) {
-      wo.callback_errors->inc();
-      warn_callback_error("non-exception throw");
-    }
-    ++drained;
-  }
-  if (drained == 0) return;  // stale fan-out descriptor, everything claimed
-  // Flush the slices *before* the completion bookkeeping: the caller
-  // blocked on `finished` reads metrics the moment its future fires, and
-  // must see this run's breakdown (the promise's internal synchronization
-  // publishes the flushed values).
-  slices.flush(wo);
-  // Batched completion: one fetch_add covers every job this worker drained
-  // in the run, instead of one per job.
-  if (batch->completed.fetch_add(drained, std::memory_order_acq_rel) +
-          drained ==
-      batch->count)
-    batch->finished.set_value();
-}
-
-void Engine::run_single(std::uint32_t slot_index, Workspace& ws, WorkerObs& wo,
-                        WorkerSlices& slices) {
+void Engine::run_single(std::uint32_t slot_index, Workspace& ws, WorkerObs& wo) {
   SubmitSlot& slot = slots_[slot_index];
   // Move the submission out and recycle the slot before executing: the
   // engine's submission capacity bounds *queued* jobs, and a slot pinned
@@ -546,7 +345,7 @@ void Engine::run_single(std::uint32_t slot_index, Workspace& ws, WorkerObs& wo,
   const std::uint64_t enqueue_ns = slot.enqueue_ns;
   free_slots_.push(std::uint32_t{slot_index});
 
-  const std::uint64_t claimed_ns = obs::kEnabled ? obs::now_ns() : 0;
+  const std::uint64_t claimed_ns = obs::now_ns();
   const std::uint64_t queue_wait_ns =
       claimed_ns > enqueue_ns ? claimed_ns - enqueue_ns : 0;
   obs::record_phase("queue_wait", enqueue_ns, queue_wait_ns);
@@ -554,32 +353,36 @@ void Engine::run_single(std::uint32_t slot_index, Workspace& ws, WorkerObs& wo,
   wo.direct_build = false;
   wo.job_io_retries = 0;
   JobResult result = execute(job, index, ws, wo);
+  // One seqlock-bracketed burst publishes everything the job counts: a
+  // concurrent metrics() snapshot sees all of it or none of it — jobs_run
+  // can never lead its own latency sample, its failure count or its
+  // per-kind slice within one worker domain.
   {
     obs::PublishGuard guard(*wo.domain);
     wo.jobs_run->inc();
-    if (!result.ok) wo.jobs_failed->inc();
-    if constexpr (obs::kEnabled) {
-      wo.queue_wait->record(queue_wait_ns);
-      wo.graph_acquire->record(wo.graph_acquire_ns);
-      wo.job->record(obs::now_ns() - claimed_ns);
-      for (const StageStats& st : result.result.stages) {
-        if (st.stage == "scale") wo.stage_scale->record_seconds(st.seconds);
-        else if (st.stage == "match") wo.stage_match->record_seconds(st.seconds);
-        else if (st.stage == "augment") wo.stage_augment->record_seconds(st.seconds);
-        else if (st.stage == "analyze") wo.stage_analyze->record_seconds(st.seconds);
-        else if (st.stage == "convert") wo.stage_convert->record_seconds(st.seconds);
-      }
-      wo.ws_bytes->set(static_cast<std::int64_t>(ws.bytes_reserved()));
+    wo.jobs_run_by_kind[static_cast<std::size_t>(result.kind)]->inc();
+    if (!result.ok) {
+      wo.jobs_failed->inc();
+      wo.jobs_failed_by_kind[static_cast<std::size_t>(result.error_kind)]->inc();
     }
+    if (wo.job_io_retries != 0) wo.io_retries->inc(wo.job_io_retries);
+    if (wo.direct_build) wo.direct_builds->inc();
+    wo.queue_wait->record(queue_wait_ns);
+    wo.graph_acquire->record(wo.graph_acquire_ns);
+    wo.job->record(obs::now_ns() - claimed_ns);
+    for (const StageStats& st : result.result.stages) {
+      if (st.stage == "scale") wo.stage_scale->record_seconds(st.seconds);
+      else if (st.stage == "match") wo.stage_match->record_seconds(st.seconds);
+      else if (st.stage == "augment") wo.stage_augment->record_seconds(st.seconds);
+      else if (st.stage == "analyze") wo.stage_analyze->record_seconds(st.seconds);
+      else if (st.stage == "convert") wo.stage_convert->record_seconds(st.seconds);
+    }
+    wo.ws_bytes->set(static_cast<std::int64_t>(ws.bytes_reserved()));
   }
-  slices.account(result, wo);
-  // Flush before delivering when no more work is immediately ready (or at
-  // the staleness bound): the delivery may fulfil a future someone is
-  // blocked on, and a caller that serializes — submit, get, read metrics —
-  // must see this job's slices. Under open-loop load the ring stays ready
-  // and the flush amortizes across the run.
-  if (!ring_.ready() || slices.since_flush >= kSliceFlushEvery)
-    slices.flush(wo);
+  // Containment boundary: `done` runs caller code (a submit callback, a
+  // batch sink) on this pool thread. A throw costs the caller its own
+  // notification and nothing else: the counter ticks, one note hits stderr
+  // per process, and every other job still delivers.
   try {
     if (done) done(std::move(result));
   } catch (const std::exception& e) {
@@ -614,22 +417,13 @@ JobResult Engine::execute(const JobSpec& job, std::size_t index, Workspace& ws,
   bool acquiring = true;
   try {
     // Cache-served graphs are shared immutable state; `shared` keeps the
-    // entry alive across the pipeline however the cache evicts. A job whose
-    // instance varies with the per-index derived seed is only worth
-    // retaining when the cache can live to see the key again — the engine's
-    // own long-lived cache can (re-running a batch re-derives the same
-    // keys), a batch-scoped shim cache cannot (indices are unique within
-    // one batch), which is what retain_derived_seed_graphs encodes. Results
-    // are identical on every path — build_graph is deterministic in
+    // entry alive across the pipeline however the cache evicts. Results are
+    // identical with or without the cache — build_graph is deterministic in
     // (spec, effective seed).
-    const bool single_use = cache_ != nullptr &&
-                            !config_.retain_derived_seed_graphs &&
-                            !job.seed.has_value() &&
-                            graph_spec_depends_on_job_seed(job.input);
     std::shared_ptr<const BipartiteGraph> shared;
     std::optional<BipartiteGraph> local;
     const BipartiteGraph* graph = nullptr;
-    const std::uint64_t acquire_start = obs::kEnabled ? obs::now_ns() : 0;
+    const std::uint64_t acquire_start = obs::now_ns();
     {
       BMH_SPAN("graph_acquire");
       // Transient-I/O retry: one extra attempt, short jittered backoff. The
@@ -640,12 +434,12 @@ JobResult Engine::execute(const JobSpec& job, std::size_t index, Workspace& ws,
       // transient_acquire_error.
       for (int attempt = 1;; ++attempt) {
         try {
-          if (cache_ != nullptr && !single_use) {
+          if (cache_ != nullptr) {
             shared = cache_->get_or_build(job.input, out.seed);
             graph = shared.get();
           } else {
             local.emplace(build_graph(job.input, out.seed));
-            wo.direct_build = true;  // counted in worker_loop's publish burst
+            wo.direct_build = true;  // counted in run_single's publish burst
             graph = &*local;
           }
           break;
@@ -660,7 +454,7 @@ JobResult Engine::execute(const JobSpec& job, std::size_t index, Workspace& ws,
         }
       }
     }
-    if constexpr (obs::kEnabled) wo.graph_acquire_ns = obs::now_ns() - acquire_start;
+    wo.graph_acquire_ns = obs::now_ns() - acquire_start;
     out.rows = graph->num_rows();
     out.cols = graph->num_cols();
     out.edges = graph->num_edges();
@@ -729,8 +523,8 @@ std::uint32_t Engine::acquire_slot_blocking() {
 /// is claimed here — after the point of no return — so a failed try_submit
 /// never leaves a hole in the index sequence. The ring push is the blocking
 /// form, but holding a freelist slot bounds ring occupancy by construction
-/// (slot descriptors <= capacity, batch descriptors <= threads per batch in
-/// a 2x-capacity ring), so it only ever spins on a momentary collision.
+/// (published indices <= slots == ring capacity), so it only ever spins on
+/// a momentary collision with a consumer recycling its cell.
 void Engine::publish_slot(std::uint32_t slot_index, JobSpec&& job,
                           std::function<void(JobResult&&)>&& done,
                           std::optional<std::size_t> index) {
@@ -740,8 +534,8 @@ void Engine::publish_slot(std::uint32_t slot_index, JobSpec&& job,
   slot.index = index.has_value()
                    ? *index
                    : submit_seq_.fetch_add(1, std::memory_order_relaxed);
-  slot.enqueue_ns = obs::kEnabled ? obs::now_ns() : 0;
-  ring_.push(WorkItem{nullptr, slot_index});
+  slot.enqueue_ns = obs::now_ns();
+  ring_.push(std::uint32_t{slot_index});
   wake_one();
 }
 
@@ -773,24 +567,42 @@ bool Engine::try_submit(JobSpec&& job, std::function<void(JobResult&&)>&& done,
   return true;
 }
 
+/// The batch path: job i is submitted with derivation index i, so a batch
+/// is byte-identical to the same jobs submitted one by one, and shares the
+/// ring's backpressure with every other producer. `deliver` runs on worker
+/// threads under the countdown's mutex, and the count drops under the same
+/// lock, so this frame cannot return while a worker is still inside its
+/// callback — even one whose `deliver` throws. The callback captures two
+/// references, small enough for std::function's inline buffer.
+void Engine::run_indexed(const std::vector<JobSpec>& jobs,
+                         const std::function<void(JobResult&&)>& deliver) {
+  struct Countdown {
+    Mutex mutex;
+    std::condition_variable_any all_done;
+    std::size_t remaining = 0;
+  } countdown;
+  countdown.remaining = jobs.size();
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    submit(JobSpec(jobs[i]),
+           [&countdown, &deliver](JobResult&& result) {
+             LockGuard lock(countdown.mutex);
+             if (--countdown.remaining == 0) countdown.all_done.notify_all();
+             deliver(std::move(result));
+           },
+           i);
+  UniqueLock lock(countdown.mutex);
+  while (countdown.remaining != 0) countdown.all_done.wait(lock);
+}
+
 std::size_t Engine::run(const std::vector<JobSpec>& jobs,
                         const std::function<void(const JobResult&)>& sink) {
-  if (jobs.empty()) return 0;
-  auto batch = std::make_shared<Batch>();
-  batch->jobs = jobs.data();
-  batch->count = jobs.size();
-
   // Out-of-order finishers park here until every lower index has been
   // emitted; in the steady state the window holds at most ~threads records.
-  // Locals suffice: every deliver happens-before the batch's `finished`
-  // promise is fulfilled, and this frame outlives the wait below.
-  Mutex mutex;
   std::map<std::size_t, JobResult> pending;
   std::size_t next_emit = 0;
   std::size_t failed = 0;
-  batch->deliver = [&](std::size_t i, JobResult&& result) {
-    LockGuard lock(mutex);
-    pending.emplace(i, std::move(result));
+  run_indexed(jobs, [&](JobResult&& result) {
+    pending.emplace(result.index, std::move(result));
     while (!pending.empty() && pending.begin()->first == next_emit) {
       const JobResult& head = pending.begin()->second;
       if (!head.ok) ++failed;
@@ -798,35 +610,15 @@ std::size_t Engine::run(const std::vector<JobSpec>& jobs,
       pending.erase(pending.begin());  // Matching and all — memory stays bounded
       ++next_emit;
     }
-  };
-
-  std::future<void> finished = batch->finished.get_future();
-  enqueue(std::move(batch));
-  finished.wait();
+  });
   return failed;
 }
 
-std::vector<JobResult> Engine::run_collect(
-    const std::vector<JobSpec>& jobs,
-    const std::function<void(const JobResult&)>& on_done) {
-  if (jobs.empty()) return {};
-  auto batch = std::make_shared<Batch>();
-  batch->jobs = jobs.data();
-  batch->count = jobs.size();
-
+std::vector<JobResult> Engine::run_collect(const std::vector<JobSpec>& jobs) {
   std::vector<JobResult> results(jobs.size());
-  Mutex done_mutex;
-  batch->deliver = [&](std::size_t i, JobResult&& result) {
-    results[i] = std::move(result);
-    if (on_done) {
-      LockGuard lock(done_mutex);
-      on_done(results[i]);
-    }
-  };
-
-  std::future<void> finished = batch->finished.get_future();
-  enqueue(std::move(batch));
-  finished.wait();
+  run_indexed(jobs, [&](JobResult&& result) {
+    results[result.index] = std::move(result);
+  });
   return results;
 }
 

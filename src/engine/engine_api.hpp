@@ -3,13 +3,8 @@
 /// \brief bmh::Engine — the long-lived serving façade over the matching
 /// engine's pool, cache, and store.
 ///
-/// PRs 1–4 grew the serving layer one subsystem at a time, and its public
-/// surface accreted the same way: `run_batch` / `run_batch_stream` free
-/// functions re-plumbed a worker pool, per-worker Workspace arenas, a
-/// sharded GraphCache and an optional GraphStore tier on *every call*, with
-/// a widening `BatchOptions` grab-bag to carry the knobs. A production
-/// server does the opposite: it constructs the expensive state once and
-/// keeps it warm across requests. `Engine` is that object:
+/// A server constructs the expensive state once and keeps it warm across
+/// requests. `Engine` is that object:
 ///
 ///   bmh::EngineConfig config;
 ///   config.threads = 0;                      // auto: one per processor
@@ -27,30 +22,30 @@
 /// builds (`Stats::cold_builds`), serving every instance from memory or the
 /// persistent store.
 ///
-/// Determinism contract (unchanged from the free functions): the job at
-/// batch index i — or the i-th `submit` since construction — runs with
-/// `derive_job_seed(config.seed, i)` unless its spec pins a seed, and
-/// batch emission is index-ordered, so output is byte-identical for any
-/// `threads` value and identical to the legacy `run_batch` /
-/// `run_batch_stream` paths (which are now thin shims over a scoped
-/// Engine).
+/// Determinism contract: the job at batch index i — or the i-th `submit`
+/// since construction — runs with `derive_job_seed(config.seed, i)` unless
+/// its spec pins a seed, and batch emission is index-ordered, so output is
+/// byte-identical for any `threads` value.
 ///
-/// Threading: every method is safe to call from multiple threads. Batches
-/// and submits are executed FIFO by one shared pool; `run`/`run_collect`
-/// block the caller until their batch completes (never call them from a
-/// sink or a worker callback — the pool cannot finish a batch that is
-/// waiting on itself). The destructor finishes all accepted work first, so
-/// a pending `submit` future never ends up with a broken promise.
+/// One work path: every job enters through `submit`. A batch (`run`,
+/// `run_collect`) is job i submitted with explicit derivation index i, so
+/// batches and single submits share one FIFO, one ring and one
+/// backpressure bound. The ring is a bounded lock-free MPSC queue
+/// (util/mpsc_ring.hpp) of `submit_queue_depth` job slots: a warm `submit`
+/// performs no heap allocation and, with workers awake, never touches a
+/// mutex (the engine's condition variable survives only for worker
+/// sleep/wake, armed by an atomic sleeper count). When every slot is in
+/// use, blocking `submit` — and therefore `run` — waits for capacity and
+/// `try_submit` returns false immediately. Size it with
+/// EngineConfig::submit_queue_depth and read the resolved value back from
+/// submit_capacity().
 ///
-/// Submission path (PR 9): jobs enter through a bounded lock-free MPSC
-/// ring (util/mpsc_ring.hpp) of `submit_queue_depth` single-job slots —
-/// a warm single-job `submit` performs no heap allocation and, with
-/// workers awake, never touches a mutex (the engine's condition variable
-/// survives only for worker sleep/wake, armed by an atomic sleeper
-/// count). The ring is backpressure by construction: when every slot is
-/// in use, blocking `submit` waits for capacity and `try_submit` returns
-/// false immediately. Size it with EngineConfig::submit_queue_depth and
-/// read the resolved value back from submit_capacity().
+/// Threading: every method is safe to call from multiple threads.
+/// `run`/`run_collect` block the caller until their batch completes (never
+/// call them from a sink or a worker callback — the pool cannot finish a
+/// batch that is waiting on itself). The destructor finishes all accepted
+/// work first, so a pending `submit` future never ends up with a broken
+/// promise.
 
 #include <atomic>
 #include <condition_variable>
@@ -75,9 +70,7 @@ namespace bmh {
 
 class GraphStore;
 
-/// Everything an Engine owns, fixed at construction. Subsumes the legacy
-/// `BatchOptions`: what used to be per-call wiring is now the session state
-/// of one long-lived object (see the migration table in README.md).
+/// Everything an Engine owns, fixed at construction.
 struct EngineConfig {
   /// Worker threads in the pool (the number of jobs in flight). 0
   /// auto-detects one per processor; the resolved value is reported by
@@ -107,24 +100,14 @@ struct EngineConfig {
   /// Caller-owned cache shared across engines (must outlive the engine);
   /// overrides graph_cache_mb / graph_store_dir.
   GraphCache* graph_cache = nullptr;
-  /// Capacity of the single-job submission ring: the number of submitted
-  /// jobs that may be queued (not yet claimed by a worker) at once. Rounded
-  /// up to a power of two; 0 auto-sizes to max(1024, 4 * threads). When the
-  /// ring is full, blocking `submit` waits for a worker to free a slot and
-  /// `try_submit` fails fast — this is the engine's backpressure boundary,
-  /// and servers should derive their in-flight window from it (see
-  /// Engine::submit_capacity and bmh_engine --serve). Batch `run` /
-  /// `run_collect` calls are not bounded by it (a batch occupies a handful
-  /// of ring descriptors regardless of its job count).
+  /// Capacity of the submission ring: the number of jobs that may be queued
+  /// (not yet claimed by a worker) at once, batch jobs included. Rounded up
+  /// to a power of two; 0 auto-sizes to max(1024, 4 * threads). When the
+  /// ring is full, blocking `submit` and `run` wait for a worker to free a
+  /// slot and `try_submit` fails fast — this is the engine's backpressure
+  /// boundary, and servers should derive their in-flight window from it
+  /// (see Engine::submit_capacity and bmh_engine --serve).
   std::size_t submit_queue_depth = 0;
-  /// Whether graphs whose instance varies with the per-index derived seed
-  /// are retained in the cache. A long-lived engine keeps them (default):
-  /// re-running the same batch re-derives the same keys, so a warm second
-  /// batch is pure hits even for unpinned randomized specs. The legacy
-  /// shims' batch-scoped engines set this false — a cache that dies with
-  /// its batch can never re-hit per-index keys, so retaining them only
-  /// causes eviction churn. Results are identical either way.
-  bool retain_derived_seed_graphs = true;
 };
 
 /// Failure taxonomy of a job record: which failure domain produced an
@@ -241,17 +224,15 @@ public:
   /// retry, shed load, or push back on its own client). On false the
   /// automatic derivation counter has not advanced — a later successful
   /// submit gets the index this one would have. This is the open-loop
-  /// server path: never blocks on queue capacity (a momentary descriptor
-  /// collision with a concurrent batch enqueue may spin briefly, bounded by
-  /// the pool draining).
+  /// server path: never blocks on queue capacity.
   [[nodiscard]] bool try_submit(JobSpec&& job,
                                 std::function<void(JobResult&&)>&& done,
                                 std::optional<std::size_t> index = std::nullopt);
 
   /// The resolved submission-ring capacity (EngineConfig::submit_queue_depth
   /// after auto-sizing and power-of-two rounding): the maximum number of
-  /// single-job submits that can be queued unclaimed before blocking
-  /// `submit` waits and `try_submit` fails.
+  /// jobs that can be queued unclaimed before blocking `submit` and `run`
+  /// wait and `try_submit` fails.
   [[nodiscard]] std::size_t submit_capacity() const noexcept {
     return free_slots_.capacity();
   }
@@ -264,12 +245,8 @@ public:
   std::size_t run(const std::vector<JobSpec>& jobs,
                   const std::function<void(const JobResult&)>& sink);
 
-  /// Runs a batch and collects the results in index order. `on_done`, when
-  /// set, is invoked once per finished job from worker threads in
-  /// completion order (serialized by an internal mutex).
-  [[nodiscard]] std::vector<JobResult> run_collect(
-      const std::vector<JobSpec>& jobs,
-      const std::function<void(const JobResult&)>& on_done = {});
+  /// Runs a batch and collects the results in index order.
+  [[nodiscard]] std::vector<JobResult> run_collect(const std::vector<JobSpec>& jobs);
 
   [[nodiscard]] Stats stats() const;
 
@@ -279,14 +256,10 @@ public:
   /// worker's per-job update bursts (a seqlock brackets them), so per-worker
   /// invariants — jobs_failed <= jobs_run, latency counts == jobs_run —
   /// hold in every snapshot; across domains the values are monotone but may
-  /// be skewed by the jobs in flight while the snapshot walked them.
-  /// Slice counters (the per-kind jobs_run_* and per-ErrorKind
-  /// jobs_failed_* breakdowns, io_retries, direct_builds) are batched in
-  /// worker-local accumulators and flushed at the end of each drain run
-  /// (and at least every 64 jobs), so under load their sums may briefly
-  /// trail jobs_run / jobs_failed; they catch up whenever a worker runs out
-  /// of immediately-available work, and are exact after any blocking call
-  /// (run, run_collect, a submit future's get) returns.
+  /// be skewed by the jobs in flight while the snapshot walked them. The
+  /// per-kind jobs_run_* and per-ErrorKind jobs_failed_* slices publish in
+  /// the same burst, so within a worker domain they always sum to jobs_run
+  /// and jobs_failed.
   /// Feed the result to obs::prometheus_text / obs::json_lines_text
   /// (obs/export.hpp), or aggregate with Snapshot::aggregated().
   [[nodiscard]] obs::Snapshot metrics() const;
@@ -306,19 +279,9 @@ public:
   [[nodiscard]] GraphStore* store() const noexcept;
 
 private:
-  struct Batch;
   struct WorkerObs;
-  struct WorkerSlices;
 
-  /// One unit of work in the submission ring: either a whole batch (shared
-  /// ownership — stale fan-out descriptors may outlive the batch's last
-  /// job) or one single-job submission slot, identified by index.
-  struct WorkItem {
-    std::shared_ptr<Batch> batch;  ///< non-null: drain this batch
-    std::uint32_t slot = 0;        ///< else: slots_[slot] holds the job
-  };
-
-  /// Storage for one in-flight single-job submit. Producers move the job
+  /// Storage for one in-flight submit. Producers move the job
   /// and callback in (move-assignment reuses the strings' and callback's
   /// existing buffers — a warm submit allocates nothing), publish the slot
   /// index through the ring, and workers move the content back out and
@@ -331,18 +294,16 @@ private:
   };
 
   [[nodiscard]] static EngineConfig resolve(EngineConfig config);
-  void enqueue(std::shared_ptr<Batch> batch);
   static WorkerObs resolve_worker_obs(obs::MetricDomain& domain);
   void wake_one() noexcept;
   std::uint32_t acquire_slot_blocking();
   void publish_slot(std::uint32_t slot, JobSpec&& job,
                     std::function<void(JobResult&&)>&& done,
                     std::optional<std::size_t> index);
+  void run_indexed(const std::vector<JobSpec>& jobs,
+                   const std::function<void(JobResult&&)>& deliver);
   void worker_loop(int worker);
-  void drain_batch(const std::shared_ptr<Batch>& batch, Workspace& ws,
-                   WorkerObs& wo, WorkerSlices& slices);
-  void run_single(std::uint32_t slot, Workspace& ws, WorkerObs& wo,
-                  WorkerSlices& slices);
+  void run_single(std::uint32_t slot, Workspace& ws, WorkerObs& wo);
   JobResult execute(const JobSpec& job, std::size_t index, Workspace& ws,
                     WorkerObs& wo);
 
@@ -352,12 +313,11 @@ private:
   std::unique_ptr<GraphCache> owned_cache_;
   GraphCache* cache_ = nullptr;
 
-  /// The work queue: single-job slot descriptors and batch fan-out
-  /// descriptors, in acceptance order. Sized 2x the slot count so batch
-  /// descriptors (at most `threads_` per batch) don't eat submission
-  /// capacity.
-  MpscRing<WorkItem> ring_;
-  /// Recycled single-job slot indices (starts full: 0..capacity-1). Its
+  /// The work queue: indices of published slots, in acceptance order.
+  /// Sized to the slot count, so a producer holding a slot always finds
+  /// room.
+  MpscRing<std::uint32_t> ring_;
+  /// Recycled slot indices (starts full: 0..capacity-1). Its
   /// capacity is the engine's submission capacity; producers on both ends
   /// (submitters pop, workers push back).
   MpscRing<std::uint32_t> free_slots_;

@@ -87,11 +87,6 @@ std::string canonical_graph_key(const GraphSpec& spec, std::uint64_t seed) {
   return out;
 }
 
-bool graph_spec_depends_on_job_seed(const GraphSpec& spec) {
-  return source_for(spec).resolve(spec, 0).seeded &&
-         spec.params.find("seed") == spec.params.end();
-}
-
 JobKind parse_job_kind(const std::string& name) {
   if (name == "match") return JobKind::kMatch;
   if (name == "undirected-match") return JobKind::kUndirectedMatch;

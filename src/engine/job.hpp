@@ -42,7 +42,7 @@
 ///                     (dm | koenig | sprank, default dm)
 ///
 /// A job without `seed=` gets a deterministic per-job seed derived by the
-/// batch runner from (batch seed, job index) — the property that makes
+/// engine from (batch seed, job index) — the property that makes
 /// batch output reproducible regardless of worker count.
 
 #include <cstdint>
@@ -93,14 +93,6 @@ std::uint64_t canonical_graph_key(const GraphSpec& spec, std::uint64_t seed,
 /// Convenience form returning a fresh string.
 [[nodiscard]] std::string canonical_graph_key(const GraphSpec& spec,
                                               std::uint64_t seed);
-
-/// True iff the instance build_graph(spec, seed) materializes varies with
-/// `seed` — a seed-dependent source with no `seed=` pinned in the spec.
-/// False means every job seed denotes one shared instance (cacheable across
-/// any batch); true under per-index derived seeds means every job is its
-/// own instance (the batch runner skips its per-batch cache for these).
-/// Throws like build_graph on unknown generators or invalid parameters.
-[[nodiscard]] bool graph_spec_depends_on_job_seed(const GraphSpec& spec);
 
 /// The workload a job runs; every kind flows through the same pool, cache,
 /// store and JSON sink.

@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <ostream>
 #include <sstream>
 
 namespace bmh {
@@ -167,11 +166,6 @@ std::string to_json_line(const JobResult& r, bool include_timings) {
   if (include_timings) append_timings(obj, r);
   obj.close();
   return line;
-}
-
-void write_jsonl(std::ostream& out, const std::vector<JobResult>& results,
-                 bool include_timings) {
-  for (const JobResult& r : results) out << to_json_line(r, include_timings) << '\n';
 }
 
 } // namespace bmh

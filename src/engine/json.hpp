@@ -9,11 +9,9 @@
 /// only nondeterministic ones), making the emitted lines byte-identical
 /// across reruns with the same seed.
 
-#include <iosfwd>
 #include <string>
-#include <vector>
 
-#include "engine/batch_runner.hpp"
+#include "engine/engine_api.hpp"
 
 namespace bmh {
 
@@ -27,9 +25,5 @@ namespace bmh {
 /// One JobResult as a single-line JSON object. Field order is fixed.
 [[nodiscard]] std::string to_json_line(const JobResult& result,
                                        bool include_timings = true);
-
-/// Writes one JSON line per result, in batch index order.
-void write_jsonl(std::ostream& out, const std::vector<JobResult>& results,
-                 bool include_timings = true);
 
 } // namespace bmh

@@ -165,15 +165,6 @@ void run_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& config,
   run_stages_ws(g, config, algorithm, ws, out);
 }
 
-void run_pipeline_ws(const std::shared_ptr<const BipartiteGraph>& g,
-                     const PipelineConfig& config, Workspace& ws,
-                     PipelineResult& out) {
-  // The caller's shared_ptr outlives this frame, which is all the pinning
-  // the stages need; no extra copy.
-  if (!g) throw std::invalid_argument("run_pipeline_ws: null graph");
-  run_pipeline_ws(*g, config, ws, out);
-}
-
 namespace {
 
 /// The undirected counterpart of CachedAlgorithm: the cached shared_ptr

@@ -148,18 +148,6 @@ struct PipelineResult {
 void run_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& config,
                      Workspace& ws, PipelineResult& out);
 
-/// Shared-graph overload for cache-served batches: runs on the pointee,
-/// which the caller's shared_ptr keeps alive across the stages however the
-/// cache evicts the entry. Throws std::invalid_argument when `g` is null.
-/// DEPRECATED for job execution: both `run_pipeline_ws` forms are the
-/// per-call building blocks that `bmh::Engine` (engine_api.hpp) now wires
-/// up — code running batches or serving requests should go through the
-/// engine, which owns the workspace, cache and pool plumbing; call these
-/// directly only for one-off pipelines on a graph you already hold.
-void run_pipeline_ws(const std::shared_ptr<const BipartiteGraph>& g,
-                     const PipelineConfig& config, Workspace& ws,
-                     PipelineResult& out);
-
 /// The kind=undirected-match pipeline (§5): convert the bipartite input to
 /// an undirected graph (symmetric view when square and pattern-symmetric,
 /// bipartite union otherwise — recorded in out.extras), run the undirected

@@ -9,7 +9,7 @@
 ///      `make_ks_adversarial`.
 ///   3. Real matrices from the UFL collection (Table 3, Figs. 3–5) — here
 ///      substituted by structural stand-ins built from the generators below
-///      (see generators_suite.hpp and DESIGN.md §3).
+///      (see generators_suite.hpp).
 ///
 /// All generators are deterministic in (parameters, seed) and independent of
 /// the OpenMP thread count.

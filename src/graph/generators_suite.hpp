@@ -5,7 +5,7 @@
 ///
 /// The offline environment has no access to the UFL/SuiteSparse collection,
 /// so each real matrix is replaced by a synthetic instance from the same
-/// structural class (see DESIGN.md §3): meshes for the PDE matrices,
+/// structural class: meshes for the PDE matrices,
 /// low-degree near-cycle graphs with sprank deficiency for the road
 /// networks, skewed-degree graphs for torso1/audikw_1 (where the paper
 /// observes its worst load balance), KKT-like saddle-point blocks, and

@@ -34,13 +34,9 @@
 ///    read of each. The cross-worker model is therefore: atomic per worker
 ///    domain, monotone-but-skewed (by at most the in-flight jobs) across
 ///    domains.
-///  * **`BMH_OBS_DISABLED` compiles the latency layer out.** Histogram
-///    recording becomes an empty inline body and trace spans vanish
-///    (`kEnabled == false`); counters and gauges stay live — they back the
-///    correctness-bearing `Stats` views and cost no more than the
-///    hand-rolled atomics they replaced. Registration, snapshots and
-///    exporters keep working (histograms report zeros), so callers and
-///    tests need no #ifdefs — gate histogram assertions on `obs::kEnabled`.
+///  * **Always on.** There is no compile-time switch: a build with the
+///    histograms and trace spans compiled out measured no faster on 20k
+///    tiny jobs, so one configuration is all there is to test.
 
 #include <array>
 #include <atomic>
@@ -56,12 +52,6 @@
 #include "util/thread_annotations.hpp"
 
 namespace bmh::obs {
-
-#if defined(BMH_OBS_DISABLED)
-inline constexpr bool kEnabled = false;
-#else
-inline constexpr bool kEnabled = true;
-#endif
 
 // ---------------------------------------------------------------- buckets --
 
@@ -108,13 +98,6 @@ inline constexpr int kHistBuckets = 2 + (kHistMaxShift - kHistMinShift) * kHistS
 
 /// Monotone event count. Increments are relaxed atomics: safe from any
 /// thread, allocation-free, ordered only by the owning domain's seqlock.
-///
-/// Counters (and gauges) stay live under BMH_OBS_DISABLED: they back the
-/// correctness-bearing `Stats` views (Engine/GraphCache/GraphStore) that
-/// predate this subsystem, and each costs exactly the relaxed atomic the
-/// hand-rolled counters they replaced cost. The flag compiles out the
-/// *latency* layer — histograms and trace spans — which is the part with
-/// measurable hot-path weight.
 class Counter {
 public:
   void inc(std::uint64_t n = 1) noexcept {
@@ -176,24 +159,16 @@ struct HistogramData {
 class Histogram {
 public:
   void record(std::uint64_t ns) noexcept {
-    if constexpr (kEnabled) {
-      buckets_[static_cast<std::size_t>(histogram_bucket_index(ns))].fetch_add(
-          1, std::memory_order_relaxed);
-      count_.fetch_add(1, std::memory_order_relaxed);
-      sum_ns_.fetch_add(ns, std::memory_order_relaxed);
-    } else {
-      (void)ns;
-    }
+    buckets_[static_cast<std::size_t>(histogram_bucket_index(ns))].fetch_add(
+        1, std::memory_order_relaxed);
+    count_.fetch_add(1, std::memory_order_relaxed);
+    sum_ns_.fetch_add(ns, std::memory_order_relaxed);
   }
 
   /// Convenience for stage timings kept in seconds.
   void record_seconds(double seconds) noexcept {
-    if constexpr (kEnabled) {
-      if (seconds < 0) seconds = 0;
-      record(static_cast<std::uint64_t>(seconds * 1e9));
-    } else {
-      (void)seconds;
-    }
+    if (seconds < 0) seconds = 0;
+    record(static_cast<std::uint64_t>(seconds * 1e9));
   }
 
   [[nodiscard]] HistogramData data() const noexcept {
@@ -285,20 +260,16 @@ public:
   /// section to the update burst itself (a dozen atomic adds): concurrent
   /// snapshots spin while it is open.
   void publish_begin() noexcept {
-    if constexpr (kEnabled) {
-      seq_.fetch_add(1, std::memory_order_relaxed);
-      // release fence: snapshot readers must not see burst writes with an
-      // even (pre-increment) seq — pairs with their acquire load.
-      std::atomic_thread_fence(std::memory_order_release);
-    }
+    seq_.fetch_add(1, std::memory_order_relaxed);
+    // release fence: snapshot readers must not see burst writes with an
+    // even (pre-increment) seq — pairs with their acquire load.
+    std::atomic_thread_fence(std::memory_order_release);
   }
   void publish_end() noexcept {
-    if constexpr (kEnabled) {
-      // release fence orders the burst's writes before the closing
-      // increment; readers re-checking seq acquire-pair with it.
-      std::atomic_thread_fence(std::memory_order_release);
-      seq_.fetch_add(1, std::memory_order_relaxed);
-    }
+    // release fence orders the burst's writes before the closing
+    // increment; readers re-checking seq acquire-pair with it.
+    std::atomic_thread_fence(std::memory_order_release);
+    seq_.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Reads every instrument; retries while a PublishGuard is open or closed

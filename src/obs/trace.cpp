@@ -32,7 +32,6 @@ TraceJournal::TraceJournal(std::size_t capacity) {
 
 void TraceJournal::record(const char* name, std::uint64_t start_ns,
                           std::uint64_t dur_ns, std::uint32_t depth) noexcept {
-#if !defined(BMH_OBS_DISABLED)
   const std::uint64_t claim = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[claim & mask_];
   // Invalidate first so a concurrent reader never mixes this event's fields
@@ -45,9 +44,6 @@ void TraceJournal::record(const char* name, std::uint64_t start_ns,
   slot.depth.store(depth, std::memory_order_relaxed);
   // release publishes the field writes above; readers acquire-load id.
   slot.id.store(claim + 1, std::memory_order_release);
-#else
-  (void)name; (void)start_ns; (void)dur_ns; (void)depth;
-#endif
 }
 
 std::vector<TraceEvent> TraceJournal::events() const {
@@ -73,8 +69,6 @@ std::vector<TraceEvent> TraceJournal::events() const {
   }
   return out;
 }
-
-#if !defined(BMH_OBS_DISABLED)
 
 namespace {
 thread_local TraceJournal* t_journal = nullptr;
@@ -104,7 +98,5 @@ ScopedSpan::~ScopedSpan() {
     --t_depth;
   }
 }
-
-#endif  // !BMH_OBS_DISABLED
 
 } // namespace bmh::obs

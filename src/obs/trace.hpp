@@ -29,9 +29,6 @@
 /// Span names must be string literals (or otherwise outlive the journal):
 /// events store the pointer, not a copy — that is what keeps recording
 /// allocation-free.
-///
-/// Under `BMH_OBS_DISABLED` the macro expands to nothing and every method
-/// compiles to an empty inline body.
 
 #include <atomic>
 #include <cstdint>
@@ -91,8 +88,6 @@ private:
   std::atomic<std::uint64_t> head_{0};
 };
 
-#if !defined(BMH_OBS_DISABLED)
-
 /// Binds `journal` as the calling thread's span sink (nullptr unbinds).
 void bind_thread_journal(TraceJournal* journal) noexcept;
 
@@ -119,19 +114,6 @@ private:
   std::uint64_t start_ns_ = 0;
   std::uint32_t depth_ = 0;
 };
-
-#else  // BMH_OBS_DISABLED: every entry point collapses to an inline no-op.
-
-inline void bind_thread_journal(TraceJournal*) noexcept {}
-[[nodiscard]] inline TraceJournal* thread_journal() noexcept { return nullptr; }
-inline void record_phase(const char*, std::uint64_t, std::uint64_t) noexcept {}
-
-class ScopedSpan {
-public:
-  explicit ScopedSpan(const char*) noexcept {}
-};
-
-#endif  // BMH_OBS_DISABLED
 
 #define BMH_OBS_CONCAT_INNER(a, b) a##b
 #define BMH_OBS_CONCAT(a, b) BMH_OBS_CONCAT_INNER(a, b)

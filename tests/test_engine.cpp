@@ -1,6 +1,6 @@
 /// \file test_engine.cpp
 /// \brief Tests for the matching engine: registry, pipelines, job specs,
-/// batch runner determinism, and the JSON sink.
+/// engine batch determinism, and the JSON sink.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@ namespace {
 
 using ::bmh::testing::brute_force_max_matching;
 using ::bmh::testing::expect_valid;
+using ::bmh::testing::run_on_fresh_engine;
 using ::bmh::testing::small_graph_zoo;
 
 // ------------------------------------------------------------- registry ---
@@ -327,7 +328,7 @@ TEST(JobSpec, StreamParsingSkipsCommentsAndNamesJobs) {
   }
 }
 
-// --------------------------------------------------------- batch runner ---
+// --------------------------------------------------------- engine batch ---
 
 /// A small fast batch mixing generators, algorithms and pipeline shapes.
 std::vector<JobSpec> small_batch() {
@@ -343,20 +344,20 @@ std::vector<JobSpec> small_batch() {
   return parse_job_specs(in);
 }
 
-TEST(BatchRunner, ResultsIndependentOfWorkerCount) {
+TEST(EngineBatch, ResultsIndependentOfWorkerCount) {
   const std::vector<JobSpec> jobs = small_batch();
-  BatchOptions base;
+  EngineConfig base;
   base.seed = 123;
-  base.workers = 1;
-  const std::vector<JobResult> sequential = run_batch(jobs, base);
+  base.threads = 1;
+  const std::vector<JobResult> sequential = run_on_fresh_engine(jobs, base);
   ASSERT_EQ(sequential.size(), jobs.size());
   for (const JobResult& r : sequential) EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
 
   for (const int workers : {2, 4, 8}) {
-    BatchOptions options = base;
-    options.workers = workers;
-    options.threads_per_job = workers % 3 + 1;  // vary the OpenMP budget too
-    const std::vector<JobResult> parallel = run_batch(jobs, options);
+    EngineConfig config = base;
+    config.threads = workers;
+    config.threads_per_job = workers % 3 + 1;  // vary the OpenMP budget too
+    const std::vector<JobResult> parallel = run_on_fresh_engine(jobs, config);
     ASSERT_EQ(parallel.size(), sequential.size());
     for (std::size_t i = 0; i < parallel.size(); ++i) {
       // Byte-identical modulo timings: compare the deterministic JSON form.
@@ -366,25 +367,25 @@ TEST(BatchRunner, ResultsIndependentOfWorkerCount) {
   }
 }
 
-TEST(BatchRunner, SeedChangesResults) {
+TEST(EngineBatch, SeedChangesResults) {
   const std::vector<JobSpec> jobs = small_batch();
-  BatchOptions a, b;
+  EngineConfig a, b;
   a.seed = 1;
   b.seed = 2;
-  const auto ra = run_batch(jobs, a);
-  const auto rb = run_batch(jobs, b);
+  const auto ra = run_on_fresh_engine(jobs, a);
+  const auto rb = run_on_fresh_engine(jobs, b);
   bool any_difference = false;
   for (std::size_t i = 0; i < ra.size(); ++i)
     if (to_json_line(ra[i], false) != to_json_line(rb[i], false)) any_difference = true;
   EXPECT_TRUE(any_difference);
 }
 
-TEST(BatchRunner, FailingJobDoesNotAbortTheBatch) {
+TEST(EngineBatch, FailingJobDoesNotAbortTheBatch) {
   std::istringstream in(
       "input=gen:cycle:n=64 algo=greedy\n"
       "input=mtx:/nonexistent/file.mtx\n"
       "input=gen:cycle:n=64 algo=nope\n");
-  const std::vector<JobResult> results = run_batch(parse_job_specs(in), {});
+  const std::vector<JobResult> results = run_on_fresh_engine(parse_job_specs(in));
   ASSERT_EQ(results.size(), 3u);
   EXPECT_TRUE(results[0].ok);
   EXPECT_FALSE(results[1].ok);
@@ -393,12 +394,12 @@ TEST(BatchRunner, FailingJobDoesNotAbortTheBatch) {
   EXPECT_NE(results[2].error.find("nope"), std::string::npos);
 }
 
-TEST(BatchRunner, DemoBatchRunsClean) {
+TEST(EngineBatch, DemoBatchRunsClean) {
   const std::vector<JobSpec> jobs = demo_batch();
   EXPECT_GE(jobs.size(), 8u);
-  BatchOptions options;
-  options.workers = 4;
-  const std::vector<JobResult> results = run_batch(jobs, options);
+  EngineConfig config;
+  config.threads = 4;
+  const std::vector<JobResult> results = run_on_fresh_engine(jobs, config);
   for (const JobResult& r : results) {
     EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
     EXPECT_TRUE(r.result.valid) << r.name;
@@ -417,7 +418,7 @@ TEST(Json, EscapesAndFormats) {
 
 TEST(Json, RecordShape) {
   std::istringstream in("name=j0 input=gen:cycle:n=32 algo=greedy\n");
-  const auto results = run_batch(parse_job_specs(in), {});
+  const auto results = run_on_fresh_engine(parse_job_specs(in));
   ASSERT_EQ(results.size(), 1u);
   const std::string with = to_json_line(results[0], true);
   const std::string without = to_json_line(results[0], false);

@@ -1,13 +1,16 @@
 /// \file test_engine_api.cpp
 /// \brief Tests for the bmh::Engine session façade: lifecycle (warm batches
-/// byte-identical to the legacy one-shot paths, second batch pure
-/// cache/store hits), submit() futures and callbacks, concurrent submit
-/// stress + determinism (the ASan/UBSan ctest job runs this), the serve
-/// round trip at API level, thread auto-detection, and the GraphStore
-/// prune budget + EngineConfig wiring.
+/// byte-identical to fresh engines, second batch pure cache/store hits),
+/// submit() futures and callbacks, concurrent submit stress + determinism
+/// (the ASan/UBSan ctest job runs this), batches riding the submit ring
+/// (larger than the ring, concurrent with other batches and submits,
+/// per-kind slices exact in every snapshot), the serve round trip at API
+/// level, thread auto-detection, and the GraphStore prune budget +
+/// EngineConfig wiring.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -54,20 +57,17 @@ std::string jsonl(const std::vector<JobResult>& results) {
 
 // ------------------------------------------------------------ lifecycle ---
 
-TEST(EngineApi, WarmBatchesMatchLegacyOneShotsAndSecondBatchIsAllCacheHits) {
+TEST(EngineApi, WarmBatchesMatchFreshEnginesAndSecondBatchIsAllCacheHits) {
   const std::vector<JobSpec> jobs = mixed_batch();
-  BatchOptions legacy_options;
-  legacy_options.workers = 2;
-  legacy_options.seed = 123;
-  const std::string legacy_first = jsonl(run_batch(jobs, legacy_options));
-  const std::string legacy_second = jsonl(run_batch(jobs, legacy_options));
-  EXPECT_EQ(legacy_first, legacy_second);
-
   EngineConfig config;
   config.threads = 2;
   config.seed = 123;
+  const std::string fresh_first = jsonl(testing::run_on_fresh_engine(jobs, config));
+  const std::string fresh_second = jsonl(testing::run_on_fresh_engine(jobs, config));
+  EXPECT_EQ(fresh_first, fresh_second);
+
   Engine engine(config);
-  EXPECT_EQ(jsonl(engine.run_collect(jobs)), legacy_first);
+  EXPECT_EQ(jsonl(engine.run_collect(jobs)), fresh_first);
   const Engine::Stats after_first = engine.stats();
   EXPECT_EQ(after_first.jobs_run, jobs.size());
   EXPECT_EQ(after_first.jobs_failed, 0u);
@@ -75,7 +75,7 @@ TEST(EngineApi, WarmBatchesMatchLegacyOneShotsAndSecondBatchIsAllCacheHits) {
 
   // The warm engine: same jobs, same derived per-index seeds, so every
   // graph — the unpinned randomized ones included — is already resident.
-  EXPECT_EQ(jsonl(engine.run_collect(jobs)), legacy_first);
+  EXPECT_EQ(jsonl(engine.run_collect(jobs)), fresh_first);
   const Engine::Stats after_second = engine.stats();
   EXPECT_EQ(after_second.cold_builds, after_first.cold_builds)
       << "second batch on a warm engine must perform zero cold graph builds";
@@ -88,7 +88,7 @@ TEST(EngineApi, WarmBatchesMatchLegacyOneShotsAndSecondBatchIsAllCacheHits) {
     streamed += '\n';
   });
   EXPECT_EQ(failed, 0u);
-  EXPECT_EQ(streamed, legacy_first);
+  EXPECT_EQ(streamed, fresh_first);
 }
 
 TEST(EngineApi, ThreadsAutoDetectAndEmptyBatches) {
@@ -379,6 +379,150 @@ TEST(EngineApiStress, ConcurrentSubmitsAreDeterministic) {
   EXPECT_EQ(stats.jobs_failed, 0u);
   // One pinned instance: exactly one cold build, everything else cache hits.
   EXPECT_EQ(stats.cold_builds, 1u);
+}
+
+// ------------------------------------------------------ one work path ---
+
+/// `count` tiny jobs cycling through every kind, unpinned so each record
+/// depends on its derivation index.
+std::vector<JobSpec> tiny_mixed_jobs(std::size_t count) {
+  static const char* const kLines[] = {
+      "input=gen:er:n=128,deg=3 algo=two_sided iters=3",
+      "input=gen:er:n=128,deg=3 algo=one_sided iters=3 quality=0",
+      "input=gen:mesh:nx=8 kind=undirected-match algo=one_out",
+      "input=gen:planted:n=128 kind=analyze algo=sprank",
+  };
+  std::vector<JobSpec> jobs;
+  jobs.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    jobs.push_back(parse_job_spec_line(kLines[i % std::size(kLines)]));
+    jobs.back().name = "t" + std::to_string(i);
+  }
+  return jobs;
+}
+
+/// The records `run` streams, one JSON line each; checks index order.
+std::string run_lines(Engine& engine, const std::vector<JobSpec>& jobs) {
+  std::string out;
+  std::size_t next = 0;
+  engine.run(jobs, [&](const JobResult& r) {
+    EXPECT_EQ(r.index, next++) << "run must emit in batch index order";
+    out += to_json_line(r, /*include_timings=*/false);
+    out += '\n';
+  });
+  EXPECT_EQ(next, jobs.size());
+  return out;
+}
+
+TEST(EngineApi, BatchLargerThanTheRingIsIndexOrderedAndPoolInvariant) {
+  // A batch rides the submit ring, so 64 jobs through 2 slots exercise the
+  // backpressure wait on nearly every submit.
+  const std::vector<JobSpec> jobs = tiny_mixed_jobs(64);
+  EngineConfig config;
+  config.seed = 17;
+  config.submit_queue_depth = 2;
+  config.threads = 1;
+  std::string reference;
+  {
+    Engine serial(config);
+    ASSERT_EQ(serial.submit_capacity(), 2u);
+    reference = run_lines(serial, jobs);
+  }
+  config.threads = 4;
+  Engine engine(config);
+  EXPECT_EQ(run_lines(engine, jobs), reference);
+  EXPECT_EQ(jsonl(engine.run_collect(jobs)), reference);
+  EXPECT_EQ(engine.stats().jobs_run, 2 * jobs.size());
+}
+
+TEST(EngineApiStress, ConcurrentRunsAndSubmitsStayIsolated) {
+  // Two callers run different batches on one engine while a third submits:
+  // every batch still reproduces its solo output byte for byte, because a
+  // batch's derivation indices are its own (explicit 0..n-1), not the
+  // shared automatic submit counter.
+  EngineConfig config;
+  config.threads = 4;
+  config.seed = 3;
+  config.submit_queue_depth = 8;
+  const std::vector<JobSpec> batch_a = tiny_mixed_jobs(40);
+  std::vector<JobSpec> batch_b = tiny_mixed_jobs(30);
+  std::reverse(batch_b.begin(), batch_b.end());  // other specs at each index
+
+  std::string solo_a, solo_b;
+  {
+    Engine solo(config);
+    solo_a = run_lines(solo, batch_a);
+    solo_b = run_lines(solo, batch_b);
+  }
+
+  Engine engine(config);
+  constexpr int kRounds = 3;
+  std::atomic<int> mismatches{0};
+  const auto runner = [&](const std::vector<JobSpec>& jobs, const std::string& solo) {
+    for (int round = 0; round < kRounds; ++round)
+      if (run_lines(engine, jobs) != solo) ++mismatches;
+  };
+  std::thread run_a(runner, std::cref(batch_a), std::cref(solo_a));
+  std::thread run_b(runner, std::cref(batch_b), std::cref(solo_b));
+  std::thread submitter([&] {
+    const JobSpec job = parse_job_spec_line("input=gen:cycle:n=64 algo=greedy quality=0");
+    std::vector<std::future<JobResult>> futures;
+    for (int i = 0; i < 60; ++i) futures.push_back(engine.submit(job));
+    for (auto& f : futures)
+      if (!f.get().ok) ++mismatches;
+  });
+  run_a.join();
+  run_b.join();
+  submitter.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(engine.stats().jobs_run,
+            kRounds * (batch_a.size() + batch_b.size()) + 60u);
+}
+
+TEST(EngineApi, PerKindSlicesSumToTotalsInEverySnapshot) {
+  // The slices publish in the same seqlock burst as jobs_run / jobs_failed,
+  // so no snapshot — taken at any instant while a 4-worker engine serves a
+  // mixed-kind stream with failures in it — sees a worker whose breakdown
+  // trails its totals.
+  std::vector<JobSpec> jobs = tiny_mixed_jobs(600);
+  for (std::size_t i = 0; i < jobs.size(); i += 7)
+    jobs[i] = parse_job_spec_line(i % 2 == 0 ? "input=gen:nope:n=4"
+                                             : "input=gen:cycle:n=16 algo=nope");
+  EngineConfig config;
+  config.threads = 4;
+  Engine engine(config);
+
+  std::atomic<bool> done{false};
+  std::thread runner([&] {
+    (void)engine.run(jobs, nullptr);
+    done.store(true);
+  });
+  int snapshots = 0;
+  int violations = 0;
+  do {
+    const obs::Snapshot snap = engine.metrics();
+    ++snapshots;
+    for (const obs::DomainSnapshot& d : snap.domains) {
+      if (d.name != "worker") continue;
+      const std::uint64_t by_kind = d.counter_or("jobs_run_match") +
+                                    d.counter_or("jobs_run_undirected_match") +
+                                    d.counter_or("jobs_run_analyze");
+      std::uint64_t by_error = 0;
+      for (const char* metric :
+           {"jobs_failed_parse", "jobs_failed_source_io", "jobs_failed_store_io",
+            "jobs_failed_build", "jobs_failed_exec", "jobs_failed_timeout"})
+        by_error += d.counter_or(metric);
+      if (by_kind != d.counter_or("jobs_run") ||
+          by_error != d.counter_or("jobs_failed"))
+        ++violations;
+    }
+  } while (!done.load());
+  runner.join();
+  EXPECT_EQ(violations, 0) << "over " << snapshots << " snapshots";
+  const obs::Snapshot final_snap = engine.metrics();
+  EXPECT_EQ(final_snap.counter_total("worker", "jobs_run"), jobs.size());
+  EXPECT_GT(final_snap.counter_total("worker", "jobs_failed_parse"), 0u);
+  EXPECT_GT(final_snap.counter_total("worker", "jobs_failed_exec"), 0u);
 }
 
 // ---------------------------------------------------------------- serve ---

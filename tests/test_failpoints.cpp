@@ -441,7 +441,7 @@ TEST_F(FailpointInjection, RandomizedFaultScheduleSoak) {
         parse_job_spec_line("name=soak" + std::to_string(i) + " " + spec_line));
   }
 
-  const auto run_batch = [&](bool with_store) {
+  const auto run_engine_batch = [&](bool with_store) {
     EngineConfig config;
     config.threads = 4;
     config.seed = 7;
@@ -452,7 +452,7 @@ TEST_F(FailpointInjection, RandomizedFaultScheduleSoak) {
   };
 
   // Fault-free baseline (no store: the pure compute truth).
-  const std::vector<JobResult> baseline = run_batch(false);
+  const std::vector<JobResult> baseline = run_engine_batch(false);
   ASSERT_EQ(baseline.size(), static_cast<std::size_t>(kJobs));
   for (const JobResult& r : baseline) ASSERT_TRUE(r.ok) << r.name << ": " << r.error;
 
@@ -473,7 +473,7 @@ TEST_F(FailpointInjection, RandomizedFaultScheduleSoak) {
       "cache.insert=error:p=0.1;"
       "pipeline.stage=error:p=0.05;"
       "store.prune=error:p=0.1");
-  const std::vector<JobResult> faulted = run_batch(true);
+  const std::vector<JobResult> faulted = run_engine_batch(true);
 
   // Invariant 2: one record per job, indexed and classified.
   ASSERT_EQ(faulted.size(), static_cast<std::size_t>(kJobs));
@@ -507,7 +507,7 @@ TEST_F(FailpointInjection, RandomizedFaultScheduleSoak) {
   // Invariant 4: clear the faults and the store directory — whatever state
   // the fault schedule left it in — serves a clean batch from scratch.
   fp::clear_all();
-  const std::vector<JobResult> recovered = run_batch(true);
+  const std::vector<JobResult> recovered = run_engine_batch(true);
   ASSERT_EQ(recovered.size(), static_cast<std::size_t>(kJobs));
   for (int i = 0; i < kJobs; ++i) {
     const JobResult& r = recovered[static_cast<std::size_t>(i)];

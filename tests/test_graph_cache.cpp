@@ -115,19 +115,6 @@ TEST(GraphCache, PerJobSeedDerivationSharesOnlyPinnedInstances) {
   EXPECT_TRUE(c->structurally_equal(build_graph(pinned, 12345)));
 }
 
-TEST(GraphCache, SeedDependenceClassifierMatchesKeying) {
-  // graph_spec_depends_on_job_seed is the predicate the batch runner uses to
-  // skip its per-batch cache; it must agree with the canonical key's seed
-  // sensitivity.
-  for (const char* spec : {"gen:er:n=64", "gen:planted:n=64", "suite:cage15_like"})
-    EXPECT_TRUE(graph_spec_depends_on_job_seed(parse_graph_spec(spec))) << spec;
-  for (const char* spec : {"gen:er:n=64,seed=3", "gen:mesh:nx=8", "gen:cycle:n=16",
-                           "mtx:/some/path.mtx"})
-    EXPECT_FALSE(graph_spec_depends_on_job_seed(parse_graph_spec(spec))) << spec;
-  EXPECT_THROW((void)graph_spec_depends_on_job_seed(parse_graph_spec("gen:nope:n=4")),
-               std::invalid_argument);
-}
-
 TEST(GraphCache, ExternalCacheServesIdenticalBatchReruns) {
   // Against a caller-owned cache, unpinned jobs ARE retained: re-running the
   // same batch with the same batch seed re-derives the same per-index seeds,
@@ -139,15 +126,15 @@ TEST(GraphCache, ExternalCacheServesIdenticalBatchReruns) {
       "input=gen:mesh:nx=12 algo=greedy quality=0\n");
   const std::vector<JobSpec> jobs = parse_job_specs(in);
   GraphCache cache;
-  BatchOptions options;
-  options.seed = 5;
-  options.graph_cache = &cache;
-  const std::vector<JobResult> first = run_batch(jobs, options);
+  EngineConfig config;
+  config.seed = 5;
+  config.graph_cache = &cache;
+  const std::vector<JobResult> first = testing::run_on_fresh_engine(jobs, config);
   const std::uint64_t misses_after_first = cache.stats().misses;
   // Four distinct keys cold: jobs 0/1 derive different per-index seeds,
   // job 2 is pinned, job 3 is seed-blind.
   EXPECT_EQ(misses_after_first, 4u);
-  const std::vector<JobResult> second = run_batch(jobs, options);
+  const std::vector<JobResult> second = testing::run_on_fresh_engine(jobs, config);
   const GraphCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.misses, misses_after_first);  // rerun is 100% hits
   EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(jobs.size()));
@@ -265,9 +252,9 @@ std::vector<JobSpec> parity_batch() {
   return parse_job_specs(in);
 }
 
-std::string batch_lines(const std::vector<JobSpec>& jobs, const BatchOptions& options) {
+std::string batch_lines(const std::vector<JobSpec>& jobs, const EngineConfig& config) {
   std::string out;
-  for (const JobResult& r : run_batch(jobs, options)) {
+  for (const JobResult& r : testing::run_on_fresh_engine(jobs, config)) {
     out += to_json_line(r, /*include_timings=*/false);
     out += '\n';
   }
@@ -276,15 +263,15 @@ std::string batch_lines(const std::vector<JobSpec>& jobs, const BatchOptions& op
 
 TEST(GraphCacheParity, BatchOutputByteIdenticalOnVsOff) {
   const std::vector<JobSpec> jobs = parity_batch();
-  BatchOptions off;
+  EngineConfig off;
   off.seed = 42;
   off.graph_cache_mb = 0;  // rebuild per job
   const std::string reference = batch_lines(jobs, off);
 
   for (const int workers : {1, 2, 8}) {
-    BatchOptions on;
+    EngineConfig on;
     on.seed = 42;
-    on.workers = workers;
+    on.threads = workers;
     EXPECT_EQ(batch_lines(jobs, on), reference) << "workers=" << workers;
 
     // External cache (stats visible), tiny budget (eviction mid-batch) —
@@ -293,7 +280,7 @@ TEST(GraphCacheParity, BatchOutputByteIdenticalOnVsOff) {
     tiny.max_bytes = 1 << 20;
     tiny.shards = 2;
     GraphCache cache(tiny);
-    BatchOptions external = on;
+    EngineConfig external = on;
     external.graph_cache = &cache;
     EXPECT_EQ(batch_lines(jobs, external), reference) << "workers=" << workers;
     // The pinned and mesh repeats shared one build — either as plain hits,
@@ -307,19 +294,20 @@ TEST(GraphCacheParity, BatchOutputByteIdenticalOnVsOff) {
 
 // ------------------------------------------------------ streaming sink ---
 
-TEST(BatchStream, EmitsIndexOrderedRecordsAndMatchesRunBatch) {
+TEST(EngineRunStream, EmitsIndexOrderedRecordsAndMatchesRunCollect) {
   const std::vector<JobSpec> jobs = parity_batch();
-  BatchOptions options;
-  options.seed = 9;
-  const std::string reference = batch_lines(jobs, options);
+  EngineConfig config;
+  config.seed = 9;
+  const std::string reference = batch_lines(jobs, config);
   const std::size_t reference_failures = 1;  // the algo=nope job
 
   for (const int workers : {1, 2, 8}) {
-    options.workers = workers;
+    config.threads = workers;
+    Engine engine(config);
     std::string streamed;
     std::size_t seen = 0;
     const std::size_t failed =
-        run_batch_stream(jobs, options, [&](const JobResult& r) {
+        engine.run(jobs, [&](const JobResult& r) {
           EXPECT_EQ(r.index, seen) << "stream must emit in batch index order";
           ++seen;
           streamed += to_json_line(r, /*include_timings=*/false);
@@ -331,11 +319,12 @@ TEST(BatchStream, EmitsIndexOrderedRecordsAndMatchesRunBatch) {
   }
 }
 
-TEST(BatchStream, NullSinkStillCountsFailures) {
+TEST(EngineRunStream, NullSinkStillCountsFailures) {
   const std::vector<JobSpec> jobs = parity_batch();
-  BatchOptions options;
-  options.seed = 9;
-  EXPECT_EQ(run_batch_stream(jobs, options, {}), 1u);
+  EngineConfig config;
+  config.seed = 9;
+  Engine engine(config);
+  EXPECT_EQ(engine.run(jobs, {}), 1u);
 }
 
 } // namespace

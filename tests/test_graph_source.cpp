@@ -93,7 +93,6 @@ TEST(MmSource, KeyIsContentHashedAndSeedIndependent) {
 
   // The instance never depends on the job seed.
   EXPECT_EQ(canonical_graph_key(spec, 2), key);
-  EXPECT_FALSE(graph_spec_depends_on_job_seed(spec));
 }
 
 TEST(MmSource, SameContentSameKeyAcrossCopiesAndRenames) {

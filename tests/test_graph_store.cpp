@@ -3,7 +3,7 @@
 /// trips, corruption and key-collision handling (a bad file is a recorded
 /// error or a miss, never a served graph), the GraphCache two-tier flow — a
 /// fresh cache over a warm directory serves from disk instead of building —
-/// restart-warm batch byte-parity through BatchOptions::graph_store_dir, and
+/// restart-warm batch byte-parity through EngineConfig::graph_store_dir, and
 /// the race_discards counter's exact accounting under a 2-thread same-key
 /// stress.
 
@@ -234,9 +234,9 @@ TEST_F(GraphStoreTest, CorruptStoreFileFallsBackToBuilding) {
 
 // ------------------------------------------------ restart-warm batch parity ---
 
-std::string run_lines(const std::vector<JobSpec>& jobs, const BatchOptions& options) {
+std::string run_lines(const std::vector<JobSpec>& jobs, const EngineConfig& config) {
   std::string out;
-  for (const JobResult& r : run_batch(jobs, options)) {
+  for (const JobResult& r : testing::run_on_fresh_engine(jobs, config)) {
     out += to_json_line(r, /*include_timings=*/false);
     out += '\n';
   }
@@ -251,13 +251,13 @@ TEST_F(GraphStoreTest, RestartedProcessServesByteIdenticalBatchFromWarmStore) {
       "input=gen:er:n=512,deg=4,seed=7 algo=karp_sipser\n");
   const std::vector<JobSpec> jobs = parse_job_specs(in);
 
-  BatchOptions plain;
+  EngineConfig plain;
   plain.seed = 42;
-  plain.workers = 2;
+  plain.threads = 2;
   const std::string reference = run_lines(jobs, plain);
 
   // Cold run with the persistent tier: output identical, store now warm.
-  BatchOptions with_store = plain;
+  EngineConfig with_store = plain;
   with_store.graph_store_dir = dir_;
   EXPECT_EQ(run_lines(jobs, with_store), reference);
 
@@ -266,7 +266,7 @@ TEST_F(GraphStoreTest, RestartedProcessServesByteIdenticalBatchFromWarmStore) {
   GraphCache::Options cache_options;
   cache_options.store_dir = dir_;
   GraphCache restarted(cache_options);
-  BatchOptions warm = plain;
+  EngineConfig warm = plain;
   warm.graph_cache = &restarted;
   EXPECT_EQ(run_lines(jobs, warm), reference);
   const GraphCache::Stats stats = restarted.stats();

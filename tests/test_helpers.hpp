@@ -37,6 +37,14 @@ inline vid_t brute_force_max_matching(const BipartiteGraph& g) {
   return rec(rec, 0);
 }
 
+/// Runs `jobs` as one batch on a fresh engine built from `config`: the
+/// one-shot form, for tests that compare configurations side by side.
+inline std::vector<JobResult> run_on_fresh_engine(const std::vector<JobSpec>& jobs,
+                                                  const EngineConfig& config = {}) {
+  Engine engine(config);
+  return engine.run_collect(jobs);
+}
+
 /// A small deterministic zoo of graphs exercising edge cases: empty rows,
 /// empty columns, rectangular shapes, paths, cycles, cliques.
 inline std::vector<BipartiteGraph> small_graph_zoo() {

@@ -5,10 +5,6 @@
 /// job runs this under ASan+UBSan), trace span nesting and ring-buffer
 /// wraparound, exporter golden output, and the engine integration — worker
 /// domain totals vs Engine::stats(), cache counters vs GraphCache::Stats.
-///
-/// Everything value-bearing that depends on live recording is gated on
-/// obs::kEnabled so the suite passes identically under BMH_OBS_DISABLED
-/// (where histograms and spans compile out but counters keep counting).
 
 #include <gtest/gtest.h>
 
@@ -106,14 +102,10 @@ TEST(ObsHistogram, RecordAndMerge) {
   const HistogramData a = h.data();
   HistogramData b = a;
   b.merge(a);
-  if (obs::kEnabled) {
-    EXPECT_EQ(a.count, 2u);
-    EXPECT_EQ(a.sum_ns, 1'001'000u);
-    EXPECT_EQ(b.count, 4u);
-    EXPECT_EQ(b.sum_ns, 2'002'000u);
-  } else {
-    EXPECT_EQ(a.count, 0u);  // histograms compile out under BMH_OBS_DISABLED
-  }
+  EXPECT_EQ(a.count, 2u);
+  EXPECT_EQ(a.sum_ns, 1'001'000u);
+  EXPECT_EQ(b.count, 4u);
+  EXPECT_EQ(b.sum_ns, 2'002'000u);
 }
 
 // ------------------------------------------------- domains and snapshots ---
@@ -163,8 +155,8 @@ TEST(ObsDomain, SeqlockSnapshotNeverTearsAPublishBurst) {
     const obs::DomainSnapshot snap = domain.snapshot();
     const std::uint64_t va = snap.counter_or("a");
     const std::uint64_t vb = snap.counter_or("b");
-    if (obs::kEnabled) EXPECT_EQ(va, vb);  // guard is a no-op when disabled
-    EXPECT_GE(va, last);  // monotone in any mode
+    EXPECT_EQ(va, vb);
+    EXPECT_GE(va, last);
     last = va;
   }
   writer.join();
@@ -208,10 +200,6 @@ TEST(ObsTrace, SpanNestingDepths) {
   obs::bind_thread_journal(nullptr);
 
   const std::vector<obs::TraceEvent> events = journal.events();
-  if (!obs::kEnabled) {
-    EXPECT_TRUE(events.empty());
-    return;
-  }
   // Spans record on scope exit: inner first, then outer, depths nested.
   ASSERT_EQ(events.size(), 2u);
   EXPECT_STREQ(events[0].name, "inner");
@@ -228,10 +216,6 @@ TEST(ObsTrace, RingBufferWrapsKeepingNewest) {
   EXPECT_EQ(journal.capacity(), 8u);
   for (std::uint64_t i = 0; i < 20; ++i) journal.record("event", i * 10, 5, 1);
 
-  if (!obs::kEnabled) {
-    EXPECT_EQ(journal.recorded(), 0u);
-    return;
-  }
   EXPECT_EQ(journal.recorded(), 20u);
   const std::vector<obs::TraceEvent> events = journal.events();
   ASSERT_EQ(events.size(), 8u);  // oldest 12 wrapped away
@@ -251,8 +235,7 @@ TEST(ObsTrace, UnboundThreadRecordsNothing) {
 
 // ----------------------------------------------------------- exporters ---
 
-/// A hand-built snapshot (independent of live recording, so these golden
-/// tests hold under BMH_OBS_DISABLED too).
+/// A hand-built snapshot, independent of live recording.
 obs::Snapshot golden_snapshot() {
   obs::Snapshot snap;
   obs::DomainSnapshot d;
@@ -374,30 +357,28 @@ TEST(ObsEngine, MetricsMatchStatsAndStages) {
   EXPECT_EQ(snap.counter_total("graph_cache", "misses"), cache_stats.misses);
   EXPECT_EQ(cache_stats.hits + cache_stats.misses, 6u);
 
-  if (obs::kEnabled) {
-    // Every job recorded exactly one sample into the per-stage and per-job
-    // histograms, and the latency totals are coherent.
-    EXPECT_EQ(snap.histogram_merged("worker", "job").count, 6u);
-    EXPECT_EQ(snap.histogram_merged("worker", "queue_wait").count, 6u);
-    EXPECT_EQ(snap.histogram_merged("worker", "graph_acquire").count, 6u);
-    EXPECT_EQ(snap.histogram_merged("worker", "stage_match").count, 6u);
-    EXPECT_GT(snap.histogram_merged("worker", "job").sum_ns, 0u);
+  // Every job recorded exactly one sample into the per-stage and per-job
+  // histograms, and the latency totals are coherent.
+  EXPECT_EQ(snap.histogram_merged("worker", "job").count, 6u);
+  EXPECT_EQ(snap.histogram_merged("worker", "queue_wait").count, 6u);
+  EXPECT_EQ(snap.histogram_merged("worker", "graph_acquire").count, 6u);
+  EXPECT_EQ(snap.histogram_merged("worker", "stage_match").count, 6u);
+  EXPECT_GT(snap.histogram_merged("worker", "job").sum_ns, 0u);
 
-    // The trace journals saw the pipeline stages.
-    const std::vector<obs::TraceEvent> events = engine.trace_events();
-    EXPECT_FALSE(events.empty());
-    bool saw_match = false;
-    for (const obs::TraceEvent& e : events)
-      if (std::string_view(e.name) == "match") saw_match = true;
-    EXPECT_TRUE(saw_match);
-  }
+  // The trace journals saw the pipeline stages.
+  const std::vector<obs::TraceEvent> events = engine.trace_events();
+  EXPECT_FALSE(events.empty());
+  bool saw_match = false;
+  for (const obs::TraceEvent& e : events)
+    if (std::string_view(e.name) == "match") saw_match = true;
+  EXPECT_TRUE(saw_match);
 }
 
 TEST(ObsEngine, SnapshotsAreConsistentWhileServing) {
   // Satellite of the stats()-consistency fix: while jobs run, every
   // snapshot's per-worker domain must be post-burst consistent —
-  // jobs_failed <= jobs_run, and (when recording) the job histogram count
-  // equals jobs_run for that worker.
+  // jobs_failed <= jobs_run, and the job histogram count equals jobs_run
+  // for that worker.
   EngineConfig config;
   config.threads = 2;
   Engine engine(config);
@@ -421,15 +402,13 @@ TEST(ObsEngine, SnapshotsAreConsistentWhileServing) {
       if (d.name != "worker") continue;
       const std::uint64_t run = d.counter_or("jobs_run");
       EXPECT_LE(d.counter_or("jobs_failed"), run);
-      if (obs::kEnabled) {
-        // The Engine constructor materializes every worker instrument before
-        // the pool starts, so the histogram exists in every snapshot. EXPECT
-        // (not ASSERT): an early return here would skip runner.join().
-        const obs::HistogramData* job_hist = d.histogram("job");
-        EXPECT_NE(job_hist, nullptr) << "worker " << d.instance;
-        if (job_hist != nullptr)
-          EXPECT_EQ(job_hist->count, run) << "worker " << d.instance;
-      }
+      // The Engine constructor materializes every worker instrument before
+      // the pool starts, so the histogram exists in every snapshot. EXPECT
+      // (not ASSERT): an early return here would skip runner.join().
+      const obs::HistogramData* job_hist = d.histogram("job");
+      EXPECT_NE(job_hist, nullptr) << "worker " << d.instance;
+      if (job_hist != nullptr)
+        EXPECT_EQ(job_hist->count, run) << "worker " << d.instance;
     }
   }
   runner.join();

@@ -300,6 +300,10 @@ TEST(UndirectedConversion, BipartiteUnionPreservesMatchingNumber) {
 }
 
 TEST(UndirectedWs, WorkspaceOverloadsMatchClassicResults) {
+  // Both sides at one OpenMP thread: above that the one-out kernels race by
+  // design (concurrent vertex claims), so two runs are only bit-comparable
+  // serially.
+  ThreadCountGuard serial(1);
   const UndirectedGraph g = make_undirected_erdos_renyi(400, 1200, 17);
   Workspace ws;
 

@@ -22,6 +22,7 @@ namespace bmh {
 namespace {
 
 using ::bmh::testing::expect_valid;
+using ::bmh::testing::run_on_fresh_engine;
 using ::bmh::testing::small_graph_zoo;
 
 // ------------------------------------------------------------ workspace ---
@@ -110,6 +111,10 @@ TEST(Workspace, ThreadLocalInstancesAreDistinct) {
 /// The `_ws` overloads must produce bit-identical results to the classic
 /// entry points: they share the same RNG streams and visit orders.
 TEST(WorkspaceParity, HeuristicsMatchClassicEntryPoints) {
+  // Both sides at one OpenMP thread: above that the paper's kernels race
+  // by design (one-sided's last-writer-wins column claims, Karp–Sipser-MT's
+  // concurrent vertex claims), so two runs are only bit-comparable serially.
+  ThreadCountGuard serial(1);
   Workspace ws;
   Matching out;
   for (const BipartiteGraph& g : small_graph_zoo()) {
@@ -176,6 +181,10 @@ TEST(WorkspaceParity, ScalingKernelsMatchClassicEntryPoints) {
 }
 
 TEST(WorkspaceParity, PipelineMatchesClassicEntryPoint) {
+  // Both sides at one OpenMP thread: above that the paper's kernels race
+  // by design (one-sided's last-writer-wins column claims, Karp–Sipser-MT's
+  // concurrent vertex claims), so two runs are only bit-comparable serially.
+  ThreadCountGuard serial(1);
   const BipartiteGraph g = make_erdos_renyi(512, 512, 3072, 11);
   for (const char* algo : {"two_sided", "one_sided", "karp_sipser", "hopcroft_karp"}) {
     PipelineConfig config;
@@ -335,10 +344,10 @@ TEST(WorkspaceHotPath, SprankAnalysisSteadyStateIsAllocationFree) {
   EXPECT_TRUE(out.exact);
 }
 
-// ---------------------------------------------- batch runner reuse -------
+// ------------------------------------------------ fresh engine reuse -------
 
-std::string batch_jsonl(const std::vector<JobSpec>& jobs, const BatchOptions& options) {
-  const std::vector<JobResult> results = run_batch(jobs, options);
+std::string batch_jsonl(const std::vector<JobSpec>& jobs, const EngineConfig& config) {
+  const std::vector<JobResult> results = run_on_fresh_engine(jobs, config);
   std::string out;
   for (const JobResult& r : results) {
     EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
@@ -356,14 +365,14 @@ TEST(WorkspaceHotPath, BatchRerunIsByteIdenticalWithZeroAllocatorGrowth) {
       "input=gen:mesh:nx=24 algo=one_sided augment=1\n"
       "input=gen:planted:n=512 algo=hopcroft_karp\n");
   const std::vector<JobSpec> jobs = parse_job_specs(in);
-  BatchOptions options;
-  options.workers = 2;
-  options.seed = 99;
+  EngineConfig config;
+  config.threads = 2;
+  config.seed = 99;
 
-  const std::string warm = batch_jsonl(jobs, options);  // warms everything once
+  const std::string warm = batch_jsonl(jobs, config);  // warms everything once
   const bench::AllocStats before = bench::alloc_stats();
   {
-    const std::string second = batch_jsonl(jobs, options);
+    const std::string second = batch_jsonl(jobs, config);
     EXPECT_EQ(second, warm);
   }
   const bench::AllocStats after = bench::alloc_stats();
