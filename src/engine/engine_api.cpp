@@ -128,6 +128,8 @@ struct Engine::WorkerObs {
   // the exec slice defensively.
   std::array<obs::Counter*, 7> jobs_failed_by_kind{};
   obs::Counter* io_retries = nullptr;        ///< transient acquire retries taken
+  obs::Counter* sprank_solves = nullptr;     ///< exact sprank solves run
+  obs::Counter* sprank_memo_hits = nullptr;  ///< sprank served by the graph's memo
   obs::Counter* callback_errors = nullptr;   ///< deliver callbacks that threw
   obs::Histogram* queue_wait = nullptr;
   obs::Histogram* graph_acquire = nullptr;
@@ -162,6 +164,8 @@ Engine::WorkerObs Engine::resolve_worker_obs(obs::MetricDomain& domain) {
                             failed_exec,
                             &domain.counter("jobs_failed_timeout")};
   wo.io_retries = &domain.counter("io_retries");
+  wo.sprank_solves = &domain.counter("sprank_solves");
+  wo.sprank_memo_hits = &domain.counter("sprank_memo_hits");
   wo.callback_errors = &domain.counter("callback_errors");
   wo.queue_wait = &domain.histogram("queue_wait");
   wo.graph_acquire = &domain.histogram("graph_acquire");
@@ -367,6 +371,8 @@ void Engine::run_single(std::uint32_t slot_index, Workspace& ws, WorkerObs& wo) 
     }
     if (wo.job_io_retries != 0) wo.io_retries->inc(wo.job_io_retries);
     if (wo.direct_build) wo.direct_builds->inc();
+    if (result.result.sprank_source == SprankSource::kSolved) wo.sprank_solves->inc();
+    if (result.result.sprank_source == SprankSource::kMemo) wo.sprank_memo_hits->inc();
     wo.queue_wait->record(queue_wait_ns);
     wo.graph_acquire->record(wo.graph_acquire_ns);
     wo.job->record(obs::now_ns() - claimed_ns);

@@ -90,6 +90,21 @@ const MatchingAlgorithm& resolve_algorithm(Workspace& ws, const PipelineConfig& 
   return *cache.algorithm;
 }
 
+/// sprank(g), solved at most once per graph: the memo on `g` answers when
+/// set, otherwise the exact solve runs and its result is remembered. Two
+/// workers that reach a cold shared graph together may both solve; they
+/// store the same value.
+vid_t remembered_sprank(const BipartiteGraph& g, Workspace& ws, PipelineResult& out) {
+  if (const std::optional<vid_t> known = g.known_sprank()) {
+    out.sprank_source = SprankSource::kMemo;
+    return *known;
+  }
+  const vid_t rank = sprank_ws(g, ws);
+  g.remember_sprank(rank);
+  out.sprank_source = SprankSource::kSolved;
+  return rank;
+}
+
 void run_stages_ws(const BipartiteGraph& g, const PipelineConfig& config,
                    const MatchingAlgorithm& algorithm, Workspace& ws,
                    PipelineResult& out) {
@@ -140,7 +155,7 @@ void run_stages_ws(const BipartiteGraph& g, const PipelineConfig& config,
     out.valid = is_valid_matching(g, out.matching);
     if (config.compute_quality) {
       // An exact pipeline already knows the optimum: |M| = sprank.
-      out.sprank = out.exact ? out.cardinality : sprank_ws(g, ws);
+      out.sprank = out.exact ? out.cardinality : remembered_sprank(g, ws, out);
       out.quality = matching_quality(out.matching, out.sprank);
     }
   });
@@ -235,7 +250,7 @@ void run_analyze_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& conf
 
   timed_stage(out, config, "analyze", [&] {
     if (type == "sprank") {
-      out.sprank = sprank_ws(g, ws);
+      out.sprank = remembered_sprank(g, ws, out);
       out.exact = true;
       out.valid = true;
     } else if (type == "dm") {

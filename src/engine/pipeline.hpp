@@ -14,7 +14,9 @@
 ///            jump-start application: the heuristic initializes the exact
 ///            solver)
 ///   analyze  validity check and |M| / sprank quality (sprank reuses the
-///            known optimum when the pipeline already ended exact)
+///            known optimum when the pipeline already ended exact, else the
+///            graph's remembered sprank; only a graph's first quality job
+///            runs the exact solve)
 
 #include <cstdint>
 #include <memory>
@@ -64,8 +66,8 @@ struct PipelineConfig {
   int scaling_iterations = 5;
   double scaling_tolerance = 0.0;  ///< 0 = run exactly scaling_iterations
   bool augment = false;    ///< complete to maximum with Hopcroft-Karp
-  bool compute_quality = true;  ///< compute sprank (an extra exact solve
-                                ///< unless the pipeline ended exact)
+  bool compute_quality = true;  ///< compute sprank (one exact solve per
+                                ///< resident graph, remembered on it)
   /// Absolute steady_now_ns() deadline; 0 = none. Checked on entry to every
   /// stage — JobTimeoutError when already past.
   std::int64_t deadline_ns = 0;
@@ -98,6 +100,14 @@ struct AnalysisExtras {
   bool maximum = false;          ///< König equality |cover| = |matching| held
 };
 
+/// Where PipelineResult::sprank came from — the engine counts solves and
+/// memo hits per worker from it.
+enum class SprankSource : std::uint8_t {
+  kNone,    ///< not computed, or known as |M| of an exact pipeline
+  kSolved,  ///< an exact solve ran (and its result was remembered)
+  kMemo,    ///< the graph already carried it (BipartiteGraph::known_sprank)
+};
+
 struct PipelineResult {
   Matching matching;
   vid_t cardinality = 0;            ///< |matching|
@@ -105,6 +115,7 @@ struct PipelineResult {
   bool valid = false;               ///< is_valid_matching held
   bool exact = false;               ///< matching is provably maximum
   vid_t sprank = 0;                 ///< 0 when quality was not computed
+  SprankSource sprank_source = SprankSource::kNone;
   double quality = 0.0;             ///< cardinality / sprank (0 likewise)
   int scaling_iterations = 0;       ///< iterations the scale stage ran
   double scaling_error = 0.0;       ///< error after the last iteration
@@ -122,6 +133,7 @@ struct PipelineResult {
     valid = false;
     exact = false;
     sprank = 0;
+    sprank_source = SprankSource::kNone;
     quality = 0.0;
     scaling_iterations = 0;
     scaling_error = 0.0;
@@ -163,7 +175,8 @@ void run_undirected_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& c
 ///   dm      coarse + fine Dulmage–Mendelsohn: sprank, block sizes,
 ///           total-support / full-indecomposability flags (out.extras)
 ///   koenig  maximum matching + König minimum vertex cover certificate
-///   sprank  structural rank alone (the cheapest exact probe)
+///   sprank  structural rank alone (the cheapest exact probe; shares the
+///           graph's remembered sprank with match jobs)
 /// Unknown types throw std::invalid_argument before any work. Runs a single
 /// "analyze" stage; sprank is workspace-leased end to end, while dm/koenig
 /// build their decomposition structures afresh per call (they are not on

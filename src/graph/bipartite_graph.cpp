@@ -103,6 +103,7 @@ BipartiteGraph::BipartiteGraph(vid_t num_rows, vid_t num_cols,
 BipartiteGraph::BipartiteGraph(const BipartiteGraph& other)
     : num_rows_(other.num_rows_),
       num_cols_(other.num_cols_),
+      sprank_memo_(other.sprank_memo_.load(std::memory_order_relaxed)),
       storage_(other.storage_) {
   rebind_views();
 }
@@ -110,6 +111,7 @@ BipartiteGraph::BipartiteGraph(const BipartiteGraph& other)
 BipartiteGraph::BipartiteGraph(BipartiteGraph&& other) noexcept
     : num_rows_(other.num_rows_),
       num_cols_(other.num_cols_),
+      sprank_memo_(other.sprank_memo_.exchange(kUnknownSprank, std::memory_order_relaxed)),
       storage_(std::move(other.storage_)) {
   rebind_views();
   // Leave the source a valid empty graph rather than with dangling views
@@ -125,6 +127,8 @@ BipartiteGraph& BipartiteGraph::operator=(const BipartiteGraph& other) {
   if (this != &other) {
     num_rows_ = other.num_rows_;
     num_cols_ = other.num_cols_;
+    sprank_memo_.store(other.sprank_memo_.load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
     storage_ = other.storage_;
     rebind_views();
   }
@@ -135,6 +139,8 @@ BipartiteGraph& BipartiteGraph::operator=(BipartiteGraph&& other) noexcept {
   if (this != &other) {
     num_rows_ = other.num_rows_;
     num_cols_ = other.num_cols_;
+    sprank_memo_.store(other.sprank_memo_.exchange(kUnknownSprank, std::memory_order_relaxed),
+                       std::memory_order_relaxed);
     storage_ = std::move(other.storage_);
     rebind_views();
     other.num_rows_ = 0;
@@ -156,6 +162,9 @@ void BipartiteGraph::assign_csr(vid_t num_rows, vid_t num_cols,
                                 std::span<const eid_t> row_ptr,
                                 std::span<const vid_t> col_idx) {
   validate_csr(num_rows, num_cols, row_ptr, col_idx);  // members untouched on throw
+  // New arrays, new rank: a pooled graph rebuilt in place must not serve
+  // the previous instance's sprank.
+  sprank_memo_.store(kUnknownSprank, std::memory_order_relaxed);
   // Everything past validation reallocates buffers the view members point
   // into (or, below, tears down a mapping they point into), and any of it
   // can throw bad_alloc. Park the object in the consistent empty state

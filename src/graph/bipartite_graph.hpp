@@ -23,9 +23,17 @@
 /// `memory_bytes()` accounts whichever backing is active. Mutating
 /// operations (`assign_csr`) convert an externally backed graph to owned
 /// storage first, so the immutable mapped bytes are never written.
+///
+/// A graph can carry its structural rank once someone has solved it
+/// (`known_sprank` / `remember_sprank`): sprank is a pure function of the
+/// arrays, so a graph shared across jobs (a graph-cache entry) pays the
+/// exact solve once. The memo follows the arrays — copies and moves carry
+/// it, `assign_csr` clears it.
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <span>
 #include <variant>
 #include <vector>
@@ -132,6 +140,21 @@ public:
     return std::holds_alternative<OwnedStorage>(storage_);
   }
 
+  /// The structural rank remembered by `remember_sprank`, or nullopt when
+  /// no one has stored it yet for the current arrays.
+  [[nodiscard]] std::optional<vid_t> known_sprank() const noexcept {
+    const vid_t rank = sprank_memo_.load(std::memory_order_relaxed);
+    return rank == kUnknownSprank ? std::nullopt : std::optional<vid_t>(rank);
+  }
+
+  /// Stores sprank(*this) for later callers. Logically const: the memo
+  /// caches a function of the immutable arrays. Safe to call concurrently;
+  /// racing callers solved the same graph, so they store the same value
+  /// (relaxed suffices: the integer is the whole payload).
+  void remember_sprank(vid_t sprank) const noexcept {
+    sprank_memo_.store(sprank, std::memory_order_relaxed);
+  }
+
   /// True iff edge (i, j) exists. O(deg) scan; intended for tests/examples.
   [[nodiscard]] bool has_edge(vid_t i, vid_t j) const noexcept;
 
@@ -165,8 +188,11 @@ private:
   /// can defer committing num_rows_/num_cols_ until every allocation is done.
   void build_csc_serial(vid_t num_rows, vid_t num_cols);
 
+  static constexpr vid_t kUnknownSprank = -1;
+
   vid_t num_rows_ = 0;
   vid_t num_cols_ = 0;
+  mutable std::atomic<vid_t> sprank_memo_{kUnknownSprank};
   std::variant<OwnedStorage, ExternalStorage> storage_;
   std::span<const eid_t> row_ptr_;
   std::span<const vid_t> col_idx_;

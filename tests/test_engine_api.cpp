@@ -16,6 +16,7 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -282,9 +283,13 @@ TEST(EngineApi, DestructorDrainObservesBlockedInFlightSubmit) {
 // The multi-producer variant: several producers are blocked mid-submit on a
 // full ring when teardown begins. Every accepted job — queued, claimed, or
 // still waiting for a slot inside submit() — must deliver exactly once.
+// Each producer makes one submit through a raw pointer taken before
+// teardown (never through the optional the destroyer resets), and a
+// counted latch holds teardown back until every submit call has started:
+// the engine drains submits that entered before its destructor, while a
+// submit that begins after destruction started is outside its contract.
 TEST(EngineApiStress, DestructorDrainRacesManyBlockedProducers) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 6;
+  constexpr int kProducers = 24;
   std::optional<Engine> engine;
   EngineConfig config;
   config.threads = 2;
@@ -311,16 +316,20 @@ TEST(EngineApiStress, DestructorDrainRacesManyBlockedProducers) {
     std::unique_lock<std::mutex> lock(mutex);
     cv.wait(lock, [&] { return workers_parked == 2; });
   }
+  Engine* const target = &*engine;
+  std::latch submits_started(kProducers);
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p)
     producers.emplace_back([&] {
-      for (int i = 0; i < kPerProducer; ++i)
-        engine->submit(job, [&delivered](JobResult&&) {
-          delivered.fetch_add(1, std::memory_order_relaxed);
-        });
+      submits_started.count_down();
+      target->submit(job, [&delivered](JobResult&&) {
+        delivered.fetch_add(1, std::memory_order_relaxed);
+      });
     });
-  // 24 submissions against 4 slots with both workers parked: most
-  // producers are blocked inside submit() by the time teardown starts.
+  // 24 submissions against 4 slots with both workers parked: 20 producers
+  // are blocked inside submit() when teardown starts. The latch says every
+  // call has started; the sleep lets the last ones get past its entry.
+  submits_started.wait();
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   std::thread destroyer([&] { engine.reset(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -331,8 +340,7 @@ TEST(EngineApiStress, DestructorDrainRacesManyBlockedProducers) {
   }
   for (std::thread& t : producers) t.join();
   destroyer.join();
-  EXPECT_EQ(delivered.load(std::memory_order_relaxed),
-            2 + kProducers * kPerProducer);
+  EXPECT_EQ(delivered.load(std::memory_order_relaxed), 2 + kProducers);
 }
 
 // The sanitizer CI job runs this under ASan+UBSan: many threads submitting
@@ -526,6 +534,91 @@ TEST(EngineApi, PerKindSlicesSumToTotalsInEverySnapshot) {
 }
 
 // ---------------------------------------------------------------- serve ---
+
+// ---------------------------------------------------------- sprank memo ---
+
+/// `count` quality-on match jobs on one pinned instance — one cached graph
+/// shared by every job — with per-index derived pipeline seeds.
+std::vector<JobSpec> repeated_quality_jobs(std::size_t count) {
+  std::vector<JobSpec> jobs;
+  jobs.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    jobs.push_back(
+        parse_job_spec_line("input=gen:er:n=1024,deg=3,seed=6 algo=two_sided iters=3"));
+    jobs.back().name = "q" + std::to_string(i);
+  }
+  return jobs;
+}
+
+std::uint64_t worker_total(const Engine& engine, std::string_view counter) {
+  return engine.metrics().counter_total("worker", counter);
+}
+
+TEST(EngineApi, SprankMemoSolvesOncePerWorkerAndKeepsRecordsByteIdentical) {
+  const std::vector<JobSpec> jobs = repeated_quality_jobs(24);
+  EngineConfig off;
+  off.seed = 5;
+  off.threads = 2;
+  off.graph_cache_mb = 0;  // every job builds its own graph: nothing to share
+  std::string reference;
+  {
+    Engine engine(off);
+    reference = run_lines(engine, jobs);
+    EXPECT_EQ(worker_total(engine, "sprank_solves"), jobs.size());
+    EXPECT_EQ(worker_total(engine, "sprank_memo_hits"), 0u);
+  }
+
+  for (const int workers : {1, 4}) {
+    EngineConfig on = off;
+    on.threads = workers;
+    on.graph_cache_mb = 64;
+    Engine engine(on);
+    EXPECT_EQ(run_lines(engine, jobs), reference) << "workers=" << workers;
+    // A worker solves only while the shared graph's memo is unknown, so at
+    // most once each; every other job is a memo hit.
+    const std::uint64_t solves = worker_total(engine, "sprank_solves");
+    EXPECT_GE(solves, 1u) << "workers=" << workers;
+    EXPECT_LE(solves, static_cast<std::uint64_t>(workers)) << "workers=" << workers;
+    EXPECT_EQ(solves + worker_total(engine, "sprank_memo_hits"), jobs.size())
+        << "workers=" << workers;
+  }
+}
+
+TEST(EngineApi, AnalyzeSprankSharesTheMemoWithMatchJobs) {
+  EngineConfig config;
+  config.threads = 1;
+  config.seed = 5;
+  Engine engine(config);
+  const auto run = [&](const std::string& line) {
+    return engine.submit(parse_job_spec_line(line)).get();
+  };
+
+  // Analysis first, then a match job on the same resident graph.
+  const JobResult probe = run("input=gen:er:n=1024,deg=3,seed=6 kind=analyze algo=sprank");
+  ASSERT_TRUE(probe.ok) << probe.error;
+  EXPECT_EQ(probe.result.sprank,
+            sprank(build_graph(parse_graph_spec("gen:er:n=1024,deg=3,seed=6"), 0)));
+  EXPECT_EQ(worker_total(engine, "sprank_solves"), 1u);
+  const JobResult match = run("input=gen:er:n=1024,deg=3,seed=6 algo=two_sided iters=3");
+  ASSERT_TRUE(match.ok) << match.error;
+  EXPECT_EQ(match.result.sprank, probe.result.sprank);
+  EXPECT_EQ(worker_total(engine, "sprank_solves"), 1u);
+  EXPECT_EQ(worker_total(engine, "sprank_memo_hits"), 1u);
+
+  // And the other way round on a second instance.
+  const JobResult match2 = run("input=gen:er:n=1024,deg=3,seed=7 algo=one_sided iters=3");
+  const JobResult probe2 = run("input=gen:er:n=1024,deg=3,seed=7 kind=analyze algo=sprank");
+  ASSERT_TRUE(match2.ok && probe2.ok);
+  EXPECT_EQ(probe2.result.sprank, match2.result.sprank);
+  EXPECT_EQ(worker_total(engine, "sprank_solves"), 2u);
+  EXPECT_EQ(worker_total(engine, "sprank_memo_hits"), 2u);
+
+  // Exact pipelines and quality=0 jobs neither solve nor hit.
+  (void)run("input=gen:er:n=1024,deg=3,seed=7 algo=hopcroft_karp");
+  (void)run("input=gen:er:n=1024,deg=3,seed=7 algo=two_sided quality=0");
+  EXPECT_EQ(worker_total(engine, "sprank_solves"), 2u);
+  EXPECT_EQ(worker_total(engine, "sprank_memo_hits"), 2u);
+}
 
 TEST(EngineApi, ServeShapeRoundTripMatchesBatch) {
   // The --serve loop at API level: parse lines one by one, submit with the

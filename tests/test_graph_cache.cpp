@@ -3,8 +3,8 @@
 /// canonical spec keys behind it: key equivalence under default resolution
 /// and parameter order, the seed precedence rules, hit/miss/LRU accounting,
 /// concurrent lookup/insert (the sanitizer CI job runs this suite under
-/// ASan+UBSan, exercising the sharded locks), and batch-output parity with
-/// the cache on vs off.
+/// ASan+UBSan, exercising the sharded locks), batch-output parity with
+/// the cache on vs off, and the sprank memo resident graphs carry.
 
 #include <gtest/gtest.h>
 
@@ -231,6 +231,100 @@ TEST(GraphCacheStress, ConcurrentLookupInsertEvict) {
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<std::uint64_t>(kThreads) * kIterations);
   EXPECT_LE(stats.bytes, options.max_bytes);
+}
+
+// ---------------------------------------------------------- sprank memo ---
+
+TEST(SprankMemo, FreshGraphIsUnknownAndCopiesCarryTheMemo) {
+  const BipartiteGraph fresh = make_cycle(6);
+  EXPECT_FALSE(fresh.known_sprank().has_value());
+  EXPECT_FALSE(BipartiteGraph().known_sprank().has_value());
+
+  BipartiteGraph g = make_cycle(6);
+  g.remember_sprank(6);
+  ASSERT_EQ(g.known_sprank(), std::optional<vid_t>(6));
+  const BipartiteGraph copy(g);
+  EXPECT_EQ(copy.known_sprank(), std::optional<vid_t>(6));
+  BipartiteGraph assigned = make_full(3);
+  assigned.remember_sprank(3);
+  assigned = g;  // the target's own memo described other arrays
+  EXPECT_EQ(assigned.known_sprank(), std::optional<vid_t>(6));
+
+  // A move carries the memo with the arrays and leaves the (now empty)
+  // source unknown.
+  BipartiteGraph moved(std::move(assigned));
+  EXPECT_EQ(moved.known_sprank(), std::optional<vid_t>(6));
+  EXPECT_FALSE(assigned.known_sprank().has_value());  // NOLINT(bugprone-use-after-move)
+  BipartiteGraph move_target = make_full(3);
+  move_target.remember_sprank(3);
+  move_target = std::move(moved);
+  EXPECT_EQ(move_target.known_sprank(), std::optional<vid_t>(6));
+  EXPECT_FALSE(moved.known_sprank().has_value());  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(SprankMemo, PooledRebuildForgetsTheOldRank) {
+  // One graph object rebuilt in place, the way a Workspace-pooled graph is:
+  // the second instance has a different sprank, so a memo that survived
+  // the rebuild would serve the wrong denominator.
+  GraphBuilder builder;
+  BipartiteGraph pooled;
+  Workspace ws;
+  PipelineConfig config;
+  config.algorithm = "sprank";
+  PipelineResult out;
+
+  builder.reset(4, 4);
+  for (vid_t i = 0; i < 4; ++i) builder.add_edge(i, i);  // sprank 4
+  builder.build_into(pooled);
+  run_analyze_pipeline_ws(pooled, config, ws, out);
+  ASSERT_EQ(out.sprank, 4);
+  EXPECT_EQ(out.sprank_source, SprankSource::kSolved);
+  run_analyze_pipeline_ws(pooled, config, ws, out);
+  EXPECT_EQ(out.sprank_source, SprankSource::kMemo);
+
+  builder.reset(4, 4);
+  for (vid_t i = 0; i < 4; ++i) builder.add_edge(i, 0);  // sprank 1
+  builder.build_into(pooled);
+  EXPECT_FALSE(pooled.known_sprank().has_value());
+  run_analyze_pipeline_ws(pooled, config, ws, out);
+  EXPECT_EQ(out.sprank, sprank_ws(pooled, ws));
+  EXPECT_EQ(out.sprank, 1);
+  EXPECT_EQ(out.sprank_source, SprankSource::kSolved);
+}
+
+// Several threads reach one cold shared graph together (the engine's
+// first-touch race): each may solve, all must agree, and the memo ends up
+// holding that value. The TSan CI job runs this suite.
+TEST(SprankMemoStress, ConcurrentFirstTouchAgrees) {
+  const auto g = std::make_shared<const BipartiteGraph>(
+      build_graph(parse_graph_spec("gen:er:n=2048,deg=3,seed=4"), 1));
+  const vid_t expected = sprank(*g);
+  ASSERT_FALSE(g->known_sprank().has_value());
+
+  constexpr int kThreads = 4;
+  PipelineConfig config;
+  config.algorithm = "two_sided";
+  config.options.threads = 1;
+  std::atomic<int> ready{0};
+  std::atomic<int> solves{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&] {
+      Workspace ws;
+      PipelineResult out;
+      ready.fetch_add(1, std::memory_order_relaxed);
+      while (ready.load(std::memory_order_relaxed) < kThreads) std::this_thread::yield();
+      run_pipeline_ws(*g, config, ws, out);
+      if (out.sprank != expected) wrong.fetch_add(1, std::memory_order_relaxed);
+      if (out.sprank_source == SprankSource::kSolved)
+        solves.fetch_add(1, std::memory_order_relaxed);
+    });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GE(solves.load(), 1);
+  EXPECT_LE(solves.load(), kThreads);
+  EXPECT_EQ(g->known_sprank(), std::optional<vid_t>(expected));
 }
 
 // ------------------------------------------------- batch-runner parity ---
