@@ -24,15 +24,18 @@ int main() {
     const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
 
     Table table({"k", "subgraph edges", "min quality", "time s"});
+    Workspace ws;
+    Matching m;
     for (const int k : {1, 2, 3, 4}) {
       vid_t worst = g.num_rows();
       const BipartiteGraph sub = k_out_subgraph(g, s, k, 3);
+      // Times the engine's k_out path: pooled subgraph + its exact solve.
       const double t = bench::time_geomean(
           [&](int r) {
-            const BipartiteGraph sg = k_out_subgraph(g, s, k, static_cast<std::uint64_t>(r));
-            worst = std::min(worst, hopcroft_karp(sg).cardinality());
+            k_out_from_scaling_ws(g, s, k, static_cast<std::uint64_t>(r), ws, m);
+            worst = std::min(worst, m.cardinality());
           },
-          runs, 0);
+          runs, 1);
       table.row()
           .add(k)
           .add(format_count(sub.num_edges()))

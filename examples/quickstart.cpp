@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   // 2. Ground truth for quality reporting.
   bmh::Timer timer;
   const bmh::vid_t exact = bmh::sprank(graph);
-  std::cout << "sprank (Hopcroft-Karp): " << exact << "  [" << timer.milliseconds()
+  std::cout << "sprank (push-relabel): " << exact << "  [" << timer.milliseconds()
             << " ms]\n\n";
 
   // 3. OneSidedMatch — synchronization-free, guarantee 0.632.

@@ -5,7 +5,7 @@
 
 #include "core/workspace.hpp"
 #include "graph/builder.hpp"
-#include "matching/hopcroft_karp.hpp"
+#include "matching/push_relabel.hpp"
 #include "scaling/sinkhorn_knopp.hpp"
 #include "util/rng.hpp"
 
@@ -157,9 +157,14 @@ void k_out_match_ws(const BipartiteGraph& g, int scaling_iterations, int k,
     scale_sinkhorn_knopp_ws(g, opts, ws, scaling);
   else
     identity_scaling_ws(g, ws, scaling, /*compute_error=*/false);
+  k_out_from_scaling_ws(g, scaling, k, seed, ws, out);
+}
+
+void k_out_from_scaling_ws(const BipartiteGraph& g, const ScalingResult& scaling, int k,
+                           std::uint64_t seed, Workspace& ws, Matching& out) {
   BipartiteGraph& sub = ws.obj<BipartiteGraph>("kout.subgraph");
   k_out_subgraph_ws(g, scaling, k, seed, ws, sub);
-  hopcroft_karp_ws(sub, ws, out);
+  push_relabel_ws(sub, ws, out);
 }
 
 } // namespace bmh

@@ -9,10 +9,12 @@
 /// and finds a maximum matching of the resulting ≤ 2kn-edge subgraph.
 ///
 /// For k >= 2 the subgraph components are no longer guaranteed to contain
-/// at most one cycle, so Karp–Sipser is *not* exact on them; Hopcroft–Karp
-/// runs on the (still tiny) subgraph instead. The trade: more edges and a
-/// slower subgraph solve buy a quality that approaches 1 rapidly with k —
-/// quantified by bench_extension_kout.
+/// at most one cycle, so Karp–Sipser is *not* exact on them; push-relabel
+/// with global relabeling (matching/push_relabel.hpp) solves the (still
+/// small) subgraph instead, in `k_out_from_scaling_ws` — the one place the
+/// subgraph solver is chosen. The trade: more edges and a slower subgraph
+/// solve buy a quality that approaches 1 rapidly with k — quantified by
+/// bench_extension_kout.
 
 #include <cstdint>
 #include <vector>
@@ -63,6 +65,11 @@ void sample_col_choices_k(const BipartiteGraph& g, const std::vector<double>& dr
 /// builder scratch behind them, tags "kout.*") reuse capacity across calls.
 void k_out_subgraph_ws(const BipartiteGraph& g, const ScalingResult& scaling, int k,
                        std::uint64_t seed, Workspace& ws, BipartiteGraph& out);
+/// The k-out heuristic on a pre-scaled matrix: builds the pooled subgraph
+/// (workspace tag "kout.subgraph") and matches it exactly into `out`. The
+/// registry's `k_out` and `k_out_match_ws` both run through here.
+void k_out_from_scaling_ws(const BipartiteGraph& g, const ScalingResult& scaling, int k,
+                           std::uint64_t seed, Workspace& ws, Matching& out);
 void k_out_match_ws(const BipartiteGraph& g, int scaling_iterations, int k,
                     std::uint64_t seed, Workspace& ws, Matching& out);
 

@@ -107,11 +107,7 @@ AlgorithmRegistry::AlgorithmRegistry() : impl_(std::make_shared<Impl>()) {
   add("k_out", true, false,
       [](const BipartiteGraph& g, const ScalingResult& s, const AlgorithmOptions& o,
          Workspace& ws, Matching& out) {
-        // Pooled subgraph: CSR assembly reuses workspace capacity, keeping
-        // warm k_out jobs allocation-free like every other registration.
-        BipartiteGraph& sub = ws.obj<BipartiteGraph>("kout.subgraph");
-        k_out_subgraph_ws(g, s, o.k, o.seed, ws, sub);
-        hopcroft_karp_ws(sub, ws, out);
+        k_out_from_scaling_ws(g, s, o.k, o.seed, ws, out);
       });
 
   // Cheap baselines (§2.1).

@@ -8,14 +8,15 @@
 ///
 ///   one_sided      OneSidedMatch (Alg. 2, 0.632 guarantee)
 ///   two_sided      TwoSidedMatch (Alg. 3 + parallel KS of Alg. 4, ~0.866)
-///   k_out          k-out generalization (exact solve on the k-out subgraph)
+///   k_out          k-out generalization (push-relabel on the k-out subgraph)
 ///   karp_sipser    classic sequential Karp-Sipser
 ///   greedy         random-vertex cheap matching (1/2 guarantee)
 ///   greedy_edge    random-edge cheap matching (1/2 guarantee)
 ///   min_degree     static mindegree jump-start (deterministic)
 ///   hopcroft_karp  exact, O(sqrt(n) tau)
 ///   mc21           exact, augmenting DFS with lookahead
-///   push_relabel   exact, push-relabel transversal
+///   push_relabel   exact, push-relabel with global relabeling (also the
+///                  solver behind sprank and k_out's subgraph match)
 ///
 /// New algorithms (future backends, distributed variants) plug in through
 /// register_algorithm() without touching any call site.

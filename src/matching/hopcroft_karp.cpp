@@ -147,14 +147,4 @@ void hopcroft_karp_augment_ws(const BipartiteGraph& g, Matching& m, Workspace& w
   solver.solve(m);
 }
 
-vid_t sprank(const BipartiteGraph& g) {
-  return sprank_ws(g, Workspace::for_this_thread());
-}
-
-vid_t sprank_ws(const BipartiteGraph& g, Workspace& ws) {
-  Matching& scratch = ws.obj<Matching>("hk.sprank_matching");
-  hopcroft_karp_ws(g, ws, scratch);
-  return scratch.cardinality();
-}
-
 } // namespace bmh

@@ -2,11 +2,13 @@
 /// \file hopcroft_karp.hpp
 /// \brief Exact maximum-cardinality matching (Hopcroft–Karp, O(sqrt(n)·tau)).
 ///
-/// The exact solver plays three roles in the reproduction:
-///   1. ground truth: every reported "quality" is |M| / sprank(A), and
-///      sprank is computed here (paper Tables 1–3);
-///   2. the oracle the tests use to certify that KarpSipserMT is exact on
-///      the TwoSidedMatch subgraphs (paper Lemmas 1–3);
+/// The solver plays three roles in the reproduction:
+///   1. the reference exact solver: the tests certify push-relabel (which
+///      computes sprank, below) and KarpSipserMT on the TwoSidedMatch
+///      subgraphs (paper Lemmas 1–3) against it;
+///   2. the engine's `augment` stage, which completes a heuristic matching
+///      to a maximum one, and the matching behind Dulmage–Mendelsohn and
+///      Kőnig;
 ///   3. the state-of-the-art solver whose jump-start the paper motivates
 ///      (examples/jump_start_solver.cpp).
 
@@ -31,7 +33,11 @@ void hopcroft_karp_ws(const BipartiteGraph& g, Workspace& ws, Matching& out);
 /// (debug-asserted, not checked in release builds).
 void hopcroft_karp_augment_ws(const BipartiteGraph& g, Matching& m, Workspace& ws);
 
-/// Maximum matching cardinality (the structural rank of the matrix).
+/// Maximum matching cardinality (the structural rank of the matrix): the
+/// denominator of every reported quality |M| / sprank(A) (paper Tables
+/// 1–3). Solved by push-relabel with global relabeling (defined in
+/// push_relabel.cpp), which is several times faster than Hopcroft–Karp on
+/// the engine's instances; any maximum matching has the same cardinality.
 [[nodiscard]] vid_t sprank(const BipartiteGraph& g);
 
 /// Workspace-aware sprank; the solved matching itself is kept inside `ws`.

@@ -4,17 +4,29 @@
 /// Kaya, Langguth, Manne, Uçar, "Push-relabel based algorithms for the
 /// maximum transversal problem").
 ///
-/// A third exact solver, independent of the augmenting-path family
-/// (Hopcroft–Karp, MC21), used to cross-validate sprank values in the
-/// tests and as another jump-start target in the benches.
+/// The engine's exact solve: it computes sprank (declared in
+/// hopcroft_karp.hpp, the quality denominator and `kind=analyze
+/// algo=sprank`) and k_out's subgraph matching. Hopcroft–Karp stays the
+/// reference the tests certify it against.
 ///
 /// Formulation: each free row holds one unit of excess; rows are pushed to
 /// columns along admissible arcs (psi(row) = psi(col) + 1). Pushing onto a
 /// matched column kicks the previous owner back to excess (a "double
-/// push"); relabeling sets psi(row) = min over neighbours + 1. Rows whose
-/// label reaches 2·n are provably unmatchable and retire. With the
-/// FIFO processing order and the standard greedy initialization the
-/// complexity is O(n·tau).
+/// push"), and the column's label becomes psi(row) + 1; relabeling sets
+/// psi(row) = min over neighbours + 1. Free rows are processed in FIFO
+/// order after a greedy initialization.
+///
+/// Global relabeling: a BFS from the free columns over the column-major
+/// side sets every label to its exact alternating distance (free column 0,
+/// row = column + 1, matched column = mate row + 1). It runs once up front
+/// and again after every num_rows + num_cols relabels, so each costs O(tau)
+/// amortized against O(n) relabels. Rows it does not reach have no
+/// augmenting path and retire at once, which is what keeps sprank-deficient
+/// inputs from climbing labels one step at a time. The worst case stays
+/// O(n·tau). On n = 2^17 random, power-law and planted instances and their
+/// 2-out subgraphs it runs 3–5× faster than Hopcroft–Karp (bench_micro's
+/// BM_PushRelabel); on road-like near-cycles HK is still faster. Serial and
+/// deterministic.
 
 #include "core/workspace.hpp"
 #include "graph/bipartite_graph.hpp"

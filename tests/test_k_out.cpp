@@ -1,5 +1,6 @@
 /// Tests for the k-out extension: subgraph structure, monotonicity of
-/// quality in k, and the Walkup 2-out phenomenon.
+/// quality in k, the Walkup 2-out phenomenon, and the subgraph solve
+/// against Hopcroft–Karp.
 
 #include <gtest/gtest.h>
 
@@ -101,6 +102,38 @@ TEST(KOut, WorksOnDeficientGraphs) {
   const Matching m = k_out_match(g, 5, 2, 17);
   testing::expect_valid(g, m, "deficient k-out");
   EXPECT_GE(static_cast<double>(m.cardinality()), 0.95 * static_cast<double>(rank));
+}
+
+TEST(KOut, SubgraphSolveMatchesHopcroftKarp) {
+  // k_out's cardinality must be the maximum matching of its own subgraph:
+  // the same seed gives the same k_out_subgraph_ws, solved by Hopcroft–Karp.
+  const std::vector<BipartiteGraph> graphs = {
+      make_erdos_renyi(3000, 3000, 24000, 1),
+      make_power_law(3000, 8.0, 1.8, 2),
+      make_planted_perfect(3000, 4, 3),
+      make_mesh(40, 60),
+      make_erdos_renyi(3000, 3000, 6000, 5),  // deficient
+      make_erdos_renyi(1000, 2500, 5000, 6),  // wide
+      make_erdos_renyi(2500, 1000, 5000, 7),  // tall
+  };
+  Workspace ws;
+  for (std::size_t t = 0; t < graphs.size(); ++t) {
+    const BipartiteGraph& g = graphs[t];
+    const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
+    for (const int k : {1, 2, 3}) {
+      const std::uint64_t seed = 100 + t;
+      Matching m;
+      k_out_from_scaling_ws(g, s, k, seed, ws, m);
+      testing::expect_valid(g, m, "k_out_from_scaling_ws");
+      const BipartiteGraph sub = k_out_subgraph_ws(g, s, k, seed, ws);
+      EXPECT_EQ(m.cardinality(), hopcroft_karp(sub).cardinality())
+          << "graph " << t << " k " << k;
+      // The convenience form runs the same entry point after scaling.
+      Matching via_match;
+      k_out_match_ws(g, 5, k, seed, ws, via_match);
+      EXPECT_EQ(via_match.cardinality(), m.cardinality()) << "graph " << t << " k " << k;
+    }
+  }
 }
 
 } // namespace

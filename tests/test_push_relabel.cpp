@@ -1,9 +1,13 @@
 /// Tests for the push-relabel exact matcher (paper ref. [21]): agreement
 /// with brute force and the other exact solvers, warm starts, termination
-/// on structured and deficient inputs.
+/// on structured and deficient inputs, and sprank (which push-relabel now
+/// computes) against Hopcroft–Karp.
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "engine/job.hpp"
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
 #include "matching/hopcroft_karp.hpp"
@@ -83,6 +87,49 @@ TEST(PushRelabel, LongAugmentingChains) {
   }
   const BipartiteGraph g = graph_from_rows(n, n, rows);
   EXPECT_EQ(push_relabel(g).cardinality(), n);
+}
+
+TEST(PushRelabel, DeficientErdosRenyiAtScaleMatchesHopcroftKarp) {
+  // Sparse ER at n = 2^14 is sprank-deficient: hundreds to thousands of
+  // rows have no augmenting path. Without global relabeling each of them
+  // climbs the label ladder one push at a time, which took seconds per
+  // instance (over 20 s for gen:er:n=16384,deg=4,seed=1, which an engine
+  // job hit); the ctest TIMEOUT on this binary turns such a stall into a
+  // failure. The graphs are built from the engine's specs.
+  for (const int deg : {2, 3, 4}) {
+    for (const int seed : {1, 2}) {
+      const std::string spec = "gen:er:n=16384,deg=" + std::to_string(deg) +
+                               ",seed=" + std::to_string(seed);
+      const BipartiteGraph g = build_graph(parse_graph_spec(spec), 0);
+      Workspace ws;
+      Matching m;
+      push_relabel_ws(g, ws, m);
+      testing::expect_valid(g, m, spec.c_str());
+      const vid_t exact = hopcroft_karp(g).cardinality();
+      EXPECT_LT(exact, g.num_rows()) << spec;
+      EXPECT_EQ(m.cardinality(), exact) << spec;
+    }
+  }
+}
+
+TEST(Sprank, MatchesHopcroftKarpEverywhere) {
+  std::vector<BipartiteGraph> graphs = testing::small_graph_zoo();
+  graphs.push_back(make_erdos_renyi(3000, 3000, 24000, 1));
+  graphs.push_back(make_power_law(3000, 8.0, 1.8, 2));
+  graphs.push_back(make_planted_perfect(3000, 4, 3));
+  graphs.push_back(make_mesh(40, 60));
+  graphs.push_back(make_road_like(3000, 0.3, 0.05, 4));      // deficient
+  graphs.push_back(make_erdos_renyi(3000, 3000, 6000, 5));    // deficient
+  graphs.push_back(make_erdos_renyi(1000, 2500, 5000, 6));    // wide
+  graphs.push_back(make_erdos_renyi(2500, 1000, 5000, 7));    // tall
+  graphs.push_back(graph_from_rows(3, 3, {{}, {}, {}}));      // no edges
+  Workspace ws;
+  for (std::size_t t = 0; t < graphs.size(); ++t) {
+    const BipartiteGraph& g = graphs[t];
+    const vid_t exact = hopcroft_karp(g).cardinality();
+    EXPECT_EQ(sprank_ws(g, ws), exact) << "graph " << t;  // warm workspace
+    EXPECT_EQ(sprank(g), exact) << "graph " << t;
+  }
 }
 
 TEST(PushRelabel, EmptyAndIsolated) {
