@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
     std::cout << "generated DM-structured instance (use --mtx to load a file)\n";
   }
 
-  const bmh::DmDecomposition dm = bmh::dulmage_mendelsohn(graph);
+  const bmh::DmDecomposition dm =
+      bmh::dulmage_mendelsohn(graph, bmh::push_relabel(graph));
   std::cout << "matrix: " << graph.num_rows() << " x " << graph.num_cols() << ", "
             << bmh::format_count(graph.num_edges()) << " entries, sprank " << dm.sprank
             << "\n\n";
@@ -42,9 +43,10 @@ int main(int argc, char** argv) {
 
   std::cout << "\nsprank check: h_rows + s + v_cols = "
             << dm.h_rows + dm.s_size + dm.v_cols << " = sprank\n";
-  std::cout << "total support: " << (bmh::has_total_support(graph) ? "yes" : "no")
-            << ", fully indecomposable: "
-            << (bmh::is_fully_indecomposable(graph) ? "yes" : "no") << "\n\n";
+  std::cout << "fine blocks of S: " << dm.num_blocks
+            << ", total support: " << (dm.total_support ? "yes" : "no")
+            << ", fully indecomposable: " << (dm.fully_indecomposable ? "yes" : "no")
+            << "\n\n";
 
   // Track the maximum scaled value of a coupling ("*") entry vs iterations.
   bmh::Table decay({"iterations", "max * entry", "scaling error"});

@@ -1,77 +1,31 @@
 #include "analysis/dulmage_mendelsohn.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <vector>
 
-#include "matching/hopcroft_karp.hpp"
+#include "analysis/koenig.hpp"
 
 namespace bmh {
 
 namespace {
 
-/// Alternating BFS from the unmatched columns: column -> row along any
-/// edge, row -> column along its matching edge. Marks everything reached.
-void sweep_from_free_columns(const BipartiteGraph& g, const Matching& m,
-                             std::vector<bool>& row_reached,
-                             std::vector<bool>& col_reached) {
-  std::vector<vid_t> queue;
-  for (vid_t j = 0; j < g.num_cols(); ++j) {
-    if (!m.col_matched(j)) {
-      col_reached[static_cast<std::size_t>(j)] = true;
-      queue.push_back(j);
-    }
-  }
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const vid_t j = queue[head];
-    for (const vid_t i : g.col_neighbors(j)) {
-      if (row_reached[static_cast<std::size_t>(i)]) continue;
-      row_reached[static_cast<std::size_t>(i)] = true;
-      const vid_t jm = m.row_match[static_cast<std::size_t>(i)];
-      // i is matched (otherwise j -> i would be an augmenting path).
-      if (jm != kNil && !col_reached[static_cast<std::size_t>(jm)]) {
-        col_reached[static_cast<std::size_t>(jm)] = true;
-        queue.push_back(jm);
-      }
-    }
-  }
-}
-
-/// Mirror image: alternating BFS from the unmatched rows.
-void sweep_from_free_rows(const BipartiteGraph& g, const Matching& m,
-                          std::vector<bool>& row_reached,
-                          std::vector<bool>& col_reached) {
-  std::vector<vid_t> queue;
-  for (vid_t i = 0; i < g.num_rows(); ++i) {
-    if (!m.row_matched(i)) {
-      row_reached[static_cast<std::size_t>(i)] = true;
-      queue.push_back(i);
-    }
-  }
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const vid_t i = queue[head];
-    for (const vid_t j : g.row_neighbors(i)) {
-      if (col_reached[static_cast<std::size_t>(j)]) continue;
-      col_reached[static_cast<std::size_t>(j)] = true;
-      const vid_t im = m.col_match[static_cast<std::size_t>(j)];
-      if (im != kNil && !row_reached[static_cast<std::size_t>(im)]) {
-        row_reached[static_cast<std::size_t>(im)] = true;
-        queue.push_back(im);
-      }
-    }
-  }
-}
-
-/// Iterative Tarjan SCC over the column digraph: j -> j' when the row
-/// matched to j has an edge to j'. Returns per-column component ids
-/// (kNil for unmatched columns, which have no outgoing arcs and sit in
-/// trivial components irrelevant to total support).
-std::vector<vid_t> matched_column_sccs(const BipartiteGraph& g, const Matching& m) {
+/// Iterative Tarjan SCC over S's column digraph: j -> j' when the row
+/// matched to j has an edge to j' (arcs leaving S are ignored; they reach V
+/// and never return). Writes dense component ids into dm.col_block and their
+/// count into dm.num_blocks. Tarjan numbers a component only after every
+/// component it reaches, which is what gives the blocks' triangular order.
+void square_block_sccs(const BipartiteGraph& g, const Matching& m, DmDecomposition& dm) {
   const vid_t n = g.num_cols();
-  std::vector<vid_t> comp(static_cast<std::size_t>(n), kNil);
+  const auto in_s = [&](vid_t j) {
+    return dm.col_part[static_cast<std::size_t>(j)] == DmPart::Square;
+  };
+  std::vector<vid_t>& comp = dm.col_block;
+  comp.assign(static_cast<std::size_t>(n), kNil);
   std::vector<vid_t> low(static_cast<std::size_t>(n), 0), num(static_cast<std::size_t>(n), kNil);
   std::vector<bool> on_stack(static_cast<std::size_t>(n), false);
   std::vector<vid_t> scc_stack;
-  vid_t next_num = 0, next_comp = 0;
+  vid_t next_num = 0;
 
   struct Frame {
     vid_t j;
@@ -80,8 +34,7 @@ std::vector<vid_t> matched_column_sccs(const BipartiteGraph& g, const Matching& 
   std::vector<Frame> call;
 
   for (vid_t root = 0; root < n; ++root) {
-    if (num[static_cast<std::size_t>(root)] != kNil) continue;
-    if (m.col_match[static_cast<std::size_t>(root)] == kNil) continue;
+    if (num[static_cast<std::size_t>(root)] != kNil || !in_s(root)) continue;
     call.push_back({root, 0});
     while (!call.empty()) {
       Frame& f = call.back();
@@ -95,7 +48,7 @@ std::vector<vid_t> matched_column_sccs(const BipartiteGraph& g, const Matching& 
       const auto nbrs = g.row_neighbors(i);
       while (f.edge < static_cast<eid_t>(nbrs.size())) {
         const vid_t j2 = nbrs[static_cast<std::size_t>(f.edge++)];
-        if (m.col_match[static_cast<std::size_t>(j2)] == kNil) continue;
+        if (!in_s(j2)) continue;
         if (num[static_cast<std::size_t>(j2)] == kNil) {
           call.push_back({j2, 0});
           descended = true;
@@ -113,9 +66,9 @@ std::vector<vid_t> matched_column_sccs(const BipartiteGraph& g, const Matching& 
           w = scc_stack.back();
           scc_stack.pop_back();
           on_stack[static_cast<std::size_t>(w)] = false;
-          comp[static_cast<std::size_t>(w)] = next_comp;
+          comp[static_cast<std::size_t>(w)] = dm.num_blocks;
         } while (w != f.j);
-        ++next_comp;
+        ++dm.num_blocks;
       }
       const vid_t finished = f.j;
       call.pop_back();
@@ -127,104 +80,53 @@ std::vector<vid_t> matched_column_sccs(const BipartiteGraph& g, const Matching& 
       }
     }
   }
-  return comp;
+}
+
+DmPart part_of(bool in_h, bool in_v) {
+  return in_h ? DmPart::Horizontal : in_v ? DmPart::Vertical : DmPart::Square;
 }
 
 } // namespace
 
-DmDecomposition dulmage_mendelsohn(const BipartiteGraph& g) {
+DmDecomposition dulmage_mendelsohn(const BipartiteGraph& g, const Matching& maximum) {
+  assert(is_maximum_matching(g, maximum));
   DmDecomposition dm;
-  dm.matching = hopcroft_karp(g);
-  dm.sprank = dm.matching.cardinality();
+  dm.sprank = maximum.cardinality();
 
-  std::vector<bool> h_row(static_cast<std::size_t>(g.num_rows()), false);
-  std::vector<bool> h_col(static_cast<std::size_t>(g.num_cols()), false);
-  sweep_from_free_columns(g, dm.matching, h_row, h_col);
-
-  std::vector<bool> v_row(static_cast<std::size_t>(g.num_rows()), false);
-  std::vector<bool> v_col(static_cast<std::size_t>(g.num_cols()), false);
-  sweep_from_free_rows(g, dm.matching, v_row, v_col);
-
-  dm.row_part.assign(static_cast<std::size_t>(g.num_rows()), DmPart::Square);
-  dm.col_part.assign(static_cast<std::size_t>(g.num_cols()), DmPart::Square);
-  for (vid_t i = 0; i < g.num_rows(); ++i) {
-    if (h_row[static_cast<std::size_t>(i)]) {
-      dm.row_part[static_cast<std::size_t>(i)] = DmPart::Horizontal;
-      ++dm.h_rows;
-    } else if (v_row[static_cast<std::size_t>(i)]) {
-      dm.row_part[static_cast<std::size_t>(i)] = DmPart::Vertical;
-      ++dm.v_rows;
-    }
+  const AlternatingReach h = alternating_reach(g, maximum, FreeSide::Columns);
+  const AlternatingReach v = alternating_reach(g, maximum, FreeSide::Rows);
+  dm.row_part.resize(static_cast<std::size_t>(g.num_rows()));
+  dm.col_part.resize(static_cast<std::size_t>(g.num_cols()));
+  for (std::size_t i = 0; i < dm.row_part.size(); ++i) {
+    dm.row_part[i] = part_of(h.rows[i], v.rows[i]);
+    dm.h_rows += dm.row_part[i] == DmPart::Horizontal ? 1 : 0;
+    dm.v_rows += dm.row_part[i] == DmPart::Vertical ? 1 : 0;
   }
-  for (vid_t j = 0; j < g.num_cols(); ++j) {
-    if (h_col[static_cast<std::size_t>(j)]) {
-      dm.col_part[static_cast<std::size_t>(j)] = DmPart::Horizontal;
-      ++dm.h_cols;
-    } else if (v_col[static_cast<std::size_t>(j)]) {
-      dm.col_part[static_cast<std::size_t>(j)] = DmPart::Vertical;
-      ++dm.v_cols;
-    }
+  for (std::size_t j = 0; j < dm.col_part.size(); ++j) {
+    dm.col_part[j] = part_of(h.cols[j], v.cols[j]);
+    dm.h_cols += dm.col_part[j] == DmPart::Horizontal ? 1 : 0;
+    dm.v_cols += dm.col_part[j] == DmPart::Vertical ? 1 : 0;
   }
   dm.s_size = g.num_rows() - dm.h_rows - dm.v_rows;
-  return dm;
-}
 
-FineDm fine_decomposition(const BipartiteGraph& g) {
-  const DmDecomposition dm = dulmage_mendelsohn(g);
-  FineDm fine;
-  fine.col_block.assign(static_cast<std::size_t>(g.num_cols()), kNil);
-  fine.row_block.assign(static_cast<std::size_t>(g.num_rows()), kNil);
-
-  // SCC over all matched columns, then renumber densely over the S part
-  // only (H/V columns are excluded from the fine decomposition).
-  const std::vector<vid_t> comp = matched_column_sccs(g, dm.matching);
-  std::vector<vid_t> remap;
-  for (vid_t j = 0; j < g.num_cols(); ++j) {
-    if (dm.col_part[static_cast<std::size_t>(j)] != DmPart::Square) continue;
-    const vid_t c = comp[static_cast<std::size_t>(j)];
-    if (c == kNil) continue;  // unmatched column cannot be in S anyway
-    if (static_cast<std::size_t>(c) >= remap.size()) remap.resize(static_cast<std::size_t>(c) + 1, kNil);
-    if (remap[static_cast<std::size_t>(c)] == kNil)
-      remap[static_cast<std::size_t>(c)] = fine.num_blocks++;
-    fine.col_block[static_cast<std::size_t>(j)] = remap[static_cast<std::size_t>(c)];
-    const vid_t i = dm.matching.col_match[static_cast<std::size_t>(j)];
-    fine.row_block[static_cast<std::size_t>(i)] = fine.col_block[static_cast<std::size_t>(j)];
-  }
-  return fine;
-}
-
-bool has_total_support(const BipartiteGraph& g) {
-  if (!g.square() || g.num_rows() == 0) return g.num_rows() == 0;
-  const Matching m = hopcroft_karp(g);
-  if (m.cardinality() != g.num_rows()) return false;
-  const std::vector<vid_t> comp = matched_column_sccs(g, m);
-  // Edge (i, j) lies in some perfect matching iff j and i's matched column
-  // are in the same SCC of the matching-directed column graph.
-  for (vid_t i = 0; i < g.num_rows(); ++i) {
-    const vid_t jm = m.row_match[static_cast<std::size_t>(i)];
-    for (const vid_t j : g.row_neighbors(i))
-      if (comp[static_cast<std::size_t>(j)] != comp[static_cast<std::size_t>(jm)])
-        return false;
-  }
-  return true;
-}
-
-bool is_fully_indecomposable(const BipartiteGraph& g) {
-  if (!g.square() || g.num_rows() == 0) return false;
-  const Matching m = hopcroft_karp(g);
-  if (m.cardinality() != g.num_rows()) return false;
-  const std::vector<vid_t> comp = matched_column_sccs(g, m);
+  square_block_sccs(g, maximum, dm);
+  dm.row_block.assign(static_cast<std::size_t>(g.num_rows()), kNil);
   for (vid_t j = 0; j < g.num_cols(); ++j)
-    if (comp[static_cast<std::size_t>(j)] != comp[0]) return false;
-  // One SCC and a perfect matching: every entry is in a perfect matching
-  // and the matrix cannot be permuted to block triangular form.
-  for (vid_t i = 0; i < g.num_rows(); ++i) {
-    const vid_t jm = m.row_match[static_cast<std::size_t>(i)];
+    if (dm.col_block[static_cast<std::size_t>(j)] != kNil)
+      dm.row_block[static_cast<std::size_t>(maximum.col_match[static_cast<std::size_t>(j)])] =
+          dm.col_block[static_cast<std::size_t>(j)];
+
+  // A perfect matching leaves no free vertex, so S is the whole matrix.
+  // Edge (i, j) then lies in some perfect matching iff j is in the block of
+  // i's matched column.
+  const bool perfect = g.square() && dm.sprank == g.num_rows();
+  dm.total_support = g.num_rows() == 0 || perfect;
+  for (vid_t i = 0; perfect && dm.total_support && i < g.num_rows(); ++i)
     for (const vid_t j : g.row_neighbors(i))
-      if (comp[static_cast<std::size_t>(j)] != comp[static_cast<std::size_t>(jm)])
-        return false;
-  }
-  return true;
+      if (dm.col_block[static_cast<std::size_t>(j)] != dm.row_block[static_cast<std::size_t>(i)])
+        dm.total_support = false;
+  dm.fully_indecomposable = perfect && dm.num_blocks == 1;
+  return dm;
 }
 
 } // namespace bmh

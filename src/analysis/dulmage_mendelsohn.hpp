@@ -25,48 +25,42 @@ enum class DmPart : unsigned char {
   Vertical,    ///< V: overdetermined part
 };
 
+/// Every field depends on the graph alone, not on which maximum matching
+/// it was computed from.
 struct DmDecomposition {
   std::vector<DmPart> row_part;  ///< per row vertex
   std::vector<DmPart> col_part;  ///< per column vertex
-  Matching matching;             ///< the maximum matching used
   vid_t sprank = 0;
 
   vid_t h_rows = 0, h_cols = 0;
   vid_t s_size = 0;  ///< S is square: s_size rows and columns
   vid_t v_rows = 0, v_cols = 0;
-};
 
-/// Computes the coarse decomposition via one maximum matching plus two
-/// alternating BFS sweeps (from the unmatched columns for H, and from the
-/// unmatched rows for V).
-[[nodiscard]] DmDecomposition dulmage_mendelsohn(const BipartiteGraph& g);
-
-/// The fine decomposition of the square part S: its strongly connected
-/// blocks S_1, ..., S_b in the matching-directed column graph. S has total
-/// support iff no edge of S leaves its block; S is fully indecomposable
-/// iff b == 1 (and S == the whole matrix).
-struct FineDm {
-  /// Block id per column: valid for columns in the Square part, kNil for
-  /// Horizontal/Vertical columns. Ids are dense in [0, num_blocks).
+  /// The fine decomposition of S: its strongly connected blocks
+  /// S_1, ..., S_b in the matching-directed column graph. Block id per
+  /// column, kNil outside S; ids are dense in [0, num_blocks). Ordering the
+  /// blocks by id gives S's block lower triangular form: an entry (i, j) of
+  /// S has col_block[j] <= row_block[i].
   std::vector<vid_t> col_block;
   /// Block id per row: the block of the row's matched column (S rows are
   /// always matched); kNil outside S.
   std::vector<vid_t> row_block;
   vid_t num_blocks = 0;
+
+  /// Every edge can be put in a perfect matching: the matrix is square, has
+  /// a perfect matching, and no edge leaves its fine block. This is the
+  /// paper's standing "total support" assumption. A matrix with no rows
+  /// has it.
+  bool total_support = false;
+  /// Square with a perfect matching and a single fine block spanning all
+  /// vertices (so total support holds too). The 0x0 matrix is not.
+  bool fully_indecomposable = false;
 };
 
-/// Computes the fine decomposition (coarse DM + Tarjan SCC on S).
-[[nodiscard]] FineDm fine_decomposition(const BipartiteGraph& g);
-
-/// True iff every edge of `g` can be put in a perfect matching, i.e. the
-/// matrix is square, has a perfect matching, and each edge stays inside one
-/// strongly connected component of the matching-directed graph. This is the
-/// paper's standing "total support" assumption; fully indecomposable
-/// matrices are exactly the square ones whose S part is a single SCC.
-[[nodiscard]] bool has_total_support(const BipartiteGraph& g);
-
-/// True iff the matrix is fully indecomposable (square, total support, and
-/// the matching-directed graph is one SCC spanning all vertices).
-[[nodiscard]] bool is_fully_indecomposable(const BipartiteGraph& g);
+/// Decomposes `g` given one of its maximum matchings (debug-asserted):
+/// two alternating sweeps (from the free columns for H, from the free rows
+/// for V) and one SCC pass over S give every field. O(n + tau).
+[[nodiscard]] DmDecomposition dulmage_mendelsohn(const BipartiteGraph& g,
+                                                 const Matching& maximum);
 
 } // namespace bmh

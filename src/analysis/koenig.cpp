@@ -1,5 +1,6 @@
 #include "analysis/koenig.hpp"
 
+#include <utility>
 #include <vector>
 
 namespace bmh {
@@ -11,40 +12,45 @@ vid_t VertexCover::size() const noexcept {
   return count;
 }
 
-VertexCover koenig_cover(const BipartiteGraph& g, const Matching& m) {
-  // Alternating BFS from the free rows: row -> column via any edge,
-  // column -> row via its matching edge.
-  std::vector<bool> row_reached(static_cast<std::size_t>(g.num_rows()), false);
-  std::vector<bool> col_reached(static_cast<std::size_t>(g.num_cols()), false);
+AlternatingReach alternating_reach(const BipartiteGraph& g, const Matching& m,
+                                   FreeSide from) {
+  // Written from the start side's point of view: `near` is the side the
+  // sweep starts from, `far` the other one.
+  const bool from_rows = from == FreeSide::Rows;
+  AlternatingReach reach;
+  reach.rows.assign(static_cast<std::size_t>(g.num_rows()), false);
+  reach.cols.assign(static_cast<std::size_t>(g.num_cols()), false);
+  std::vector<bool>& near_reached = from_rows ? reach.rows : reach.cols;
+  std::vector<bool>& far_reached = from_rows ? reach.cols : reach.rows;
+  const std::vector<vid_t>& near_match = from_rows ? m.row_match : m.col_match;
+  const std::vector<vid_t>& far_match = from_rows ? m.col_match : m.row_match;
+
   std::vector<vid_t> queue;
-  for (vid_t i = 0; i < g.num_rows(); ++i) {
-    if (!m.row_matched(i)) {
-      row_reached[static_cast<std::size_t>(i)] = true;
-      queue.push_back(i);
+  for (std::size_t v = 0; v < near_reached.size(); ++v) {
+    if (near_match[v] == kNil) {
+      near_reached[v] = true;
+      queue.push_back(static_cast<vid_t>(v));
     }
   }
   for (std::size_t head = 0; head < queue.size(); ++head) {
-    const vid_t i = queue[head];
-    for (const vid_t j : g.row_neighbors(i)) {
-      if (col_reached[static_cast<std::size_t>(j)]) continue;
-      col_reached[static_cast<std::size_t>(j)] = true;
-      const vid_t w = m.col_match[static_cast<std::size_t>(j)];
-      if (w != kNil && !row_reached[static_cast<std::size_t>(w)]) {
-        row_reached[static_cast<std::size_t>(w)] = true;
-        queue.push_back(w);
+    const vid_t v = queue[head];
+    for (const vid_t w : from_rows ? g.row_neighbors(v) : g.col_neighbors(v)) {
+      if (far_reached[static_cast<std::size_t>(w)]) continue;
+      far_reached[static_cast<std::size_t>(w)] = true;
+      const vid_t mate = far_match[static_cast<std::size_t>(w)];
+      if (mate != kNil && !near_reached[static_cast<std::size_t>(mate)]) {
+        near_reached[static_cast<std::size_t>(mate)] = true;
+        queue.push_back(mate);
       }
     }
   }
+  return reach;
+}
 
-  VertexCover cover;
-  cover.row_in_cover.assign(static_cast<std::size_t>(g.num_rows()), false);
-  cover.col_in_cover.assign(static_cast<std::size_t>(g.num_cols()), false);
-  for (vid_t i = 0; i < g.num_rows(); ++i)
-    cover.row_in_cover[static_cast<std::size_t>(i)] =
-        !row_reached[static_cast<std::size_t>(i)];
-  for (vid_t j = 0; j < g.num_cols(); ++j)
-    cover.col_in_cover[static_cast<std::size_t>(j)] =
-        col_reached[static_cast<std::size_t>(j)];
+VertexCover koenig_cover(const BipartiteGraph& g, const Matching& m) {
+  AlternatingReach z = alternating_reach(g, m, FreeSide::Rows);
+  VertexCover cover{std::move(z.rows), std::move(z.cols)};
+  cover.row_in_cover.flip();  // rows \ Z; the columns are columns ∩ Z
   return cover;
 }
 

@@ -5,8 +5,8 @@
 ///
 /// König's theorem: in a bipartite graph the maximum matching cardinality
 /// equals the minimum vertex cover size. Given a *maximum* matching, the
-/// cover is constructed from the alternating-reachability sweep (the same
-/// machinery as the Dulmage–Mendelsohn H part): let Z be everything
+/// cover is constructed from the alternating-reachability sweep (the one
+/// that also yields the Dulmage–Mendelsohn V part): let Z be everything
 /// reachable from free rows by alternating paths; the cover is
 /// (rows \ Z) ∪ (columns ∩ Z).
 ///
@@ -20,6 +20,22 @@
 #include "matching/matching.hpp"
 
 namespace bmh {
+
+/// The side whose free vertices an alternating sweep starts from.
+enum class FreeSide : unsigned char { Rows, Columns };
+
+/// The vertices an alternating sweep reached, per side.
+struct AlternatingReach {
+  std::vector<bool> rows;
+  std::vector<bool> cols;
+};
+
+/// Alternating BFS from every free vertex of side `from`: to the other side
+/// along any edge, back along matching edges. With a maximum matching, the
+/// sweep from the free columns marks the Dulmage–Mendelsohn H part and the
+/// sweep from the free rows marks the V part (the König set Z). O(n + tau).
+[[nodiscard]] AlternatingReach alternating_reach(const BipartiteGraph& g, const Matching& m,
+                                                 FreeSide from);
 
 struct VertexCover {
   std::vector<bool> row_in_cover;

@@ -10,6 +10,7 @@
 #include "analysis/quality.hpp"
 #include "graph/transform.hpp"
 #include "matching/hopcroft_karp.hpp"
+#include "matching/push_relabel.hpp"
 #include "obs/trace.hpp"
 #include "undirected/graph.hpp"
 #include "undirected/matching.hpp"
@@ -90,19 +91,26 @@ const MatchingAlgorithm& resolve_algorithm(Workspace& ws, const PipelineConfig& 
   return *cache.algorithm;
 }
 
+/// The engine's exact solve: a maximum matching of `g` by push-relabel into
+/// a workspace-leased matching. Its cardinality is remembered as g's sprank
+/// and counted as a solve.
+const Matching& solve_maximum(const BipartiteGraph& g, Workspace& ws, PipelineResult& out) {
+  Matching& m = ws.obj<Matching>("pipeline.maximum");
+  push_relabel_ws(g, ws, m);
+  g.remember_sprank(m.cardinality());
+  out.sprank_source = SprankSource::kSolved;
+  return m;
+}
+
 /// sprank(g), solved at most once per graph: the memo on `g` answers when
-/// set, otherwise the exact solve runs and its result is remembered. Two
-/// workers that reach a cold shared graph together may both solve; they
-/// store the same value.
+/// set, otherwise the exact solve runs. Two workers that reach a cold
+/// shared graph together may both solve; they store the same value.
 vid_t remembered_sprank(const BipartiteGraph& g, Workspace& ws, PipelineResult& out) {
   if (const std::optional<vid_t> known = g.known_sprank()) {
     out.sprank_source = SprankSource::kMemo;
     return *known;
   }
-  const vid_t rank = sprank_ws(g, ws);
-  g.remember_sprank(rank);
-  out.sprank_source = SprankSource::kSolved;
-  return rank;
+  return solve_maximum(g, ws, out).cardinality();
 }
 
 void run_stages_ws(const BipartiteGraph& g, const PipelineConfig& config,
@@ -253,34 +261,33 @@ void run_analyze_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& conf
       out.sprank = remembered_sprank(g, ws, out);
       out.exact = true;
       out.valid = true;
-    } else if (type == "dm") {
-      const DmDecomposition dm = dulmage_mendelsohn(g);
-      out.sprank = dm.sprank;
-      out.cardinality = dm.sprank;
-      out.heuristic_cardinality = dm.sprank;
-      out.extras.h_rows = dm.h_rows;
-      out.extras.h_cols = dm.h_cols;
-      out.extras.s_size = dm.s_size;
-      out.extras.v_rows = dm.v_rows;
-      out.extras.v_cols = dm.v_cols;
-      out.extras.fine_blocks = fine_decomposition(g).num_blocks;
-      out.extras.total_support = has_total_support(g);
-      out.extras.fully_indecomposable = is_fully_indecomposable(g);
+    } else {
+      // dm and koenig share one solve; neither result depends on which
+      // maximum matching it is.
+      const Matching& m = solve_maximum(g, ws, out);
+      out.sprank = m.cardinality();
+      out.cardinality = out.sprank;
+      out.heuristic_cardinality = out.sprank;
       out.exact = true;
-      out.valid = true;
-    } else {  // koenig
-      Matching& m = ws.obj<Matching>("analyze.matching");
-      hopcroft_karp_ws(g, ws, m);
-      out.cardinality = m.cardinality();
-      out.heuristic_cardinality = out.cardinality;
-      out.sprank = out.cardinality;
-      const VertexCover cover = koenig_cover(g, m);
-      out.extras.cover_size = cover.size();
-      out.extras.cover_valid = is_vertex_cover(g, cover);
-      out.extras.maximum =
-          out.extras.cover_valid && out.extras.cover_size == out.cardinality;
-      out.exact = true;
-      out.valid = is_valid_matching(g, m);
+      if (type == "dm") {
+        const DmDecomposition dm = dulmage_mendelsohn(g, m);
+        out.extras.h_rows = dm.h_rows;
+        out.extras.h_cols = dm.h_cols;
+        out.extras.s_size = dm.s_size;
+        out.extras.v_rows = dm.v_rows;
+        out.extras.v_cols = dm.v_cols;
+        out.extras.fine_blocks = dm.num_blocks;
+        out.extras.total_support = dm.total_support;
+        out.extras.fully_indecomposable = dm.fully_indecomposable;
+        out.valid = true;
+      } else {  // koenig
+        const VertexCover cover = koenig_cover(g, m);
+        out.extras.cover_size = cover.size();
+        out.extras.cover_valid = is_vertex_cover(g, cover);
+        out.extras.maximum =
+            out.extras.cover_valid && out.extras.cover_size == out.cardinality;
+        out.valid = is_valid_matching(g, m);
+      }
     }
   });
 }

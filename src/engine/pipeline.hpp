@@ -175,12 +175,16 @@ void run_undirected_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& c
 ///   dm      coarse + fine Dulmage–Mendelsohn: sprank, block sizes,
 ///           total-support / full-indecomposability flags (out.extras)
 ///   koenig  maximum matching + König minimum vertex cover certificate
-///   sprank  structural rank alone (the cheapest exact probe; shares the
-///           graph's remembered sprank with match jobs)
+///   sprank  structural rank alone (the cheapest exact probe; answered by
+///           the graph's remembered sprank when it has one)
 /// Unknown types throw std::invalid_argument before any work. Runs a single
-/// "analyze" stage; sprank is workspace-leased end to end, while dm/koenig
-/// build their decomposition structures afresh per call (they are not on
-/// the zero-allocation certified path).
+/// "analyze" stage. dm and koenig always run one push-relabel solve into a
+/// workspace-leased matching and compute everything from it (dm with one
+/// SCC pass); the solve remembers sprank on `g` and counts as
+/// SprankSource::kSolved, so later quality jobs on a resident graph hit
+/// the memo. sprank is workspace-leased end to end, while dm/koenig build
+/// their decomposition structures afresh per call (they are not on the
+/// zero-allocation certified path).
 void run_analyze_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& config,
                              Workspace& ws, PipelineResult& out);
 

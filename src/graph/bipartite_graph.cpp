@@ -1,7 +1,6 @@
 #include "graph/bipartite_graph.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 #include <utility>
 
@@ -88,7 +87,7 @@ BipartiteGraph::BipartiteGraph(vid_t num_rows, vid_t num_cols,
       storage_(OwnedStorage{std::move(row_ptr), std::move(col_idx), {}, {}}) {
   auto& owned = std::get<OwnedStorage>(storage_);
   validate_csr(num_rows_, num_cols_, owned.row_ptr, owned.col_idx);
-  build_csc();
+  build_csc(num_rows_, num_cols_);
   rebind_views();
 }
 
@@ -192,70 +191,17 @@ void BipartiteGraph::assign_csr(vid_t num_rows, vid_t num_cols,
     owned.row_ptr.assign(row_ptr.begin(), row_ptr.end());
     owned.col_idx.assign(col_idx.begin(), col_idx.end());
   }
-  build_csc_serial(num_rows, num_cols);
+  build_csc(num_rows, num_cols);
   num_rows_ = num_rows;
   num_cols_ = num_cols;
   rebind_views();
 }
 
-void BipartiteGraph::build_csc() {
-  auto& owned = std::get<OwnedStorage>(storage_);
-  const std::vector<eid_t>& row_ptr = owned.row_ptr;
-  const std::vector<vid_t>& col_idx = owned.col_idx;
-  std::vector<eid_t>& col_ptr = owned.col_ptr;
-  std::vector<vid_t>& row_idx = owned.row_idx;
-  const eid_t nnz = row_ptr.empty() ? 0 : row_ptr.back();
-  col_ptr.assign(static_cast<std::size_t>(num_cols_) + 1, 0);
-  row_idx.assign(static_cast<std::size_t>(nnz), 0);
-
-  // Column degree histogram. Atomic increments keep this parallel even for
-  // badly skewed column degree distributions.
-  std::vector<std::atomic<eid_t>> counts(static_cast<std::size_t>(num_cols_));
-#pragma omp parallel for schedule(static)
-  for (vid_t j = 0; j < num_cols_; ++j)
-    counts[static_cast<std::size_t>(j)].store(0, std::memory_order_relaxed);
-#pragma omp parallel for schedule(static)
-  for (eid_t e = 0; e < nnz; ++e)
-    counts[static_cast<std::size_t>(col_idx[static_cast<std::size_t>(e)])]
-        .fetch_add(1, std::memory_order_relaxed);
-
-  for (vid_t j = 0; j < num_cols_; ++j)
-    col_ptr[static_cast<std::size_t>(j) + 1] =
-        col_ptr[static_cast<std::size_t>(j)] +
-        counts[static_cast<std::size_t>(j)].load(std::memory_order_relaxed);
-
-  // Scatter. Rows are processed in order per thread chunk, so within each
-  // column the row ids arrive unsorted across threads; we sort below to give
-  // a canonical layout (useful for structural_equal and binary search).
-  std::vector<std::atomic<eid_t>> cursor(static_cast<std::size_t>(num_cols_));
-#pragma omp parallel for schedule(static)
-  for (vid_t j = 0; j < num_cols_; ++j)
-    cursor[static_cast<std::size_t>(j)].store(col_ptr[static_cast<std::size_t>(j)],
-                                              std::memory_order_relaxed);
-#pragma omp parallel for schedule(dynamic, 1024)
-  for (vid_t i = 0; i < num_rows_; ++i) {
-    for (eid_t e = row_ptr[i]; e < row_ptr[i + 1]; ++e) {
-      const auto j = static_cast<std::size_t>(col_idx[static_cast<std::size_t>(e)]);
-      const eid_t slot = cursor[j].fetch_add(1, std::memory_order_relaxed);
-      row_idx[static_cast<std::size_t>(slot)] = i;
-    }
-  }
-
-#pragma omp parallel for schedule(dynamic, 1024)
-  for (vid_t j = 0; j < num_cols_; ++j) {
-    auto* begin = row_idx.data() + col_ptr[static_cast<std::size_t>(j)];
-    auto* end = row_idx.data() + col_ptr[static_cast<std::size_t>(j) + 1];
-    std::sort(begin, end);
-  }
-}
-
-void BipartiteGraph::build_csc_serial(vid_t num_rows, vid_t num_cols) {
-  // Allocation-free sibling of build_csc for the pooled-construction path:
-  // subgraphs rebuilt thousands of times per batch are small, so a serial
-  // pass beats the parallel version's atomic temporaries — and reusing
-  // col_ptr as the scatter cursor needs no scratch at all. The output is
-  // identical to build_csc (row ids per column sorted ascending, here by
-  // construction: rows are scattered in increasing order).
+void BipartiteGraph::build_csc(vid_t num_rows, vid_t num_cols) {
+  // Serial count-and-scatter. Reusing col_ptr as the scatter cursor needs no
+  // scratch, so a pooled rebuild allocates nothing once warm. Row ids within
+  // each column come out sorted ascending by construction: rows are
+  // scattered in increasing order.
   auto& owned = std::get<OwnedStorage>(storage_);
   const std::vector<eid_t>& row_ptr = owned.row_ptr;
   const std::vector<vid_t>& col_idx = owned.col_idx;

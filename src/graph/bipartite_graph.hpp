@@ -183,10 +183,9 @@ private:
                                 const ExternalStorage& storage);
   void rebind_views() noexcept;
   void reset_empty();
-  void build_csc();
   /// Takes the dimensions as parameters (rather than members) so assign_csr
   /// can defer committing num_rows_/num_cols_ until every allocation is done.
-  void build_csc_serial(vid_t num_rows, vid_t num_cols);
+  void build_csc(vid_t num_rows, vid_t num_cols);
 
   static constexpr vid_t kUnknownSprank = -1;
 

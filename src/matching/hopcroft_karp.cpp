@@ -13,20 +13,6 @@ namespace {
 
 constexpr vid_t kInf = std::numeric_limits<vid_t>::max();
 
-/// Simple greedy pass: each free row takes its first free neighbour.
-/// Cuts the number of Hopcroft–Karp phases roughly in half in practice.
-void greedy_init(const BipartiteGraph& g, Matching& m) {
-  for (vid_t i = 0; i < g.num_rows(); ++i) {
-    if (m.row_matched(i)) continue;
-    for (const vid_t j : g.row_neighbors(i)) {
-      if (!m.col_matched(j)) {
-        m.match(i, j);
-        break;
-      }
-    }
-  }
-}
-
 class HopcroftKarp {
 public:
   HopcroftKarp(const BipartiteGraph& g, Workspace& ws)
@@ -123,6 +109,18 @@ private:
 };
 
 } // namespace
+
+void greedy_init(const BipartiteGraph& g, Matching& m) {
+  for (vid_t i = 0; i < g.num_rows(); ++i) {
+    if (m.row_matched(i)) continue;
+    for (const vid_t j : g.row_neighbors(i)) {
+      if (!m.col_matched(j)) {
+        m.match(i, j);
+        break;
+      }
+    }
+  }
+}
 
 Matching hopcroft_karp(const BipartiteGraph& g, const Matching* initial) {
   Matching m(g.num_rows(), g.num_cols());

@@ -7,8 +7,8 @@
 ///      computes sprank, below) and KarpSipserMT on the TwoSidedMatch
 ///      subgraphs (paper Lemmas 1–3) against it;
 ///   2. the engine's `augment` stage, which completes a heuristic matching
-///      to a maximum one, and the matching behind Dulmage–Mendelsohn and
-///      Kőnig;
+///      to a maximum one (`kind=analyze` jobs solve with push-relabel
+///      instead, once per job);
 ///   3. the state-of-the-art solver whose jump-start the paper motivates
 ///      (examples/jump_start_solver.cpp).
 
@@ -27,6 +27,11 @@ namespace bmh {
 /// Workspace-aware cold solve into `out` (capacity reused; warm calls are
 /// allocation-free).
 void hopcroft_karp_ws(const BipartiteGraph& g, Workspace& ws, Matching& out);
+
+/// Greedy warm start shared by Hopcroft–Karp and push-relabel: each free
+/// row takes its first free neighbour. Cuts the number of Hopcroft–Karp
+/// phases roughly in half in practice.
+void greedy_init(const BipartiteGraph& g, Matching& m);
 
 /// In-place completion of `m` to a maximum matching — the jump-start /
 /// pipeline-augment primitive. `m` must be a valid matching of `g`

@@ -12,19 +12,6 @@ namespace bmh {
 
 namespace {
 
-/// Greedy pass shared with the other exact solvers.
-void greedy_init(const BipartiteGraph& g, Matching& m) {
-  for (vid_t i = 0; i < g.num_rows(); ++i) {
-    if (m.row_matched(i)) continue;
-    for (const vid_t j : g.row_neighbors(i)) {
-      if (!m.col_matched(j)) {
-        m.match(i, j);
-        break;
-      }
-    }
-  }
-}
-
 /// FIFO over a workspace vector: pops advance a head index, and the dead
 /// prefix is compacted away once it exceeds the live bound, so the backing
 /// storage stays O(num_rows) instead of growing with the push count.

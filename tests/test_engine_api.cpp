@@ -620,6 +620,28 @@ TEST(EngineApi, AnalyzeSprankSharesTheMemoWithMatchJobs) {
   EXPECT_EQ(worker_total(engine, "sprank_memo_hits"), 2u);
 }
 
+TEST(EngineApi, AnalyzeDmAndKoenigFillTheSprankMemo) {
+  // Their one exact solve is remembered on the resident graph, so a later
+  // quality job hits the memo instead of solving again.
+  for (const std::string algo : {"dm", "koenig"}) {
+    EngineConfig config;
+    config.threads = 1;
+    config.seed = 5;
+    Engine engine(config);
+    const auto run = [&](const std::string& line) {
+      return engine.submit(parse_job_spec_line(line)).get();
+    };
+    const JobResult probe = run("input=gen:er:n=1024,deg=3,seed=6 kind=analyze algo=" + algo);
+    ASSERT_TRUE(probe.ok) << algo << ": " << probe.error;
+    EXPECT_EQ(worker_total(engine, "sprank_solves"), 1u) << algo;
+    const JobResult match = run("input=gen:er:n=1024,deg=3,seed=6 algo=two_sided iters=3");
+    ASSERT_TRUE(match.ok) << algo << ": " << match.error;
+    EXPECT_EQ(match.result.sprank, probe.result.sprank) << algo;
+    EXPECT_EQ(worker_total(engine, "sprank_solves"), 1u) << algo;
+    EXPECT_EQ(worker_total(engine, "sprank_memo_hits"), 1u) << algo;
+  }
+}
+
 TEST(EngineApi, ServeShapeRoundTripMatchesBatch) {
   // The --serve loop at API level: parse lines one by one, submit with the
   // explicit line index, collect completion-ordered output, compare as a

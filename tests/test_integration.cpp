@@ -69,7 +69,7 @@ TEST(Integration, DmGuidedInterpretationOfScaling) {
   // §3.3 chain: DM-decompose, scale, and confirm the probability mass each
   // row assigns to coupling entries is negligible after enough iterations.
   const BipartiteGraph g = make_dm_structured(15, 25, 30, 28, 18, 2, 3);
-  const DmDecomposition dm = dulmage_mendelsohn(g);
+  const DmDecomposition dm = dulmage_mendelsohn(g, hopcroft_karp(g));
   const ScalingResult s = scale_sinkhorn_knopp(g, {100, 0.0});
   double worst_coupling_mass = 0.0;
   for (vid_t i = 0; i < g.num_rows(); ++i) {

@@ -10,6 +10,7 @@
 #include "analysis/dulmage_mendelsohn.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "matching/hopcroft_karp.hpp"
 #include "scaling/ruiz.hpp"
 #include "scaling/scaling.hpp"
 #include "scaling/sinkhorn_knopp.hpp"
@@ -151,7 +152,7 @@ TEST(ScalingError, ZeroDegreeRowsAreExcluded) {
 TEST(SinkhornKnopp, SuppressesEntriesOutsideMaximumMatchings) {
   // §3.3: on a DM-structured matrix the "*" coupling entries tend to zero.
   const BipartiteGraph g = make_dm_structured(20, 30, 40, 35, 25, 3, 7);
-  const DmDecomposition dm = dulmage_mendelsohn(g);
+  const DmDecomposition dm = dulmage_mendelsohn(g, hopcroft_karp(g));
   const ScalingResult r = scale_sinkhorn_knopp(g, iters(200));
 
   // The paper's claim is about the coupling ("*") entries: they tend to

@@ -104,7 +104,7 @@ TEST(InducedSubgraph, MaskSizeMismatchThrows) {
 
 TEST(ExtractPart, DmBlocksHaveTheirDocumentedProperties) {
   const BipartiteGraph g = make_dm_structured(15, 25, 30, 28, 18, 2, 3);
-  const DmDecomposition dm = dulmage_mendelsohn(g);
+  const DmDecomposition dm = dulmage_mendelsohn(g, hopcroft_karp(g));
 
   // H block: wide, row-perfect matching.
   const BipartiteGraph h = extract_part(g, dm.row_part, dm.col_part, DmPart::Horizontal);
