@@ -27,7 +27,7 @@ int main() {
   std::cout << "instance: ER n=" << n << ", " << format_count(g.num_edges())
             << " edges, sprank " << optimum << "\n\n";
 
-  // Initializers are engine pipelines named by their registry algorithm
+  // Initializers are engine pipelines named by their algorithm
   // (empty name = cold start); the pipeline owns the scale+match sequencing
   // the seed code used to hand-wire here.
   struct Init {

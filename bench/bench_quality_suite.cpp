@@ -47,6 +47,10 @@ int main() {
             << "\n\n";
 
   Table table({"iters", "one<0.632", "two<0.866", "min one", "min two"});
+  const MatchingAlgorithm& one_sided = find_algorithm("one_sided");
+  const MatchingAlgorithm& two_sided = find_algorithm("two_sided");
+  Workspace ws;
+  Matching m;
   for (const int iters : {0, 5, 10, 20}) {
     int one_below = 0, two_below = 0;
     double min_one = 1.0, min_two = 1.0;
@@ -56,14 +60,15 @@ int main() {
           iters > 0 ? scale_sinkhorn_knopp(g, {iters, 0.0}) : identity_scaling(g);
       vid_t one_worst = g.num_rows(), two_worst = g.num_rows();
       for (int r = 0; r < runs; ++r) {
-        // Both heuristics come from the engine registry; the scaling is
-        // computed once above and shared across algorithms and repetitions.
+        // Both heuristics come from the engine's algorithm table; the
+        // scaling is computed once above and shared across algorithms and
+        // repetitions.
         AlgorithmOptions options;
         options.seed = static_cast<std::uint64_t>(r);
-        one_worst = std::min(one_worst,
-                             make_algorithm("one_sided", options)->run(g, s).cardinality());
-        two_worst = std::min(two_worst,
-                             make_algorithm("two_sided", options)->run(g, s).cardinality());
+        one_sided.run_ws(g, s, options, ws, m);
+        one_worst = std::min(one_worst, m.cardinality());
+        two_sided.run_ws(g, s, options, ws, m);
+        two_worst = std::min(two_worst, m.cardinality());
       }
       // All population members have a perfect matching: sprank = n.
       const double q_one =

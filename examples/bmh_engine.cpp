@@ -23,7 +23,7 @@
 ///
 /// `kind=` selects the workload (default match, the legacy behavior):
 /// undirected-match converts the bipartite input to an undirected graph and
-/// runs the undirected registry (`--list` category `undirected`); analyze
+/// runs an undirected algorithm (`--list` category `undirected`); analyze
 /// runs a structural analysis (`--list` category `analysis`). `mm:path=`
 /// sources are keyed by file *content*, so the cache and store recognize
 /// the same matrix across paths, renames and process restarts.

@@ -28,6 +28,14 @@
 ///    lease is valid until the same tag is leased again).
 ///  * Buffers never shrink; release() drops everything (e.g. between
 ///    differently-sized phases of a long-lived server, or in tests).
+///
+/// Classic and `_ws` twins: most kernels come in two forms. The `_ws` form
+/// (`karp_sipser_ws(g, seed, stats, ws, out)`) is the implementation and
+/// the serving path: scratch from a caller's Workspace, result into a
+/// caller's object. The classic form (`karp_sipser(g, seed)`) is a
+/// by-value convenience that forwards to the `_ws` form over
+/// `for_this_thread()`; it exists for tests, benches and examples, which
+/// call it at hundreds of sites, and carries no logic of its own.
 
 #include <cstddef>
 #include <memory>

@@ -496,8 +496,8 @@ JobResult Engine::execute(const JobSpec& job, std::size_t index, Workspace& ws,
     out.error_kind = classify_error(e, acquiring);
   } catch (...) {
     // Last-resort containment: whatever escaped (a non-std throw from a
-    // user-registered algorithm, say) must not unwind into worker_loop and
-    // take the thread — and the whole process — with it.
+    // kernel defect, say) must not unwind into worker_loop and take the
+    // thread — and the whole process — with it.
     out.error = "unknown non-exception throw";
     out.error_kind = acquiring ? ErrorKind::kBuild : ErrorKind::kExec;
   }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 
 #include "graph/generators.hpp"
@@ -358,80 +359,37 @@ private:
   mutable std::map<std::string, Entry, std::less<>> memo_ BMH_GUARDED_BY(mutex_);
 };
 
+/// The built-in sources, sorted by scheme. Function-local statics: built on
+/// first use, so a lookup from another translation unit's static
+/// initializer still finds them constructed.
+std::span<const GraphSource* const> graph_sources() {
+  static const GenSource gen;
+  static const MmSource mm;
+  static const MtxSource mtx;
+  static const SuiteSource suite;
+  static const GraphSource* const table[] = {&gen, &mm, &mtx, &suite};
+  return table;
+}
+
 } // namespace
 
-struct GraphSourceRegistry::Impl {
-  using Map = std::map<std::string, std::shared_ptr<const GraphSource>, std::less<>>;
-  mutable Mutex mutex;
-  /// Copy-on-register snapshot: readers copy the shared_ptr under the lock
-  /// and walk their snapshot lock-free; the sources themselves are shared
-  /// between snapshots and never destroyed, so returned raw pointers stay
-  /// valid for the process lifetime.
-  std::shared_ptr<const Map> snapshot BMH_GUARDED_BY(mutex) = std::make_shared<Map>();
-};
-
-GraphSourceRegistry::GraphSourceRegistry() : impl_(std::make_shared<Impl>()) {
-  register_source(std::make_shared<GenSource>());
-  register_source(std::make_shared<SuiteSource>());
-  register_source(std::make_shared<MtxSource>());
-  register_source(std::make_shared<MmSource>());
-}
-
-GraphSourceRegistry& GraphSourceRegistry::instance() {
-  static GraphSourceRegistry registry;
-  return registry;
-}
-
-void GraphSourceRegistry::register_source(std::shared_ptr<const GraphSource> source) {
-  if (source == nullptr)
-    throw std::invalid_argument("register_source: null source");
-  const std::string& scheme = source->scheme();
-  if (scheme.empty() || scheme.find(':') != std::string::npos)
-    throw std::invalid_argument("register_source: invalid scheme '" + scheme + "'");
-  LockGuard lock(impl_->mutex);
-  auto next = std::make_shared<Impl::Map>(*impl_->snapshot);
-  if (!next->emplace(scheme, std::move(source)).second)
-    throw std::invalid_argument("register_source: scheme '" + scheme +
-                                "' is already registered");
-  impl_->snapshot = std::move(next);
-}
-
-const GraphSource* GraphSourceRegistry::find(std::string_view scheme) const {
-  std::shared_ptr<const Impl::Map> map;
-  {
-    LockGuard lock(impl_->mutex);
-    map = impl_->snapshot;
-  }
-  const auto it = map->find(scheme);
-  return it == map->end() ? nullptr : it->second.get();
-}
-
-const GraphSource& GraphSourceRegistry::at(std::string_view scheme,
-                                           const std::string& spec_text) const {
-  if (const GraphSource* source = find(scheme)) return *source;
+const GraphSource& find_graph_source(std::string_view scheme, std::string_view spec_text) {
+  for (const GraphSource* source : graph_sources())
+    if (source->scheme() == scheme) return *source;
   std::string known;
-  for (const std::string& s : schemes()) {
+  for (const GraphSource* source : graph_sources()) {
     if (!known.empty()) known += '|';
-    known += s;
+    known += source->scheme();
   }
-  throw std::invalid_argument("graph spec '" + spec_text + "': unknown scheme '" +
-                              std::string(scheme) + "' (" + known + ")");
-}
-
-std::vector<std::string> GraphSourceRegistry::schemes() const {
-  std::shared_ptr<const Impl::Map> map;
-  {
-    LockGuard lock(impl_->mutex);
-    map = impl_->snapshot;
-  }
-  std::vector<std::string> out;
-  out.reserve(map->size());
-  for (const auto& [scheme, source] : *map) out.push_back(scheme);
-  return out;  // std::map iterates sorted
+  throw std::invalid_argument("graph spec '" + std::string(spec_text) +
+                              "': unknown scheme '" + std::string(scheme) + "' (" +
+                              known + ")");
 }
 
 std::vector<std::string> registered_graph_source_schemes() {
-  return GraphSourceRegistry::instance().schemes();
+  std::vector<std::string> out;
+  for (const GraphSource* source : graph_sources()) out.push_back(source->scheme());
+  return out;
 }
 
 } // namespace bmh

@@ -1,13 +1,10 @@
 #pragma once
 /// \file graph_source.hpp
-/// \brief Pluggable graph sources: the scheme registry behind `input=` specs.
+/// \brief Graph sources: the fixed scheme table behind `input=` specs.
 ///
 /// A graph spec is `SCHEME:REST`; the scheme selects a GraphSource that owns
-/// parsing, canonical keying and materialization for that family. PRs 1-6
-/// hard-wired three schemes (`gen:`, `suite:`, `mtx:`) into one switch in
-/// job.cpp; this registry replaces the switch so new sources — Matrix
-/// Market by content hash (`mm:`), future network or database fetchers —
-/// plug in without touching the parser, the cache or the store. Built-ins:
+/// parsing, canonical keying and materialization for that family, so the
+/// parser, the cache and the store never switch on a format. Built-ins:
 ///
 ///   gen:NAME:key=val,...   generator from graph/generators.hpp
 ///   suite:NAME[:scale=S]   instance from graph/generators_suite.hpp
@@ -25,9 +22,9 @@
 /// The resolve/render split keeps the cache's warm path allocation-free:
 /// resolve() returns a fixed-capacity ResolvedGraphSpec and
 /// canonical_graph_key (job.hpp) renders it by appending into a reused
-/// string. Sources are registered at startup (built-ins at first use) and
-/// never unregistered; lookups take one brief lock and returned pointers
-/// stay valid for the process lifetime.
+/// string. The four sources are static objects in a fixed table sorted by
+/// scheme: a lookup takes no lock and allocates nothing, and a returned
+/// source lives for the process lifetime.
 
 #include <array>
 #include <cstdint>
@@ -121,36 +118,13 @@ public:
                                              const ResolvedGraphSpec& resolved) const = 0;
 };
 
-/// Process-wide scheme -> source map. Thread-safe; the built-in sources are
-/// registered on first access. Sources are never unregistered, so pointers
-/// returned by find()/at() remain valid for the process lifetime.
-class GraphSourceRegistry {
-public:
-  static GraphSourceRegistry& instance();
+/// The built-in source serving `scheme`. Throws std::invalid_argument
+/// naming `spec_text` and the unknown scheme and listing the known schemes
+/// (CLI typos get an actionable message).
+[[nodiscard]] const GraphSource& find_graph_source(std::string_view scheme,
+                                                   std::string_view spec_text);
 
-  /// Registers a source under its scheme(). Throws std::invalid_argument if
-  /// the scheme is empty, contains ':', or is already taken.
-  void register_source(std::shared_ptr<const GraphSource> source);
-
-  /// The source serving `scheme`, or nullptr.
-  [[nodiscard]] const GraphSource* find(std::string_view scheme) const;
-
-  /// The source serving `scheme`; throws std::invalid_argument listing the
-  /// registered schemes when unknown (CLI typos get an actionable message).
-  [[nodiscard]] const GraphSource& at(std::string_view scheme,
-                                      const std::string& spec_text) const;
-
-  /// All registered schemes, sorted.
-  [[nodiscard]] std::vector<std::string> schemes() const;
-
-private:
-  GraphSourceRegistry();
-
-  struct Impl;
-  std::shared_ptr<Impl> impl_;
-};
-
-/// Convenience: GraphSourceRegistry::instance().schemes().
+/// All source schemes, sorted.
 [[nodiscard]] std::vector<std::string> registered_graph_source_schemes();
 
 } // namespace bmh

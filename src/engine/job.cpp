@@ -20,9 +20,7 @@ GraphSpec parse_graph_spec(const std::string& spec) {
                                 "': expected SCHEME:REST (e.g. gen:er:n=4096, "
                                 "mm:path=FILE, mtx:PATH or suite:NAME)");
   out.scheme = spec.substr(0, first);
-  const GraphSource& source =
-      GraphSourceRegistry::instance().at(out.scheme, spec);
-  source.parse(spec.substr(first + 1), out);
+  find_graph_source(out.scheme, spec).parse(spec.substr(first + 1), out);
   return out;
 }
 
@@ -43,7 +41,7 @@ void append_number(std::string& out, std::uint64_t value) {
 }
 
 const GraphSource& source_for(const GraphSpec& spec) {
-  return GraphSourceRegistry::instance().at(spec.scheme, spec.spec);
+  return find_graph_source(spec.scheme, spec.spec);
 }
 
 } // namespace

@@ -6,7 +6,7 @@
 /// Jobs are described by compact text specs so that batch files, CLI flags
 /// and test fixtures share one parser.
 ///
-/// Graph specs (`input=`, dispatched through GraphSourceRegistry):
+/// Graph specs (`input=`, dispatched through find_graph_source):
 ///   gen:NAME:key=val,key=val         generator from graph/generators.hpp
 ///   suite:NAME[:scale=S]             instance from graph/generators_suite.hpp
 ///   mtx:PATH                         Matrix Market file, keyed by path text
@@ -33,11 +33,11 @@
 ///
 /// The `kind=` axis selects the workload (default `match`, so every legacy
 /// spec parses and runs unchanged):
-///   match             bipartite matching via the algorithm registry
+///   match             bipartite matching via the algorithm table
 ///   undirected-match  undirected matching (§5): the bipartite input is
 ///                     converted (symmetric view for square pattern-symmetric
 ///                     graphs, bipartite union otherwise) and `algo=` names
-///                     an undirected registry entry (default one_out)
+///                     an undirected table entry (default one_out)
 ///   analyze           structural analysis; `algo=` names the analysis type
 ///                     (dm | koenig | sprank, default dm)
 ///
@@ -57,7 +57,7 @@
 
 namespace bmh {
 
-/// Parses `SCHEME:REST`, dispatching REST to the registered GraphSource.
+/// Parses `SCHEME:REST`, dispatching REST to the scheme's GraphSource.
 /// Duplicate parameter keys are rejected (never silently last-wins). Throws
 /// std::invalid_argument on malformed specs, unknown schemes or unknown
 /// generator names.

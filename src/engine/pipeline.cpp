@@ -1,8 +1,11 @@
 #include "engine/pipeline.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "analysis/dulmage_mendelsohn.hpp"
@@ -47,6 +50,24 @@ const char* to_string(ScalingMethod method) noexcept {
 
 namespace {
 
+/// The analysis types of kind=analyze, sorted: the one list both the check
+/// in run_analyze_pipeline_ws and analysis_type_names() read.
+constexpr std::string_view kAnalysisTypes[] = {"dm", "koenig", "sprank"};
+
+/// Throws std::invalid_argument naming `type` and listing the known types
+/// unless `type` is one of kAnalysisTypes.
+void check_analysis_type(const std::string& type) {
+  if (std::ranges::find(kAnalysisTypes, std::string_view(type)) !=
+      std::ranges::end(kAnalysisTypes))
+    return;
+  std::string known;
+  for (const std::string_view t : kAnalysisTypes) {
+    if (!known.empty()) known += '|';
+    known += t;
+  }
+  throw std::invalid_argument("unknown analysis type '" + type + "' (" + known + ")");
+}
+
 /// Runs `fn`, recording its wall-clock under `stage` in `result` — and as a
 /// trace span into the worker's journal when one is bound (the stage names
 /// are string literals at every call site, as spans require). Stage entry
@@ -65,30 +86,6 @@ void timed_stage(PipelineResult& result, const PipelineConfig& config,
   const double seconds = timer.seconds();
   result.stages.push_back({stage, seconds});
   result.total_seconds += seconds;
-}
-
-/// The algorithm instance a workspace keeps warm between jobs. Rebindable
-/// instances (every built-in) take their options — the per-job seed among
-/// them — at run time, so the cache keys on the name alone and a batch
-/// worker resolves its algorithm allocation-free after the first job. A
-/// non-rebindable custom algorithm baked its options in at creation and is
-/// re-created whenever they change.
-struct CachedAlgorithm {
-  std::string name;
-  AlgorithmOptions options;
-  std::unique_ptr<MatchingAlgorithm> algorithm;
-};
-
-const MatchingAlgorithm& resolve_algorithm(Workspace& ws, const PipelineConfig& config) {
-  CachedAlgorithm& cache = ws.obj<CachedAlgorithm>("pipeline.algorithm");
-  const bool hit = cache.algorithm != nullptr && cache.name == config.algorithm &&
-                   (cache.algorithm->rebindable() || cache.options == config.options);
-  if (!hit) {
-    cache.algorithm = make_algorithm(config.algorithm, config.options);
-    cache.name = config.algorithm;
-    cache.options = config.options;
-  }
-  return *cache.algorithm;
 }
 
 /// The engine's exact solve: a maximum matching of `g` by push-relabel into
@@ -148,8 +145,8 @@ void run_stages_ws(const BipartiteGraph& g, const PipelineConfig& config,
   if (config.augment && !out.exact) {
     timed_stage(out, config, "augment", [&] {
       // Validate before handing the matching to the in-place augmenter: a
-      // buggy user-registered algorithm must fail the job cleanly (as the
-      // old hopcroft_karp(g, &m) call did), not corrupt the solver.
+      // kernel defect that yields an invalid matching must fail the job
+      // cleanly, not corrupt the augmenter's state.
       if (!is_valid_matching(g, out.matching))
         throw std::invalid_argument("pipeline augment: matching produced by '" +
                                     config.algorithm + "' is invalid");
@@ -180,7 +177,7 @@ PipelineResult run_pipeline(const BipartiteGraph& g, const PipelineConfig& confi
 void run_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& config,
                      Workspace& ws, PipelineResult& out) {
   // Resolve the algorithm first: an unknown name must fail before any work.
-  const MatchingAlgorithm& algorithm = resolve_algorithm(ws, config);
+  const MatchingAlgorithm& algorithm = find_algorithm(config.algorithm);
   // One body for both thread modes: the guard only engages for an explicit
   // budget (<= 0 keeps the ambient OpenMP count untouched).
   std::optional<ThreadCountGuard> guard;
@@ -188,33 +185,10 @@ void run_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& config,
   run_stages_ws(g, config, algorithm, ws, out);
 }
 
-namespace {
-
-/// The undirected counterpart of CachedAlgorithm: the cached shared_ptr
-/// keeps the resolved algorithm alive independently of the registry, and a
-/// warm worker re-resolves with one string compare (no lock, no allocation).
-struct CachedUndirectedAlgorithm {
-  std::string name;
-  std::shared_ptr<const UndirectedAlgorithmFn> fn;
-};
-
-const UndirectedAlgorithmFn& resolve_undirected_algorithm(Workspace& ws,
-                                                          const PipelineConfig& config) {
-  CachedUndirectedAlgorithm& cache =
-      ws.obj<CachedUndirectedAlgorithm>("pipeline.und_algorithm");
-  if (cache.fn == nullptr || cache.name != config.algorithm) {
-    cache.fn = UndirectedAlgorithmRegistry::instance().at(config.algorithm);
-    cache.name = config.algorithm;
-  }
-  return *cache.fn;
-}
-
-} // namespace
-
 void run_undirected_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& config,
                                 Workspace& ws, PipelineResult& out) {
   // Resolve first: an unknown name must fail before any work.
-  const UndirectedAlgorithmFn& algorithm = resolve_undirected_algorithm(ws, config);
+  const UndirectedAlgorithm& algorithm = find_undirected_algorithm(config.algorithm);
   std::optional<ThreadCountGuard> guard;
   if (config.options.threads > 0) guard.emplace(config.options.threads);
   out.reset();
@@ -236,7 +210,7 @@ void run_undirected_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& c
     UndirectedRunInfo info;
     const int iterations =
         config.scaling == ScalingMethod::kNone ? 0 : config.scaling_iterations;
-    algorithm(ug, iterations, config.options, ws, m, info);
+    algorithm.run(ug, iterations, config.options, ws, m, info);
     out.scaling_iterations = info.scaling_iterations;
     out.scaling_error = info.scaling_error;
   });
@@ -249,9 +223,7 @@ void run_undirected_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& c
 void run_analyze_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& config,
                              Workspace& ws, PipelineResult& out) {
   const std::string& type = config.algorithm;
-  if (type != "dm" && type != "koenig" && type != "sprank")
-    throw std::invalid_argument("unknown analysis type '" + type +
-                                "' (dm|koenig|sprank)");
+  check_analysis_type(type);
   std::optional<ThreadCountGuard> guard;
   if (config.options.threads > 0) guard.emplace(config.options.threads);
   out.reset();
@@ -292,6 +264,8 @@ void run_analyze_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& conf
   });
 }
 
-std::vector<std::string> analysis_type_names() { return {"dm", "koenig", "sprank"}; }
+std::vector<std::string> analysis_type_names() {
+  return {std::begin(kAnalysisTypes), std::end(kAnalysisTypes)};
+}
 
 } // namespace bmh

@@ -9,7 +9,7 @@
 ///
 ///   scale    optional Sinkhorn-Knopp or Ruiz scaling (skipped, with
 ///            identity multipliers, when the algorithm ignores scaling)
-///   match    a registered heuristic or exact algorithm
+///   match    a built-in heuristic or exact algorithm (registry.hpp)
 ///   augment  optional Hopcroft-Karp completion to the maximum (the paper's
 ///            jump-start application: the heuristic initializes the exact
 ///            solver)
@@ -60,7 +60,7 @@ public:
 [[nodiscard]] std::int64_t steady_now_ns() noexcept;
 
 struct PipelineConfig {
-  std::string algorithm = "two_sided";  ///< registry name of the match stage
+  std::string algorithm = "two_sided";  ///< table name of the match stage
   AlgorithmOptions options;             ///< seed / threads / k for that stage
   ScalingMethod scaling = ScalingMethod::kSinkhornKnopp;
   int scaling_iterations = 5;
@@ -152,18 +152,18 @@ struct PipelineResult {
 /// Workspace-aware pipeline execution — the batch-serving hot path. Every
 /// stage's scratch (scaling vectors, choice arrays, solver queues, the
 /// sprank matching, k_out's pooled subgraph) is leased from `ws`, the
-/// resolved algorithm instance is cached inside `ws` keyed by its
-/// configuration, and `out` is fully overwritten with its vectors' capacity
+/// algorithm is a row of the fixed table (looked up without a lock or an
+/// allocation), and `out` is fully overwritten with its vectors' capacity
 /// reused. A warm worker running same-shaped jobs therefore performs zero
-/// heap allocations per call. Results are identical to run_pipeline() for
-/// the same config.
+/// heap allocations per call, whichever algorithms it alternates between.
+/// Results are identical to run_pipeline() for the same config.
 void run_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& config,
                      Workspace& ws, PipelineResult& out);
 
 /// The kind=undirected-match pipeline (§5): convert the bipartite input to
 /// an undirected graph (symmetric view when square and pattern-symmetric,
 /// bipartite union otherwise — recorded in out.extras), run the undirected
-/// algorithm config.algorithm names (UndirectedAlgorithmRegistry; unknown
+/// algorithm config.algorithm names (find_undirected_algorithm; unknown
 /// names throw before any work), and validate. Stages are "convert",
 /// "match", "analyze". Same workspace/zero-allocation contract as
 /// run_pipeline_ws; `out.matching` is left untouched (the undirected mate

@@ -1,10 +1,11 @@
 #pragma once
 /// \file registry.hpp
-/// \brief The algorithm registry: string names -> MatchingAlgorithm factories.
+/// \brief The built-in algorithm tables: string names -> MatchingAlgorithm
+/// rows and undirected algorithm rows.
 ///
-/// The registered names are the library's *stable public identifiers* — job
-/// specs, CLI flags, bench tables and JSON results all refer to algorithms
-/// by these strings:
+/// The names are the library's *stable public identifiers* — job specs, CLI
+/// flags, bench tables and JSON results all refer to algorithms by these
+/// strings:
 ///
 ///   one_sided      OneSidedMatch (Alg. 2, 0.632 guarantee)
 ///   two_sided      TwoSidedMatch (Alg. 3 + parallel KS of Alg. 4, ~0.866)
@@ -18,19 +19,19 @@
 ///   push_relabel   exact, push-relabel with global relabeling (also the
 ///                  solver behind sprank and k_out's subgraph match)
 ///
-/// New algorithms (future backends, distributed variants) plug in through
-/// register_algorithm() without touching any call site.
-///
-/// Undirected matching (JobSpec kind=undirected-match) has its own registry
+/// Undirected matching (JobSpec kind=undirected-match) has its own table
 /// with its own stable names:
 ///
 ///   greedy         random-vertex cheap matching (1/2 guarantee)
 ///   one_out        symmetric scaling + 1-out choices + undirected KS (§5)
 ///   two_thirds     maximal + length-3 augmentation (2/3 guarantee)
+///
+/// Both tables are fixed at compile time and sorted by name: a lookup takes
+/// no lock and allocates nothing, and a new algorithm is a new row.
 
-#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/algorithm.hpp"
@@ -38,45 +39,19 @@
 
 namespace bmh {
 
-/// Builds a MatchingAlgorithm instance bound to the given options.
-using AlgorithmFactory =
-    std::function<std::unique_ptr<MatchingAlgorithm>(const AlgorithmOptions&)>;
+/// The built-in algorithm named `name`. Throws std::invalid_argument naming
+/// the unknown algorithm and listing the known names (so CLI typos produce
+/// an actionable message).
+[[nodiscard]] const MatchingAlgorithm& find_algorithm(std::string_view name);
 
-/// Process-wide name -> factory map. Thread-safe; the built-in algorithms
-/// above are registered on first access.
-class AlgorithmRegistry {
-public:
-  /// The singleton instance (built-ins pre-registered).
-  static AlgorithmRegistry& instance();
-
-  /// Registers a factory under `name`. Throws std::invalid_argument if the
-  /// name is empty or already taken.
-  void register_algorithm(const std::string& name, AlgorithmFactory factory);
-
-  /// True iff `name` is registered.
-  [[nodiscard]] bool contains(const std::string& name) const;
-
-  /// Instantiates the algorithm registered under `name`. Throws
-  /// std::invalid_argument naming the unknown algorithm and listing the
-  /// registered names (so CLI typos produce an actionable message).
-  [[nodiscard]] std::unique_ptr<MatchingAlgorithm> create(
-      const std::string& name, const AlgorithmOptions& options = {}) const;
-
-  /// All registered names, sorted.
-  [[nodiscard]] std::vector<std::string> names() const;
-
-private:
-  AlgorithmRegistry();
-
-  struct Impl;
-  std::shared_ptr<Impl> impl_;
-};
-
-/// Convenience: AlgorithmRegistry::instance().create(name, options).
+/// A heap copy of find_algorithm(name); `options` is unused (rows take
+/// their options per run). Its one caller is perfbench/bmh_trace.cpp's
+/// layer replay, which changes only with the benchmark; delete this when
+/// the engine traces itself and the replay goes.
 [[nodiscard]] std::unique_ptr<MatchingAlgorithm> make_algorithm(
-    const std::string& name, const AlgorithmOptions& options = {});
+    std::string_view name, const AlgorithmOptions& options = {});
 
-/// Convenience: AlgorithmRegistry::instance().names().
+/// All algorithm names, sorted.
 [[nodiscard]] std::vector<std::string> registered_algorithm_names();
 
 /// What an undirected run reports back beyond the matching itself.
@@ -85,49 +60,25 @@ struct UndirectedRunInfo {
   double scaling_error = 0.0;  ///< error after the last sweep
 };
 
-/// An undirected matching algorithm: scratch comes from `ws` (warm calls
-/// are allocation-free, like the bipartite `_ws` registrations), the result
-/// lands in `out` with capacity reused. `scaling_iterations` is the
-/// pipeline's budget (0 = skip scaling); algorithms that never scale ignore
-/// it and leave `info` at its defaults.
-using UndirectedAlgorithmFn = std::function<void(
-    const UndirectedGraph& g, int scaling_iterations, const AlgorithmOptions& options,
-    Workspace& ws, UndirectedMatching& out, UndirectedRunInfo& info)>;
-
-/// Process-wide name -> undirected algorithm map (JobSpec
-/// kind=undirected-match). Thread-safe; built-ins registered on first
-/// access. at() hands out shared ownership, so a resolved algorithm's
-/// lifetime never depends on registry internals.
-class UndirectedAlgorithmRegistry {
-public:
-  static UndirectedAlgorithmRegistry& instance();
-
-  /// Registers `fn` under `name`. Throws std::invalid_argument if the name
-  /// is empty or already taken.
-  void register_algorithm(const std::string& name, UndirectedAlgorithmFn fn);
-
-  /// True iff `name` is registered.
-  [[nodiscard]] bool contains(const std::string& name) const;
-
-  /// The algorithm registered under `name`, copied out of the registry's
-  /// critical section (never null — shared ownership keeps it callable
-  /// regardless of what the registry does afterwards). Throws
-  /// std::invalid_argument naming the unknown algorithm and listing the
-  /// registered names.
-  [[nodiscard]] std::shared_ptr<const UndirectedAlgorithmFn> at(
-      const std::string& name) const;
-
-  /// All registered names, sorted.
-  [[nodiscard]] std::vector<std::string> names() const;
-
-private:
-  UndirectedAlgorithmRegistry();
-
-  struct Impl;
-  std::shared_ptr<Impl> impl_;
+/// A built-in undirected matching algorithm (JobSpec kind=undirected-match).
+/// `run` leases scratch from `ws` (warm calls are allocation-free, like the
+/// bipartite rows) and writes the result into `out` with capacity reused.
+/// `scaling_iterations` is the pipeline's budget (0 = skip scaling);
+/// algorithms that never scale ignore it and leave `info` at its defaults.
+struct UndirectedAlgorithm {
+  using Fn = void (*)(const UndirectedGraph& g, int scaling_iterations,
+                      const AlgorithmOptions& options, Workspace& ws,
+                      UndirectedMatching& out, UndirectedRunInfo& info);
+  std::string_view name;
+  Fn run;
 };
 
-/// Convenience: UndirectedAlgorithmRegistry::instance().names().
+/// The built-in undirected algorithm named `name`. Throws
+/// std::invalid_argument naming the unknown algorithm and listing the known
+/// names.
+[[nodiscard]] const UndirectedAlgorithm& find_undirected_algorithm(std::string_view name);
+
+/// All undirected algorithm names, sorted.
 [[nodiscard]] std::vector<std::string> registered_undirected_algorithm_names();
 
 } // namespace bmh

@@ -251,9 +251,10 @@ UndirectedMatching one_out_karp_sipser(vid_t n, std::span<const vid_t> choice) {
   return result;
 }
 
-void undirected_one_out_match_ws(const UndirectedGraph& g, int scaling_iterations,
-                                 std::uint64_t seed, Workspace& ws,
-                                 UndirectedMatching& out) {
+const SymmetricScaling& undirected_one_out_match_ws(const UndirectedGraph& g,
+                                                    int scaling_iterations,
+                                                    std::uint64_t seed, Workspace& ws,
+                                                    UndirectedMatching& out) {
   auto& s = ws.obj<SymmetricScaling>("und.scaling");
   if (scaling_iterations > 0) {
     scale_symmetric_ws(g, scaling_iterations, ws, s);
@@ -264,6 +265,7 @@ void undirected_one_out_match_ws(const UndirectedGraph& g, int scaling_iteration
   }
   const std::vector<vid_t>& choice = sample_choices_ws(g, s.d, seed, ws);
   one_out_karp_sipser_ws(g.num_vertices(), choice, ws, out);
+  return s;
 }
 
 UndirectedMatching undirected_one_out_match(const UndirectedGraph& g,

@@ -118,10 +118,13 @@ void scale_symmetric_ws(const UndirectedGraph& g, int iterations, Workspace& ws,
 void one_out_karp_sipser_ws(vid_t n, std::span<const vid_t> choice, Workspace& ws,
                             UndirectedMatching& out);
 
-/// undirected_one_out_match into `out`.
-void undirected_one_out_match_ws(const UndirectedGraph& g, int scaling_iterations,
-                                 std::uint64_t seed, Workspace& ws,
-                                 UndirectedMatching& out);
+/// undirected_one_out_match into `out`. Returns the leased scaling it
+/// sampled from (valid until "und.scaling" is re-leased), so callers can
+/// report its iterations and error.
+const SymmetricScaling& undirected_one_out_match_ws(const UndirectedGraph& g,
+                                                    int scaling_iterations,
+                                                    std::uint64_t seed, Workspace& ws,
+                                                    UndirectedMatching& out);
 
 /// undirected_greedy into `out`.
 void undirected_greedy_ws(const UndirectedGraph& g, std::uint64_t seed, Workspace& ws,

@@ -1,9 +1,10 @@
 /// \file test_engine.cpp
-/// \brief Tests for the matching engine: registry, pipelines, job specs,
+/// \brief Tests for the matching engine: built-in tables, pipelines, job specs,
 /// engine batch determinism, and the JSON sink.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 
@@ -17,90 +18,109 @@ using ::bmh::testing::expect_valid;
 using ::bmh::testing::run_on_fresh_engine;
 using ::bmh::testing::small_graph_zoo;
 
-// ------------------------------------------------------------- registry ---
+// --------------------------------------------------------------- tables ---
 
-TEST(Registry, KnownNamesAreRegistered) {
-  for (const char* name : {"one_sided", "two_sided", "k_out", "karp_sipser", "greedy",
-                           "greedy_edge", "min_degree", "hopcroft_karp", "mc21",
-                           "push_relabel"}) {
-    EXPECT_TRUE(AlgorithmRegistry::instance().contains(name)) << name;
-  }
-}
-
-TEST(Registry, UnknownNameFailsCleanly) {
-  EXPECT_FALSE(AlgorithmRegistry::instance().contains("does_not_exist"));
+/// A table's names list is sorted, has no duplicates, and every name in it
+/// resolves; an unknown name throws std::invalid_argument naming both the
+/// offender and `known`.
+template <typename Resolve>
+void expect_table(const std::vector<std::string>& names, const std::string& known,
+                  Resolve resolve) {
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
+  EXPECT_NE(std::find(names.begin(), names.end(), known), names.end()) << known;
+  for (const std::string& name : names) EXPECT_NO_THROW(resolve(name)) << name;
   try {
-    (void)make_algorithm("does_not_exist");
+    resolve("does_not_exist");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     // The message must name the offender and list the alternatives.
     const std::string what = e.what();
-    EXPECT_NE(what.find("does_not_exist"), std::string::npos);
-    EXPECT_NE(what.find("two_sided"), std::string::npos);
+    EXPECT_NE(what.find("does_not_exist"), std::string::npos) << what;
+    EXPECT_NE(what.find(known), std::string::npos) << what;
   }
 }
 
-TEST(Registry, DuplicateRegistrationRejected) {
-  EXPECT_THROW(AlgorithmRegistry::instance().register_algorithm(
-                   "two_sided", [](const AlgorithmOptions&) {
-                     return std::unique_ptr<MatchingAlgorithm>();
-                   }),
-               std::invalid_argument);
+TEST(BuiltinTables, Algorithms) {
+  const std::vector<std::string> names = registered_algorithm_names();
+  EXPECT_EQ(names, (std::vector<std::string>{"greedy", "greedy_edge", "hopcroft_karp",
+                                              "k_out", "karp_sipser", "mc21", "min_degree",
+                                              "one_sided", "push_relabel", "two_sided"}));
+  expect_table(names, "two_sided", [](const std::string& name) {
+    EXPECT_EQ(find_algorithm(name).name(), name);
+  });
 }
 
-TEST(Registry, CustomAlgorithmPlugsIn) {
-  class Empty final : public MatchingAlgorithm {
-  public:
-    [[nodiscard]] const std::string& name() const noexcept override {
-      static const std::string n = "test_empty";
-      return n;
-    }
-    [[nodiscard]] Matching run(const BipartiteGraph& g,
-                               const ScalingResult&) const override {
-      return Matching(g.num_rows(), g.num_cols());
-    }
-  };
-  if (!AlgorithmRegistry::instance().contains("test_empty")) {
-    AlgorithmRegistry::instance().register_algorithm(
-        "test_empty",
-        [](const AlgorithmOptions&) { return std::make_unique<Empty>(); });
-  }
-  const BipartiteGraph g = make_full(4);
-  EXPECT_EQ(make_algorithm("test_empty")->run(g, identity_scaling(g)).cardinality(), 0);
+TEST(BuiltinTables, UndirectedAlgorithms) {
+  expect_table(registered_undirected_algorithm_names(), "one_out",
+               [](const std::string& name) {
+                 EXPECT_EQ(find_undirected_algorithm(name).name, name);
+               });
+  // The bipartite names do not leak into the undirected table.
+  EXPECT_THROW((void)find_undirected_algorithm("two_sided"), std::invalid_argument);
+}
+
+TEST(BuiltinTables, GraphSources) {
+  expect_table(registered_graph_source_schemes(), "gen", [](const std::string& scheme) {
+    EXPECT_EQ(find_graph_source(scheme, scheme + ":x").scheme(), scheme);
+  });
+}
+
+TEST(BuiltinTables, AnalysisTypes) {
+  const BipartiteGraph g = make_planted_perfect(64, 2, 3);
+  expect_table(analysis_type_names(), "koenig", [&g](const std::string& type) {
+    PipelineConfig config;
+    config.algorithm = type;
+    Workspace ws;
+    PipelineResult out;
+    run_analyze_pipeline_ws(g, config, ws, out);
+    EXPECT_EQ(out.sprank, 64) << type;
+  });
+}
+
+TEST(BuiltinTables, MakeAlgorithmCopiesTheRow) {
+  const auto copy = make_algorithm("k_out");
+  const MatchingAlgorithm& row = find_algorithm("k_out");
+  EXPECT_EQ(copy->name(), row.name());
+  EXPECT_EQ(copy->uses_scaling(), row.uses_scaling());
+  EXPECT_EQ(copy->is_exact(), row.is_exact());
+  EXPECT_THROW((void)make_algorithm("does_not_exist"), std::invalid_argument);
 }
 
 TEST(Registry, EveryAlgorithmValidOnZoo) {
+  Workspace ws;
+  Matching m;
   for (const BipartiteGraph& g : small_graph_zoo()) {
     const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
     const vid_t optimum = brute_force_max_matching(g);
     for (const std::string& name : registered_algorithm_names()) {
-      if (name == "test_empty") continue;  // registered by the test above
       AlgorithmOptions options;
       options.seed = 7;
-      const auto algorithm = make_algorithm(name, options);
-      const Matching m = algorithm->run(g, s);
+      const MatchingAlgorithm& algorithm = find_algorithm(name);
+      algorithm.run_ws(g, s, options, ws, m);
       expect_valid(g, m, name.c_str());
       EXPECT_LE(m.cardinality(), optimum) << name;
-      if (algorithm->is_exact()) EXPECT_EQ(m.cardinality(), optimum) << name;
+      if (algorithm.is_exact()) EXPECT_EQ(m.cardinality(), optimum) << name;
     }
   }
 }
 
 TEST(Registry, EveryAlgorithmValidOnSuiteGraphs) {
-  // A slice of the generator suite (kept small: every registered algorithm
-  // runs on every instance, including the exact backends).
+  // A slice of the generator suite (kept small: every algorithm runs on
+  // every instance, including the exact backends).
+  Workspace ws;
+  Matching m;
   for (const auto& instance : make_suite(0.02, /*seed=*/3)) {
     const BipartiteGraph& g = instance.graph;
     const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
     const vid_t optimum = sprank(g);
     for (const std::string& name : registered_algorithm_names()) {
-      if (name == "test_empty") continue;
       AlgorithmOptions options;
       options.seed = 11;
-      const auto algorithm = make_algorithm(name, options);
-      const Matching m = algorithm->run(g, s);
+      const MatchingAlgorithm& algorithm = find_algorithm(name);
+      algorithm.run_ws(g, s, options, ws, m);
       expect_valid(g, m, (instance.name + "/" + name).c_str());
-      if (algorithm->is_exact())
+      if (algorithm.is_exact())
         EXPECT_EQ(m.cardinality(), optimum) << instance.name << "/" << name;
       else
         EXPECT_LE(m.cardinality(), optimum) << instance.name << "/" << name;

@@ -5,9 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/workspace.hpp"
@@ -340,72 +338,41 @@ TEST(UndirectedRegistry, NamesAndDispatch) {
   EXPECT_EQ(names[0], "greedy");
   EXPECT_EQ(names[1], "one_out");
   EXPECT_EQ(names[2], "two_thirds");
+  EXPECT_THROW((void)find_undirected_algorithm("nope"), std::invalid_argument);
 
-  const UndirectedAlgorithmRegistry& reg = UndirectedAlgorithmRegistry::instance();
-  EXPECT_TRUE(reg.contains("one_out"));
-  EXPECT_FALSE(reg.contains("two_sided"));  // bipartite names don't leak in
-  EXPECT_THROW((void)reg.at("nope"), std::invalid_argument);
-
-  // Dispatch through the registry reproduces the direct _ws call.
+  // Dispatch through the table reproduces the direct _ws call.
   const UndirectedGraph g = make_undirected_erdos_renyi(300, 900, 2);
   Workspace ws;
   AlgorithmOptions options;
   options.seed = 11;
-  UndirectedMatching via_registry;
+  UndirectedMatching via_table;
   UndirectedRunInfo info;
-  (*reg.at("two_thirds"))(g, 0, options, ws, via_registry, info);
+  find_undirected_algorithm("two_thirds").run(g, 0, options, ws, via_table, info);
   UndirectedMatching direct;
   undirected_two_thirds_ws(g, 11, ws, direct);
-  EXPECT_EQ(via_registry.mate, direct.mate);
+  EXPECT_EQ(via_table.mate, direct.mate);
 }
 
-// Regression for the lock-discipline fix in UndirectedAlgorithmRegistry:
-// at() used to return a reference into the mutex-guarded map (flagged by
-// -Wthread-safety-reference), so a caller's handle was only valid while the
-// never-erase invariant held. It now copies shared ownership out of the
-// critical section — a resolved handle must keep working while other
-// threads mutate the registry.
-TEST(UndirectedRegistry, ResolvedHandleSurvivesConcurrentRegistration) {
-  UndirectedAlgorithmRegistry& reg = UndirectedAlgorithmRegistry::instance();
-  const std::shared_ptr<const UndirectedAlgorithmFn> handle = reg.at("greedy");
-  ASSERT_NE(handle, nullptr);
+TEST(UndirectedRegistry, OneOutReportsItsScaling) {
+  // The one_out row reports the scaling undirected_one_out_match_ws ran.
+  // One OpenMP thread: the one-out kernels race by design above that.
+  ThreadCountGuard serial(1);
+  const UndirectedGraph g = make_undirected_erdos_renyi(300, 900, 4);
+  Workspace ws;
+  AlgorithmOptions options;
+  options.seed = 3;
+  UndirectedMatching via_table;
+  UndirectedRunInfo info;
+  find_undirected_algorithm("one_out").run(g, 5, options, ws, via_table, info);
+  EXPECT_EQ(via_table.mate, undirected_one_out_match(g, 5, 3).mate);
+  const SymmetricScaling s = scale_symmetric(g, 5);
+  EXPECT_EQ(info.scaling_iterations, s.iterations);
+  EXPECT_EQ(info.scaling_error, s.error);
 
-  // Churn the registry from several threads while the handle is live and
-  // in use. Each registration rebalances the map; the handle must stay
-  // callable and keep producing correct matchings throughout.
-  const UndirectedGraph g = make_undirected_erdos_renyi(200, 600, 7);
-  UndirectedMatching reference;
-  {
-    Workspace ws;
-    undirected_greedy_ws(g, 5, ws, reference);
-  }
-
-  std::vector<std::thread> writers;
-  writers.reserve(4);
-  for (int t = 0; t < 4; ++t) {
-    writers.emplace_back([&reg, t] {
-      for (int i = 0; i < 8; ++i) {
-        reg.register_algorithm(
-            "churn_" + std::to_string(t) + "_" + std::to_string(i),
-            [](const UndirectedGraph&, int, const AlgorithmOptions&,
-               Workspace&, UndirectedMatching&, UndirectedRunInfo&) {});
-      }
-    });
-  }
-  for (int round = 0; round < 16; ++round) {
-    Workspace ws;
-    AlgorithmOptions options;
-    options.seed = 5;
-    UndirectedMatching out;
-    UndirectedRunInfo info;
-    (*handle)(g, 0, options, ws, out, info);
-    EXPECT_EQ(out.mate, reference.mate);
-  }
-  for (std::thread& w : writers) w.join();
-
-  // The churn entries registered fine and resolve through the public API.
-  EXPECT_TRUE(reg.contains("churn_0_0"));
-  EXPECT_NE(reg.at("churn_3_7"), nullptr);
+  UndirectedRunInfo unscaled;
+  find_undirected_algorithm("one_out").run(g, 0, options, ws, via_table, unscaled);
+  EXPECT_EQ(unscaled.scaling_iterations, 0);
+  EXPECT_EQ(unscaled.scaling_error, 0.0);
 }
 
 } // namespace

@@ -247,31 +247,41 @@ TEST(WorkspaceHotPath, KernelSteadyStateIsAllocationFree) {
 
 TEST(WorkspaceHotPath, PipelineSteadyStateIsAllocationFree) {
   const BipartiteGraph g = make_erdos_renyi(1024, 1024, 8192, 42);
-  // k_out included: with pooled CSR construction the whole registry runs
-  // allocation-free warm, not "everything but k_out".
-  for (const char* algo : {"two_sided", "k_out"}) {
+  // Runs `rounds` jobs over `algos` in one workspace — job r uses
+  // algos[r % size] with seed r — once to warm, then once measured, and
+  // expects the measured pass to allocate nothing.
+  const auto expect_warm_free = [&g](const std::vector<std::string>& algos, int rounds,
+                                     const std::string& label) {
     PipelineConfig config;
-    config.algorithm = algo;
-    config.options.seed = 7;
     Workspace ws;
     PipelineResult out;
-    // Warm with the seed sequence the measured pass runs (a new seed may
-    // legitimately grow a stack buffer once).
     const auto sweep = [&] {
-      for (int r = 0; r < 20; ++r) {
-        // Seeds vary per job in a batch; the warm worker must stay
-        // allocation-free regardless (rebindable algorithm cache).
+      for (int r = 0; r < rounds; ++r) {
+        // Seeds vary per job in a batch, and a worker switches algorithms
+        // between jobs; the table rows take their options per run, so the
+        // warm worker stays allocation-free regardless.
+        config.algorithm = algos[static_cast<std::size_t>(r) % algos.size()];
         config.options.seed = static_cast<std::uint64_t>(r);
         run_pipeline_ws(g, config, ws, out);
       }
     };
+    // Warm with the job sequence the measured pass runs (a new seed may
+    // legitimately grow a stack buffer once).
     sweep();
     const bench::AllocStats before = bench::alloc_stats();
     sweep();
     const bench::AllocStats after = bench::alloc_stats();
-    EXPECT_EQ(after.allocations, before.allocations) << algo;
-    EXPECT_EQ(after.live_bytes, before.live_bytes) << algo;
-  }
+    EXPECT_EQ(after.allocations, before.allocations) << label;
+    EXPECT_EQ(after.live_bytes, before.live_bytes) << label;
+  };
+
+  // Each algorithm alone. k_out included: with pooled CSR construction the
+  // whole table runs allocation-free warm, not "everything but k_out".
+  const std::vector<std::string> names = registered_algorithm_names();
+  for (const std::string& name : names) expect_warm_free({name}, 20, name);
+  // One warm worker switching algorithms on every job.
+  expect_warm_free({"two_sided", "k_out"}, 40, "two_sided/k_out");
+  expect_warm_free(names, 20 * static_cast<int>(names.size()), "all algorithms");
 }
 
 TEST(WorkspaceHotPath, CacheServedJobGraphPathIsAllocationFree) {
