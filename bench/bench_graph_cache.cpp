@@ -280,8 +280,8 @@ int main() {
        << ", \"note\": \"cache-off rebuilds each job's graph from its spec (the "
           "pre-cache engine behaviour); remaining cache-on allocations are the "
           "retained JobResult record plus the copy of each JobSpec into its "
-          "submit slot (a batch rides the submit ring; run_single moves the "
-          "slot's buffers out, so the copy cannot reuse them)\"},\n"
+          "submit slot (a batch rides the submit queue; the claiming worker "
+          "moves the slot's buffers out, so the copy cannot reuse them)\"},\n"
        << "  \"cache\": {\"hits\": " << stats.hits << ", \"misses\": " << stats.misses
        << ", \"evictions\": " << stats.evictions << ", \"entries\": " << stats.entries
        << ", \"bytes\": " << stats.bytes << "},\n"

@@ -1,24 +1,19 @@
 /// \file bench_submit.cpp
-/// \brief Measures the Engine's single-job submission path — the MPSC ring
-/// that replaced the mutex/CV work queue (PR 9) — and records the results
-/// in BENCH_submit.json:
+/// \brief Measures the Engine's single-job submission path — the bounded,
+/// mutex-guarded submission queue — and records the results in
+/// BENCH_submit.json:
 ///
-///   1. raw queue mechanics — the ring vs an in-binary replica of the old
-///      mutex + condition_variable + deque queue, producers pushing plain
-///      descriptors at 1/2/4/8 threads against one draining consumer;
-///   2. open-loop engine submit throughput at 1/2/4/8 producer threads,
+///   1. open-loop engine submit throughput at 1/2/4/8 producer threads,
 ///      with queue-wait p50/p99 from the engine's own histograms, compared
-///      against the pre-PR mutex-path numbers recorded in the `baseline`
-///      field (measured with this same open-loop harness on the commit
-///      before the ring landed);
-///   3. bounded-ring backpressure — with the default queue depth the
-///      submit rate converges to the drain rate by construction (the old
-///      queue was unbounded and would buffer without limit);
-///   4. allocation-freedom — with the worker parked, a warm single-job
+///      against the numbers of an earlier unbounded mutex queue recorded in
+///      the `baseline` field (measured with this same open-loop harness;
+///      that path allocated a queue node per submit);
+///   2. bounded-queue backpressure — with the default queue depth the
+///      submit rate converges to the drain rate by construction;
+///   3. allocation-freedom — with the worker parked, a warm single-job
 ///      submit performs zero heap allocations (global counter proof).
 ///
-/// Knobs: BMH_SUBMIT_JOBS (default 20000), BMH_SUBMIT_RAW_ITEMS (default
-/// 200000).
+/// Knob: BMH_SUBMIT_JOBS (default 20000).
 
 #define BMH_COUNT_ALLOCS
 
@@ -28,77 +23,14 @@
 #include <atomic>
 #include <bit>
 #include <condition_variable>
-#include <deque>
 #include <fstream>
 #include <functional>
 #include <mutex>
 #include <thread>
 
-#include "util/mpsc_ring.hpp"
-
 namespace {
 
 using namespace bmh;
-
-/// In-binary replica of the pre-PR submission queue's locking shape: one
-/// mutex around a deque, a CV kick per push. (The real pre-PR path also
-/// allocated a queue node per submit; this replica is the *flattering*
-/// baseline — pure lock mechanics, no allocation.)
-struct MutexQueue {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<std::uint64_t> items;
-
-  void push(std::uint64_t v) {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      items.push_back(v);
-    }
-    cv.notify_one();
-  }
-  bool try_pop(std::uint64_t& out) {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (items.empty()) return false;
-    out = items.front();
-    items.pop_front();
-    return true;
-  }
-};
-
-struct RawResult {
-  double push_mops = 0.0;   ///< producer-side pushes per microsecond
-  double drain_mops = 0.0;  ///< end-to-end items per microsecond
-};
-
-/// Producers push `total` tagged items, one consumer spins draining; the
-/// queue template only needs push / try_pop.
-template <typename Queue>
-RawResult raw_throughput(Queue& queue, int producers, std::uint64_t total) {
-  std::atomic<std::uint64_t> drained{0};
-  std::thread consumer([&] {
-    std::uint64_t item = 0;
-    while (drained.load(std::memory_order_relaxed) < total) {
-      if (queue.try_pop(item))
-        drained.fetch_add(1, std::memory_order_relaxed);
-      else
-        std::this_thread::yield();
-    }
-  });
-  const std::uint64_t per = total / static_cast<std::uint64_t>(producers);
-  Timer timer;
-  std::vector<std::thread> threads;
-  for (int p = 0; p < producers; ++p)
-    threads.emplace_back([&queue, per] {
-      for (std::uint64_t i = 0; i < per; ++i) queue.push(std::uint64_t{i});
-    });
-  for (auto& t : threads) t.join();
-  const double push_seconds = timer.seconds();
-  consumer.join();
-  const double drain_seconds = timer.seconds();
-  const auto pushed = per * static_cast<std::uint64_t>(producers);
-  return {static_cast<double>(pushed) / push_seconds / 1e6,
-          static_cast<double>(pushed) / drain_seconds / 1e6};
-}
 
 struct SubmitResult {
   double submit_ns_per_op = 0.0;
@@ -111,7 +43,7 @@ struct SubmitResult {
 /// Open-loop engine submit: `producers` threads blast `jobs` tiny cached
 /// jobs through the callback submit. `depth` sized to the burst isolates
 /// ingest cost (the queue never backpressures); the default depth measures
-/// the bounded ring's converge-to-drain-rate behaviour instead.
+/// the bounded queue's converge-to-drain-rate behaviour instead.
 SubmitResult engine_submit_throughput(int producers, int jobs,
                                       std::size_t depth) {
   EngineConfig config;
@@ -205,10 +137,10 @@ std::uint64_t allocations_per_warm_submit_burst(int burst) {
   return after.allocations - before.allocations;
 }
 
-/// Pre-PR mutex-path numbers, measured with this same open-loop harness on
-/// the commit before the ring landed (unbounded queue: every submit took
-/// the engine mutex and allocated its queue node). Recorded here because
-/// the old path no longer exists to be built.
+/// The earlier mutex path's numbers, measured with this same open-loop
+/// harness on a 1-core container (unbounded queue: every submit took the
+/// engine mutex and allocated its queue node). Recorded here because that
+/// path no longer exists to be built.
 struct BaselinePoint {
   int producers;
   double submit_ns_per_op;
@@ -225,35 +157,9 @@ constexpr BaselinePoint kMutexBaseline[] = {
 
 int main() {
   const int jobs = static_cast<int>(env_int("BMH_SUBMIT_JOBS", 20000));
-  const auto raw_items =
-      static_cast<std::uint64_t>(env_int("BMH_SUBMIT_RAW_ITEMS", 200000));
-  const int producer_counts[] = {1, 2, 4, 8};
 
   std::cout << "bench_submit: engine submission-path throughput ("
             << num_procs() << " cores)\n\n";
-
-  std::string raw_json = "[";
-  for (int p : producer_counts) {
-    MpscRing<std::uint64_t> ring(65536);
-    RawResult ring_result = raw_throughput(ring, p, raw_items);
-    MutexQueue mutex_queue;
-    RawResult mutex_result = raw_throughput(mutex_queue, p, raw_items);
-    std::cout << "raw producers=" << p << ": ring "
-              << ring_result.push_mops << " Mpush/s vs mutex "
-              << mutex_result.push_mops << " Mpush/s ("
-              << ring_result.push_mops / mutex_result.push_mops << "x)\n";
-    if (raw_json.size() > 1) raw_json += ", ";
-    raw_json += "{\"producers\": " + std::to_string(p);
-    raw_json += ", \"ring_push_mops\": " + json_number(ring_result.push_mops);
-    raw_json += ", \"ring_drain_mops\": " + json_number(ring_result.drain_mops);
-    raw_json += ", \"mutex_push_mops\": " + json_number(mutex_result.push_mops);
-    raw_json +=
-        ", \"mutex_drain_mops\": " + json_number(mutex_result.drain_mops);
-    raw_json += ", \"push_speedup\": " +
-                json_number(ring_result.push_mops / mutex_result.push_mops) +
-                "}";
-  }
-  raw_json += "]";
 
   std::string engine_json = "[";
   double best_speedup_at_4plus = 0.0;
@@ -289,7 +195,7 @@ int main() {
   }
   engine_json += "]";
 
-  // Bounded-ring backpressure: at the default depth a sustained overload
+  // Bounded-queue backpressure: at the default depth a sustained overload
   // converges to the drain rate — the submit throughput IS the serving
   // throughput, which is the point of a bounded queue.
   const SubmitResult bounded = engine_submit_throughput(4, jobs, 0);
@@ -302,31 +208,27 @@ int main() {
 
   std::ofstream json("BENCH_submit.json");
   json << "{\n  \"bench\": \"submit\",\n";
-  json << "  \"config\": {\"jobs\": " << jobs << ", \"raw_items\": " << raw_items
+  json << "  \"config\": {\"jobs\": " << jobs 
        << ", \"engine_threads\": 1, \"job\": \"gen:cycle:n=64 greedy quality=0\"},\n";
   json << "  \"machine_cores\": " << num_procs() << ",\n";
-  json << "  \"raw_queue\": " << raw_json << ",\n";
   json << "  \"engine_submit\": " << engine_json << ",\n";
   json << "  \"bounded_backpressure\": {\"producers\": 4, \"submit_ops_per_s\": "
        << json_number(bounded.submit_ops_per_s)
        << ", \"end_to_end_jobs_per_s\": "
        << json_number(bounded.end_to_end_jobs_per_s)
-       << ", \"note\": \"default queue depth: sustained overload converges to the drain rate — the bounded ring pushes back instead of buffering without limit like the pre-PR queue\"},\n";
+       << ", \"note\": \"default queue depth: sustained overload converges to the drain rate — the bounded queue pushes back instead of buffering without limit like the earlier unbounded queue\"},\n";
   json << "  \"allocations_per_warm_submit\": "
        << (static_cast<double>(burst_allocs) / 256.0) << ",\n";
   json << "  \"zero_alloc_claim_holds\": "
        << (burst_allocs == 0 ? "true" : "false") << ",\n";
   json << "  \"speedup_target_met\": "
        << (best_speedup_at_4plus >= 2.0 ? "true" : "false") << ",\n";
-  json << "  \"baseline_source\": \"mutex+CV engine queue at the commit before the ring landed, same open-loop harness, same container\",\n";
+  json << "  \"baseline_source\": \"the earlier unbounded mutex+CV engine queue (a heap node per submit), same open-loop harness, recorded on a 1-core container; that path no longer builds, so it cannot be re-measured here\",\n";
   json << "  \"hardware_note\": \"measured on a " << num_procs()
-       << "-core container: producer threads time-share one core, so true "
-          "multi-core submit contention cannot manifest and the "
-          "producers>=2 rows measure lock/atomic mechanics under "
-          "preemption, not parallel scaling. The per-submit cost "
-          "improvement (ns/op vs baseline ns/op) is the "
-          "hardware-independent signal; re-measure the scaling rows on a "
-          "multi-core runner\"\n";
+       << "-core machine with one engine worker: the producers>=2 rows "
+          "measure contention on the queue mutex, and the baseline comes "
+          "from different hardware, so speedup_vs_baseline is indicative "
+          "only\"\n";
   json << "}\n";
   std::cout << "wrote BENCH_submit.json\n";
   return 0;

@@ -42,7 +42,7 @@
 ///
 /// Batch modes stream each record in job index order as soon as every
 /// lower index is written, then drop it, so memory stays bounded for very
-/// large batches. A batch rides the same submission ring as `--serve`, so
+/// large batches. A batch rides the same submission queue as `--serve`, so
 /// `--queue-depth` bounds how many of its jobs wait unclaimed at once.
 /// `--serve` is the server shape: job spec lines arrive on
 /// stdin, each result is written (and flushed) the moment it completes —
@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
              "                        result as it completes (flushed per line);\n"
              "                        SIGTERM/SIGINT drain in-flight jobs, then\n"
              "                        exit normally\n"
-             "  --queue-depth N       submission ring capacity (rounded up to a\n"
+             "  --queue-depth N       submission queue capacity (rounded up to a\n"
              "                        power of two; default 0 = auto,\n"
              "                        max(1024, 4*threads)). --serve's in-flight\n"
              "                        window is derived from it\n"
@@ -319,9 +319,9 @@ int main(int argc, char** argv) {
       // applies backpressure so a fast producer cannot queue an unbounded
       // batch; parse failures become ok=false records (a server must
       // outlive bad requests) and consume an index like any other line.
-      // The window is the engine's own submission-ring capacity (--queue-
+      // The window is the engine's own submission-queue capacity (--queue-
       // depth): staying within it means the blocking submit below never
-      // stalls on a full ring — backpressure is applied here, where the
+      // stalls on a full queue — backpressure is applied here, where the
       // reader can stop consuming stdin, not inside the engine.
       ServeState state;
       const std::size_t window = engine.submit_capacity();

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string_view>
@@ -179,9 +181,9 @@ Engine::WorkerObs Engine::resolve_worker_obs(obs::MetricDomain& domain) {
   return wo;
 }
 
-/// Resolves the auto-sized knobs before the member init list runs: the ring
-/// members are fixed-capacity at construction, so threads and queue depth
-/// must be final by the time they initialize.
+/// Resolves the auto-sized knobs before the member init list runs: the
+/// slot array is fixed-size at construction, so threads and queue depth
+/// must be final by the time it initializes.
 EngineConfig Engine::resolve(EngineConfig config) {
   int threads = config.threads > 0 ? config.threads : num_procs();
   config.threads = std::max(threads, 1);
@@ -196,13 +198,7 @@ EngineConfig Engine::resolve(EngineConfig config) {
 Engine::Engine(EngineConfig config)
     : config_(resolve(std::move(config))),
       threads_(config_.threads),
-      ring_(config_.submit_queue_depth),
-      free_slots_(config_.submit_queue_depth),
       slots_(config_.submit_queue_depth) {
-  // The freelist starts full: every slot index is available to producers.
-  for (std::uint32_t i = 0; i < slots_.size(); ++i)
-    free_slots_.push(std::uint32_t{i});
-
   if (config_.graph_cache != nullptr) {
     cache_ = config_.graph_cache;
   } else if (config_.graph_cache_mb > 0) {
@@ -253,34 +249,16 @@ Engine::Engine(EngineConfig config)
 }
 
 Engine::~Engine() {
-  // release pairs with the workers' acquire loads of stopping_.
-  stopping_.store(true, std::memory_order_release);
-  // The empty critical section orders the flag against sleepers that are
-  // between their ring re-check and the wait — the notify can't land in
-  // that window because we hold the mutex they re-check under.
-  { LockGuard lock(wake_mutex_); }
-  work_cv_.notify_all();
+  {
+    LockGuard lock(queue_mutex_);
+    stopping_ = true;
+  }
+  not_empty_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
 GraphStore* Engine::store() const noexcept {
   return cache_ != nullptr ? cache_->store() : nullptr;
-}
-
-/// Post-publish wake protocol, shared by every producer path. The seq_cst
-/// fence pairs with the one a worker issues after registering in sleepers_:
-/// either the producer observes the registration (and pays the mutex +
-/// notify), or the worker's re-check observes the published item — never
-/// neither. With no sleepers this is one fence and one relaxed load.
-void Engine::wake_one() noexcept {
-  // seq_cst: Dekker pairing with the worker's post-registration fence.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (sleepers_.load(std::memory_order_relaxed) > 0) {
-    // Empty critical section: a worker between registering and waiting
-    // holds wake_mutex_, so our notify is ordered after its wait begins.
-    { LockGuard lock(wake_mutex_); }
-    work_cv_.notify_one();
-  }
 }
 
 void Engine::worker_loop(int worker) {
@@ -298,65 +276,45 @@ void Engine::worker_loop(int worker) {
       resolve_worker_obs(*worker_domains_[static_cast<std::size_t>(worker)]);
   obs::bind_thread_journal(journals_[static_cast<std::size_t>(worker)].get());
 
-  std::uint32_t slot = 0;
   for (;;) {
-    if (ring_.try_pop(slot)) {
-      run_single(slot, ws, wo);
-      continue;
+    SubmitSlot claimed;
+    bool wake_submitters = false;
+    {
+      UniqueLock lock(queue_mutex_);
+      // Every accepted job runs: a worker leaves only once stopping, with
+      // nothing queued and no submitter still waiting for room.
+      while (queued_ == 0 && !(stopping_ && blocked_submitters_ == 0))
+        not_empty_.wait(lock);
+      if (queued_ == 0) break;
+      // Claim the job and free its slot before executing: the capacity
+      // bounds *queued* jobs, and a slot pinned for a job's whole runtime
+      // would halve the effective window.
+      claimed = std::move(slots_[head_]);
+      head_ = (head_ + 1) & (slots_.size() - 1);
+      --queued_;
+      // Blocked submitters are woken in one go once half the queue is free,
+      // not one per claimed job: a wake per claim cut a one-worker,
+      // four-producer drain (bench_submit) by a third or more.
+      wake_submitters =
+          blocked_submitters_ != 0 && queued_ <= slots_.size() / 2;
     }
-    // acquire pairs with the destructor's release store of stopping_.
-    if (stopping_.load(std::memory_order_acquire)) {
-      // Drain protocol: a submit that already entered (pending_submits_
-      // registered) may hold a claimed-but-unpublished ring position that
-      // try_pop cannot see — spin until every such producer has published,
-      // then take one more look before exiting. Submits that begin after
-      // this final empty observation are the caller racing the destructor's
-      // completion, which no object can survive (same contract as the old
-      // mutex queue).
-      if (pending_submits_.load(std::memory_order_seq_cst) != 0) {
-        std::this_thread::yield();
-        continue;
-      }
-      if (!ring_.try_pop(slot)) return;
-      run_single(slot, ws, wo);
-      continue;
-    }
-    // Nothing ready: park. Register as a sleeper first, then re-check the
-    // ring (Dekker pairing with wake_one's fence) so a publish that raced
-    // our pop either sees our registration or is seen by this re-check.
-    UniqueLock lock(wake_mutex_);
-    // seq_cst registration + fence: Dekker pairing with wake_one()'s fence,
-    // so a racing producer either sees the sleeper or is seen by the
-    // re-check below. The stopping_ acquire pairs with ~Engine's release.
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);    // register sleeper
-    std::atomic_thread_fence(std::memory_order_seq_cst);  // pairs wake_one()
-    while (!ring_.ready() &&
-           // acquire pairs with ~Engine's release store of stopping_
-           !stopping_.load(std::memory_order_acquire))
-      work_cv_.wait(lock);
-    sleepers_.fetch_sub(1, std::memory_order_relaxed);
+    if (wake_submitters) not_full_.notify_all();
+    run_single(claimed, ws, wo);
   }
+  // This worker may have seen the last blocked submitter leave; idle peers
+  // waiting on that must re-check the exit condition too.
+  not_empty_.notify_all();
 }
 
-void Engine::run_single(std::uint32_t slot_index, Workspace& ws, WorkerObs& wo) {
-  SubmitSlot& slot = slots_[slot_index];
-  // Move the submission out and recycle the slot before executing: the
-  // engine's submission capacity bounds *queued* jobs, and a slot pinned
-  // for a job's whole runtime would halve the effective window.
-  JobSpec job = std::move(slot.job);
-  std::function<void(JobResult&&)> done = std::move(slot.done);
-  const std::size_t index = slot.index;
-  const std::uint64_t enqueue_ns = slot.enqueue_ns;
-  free_slots_.push(std::uint32_t{slot_index});
-
+void Engine::run_single(const SubmitSlot& claimed, Workspace& ws, WorkerObs& wo) {
   const std::uint64_t claimed_ns = obs::now_ns();
   const std::uint64_t queue_wait_ns =
-      claimed_ns > enqueue_ns ? claimed_ns - enqueue_ns : 0;
-  obs::record_phase("queue_wait", enqueue_ns, queue_wait_ns);
+      claimed_ns > claimed.enqueue_ns ? claimed_ns - claimed.enqueue_ns : 0;
+  obs::record_phase("queue_wait", claimed.enqueue_ns, queue_wait_ns);
   wo.graph_acquire_ns = 0;
   wo.direct_build = false;
   wo.job_io_retries = 0;
-  JobResult result = execute(job, index, ws, wo);
+  JobResult result = execute(claimed.job, claimed.index, ws, wo);
   // One seqlock-bracketed burst publishes everything the job counts: a
   // concurrent metrics() snapshot sees all of it or none of it — jobs_run
   // can never lead its own latency sample, its failure count or its
@@ -390,7 +348,7 @@ void Engine::run_single(std::uint32_t slot_index, Workspace& ws, WorkerObs& wo) 
   // notification and nothing else: the counter ticks, one note hits stderr
   // per process, and every other job still delivers.
   try {
-    if (done) done(std::move(result));
+    if (claimed.done) claimed.done(std::move(result));
   } catch (const std::exception& e) {
     wo.callback_errors->inc();
     warn_callback_error(e.what());
@@ -413,10 +371,16 @@ JobResult Engine::execute(const JobSpec& job, std::size_t index, Workspace& ws,
   // The deadline clock starts when a worker picks the job up (queue wait is
   // the engine's fault, not the job's) and is enforced at the failure
   // boundaries: after acquire and on entry to every pipeline stage.
-  const std::int64_t deadline_ns =
-      job.timeout_ms > 0
-          ? steady_now_ns() + static_cast<std::int64_t>(job.timeout_ms) * 1'000'000
-          : 0;
+  // A budget past the clock's range saturates to a deadline never reached.
+  std::int64_t deadline_ns = 0;
+  if (job.timeout_ms > 0) {
+    constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
+    const std::int64_t now = steady_now_ns();
+    const auto headroom_ms = static_cast<std::uint64_t>(kNever - now) / 1'000'000;
+    deadline_ns = job.timeout_ms >= headroom_ms
+                      ? kNever
+                      : now + static_cast<std::int64_t>(job.timeout_ms) * 1'000'000;
+  }
   // Which phase an exception escaped from drives its classification: during
   // acquire a std::invalid_argument is a spec problem (parse) and a generic
   // failure is a build problem; once the pipeline runs, failures are exec.
@@ -513,69 +477,50 @@ std::future<JobResult> Engine::submit(JobSpec job) {
   return future;
 }
 
-/// Blocking slot acquisition: the backpressure point of the submit path.
-/// An empty freelist means submit_capacity() jobs are already queued; wait
-/// for a worker to recycle one (workers free a slot the moment they claim
-/// its job, before executing, so the wait is bounded by claim latency, not
-/// job runtime).
-std::uint32_t Engine::acquire_slot_blocking() {
-  std::uint32_t slot = 0;
-  unsigned spins = 0;
-  while (!free_slots_.try_pop(slot)) detail::ring_backoff(spins);
-  return slot;
-}
-
-/// Fills the slot and publishes its descriptor. The auto derivation index
-/// is claimed here — after the point of no return — so a failed try_submit
-/// never leaves a hole in the index sequence. The ring push is the blocking
-/// form, but holding a freelist slot bounds ring occupancy by construction
-/// (published indices <= slots == ring capacity), so it only ever spins on
-/// a momentary collision with a consumer recycling its cell.
-void Engine::publish_slot(std::uint32_t slot_index, JobSpec&& job,
-                          std::function<void(JobResult&&)>&& done,
-                          std::optional<std::size_t> index) {
-  SubmitSlot& slot = slots_[slot_index];
-  slot.job = std::move(job);    // move-assign: reuses the slot's buffers
+/// Moves the submit into the slot behind the last queued job. The auto
+/// derivation index is claimed here, once room is certain, so a failed
+/// try_submit never leaves a hole in the index sequence.
+void Engine::enqueue(JobSpec&& job, std::function<void(JobResult&&)>&& done,
+                     std::optional<std::size_t> index) {
+  SubmitSlot& slot = slots_[(head_ + queued_) & (slots_.size() - 1)];
+  slot.job = std::move(job);  // moves: a warm submit allocates nothing
   slot.done = std::move(done);
-  slot.index = index.has_value()
-                   ? *index
-                   : submit_seq_.fetch_add(1, std::memory_order_relaxed);
+  slot.index = index.has_value() ? *index : submit_seq_++;
   slot.enqueue_ns = obs::now_ns();
-  ring_.push(std::uint32_t{slot_index});
-  wake_one();
+  ++queued_;
 }
 
 void Engine::submit(JobSpec job, std::function<void(JobResult&&)> done,
                     std::optional<std::size_t> index) {
-  // pending_submits_ brackets the whole call so the destructor's drain
-  // waits out a submit that has entered but not yet published (including
-  // one blocked on a full ring). The decrement is this call's final touch
-  // of the engine, release-ordered against the publish.
-  pending_submits_.fetch_add(1, std::memory_order_seq_cst);  // drain ordering
-  const std::uint32_t slot = acquire_slot_blocking();
-  publish_slot(slot, std::move(job), std::move(done), index);
-  // release: deregistration orders after the slot publish above.
-  pending_submits_.fetch_sub(1, std::memory_order_release);
+  {
+    UniqueLock lock(queue_mutex_);
+    // Backpressure: submit_capacity() jobs are already queued. Workers free
+    // a slot the moment they claim its job, so the wait is bounded by claim
+    // latency, not job runtime.
+    if (queued_ == slots_.size()) {
+      ++blocked_submitters_;
+      while (queued_ == slots_.size()) not_full_.wait(lock);
+      --blocked_submitters_;
+    }
+    enqueue(std::move(job), std::move(done), index);
+  }
+  not_empty_.notify_one();
 }
 
 bool Engine::try_submit(JobSpec&& job, std::function<void(JobResult&&)>&& done,
                         std::optional<std::size_t> index) {
-  pending_submits_.fetch_add(1, std::memory_order_seq_cst);  // drain ordering
-  std::uint32_t slot = 0;
-  if (!free_slots_.try_pop(slot)) {
-    // release matches the success path; nothing was published to order.
-    pending_submits_.fetch_sub(1, std::memory_order_release);
-    return false;  // full: caller keeps job and callback untouched
+  {
+    LockGuard lock(queue_mutex_);
+    if (queued_ == slots_.size()) return false;  // caller keeps job and callback
+    enqueue(std::move(job), std::move(done), index);
   }
-  publish_slot(slot, std::move(job), std::move(done), index);
-  // release: deregistration orders after the slot publish above.
-  pending_submits_.fetch_sub(1, std::memory_order_release);
+  not_empty_.notify_one();
   return true;
 }
 
 /// The batch path: job i is submitted with derivation index i, so a batch
 /// is byte-identical to the same jobs submitted one by one, and shares the
-/// ring's backpressure with every other producer. `deliver` runs on worker
+/// queue's backpressure with every other producer. `deliver` runs on worker
 /// threads under the countdown's mutex, and the count drops under the same
 /// lock, so this frame cannot return while a worker is still inside its
 /// callback — even one whose `deliver` throws. The callback captures two

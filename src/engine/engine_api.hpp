@@ -29,16 +29,13 @@
 ///
 /// One work path: every job enters through `submit`. A batch (`run`,
 /// `run_collect`) is job i submitted with explicit derivation index i, so
-/// batches and single submits share one FIFO, one ring and one
-/// backpressure bound. The ring is a bounded lock-free MPSC queue
-/// (util/mpsc_ring.hpp) of `submit_queue_depth` job slots: a warm `submit`
-/// performs no heap allocation and, with workers awake, never touches a
-/// mutex (the engine's condition variable survives only for worker
-/// sleep/wake, armed by an atomic sleeper count). When every slot is in
-/// use, blocking `submit` — and therefore `run` — waits for capacity and
-/// `try_submit` returns false immediately. Size it with
-/// EngineConfig::submit_queue_depth and read the resolved value back from
-/// submit_capacity().
+/// batches and single submits share one FIFO and one backpressure bound.
+/// The FIFO is a fixed circular array of `submit_queue_depth` job slots
+/// behind one mutex: a warm `submit` moves its job into a preallocated slot
+/// and performs no heap allocation. When every slot is in use, blocking
+/// `submit` — and therefore `run` — waits for capacity and `try_submit`
+/// returns false immediately. Size it with EngineConfig::submit_queue_depth
+/// and read the resolved value back from submit_capacity().
 ///
 /// Threading: every method is safe to call from multiple threads.
 /// `run`/`run_collect` block the caller until their batch completes (never
@@ -47,7 +44,6 @@
 /// work first, so a pending `submit` future never ends up with a broken
 /// promise.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -63,7 +59,6 @@
 #include "engine/pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/mpsc_ring.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace bmh {
@@ -100,13 +95,13 @@ struct EngineConfig {
   /// Caller-owned cache shared across engines (must outlive the engine);
   /// overrides graph_cache_mb / graph_store_dir.
   GraphCache* graph_cache = nullptr;
-  /// Capacity of the submission ring: the number of jobs that may be queued
-  /// (not yet claimed by a worker) at once, batch jobs included. Rounded up
-  /// to a power of two; 0 auto-sizes to max(1024, 4 * threads). When the
-  /// ring is full, blocking `submit` and `run` wait for a worker to free a
-  /// slot and `try_submit` fails fast — this is the engine's backpressure
-  /// boundary, and servers should derive their in-flight window from it
-  /// (see Engine::submit_capacity and bmh_engine --serve).
+  /// Capacity of the submission queue: the number of jobs that may be
+  /// queued (not yet claimed by a worker) at once, batch jobs included.
+  /// Rounded up to a power of two; 0 auto-sizes to max(1024, 4 * threads).
+  /// When the queue is full, blocking `submit` and `run` wait for a worker
+  /// to claim a job and `try_submit` fails fast — this is the engine's
+  /// backpressure boundary, and servers should derive their in-flight
+  /// window from it (see Engine::submit_capacity and bmh_engine --serve).
   std::size_t submit_queue_depth = 0;
 };
 
@@ -229,12 +224,12 @@ public:
                                 std::function<void(JobResult&&)>&& done,
                                 std::optional<std::size_t> index = std::nullopt);
 
-  /// The resolved submission-ring capacity (EngineConfig::submit_queue_depth
-  /// after auto-sizing and power-of-two rounding): the maximum number of
-  /// jobs that can be queued unclaimed before blocking `submit` and `run`
-  /// wait and `try_submit` fails.
+  /// The resolved submission-queue capacity
+  /// (EngineConfig::submit_queue_depth after auto-sizing and power-of-two
+  /// rounding): the maximum number of jobs that can be queued unclaimed
+  /// before blocking `submit` and `run` wait and `try_submit` fails.
   [[nodiscard]] std::size_t submit_capacity() const noexcept {
-    return free_slots_.capacity();
+    return config_.submit_queue_depth;
   }
 
   /// Runs a batch: `sink` receives every JobResult exactly once, in batch
@@ -281,11 +276,9 @@ public:
 private:
   struct WorkerObs;
 
-  /// Storage for one in-flight submit. Producers move the job
-  /// and callback in (move-assignment reuses the strings' and callback's
-  /// existing buffers — a warm submit allocates nothing), publish the slot
-  /// index through the ring, and workers move the content back out and
-  /// recycle the index through free_slots_ before executing.
+  /// One queued submit. Producers move the job and callback in (moving
+  /// allocates nothing); a worker moves them back out when it claims the
+  /// job, so the slot is free again before the job executes.
   struct SubmitSlot {
     JobSpec job;
     std::function<void(JobResult&&)> done;
@@ -295,15 +288,12 @@ private:
 
   [[nodiscard]] static EngineConfig resolve(EngineConfig config);
   static WorkerObs resolve_worker_obs(obs::MetricDomain& domain);
-  void wake_one() noexcept;
-  std::uint32_t acquire_slot_blocking();
-  void publish_slot(std::uint32_t slot, JobSpec&& job,
-                    std::function<void(JobResult&&)>&& done,
-                    std::optional<std::size_t> index);
+  void enqueue(JobSpec&& job, std::function<void(JobResult&&)>&& done,
+               std::optional<std::size_t> index) BMH_REQUIRES(queue_mutex_);
   void run_indexed(const std::vector<JobSpec>& jobs,
                    const std::function<void(JobResult&&)>& deliver);
   void worker_loop(int worker);
-  void run_single(std::uint32_t slot, Workspace& ws, WorkerObs& wo);
+  void run_single(const SubmitSlot& claimed, Workspace& ws, WorkerObs& wo);
   JobResult execute(const JobSpec& job, std::size_t index, Workspace& ws,
                     WorkerObs& wo);
 
@@ -313,35 +303,22 @@ private:
   std::unique_ptr<GraphCache> owned_cache_;
   GraphCache* cache_ = nullptr;
 
-  /// The work queue: indices of published slots, in acceptance order.
-  /// Sized to the slot count, so a producer holding a slot always finds
-  /// room.
-  MpscRing<std::uint32_t> ring_;
-  /// Recycled slot indices (starts full: 0..capacity-1). Its
-  /// capacity is the engine's submission capacity; producers on both ends
-  /// (submitters pop, workers push back).
-  MpscRing<std::uint32_t> free_slots_;
-  std::vector<SubmitSlot> slots_;
-
-  /// Sleep/wake only — never on the submit fast path. A producer takes
-  /// wake_mutex_ solely when sleepers_ says someone is actually parked
-  /// (see wake_one); workers register in sleepers_ before re-checking the
-  /// ring, Dekker-style, so a wakeup is never lost. The mutex guards no
-  /// data — it exists to order the sleepers_ registration against the
-  /// producer's notify. condition_variable_any (not condition_variable):
-  /// the annotated bmh::Mutex is not a std::mutex, and _any waits on any
-  /// BasicLockable; its internal mutex preserves the no-lost-wakeup
-  /// ordering (wait locks it before releasing ours, notify takes it too).
-  Mutex wake_mutex_;
-  std::condition_variable_any work_cv_;
-  std::atomic<int> sleepers_{0};
-  std::atomic<bool> stopping_{false};
-  /// Submit calls currently executing (between entry and their ring
-  /// publish). The destructor's drain spins while this is non-zero so a
-  /// producer that claimed a ring position but hasn't published — invisible
-  /// to try_pop — is always waited for, never abandoned.
-  std::atomic<std::uint64_t> pending_submits_{0};
-  std::atomic<std::uint64_t> submit_seq_{0};  ///< next auto derivation index
+  /// The submission queue: `queued_` jobs in acceptance order, from
+  /// `slots_[head_]` on, in a circular array of submit_capacity() slots.
+  /// condition_variable_any (not condition_variable): the annotated
+  /// bmh::Mutex is not a std::mutex, and _any waits on any BasicLockable.
+  Mutex queue_mutex_;
+  std::condition_variable_any not_empty_;  ///< workers: a job or shutdown
+  std::condition_variable_any not_full_;   ///< blocking submits: room
+  std::vector<SubmitSlot> slots_ BMH_GUARDED_BY(queue_mutex_);
+  std::size_t head_ BMH_GUARDED_BY(queue_mutex_) = 0;
+  std::size_t queued_ BMH_GUARDED_BY(queue_mutex_) = 0;
+  /// Submitters waiting on not_full_. Workers wake them once the queue is
+  /// at most half full, and do not exit while any remain.
+  std::size_t blocked_submitters_ BMH_GUARDED_BY(queue_mutex_) = 0;
+  /// Next automatic derivation index.
+  std::size_t submit_seq_ BMH_GUARDED_BY(queue_mutex_) = 0;
+  bool stopping_ BMH_GUARDED_BY(queue_mutex_) = false;
 
   /// One metric domain + trace journal per worker (created before the
   /// threads start, so the vectors are immutable while the pool runs);

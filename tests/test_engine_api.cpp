@@ -2,8 +2,8 @@
 /// \brief Tests for the bmh::Engine session façade: lifecycle (warm batches
 /// byte-identical to fresh engines, second batch pure cache/store hits),
 /// submit() futures and callbacks, concurrent submit stress + determinism
-/// (the ASan/UBSan ctest job runs this), batches riding the submit ring
-/// (larger than the ring, concurrent with other batches and submits,
+/// (the ASan/UBSan ctest job runs this), batches riding the submit queue
+/// (larger than the queue, concurrent with other batches and submits,
 /// per-kind slices exact in every snapshot), the serve round trip at API
 /// level, thread auto-detection, and the GraphStore prune budget +
 /// EngineConfig wiring.
@@ -227,13 +227,27 @@ TEST(EngineApi, PendingSubmitsSurviveUntilDestruction) {
   for (auto& f : futures) EXPECT_TRUE(f.get().ok);
 }
 
-// Regression for the submission-ring drain protocol (PR 9): a producer
-// blocked *inside* submit() when the destructor begins — its presence
-// registered in the engine's pending-submit count but its work item not
-// yet visible to a ring pop — must be waited for, and its job must still
-// run and deliver. The worker is parked inside a callback so the scenario
-// is deterministic: the ring fills, one extra producer blocks on capacity,
-// the destructor starts, and only then is the worker released.
+TEST(EngineApi, TimeoutBeyondTheClockRangeNeverExpires) {
+  // timeout_ms * 1e6 overflows int64 nanoseconds for these budgets (the
+  // second is the largest the spec accepts): the deadline saturates instead
+  // of wrapping into the past.
+  Engine engine;
+  for (const char* budget : {"10000000000000", "9223372036854775807"}) {
+    const JobResult r =
+        engine
+            .submit(parse_job_spec_line(
+                std::string("input=gen:cycle:n=8 algo=greedy timeout_ms=") + budget))
+            .get();
+    EXPECT_TRUE(r.ok) << "timeout_ms=" << budget << ": " << r.error;
+  }
+}
+
+// The destructor's drain covers a producer blocked *inside* submit() when
+// the destructor begins: workers do not exit while a submitter still waits
+// for room, so its job must still run and deliver. The worker is parked
+// inside a callback so the scenario is deterministic: the queue fills, one
+// extra producer blocks on capacity, the destructor starts, and only then
+// is the worker released.
 TEST(EngineApi, DestructorDrainObservesBlockedInFlightSubmit) {
   std::optional<Engine> engine;
   EngineConfig config;
@@ -263,7 +277,7 @@ TEST(EngineApi, DestructorDrainObservesBlockedInFlightSubmit) {
   const auto count = [&delivered](JobResult&&) {
     delivered.fetch_add(1, std::memory_order_relaxed);
   };
-  for (int i = 0; i < 4; ++i) engine->submit(job, count);  // ring now full
+  for (int i = 0; i < 4; ++i) engine->submit(job, count);  // queue now full
   std::thread blocked_producer([&] { engine->submit(job, count); });
   // Give the producer time to block on capacity, then begin destruction
   // while it is still inside submit().
@@ -281,7 +295,7 @@ TEST(EngineApi, DestructorDrainObservesBlockedInFlightSubmit) {
 }
 
 // The multi-producer variant: several producers are blocked mid-submit on a
-// full ring when teardown begins. Every accepted job — queued, claimed, or
+// full queue when teardown begins. Every accepted job — queued, claimed, or
 // still waiting for a slot inside submit() — must deliver exactly once.
 // Each producer makes one submit through a raw pointer taken before
 // teardown (never through the optional the destroyer resets), and a
@@ -422,8 +436,8 @@ std::string run_lines(Engine& engine, const std::vector<JobSpec>& jobs) {
   return out;
 }
 
-TEST(EngineApi, BatchLargerThanTheRingIsIndexOrderedAndPoolInvariant) {
-  // A batch rides the submit ring, so 64 jobs through 2 slots exercise the
+TEST(EngineApi, BatchLargerThanTheQueueIsIndexOrderedAndPoolInvariant) {
+  // A batch rides the submit queue, so 64 jobs through 2 slots exercise the
   // backpressure wait on nearly every submit.
   const std::vector<JobSpec> jobs = tiny_mixed_jobs(64);
   EngineConfig config;

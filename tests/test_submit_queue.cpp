@@ -1,7 +1,9 @@
-/// \file test_mpsc_ring.cpp
-/// \brief Tests for the bounded lock-free submission ring (util/mpsc_ring.hpp)
-/// and the allocation-freedom of the Engine's warm single-job submit path
-/// (certified by the global allocation counter from bench_common.hpp).
+/// \file test_submit_queue.cpp
+/// \brief Tests for the Engine's bounded submission queue: slot recycling,
+/// try_submit backpressure, derivation indices under rejection, a
+/// multi-producer drain stress, and the allocation-freedom of the warm
+/// single-job submit path (certified by the global allocation counter from
+/// bench_common.hpp).
 
 // Exactly one TU per binary may define this before including
 // bench_common.hpp: it replaces the global operator new/delete with
@@ -17,161 +19,14 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <optional>
+#include <future>
 #include <thread>
 #include <vector>
 
 #include "engine/engine_api.hpp"
-#include "util/mpsc_ring.hpp"
 
 namespace bmh {
 namespace {
-
-// ------------------------------------------------------------- mechanics ---
-
-TEST(MpscRing, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(MpscRing<int>(0).capacity(), 2u);
-  EXPECT_EQ(MpscRing<int>(1).capacity(), 2u);
-  EXPECT_EQ(MpscRing<int>(2).capacity(), 2u);
-  EXPECT_EQ(MpscRing<int>(5).capacity(), 8u);
-  EXPECT_EQ(MpscRing<int>(1024).capacity(), 1024u);
-}
-
-TEST(MpscRing, FifoAcrossManyWraparounds) {
-  // A capacity-4 ring cycled 100 times exercises the sequence-number
-  // recycling on every slot many times over; order must stay FIFO.
-  MpscRing<int> ring(4);
-  int out = 0;
-  EXPECT_FALSE(ring.try_pop(out));
-  for (int i = 0; i < 400; ++i) {
-    ASSERT_TRUE(ring.try_push(int{i}));
-    ASSERT_TRUE(ring.try_pop(out));
-    ASSERT_EQ(out, i);
-  }
-  // Partially full across the wrap boundary.
-  for (int round = 0; round < 50; ++round) {
-    ASSERT_TRUE(ring.try_push(2 * round));
-    ASSERT_TRUE(ring.try_push(2 * round + 1));
-    ASSERT_TRUE(ring.try_pop(out));
-    ASSERT_EQ(out, 2 * round);
-    ASSERT_TRUE(ring.try_pop(out));
-    ASSERT_EQ(out, 2 * round + 1);
-  }
-}
-
-TEST(MpscRing, TryPushReportsFullWithoutConsumingAPosition) {
-  MpscRing<int> ring(4);
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(ring.try_push(int{i}));
-  EXPECT_FALSE(ring.try_push(99));
-  EXPECT_FALSE(ring.try_push(99));  // repeated failures stay failures
-  int out = 0;
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out, 0);
-  // The freed slot is immediately claimable, and FIFO order holds: the
-  // failed pushes left no ghost positions in front of the new item.
-  ASSERT_TRUE(ring.try_push(4));
-  for (int expected = 1; expected <= 4; ++expected) {
-    ASSERT_TRUE(ring.try_pop(out));
-    ASSERT_EQ(out, expected);
-  }
-  EXPECT_FALSE(ring.try_pop(out));
-}
-
-TEST(MpscRing, BlockingPushWaitsForCapacityThenSucceeds) {
-  MpscRing<int> ring(2);
-  ring.push(0);
-  ring.push(1);
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    ring.push(2);  // blocks: ring is full
-    pushed.store(true, std::memory_order_release);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load(std::memory_order_acquire));
-  int out = 0;
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out, 0);
-  producer.join();
-  EXPECT_TRUE(pushed.load(std::memory_order_acquire));
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out, 1);
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out, 2);
-}
-
-TEST(MpscRing, MultiProducerItemsArriveExactlyOnceAndPerProducerFifo) {
-  // 4 producers x 2000 blocking pushes through a 64-slot ring, one
-  // consumer. Every item must arrive exactly once, and each producer's
-  // items must arrive in the order it pushed them (the ring is FIFO per
-  // claimed position; positions of one thread are claimed in program
-  // order).
-  constexpr std::uint64_t kProducers = 4;
-  constexpr std::uint64_t kPerProducer = 2000;
-  MpscRing<std::uint64_t> ring(64);
-  std::vector<std::thread> producers;
-  for (std::uint64_t p = 0; p < kProducers; ++p)
-    producers.emplace_back([&ring, p] {
-      for (std::uint64_t i = 0; i < kPerProducer; ++i)
-        ring.push((p << 32) | i);
-    });
-  std::vector<std::uint64_t> next_expected(kProducers, 0);
-  std::uint64_t received = 0;
-  while (received < kProducers * kPerProducer) {
-    std::uint64_t item = 0;
-    if (!ring.try_pop(item)) {
-      std::this_thread::yield();
-      continue;
-    }
-    const std::uint64_t producer = item >> 32;
-    const std::uint64_t seq = item & 0xffffffffu;
-    ASSERT_LT(producer, kProducers);
-    ASSERT_EQ(seq, next_expected[producer]) << "per-producer FIFO violated";
-    ++next_expected[producer];
-    ++received;
-  }
-  for (std::thread& t : producers) t.join();
-  std::uint64_t leftover = 0;
-  EXPECT_FALSE(ring.try_pop(leftover));
-}
-
-TEST(MpscRing, ConcurrentConsumersDrainExactlyOnce) {
-  // The engine drains with several workers and recycles freelist indices
-  // from both ends — the pop side must be safe for concurrent consumers.
-  constexpr std::uint64_t kItems = 20000;
-  MpscRing<std::uint64_t> ring(128);
-  std::vector<std::atomic<std::uint32_t>> seen(kItems);
-  for (auto& s : seen) s.store(0, std::memory_order_relaxed);
-  std::atomic<std::uint64_t> drained{0};
-  std::atomic<bool> done_producing{false};
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 3; ++c)
-    consumers.emplace_back([&] {
-      std::uint64_t item = 0;
-      for (;;) {
-        if (ring.try_pop(item)) {
-          seen[item].fetch_add(1, std::memory_order_relaxed);
-          drained.fetch_add(1, std::memory_order_relaxed);
-        } else if (done_producing.load(std::memory_order_acquire) &&
-                   drained.load(std::memory_order_relaxed) >= kItems) {
-          return;
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  std::vector<std::thread> producers;
-  for (std::uint64_t p = 0; p < 2; ++p)
-    producers.emplace_back([&ring, p] {
-      for (std::uint64_t i = p; i < kItems; i += 2) ring.push(std::uint64_t{i});
-    });
-  for (std::thread& t : producers) t.join();
-  done_producing.store(true, std::memory_order_release);
-  for (std::thread& t : consumers) t.join();
-  for (std::uint64_t i = 0; i < kItems; ++i)
-    ASSERT_EQ(seen[i].load(std::memory_order_relaxed), 1u) << "item " << i;
-}
-
-// -------------------------------------------------- engine submission path ---
 
 /// Parks the engine's (single) worker inside a delivery callback so the
 /// submission side can be exercised with the consumer frozen: capacity
@@ -206,7 +61,7 @@ struct WorkerGate {
   return parse_job_spec_line("input=gen:cycle:n=8 algo=greedy quality=0 seed=7");
 }
 
-TEST(EngineSubmitRing, WarmSubmitPerformsZeroHeapAllocations) {
+TEST(EngineSubmitQueue, WarmSubmitPerformsZeroHeapAllocations) {
   EngineConfig config;
   config.threads = 1;
   config.submit_queue_depth = 8;
@@ -248,8 +103,8 @@ TEST(EngineSubmitRing, WarmSubmitPerformsZeroHeapAllocations) {
     std::this_thread::yield();
 }
 
-TEST(EngineSubmitRing, FreelistRecyclesSlotsIndefinitely) {
-  // 100 jobs through a 4-slot ring: every slot is reused ~25 times, and
+TEST(EngineSubmitQueue, SlotsRecycleIndefinitely) {
+  // 100 jobs through a 4-slot queue: every slot is reused ~25 times, and
   // the blocking submit absorbs the capacity waits.
   EngineConfig config;
   config.threads = 1;
@@ -266,7 +121,7 @@ TEST(EngineSubmitRing, FreelistRecyclesSlotsIndefinitely) {
   EXPECT_EQ(engine.stats().jobs_run, 100u);
 }
 
-TEST(EngineSubmitRing, TrySubmitBackpressureLeavesArgumentsIntact) {
+TEST(EngineSubmitQueue, TrySubmitBackpressureLeavesArgumentsIntact) {
   EngineConfig config;
   config.threads = 1;
   config.submit_queue_depth = 4;
@@ -305,7 +160,7 @@ TEST(EngineSubmitRing, TrySubmitBackpressureLeavesArgumentsIntact) {
     std::this_thread::yield();
 }
 
-TEST(EngineSubmitRing, FailedTrySubmitDoesNotAdvanceDerivationIndex) {
+TEST(EngineSubmitQueue, FailedTrySubmitDoesNotAdvanceDerivationIndex) {
   EngineConfig config;
   config.threads = 1;
   config.submit_queue_depth = 4;
@@ -337,8 +192,8 @@ TEST(EngineSubmitRing, FailedTrySubmitDoesNotAdvanceDerivationIndex) {
   EXPECT_EQ(index_seen.get_future().get(), 5u);
 }
 
-TEST(EngineSubmitRing, EightThreadSubmitDrainStressFulfilsEveryPromiseOnce) {
-  // 8 producers x 250 jobs through a deliberately small ring on a small
+TEST(EngineSubmitQueue, EightThreadSubmitDrainStressFulfilsEveryPromiseOnce) {
+  // 8 producers x 250 jobs through a deliberately small queue on a small
   // pool: heavy slot recycling, constant backpressure, and per-submission
   // exactly-once accounting via explicit derivation indices.
   constexpr std::size_t kProducers = 8;
