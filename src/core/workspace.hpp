@@ -12,7 +12,7 @@
 ///
 /// Usage, inside an algorithm:
 ///
-///   std::vector<vid_t>& deg = ws.vec<vid_t>("ks.deg", n);        // sized
+///   std::vector<vid_t>& state = ws.vec<vid_t>("ks.state", n);    // sized
 ///   std::vector<vid_t>& stack = ws.buf<vid_t>("ks.stack");       // cleared
 ///   ScalingResult& scaling = ws.obj<ScalingResult>("p.scaling"); // object
 ///

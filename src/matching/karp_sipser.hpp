@@ -7,6 +7,15 @@
 /// edge between two still-free vertices, matches it, and returns to Phase 1.
 /// Runs in O(n + tau) amortized time.
 ///
+/// Draw order. Phase 2 keeps a pool of every edge and draws from it by
+/// swap-removal: each draw retires exactly one entry, matched or stale, and
+/// Phase 1 never touches the RNG. So draw t is `rng.next_below(E - t)` for
+/// t = 0, 1, ..., E - 1 whatever the matching state, and the implementation
+/// takes the draws a fixed ring ahead of use to prefetch the pool entries
+/// and endpoint states they will touch. The output for a seed is the same
+/// as drawing one index per step; any change to this order changes the
+/// matching a seed produces.
+///
 /// This is the baseline the paper measures TwoSidedMatch against in
 /// Table 1: on the adversarial family of Fig. 2, Phase 1 never fires and
 /// the uniform random picks land in the full-but-useless R1×C1 block, so

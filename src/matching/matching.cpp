@@ -85,7 +85,29 @@ std::string describe_matching_violation(const BipartiteGraph& g, const Matching&
 }
 
 bool is_valid_matching(const BipartiteGraph& g, const Matching& m) {
-  return describe_matching_violation(g, m).empty();
+  // The same checks as describe_matching_violation(), without the message:
+  // each side in one parallel loop, any violation sets `bad`.
+  if (m.row_match.size() != static_cast<std::size_t>(g.num_rows()) ||
+      m.col_match.size() != static_cast<std::size_t>(g.num_cols()))
+    return false;
+  bool bad = false;
+#pragma omp parallel for schedule(static) reduction(|| : bad)
+  for (vid_t i = 0; i < g.num_rows(); ++i) {
+    const vid_t j = m.row_match[static_cast<std::size_t>(i)];
+    if (j == kNil) continue;
+    if (j < 0 || j >= g.num_cols() || m.col_match[static_cast<std::size_t>(j)] != i ||
+        !g.has_edge(i, j))
+      bad = true;
+  }
+  if (bad) return false;
+#pragma omp parallel for schedule(static) reduction(|| : bad)
+  for (vid_t j = 0; j < g.num_cols(); ++j) {
+    const vid_t i = m.col_match[static_cast<std::size_t>(j)];
+    if (i == kNil) continue;
+    if (i < 0 || i >= g.num_rows() || m.row_match[static_cast<std::size_t>(i)] != j)
+      bad = true;
+  }
+  return !bad;
 }
 
 bool is_maximal_matching(const BipartiteGraph& g, const Matching& m) {

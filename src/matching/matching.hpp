@@ -82,7 +82,10 @@ void matching_from_col_view(vid_t num_rows, const std::vector<vid_t>& col_match,
 [[nodiscard]] std::string describe_matching_violation(const BipartiteGraph& g,
                                                       const Matching& m);
 
-/// Convenience wrapper around describe_matching_violation().
+/// True iff describe_matching_violation() would return an empty string. The
+/// same checks run as two OpenMP loops (rows, then columns) that build no
+/// message; describe_matching_violation() stays the one source of error
+/// text.
 [[nodiscard]] bool is_valid_matching(const BipartiteGraph& g, const Matching& m);
 
 /// True iff `m` is maximal in `g` (no edge joins two free vertices). Every

@@ -13,13 +13,22 @@ namespace bmh {
 /// (modulo round-off), so the reported error is the maximum deviation of the
 /// column sums from one.
 ///
+/// Edge sweeps: the error of an iteration is measured by the next
+/// iteration's column sweep, whose sums under the new dr give both that
+/// error (against the committed dc) and the next dc = 1 / csum. A run of k
+/// iterations therefore sweeps the edges 2k + 1 times (11 at the engine's
+/// default of 5), not 3k. An early stop on `tolerance` returns the dr and
+/// dc of the iteration that converged, bit-identical to measuring the
+/// error in a separate sweep.
+///
 /// Empty rows/columns keep multiplier 1 and are excluded from the error.
 /// Edgeless matrices converge immediately (error 0, zero iterations).
 [[nodiscard]] ScalingResult scale_sinkhorn_knopp(const BipartiteGraph& g,
                                                  const ScalingOptions& opts = {});
 
 /// Workspace-aware variant: the multipliers are written into `out` (whose
-/// vectors' capacity is reused), so a warm call performs no heap allocation.
+/// vectors' capacity is reused) and the spare dc buffer is leased from `ws`
+/// (tag "sk.next_dc"), so a warm call performs no heap allocation.
 void scale_sinkhorn_knopp_ws(const BipartiteGraph& g, const ScalingOptions& opts,
                              Workspace& ws, ScalingResult& out);
 

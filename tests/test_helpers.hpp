@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "bmh.hpp"
+#include "util/hash.hpp"
 
 namespace bmh::testing {
 
@@ -15,6 +18,15 @@ inline void expect_valid(const BipartiteGraph& g, const Matching& m,
                          const char* context) {
   const std::string violation = describe_matching_violation(g, m);
   EXPECT_TRUE(violation.empty()) << context << ": " << violation;
+}
+
+/// FNV-1a over the bytes of `v`: a pin for outputs that must not change by
+/// a single bit (matchings, scaling multipliers). The byte order is the
+/// host's, so the pinned values assume a little-endian machine.
+template <typename T>
+[[nodiscard]] std::uint64_t bit_fingerprint(const std::vector<T>& v) {
+  return fnv1a64(std::string_view(reinterpret_cast<const char*>(v.data()),
+                                  v.size() * sizeof(T)));
 }
 
 /// Exhaustive maximum matching by recursion over rows — the independent

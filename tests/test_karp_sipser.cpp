@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "graph/generators.hpp"
 #include "matching/hopcroft_karp.hpp"
 #include "matching/karp_sipser.hpp"
@@ -127,6 +129,44 @@ TEST(KarpSipser, FixedSeedDenseGraphStaysValidMaximal) {
   EXPECT_EQ(stats.phase1_matches + stats.phase2_matches, m.cardinality());
   const Matching repeat = karp_sipser(g, 1234);
   EXPECT_EQ(m.row_match, repeat.row_match);
+}
+
+TEST(KarpSipser, OutputPinnedAcrossVersions) {
+  // Golden values captured from the kernel before Phase 2 drew its pool
+  // indices ahead of use: the lookahead must leave every matching and every
+  // counter bit-identical. The graphs are large_warm's three families at
+  // 2^14.
+  constexpr vid_t n = 1 << 14;
+  const BipartiteGraph er = make_erdos_renyi(n, n, 8 * static_cast<eid_t>(n), 11);
+  const BipartiteGraph powerlaw = make_power_law(n, 8.0, 1.8, 12);
+  const BipartiteGraph planted = make_planted_perfect(n, 7, 13);
+  struct Pin {
+    const BipartiteGraph* g;
+    std::uint64_t seed;
+    std::uint64_t row_match_fingerprint;
+    KarpSipserStats stats;
+  };
+  const Pin pins[] = {
+      {&er, 1, 0x8e3689b91d1e4596ull, {7988, 8384, 131038}},
+      {&er, 2, 0x344b09c0bf5ce731ull, {7991, 8384, 131038}},
+      {&er, 3, 0xe73fd9c2fd44133full, {8084, 8293, 131038}},
+      {&powerlaw, 1, 0xb0c5e88cdd8910e8ull, {8965, 7417, 135249}},
+      {&powerlaw, 2, 0x4b81ad5d1f4d5ba1ull, {8975, 7405, 135249}},
+      {&powerlaw, 3, 0x811bad20927bf6abull, {9047, 7332, 135249}},
+      {&planted, 1, 0x9f4f1bd16ce48f1dull, {6889, 9491, 131040}},
+      {&planted, 2, 0x01afca2360a58667ull, {6865, 9515, 131040}},
+      {&planted, 3, 0xccdc4eb1bf4d3b99ull, {6818, 9564, 131040}},
+  };
+  for (const Pin& pin : pins) {
+    KarpSipserStats stats;
+    const Matching m = karp_sipser(*pin.g, pin.seed, &stats);
+    const std::string where = "edges " + std::to_string(pin.g->num_edges()) + ", seed " +
+                              std::to_string(pin.seed);
+    EXPECT_EQ(testing::bit_fingerprint(m.row_match), pin.row_match_fingerprint) << where;
+    EXPECT_EQ(stats.phase1_matches, pin.stats.phase1_matches) << where;
+    EXPECT_EQ(stats.phase2_matches, pin.stats.phase2_matches) << where;
+    EXPECT_EQ(stats.phase2_draws, pin.stats.phase2_draws) << where;
+  }
 }
 
 } // namespace

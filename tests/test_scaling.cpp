@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "analysis/dulmage_mendelsohn.hpp"
 #include "graph/builder.hpp"
@@ -14,6 +16,7 @@
 #include "scaling/ruiz.hpp"
 #include "scaling/scaling.hpp"
 #include "scaling/sinkhorn_knopp.hpp"
+#include "test_helpers.hpp"
 
 namespace bmh {
 namespace {
@@ -118,6 +121,51 @@ TEST(SinkhornKnopp, EdgelessGraphConvergesImmediately) {
   ASSERT_EQ(r.dc.size(), 4u);
   for (const double d : r.dr) EXPECT_EQ(d, 1.0);
   for (const double d : r.dc) EXPECT_EQ(d, 1.0);
+}
+
+TEST(SinkhornKnopp, MultipliersPinnedAcrossVersions) {
+  // Golden values captured from the kernel before the error pass was fused
+  // into the next iteration's column sweep: dr, dc, the iteration count,
+  // the error and the convergence flag must stay bit-identical. `sparse`
+  // has empty rows and columns; the planted cases stop early on the
+  // tolerance (the first) or run to the cap (the second).
+  const BipartiteGraph er = make_erdos_renyi(1 << 14, 1 << 14, 8 << 14, 11);
+  const BipartiteGraph sparse = make_erdos_renyi(4096, 5000, 4096, 14);
+  const BipartiteGraph planted = make_planted_perfect(1 << 14, 7, 13);
+  struct Pin {
+    const BipartiteGraph* g;
+    ScalingOptions opts;
+    std::uint64_t dr_fingerprint;
+    std::uint64_t dc_fingerprint;
+    int iterations;
+    double error;
+    bool converged;
+  };
+  const Pin pins[] = {
+      {&er, {0, 0.0}, 0xe9c1719481e62325ull, 0xe9c1719481e62325ull, 0, 0x1.4p+4, false},
+      {&er, {1, 0.0}, 0x88fcf016e03c1b54ull, 0xda7ed35bd126b442ull, 1, 0x1.44e0161fe9048p+0,
+       false},
+      {&er, {5, 0.0}, 0x1312c572aa508542ull, 0x85ac39238521fed9ull, 5, 0x1.4475ef4fa812cp-2,
+       false},
+      {&sparse, {0, 0.0}, 0x13d3bafd83932325ull, 0x2e37c1b6b6fa73a5ull, 0, 0x1.4p+2, false},
+      {&sparse, {1, 0.0}, 0x14bf0c95a203945eull, 0x0c692211bc9c5e7eull, 1, 0x1p+2, false},
+      {&sparse, {5, 0.0}, 0x656225440ce4e510ull, 0x763313232a18fdb0ull, 5, 0x1p+2, false},
+      {&planted, {100, 0.05}, 0x52c836c0cb919d75ull, 0x0e96118b4e602912ull, 38,
+       0x1.9079b1ddaa22p-5, true},
+      {&planted, {100, 1e-3}, 0xd5c6088fa213f645ull, 0x6a1e86432c98ef48ull, 100,
+       0x1.3e959905a6dp-6, false},
+  };
+  for (const Pin& pin : pins) {
+    const ScalingResult r = scale_sinkhorn_knopp(*pin.g, pin.opts);
+    const std::string where = "edges " + std::to_string(pin.g->num_edges()) + ", iters " +
+                              std::to_string(pin.opts.max_iterations) + ", tolerance " +
+                              std::to_string(pin.opts.tolerance);
+    EXPECT_EQ(testing::bit_fingerprint(r.dr), pin.dr_fingerprint) << where;
+    EXPECT_EQ(testing::bit_fingerprint(r.dc), pin.dc_fingerprint) << where;
+    EXPECT_EQ(r.iterations, pin.iterations) << where;
+    EXPECT_EQ(r.error, pin.error) << where;
+    EXPECT_EQ(r.converged, pin.converged) << where;
+  }
 }
 
 TEST(Ruiz, EdgelessGraphConvergesImmediately) {
