@@ -1,9 +1,19 @@
 /// \file bench_micro.cpp
 /// \brief google-benchmark microbenchmarks of the library's kernels:
 /// scaling sweeps, choice sampling, KarpSipserMT phases, exact solvers,
-/// graph assembly. These are the building blocks behind every table.
+/// graph assembly, and the graph store's checksum, spill and load. These
+/// are the building blocks behind every table.
 
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <string>
+#include <vector>
+
+#include <unistd.h>
 
 #include "bmh.hpp"
 
@@ -177,6 +187,70 @@ void BM_MatchingValidation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MatchingValidation)->Arg(1 << 17);
+
+// The store workloads' instance: planted n = 2^17, extra = 3 (524,278 edges,
+// a 6.00 MiB file), spilled once under its canonical key.
+struct StoreFixture {
+  BipartiteGraph graph;
+  std::string key;
+  std::string path;
+  std::vector<char> payload;  ///< the file's bytes after the header
+
+  explicit StoreFixture(vid_t n) {
+    const GraphSpec spec =
+        parse_graph_spec("gen:planted:n=" + std::to_string(n) + ",extra=3,seed=1");
+    graph = build_graph(spec, 1);
+    key = canonical_graph_key(spec, 1);
+    path = (std::filesystem::temp_directory_path() /
+            ("bmh_bench_store_" + std::to_string(::getpid()) + "_" +
+             std::to_string(n) + ".bmg"))
+               .string();
+    save_graph(graph, path, key);
+    std::ifstream in(path, std::ios::binary);
+    payload.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    payload.erase(payload.begin(), payload.begin() + sizeof(GraphFileHeader));
+  }
+  ~StoreFixture() { std::remove(path.c_str()); }
+  StoreFixture(const StoreFixture&) = delete;
+  StoreFixture& operator=(const StoreFixture&) = delete;
+};
+
+const StoreFixture& store_fixture(vid_t n) {
+  static std::map<vid_t, StoreFixture> cache;
+  return cache.try_emplace(n, n).first->second;
+}
+
+void BM_Crc32(benchmark::State& state) {
+  const StoreFixture& f = store_fixture(static_cast<vid_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32_ieee(f.payload.data(), f.payload.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(f.payload.size()));
+}
+BENCHMARK(BM_Crc32)->Arg(1 << 17);
+
+// save_graph as GraphStore spills: write, CRC, rename (no fsync).
+void BM_StoreSpill(benchmark::State& state) {
+  const StoreFixture& f = store_fixture(static_cast<vid_t>(state.range(0)));
+  const std::string path = f.path + ".spill";
+  for (auto _ : state) save_graph(f.graph, path, f.key);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(serialized_graph_bytes(f.graph, f.key)));
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_StoreSpill)->Arg(1 << 17)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// load_graph_mapped from the page cache: mmap, CRC, structural validation.
+void BM_StoreLoad(benchmark::State& state) {
+  const StoreFixture& f = store_fixture(static_cast<vid_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(load_graph_mapped(f.path));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(serialized_graph_bytes(f.graph, f.key)));
+}
+BENCHMARK(BM_StoreLoad)->Arg(1 << 17)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 } // namespace
 

@@ -50,7 +50,6 @@
 #include "core/k_out.hpp"
 #include "core/karp_sipser_mt.hpp"
 #include "core/one_sided.hpp"
-#include "core/profile.hpp"
 #include "core/two_sided.hpp"
 
 // Matching engine (registry, pipelines, the serving Engine)
@@ -73,7 +72,6 @@
 #include "undirected/matching.hpp"
 
 // Analysis
-#include "analysis/components.hpp"
 #include "analysis/dulmage_mendelsohn.hpp"
 #include "analysis/koenig.hpp"
 #include "analysis/one_out_structure.hpp"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -90,24 +91,51 @@ private:
   std::size_t offset_ = sizeof(GraphFileHeader);
 };
 
+// Slicing-by-16 (Kounavis and Berry, ISCC 2005). kCrcTables[0] is the
+// classic byte table of the reflected polynomial; kCrcTables[k][b] is the
+// CRC contribution of byte b followed by k zero bytes, so one step folds 16
+// input bytes with 16 independent lookups instead of a 16-long chain.
+constexpr auto kCrcTables = [] {
+  std::array<std::array<std::uint32_t, 256>, 16> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) c = (c >> 1) ^ ((c & 1u) ? 0xEDB88320u : 0u);
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < t.size(); ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+  return t;
+}();
+
+// The word loop reads the stream's first byte from a word's low bits.
+static_assert(std::endian::native == std::endian::little,
+              "crc32_ieee's slicing loop assumes a little-endian host");
+
+std::uint64_t load_u64(const unsigned char* p) noexcept {
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof(w));
+  return w;
+}
+
 } // namespace
 
 std::uint32_t crc32_ieee(const void* data, std::size_t size,
                          std::uint32_t seed) noexcept {
-  static constexpr auto kTable = [] {
-    std::array<std::uint32_t, 256> table{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int bit = 0; bit < 8; ++bit)
-        c = (c >> 1) ^ ((c & 1u) ? 0xEDB88320u : 0u);
-      table[i] = c;
-    }
-    return table;
-  }();
+  const auto& t = kCrcTables;
   std::uint32_t crc = ~seed;
   const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i)
-    crc = (crc >> 8) ^ kTable[(crc ^ bytes[i]) & 0xFFu];
+  for (; size >= 16; size -= 16, bytes += 16) {
+    const std::uint64_t a = load_u64(bytes) ^ crc;
+    const std::uint64_t b = load_u64(bytes + 8);
+    crc = t[15][a & 0xFFu] ^ t[14][(a >> 8) & 0xFFu] ^ t[13][(a >> 16) & 0xFFu] ^
+          t[12][(a >> 24) & 0xFFu] ^ t[11][(a >> 32) & 0xFFu] ^
+          t[10][(a >> 40) & 0xFFu] ^ t[9][(a >> 48) & 0xFFu] ^ t[8][a >> 56] ^
+          t[7][b & 0xFFu] ^ t[6][(b >> 8) & 0xFFu] ^ t[5][(b >> 16) & 0xFFu] ^
+          t[4][(b >> 24) & 0xFFu] ^ t[3][(b >> 32) & 0xFFu] ^
+          t[2][(b >> 40) & 0xFFu] ^ t[1][(b >> 48) & 0xFFu] ^ t[0][b >> 56];
+  }
+  for (; size > 0; --size, ++bytes) crc = (crc >> 8) ^ t[0][(crc ^ *bytes) & 0xFFu];
   return ~crc;
 }
 

@@ -5,14 +5,18 @@
 /// back to owned storage on mutation), and — most importantly — hostile
 /// inputs: truncation, bad magic, CRC corruption, header/payload
 /// disagreements. The loader must reject each with the offending path named,
-/// never crash, and never serve a corrupt graph.
+/// never crash, and never serve a corrupt graph. The CRC is checked against a
+/// bit-at-a-time reference, and a store file written by an earlier build
+/// (tests/data) must keep loading.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <vector>
 
 #include "test_helpers.hpp"
@@ -439,6 +443,108 @@ TEST_F(SerializeTest, Crc32MatchesKnownVector) {
   EXPECT_EQ(crc32_ieee("123456789", 9), 0xCBF43926u);
   // Chaining equals one-shot.
   EXPECT_EQ(crc32_ieee("6789", 4, crc32_ieee("12345", 5)), 0xCBF43926u);
+}
+
+// ------------------------------------------------------------------- CRC ---
+
+/// Bit-at-a-time CRC-32 (reflected 0xEDB88320): the definition, with no
+/// table, against which the library's sliced implementation is checked.
+std::uint32_t crc32_bitwise(const unsigned char* data, std::size_t size,
+                            std::uint32_t seed) {
+  std::uint32_t crc = ~seed;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+  }
+  return ~crc;
+}
+
+std::vector<unsigned char> random_bytes(std::size_t size, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<unsigned char> bytes(size);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng());
+  return bytes;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryOffsetAndShortLength) {
+  // Lengths past 2 x 16 + 15 reach the 16-byte loop more than once plus
+  // every tail length; offsets 0-15 cover every load misalignment.
+  const std::vector<unsigned char> buf = random_bytes(16 + 130, 7);
+  for (const std::uint32_t seed : {0u, 0x9E3779B9u}) {
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      for (std::size_t len = 0; len <= 130; ++len) {
+        const unsigned char* p = buf.data() + offset;
+        ASSERT_EQ(crc32_ieee(p, len, seed), crc32_bitwise(p, len, seed))
+            << "offset " << offset << ", length " << len << ", seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(Crc32, ChainingAtEverySplitPointEqualsOneShot) {
+  const std::vector<unsigned char> buf = random_bytes(1024, 11);
+  const std::uint32_t whole = crc32_ieee(buf.data(), buf.size());
+  ASSERT_EQ(whole, crc32_bitwise(buf.data(), buf.size(), 0));
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    const std::uint32_t head = crc32_ieee(buf.data(), split);
+    ASSERT_EQ(crc32_ieee(buf.data() + split, buf.size() - split, head), whole)
+        << "split at " << split;
+  }
+}
+
+TEST(Crc32, MatchesBitwiseReferenceOnAStoreSizedBuffer) {
+  // The size of a spilled planted n = 2^17 instance's payload.
+  const std::vector<unsigned char> buf = random_bytes(6u << 20, 13);
+  EXPECT_EQ(crc32_ieee(buf.data(), buf.size()), crc32_bitwise(buf.data(), buf.size(), 0));
+}
+
+// ------------------------------------------------------ format compatibility ---
+
+// tests/data/store_v1_planted256.bmg was spilled by `bmh_engine --graph-store`
+// from `gen:planted:n=256,extra=3,seed=1` with the format-version-1 writer
+// and its byte-at-a-time CRC. Every later build must keep reading it.
+TEST_F(SerializeTest, LoadsTheCheckedInVersion1StoreFile) {
+  const std::string golden = std::string(BMH_TEST_DATA_DIR) + "/store_v1_planted256.bmg";
+  const GraphSpec spec = parse_graph_spec("gen:planted:n=256,extra=3,seed=1");
+  const std::string expected_key = canonical_graph_key(spec, 1);
+
+  std::string key;
+  const BipartiteGraph loaded = load_graph_mapped(golden, &key);
+  EXPECT_EQ(key, expected_key);
+  const BipartiteGraph fresh = build_graph(spec, 1);
+  EXPECT_EQ(to_vector(loaded.row_ptr()), to_vector(fresh.row_ptr()));
+  EXPECT_EQ(to_vector(loaded.col_idx()), to_vector(fresh.col_idx()));
+  EXPECT_EQ(to_vector(loaded.col_ptr()), to_vector(fresh.col_ptr()));
+  EXPECT_EQ(to_vector(loaded.row_idx()), to_vector(fresh.row_idx()));
+
+  std::vector<char> bytes = read_all(golden);
+  ASSERT_GT(bytes.size(), sizeof(GraphFileHeader));
+  GraphFileHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  EXPECT_EQ(header.version, kGraphFileVersion);
+  EXPECT_EQ(crc32_ieee(bytes.data() + sizeof(header), bytes.size() - sizeof(header)),
+            header.payload_crc32);
+
+  // Today's writer reproduces the file byte for byte.
+  const std::string resaved = file("resaved.bmg");
+  save_graph(fresh, resaved, expected_key);
+  EXPECT_EQ(read_all(resaved), bytes);
+
+  // One flipped payload bit is still caught.
+  bytes[bytes.size() / 2] ^= 0x01;
+  const std::string flipped = file("flipped.bmg");
+  write_all(flipped, bytes);
+  EXPECT_THROW(
+      {
+        try {
+          (void)load_graph_mapped(flipped);
+        } catch (const GraphFileError& e) {
+          EXPECT_NE(std::string(e.what()).find("payload CRC mismatch"), std::string::npos)
+              << e.what();
+          throw;
+        }
+      },
+      GraphFileError);
 }
 
 } // namespace
