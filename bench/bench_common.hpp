@@ -1,8 +1,8 @@
 #pragma once
 /// \file bench_common.hpp
-/// \brief Shared plumbing for the table/figure reproduction harnesses,
-/// including the optional global-allocator instrumentation that certifies
-/// the Workspace hot paths are allocation-free.
+/// \brief Shared plumbing for the serving-path benches and tests: the
+/// optional global-allocator instrumentation that certifies the Workspace
+/// hot paths are allocation-free, and the engine latency JSON.
 
 #include <atomic>
 #include <algorithm>
@@ -17,39 +17,6 @@
 #include "bmh.hpp"
 
 namespace bmh::bench {
-
-/// Number of repetitions per data point (paper: 10 for quality minima,
-/// 20-with-5-warmups for timings). Override with BMH_REPEATS.
-inline int repeats(int fallback) {
-  return static_cast<int>(env_int("BMH_REPEATS", fallback));
-}
-
-/// Thread counts {1, 2, 4, ..., cap}; the paper sweeps 1..16 on a 16-core
-/// box, we sweep powers of two up to BMH_MAX_THREADS (default: hardware).
-inline std::vector<int> thread_sweep() {
-  const int cap = static_cast<int>(env_int("BMH_MAX_THREADS", num_procs()));
-  std::vector<int> sweep;
-  for (int t = 1; t <= cap; t *= 2) sweep.push_back(t);
-  if (sweep.back() != cap && cap > 1) sweep.push_back(cap);
-  return sweep;
-}
-
-/// The suite scale for Table 3 / Figs 3-5. Suite base sizes are ~1/10 of
-/// the paper's instances; BMH_SCALE further multiplies them.
-inline double suite_scale() { return env_double("BMH_SCALE", 1.0); }
-
-/// Median wall-clock seconds of `runs` executions of `fn` after `warmup`
-/// extra executions (timings are geometric-mean aggregated as in §4.2).
-template <typename Fn>
-double time_geomean(Fn&& fn, int runs, int warmup) {
-  RunStats stats;
-  for (int r = 0; r < warmup + runs; ++r) {
-    Timer t;
-    fn(r);
-    stats.add(t.seconds());
-  }
-  return stats.geomean(static_cast<std::size_t>(warmup));
-}
 
 /// JSON object (a `"latency": {...}` value for a BENCH_*.json record) with
 /// the p50/p99 of the engine's per-worker latency histograms, merged across
@@ -74,15 +41,6 @@ inline std::string latency_json(const Engine& engine) {
   }
   out += '}';
   return out;
-}
-
-/// Banner shared by all benches.
-inline void banner(const std::string& what) {
-  std::cout << "==============================================================\n"
-            << what << "\n"
-            << "machine: " << num_procs() << " cores; " << thread_sweep_description()
-            << "; BMH_SCALE=" << bench_scale() << "\n"
-            << "==============================================================\n\n";
 }
 
 } // namespace bmh::bench

@@ -58,7 +58,8 @@ double timed_batch(const std::vector<JobSpec>& jobs, Engine& engine) {
 } // namespace
 
 int main() {
-  bench::banner("Graph cache — allocation-free repeated-spec batches");
+  std::cout << "Graph cache — allocation-free repeated-spec batches\n"
+            << "machine: " << num_procs() << " cores\n\n";
 
   const int jobs = static_cast<int>(env_int("BMH_GC_JOBS", 1000));
   const int workers =

@@ -82,7 +82,8 @@ ThroughputResult run_mode(const std::vector<BipartiteGraph>& graphs, int jobs,
 } // namespace
 
 int main() {
-  bench::banner("Workspace — zero-allocation batch serving");
+  std::cout << "Workspace — zero-allocation batch serving\n"
+            << "machine: " << num_procs() << " cores\n\n";
 
   const int jobs = static_cast<int>(env_int("BMH_WS_JOBS", 1000));
   const int workers =

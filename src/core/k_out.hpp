@@ -14,7 +14,7 @@
 /// small) subgraph instead, in `k_out_from_scaling_ws` — the one place the
 /// subgraph solver is chosen. The trade: more edges and a slower subgraph
 /// solve buy a quality that approaches 1 rapidly with k — quantified by
-/// bench_extension_kout.
+/// `bench_paper extension_kout`.
 
 #include <cstdint>
 #include <vector>

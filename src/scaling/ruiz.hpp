@@ -6,7 +6,7 @@
 ///   dr[i] <- dr[i] / sqrt(rowsum_i),  dc[j] <- dc[j] / sqrt(colsum_j),
 /// both sums taken with the pre-sweep multipliers. The paper notes it
 /// converges more slowly than Sinkhorn–Knopp on unsymmetric matrices; the
-/// ablation bench `bench_ablation_scaling` measures exactly that trade-off
+/// `bench_paper ablation_scaling` section measures exactly that trade-off
 /// as it feeds the matching heuristics.
 
 #include "scaling/scaling.hpp"

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <sstream>
 
 #include "util/threading.hpp"
 
@@ -42,12 +41,13 @@ std::int64_t scaled(std::int64_t n, std::int64_t floor_value) {
   return std::max(s, floor_value);
 }
 
-std::string thread_sweep_description() {
-  std::ostringstream os;
-  os << "threads sweep capped at "
-     << env_int("BMH_MAX_THREADS", max_threads())
-     << " (hardware max " << num_procs() << ")";
-  return os.str();
+std::vector<int> thread_sweep() {
+  const auto cap =
+      static_cast<int>(std::max<std::int64_t>(1, env_int("BMH_MAX_THREADS", num_procs())));
+  std::vector<int> sweep;
+  for (int t = 1; t <= cap; t *= 2) sweep.push_back(t);
+  if (sweep.back() != cap) sweep.push_back(cap);
+  return sweep;
 }
 
 } // namespace bmh

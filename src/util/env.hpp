@@ -2,15 +2,16 @@
 /// \file env.hpp
 /// \brief Environment-variable knobs shared by the benchmark harnesses.
 ///
-/// Benches honour two variables so the same binaries scale from CI smoke
+/// Benches honour three variables so the same binaries scale from CI smoke
 /// runs to full paper-sized reproductions:
 ///   BMH_SCALE        — multiplies instance sizes (default 1.0, clamped to
 ///                      [0.01, 100]).
-///   BMH_MAX_THREADS  — caps thread sweeps (default: hardware).
+///   BMH_MAX_THREADS  — caps thread sweeps (default: the hardware's cores).
 ///   BMH_REPEATS      — overrides the number of repetitions per data point.
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace bmh {
 
@@ -29,8 +30,9 @@ double bench_scale();
 /// Scales `n` by bench_scale(), with a floor to keep instances meaningful.
 std::int64_t scaled(std::int64_t n, std::int64_t floor_value = 64);
 
-/// Thread counts for a sweep: {1, 2, 4, ...} capped at BMH_MAX_THREADS
-/// (or the hardware limit). Always includes 1.
-std::string thread_sweep_description();
+/// Thread counts for a sweep: {1, 2, 4, ...} up to BMH_MAX_THREADS (default:
+/// num_procs()), plus the cap itself when it is not a power of two. The
+/// paper sweeps 1..16 on a 16-core box. Always starts at 1.
+std::vector<int> thread_sweep();
 
 } // namespace bmh

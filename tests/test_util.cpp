@@ -127,6 +127,15 @@ TEST(Env, ScaledAppliesFloor) {
   EXPECT_EQ(scaled(1000, 64), 1000);
 }
 
+TEST(Env, ThreadSweepStopsAtTheCap) {
+  ::setenv("BMH_MAX_THREADS", "3", 1);
+  EXPECT_EQ(thread_sweep(), (std::vector<int>{1, 2, 3}));
+  ::setenv("BMH_MAX_THREADS", "4", 1);
+  EXPECT_EQ(thread_sweep(), (std::vector<int>{1, 2, 4}));
+  ::unsetenv("BMH_MAX_THREADS");
+  EXPECT_EQ(thread_sweep().back(), num_procs());
+}
+
 TEST(Cli, ParsesFlagsAndPositional) {
   // Note: a bare `--flag token` pair is read as key/value, so positional
   // arguments must precede flags or follow `--key=value` style flags.
