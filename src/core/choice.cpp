@@ -1,51 +1,27 @@
 #include "core/choice.hpp"
 
-#include <span>
 #include <stdexcept>
-
-#include "util/rng.hpp"
 
 namespace bmh {
 
-namespace {
-
-/// Inverse-CDF pick over `weights[nbrs[k]]`. Guards against floating-point
-/// drift by falling back to the last neighbour when the walk overshoots.
-/// Writes into `choice` (capacity reused by workspace-leased callers).
-template <typename NeighborsOf>
-void sample_side(vid_t n, NeighborsOf&& neighbors_of,
-                 const std::vector<double>& weight, std::uint64_t seed,
-                 std::uint64_t lane_salt, std::vector<vid_t>& choice) {
-  choice.assign(static_cast<std::size_t>(n), kNil);
+void sample_csr_choices(std::span<const eid_t> ptr, std::span<const vid_t> adj,
+                        std::span<const double> weight, std::uint64_t seed,
+                        std::uint64_t salt, std::vector<vid_t>& out) {
+  const auto n = static_cast<vid_t>(ptr.empty() ? 0 : ptr.size() - 1);
+  out.assign(static_cast<std::size_t>(n), kNil);
   const Rng root(seed);
 #pragma omp parallel for schedule(dynamic, 512)
   for (vid_t u = 0; u < n; ++u) {
-    const std::span<const vid_t> nbrs = neighbors_of(u);
-    if (nbrs.empty()) continue;
-    Rng rng = root.fork(lane_salt ^ static_cast<std::uint64_t>(u));
+    const auto first = static_cast<std::size_t>(ptr[static_cast<std::size_t>(u)]);
+    const auto last = static_cast<std::size_t>(ptr[static_cast<std::size_t>(u) + 1]);
+    if (first == last) continue;
+    const std::span<const vid_t> nbrs = adj.subspan(first, last - first);
+    Rng rng = root.fork(salt ^ static_cast<std::uint64_t>(u));
     double total = 0.0;
     for (const vid_t v : nbrs) total += weight[static_cast<std::size_t>(v)];
-    if (total <= 0.0) {
-      // Degenerate multipliers (all zero): fall back to uniform.
-      choice[static_cast<std::size_t>(u)] =
-          nbrs[static_cast<std::size_t>(rng.next_below(nbrs.size()))];
-      continue;
-    }
-    const double r = rng.next_double_open0() * total;
-    double acc = 0.0;
-    vid_t picked = nbrs.back();
-    for (const vid_t v : nbrs) {
-      acc += weight[static_cast<std::size_t>(v)];
-      if (acc >= r) {
-        picked = v;
-        break;
-      }
-    }
-    choice[static_cast<std::size_t>(u)] = picked;
+    out[static_cast<std::size_t>(u)] = weighted_pick(nbrs, weight, total, rng);
   }
 }
-
-} // namespace
 
 std::vector<vid_t> sample_row_choices(const BipartiteGraph& g,
                                       const std::vector<double>& dc,
@@ -59,9 +35,8 @@ void sample_row_choices(const BipartiteGraph& g, const std::vector<double>& dc,
                         std::uint64_t seed, std::vector<vid_t>& out) {
   if (dc.size() != static_cast<std::size_t>(g.num_cols()))
     throw std::invalid_argument("sample_row_choices: dc size mismatch");
-  sample_side(
-      g.num_rows(), [&](vid_t i) { return g.row_neighbors(i); }, dc, seed,
-      0x524f575f5349444full /* "ROW_SIDO" salt: row-side lanes */, out);
+  sample_csr_choices(g.row_ptr(), g.col_idx(), dc, seed,
+                     0x524f575f5349444full /* "ROW_SIDO" salt: row-side lanes */, out);
 }
 
 std::vector<vid_t> sample_col_choices(const BipartiteGraph& g,
@@ -76,9 +51,8 @@ void sample_col_choices(const BipartiteGraph& g, const std::vector<double>& dr,
                         std::uint64_t seed, std::vector<vid_t>& out) {
   if (dr.size() != static_cast<std::size_t>(g.num_rows()))
     throw std::invalid_argument("sample_col_choices: dr size mismatch");
-  sample_side(
-      g.num_cols(), [&](vid_t j) { return g.col_neighbors(j); }, dr, seed,
-      0x434f4c5f53494445ull /* "COL_SIDE" salt: column-side lanes */, out);
+  sample_csr_choices(g.col_ptr(), g.row_idx(), dr, seed,
+                     0x434f4c5f53494445ull /* "COL_SIDE" salt: column-side lanes */, out);
 }
 
 } // namespace bmh

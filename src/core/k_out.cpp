@@ -3,28 +3,32 @@
 #include <span>
 #include <stdexcept>
 
+#include "core/choice.hpp"
 #include "core/workspace.hpp"
 #include "graph/builder.hpp"
 #include "matching/push_relabel.hpp"
 #include "scaling/sinkhorn_knopp.hpp"
-#include "util/rng.hpp"
 
 namespace bmh {
 
 namespace {
 
-/// Samples k picks ∝ weight over `nbrs` with bounded-retry de-duplication.
+/// The k-pick loop over one CSR side (the layout of sample_csr_choices):
+/// k draws of weighted_pick per vertex with bounded-retry de-duplication.
 /// Writes into `out` (capacity reused by workspace-leased callers).
-template <typename NeighborsOf>
-void sample_k(vid_t n, NeighborsOf&& neighbors_of, const std::vector<double>& weight,
-              int k, std::uint64_t seed, std::uint64_t salt, std::vector<vid_t>& out) {
+void sample_k(std::span<const eid_t> ptr, std::span<const vid_t> adj,
+              std::span<const double> weight, int k, std::uint64_t seed,
+              std::uint64_t salt, std::vector<vid_t>& out) {
   if (k < 1) throw std::invalid_argument("sample_k: k must be >= 1");
+  const auto n = static_cast<vid_t>(ptr.empty() ? 0 : ptr.size() - 1);
   out.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(k), kNil);
   const Rng root(seed);
 #pragma omp parallel for schedule(dynamic, 512)
   for (vid_t u = 0; u < n; ++u) {
-    const std::span<const vid_t> nbrs = neighbors_of(u);
-    if (nbrs.empty()) continue;
+    const auto first = static_cast<std::size_t>(ptr[static_cast<std::size_t>(u)]);
+    const auto last = static_cast<std::size_t>(ptr[static_cast<std::size_t>(u) + 1]);
+    if (first == last) continue;
+    const std::span<const vid_t> nbrs = adj.subspan(first, last - first);
     Rng rng = root.fork(salt ^ static_cast<std::uint64_t>(u));
     auto* slot = out.data() + static_cast<std::size_t>(u) * static_cast<std::size_t>(k);
 
@@ -37,21 +41,7 @@ void sample_k(vid_t n, NeighborsOf&& neighbors_of, const std::vector<double>& we
     for (const vid_t v : nbrs) total += weight[static_cast<std::size_t>(v)];
     int filled = 0;
     for (int attempt = 0; attempt < 8 * k && filled < k; ++attempt) {
-      vid_t picked;
-      if (total <= 0.0) {
-        picked = nbrs[static_cast<std::size_t>(rng.next_below(nbrs.size()))];
-      } else {
-        const double r = rng.next_double_open0() * total;
-        double acc = 0.0;
-        picked = nbrs.back();
-        for (const vid_t v : nbrs) {
-          acc += weight[static_cast<std::size_t>(v)];
-          if (acc >= r) {
-            picked = v;
-            break;
-          }
-        }
-      }
+      const vid_t picked = weighted_pick(nbrs, weight, total, rng);
       bool duplicate = false;
       for (int t = 0; t < filled; ++t) duplicate |= (slot[t] == picked);
       if (!duplicate) slot[filled++] = picked;
@@ -73,9 +63,7 @@ void sample_row_choices_k(const BipartiteGraph& g, const std::vector<double>& dc
                           std::uint64_t seed, std::vector<vid_t>& out) {
   if (dc.size() != static_cast<std::size_t>(g.num_cols()))
     throw std::invalid_argument("sample_row_choices_k: dc size mismatch");
-  sample_k(
-      g.num_rows(), [&](vid_t i) { return g.row_neighbors(i); }, dc, k, seed,
-      0x6b4f55545f524f57ull, out);
+  sample_k(g.row_ptr(), g.col_idx(), dc, k, seed, 0x6b4f55545f524f57ull, out);
 }
 
 std::vector<vid_t> sample_col_choices_k(const BipartiteGraph& g,
@@ -90,9 +78,7 @@ void sample_col_choices_k(const BipartiteGraph& g, const std::vector<double>& dr
                           std::uint64_t seed, std::vector<vid_t>& out) {
   if (dr.size() != static_cast<std::size_t>(g.num_rows()))
     throw std::invalid_argument("sample_col_choices_k: dr size mismatch");
-  sample_k(
-      g.num_cols(), [&](vid_t j) { return g.col_neighbors(j); }, dr, k, seed,
-      0x6b4f55545f434f4cull, out);
+  sample_k(g.col_ptr(), g.row_idx(), dr, k, seed, 0x6b4f55545f434f4cull, out);
 }
 
 namespace {
@@ -119,13 +105,8 @@ void add_k_out_edges(GraphBuilder& b, const BipartiteGraph& g,
 
 BipartiteGraph k_out_subgraph(const BipartiteGraph& g, const ScalingResult& scaling,
                               int k, std::uint64_t seed) {
-  return k_out_subgraph_ws(g, scaling, k, seed, Workspace::for_this_thread());
-}
-
-BipartiteGraph k_out_subgraph_ws(const BipartiteGraph& g, const ScalingResult& scaling,
-                                 int k, std::uint64_t seed, Workspace& ws) {
   BipartiteGraph out;
-  k_out_subgraph_ws(g, scaling, k, seed, ws, out);
+  k_out_subgraph_ws(g, scaling, k, seed, Workspace::for_this_thread(), out);
   return out;
 }
 
@@ -150,13 +131,8 @@ Matching k_out_match(const BipartiteGraph& g, int scaling_iterations, int k,
 
 void k_out_match_ws(const BipartiteGraph& g, int scaling_iterations, int k,
                     std::uint64_t seed, Workspace& ws, Matching& out) {
-  ScalingOptions opts;
-  opts.max_iterations = scaling_iterations;
   ScalingResult& scaling = ws.obj<ScalingResult>("kout.scaling");
-  if (scaling_iterations > 0)
-    scale_sinkhorn_knopp_ws(g, opts, ws, scaling);
-  else
-    identity_scaling_ws(g, ws, scaling, /*compute_error=*/false);
+  scale_sinkhorn_knopp_or_identity_ws(g, scaling_iterations, ws, scaling);
   k_out_from_scaling_ws(g, scaling, k, seed, ws, out);
 }
 

@@ -8,6 +8,13 @@
 /// This module lets each side pick k neighbours from the scaled densities
 /// and finds a maximum matching of the resulting ≤ 2kn-edge subgraph.
 ///
+/// Each of the k picks is the one weighted pick of choice.hpp
+/// (`weighted_pick`, the §3.1 inverse-CDF walk); only the k-pick loop
+/// around it (whole neighbourhood when it has ≤ k vertices, bounded-retry
+/// de-duplication otherwise) lives here, apart from the 1-pick
+/// `sample_csr_choices`, so the heuristics' sampling loop carries none of
+/// the retry bookkeeping.
+///
 /// For k >= 2 the subgraph components are no longer guaranteed to contain
 /// at most one cycle, so Karp–Sipser is *not* exact on them; push-relabel
 /// with global relabeling (matching/push_relabel.hpp) solves the (still
@@ -58,11 +65,8 @@ void sample_row_choices_k(const BipartiteGraph& g, const std::vector<double>& dc
                           std::uint64_t seed, std::vector<vid_t>& out);
 void sample_col_choices_k(const BipartiteGraph& g, const std::vector<double>& dr, int k,
                           std::uint64_t seed, std::vector<vid_t>& out);
-[[nodiscard]] BipartiteGraph k_out_subgraph_ws(const BipartiteGraph& g,
-                                               const ScalingResult& scaling, int k,
-                                               std::uint64_t seed, Workspace& ws);
-/// Pooled form: assembles the subgraph into `out`, whose vectors (and the
-/// builder scratch behind them, tags "kout.*") reuse capacity across calls.
+/// Assembles the subgraph into `out`, whose vectors (and the builder
+/// scratch behind them, tags "kout.*") reuse capacity across calls.
 void k_out_subgraph_ws(const BipartiteGraph& g, const ScalingResult& scaling, int k,
                        std::uint64_t seed, Workspace& ws, BipartiteGraph& out);
 /// The k-out heuristic on a pre-scaled matrix: builds the pooled subgraph

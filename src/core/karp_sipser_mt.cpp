@@ -41,46 +41,38 @@ Matching karp_sipser_mt(vid_t m, vid_t n, std::span<const vid_t> choice,
   return result;
 }
 
-void karp_sipser_mt_ws(vid_t m, vid_t n, std::span<const vid_t> choice,
-                       KarpSipserMTStats* stats, Workspace& ws, Matching& out) {
-  const vid_t total = m + n;
-  if (m < 0 || n < 0)
-    throw std::invalid_argument("karp_sipser_mt: negative dimension");
-  if (choice.size() != static_cast<std::size_t>(total))
-    throw std::invalid_argument("karp_sipser_mt: choice size mismatch");
-  // The graph must be bipartite: rows choose columns and vice versa. A
-  // same-side choice would silently corrupt the phase invariants, so it is
-  // rejected up front (O(n) scan, negligible next to the phases).
-  bool well_formed = true;
-#pragma omp parallel for schedule(static) reduction(&& : well_formed)
-  for (vid_t u = 0; u < total; ++u) {
-    const vid_t v = choice[static_cast<std::size_t>(u)];
-    if (v == kNil) continue;
-    const bool u_is_row = u < m;
-    const bool v_is_col = v >= m && v < total;
-    well_formed = well_formed && (u_is_row ? v_is_col : (v >= 0 && v < m));
-  }
-  if (!well_formed)
-    throw std::invalid_argument("karp_sipser_mt: choice crosses to the same side");
-
+std::vector<vid_t>& out_one_chains_ws(std::span<const vid_t> choice, vid_t m,
+                                      Workspace& ws) {
+  const auto total = static_cast<vid_t>(choice.size());
   // match/deg are concurrently updated; mark only ever transitions 1 -> 0
   // (and is read after the implicit barrier), so relaxed ops suffice there.
   // Plain vectors driven through std::atomic_ref so the storage can live in
   // the workspace (std::vector<std::atomic<T>> cannot be resized).
-  std::vector<vid_t>& match = ws.vec<vid_t>("ksmt.match", static_cast<std::size_t>(total));
-  std::vector<vid_t>& deg = ws.vec<vid_t>("ksmt.deg", static_cast<std::size_t>(total));
-  std::vector<char>& mark = ws.vec<char>("ksmt.mark", static_cast<std::size_t>(total));
+  std::vector<vid_t>& match = ws.vec<vid_t>("ksmt.match", choice.size());
+  std::vector<vid_t>& deg = ws.vec<vid_t>("ksmt.deg", choice.size());
+  std::vector<char>& mark = ws.vec<char>("ksmt.mark", choice.size());
 
-#pragma omp parallel for schedule(static)
+  // Initialization, fused with the validation of every entry: an id out of
+  // range would index past the arrays, and a same-side choice in a
+  // bipartite array would silently corrupt the phase invariants.
+  bool well_formed = true;
+#pragma omp parallel for schedule(static) reduction(&& : well_formed)
   for (vid_t u = 0; u < total; ++u) {
+    const vid_t v = choice[static_cast<std::size_t>(u)];
     std::atomic_ref<vid_t>(match[static_cast<std::size_t>(u)])
         .store(kNil, std::memory_order_relaxed);
-    const bool isolated = choice[static_cast<std::size_t>(u)] == kNil;
     std::atomic_ref<char>(mark[static_cast<std::size_t>(u)])
-        .store(isolated ? 0 : 1, std::memory_order_relaxed);
+        .store(v == kNil ? 0 : 1, std::memory_order_relaxed);
     std::atomic_ref<vid_t>(deg[static_cast<std::size_t>(u)])
-        .store(isolated ? 0 : 1, std::memory_order_relaxed);
+        .store(v == kNil ? 0 : 1, std::memory_order_relaxed);
+    if (v == kNil) continue;
+    const vid_t lo = (m == kNil || u >= m) ? 0 : m;
+    const vid_t hi = (m == kNil || u < m) ? total : m;
+    well_formed = well_formed && v >= lo && v < hi;
   }
+  if (!well_formed)
+    throw std::invalid_argument(m == kNil ? "out_one_chains: choice out of range"
+                                          : "out_one_chains: choice crosses to the same side");
 
   // deg[v] = 1 (v's own choice edge) + number of vertices that chose v,
   // counting a reciprocal pair {u ↔ v} as the single edge it is.
@@ -102,8 +94,8 @@ void karp_sipser_mt_ws(vid_t m, vid_t n, std::span<const vid_t> choice,
   // consumed by two threads at once — thread A (curr = x) CASes match[y]
   // while thread B (curr = y) CASes match[x]. Both succeed and both then
   // store the *same* pair, so the final state is identical; this is why
-  // the phase match counts are derived from the match array between the
-  // phases rather than incremented inside the racy loop.
+  // callers derive phase match counts from the match array after the phase
+  // rather than from counters incremented inside the racy loop.
 #pragma omp parallel for schedule(guided)
   for (vid_t u = 0; u < total; ++u) {
     if (std::atomic_ref<char>(mark[static_cast<std::size_t>(u)])
@@ -145,9 +137,20 @@ void karp_sipser_mt_ws(vid_t m, vid_t n, std::span<const vid_t> choice,
       }
     }
   }
+  return match;
+}
 
-  // Snapshot the phase-1 cardinality (the parallel region above ended with
-  // an implicit barrier, so the match array is settled).
+void karp_sipser_mt_ws(vid_t m, vid_t n, std::span<const vid_t> choice,
+                       KarpSipserMTStats* stats, Workspace& ws, Matching& out) {
+  const vid_t total = m + n;
+  if (m < 0 || n < 0)
+    throw std::invalid_argument("karp_sipser_mt: negative dimension");
+  if (choice.size() != static_cast<std::size_t>(total))
+    throw std::invalid_argument("karp_sipser_mt: choice size mismatch");
+  std::vector<vid_t>& match = out_one_chains_ws(choice, m, ws);
+
+  // Snapshot the phase-1 cardinality (the chain phase's parallel regions
+  // ended with implicit barriers, so the match array is settled).
   vid_t phase1 = 0;
   if (stats != nullptr) {
 #pragma omp parallel for schedule(static) reduction(+ : phase1)

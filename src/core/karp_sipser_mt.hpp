@@ -18,6 +18,13 @@
 ///  * Phase 2 is a plain parallel-for: in the remaining graph (singletons,
 ///    2-cliques and simple cycles) the column-side choice edges form a
 ///    maximum matching (Lemma 3), so each free column just takes its choice.
+///
+/// Phase 1 never uses bipartiteness, so it is one function,
+/// `out_one_chains_ws` (lines 1–23: initialization, degree count and the
+/// chain walk), called by both `karp_sipser_mt_ws` here and the undirected
+/// `one_out_karp_sipser_ws` (undirected/matching.hpp). Each caller keeps
+/// only its own Phase 2: the Lemma-3 column pass here, the walk of the
+/// surviving (possibly odd) cycles there.
 
 #include <cstdint>
 #include <span>
@@ -46,6 +53,17 @@ struct KarpSipserMTStats {
 /// reused) and the result lands in `out`; warm calls allocate nothing.
 void karp_sipser_mt_ws(vid_t m, vid_t n, std::span<const vid_t> choice,
                        KarpSipserMTStats* stats, Workspace& ws, Matching& out);
+
+/// Lines 1–23 of Algorithm 4 (Phase 1 and its initialization) on a
+/// functional graph {{u, choice[u]}} over ids [0, choice.size()). With
+/// `m` != kNil the array is bipartite (rows [0, m) must choose columns
+/// [m, size) and columns rows); with `m` == kNil any id in range is allowed.
+/// Every entry is validated (kNil or in its range) before the chains run;
+/// a bad one throws std::invalid_argument. Returns the match array (leased
+/// under "ksmt.match", valid until that tag is leased again): match[u] is
+/// u's Phase-1 partner or kNil.
+[[nodiscard]] std::vector<vid_t>& out_one_chains_ws(std::span<const vid_t> choice, vid_t m,
+                                                    Workspace& ws);
 
 /// Builds the unified choice array from per-side local choices (rchoice[i]
 /// is a column id or kNil; cchoice[j] is a row id or kNil).

@@ -47,13 +47,8 @@ Matching one_sided_match(const BipartiteGraph& g, int scaling_iterations,
 
 void one_sided_match_ws(const BipartiteGraph& g, int scaling_iterations,
                         std::uint64_t seed, Workspace& ws, Matching& out) {
-  ScalingOptions opts;
-  opts.max_iterations = scaling_iterations;
   ScalingResult& scaling = ws.obj<ScalingResult>("os.scaling");
-  if (scaling_iterations > 0)
-    scale_sinkhorn_knopp_ws(g, opts, ws, scaling);
-  else
-    identity_scaling_ws(g, ws, scaling, /*compute_error=*/false);
+  scale_sinkhorn_knopp_or_identity_ws(g, scaling_iterations, ws, scaling);
   one_sided_from_scaling_ws(g, scaling, seed, ws, out);
 }
 

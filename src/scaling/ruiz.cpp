@@ -1,6 +1,5 @@
 #include "scaling/ruiz.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -35,18 +34,8 @@ void scale_ruiz_ws(const BipartiteGraph& g, const ScalingOptions& opts, Workspac
   for (int it = 0; it < opts.max_iterations; ++it) {
     // Both sums with the pre-sweep multipliers (this simultaneity is what
     // distinguishes Ruiz from Sinkhorn–Knopp's alternating normalization).
-#pragma omp parallel for schedule(dynamic, 512)
-    for (vid_t i = 0; i < g.num_rows(); ++i) {
-      double acc = 0.0;
-      for (const vid_t j : g.row_neighbors(i)) acc += out.dc[static_cast<std::size_t>(j)];
-      rsum[static_cast<std::size_t>(i)] = acc * out.dr[static_cast<std::size_t>(i)];
-    }
-#pragma omp parallel for schedule(dynamic, 512)
-    for (vid_t j = 0; j < g.num_cols(); ++j) {
-      double acc = 0.0;
-      for (const vid_t i : g.col_neighbors(j)) acc += out.dr[static_cast<std::size_t>(i)];
-      csum[static_cast<std::size_t>(j)] = acc * out.dc[static_cast<std::size_t>(j)];
-    }
+    scaled_row_sums(g, out, rsum);
+    scaled_col_sums(g, out, csum);
 
 #pragma omp parallel for schedule(static)
     for (vid_t i = 0; i < g.num_rows(); ++i) {

@@ -28,7 +28,7 @@ std::vector<double> scaled_row_sums(const BipartiteGraph& g, const ScalingResult
 
 void scaled_row_sums(const BipartiteGraph& g, const ScalingResult& s,
                      std::vector<double>& out) {
-  out.assign(static_cast<std::size_t>(g.num_rows()), 0.0);
+  out.resize(static_cast<std::size_t>(g.num_rows()));  // every entry is written
 #pragma omp parallel for schedule(dynamic, 512)
   for (vid_t i = 0; i < g.num_rows(); ++i) {
     double acc = 0.0;
@@ -45,7 +45,7 @@ std::vector<double> scaled_col_sums(const BipartiteGraph& g, const ScalingResult
 
 void scaled_col_sums(const BipartiteGraph& g, const ScalingResult& s,
                      std::vector<double>& out) {
-  out.assign(static_cast<std::size_t>(g.num_cols()), 0.0);
+  out.resize(static_cast<std::size_t>(g.num_cols()));  // every entry is written
 #pragma omp parallel for schedule(dynamic, 512)
   for (vid_t j = 0; j < g.num_cols(); ++j) {
     double acc = 0.0;

@@ -79,4 +79,12 @@ void scale_sinkhorn_knopp_ws(const BipartiteGraph& g, const ScalingOptions& opts
   if (dc.data() != out.dc.data()) std::copy(dc.begin(), dc.end(), out.dc.begin());
 }
 
+void scale_sinkhorn_knopp_or_identity_ws(const BipartiteGraph& g, int iterations,
+                                         Workspace& ws, ScalingResult& out) {
+  if (iterations > 0)
+    scale_sinkhorn_knopp_ws(g, {iterations, 0.0}, ws, out);
+  else
+    identity_scaling_ws(g, ws, out, /*compute_error=*/false);
+}
+
 } // namespace bmh

@@ -42,6 +42,11 @@ public:
   }
   [[nodiscard]] bool has_edge(vid_t u, vid_t v) const noexcept;
 
+  /// Raw CSR arrays (offsets of length n + 1, symmetric adjacency), for
+  /// kernels shared with one side of a BipartiteGraph.
+  [[nodiscard]] std::span<const eid_t> ptr() const noexcept { return ptr_; }
+  [[nodiscard]] std::span<const vid_t> adj() const noexcept { return adj_; }
+
   /// The symmetric (0,1)-adjacency matrix as a square bipartite graph
   /// (rows = columns = vertices); used to reuse the scaling kernels.
   [[nodiscard]] BipartiteGraph as_bipartite() const;

@@ -1,10 +1,11 @@
 #include "undirected/matching.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
 
+#include "core/choice.hpp"
+#include "core/karp_sipser_mt.hpp"
 #include "util/rng.hpp"
 
 namespace bmh {
@@ -106,33 +107,8 @@ std::vector<vid_t>& sample_choices_ws(const UndirectedGraph& g,
                                       Workspace& ws) {
   if (d.size() != static_cast<std::size_t>(g.num_vertices()))
     throw std::invalid_argument("sample_choices: multiplier size mismatch");
-  const vid_t n = g.num_vertices();
-  auto& choice = ws.vec<vid_t>("und.choice", static_cast<std::size_t>(n), kNil);
-  const Rng root(seed);
-#pragma omp parallel for schedule(dynamic, 512)
-  for (vid_t u = 0; u < n; ++u) {
-    const auto nbrs = g.neighbors(u);
-    if (nbrs.empty()) continue;
-    Rng rng = root.fork(static_cast<std::uint64_t>(u));
-    double total = 0.0;
-    for (const vid_t v : nbrs) total += d[static_cast<std::size_t>(v)];
-    if (total <= 0.0) {
-      choice[static_cast<std::size_t>(u)] =
-          nbrs[static_cast<std::size_t>(rng.next_below(nbrs.size()))];
-      continue;
-    }
-    const double r = rng.next_double_open0() * total;
-    double acc = 0.0;
-    vid_t picked = nbrs.back();
-    for (const vid_t v : nbrs) {
-      acc += d[static_cast<std::size_t>(v)];
-      if (acc >= r) {
-        picked = v;
-        break;
-      }
-    }
-    choice[static_cast<std::size_t>(u)] = picked;
-  }
+  auto& choice = ws.buf<vid_t>("und.choice");
+  sample_csr_choices(g.ptr(), g.adj(), d, seed, /*salt=*/0, choice);
   return choice;
 }
 
@@ -145,67 +121,7 @@ void one_out_karp_sipser_ws(vid_t n, std::span<const vid_t> choice, Workspace& w
                             UndirectedMatching& out) {
   if (choice.size() != static_cast<std::size_t>(n))
     throw std::invalid_argument("one_out_karp_sipser: choice size mismatch");
-
-  // Plain leased vectors accessed through std::atomic_ref where phases race
-  // (the karp_sipser_mt idiom) — std::vector<std::atomic<…>> cannot live in
-  // a workspace lease.
-  auto& match = ws.vec<vid_t>("und.ks.match", static_cast<std::size_t>(n));
-  auto& deg = ws.vec<vid_t>("und.ks.deg", static_cast<std::size_t>(n));
-  auto& mark = ws.vec<char>("und.ks.mark", static_cast<std::size_t>(n));
-
-#pragma omp parallel for schedule(static)
-  for (vid_t u = 0; u < n; ++u) {
-    match[static_cast<std::size_t>(u)] = kNil;
-    const bool isolated = choice[static_cast<std::size_t>(u)] == kNil;
-    mark[static_cast<std::size_t>(u)] = isolated ? 0 : 1;
-    deg[static_cast<std::size_t>(u)] = isolated ? 0 : 1;
-  }
-#pragma omp parallel for schedule(static)
-  for (vid_t u = 0; u < n; ++u) {
-    const vid_t v = choice[static_cast<std::size_t>(u)];
-    if (v == kNil) continue;
-    std::atomic_ref<char>(mark[static_cast<std::size_t>(v)])
-        .store(0, std::memory_order_relaxed);
-    if (choice[static_cast<std::size_t>(v)] != u)
-      std::atomic_ref<vid_t>(deg[static_cast<std::size_t>(v)])
-          .fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // Phase 1: identical to the bipartite Algorithm 4 — the out-one chain
-  // argument never uses bipartiteness.
-#pragma omp parallel for schedule(guided)
-  for (vid_t u = 0; u < n; ++u) {
-    if (mark[static_cast<std::size_t>(u)] != 1) continue;
-    vid_t curr = u;
-    while (curr != kNil) {
-      const vid_t nbr = choice[static_cast<std::size_t>(curr)];
-      vid_t expected = kNil;
-      if (std::atomic_ref<vid_t>(match[static_cast<std::size_t>(nbr)])
-              .compare_exchange_strong(
-                  expected, curr,
-                  std::memory_order_acq_rel,     // win: publish claim of nbr
-                  std::memory_order_acquire)) {  // lose: see winner's writes
-        std::atomic_ref<vid_t>(match[static_cast<std::size_t>(curr)])
-            // release pairs with the acquire probes on other threads
-            .store(nbr, std::memory_order_release);
-        const vid_t next = choice[static_cast<std::size_t>(nbr)];
-        curr = kNil;
-        if (next != kNil &&
-            std::atomic_ref<vid_t>(match[static_cast<std::size_t>(next)])
-                    // acquire pairs with the winners' release match stores
-                    .load(std::memory_order_acquire) == kNil) {
-          if (std::atomic_ref<vid_t>(deg[static_cast<std::size_t>(next)])
-                      // acq_rel: the elected thread sees prior decrementers
-                      .fetch_sub(1, std::memory_order_acq_rel) -
-                  1 ==
-              1)
-            curr = next;
-        }
-      } else {
-        curr = kNil;
-      }
-    }
-  }
+  const std::vector<vid_t>& match = out_one_chains_ws(choice, /*m=*/kNil, ws);
 
   // Phase 2: survivors form disjoint simple cycles (possibly odd). Walk
   // each once and match alternate edges; odd cycles leave one vertex free.

@@ -6,15 +6,21 @@
 /// The bipartite machinery carries over with two changes:
 ///  1. Scaling: the adjacency matrix is symmetric, so a symmetry-preserving
 ///     doubly stochastic scaling (single multiplier vector d, s_uv =
-///     d[u]·a_uv·d[v]) replaces the (dr, dc) pair. We run Sinkhorn–Knopp
-///     sweeps and re-symmetrize by averaging — equivalent in the limit to
-///     the Knight–Ruiz–Uçar symmetric scaling.
+///     d[u]·a_uv·d[v]) replaces the (dr, dc) pair. Each sweep divides d[u]
+///     by the square root of its scaled row sum (the symmetric Ruiz step),
+///     which keeps the scaling symmetric exactly.
 ///  2. The choice subgraph {{u, choice[u]}} is a functional graph whose
 ///     components still contain at most one cycle (the Lemma 1 argument
 ///     never used bipartiteness), but cycles may now be ODD, so the
 ///     bipartite Phase 2 of KarpSipserMT (each column takes its choice)
 ///     does not apply. Phase 2 here walks each remaining cycle, matching
 ///     alternate edges; an odd cycle necessarily leaves one vertex free.
+///
+/// Everything else is the bipartite code itself: `sample_choices_ws` is the
+/// one 1-pick loop of core/choice.hpp (`sample_csr_choices`, lane salt 0)
+/// over the symmetric adjacency, and `one_out_karp_sipser_ws` runs the one
+/// out-one chain phase of core/karp_sipser_mt.hpp (`out_one_chains_ws`)
+/// before its own cycle walk.
 ///
 /// The one-sided analogue has the same 1 − 1/e guarantee argument; the
 /// one-out Karp–Sipser variant is the direct analogue of TwoSidedMatch
@@ -72,8 +78,10 @@ struct SymmetricScaling {
 
 /// Karp–Sipser specialized to functional (1-out) subgraphs of an
 /// undirected graph: exact maximum matching on {{u, choice[u]}}, handling
-/// odd cycles. Parallel Phase 1 (out-one chains, as Algorithm 4); Phase 2
-/// claims each surviving cycle and matches alternate edges.
+/// odd cycles. Phase 1 is Algorithm 4's parallel out-one chain phase
+/// (`out_one_chains_ws`); Phase 2 claims each surviving cycle and matches
+/// alternate edges. Every entry must be kNil or a vertex id in [0, n);
+/// anything else throws std::invalid_argument.
 [[nodiscard]] UndirectedMatching one_out_karp_sipser(vid_t n,
                                                      std::span<const vid_t> choice);
 

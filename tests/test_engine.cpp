@@ -135,7 +135,7 @@ TEST(Pipeline, ScalingMethodRoundTrip) {
   EXPECT_EQ(parse_scaling_method("sinkhorn_knopp"), ScalingMethod::kSinkhornKnopp);
   EXPECT_EQ(parse_scaling_method("sk"), ScalingMethod::kSinkhornKnopp);
   EXPECT_EQ(parse_scaling_method("ruiz"), ScalingMethod::kRuiz);
-  EXPECT_THROW(parse_scaling_method("bogus"), std::invalid_argument);
+  EXPECT_THROW((void)parse_scaling_method("bogus"), std::invalid_argument);
   EXPECT_STREQ(to_string(ScalingMethod::kRuiz), "ruiz");
 }
 

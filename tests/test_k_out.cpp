@@ -125,7 +125,8 @@ TEST(KOut, SubgraphSolveMatchesHopcroftKarp) {
       Matching m;
       k_out_from_scaling_ws(g, s, k, seed, ws, m);
       testing::expect_valid(g, m, "k_out_from_scaling_ws");
-      const BipartiteGraph sub = k_out_subgraph_ws(g, s, k, seed, ws);
+      BipartiteGraph sub;
+      k_out_subgraph_ws(g, s, k, seed, ws, sub);
       EXPECT_EQ(m.cardinality(), hopcroft_karp(sub).cardinality())
           << "graph " << t << " k " << k;
       // The convenience form runs the same entry point after scaling.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "analysis/one_out_structure.hpp"
@@ -240,6 +241,49 @@ TEST(KarpSipserMT, CardinalityIndependentOfThreadCount) {
     const vid_t card = karp_sipser_mt(g.num_rows(), g.num_cols(), choice).cardinality();
     if (reference < 0) reference = card;
     EXPECT_EQ(card, reference) << "threads=" << threads;
+  }
+}
+
+TEST(KarpSipserMT, MatchPinnedAcrossVersions) {
+  // Golden values captured before the bipartite and undirected kernels
+  // shared one out-one chain phase. Phase 1's races may pair different
+  // vertices on several threads, so the matching and the phase split are
+  // pinned at one thread and the cardinality at every count.
+  const BipartiteGraph er = make_erdos_renyi(1 << 14, 1 << 14, 8 << 14, 11);
+  const BipartiteGraph planted = make_planted_perfect(1 << 14, 7, 13);
+  const BipartiteGraph sparse = make_erdos_renyi(4096, 5000, 4096, 14);
+  struct Pin {
+    const BipartiteGraph* g;
+    std::uint64_t seed;
+    std::uint64_t row_match_fingerprint;
+    KarpSipserMTStats stats;
+  };
+  const Pin pins[] = {
+      {&er, 1, 0x89d267bbcb63d0e4ull, {13731, 598}},
+      {&er, 2, 0x9a96e50dd39f1d84ull, {13726, 627}},
+      {&er, 3, 0x9b58597ec9f92dabull, {13741, 604}},
+      {&planted, 1, 0xa5af6df09548018dull, {13822, 428}},
+      {&planted, 2, 0x08300482b1c19862ull, {13857, 392}},
+      {&planted, 3, 0x02289c9b09efeb1full, {13888, 425}},
+      {&sparse, 1, 0x4dcadfa8fb3978cfull, {938, 1379}},
+      {&sparse, 2, 0xca82937c2b6fd630ull, {925, 1396}},
+      {&sparse, 3, 0x7ad58f9c9d6e8470ull, {939, 1381}},
+  };
+  for (const Pin& pin : pins) {
+    const ScalingResult s = scale_sinkhorn_knopp(*pin.g, {5, 0.0});
+    const TwoSidedChoices ch = sample_two_sided_choices(*pin.g, s, pin.seed);
+    const std::vector<vid_t> choice =
+        unify_choices(pin.g->num_rows(), pin.g->num_cols(), ch.rchoice, ch.cchoice);
+    KarpSipserMTStats stats;
+    const Matching m = karp_sipser_mt(pin.g->num_rows(), pin.g->num_cols(), choice, &stats);
+    const std::string where = "edges " + std::to_string(pin.g->num_edges()) + ", seed " +
+                              std::to_string(pin.seed);
+    if (max_threads() == 1) {
+      EXPECT_EQ(testing::bit_fingerprint(m.row_match), pin.row_match_fingerprint) << where;
+      EXPECT_EQ(stats.phase1_matches, pin.stats.phase1_matches) << where;
+    }
+    EXPECT_EQ(m.cardinality(),
+              pin.stats.phase1_matches + pin.stats.phase2_matches) << where;
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "graph/generators.hpp"
 #include "graph/transform.hpp"
 #include "matching/hopcroft_karp.hpp"
+#include "test_helpers.hpp"
 #include "undirected/graph.hpp"
 #include "undirected/matching.hpp"
 #include "util/threading.hpp"
@@ -134,6 +136,59 @@ TEST(OneOutKarpSipser, IsolatedVerticesHandled) {
   std::vector<vid_t> choice = {kNil, kNil, 3, 2};
   const UndirectedMatching m = one_out_karp_sipser(4, choice);
   EXPECT_EQ(m.cardinality(), 1);
+}
+
+TEST(OneOutKarpSipser, MatePinnedAcrossVersions) {
+  // Golden values captured before the bipartite and undirected kernels
+  // shared one out-one chain phase. Phase 1's races may pair different
+  // vertices on several threads, so the mate array is pinned at one thread
+  // and the cardinality (exact on the choice subgraph) at every count.
+  UndirectedGraph er, planted, sparse;
+  er.assign_bipartite_union(make_erdos_renyi(1 << 14, 1 << 14, 8 << 14, 11));
+  planted.assign_bipartite_union(make_planted_perfect(1 << 14, 7, 13));
+  sparse.assign_bipartite_union(make_erdos_renyi(4096, 5000, 4096, 14));
+  const UndirectedGraph odd = make_undirected_erdos_renyi(1 << 14, 3 << 14, 5);
+  struct Pin {
+    const UndirectedGraph* g;
+    std::uint64_t seed;
+    std::uint64_t mate_fingerprint;
+    vid_t cardinality;
+  };
+  const Pin pins[] = {
+      {&er, 1, 0x7b3ed6065dde03faull, 14255},
+      {&er, 2, 0xe41f62680c2e9299ull, 14251},
+      {&er, 3, 0x67f399abe23f32a1ull, 14296},
+      {&planted, 1, 0xf46e5930e3733062ull, 14282},
+      {&planted, 2, 0x30101bac77d49b9aull, 14236},
+      {&planted, 3, 0x129d9ecabed6f146ull, 14235},
+      {&sparse, 1, 0x9a1a650c1602d1c4ull, 2301},
+      {&sparse, 2, 0xe275358da38db579ull, 2302},
+      {&sparse, 3, 0x35962aa8790891ddull, 2304},
+      {&odd, 1, 0x8a13e3447315aca5ull, 7125},
+      {&odd, 2, 0xfa9b3b4199b4c064ull, 7150},
+      {&odd, 3, 0xab840ec7e4808780ull, 7091},
+  };
+  for (const Pin& pin : pins) {
+    const SymmetricScaling s = scale_symmetric(*pin.g, 5);
+    const std::vector<vid_t> choice = sample_choices(*pin.g, s.d, pin.seed);
+    const UndirectedMatching m = one_out_karp_sipser(pin.g->num_vertices(), choice);
+    const std::string where = "edges " + std::to_string(pin.g->num_edges()) + ", seed " +
+                              std::to_string(pin.seed);
+    if (max_threads() == 1)
+      EXPECT_EQ(testing::bit_fingerprint(m.mate), pin.mate_fingerprint) << where;
+    EXPECT_EQ(m.cardinality(), pin.cardinality) << where;
+  }
+}
+
+TEST(OneOutKarpSipser, OutOfRangeChoiceThrows) {
+  // Each entry must be kNil or a vertex id: a larger id or any other
+  // negative one would index past the phase arrays.
+  const std::vector<vid_t> too_large = {5, kNil};
+  EXPECT_THROW((void)one_out_karp_sipser(2, too_large), std::invalid_argument);
+  const std::vector<vid_t> negative = {kNil, -2};
+  EXPECT_THROW((void)one_out_karp_sipser(2, negative), std::invalid_argument);
+  const std::vector<vid_t> at_n = {1, 2};
+  EXPECT_THROW((void)one_out_karp_sipser(2, at_n), std::invalid_argument);
 }
 
 class UndirectedOneOutExactness : public ::testing::TestWithParam<std::uint64_t> {};
