@@ -235,11 +235,12 @@ Engine::Engine(EngineConfig config)
   if (cache_ != nullptr) registry_.attach(&cache_->metric_domain());
   if (GraphStore* st = cache_ != nullptr ? cache_->store() : nullptr; st != nullptr)
     registry_.attach(&st->metric_domain());
-  // In failpoint builds the process-wide hit counters ride along in every
-  // metrics() snapshot, so a fault-schedule run can be audited from the same
-  // exporter as everything else. (The domain is a process singleton; several
-  // engines may each attach it to their own registry.)
-  if constexpr (fp::kCompiled) registry_.attach(&fp::metric_domain());
+  // The process-wide failpoint counters ride along in every metrics()
+  // snapshot, so a fault-schedule run can be audited from the same exporter
+  // as everything else; until a site is armed the domain is empty and
+  // exports nothing. (The domain is a process singleton; several engines
+  // may each attach it to their own registry.)
+  registry_.attach(&fp::metric_domain());
 
   // Each std::thread owns its OpenMP nthreads ICV, so the per-job budget set
   // inside a pipeline never leaks across workers.

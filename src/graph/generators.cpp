@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <unordered_set>
@@ -38,29 +39,32 @@ BipartiteGraph make_erdos_renyi(vid_t rows, vid_t cols, eid_t nnz_target,
   if (nnz_target < 0) throw std::invalid_argument("make_erdos_renyi: negative nnz");
 
   // Draw edges in parallel chunks with forked per-chunk streams so the result
-  // is independent of the thread count.
+  // is independent of the thread count. Each chunk fills its own slice of
+  // one buffer allocated up front: an allocation failure throws here, where
+  // the caller can catch it, never inside the parallel region.
   constexpr eid_t kChunk = 1 << 16;
   const eid_t num_chunks = (nnz_target + kChunk - 1) / kChunk;
-  std::vector<std::vector<Edge>> chunk_edges(static_cast<std::size_t>(num_chunks));
+  const auto edges =
+      std::make_unique_for_overwrite<Edge[]>(static_cast<std::size_t>(nnz_target));
   const Rng root(seed);
 #pragma omp parallel for schedule(dynamic)
   for (eid_t c = 0; c < num_chunks; ++c) {
     Rng rng = root.fork(static_cast<std::uint64_t>(c));
     const eid_t begin = c * kChunk;
     const eid_t end = std::min(nnz_target, begin + kChunk);
-    auto& out = chunk_edges[static_cast<std::size_t>(c)];
-    out.reserve(static_cast<std::size_t>(end - begin));
     for (eid_t e = begin; e < end; ++e) {
       const auto i = static_cast<vid_t>(rng.next_below(static_cast<std::uint64_t>(rows)));
       const auto j = static_cast<vid_t>(rng.next_below(static_cast<std::uint64_t>(cols)));
-      out.push_back({i, j});
+      edges[static_cast<std::size_t>(e)] = {i, j};
     }
   }
 
   GraphBuilder b(rows, cols);
   b.reserve(static_cast<std::size_t>(nnz_target));
-  for (auto& ce : chunk_edges)
-    for (const Edge& e : ce) b.add_edge(e.row, e.col);
+  for (eid_t e = 0; e < nnz_target; ++e) {
+    const Edge& edge = edges[static_cast<std::size_t>(e)];
+    b.add_edge(edge.row, edge.col);
+  }
   return b.build();
 }
 

@@ -10,7 +10,7 @@
 ///      to a maximum one (`kind=analyze` jobs solve with push-relabel
 ///      instead, once per job);
 ///   3. the state-of-the-art solver whose jump-start the paper motivates
-///      (examples/jump_start_solver.cpp).
+///      (`bench_paper jump_start`).
 
 #include "core/workspace.hpp"
 #include "graph/bipartite_graph.hpp"

@@ -50,19 +50,18 @@ public:
 
   void configure(std::string_view site, const Config& config) {
     ExclusiveLock lock(mutex_);
-    Site& s = find_or_create_locked(site);
-    s.config = config;
+    set_config_locked(find_or_create_locked(site), config);
   }
 
   void clear(std::string_view site) {
     ExclusiveLock lock(mutex_);
     auto it = sites_.find(site);
-    if (it != sites_.end()) it->second->config = Config{};
+    if (it != sites_.end()) set_config_locked(*it->second, Config{});
   }
 
   void clear_all() {
     ExclusiveLock lock(mutex_);
-    for (auto& [name, site] : sites_) site->config = Config{};
+    for (auto& [name, site] : sites_) set_config_locked(*site, Config{});
   }
 
   void set_seed(std::uint64_t seed) noexcept {
@@ -155,6 +154,18 @@ private:
                      e.what());
       }
     }
+    // Replaces the gate's sentinel: from here on it holds the true count.
+    ExclusiveLock lock(mutex_);
+    detail::armed_sites.store(armed_, std::memory_order_relaxed);
+  }
+
+  /// Applies `config` to `site` and publishes the new armed-site count to
+  /// the macros' gate.
+  void set_config_locked(Site& site, const Config& config) BMH_REQUIRES(mutex_) {
+    if (site.config.action != Action::kOff) --armed_;
+    if (config.action != Action::kOff) ++armed_;
+    site.config = config;
+    detail::armed_sites.store(armed_, std::memory_order_relaxed);
   }
 
   Site& find_or_create_locked(std::string_view site) BMH_REQUIRES(mutex_) {
@@ -171,6 +182,7 @@ private:
   SharedMutex mutex_;
   std::map<std::string, std::unique_ptr<Site>, std::less<>> sites_
       BMH_GUARDED_BY(mutex_);
+  std::uint32_t armed_ BMH_GUARDED_BY(mutex_) = 0;  ///< sites not kOff
   std::atomic<std::uint64_t> seed_{0x9E3779B97F4A7C15ull};
   obs::MetricDomain domain_{"failpoints"};
 };

@@ -6,11 +6,11 @@
 /// A *failpoint* is a named site compiled into an I/O or resource edge
 /// (`BMH_FAILPOINT("store.load")`) that normally does nothing, but can be
 /// armed — programmatically or through the `BMH_FAILPOINTS` environment
-/// variable — to throw, sleep, or corrupt at that site. The whole subsystem
-/// is gated by the `BMH_FAILPOINTS` CMake option: in the default build the
-/// macros expand to nothing (zero code, zero overhead) and the library
-/// contains no evaluation paths; `fp::kCompiled` tells tests which build
-/// they are in.
+/// variable — to throw, sleep, or corrupt at that site. Every build carries
+/// the sites behind a one-load gate: the macros read one process-wide count
+/// of armed sites (`fp::any_armed()`, a relaxed atomic load) and call
+/// `fp::hit` only while it is nonzero, so a disarmed site takes no lock and
+/// writes no shared cache line.
 ///
 /// Configuration grammar (env var `BMH_FAILPOINTS`, or
 /// `configure_from_string`):
@@ -62,7 +62,9 @@
 ///   cache.insert          GraphCache shard insert                (error/delay)
 ///   pipeline.stage        every pipeline stage entry             (error/delay)
 
+#include <atomic>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -72,12 +74,6 @@ class MetricDomain;
 }
 
 namespace bmh::fp {
-
-#if defined(BMH_FAILPOINTS)
-inline constexpr bool kCompiled = true;
-#else
-inline constexpr bool kCompiled = false;
-#endif
 
 /// What an armed site does when its trigger mode says "fire".
 enum class Action : std::uint8_t { kOff, kError, kDelay, kCorrupt };
@@ -122,7 +118,7 @@ void set_seed(std::uint64_t seed) noexcept;
 
 /// The global `failpoints` metric domain holding `<site>.evaluations` and
 /// `<site>.fires` counters for every site ever armed. Engine attaches it to
-/// its registry when the subsystem is compiled in.
+/// its registry.
 [[nodiscard]] obs::MetricDomain& metric_domain();
 
 /// Convenience counter reads for tests (0 for never-armed sites).
@@ -132,20 +128,31 @@ void set_seed(std::uint64_t seed) noexcept;
 /// Site evaluation — reached only through the macros below in production
 /// code (tests may call it directly). Looks the site up; if armed and the
 /// trigger mode fires: throws FailpointError (kError), sleeps (kDelay), or
-/// returns true (kCorrupt). Returns false otherwise. Disarmed lookups are
-/// one shared-lock map probe; unarmed builds never call this.
+/// returns true (kCorrupt). Returns false otherwise. A lookup is one
+/// shared-lock map probe; the macros skip it while `any_armed()` is false.
 bool hit(std::string_view site);
+
+namespace detail {
+/// Number of armed sites, written by configure/clear/clear_all under the
+/// registry's exclusive lock. It starts at a nonzero sentinel so the first
+/// site evaluation reaches `hit`, whose registry construction applies the
+/// `BMH_FAILPOINTS` environment variable and stores the true count.
+alignas(64) inline std::atomic<std::uint32_t> armed_sites{
+    std::numeric_limits<std::uint32_t>::max()};
+} // namespace detail
+
+/// The gate in front of every site: false while no site is armed.
+[[nodiscard]] inline bool any_armed() noexcept {
+  return detail::armed_sites.load(std::memory_order_relaxed) != 0;
+}
 
 } // namespace bmh::fp
 
-#if defined(BMH_FAILPOINTS)
 /// Injection site: may throw FailpointError or sleep when armed.
-#define BMH_FAILPOINT(site) ((void)::bmh::fp::hit(site))
+#define BMH_FAILPOINT(site) \
+  (::bmh::fp::any_armed() ? (void)::bmh::fp::hit(site) : (void)0)
 /// Corruption site: evaluates to true when armed with `corrupt` and firing;
 /// the surrounding code then perturbs its own data. May also throw/sleep
 /// when armed with error/delay.
-#define BMH_FAILPOINT_CORRUPT(site) (::bmh::fp::hit(site))
-#else
-#define BMH_FAILPOINT(site) ((void)0)
-#define BMH_FAILPOINT_CORRUPT(site) (false)
-#endif
+#define BMH_FAILPOINT_CORRUPT(site) \
+  (::bmh::fp::any_armed() && ::bmh::fp::hit(site))

@@ -73,16 +73,4 @@ void Table::print(std::ostream& os, const std::string& title) const {
   for (const auto& r : cells_) print_row(r);
 }
 
-void Table::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& r) {
-    for (std::size_t c = 0; c < r.size(); ++c) {
-      if (c != 0) os << ',';
-      os << r[c];
-    }
-    os << '\n';
-  };
-  emit(header_);
-  for (const auto& r : cells_) emit(r);
-}
-
 } // namespace bmh

@@ -1,10 +1,9 @@
 #pragma once
 /// \file table.hpp
-/// \brief Aligned text tables and CSV emission for the benchmark harnesses.
+/// \brief Aligned text tables for the benchmark harnesses.
 ///
-/// Every bench binary regenerates one of the paper's tables or figures; this
-/// helper renders the same rows both as a human-readable aligned table (to
-/// stdout) and, optionally, as CSV for plotting.
+/// Every bench section regenerates one of the paper's tables or figures; this
+/// helper renders its rows as a human-readable aligned table (to stdout).
 
 #include <cstddef>
 #include <iosfwd>
@@ -30,9 +29,6 @@ public:
 
   /// Renders with padded columns, a header rule, and optional title.
   void print(std::ostream& os, const std::string& title = "") const;
-
-  /// Renders as CSV (no title).
-  void print_csv(std::ostream& os) const;
 
   [[nodiscard]] std::size_t rows() const noexcept { return cells_.size(); }
   [[nodiscard]] const std::vector<std::string>& header() const noexcept { return header_; }

@@ -1,8 +1,8 @@
 /// \file test_failpoints.cpp
-/// \brief The failure-domain hardening suite: failpoint grammar and trigger
-/// modes (exercised directly, so they run in every build), and — in
-/// BMH_FAILPOINTS builds — fault injection through the real sites: store
-/// I/O errors degrading to direct builds, the circuit breaker tripping and
+/// \brief The failure-domain hardening suite: failpoint grammar, trigger
+/// modes and the macros' armed-site gate (exercised directly), and fault
+/// injection through the real sites, which every build carries: store I/O
+/// errors degrading to direct builds, the circuit breaker tripping and
 /// cooling down, CRC corruption taking the content/self-heal path, job
 /// deadlines, and the randomized 500-job fault-schedule soak asserting the
 /// engine's core robustness contract: no crash, exactly one record per
@@ -69,10 +69,9 @@ TEST(FailpointConfig, RejectsGrammarErrors) {
 }
 
 // -------------------------------------------------- direct site evaluation ---
-// fp::hit() exists in every build (only the macros compile out), so the
-// trigger-mode semantics are certified even where no site is armed in
-// production code. Sites are test-local names — never compiled-in ones, so
-// these cannot perturb the injection tests below.
+// fp::hit() is called directly here, so the trigger-mode semantics are
+// certified apart from any production site. Sites are test-local names —
+// never compiled-in ones, so these cannot perturb the injection tests below.
 
 TEST(FailpointHit, UnarmedSiteIsFalseAndUncounted) {
   EXPECT_FALSE(fp::hit("test.never_armed"));
@@ -166,6 +165,22 @@ TEST(FailpointHit, ConfigureFromStringArmsSeveralSites) {
   EXPECT_FALSE(fp::hit("test.multi_a"));
 }
 
+// The macros' gate: one relaxed load of the armed-site count. Disarmed
+// sites never reach hit(), so they take no lock and count nothing.
+TEST(FailpointHit, GateFollowsTheArmedSiteCount) {
+  fp::clear_all();
+  EXPECT_FALSE(fp::any_armed());
+  fp::configure("test.gate", fp::parse_config("error"));
+  EXPECT_TRUE(fp::any_armed());
+  fp::clear("test.gate");
+  EXPECT_FALSE(fp::any_armed());
+  for (int i = 0; i < 8; ++i) {
+    BMH_FAILPOINT("test.gate");
+    EXPECT_FALSE(BMH_FAILPOINT_CORRUPT("test.gate"));
+  }
+  EXPECT_EQ(fp::evaluations("test.gate"), 0ull);
+}
+
 // ------------------------------------------------------ deadline machinery ---
 // timeout_ms needs no failpoints: a deliberately over-sized build blows a
 // 1 ms budget at the post-acquire check in every build mode.
@@ -203,20 +218,14 @@ TEST(JobDeadlines, ZeroTimeoutMeansNone) {
 }
 
 // --------------------------------------------------------- injected faults ---
-// Everything below drives faults through the compiled-in sites, so it only
-// runs in BMH_FAILPOINTS builds (the CI `failpoints` job). The fixture
+// Everything below drives faults through the compiled-in sites. The fixture
 // guarantees a clean slate per test however a predecessor failed.
 
 class FailpointInjection : public ::testing::Test {
 protected:
   void SetUp() override {
-    if (!fp::kCompiled) GTEST_SKIP() << "BMH_FAILPOINTS not compiled in";
     fp::clear_all();
-    dir_ = (fs::temp_directory_path() /
-            ("bmh_fp_" +
-             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name()))
-               .string();
+    dir_ = testing::scratch_dir("bmh_fp_");
     fs::remove_all(dir_);
   }
   void TearDown() override {
@@ -383,9 +392,12 @@ TEST_F(FailpointInjection, DelayPlusDeadlineTimesOutAtAStageBoundary) {
   EngineConfig config;
   config.threads = 1;
   Engine engine(config);
-  fp::configure("pipeline.stage", fp::parse_config("delay(20ms)"));
+  // The budget leaves the graph build (well under a millisecond alone) a wide
+  // margin even beside other test binaries, so the deadline falls inside the
+  // first stage's delay and is caught at the next stage boundary.
+  fp::configure("pipeline.stage", fp::parse_config("delay(200ms)"));
   JobSpec job =
-      parse_job_spec_line("name=slowstage input=gen:er:n=256,deg=4 timeout_ms=5");
+      parse_job_spec_line("name=slowstage input=gen:er:n=256,deg=4 timeout_ms=100");
   const JobResult r = engine.submit(std::move(job)).get();
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.error_kind, ErrorKind::kTimeout);

@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <string_view>
 #include <tuple>
 
 #include "graph/generators.hpp"
 #include "graph/stats.hpp"
 #include "matching/hopcroft_karp.hpp"
+#include "util/hash.hpp"
 
 namespace bmh {
 namespace {
@@ -32,6 +36,43 @@ TEST(ErdosRenyi, RejectsBadArguments) {
   EXPECT_THROW((void)make_erdos_renyi(0, 5, 10, 1), std::invalid_argument);
   EXPECT_THROW((void)make_erdos_renyi(5, 0, 10, 1), std::invalid_argument);
   EXPECT_THROW((void)make_erdos_renyi(5, 5, -1, 1), std::invalid_argument);
+}
+
+// Golden CSR fingerprints captured from the generator that drew each chunk
+// into its own vector. The one-buffer form must leave every graph
+// bit-identical: the chunk streams, their order and the builder input are
+// unchanged. Tuples cover one partial chunk, exact and partial multi-chunk
+// targets, a rectangular shape with empty rows, and no edges at all.
+TEST(ErdosRenyi, OutputPinnedAcrossVersions) {
+  struct Pin {
+    vid_t rows;
+    vid_t cols;
+    eid_t nnz;
+    std::uint64_t seed;
+    eid_t edges;
+    std::uint64_t row_ptr_fingerprint;
+    std::uint64_t col_idx_fingerprint;
+  };
+  const Pin pins[] = {
+      {100, 120, 500, 9, 494, 0x963d0b732fa8a219ull, 0x6c8e9155b278dff3ull},
+      {1 << 14, 1 << 14, 8 << 14, 11, 131038, 0xa9fe28a9f327b085ull,
+       0x173ca4aadcec7669ull},
+      {3000, 2000, 200000, 5, 196675, 0xbd527f304a3e9584ull, 0xc6a2b2a113aa2015ull},
+      {4096, 5000, 4096, 14, 4096, 0x3007a1c97ef4bc95ull, 0x3a4a49c8f449bba7ull},
+      {7, 3, 0, 1, 0, 0xb9b23f3a46fd0825ull, 0xcbf29ce484222325ull},
+  };
+  const auto fingerprint = [](auto span) {
+    return fnv1a64(std::string_view(reinterpret_cast<const char*>(span.data()),
+                                    span.size_bytes()));
+  };
+  for (const Pin& pin : pins) {
+    const BipartiteGraph g = make_erdos_renyi(pin.rows, pin.cols, pin.nnz, pin.seed);
+    const std::string at = std::to_string(pin.rows) + "x" + std::to_string(pin.cols) +
+                           " nnz=" + std::to_string(pin.nnz);
+    EXPECT_EQ(g.num_edges(), pin.edges) << at;
+    EXPECT_EQ(fingerprint(g.row_ptr()), pin.row_ptr_fingerprint) << at;
+    EXPECT_EQ(fingerprint(g.col_idx()), pin.col_idx_fingerprint) << at;
+  }
 }
 
 class KsAdversarialTest : public ::testing::TestWithParam<std::tuple<vid_t, vid_t>> {};

@@ -39,11 +39,7 @@ void flip_byte(const std::string& path, std::streamoff offset) {
 class GraphStoreTest : public ::testing::Test {
 protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() /
-            ("bmh_store_" +
-             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name()))
-               .string();
+    dir_ = testing::scratch_dir("bmh_store_");
     fs::remove_all(dir_);
   }
   void TearDown() override {

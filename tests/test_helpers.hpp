@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <filesystem>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -27,6 +31,16 @@ template <typename T>
 [[nodiscard]] std::uint64_t bit_fingerprint(const std::vector<T>& v) {
   return fnv1a64(std::string_view(reinterpret_cast<const char*>(v.data()),
                                   v.size() * sizeof(T)));
+}
+
+/// A per-process, per-test scratch path under the system temp directory.
+/// ctest runs every test binary at three OpenMP thread counts side by side,
+/// so the name carries the process id as well as the test's name.
+[[nodiscard]] inline std::string scratch_dir(std::string_view prefix) {
+  return (std::filesystem::temp_directory_path() /
+          (std::string(prefix) + std::to_string(::getpid()) + "_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name()))
+      .string();
 }
 
 /// Exhaustive maximum matching by recursion over rows — the independent

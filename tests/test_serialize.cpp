@@ -29,10 +29,7 @@ namespace fs = std::filesystem;
 class SerializeTest : public ::testing::Test {
 protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("bmh_serialize_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) + "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    dir_ = testing::scratch_dir("bmh_serialize_");
     fs::create_directories(dir_);
   }
   void TearDown() override {

@@ -66,15 +66,6 @@ TEST(Table, RendersAlignedColumnsWithHeaderRule) {
   EXPECT_NE(out.find("----"), std::string::npos);
 }
 
-TEST(Table, CsvOutputHasOneLinePerRow) {
-  Table t({"a", "b"});
-  t.row().add(1).add(2);
-  t.row().add(3).add(4);
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n3,4\n");
-}
-
 TEST(Table, RejectsTooManyCells) {
   Table t({"only"});
   t.row().add("x");
