@@ -51,14 +51,15 @@ public:
   [[nodiscard]] constexpr std::string_view name() const noexcept { return name_; }
 
   /// True iff the algorithm samples from the scaled densities; pipelines
-  /// skip the scaling stage (and pass identity multipliers) otherwise.
+  /// skip the scaling stage otherwise, and fill no multipliers for it.
   [[nodiscard]] constexpr bool uses_scaling() const noexcept { return uses_scaling_; }
 
   /// True iff the result is always a maximum matching (exact backends).
   [[nodiscard]] constexpr bool is_exact() const noexcept { return exact_; }
 
-  /// Runs the algorithm. `scaling` must cover `g` (identity_scaling(g) when
-  /// the caller did not scale); it is ignored unless uses_scaling().
+  /// Runs the algorithm. When uses_scaling(), `scaling` must cover `g`
+  /// (identity_scaling(g) when the caller did not scale); otherwise it is
+  /// ignored and may hold anything, including empty multipliers.
   void run_ws(const BipartiteGraph& g, const ScalingResult& scaling,
               const AlgorithmOptions& options, Workspace& ws, Matching& out) const {
     kernel_(g, scaling, options, ws, out);

@@ -132,6 +132,8 @@ struct Engine::WorkerObs {
   obs::Counter* io_retries = nullptr;        ///< transient acquire retries taken
   obs::Counter* sprank_solves = nullptr;     ///< exact sprank solves run
   obs::Counter* sprank_memo_hits = nullptr;  ///< sprank served by the graph's memo
+  obs::Counter* scaling_solves = nullptr;     ///< SK / Ruiz scalings run
+  obs::Counter* scaling_memo_hits = nullptr;  ///< scalings served by the graph's memo
   obs::Counter* callback_errors = nullptr;   ///< deliver callbacks that threw
   obs::Histogram* queue_wait = nullptr;
   obs::Histogram* graph_acquire = nullptr;
@@ -168,6 +170,8 @@ Engine::WorkerObs Engine::resolve_worker_obs(obs::MetricDomain& domain) {
   wo.io_retries = &domain.counter("io_retries");
   wo.sprank_solves = &domain.counter("sprank_solves");
   wo.sprank_memo_hits = &domain.counter("sprank_memo_hits");
+  wo.scaling_solves = &domain.counter("scaling_solves");
+  wo.scaling_memo_hits = &domain.counter("scaling_memo_hits");
   wo.callback_errors = &domain.counter("callback_errors");
   wo.queue_wait = &domain.histogram("queue_wait");
   wo.graph_acquire = &domain.histogram("graph_acquire");
@@ -332,6 +336,8 @@ void Engine::run_single(const SubmitSlot& claimed, Workspace& ws, WorkerObs& wo)
     if (wo.direct_build) wo.direct_builds->inc();
     if (result.result.sprank_source == SprankSource::kSolved) wo.sprank_solves->inc();
     if (result.result.sprank_source == SprankSource::kMemo) wo.sprank_memo_hits->inc();
+    if (result.result.scaling_source == ScalingSource::kSolved) wo.scaling_solves->inc();
+    if (result.result.scaling_source == ScalingSource::kMemo) wo.scaling_memo_hits->inc();
     wo.queue_wait->record(queue_wait_ns);
     wo.graph_acquire->record(wo.graph_acquire_ns);
     wo.job->record(obs::now_ns() - claimed_ns);

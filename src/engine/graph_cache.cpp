@@ -16,13 +16,14 @@
 
 namespace bmh {
 
+struct GraphCache::ShardEntry {
+  std::string key;
+  std::shared_ptr<const BipartiteGraph> graph;
+  std::size_t bytes = 0;  ///< memory_bytes() when last charged
+};
+
 struct GraphCache::Shard {
-  struct Entry {
-    std::string key;
-    std::shared_ptr<const BipartiteGraph> graph;
-    std::size_t bytes = 0;
-  };
-  using Lru = std::list<Entry>;
+  using Lru = std::list<ShardEntry>;
 
   mutable Mutex mutex;
   Lru lru BMH_GUARDED_BY(mutex);  ///< front = most recently used
@@ -33,6 +34,22 @@ struct GraphCache::Shard {
   /// Drives this shard's own budget check; the cache-level `bytes` gauge
   /// (the observable value) is kept in step under the same lock.
   std::size_t bytes BMH_GUARDED_BY(mutex) = 0;
+
+  /// Moves least recently used entries into `victims` until the shard fits
+  /// `cache`'s per-shard budget, counting them on its instruments.
+  void evict_over_budget(GraphCache& cache, std::vector<ShardEntry>& victims)
+      BMH_REQUIRES(mutex) {
+    while (bytes > cache.shard_budget_ && !lru.empty()) {
+      ShardEntry& victim = lru.back();
+      bytes -= victim.bytes;
+      map.erase(std::string_view(victim.key));
+      cache.entries_gauge_.add(-1);
+      cache.bytes_gauge_.add(-static_cast<std::int64_t>(victim.bytes));
+      victims.push_back(std::move(victim));
+      lru.pop_back();
+      cache.evictions_.inc();
+    }
+  }
 };
 
 namespace {
@@ -72,6 +89,8 @@ std::shared_ptr<const BipartiteGraph> GraphCache::get_or_build(const GraphSpec& 
   // Fibonacci-mix before masking: FNV's low bits correlate for short keys.
   Shard& shard = *shards_[(hash * 0x9e3779b97f4a7c15ull >> 32) & shard_mask_];
 
+  std::shared_ptr<const BipartiteGraph> grown;  // a hit whose charge grew
+  std::vector<ShardEntry> victims;
   {
     BMH_SPAN("cache_probe");
     LockGuard lock(shard.mutex);
@@ -79,9 +98,25 @@ std::shared_ptr<const BipartiteGraph> GraphCache::get_or_build(const GraphSpec& 
     if (it != shard.map.end()) {
       hits_.inc();
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return it->second->graph;
+      ShardEntry& entry = *it->second;
+      // Re-charge: the graph grows once a job publishes its remembered
+      // scaling. Growth happens once per entry, so only then can a hit
+      // evict (and, past the lock, re-spill) anything.
+      const std::size_t bytes = entry.graph->memory_bytes();
+      if (bytes == entry.bytes) return entry.graph;
+      grown = entry.graph;
+      shard.bytes += bytes - entry.bytes;
+      bytes_gauge_.add(static_cast<std::int64_t>(bytes) -
+                       static_cast<std::int64_t>(entry.bytes));
+      entry.bytes = bytes;
+      shard.evict_over_budget(*this, victims);
+    } else {
+      misses_.inc();
     }
-    misses_.inc();
+  }
+  if (grown != nullptr) {
+    spill_victims(victims);
+    return grown;
   }
 
   // Materialize outside the lock: a slow build (file read, big generator)
@@ -117,7 +152,6 @@ std::shared_ptr<const BipartiteGraph> GraphCache::get_or_build(const GraphSpec& 
   // Evicted entries leave under the lock but spill after it: store I/O on
   // victims (normally a no-op existence probe — builds write through below)
   // must not serialize the shard.
-  std::vector<Shard::Entry> victims;
   {
     LockGuard lock(shard.mutex);
     const auto raced = shard.map.find(std::string_view(key));
@@ -135,33 +169,28 @@ std::shared_ptr<const BipartiteGraph> GraphCache::get_or_build(const GraphSpec& 
       // Copy (not move) the key: stealing the thread-local buffer would
       // force the next lookup on this thread to regrow it — the warm path
       // must stay allocation-free from the first call after the cold build.
-      shard.lru.push_front(Shard::Entry{key, built, bytes});
+      shard.lru.push_front(ShardEntry{key, built, bytes});
       shard.map.emplace(std::string_view(shard.lru.front().key), shard.lru.begin());
       shard.bytes += bytes;
       entries_gauge_.add(1);
       bytes_gauge_.add(static_cast<std::int64_t>(bytes));
-      while (shard.bytes > shard_budget_) {
-        Shard::Entry& victim = shard.lru.back();  // never the entry just added:
-        shard.bytes -= victim.bytes;              // its bytes alone fit the budget
-        shard.map.erase(std::string_view(victim.key));
-        entries_gauge_.add(-1);
-        bytes_gauge_.add(-static_cast<std::int64_t>(victim.bytes));
-        victims.push_back(std::move(victim));
-        shard.lru.pop_back();
-        evictions_.inc();
-      }
+      // Never evicts the entry just added: its bytes alone fit the budget.
+      shard.evict_over_budget(*this, victims);
     }
   }
 
-  if (store_ != nullptr) {
-    // Write-through for fresh builds (uncacheable ones included — the next
-    // process mmaps them instead of rebuilding); evictions re-spill only if
-    // their file vanished, which the store's existence probe makes cheap.
-    if (!loaded_from_store) (void)store_->spill(key, *built);
-    for (const Shard::Entry& victim : victims)
-      (void)store_->spill(victim.key, *victim.graph);
-  }
+  // Write-through for fresh builds (uncacheable ones included — the next
+  // process mmaps them instead of rebuilding).
+  if (store_ != nullptr && !loaded_from_store) (void)store_->spill(key, *built);
+  spill_victims(victims);
   return built;
+}
+
+void GraphCache::spill_victims(const std::vector<ShardEntry>& victims) {
+  // Evictions re-spill only if their file vanished, which the store's
+  // existence probe makes cheap.
+  if (store_ == nullptr) return;
+  for (const ShardEntry& victim : victims) (void)store_->spill(victim.key, *victim.graph);
 }
 
 GraphCache::Stats GraphCache::stats() const {

@@ -30,7 +30,10 @@
 /// Capacity: a byte budget over the resident CSR+CSC bytes
 /// (BipartiteGraph::memory_bytes), split evenly across shards; least
 /// recently used entries are evicted per shard when it overflows. A graph
-/// larger than a whole shard's budget is returned uncached.
+/// larger than a whole shard's budget is returned uncached. A resident
+/// graph that has since published its remembered scaling is re-charged on
+/// its next hit, which may evict other entries (or, past a shard's whole
+/// budget, the graph itself — the caller still gets it).
 ///
 /// Persistence: an optional second tier, a file-backed GraphStore sharing
 /// the same canonical keys. Memory misses consult the store before
@@ -133,6 +136,10 @@ public:
 
 private:
   struct Shard;
+  struct ShardEntry;
+  /// Re-spills evicted entries whose store file vanished (no-op without a
+  /// store). Called after the shard's lock is released.
+  void spill_victims(const std::vector<ShardEntry>& victims);
   std::size_t shard_budget_;
   std::size_t shard_mask_;
   std::vector<std::unique_ptr<Shard>> shards_;

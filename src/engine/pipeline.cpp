@@ -115,30 +115,43 @@ void run_stages_ws(const BipartiteGraph& g, const PipelineConfig& config,
                    PipelineResult& out) {
   out.reset();  // `out` may carry a previous job's results
 
-  ScalingResult& scaling = ws.obj<ScalingResult>("pipeline.scaling");
+  // The match stage reads the graph's remembered scaling in place on a
+  // hit, else this worker's `computed` (or the entry it was just moved into).
+  ScalingResult& computed = ws.obj<ScalingResult>("pipeline.scaling");
+  const ScalingResult* scaling = &computed;
   const bool scale = algorithm.uses_scaling() &&
                      config.scaling != ScalingMethod::kNone &&
                      config.scaling_iterations > 0;
   timed_stage(out, config, "scale", [&] {
     if (scale) {
+      const ScalingKey key{static_cast<int>(config.scaling), config.scaling_iterations,
+                           config.scaling_tolerance};
+      if (const ScalingResult* known = g.known_scaling(key)) {
+        scaling = known;
+        out.scaling_source = ScalingSource::kMemo;
+        return;
+      }
       const ScalingOptions opts{config.scaling_iterations, config.scaling_tolerance};
       if (config.scaling == ScalingMethod::kRuiz)
-        scale_ruiz_ws(g, opts, ws, scaling);
+        scale_ruiz_ws(g, opts, ws, computed);
       else
-        scale_sinkhorn_knopp_ws(g, opts, ws, scaling);
-    } else {
+        scale_sinkhorn_knopp_ws(g, opts, ws, computed);
+      out.scaling_source = ScalingSource::kSolved;
+      scaling = &g.offer_scaling(key, computed);
+    } else if (algorithm.uses_scaling()) {
       // The identity multipliers only feed the samplers; the error field is
       // never read on this branch, so skip its O(nnz) computation.
-      identity_scaling_ws(g, ws, scaling, /*compute_error=*/false);
+      identity_scaling_ws(g, ws, computed, /*compute_error=*/false);
     }
+    // An algorithm that ignores scaling gets no multipliers at all.
   });
   if (scale) {
-    out.scaling_iterations = scaling.iterations;
-    out.scaling_error = scaling.error;
+    out.scaling_iterations = scaling->iterations;
+    out.scaling_error = scaling->error;
   }
 
   timed_stage(out, config, "match",
-              [&] { algorithm.run_ws(g, scaling, config.options, ws, out.matching); });
+              [&] { algorithm.run_ws(g, *scaling, config.options, ws, out.matching); });
   out.heuristic_cardinality = out.matching.cardinality();
   out.exact = algorithm.is_exact();
 

@@ -7,8 +7,11 @@
 /// runner) executes: it owns the stage sequencing that the seed code
 /// hand-wired at each call site. Stages:
 ///
-///   scale    optional Sinkhorn-Knopp or Ruiz scaling (skipped, with
-///            identity multipliers, when the algorithm ignores scaling)
+///   scale    optional Sinkhorn-Knopp or Ruiz scaling, remembered on the
+///            graph from a (method, iterations, tolerance) key's second
+///            use on (BipartiteGraph::offer_scaling); identity multipliers
+///            when the job asks for no scaling, nothing at all when the
+///            algorithm ignores scaling
 ///   match    a built-in heuristic or exact algorithm (registry.hpp)
 ///   augment  optional Hopcroft-Karp completion to the maximum (the paper's
 ///            jump-start application: the heuristic initializes the exact
@@ -108,6 +111,14 @@ enum class SprankSource : std::uint8_t {
   kMemo,    ///< the graph already carried it (BipartiteGraph::known_sprank)
 };
 
+/// Where the match stage's scaling came from — the engine counts solves and
+/// memo hits per worker from it.
+enum class ScalingSource : std::uint8_t {
+  kNone,    ///< no scaling ran (identity, or an algorithm that ignores it)
+  kSolved,  ///< Sinkhorn–Knopp or Ruiz ran in this job
+  kMemo,    ///< the graph already carried it (BipartiteGraph::known_scaling)
+};
+
 struct PipelineResult {
   Matching matching;
   vid_t cardinality = 0;            ///< |matching|
@@ -119,6 +130,7 @@ struct PipelineResult {
   double quality = 0.0;             ///< cardinality / sprank (0 likewise)
   int scaling_iterations = 0;       ///< iterations the scale stage ran
   double scaling_error = 0.0;       ///< error after the last iteration
+  ScalingSource scaling_source = ScalingSource::kNone;
   AnalysisExtras extras;            ///< kind-specific scalars (non-match kinds)
   std::vector<StageStats> stages;   ///< per-stage wall-clock timings
   double total_seconds = 0.0;       ///< sum over stages
@@ -137,6 +149,7 @@ struct PipelineResult {
     quality = 0.0;
     scaling_iterations = 0;
     scaling_error = 0.0;
+    scaling_source = ScalingSource::kNone;
     extras = AnalysisExtras{};
     stages.clear();
     total_seconds = 0.0;

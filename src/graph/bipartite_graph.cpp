@@ -1,10 +1,40 @@
 #include "graph/bipartite_graph.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
+#include "scaling/scaling.hpp"
+
 namespace bmh {
+
+struct BipartiteGraph::ScalingEntry {
+  ScalingKey key;
+  ScalingResult result;
+};
+
+namespace {
+
+/// Bitwise, so a NaN tolerance still names one key.
+bool same_key(const ScalingKey& a, const ScalingKey& b) noexcept {
+  return a.method == b.method && a.iterations == b.iterations &&
+         std::bit_cast<std::uint64_t>(a.tolerance) ==
+             std::bit_cast<std::uint64_t>(b.tolerance);
+}
+
+/// The key's record for offer_scaling: a mix of its three fields, never 0
+/// (0 means "no key offered yet"). A collision only publishes early; the
+/// entry itself keeps the full key.
+std::uint64_t scaling_key_hash(const ScalingKey& key) noexcept {
+  std::uint64_t h = std::bit_cast<std::uint64_t>(key.tolerance);
+  h ^= (static_cast<std::uint64_t>(static_cast<std::uint32_t>(key.method)) << 32 |
+        static_cast<std::uint32_t>(key.iterations)) *
+       0x9e3779b97f4a7c15ull;
+  return h | 1;
+}
+
+} // namespace
 
 void BipartiteGraph::validate_csr(vid_t num_rows, vid_t num_cols,
                                   std::span<const eid_t> row_ptr,
@@ -80,6 +110,43 @@ void BipartiteGraph::reset_empty() {
 
 BipartiteGraph::BipartiteGraph() { reset_empty(); }
 
+BipartiteGraph::~BipartiteGraph() { drop_scaling(); }
+
+void BipartiteGraph::drop_scaling() noexcept {
+  // Relaxed: callers own the graph exclusively (no concurrent reader).
+  delete scaling_entry_.exchange(nullptr, std::memory_order_relaxed);
+  // Relaxed: the record is a hint, read only by offer_scaling.
+  scaling_seen_.store(0, std::memory_order_relaxed);
+}
+
+const ScalingResult* BipartiteGraph::known_scaling(const ScalingKey& key) const noexcept {
+  // Acquire pairs with offer_scaling's release CAS: a non-null entry is
+  // seen fully constructed.
+  const ScalingEntry* entry = scaling_entry_.load(std::memory_order_acquire);
+  return entry != nullptr && same_key(entry->key, key) ? &entry->result : nullptr;
+}
+
+const ScalingResult& BipartiteGraph::offer_scaling(const ScalingKey& key,
+                                                   ScalingResult& result) const {
+  // Relaxed: a graph that already carries an entry never publishes again,
+  // so only the pointer's nullness matters here; readers acquire it.
+  if (scaling_entry_.load(std::memory_order_relaxed) != nullptr) return result;
+  const std::uint64_t hash = scaling_key_hash(key);
+  // Relaxed: the record only decides when to publish; racing offers at
+  // worst publish one use late.
+  if (scaling_seen_.exchange(hash, std::memory_order_relaxed) != hash) return result;
+  auto* entry = new ScalingEntry{key, std::move(result)};
+  const ScalingEntry* expected = nullptr;
+  // Release publishes the entry's contents to known_scaling's acquire
+  // load; relaxed on failure, since the loser reads only its own result.
+  if (scaling_entry_.compare_exchange_strong(expected, entry, std::memory_order_release,
+                                             std::memory_order_relaxed))
+    return entry->result;
+  result = std::move(entry->result);  // another offer won: keep ours
+  delete entry;
+  return result;
+}
+
 BipartiteGraph::BipartiteGraph(vid_t num_rows, vid_t num_cols,
                                std::vector<eid_t> row_ptr, std::vector<vid_t> col_idx)
     : num_rows_(num_rows),
@@ -99,6 +166,9 @@ BipartiteGraph::BipartiteGraph(vid_t num_rows, vid_t num_cols,
   rebind_views();
 }
 
+// Copies drop the remembered scaling: the entry is owned by one graph
+// object, and a copy is a new object that earns its own on its second use.
+// Moves carry it with the arrays.
 BipartiteGraph::BipartiteGraph(const BipartiteGraph& other)
     : num_rows_(other.num_rows_),
       num_cols_(other.num_cols_),
@@ -111,6 +181,10 @@ BipartiteGraph::BipartiteGraph(BipartiteGraph&& other) noexcept
     : num_rows_(other.num_rows_),
       num_cols_(other.num_cols_),
       sprank_memo_(other.sprank_memo_.exchange(kUnknownSprank, std::memory_order_relaxed)),
+      // Relaxed: a moved-from graph is owned exclusively by the mover.
+      scaling_seen_(other.scaling_seen_.exchange(0, std::memory_order_relaxed)),
+      // Relaxed: as above.
+      scaling_entry_(other.scaling_entry_.exchange(nullptr, std::memory_order_relaxed)),
       storage_(std::move(other.storage_)) {
   rebind_views();
   // Leave the source a valid empty graph rather than with dangling views
@@ -128,6 +202,7 @@ BipartiteGraph& BipartiteGraph::operator=(const BipartiteGraph& other) {
     num_cols_ = other.num_cols_;
     sprank_memo_.store(other.sprank_memo_.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
+    drop_scaling();
     storage_ = other.storage_;
     rebind_views();
   }
@@ -140,6 +215,13 @@ BipartiteGraph& BipartiteGraph::operator=(BipartiteGraph&& other) noexcept {
     num_cols_ = other.num_cols_;
     sprank_memo_.store(other.sprank_memo_.exchange(kUnknownSprank, std::memory_order_relaxed),
                        std::memory_order_relaxed);
+    drop_scaling();
+    // Relaxed: both graphs are owned exclusively by the assigning thread.
+    scaling_seen_.store(other.scaling_seen_.exchange(0, std::memory_order_relaxed),
+                        std::memory_order_relaxed);
+    // Relaxed: as above.
+    scaling_entry_.store(other.scaling_entry_.exchange(nullptr, std::memory_order_relaxed),
+                         std::memory_order_relaxed);
     storage_ = std::move(other.storage_);
     rebind_views();
     other.num_rows_ = 0;
@@ -151,10 +233,18 @@ BipartiteGraph& BipartiteGraph::operator=(BipartiteGraph&& other) noexcept {
 }
 
 std::size_t BipartiteGraph::memory_bytes() const noexcept {
+  std::size_t bytes = 0;
   if (const auto* owned = std::get_if<OwnedStorage>(&storage_))
-    return (owned->row_ptr.capacity() + owned->col_ptr.capacity()) * sizeof(eid_t) +
-           (owned->col_idx.capacity() + owned->row_idx.capacity()) * sizeof(vid_t);
-  return std::get<ExternalStorage>(storage_).resident_bytes;
+    bytes = (owned->row_ptr.capacity() + owned->col_ptr.capacity()) * sizeof(eid_t) +
+            (owned->col_idx.capacity() + owned->row_idx.capacity()) * sizeof(vid_t);
+  else
+    bytes = std::get<ExternalStorage>(storage_).resident_bytes;
+  // Acquire pairs with offer_scaling's release CAS: the capacities read
+  // below are the published entry's.
+  if (const ScalingEntry* entry = scaling_entry_.load(std::memory_order_acquire))
+    bytes += sizeof(ScalingEntry) +
+             (entry->result.dr.capacity() + entry->result.dc.capacity()) * sizeof(double);
+  return bytes;
 }
 
 void BipartiteGraph::assign_csr(vid_t num_rows, vid_t num_cols,
@@ -162,8 +252,9 @@ void BipartiteGraph::assign_csr(vid_t num_rows, vid_t num_cols,
                                 std::span<const vid_t> col_idx) {
   validate_csr(num_rows, num_cols, row_ptr, col_idx);  // members untouched on throw
   // New arrays, new rank: a pooled graph rebuilt in place must not serve
-  // the previous instance's sprank.
+  // the previous instance's sprank or scaling.
   sprank_memo_.store(kUnknownSprank, std::memory_order_relaxed);
+  drop_scaling();
   // Everything past validation reallocates buffers the view members point
   // into (or, below, tears down a mapping they point into), and any of it
   // can throw bad_alloc. Park the object in the consistent empty state

@@ -29,9 +29,17 @@
 /// arrays, so a graph shared across jobs (a graph-cache entry) pays the
 /// exact solve once. The memo follows the arrays — copies and moves carry
 /// it, `assign_csr` clears it.
+///
+/// A graph can also carry one scaling (`known_scaling` / `offer_scaling`):
+/// the multipliers of a Sinkhorn–Knopp or Ruiz run depend only on the
+/// arrays and the (method, iterations, tolerance) key, so a resident graph
+/// scales once per key instead of once per job. The entry is published on
+/// a key's second use and is immutable from then on; moves carry it,
+/// copies and `assign_csr` drop it.
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -41,6 +49,18 @@
 #include "util/types.hpp"
 
 namespace bmh {
+
+struct ScalingResult;  // scaling/scaling.hpp
+
+/// What a remembered scaling was computed with: the caller's scaler id (the
+/// engine's ScalingMethod), the iteration cap and the tolerance. A
+/// remembered entry answers only the key it was computed for, field by
+/// field and the tolerance bit for bit.
+struct ScalingKey {
+  int method = 0;
+  int iterations = 0;
+  double tolerance = 0.0;
+};
 
 class BipartiteGraph {
 public:
@@ -83,7 +103,7 @@ public:
   BipartiteGraph(BipartiteGraph&& other) noexcept;
   BipartiteGraph& operator=(const BipartiteGraph& other);
   BipartiteGraph& operator=(BipartiteGraph&& other) noexcept;
-  ~BipartiteGraph() = default;
+  ~BipartiteGraph();
 
   /// In-place re-initialization from CSR arrays, reusing the capacity of all
   /// four internal vectors — the pooled-construction path: a graph object
@@ -130,7 +150,8 @@ public:
 
   /// Resident bytes backing the four CSR/CSC arrays: heap capacity for owned
   /// storage (the historical accounting), the external region's
-  /// resident_bytes (file size) for mapped storage. Either way, the cost a
+  /// resident_bytes (file size) for mapped storage — plus the remembered
+  /// scaling's multipliers once one is published. Either way, the cost a
   /// cache accounts for keeping this graph around.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
@@ -154,6 +175,22 @@ public:
   void remember_sprank(vid_t sprank) const noexcept {
     sprank_memo_.store(sprank, std::memory_order_relaxed);
   }
+
+  /// The scaling remembered for `key`, or nullptr when the graph carries
+  /// none or carries another key's. A non-null result stays valid, and
+  /// unchanged, for the graph's lifetime (or until `assign_csr`).
+  [[nodiscard]] const ScalingResult* known_scaling(const ScalingKey& key) const noexcept;
+
+  /// Offers `result`, just computed for `key`, for remembering, and returns
+  /// what the caller should read: the published entry or `result` itself.
+  /// The graph records only the hash of the last key offered; an offer
+  /// whose key hash matches that record is the key's second use and
+  /// publishes, moving `result` into the graph's one entry. A graph that
+  /// already carries an entry keeps it (a second key never overwrites it),
+  /// and of racing publishers the first wins; the losers keep their
+  /// `result`. Logically const, like remember_sprank. Throws bad_alloc
+  /// (with `result` untouched) if the entry cannot be allocated.
+  const ScalingResult& offer_scaling(const ScalingKey& key, ScalingResult& result) const;
 
   /// True iff edge (i, j) exists. O(deg) scan; intended for tests/examples.
   [[nodiscard]] bool has_edge(vid_t i, vid_t j) const noexcept;
@@ -189,9 +226,19 @@ private:
 
   static constexpr vid_t kUnknownSprank = -1;
 
+  struct ScalingEntry;  // the key and its multipliers (bipartite_graph.cpp)
+  /// Deletes the published scaling and forgets the last offered key. Only
+  /// for a graph no other thread reads (assignment, assign_csr, teardown).
+  void drop_scaling() noexcept;
+
   vid_t num_rows_ = 0;
   vid_t num_cols_ = 0;
   mutable std::atomic<vid_t> sprank_memo_{kUnknownSprank};
+  /// Hash of the last key offered to offer_scaling (0: none yet).
+  mutable std::atomic<std::uint64_t> scaling_seen_{0};
+  /// The published scaling, owned by this graph; null until a key's
+  /// second use.
+  mutable std::atomic<const ScalingEntry*> scaling_entry_{nullptr};
   std::variant<OwnedStorage, ExternalStorage> storage_;
   std::span<const eid_t> row_ptr_;
   std::span<const vid_t> col_idx_;

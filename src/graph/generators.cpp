@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -28,6 +30,16 @@ std::vector<vid_t> random_permutation(vid_t n, Rng& rng) {
 
 void require_positive(vid_t n, const char* what) {
   if (n <= 0) throw std::invalid_argument(std::string(what) + " must be positive");
+}
+
+/// `n`, a vertex count computed in 64 bits, as a vid_t; throws
+/// std::invalid_argument naming `what` when it does not fit.
+vid_t checked_dimension(eid_t n, const char* what) {
+  if (n > std::numeric_limits<vid_t>::max())
+    throw std::invalid_argument(std::string(what) + " = " + std::to_string(n) +
+                                " exceeds the vertex id range (" +
+                                std::to_string(std::numeric_limits<vid_t>::max()) + ")");
+  return static_cast<vid_t>(n);
 }
 
 } // namespace
@@ -123,7 +135,7 @@ BipartiteGraph make_full(vid_t n) {
 BipartiteGraph make_mesh(vid_t sx, vid_t sy) {
   require_positive(sx, "make_mesh: sx");
   require_positive(sy, "make_mesh: sy");
-  const vid_t n = sx * sy;
+  const vid_t n = checked_dimension(static_cast<eid_t>(sx) * sy, "make_mesh: sx * sy");
   GraphBuilder b(n, n);
   b.reserve(static_cast<std::size_t>(n) * 5);
   auto id = [sx](vid_t x, vid_t y) { return y * sx + x; };
@@ -143,12 +155,15 @@ BipartiteGraph make_mesh(vid_t sx, vid_t sy) {
 BipartiteGraph make_road_like(vid_t n, double shortcut_fraction, double drop_fraction,
                               std::uint64_t seed) {
   require_positive(n, "make_road_like: n");
-  if (shortcut_fraction < 0 || drop_fraction < 0 || drop_fraction > 1)
+  if (!(shortcut_fraction >= 0 && drop_fraction >= 0 && drop_fraction <= 1))
     throw std::invalid_argument("make_road_like: bad fractions");
+  const double shortcut_count = shortcut_fraction * static_cast<double>(n);
+  if (!(shortcut_count < 9.0e18))
+    throw std::invalid_argument("make_road_like: shortcut * n is not a valid edge count");
   Rng rng(seed);
   GraphBuilder b(n, n);
-  const auto shortcuts = static_cast<eid_t>(shortcut_fraction * static_cast<double>(n));
-  b.reserve(static_cast<std::size_t>(2 * n + shortcuts));
+  const auto shortcuts = static_cast<eid_t>(shortcut_count);
+  b.reserve(static_cast<std::size_t>(2 * static_cast<eid_t>(n) + shortcuts));
   for (vid_t i = 0; i < n; ++i) {
     // A dropped row loses both its cycle entries (it keeps only whatever
     // shortcuts land on it), which is what creates the sprank deficiency —
@@ -198,7 +213,7 @@ BipartiteGraph make_kkt_like(vid_t m, vid_t p, vid_t d, std::uint64_t seed) {
   require_positive(p, "make_kkt_like: p");
   if (d <= 0 || d > m) throw std::invalid_argument("make_kkt_like: bad d");
   Rng rng(seed);
-  const vid_t n = m + p;
+  const vid_t n = checked_dimension(static_cast<eid_t>(m) + p, "make_kkt_like: m + p");
   GraphBuilder b(n, n);
 
   // H block: tridiagonal mesh-like stencil on the first m rows/cols.
@@ -264,14 +279,14 @@ BipartiteGraph make_row_regular(vid_t n, vid_t d, std::uint64_t seed) {
 }
 
 BipartiteGraph make_block_diagonal(const std::vector<BipartiteGraph>& blocks) {
-  vid_t rows = 0, cols = 0;
-  eid_t nnz = 0;
+  eid_t rows = 0, cols = 0, nnz = 0;
   for (const auto& g : blocks) {
     rows += g.num_rows();
     cols += g.num_cols();
     nnz += g.num_edges();
   }
-  GraphBuilder b(rows, cols);
+  GraphBuilder b(checked_dimension(rows, "make_block_diagonal: total rows"),
+                 checked_dimension(cols, "make_block_diagonal: total cols"));
   b.reserve(static_cast<std::size_t>(nnz));
   vid_t row_off = 0, col_off = 0;
   for (const auto& g : blocks) {
@@ -289,8 +304,10 @@ BipartiteGraph make_dm_structured(vid_t h_rows, vid_t h_cols, vid_t s_n, vid_t v
   if (h_rows < 0 || h_cols < h_rows || s_n < 0 || v_cols < 0 || v_rows < v_cols)
     throw std::invalid_argument("make_dm_structured: block shape invalid");
   Rng rng(seed);
-  const vid_t rows = h_rows + s_n + v_rows;
-  const vid_t cols = h_cols + s_n + v_cols;
+  const vid_t rows = checked_dimension(static_cast<eid_t>(h_rows) + s_n + v_rows,
+                                       "make_dm_structured: h_rows + s_n + v_rows");
+  const vid_t cols = checked_dimension(static_cast<eid_t>(h_cols) + s_n + v_cols,
+                                       "make_dm_structured: h_cols + s_n + v_cols");
   GraphBuilder b(rows, cols);
 
   // Horizontal block: row i matched to column i, plus wrap-around extra

@@ -43,33 +43,37 @@ public:
     // Live-edge pool for Phase 2. Every draw retires its pool entry (the
     // matched edge is as dead as a stale one), so picks stay uniform over
     // the edges whose endpoints are both still free and the total number of
-    // draws is bounded by the number of edges.
+    // draws is bounded by the number of edges (and ends with the last live
+    // edge, see live_edges_).
     eid_t e = 0;
     for (vid_t i = 0; i < m_; ++i)
       for (const vid_t j : g.row_neighbors(i)) pool_[static_cast<std::size_t>(e++)] = {i, j};
   }
 
   void run(KarpSipserStats* stats) {
-    std::size_t live = pool_.size();
-    while (drawn_ < live && drawn_ < kLookahead) draw_ahead(drawn_);
+    std::size_t pooled = pool_.size();
+    while (drawn_ < pooled && drawn_ < kLookahead) draw_ahead(drawn_);
     while (true) {
       drain_degree_one(stats);
+      // No edge joins two free vertices: done. (`<=`: a graph holding a
+      // duplicate edge, which the library never builds, over-subtracts, and
+      // then only stops early; the count never exceeds the live edges, so
+      // the draws below always find one.)
+      if (live_edges_ <= 0) break;
       // Phase 2 pick: uniform over live edges via swap-removal. The drawn
       // entry is removed whether it matches or is stale — leaving a matched
-      // edge in the pool would make it re-drawable.
-      bool matched_one = false;
-      while (live > 0) {
+      // edge in the pool would make it re-drawable. Every live edge is
+      // still pooled, so a draw matches before the pool runs out.
+      while (true) {
         const std::size_t idx = next_draw();
         const auto [i, j] = pool_[idx];
         if (stats != nullptr) ++stats->phase2_draws;
-        pool_[idx] = pool_[--live];
+        pool_[idx] = pool_[--pooled];
         if (matched(i) || matched(m_ + j)) continue;
         match_pair(i, m_ + j);
         if (stats != nullptr) ++stats->phase2_matches;
-        matched_one = true;
         break;
       }
-      if (!matched_one) break;  // no live edge left: done
     }
   }
 
@@ -150,6 +154,10 @@ private:
   }
 
   void match_pair(vid_t u, vid_t v) {
+    // Both are free, so their states hold their free-neighbour counts: the
+    // live edges this match retires are those, less the shared edge (u, v).
+    live_edges_ -= static_cast<eid_t>(-1 - state_[static_cast<std::size_t>(u)]) +
+                   static_cast<eid_t>(-1 - state_[static_cast<std::size_t>(v)]) - 1;
     state_[static_cast<std::size_t>(u)] = v;
     state_[static_cast<std::size_t>(v)] = u;
     reduce_neighbors(u);
@@ -172,6 +180,9 @@ private:
   std::vector<vid_t>& state_;
   std::vector<vid_t>& stack_;
   std::vector<std::pair<vid_t, vid_t>>& pool_;
+  /// Edges whose endpoints are both free. Phase 2 stops when it reaches 0:
+  /// every remaining pool entry is then stale.
+  eid_t live_edges_ = g_.num_edges();
   std::array<std::size_t, kLookahead> ring_{};
   std::size_t drawn_ = 0;  ///< draws taken from the RNG
   std::size_t used_ = 0;   ///< draws handed to Phase 2

@@ -10,9 +10,12 @@
 /// Draw order. Phase 2 keeps a pool of every edge and draws from it by
 /// swap-removal: each draw retires exactly one entry, matched or stale, and
 /// Phase 1 never touches the RNG. So draw t is `rng.next_below(E - t)` for
-/// t = 0, 1, ..., E - 1 whatever the matching state, and the implementation
-/// takes the draws a fixed ring ahead of use to prefetch the pool entries
-/// and endpoint states they will touch. The output for a seed is the same
+/// t = 0, 1, ... whatever the matching state — up to the draw that matches
+/// the last edge between two free vertices, after which every pool entry is
+/// stale and the run stops (a count of such live edges, kept by each match,
+/// says when; the matching is the one drawing the stale rest would give).
+/// The implementation takes the draws a fixed ring ahead of use to prefetch
+/// the pool entries and endpoint states they will touch. The output for a seed is the same
 /// as drawing one index per step; any change to this order changes the
 /// matching a seed produces.
 ///
@@ -33,9 +36,10 @@ namespace bmh {
 struct KarpSipserStats {
   vid_t phase1_matches = 0;  ///< optimal degree-one matches
   vid_t phase2_matches = 0;  ///< random-edge matches
-  eid_t phase2_draws = 0;    ///< pool draws in Phase 2; every draw retires
-                             ///< its pool entry, so this never exceeds the
-                             ///< number of edges
+  eid_t phase2_draws = 0;    ///< pool draws in Phase 2, up to the one that
+                             ///< matched the last live edge; every draw
+                             ///< retires its pool entry, so this never
+                             ///< exceeds the number of edges
 };
 
 /// Runs Karp–Sipser with the given random seed; `stats`, when non-null,

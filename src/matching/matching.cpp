@@ -95,9 +95,15 @@ bool is_valid_matching(const BipartiteGraph& g, const Matching& m) {
   for (vid_t i = 0; i < g.num_rows(); ++i) {
     const vid_t j = m.row_match[static_cast<std::size_t>(i)];
     if (j == kNil) continue;
-    if (j < 0 || j >= g.num_cols() || m.col_match[static_cast<std::size_t>(j)] != i ||
-        !g.has_edge(i, j))
+    if (j < 0 || j >= g.num_cols() || m.col_match[static_cast<std::size_t>(j)] != i) {
       bad = true;
+      continue;
+    }
+    // The whole row, without an early exit: where j sits varies with every
+    // matching, so a branch out of the scan would mispredict.
+    bool found = false;
+    for (const vid_t v : g.row_neighbors(i)) found |= v == j;
+    bad |= !found;
   }
   if (bad) return false;
 #pragma omp parallel for schedule(static) reduction(|| : bad)

@@ -317,6 +317,25 @@ TEST(JobSpecHostile, HostileNumericsFailAsParseRecordsNotCrashes) {
   }
 }
 
+TEST(JobSpecHostile, GeneratorDimensionOverflowsAreParseRecords) {
+  // Each dimension fits 32 bits, but the generator's vertex count does not:
+  // it is computed in 64 bits and rejected by name before anything is
+  // allocated.
+  EngineConfig config;
+  config.threads = 1;
+  Engine engine(config);
+  const std::pair<const char*, const char*> cases[] = {
+      {"input=gen:mesh:nx=2000000000,ny=2", "make_mesh"},
+      {"input=gen:kkt:m=2000000000,p=2000000000,d=1", "make_kkt_like"},
+  };
+  for (const auto& [input, generator] : cases) {
+    const JobResult r = engine.submit(parse_job_spec_line(input)).get();
+    EXPECT_FALSE(r.ok) << input;
+    EXPECT_EQ(r.error_kind, ErrorKind::kParse) << input << ": " << r.error;
+    EXPECT_NE(r.error.find(generator), std::string::npos) << input << ": " << r.error;
+  }
+}
+
 TEST(JobSpec, ParseErrorResultIsAReadyMadeParseRecord) {
   const JobResult r = parse_error_result(7, "line9", "input=:::", "line 9: nope");
   EXPECT_EQ(r.index, 7u);

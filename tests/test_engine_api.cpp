@@ -5,8 +5,8 @@
 /// (the ASan/UBSan ctest job runs this), batches riding the submit queue
 /// (larger than the queue, concurrent with other batches and submits,
 /// per-kind slices exact in every snapshot), the serve round trip at API
-/// level, thread auto-detection, and the GraphStore prune budget +
-/// EngineConfig wiring.
+/// level, thread auto-detection, the sprank and scaling memos on resident
+/// graphs, and the GraphStore prune budget + EngineConfig wiring.
 
 #include <gtest/gtest.h>
 
@@ -653,6 +653,61 @@ TEST(EngineApi, AnalyzeDmAndKoenigFillTheSprankMemo) {
     EXPECT_EQ(match.result.sprank, probe.result.sprank) << algo;
     EXPECT_EQ(worker_total(engine, "sprank_solves"), 1u) << algo;
     EXPECT_EQ(worker_total(engine, "sprank_memo_hits"), 1u) << algo;
+  }
+}
+
+// --------------------------------------------------------- scaling memo ---
+
+/// Repeated match jobs on two pinned instances mixing scaled algorithms,
+/// scaling keys (SK and Ruiz, two iteration counts), identity scaling and
+/// an algorithm that ignores scaling. Returns the jobs; `scaled` receives
+/// how many of them run a scaling.
+std::vector<JobSpec> repeated_scaling_jobs(std::uint64_t& scaled) {
+  const char* const lines[] = {
+      "algo=two_sided iters=5",        "algo=one_sided iters=5 quality=0",
+      "algo=k_out k=2 iters=5",        "algo=two_sided scaling=ruiz iters=4",
+      "algo=karp_sipser",              "algo=one_sided iters=0",
+      "algo=two_sided iters=3 quality=0",
+  };
+  std::vector<JobSpec> jobs;
+  scaled = 0;
+  for (int round = 0; round < 4; ++round)
+    for (const char* instance : {"gen:er:n=1024,deg=4,seed=3", "gen:powerlaw:n=768,seed=4"})
+      for (const char* line : lines) {
+        jobs.push_back(parse_job_spec_line("input=" + std::string(instance) + " " + line));
+        jobs.back().name = "s" + std::to_string(jobs.size());
+        const PipelineConfig& p = jobs.back().pipeline;
+        if (find_algorithm(p.algorithm).uses_scaling() && p.scaling_iterations > 0) ++scaled;
+      }
+  return jobs;
+}
+
+TEST(EngineApi, ScalingMemoKeepsRecordsByteIdenticalAndCountsHits) {
+  std::uint64_t scaled = 0;
+  const std::vector<JobSpec> jobs = repeated_scaling_jobs(scaled);
+  EngineConfig off;
+  off.seed = 11;
+  off.threads = 2;
+  off.graph_cache_mb = 0;  // every job builds its own graph: nothing to share
+  std::string reference;
+  {
+    Engine engine(off);
+    reference = run_lines(engine, jobs);
+    EXPECT_EQ(worker_total(engine, "scaling_solves"), scaled);
+    EXPECT_EQ(worker_total(engine, "scaling_memo_hits"), 0u);
+  }
+
+  for (const int workers : {1, 4}) {
+    EngineConfig on = off;
+    on.threads = workers;
+    on.graph_cache_mb = 64;
+    Engine engine(on);
+    EXPECT_EQ(run_lines(engine, jobs), reference) << "workers=" << workers;
+    const std::uint64_t solves = worker_total(engine, "scaling_solves");
+    const std::uint64_t hits = worker_total(engine, "scaling_memo_hits");
+    EXPECT_EQ(solves + hits, scaled) << "workers=" << workers;
+    EXPECT_GT(hits, 0u) << "workers=" << workers;
+    EXPECT_LE(solves + hits, worker_total(engine, "jobs_run")) << "workers=" << workers;
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -234,6 +235,40 @@ TEST(DmStructured, BlockSprankComposition) {
 TEST(DmStructured, RejectsInvalidShapes) {
   EXPECT_THROW((void)make_dm_structured(10, 5, 5, 5, 5, 1, 1), std::invalid_argument);
   EXPECT_THROW((void)make_dm_structured(5, 10, 5, 5, 8, 1, 1), std::invalid_argument);
+}
+
+/// Expects `build` to throw std::invalid_argument whose message starts with
+/// `generator`: a vertex count that overflows 32 bits is rejected by name,
+/// before anything proportional to it is allocated.
+template <typename Build>
+void expect_rejected_by_name(Build build, const std::string& generator) {
+  try {
+    (void)build();
+    ADD_FAILURE() << generator << " accepted an overflowing dimension";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(generator, 0), 0u) << e.what();
+  }
+}
+
+TEST(GeneratorDimensions, SumsAndProductsPastTheVertexIdRangeAreRejected) {
+  constexpr vid_t kBig = 2'000'000'000;
+  expect_rejected_by_name([] { return make_mesh(kBig, 2); }, "make_mesh");
+  expect_rejected_by_name([] { return make_mesh(65536, 65536); }, "make_mesh");
+  expect_rejected_by_name([] { return make_kkt_like(kBig, kBig, 1, 1); }, "make_kkt_like");
+  expect_rejected_by_name([] { return make_dm_structured(kBig, kBig, kBig, 0, 0, 0, 1); },
+                          "make_dm_structured");
+  expect_rejected_by_name([] { return make_dm_structured(0, kBig, 0, kBig, kBig, 0, 1); },
+                          "make_dm_structured");
+  // Road's edge count is computed in 64 bits too; a shortcut count that is
+  // not a valid edge count (or not a number) is rejected up front.
+  expect_rejected_by_name([] { return make_road_like(1 << 20, 1e13, 0.0, 1); },
+                          "make_road_like");
+  expect_rejected_by_name(
+      [] { return make_road_like(64, std::numeric_limits<double>::quiet_NaN(), 0.0, 1); },
+      "make_road_like");
+  // Shapes whose counts fit are built as before.
+  EXPECT_EQ(make_mesh(3, 5).num_rows(), 15);
+  EXPECT_EQ(make_kkt_like(8, 3, 2, 1).num_rows(), 11);
 }
 
 } // namespace

@@ -4,11 +4,14 @@
 /// and parameter order, the seed precedence rules, hit/miss/LRU accounting,
 /// concurrent lookup/insert (the sanitizer CI job runs this suite under
 /// ASan+UBSan, exercising the sharded locks), batch-output parity with
-/// the cache on vs off, and the sprank memo resident graphs carry.
+/// the cache on vs off, and the sprank and scaling memos resident graphs
+/// carry.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <sstream>
 #include <thread>
 
@@ -325,6 +328,275 @@ TEST(SprankMemoStress, ConcurrentFirstTouchAgrees) {
   EXPECT_GE(solves.load(), 1);
   EXPECT_LE(solves.load(), kThreads);
   EXPECT_EQ(g->known_sprank(), std::optional<vid_t>(expected));
+}
+
+// --------------------------------------------------------- scaling memo ---
+
+/// The pipeline's memo key for `config`.
+ScalingKey key_of(const PipelineConfig& config) {
+  return {static_cast<int>(config.scaling), config.scaling_iterations,
+          config.scaling_tolerance};
+}
+
+/// A fresh, unmemoized solve of `config`'s scaling on `g` at `threads`
+/// OpenMP threads.
+ScalingResult fresh_scaling(const BipartiteGraph& g, const PipelineConfig& config,
+                            int threads) {
+  const ThreadCountGuard guard(threads);
+  const ScalingOptions opts{config.scaling_iterations, config.scaling_tolerance};
+  return config.scaling == ScalingMethod::kRuiz ? scale_ruiz(g, opts)
+                                                : scale_sinkhorn_knopp(g, opts);
+}
+
+void expect_bit_identical(const ScalingResult& a, const ScalingResult& b,
+                          const std::string& where) {
+  EXPECT_EQ(testing::bit_fingerprint(a.dr), testing::bit_fingerprint(b.dr)) << where;
+  EXPECT_EQ(testing::bit_fingerprint(a.dc), testing::bit_fingerprint(b.dc)) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.error), std::bit_cast<std::uint64_t>(b.error))
+      << where;
+  EXPECT_EQ(a.iterations, b.iterations) << where;
+  EXPECT_EQ(a.converged, b.converged) << where;
+}
+
+TEST(ScalingMemo, HitIsBitIdenticalToFreshSolvesAtAnyThreadCount) {
+  // SK's only reduction is a max and every row/column sum is serial per
+  // vertex, and so for Ruiz: the multipliers do not depend on the thread
+  // count, so one remembered entry may serve jobs of any thread budget.
+  const BipartiteGraph base = make_power_law(3000, 6.0, 1.8, 21);
+  struct Case {
+    ScalingMethod method;
+    int iterations;
+    double tolerance;
+  };
+  for (const Case c : {Case{ScalingMethod::kSinkhornKnopp, 5, 0.0},
+                       Case{ScalingMethod::kSinkhornKnopp, 40, 1e-3},
+                       Case{ScalingMethod::kRuiz, 5, 0.0},
+                       Case{ScalingMethod::kRuiz, 30, 1e-2}}) {
+    for (const int publisher : {1, 2, 4}) {
+      const BipartiteGraph g(base);  // a copy starts without an entry
+      PipelineConfig config;
+      config.algorithm = "one_sided";
+      config.compute_quality = false;
+      config.scaling = c.method;
+      config.scaling_iterations = c.iterations;
+      config.scaling_tolerance = c.tolerance;
+      config.options.threads = publisher;
+      Workspace ws;
+      PipelineResult out;
+      run_pipeline_ws(g, config, ws, out);
+      run_pipeline_ws(g, config, ws, out);  // second use: publishes
+      const ScalingResult* known = g.known_scaling(key_of(config));
+      const std::string where = std::string(to_string(c.method)) + " iters " +
+                                std::to_string(c.iterations) + ", published at " +
+                                std::to_string(publisher) + " threads";
+      ASSERT_NE(known, nullptr) << where;
+      for (const int threads : {1, 2, 4})
+        expect_bit_identical(*known, fresh_scaling(g, config, threads),
+                             where + ", fresh at " + std::to_string(threads));
+      // A hit reports the entry's error and iterations, and samples from it
+      // (one_sided's matching is a function of seed and scaling only at
+      // one thread).
+      const Matching published = out.matching;
+      run_pipeline_ws(g, config, ws, out);
+      EXPECT_EQ(out.scaling_source, ScalingSource::kMemo) << where;
+      EXPECT_EQ(out.scaling_iterations, known->iterations) << where;
+      EXPECT_EQ(out.scaling_error, known->error) << where;
+      if (publisher == 1) {
+        EXPECT_EQ(out.matching.row_match, published.row_match) << where;
+      }
+    }
+  }
+}
+
+TEST(ScalingMemo, PublishesOnTheSecondUseAndASecondKeyNeverOverwrites) {
+  const BipartiteGraph g = make_erdos_renyi(800, 800, 4000, 3);
+  Workspace ws;
+  PipelineResult out;
+  PipelineConfig sk;
+  sk.algorithm = "two_sided";
+  sk.compute_quality = false;
+  PipelineConfig ruiz = sk;
+  ruiz.scaling = ScalingMethod::kRuiz;
+  PipelineConfig more = sk;
+  more.scaling_iterations = sk.scaling_iterations + 1;
+
+  run_pipeline_ws(g, sk, ws, out);  // first use: recorded, not published
+  EXPECT_EQ(out.scaling_source, ScalingSource::kSolved);
+  EXPECT_EQ(g.known_scaling(key_of(sk)), nullptr);
+  const std::size_t plain_bytes = g.memory_bytes();
+  run_pipeline_ws(g, sk, ws, out);  // second use: solved, then published
+  EXPECT_EQ(out.scaling_source, ScalingSource::kSolved);
+  const ScalingResult* entry = g.known_scaling(key_of(sk));
+  ASSERT_NE(entry, nullptr);
+  EXPECT_GE(g.memory_bytes(), plain_bytes + (800 + 800) * sizeof(double));
+  run_pipeline_ws(g, sk, ws, out);
+  EXPECT_EQ(out.scaling_source, ScalingSource::kMemo);
+
+  // Other keys — another method, another iteration count — compute as
+  // before, even on their own second use, and leave the entry in place.
+  for (const PipelineConfig* other : {&ruiz, &more, &ruiz, &more}) {
+    run_pipeline_ws(g, *other, ws, out);
+    EXPECT_EQ(out.scaling_source, ScalingSource::kSolved);
+    EXPECT_EQ(g.known_scaling(key_of(*other)), nullptr);
+  }
+  EXPECT_EQ(g.known_scaling(key_of(sk)), entry);
+
+  // Algorithms that ignore the scaling neither solve nor read it.
+  PipelineConfig ks = sk;
+  ks.algorithm = "karp_sipser";
+  run_pipeline_ws(g, ks, ws, out);
+  EXPECT_EQ(out.scaling_source, ScalingSource::kNone);
+  EXPECT_EQ(out.scaling_iterations, 0);
+}
+
+TEST(ScalingMemo, AssignCsrClearsMovesCarryCopiesDrop) {
+  BipartiteGraph g = make_erdos_renyi(300, 300, 1500, 8);
+  PipelineConfig config;
+  config.algorithm = "k_out";
+  config.compute_quality = false;
+  Workspace ws;
+  PipelineResult out;
+  run_pipeline_ws(g, config, ws, out);
+  run_pipeline_ws(g, config, ws, out);
+  const ScalingResult* entry = g.known_scaling(key_of(config));
+  ASSERT_NE(entry, nullptr);
+
+  // Copies drop the entry: it belongs to one graph object, and the copy
+  // earns its own on its second use.
+  const BipartiteGraph copy(g);
+  EXPECT_EQ(copy.known_scaling(key_of(config)), nullptr);
+  EXPECT_LT(copy.memory_bytes(), g.memory_bytes());
+  BipartiteGraph assigned = make_cycle(4);
+  assigned = g;
+  EXPECT_EQ(assigned.known_scaling(key_of(config)), nullptr);
+
+  // Moves carry it, the same object, and leave the source without one.
+  BipartiteGraph moved(std::move(g));
+  EXPECT_EQ(moved.known_scaling(key_of(config)), entry);
+  EXPECT_EQ(g.known_scaling(key_of(config)), nullptr);  // NOLINT(bugprone-use-after-move)
+  BipartiteGraph move_target = make_cycle(4);
+  move_target = std::move(moved);
+  EXPECT_EQ(move_target.known_scaling(key_of(config)), entry);
+
+  // New arrays, no entry and no record of the old key: the rebuilt graph
+  // needs two uses of its own before it publishes.
+  const BipartiteGraph other = make_erdos_renyi(300, 300, 1800, 9);
+  move_target.assign_csr(other.num_rows(), other.num_cols(), other.row_ptr(),
+                         other.col_idx());
+  EXPECT_EQ(move_target.known_scaling(key_of(config)), nullptr);
+  run_pipeline_ws(move_target, config, ws, out);
+  EXPECT_EQ(move_target.known_scaling(key_of(config)), nullptr);
+  run_pipeline_ws(move_target, config, ws, out);
+  const ScalingResult* rebuilt = move_target.known_scaling(key_of(config));
+  ASSERT_NE(rebuilt, nullptr);
+  expect_bit_identical(*rebuilt, fresh_scaling(other, config, 1), "after assign_csr");
+}
+
+// Several threads make a key's second use at once: each solves, exactly
+// one publishes, and the others keep and read their own multipliers. The
+// TSan CI job runs this suite.
+TEST(ScalingMemoStress, ConcurrentSecondUsesPublishOneEntry) {
+  const auto g = std::make_shared<const BipartiteGraph>(
+      build_graph(parse_graph_spec("gen:er:n=2048,deg=4,seed=2"), 1));
+  PipelineConfig config;
+  config.algorithm = "one_sided";
+  config.compute_quality = false;
+  config.options.threads = 1;
+  const ScalingResult expected = fresh_scaling(*g, config, 1);
+  {
+    ScalingResult first = expected;
+    (void)g->offer_scaling(key_of(config), first);  // the first use
+    ASSERT_EQ(g->known_scaling(key_of(config)), nullptr);
+  }
+
+  constexpr int kThreads = 4;
+  std::atomic<int> ready{0};
+  std::atomic<int> winners{0};
+  std::atomic<int> wrong{0};
+  std::vector<const ScalingResult*> read(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      ScalingResult mine = expected;
+      ready.fetch_add(1, std::memory_order_relaxed);
+      while (ready.load(std::memory_order_relaxed) < kThreads) std::this_thread::yield();
+      const ScalingResult& got = g->offer_scaling(key_of(config), mine);
+      read[static_cast<std::size_t>(t)] = &got;
+      if (&got != &mine) winners.fetch_add(1, std::memory_order_relaxed);
+      if (got.dr != expected.dr || got.dc != expected.dc)
+        wrong.fetch_add(1, std::memory_order_relaxed);
+    });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(winners.load(), 1);
+  const ScalingResult* entry = g->known_scaling(key_of(config));
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(std::ranges::count(read, entry), 1);
+  expect_bit_identical(*entry, expected, "published entry");
+
+  // Through the pipeline: concurrent jobs on the published graph all hit.
+  std::atomic<int> hits{0};
+  threads.clear();
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&] {
+      Workspace ws;
+      PipelineResult out;
+      run_pipeline_ws(*g, config, ws, out);
+      if (out.scaling_source == ScalingSource::kMemo)
+        hits.fetch_add(1, std::memory_order_relaxed);
+    });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(hits.load(), kThreads);
+}
+
+TEST(ScalingMemo, CacheRechargesTheEntryAndEvictionReleasesIt) {
+  const GraphSpec spec_a = parse_graph_spec("gen:er:n=1024,deg=4,seed=1");
+  const GraphSpec spec_b = parse_graph_spec("gen:er:n=1024,deg=4,seed=2");
+  const GraphSpec spec_c = parse_graph_spec("gen:er:n=1024,deg=4,seed=3");
+  const std::size_t plain_a = build_graph(spec_a, 0).memory_bytes();
+  const std::size_t plain_b = build_graph(spec_b, 0).memory_bytes();
+  GraphCache::Options options;
+  options.shards = 1;
+  // a and b fit; a, b and a's remembered scaling (16 bytes per row and
+  // column pair, 32 KiB here) do not.
+  options.max_bytes = plain_a + plain_b + 8 * 1024;
+  GraphCache cache(options);
+
+  std::weak_ptr<const BipartiteGraph> watch;
+  {
+    const auto a = cache.get_or_build(spec_a, 0);
+    watch = a;
+    (void)cache.get_or_build(spec_b, 0);
+    ASSERT_EQ(cache.stats().entries, 2u);
+    ASSERT_EQ(cache.stats().bytes, plain_a + plain_b);
+
+    PipelineConfig config;
+    config.compute_quality = false;
+    Workspace ws;
+    PipelineResult out;
+    run_pipeline_ws(*a, config, ws, out);
+    run_pipeline_ws(*a, config, ws, out);
+    ASSERT_NE(a->known_scaling(key_of(config)), nullptr);
+    const std::size_t grown = a->memory_bytes();
+    EXPECT_GE(grown, plain_a + 2 * 1024 * sizeof(double));
+    EXPECT_EQ(cache.stats().bytes, plain_a + plain_b);  // not charged until touched
+
+    // The next touch re-charges a, which now pushes b (the LRU tail) out.
+    EXPECT_EQ(cache.get_or_build(spec_a, 0), a);
+    const GraphCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.evictions, 1u);
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(stats.bytes, grown);
+  }
+  // b returns and evicts a; with no job holding a, the graph and its
+  // entry's multipliers are freed, and the budget holds b and c again.
+  const auto b = cache.get_or_build(spec_b, 0);
+  const auto c = cache.get_or_build(spec_c, 0);
+  const GraphCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 2u);
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.bytes, b->memory_bytes() + c->memory_bytes());
+  EXPECT_TRUE(watch.expired());
 }
 
 // ------------------------------------------------- batch-runner parity ---

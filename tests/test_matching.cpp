@@ -122,6 +122,34 @@ TEST(Matching, ValidityAgreesWithDescribeAtScale) {
   }
 }
 
+TEST(Matching, ValidityScansWholeRowsAboveTheParallelSize) {
+  // The membership test scans each matched row to its end without an early
+  // exit. A mutually consistent pair whose column is absent from the row —
+  // the only violation that scan alone catches — must still be rejected,
+  // wherever it sits, on a graph past 2^16 edges.
+  constexpr vid_t n = 1 << 14;
+  const BipartiteGraph g = make_planted_perfect(n, 15, 9);
+  ASSERT_GT(g.num_edges(), eid_t{1} << 16);
+  const Matching perfect = hopcroft_karp(g);
+  ASSERT_EQ(perfect.cardinality(), n);
+  ASSERT_TRUE(is_valid_matching(g, perfect));
+  for (const vid_t p : {vid_t{0}, n / 3, n - 1}) {
+    // Move row p onto column j, a column it has no edge to, and free the
+    // row that held j so both views stay consistent.
+    vid_t j = 0;
+    while (g.has_edge(p, j)) ++j;
+    Matching m = perfect;
+    const vid_t holder = m.col_match[static_cast<std::size_t>(j)];
+    m.row_match[static_cast<std::size_t>(holder)] = kNil;
+    m.col_match[static_cast<std::size_t>(m.row_match[static_cast<std::size_t>(p)])] = kNil;
+    m.row_match[static_cast<std::size_t>(p)] = j;
+    m.col_match[static_cast<std::size_t>(j)] = p;
+    EXPECT_FALSE(is_valid_matching(g, m)) << "row " << p;
+    EXPECT_NE(describe_matching_violation(g, m).find("not an edge"), std::string::npos)
+        << "row " << p;
+  }
+}
+
 TEST(MatchingFromColView, ReconstructsRowView) {
   // Columns 0 and 2 claim rows 1 and 0 respectively.
   const Matching m = matching_from_col_view(2, {1, kNil, 0});
