@@ -158,6 +158,17 @@ void BM_HopcroftKarpWarmStarted(benchmark::State& state) {
 }
 BENCHMARK(BM_HopcroftKarpWarmStarted)->Arg(1 << 14)->Arg(1 << 17);
 
+// The engine's augment stage: the same warm start completed by push-relabel.
+void BM_PushRelabelWarmStarted(benchmark::State& state) {
+  const auto n = static_cast<vid_t>(state.range(0));
+  const BipartiteGraph& g = er_graph(n, 8);
+  const Matching warm = two_sided_match(g, 3, 7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(push_relabel(g, &warm));
+  }
+}
+BENCHMARK(BM_PushRelabelWarmStarted)->Arg(1 << 14)->Arg(1 << 17);
+
 void BM_GraphAssembly(benchmark::State& state) {
   const auto n = static_cast<vid_t>(state.range(0));
   std::uint64_t seed = 0;

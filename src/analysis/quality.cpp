@@ -1,6 +1,6 @@
 #include "analysis/quality.hpp"
 
-#include "matching/hopcroft_karp.hpp"
+#include "matching/push_relabel.hpp"
 
 namespace bmh {
 

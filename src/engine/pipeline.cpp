@@ -12,7 +12,6 @@
 #include "analysis/koenig.hpp"
 #include "analysis/quality.hpp"
 #include "graph/transform.hpp"
-#include "matching/hopcroft_karp.hpp"
 #include "matching/push_relabel.hpp"
 #include "obs/trace.hpp"
 #include "undirected/graph.hpp"
@@ -88,13 +87,21 @@ void timed_stage(PipelineResult& result, const PipelineConfig& config,
   result.total_seconds += seconds;
 }
 
-/// The engine's exact solve: a maximum matching of `g` by push-relabel into
-/// a workspace-leased matching. Its cardinality is remembered as g's sprank
-/// and counted as a solve.
+/// The engine's one exact solve: completes `m`, a valid matching of `g`,
+/// to a maximum one by push-relabel and remembers its cardinality as g's
+/// sprank, so whichever job reaches a resident graph first pays the
+/// graph's only exact solve.
+void complete_to_maximum(const BipartiteGraph& g, Matching& m, Workspace& ws) {
+  push_relabel_augment_ws(g, m, ws);
+  g.remember_sprank(m.cardinality());
+}
+
+/// A maximum matching of `g` from scratch into a workspace-leased matching,
+/// counted as a sprank solve.
 const Matching& solve_maximum(const BipartiteGraph& g, Workspace& ws, PipelineResult& out) {
   Matching& m = ws.obj<Matching>("pipeline.maximum");
-  push_relabel_ws(g, ws, m);
-  g.remember_sprank(m.cardinality());
+  m.reset(g.num_rows(), g.num_cols());
+  complete_to_maximum(g, m, ws);
   out.sprank_source = SprankSource::kSolved;
   return m;
 }
@@ -163,7 +170,7 @@ void run_stages_ws(const BipartiteGraph& g, const PipelineConfig& config,
       if (!is_valid_matching(g, out.matching))
         throw std::invalid_argument("pipeline augment: matching produced by '" +
                                     config.algorithm + "' is invalid");
-      hopcroft_karp_augment_ws(g, out.matching, ws);
+      complete_to_maximum(g, out.matching, ws);
       out.exact = true;
     });
   }
@@ -171,6 +178,8 @@ void run_stages_ws(const BipartiteGraph& g, const PipelineConfig& config,
 
   timed_stage(out, config, "analyze", [&] {
     out.valid = is_valid_matching(g, out.matching);
+    // An exact row's |M| is g's sprank too (augment remembered its own).
+    if (algorithm.is_exact() && out.valid) g.remember_sprank(out.cardinality);
     if (config.compute_quality) {
       // An exact pipeline already knows the optimum: |M| = sprank.
       out.sprank = out.exact ? out.cardinality : remembered_sprank(g, ws, out);

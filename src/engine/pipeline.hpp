@@ -13,13 +13,14 @@
 ///            when the job asks for no scaling, nothing at all when the
 ///            algorithm ignores scaling
 ///   match    a built-in heuristic or exact algorithm (registry.hpp)
-///   augment  optional Hopcroft-Karp completion to the maximum (the paper's
+///   augment  optional push-relabel completion to the maximum (the paper's
 ///            jump-start application: the heuristic initializes the exact
-///            solver)
+///            solver); its cardinality is remembered as the graph's sprank
 ///   analyze  validity check and |M| / sprank quality (sprank reuses the
 ///            known optimum when the pipeline already ended exact, else the
-///            graph's remembered sprank; only a graph's first quality job
-///            runs the exact solve)
+///            graph's remembered sprank). An exact pipeline remembers its
+///            |M| as the graph's sprank, so whichever job reaches a resident
+///            graph first pays its only exact solve
 
 #include <cstdint>
 #include <memory>
@@ -68,7 +69,7 @@ struct PipelineConfig {
   ScalingMethod scaling = ScalingMethod::kSinkhornKnopp;
   int scaling_iterations = 5;
   double scaling_tolerance = 0.0;  ///< 0 = run exactly scaling_iterations
-  bool augment = false;    ///< complete to maximum with Hopcroft-Karp
+  bool augment = false;    ///< complete to maximum with push-relabel
   bool compute_quality = true;  ///< compute sprank (one exact solve per
                                 ///< resident graph, remembered on it)
   /// Absolute steady_now_ns() deadline; 0 = none. Checked on entry to every

@@ -17,7 +17,8 @@
 ///   hopcroft_karp  exact, O(sqrt(n) tau)
 ///   mc21           exact, augmenting DFS with lookahead
 ///   push_relabel   exact, push-relabel with global relabeling (also the
-///                  solver behind sprank and k_out's subgraph match)
+///                  solver behind augment, sprank and k_out's subgraph
+///                  match)
 ///
 /// Undirected matching (JobSpec kind=undirected-match) has its own table
 /// with its own stable names:

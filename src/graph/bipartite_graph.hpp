@@ -82,17 +82,18 @@ public:
 
   /// Constructs from ready-made CSR arrays; the CSC view is derived.
   /// `row_ptr` has `num_rows+1` entries; `col_idx` holds column ids in
-  /// [0, num_cols). Column ids within a row need not be sorted; duplicates
-  /// must have been removed by the caller (GraphBuilder does both).
+  /// [0, num_cols), strictly ascending within each row: sorted, without
+  /// duplicate edges (GraphBuilder emits them so). Anything else throws
+  /// std::invalid_argument. The derived CSC is sorted the same way.
   BipartiteGraph(vid_t num_rows, vid_t num_cols,
                  std::vector<eid_t> row_ptr, std::vector<vid_t> col_idx);
 
   /// Constructs a graph viewing external CSR *and* CSC arrays (both are
   /// given: the point of external backing is loading without rebuilding).
   /// Both orientations are fully validated — sizes, monotone offsets, id
-  /// ranges, and the CSC being the exact transpose of the CSR in canonical
-  /// layout (row ids per column sorted ascending, as this library always
-  /// emits) — so a corrupt or forged region is rejected
+  /// ranges, ids strictly ascending per row and per column (no duplicate
+  /// edge), and the CSC being the exact transpose of the CSR — so a corrupt
+  /// or forged region is rejected
   /// (std::invalid_argument) rather than served. Validation reads the
   /// arrays but never copies them.
   BipartiteGraph(vid_t num_rows, vid_t num_cols, ExternalStorage storage);

@@ -50,16 +50,10 @@ std::vector<vid_t> make_permutation(vid_t n, std::uint64_t seed) {
 
 bool is_pattern_symmetric(const BipartiteGraph& g) {
   if (g.num_rows() != g.num_cols()) return false;
-  // E is symmetric iff E ⊆ Eᵀ (the two have equal cardinality). Membership
-  // (j, i) ∈ E is j ∈ col_neighbors(i), a binary search in the
-  // always-sorted CSC list; row lists may be unsorted, which is why the
-  // check is not a span compare.
-  for (vid_t i = 0; i < g.num_rows(); ++i) {
-    if (g.row_degree(i) != g.col_degree(i)) return false;
-    const auto mirror = g.col_neighbors(i);
-    for (const vid_t j : g.row_neighbors(i))
-      if (!std::binary_search(mirror.begin(), mirror.end(), j)) return false;
-  }
+  // E is symmetric iff every row's list equals the same-numbered column's;
+  // both views are sorted, so that is a span compare.
+  for (vid_t i = 0; i < g.num_rows(); ++i)
+    if (!std::ranges::equal(g.row_neighbors(i), g.col_neighbors(i))) return false;
   return true;
 }
 

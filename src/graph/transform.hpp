@@ -36,10 +36,9 @@ namespace bmh {
                                               std::vector<vid_t>* col_map = nullptr);
 
 /// True iff the graph is square and its adjacency structure is symmetric
-/// (edge (i, j) present iff (j, i) is). Each structural entry is looked up
-/// in the always-sorted CSC mirror, so the check allocates no scratch (it
-/// runs on the kind=undirected-match serving path to pick the conversion
-/// rule).
+/// (edge (i, j) present iff (j, i) is): each sorted row list equals the
+/// same-numbered sorted column list. Allocates no scratch (it runs on the
+/// kind=undirected-match serving path to pick the conversion rule).
 [[nodiscard]] bool is_pattern_symmetric(const BipartiteGraph& g);
 
 /// Extracts one coarse Dulmage–Mendelsohn block (or any labeled part) as a

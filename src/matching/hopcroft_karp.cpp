@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <limits>
-#include <stdexcept>
 #include <vector>
 
 #include "core/workspace.hpp"
@@ -108,27 +107,19 @@ private:
   std::vector<vid_t>& col_stack_;
 };
 
-} // namespace
-
-void greedy_init(const BipartiteGraph& g, Matching& m) {
-  for (vid_t i = 0; i < g.num_rows(); ++i) {
-    if (m.row_matched(i)) continue;
-    for (const vid_t j : g.row_neighbors(i)) {
-      if (!m.col_matched(j)) {
-        m.match(i, j);
-        break;
-      }
-    }
-  }
+/// In-place completion of `m` (a valid matching of `g`, debug-asserted) to
+/// a maximum matching.
+void hopcroft_karp_augment_ws(const BipartiteGraph& g, Matching& m, Workspace& ws) {
+  assert(is_valid_matching(g, m));
+  greedy_init(g, m);
+  HopcroftKarp solver(g, ws);
+  solver.solve(m);
 }
 
+} // namespace
+
 Matching hopcroft_karp(const BipartiteGraph& g, const Matching* initial) {
-  Matching m(g.num_rows(), g.num_cols());
-  if (initial != nullptr) {
-    if (!is_valid_matching(g, *initial))
-      throw std::invalid_argument("hopcroft_karp: initial matching invalid");
-    m = *initial;
-  }
+  Matching m = initial_matching(g, initial, "hopcroft_karp");
   hopcroft_karp_augment_ws(g, m, Workspace::for_this_thread());
   return m;
 }
@@ -136,13 +127,6 @@ Matching hopcroft_karp(const BipartiteGraph& g, const Matching* initial) {
 void hopcroft_karp_ws(const BipartiteGraph& g, Workspace& ws, Matching& out) {
   out.reset(g.num_rows(), g.num_cols());
   hopcroft_karp_augment_ws(g, out, ws);
-}
-
-void hopcroft_karp_augment_ws(const BipartiteGraph& g, Matching& m, Workspace& ws) {
-  assert(is_valid_matching(g, m));
-  greedy_init(g, m);
-  HopcroftKarp solver(g, ws);
-  solver.solve(m);
 }
 
 } // namespace bmh

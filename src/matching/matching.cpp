@@ -14,6 +14,26 @@ vid_t Matching::cardinality() const noexcept {
   return count;
 }
 
+void greedy_init(const BipartiteGraph& g, Matching& m) {
+  for (vid_t i = 0; i < g.num_rows(); ++i) {
+    if (m.row_matched(i)) continue;
+    for (const vid_t j : g.row_neighbors(i)) {
+      if (!m.col_matched(j)) {
+        m.match(i, j);
+        break;
+      }
+    }
+  }
+}
+
+Matching initial_matching(const BipartiteGraph& g, const Matching* initial,
+                          const char* solver) {
+  if (initial == nullptr) return Matching(g.num_rows(), g.num_cols());
+  if (!is_valid_matching(g, *initial))
+    throw std::invalid_argument(std::string(solver) + ": initial matching invalid");
+  return *initial;
+}
+
 Matching matching_from_col_view(vid_t num_rows, const std::vector<vid_t>& col_match) {
   Matching m;
   matching_from_col_view(num_rows, col_match, m);

@@ -63,6 +63,17 @@ struct Matching {
   }
 };
 
+/// Greedy warm start shared by the exact solvers: each free row takes its
+/// first free neighbour. Cuts the number of Hopcroft–Karp phases roughly in
+/// half in practice.
+void greedy_init(const BipartiteGraph& g, Matching& m);
+
+/// Where a warm-started exact solve starts: a copy of `initial`, or the
+/// empty matching when it is null. Throws std::invalid_argument naming
+/// `solver` when `initial` is not a valid matching of `g`.
+[[nodiscard]] Matching initial_matching(const BipartiteGraph& g, const Matching* initial,
+                                        const char* solver);
+
 /// Reconstructs the row view from a column view (used by OneSidedMatch,
 /// whose racy writes leave only `cmatch` authoritative). Throws
 /// std::out_of_range if an entry is neither kNil nor a row id in

@@ -1,7 +1,6 @@
 #include "matching/mc21.hpp"
 
 #include <cassert>
-#include <stdexcept>
 #include <vector>
 
 #include "core/workspace.hpp"
@@ -97,15 +96,19 @@ private:
   std::uint32_t stamp_ = 0;
 };
 
+/// In-place augmentation of `m` (a valid matching of `g`, debug-asserted)
+/// to a maximum matching.
+void mc21_augment_ws(const BipartiteGraph& g, Matching& m, Workspace& ws) {
+  assert(is_valid_matching(g, m));
+  Mc21Solver solver(g, ws);
+  for (vid_t i = 0; i < g.num_rows(); ++i)
+    if (!m.row_matched(i)) solver.augment_from(i, m);
+}
+
 } // namespace
 
 Matching mc21(const BipartiteGraph& g, const Matching* initial) {
-  Matching m(g.num_rows(), g.num_cols());
-  if (initial != nullptr) {
-    if (!is_valid_matching(g, *initial))
-      throw std::invalid_argument("mc21: initial matching invalid");
-    m = *initial;
-  }
+  Matching m = initial_matching(g, initial, "mc21");
   mc21_augment_ws(g, m, Workspace::for_this_thread());
   return m;
 }
@@ -113,13 +116,6 @@ Matching mc21(const BipartiteGraph& g, const Matching* initial) {
 void mc21_ws(const BipartiteGraph& g, Workspace& ws, Matching& out) {
   out.reset(g.num_rows(), g.num_cols());
   mc21_augment_ws(g, out, ws);
-}
-
-void mc21_augment_ws(const BipartiteGraph& g, Matching& m, Workspace& ws) {
-  assert(is_valid_matching(g, m));
-  Mc21Solver solver(g, ws);
-  for (vid_t i = 0; i < g.num_rows(); ++i)
-    if (!m.row_matched(i)) solver.augment_from(i, m);
 }
 
 } // namespace bmh

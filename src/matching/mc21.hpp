@@ -22,8 +22,4 @@ namespace bmh {
 /// warm calls are allocation-free).
 void mc21_ws(const BipartiteGraph& g, Workspace& ws, Matching& out);
 
-/// In-place augmentation of `m` to a maximum matching. `m` must be a valid
-/// matching of `g` (debug-asserted, not checked in release builds).
-void mc21_augment_ws(const BipartiteGraph& g, Matching& m, Workspace& ws);
-
 } // namespace bmh

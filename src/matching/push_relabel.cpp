@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 #include <vector>
 
 #include "core/workspace.hpp"
-#include "matching/hopcroft_karp.hpp"
 
 namespace bmh {
 
@@ -40,12 +38,7 @@ private:
 } // namespace
 
 Matching push_relabel(const BipartiteGraph& g, const Matching* initial) {
-  Matching m(g.num_rows(), g.num_cols());
-  if (initial != nullptr) {
-    if (!is_valid_matching(g, *initial))
-      throw std::invalid_argument("push_relabel: initial matching invalid");
-    m = *initial;
-  }
+  Matching m = initial_matching(g, initial, "push_relabel");
   push_relabel_augment_ws(g, m, Workspace::for_this_thread());
   return m;
 }

@@ -4,9 +4,10 @@
 /// Kaya, Langguth, Manne, Uçar, "Push-relabel based algorithms for the
 /// maximum transversal problem").
 ///
-/// The engine's exact solve: it computes sprank (declared in
-/// hopcroft_karp.hpp, the quality denominator and `kind=analyze
-/// algo=sprank`) and k_out's subgraph matching. Hopcroft–Karp stays the
+/// The engine's one exact solve: it completes `augment=1` matchings, it
+/// computes sprank (below: the quality denominator and `kind=analyze
+/// algo=sprank`) and the maximum matching behind `kind=analyze` dm and
+/// koenig, and it matches k_out's subgraph. Hopcroft–Karp stays the
 /// reference the tests certify it against.
 ///
 /// Formulation: each free row holds one unit of excess; rows are pushed to
@@ -46,5 +47,13 @@ void push_relabel_ws(const BipartiteGraph& g, Workspace& ws, Matching& out);
 /// In-place completion of `m` to a maximum matching. `m` must be a valid
 /// matching of `g` (debug-asserted, not checked in release builds).
 void push_relabel_augment_ws(const BipartiteGraph& g, Matching& m, Workspace& ws);
+
+/// Maximum matching cardinality (the structural rank of the matrix): the
+/// denominator of every reported quality |M| / sprank(A) (paper Tables
+/// 1–3). Any maximum matching has the same cardinality.
+[[nodiscard]] vid_t sprank(const BipartiteGraph& g);
+
+/// Workspace-aware sprank; the solved matching itself is kept inside `ws`.
+[[nodiscard]] vid_t sprank_ws(const BipartiteGraph& g, Workspace& ws);
 
 } // namespace bmh

@@ -49,10 +49,9 @@ void UndirectedGraph::assign_symmetric_view(const BipartiteGraph& g) {
   const vid_t n = g.num_rows();
   if (n != g.num_cols())
     throw std::invalid_argument("assign_symmetric_view: graph is not square");
-  // Read the CSC mirror rather than the CSR rows: col_neighbors is sorted by
-  // construction (row lists need not be), and under the pattern-symmetry
-  // precondition both describe the same neighbour set — so each adjacency
-  // list lands sorted, which has_edge's binary_search requires.
+  // Under the pattern-symmetry precondition column u lists the same sorted
+  // neighbours as row u, so each adjacency list lands sorted, which
+  // has_edge's binary_search requires.
   n_ = n;
   ptr_.resize(static_cast<std::size_t>(n) + 1);
   ptr_[0] = 0;
@@ -84,16 +83,12 @@ void UndirectedGraph::assign_bipartite_union(const BipartiteGraph& g) {
     ptr_[static_cast<std::size_t>(rows + j) + 1] =
         ptr_[static_cast<std::size_t>(rows + j)] + g.col_degree(j);
   adj_.resize(static_cast<std::size_t>(ptr_.back()));
-  // Row-vertex lists are filled by walking the CSC in ascending column
-  // order (row lists may be unsorted, column lists are sorted), using the
-  // ptr_ entries themselves as cursors — each list comes out sorted and no
-  // scratch is allocated. The shift below restores the offsets.
-  for (vid_t j = 0; j < cols; ++j)
-    for (const vid_t i : g.col_neighbors(j))
-      adj_[static_cast<std::size_t>(ptr_[static_cast<std::size_t>(i)]++)] = rows + j;
-  for (vid_t u = rows; u > 0; --u)
-    ptr_[static_cast<std::size_t>(u)] = ptr_[static_cast<std::size_t>(u) - 1];
-  ptr_[0] = 0;
+  // Both views are sorted, so each list is a copy of its row (shifted past
+  // the row vertices) or its column, and comes out sorted.
+  for (vid_t u = 0; u < rows; ++u) {
+    eid_t cursor = ptr_[static_cast<std::size_t>(u)];
+    for (const vid_t j : g.row_neighbors(u)) adj_[static_cast<std::size_t>(cursor++)] = rows + j;
+  }
   for (vid_t j = 0; j < cols; ++j) {
     eid_t cursor = ptr_[static_cast<std::size_t>(rows + j)];
     for (const vid_t i : g.col_neighbors(j))

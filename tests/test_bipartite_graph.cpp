@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "graph/bipartite_graph.hpp"
@@ -21,20 +22,34 @@ TEST(BipartiteGraph, EmptyGraphIsValid) {
   EXPECT_EQ(g.num_edges(), 0);
 }
 
-TEST(BipartiteGraph, RejectsBadRowPtrSize) {
-  EXPECT_THROW(BipartiteGraph(2, 2, {0, 1}, {0}), std::invalid_argument);
-}
-
-TEST(BipartiteGraph, RejectsNonMonotoneRowPtr) {
-  EXPECT_THROW(BipartiteGraph(2, 2, {0, 2, 1}, {0, 1}), std::invalid_argument);
-}
-
-TEST(BipartiteGraph, RejectsOutOfRangeColumn) {
-  EXPECT_THROW(BipartiteGraph(2, 2, {0, 1, 2}, {0, 5}), std::invalid_argument);
-}
-
-TEST(BipartiteGraph, RejectsBoundsMismatch) {
-  EXPECT_THROW(BipartiteGraph(1, 1, {0, 2}, {0}), std::invalid_argument);
+TEST(BipartiteGraph, RejectsMalformedCsr) {
+  struct Case {
+    const char* what;
+    vid_t rows, cols;
+    std::vector<eid_t> row_ptr;
+    std::vector<vid_t> col_idx;
+  };
+  const Case cases[] = {
+      {"row_ptr size", 2, 2, {0, 1}, {0}},
+      {"non-monotone row_ptr", 2, 2, {0, 2, 1}, {0, 1}},
+      {"column out of range", 2, 2, {0, 1, 2}, {0, 5}},
+      {"bounds mismatch", 1, 1, {0, 2}, {0}},
+      {"duplicate edge", 2, 2, {0, 3, 4}, {0, 0, 1, 1}},
+      {"unsorted row", 2, 2, {0, 2, 2}, {1, 0}},
+  };
+  for (const Case& c : cases) {
+    EXPECT_THROW(BipartiteGraph(c.rows, c.cols, c.row_ptr, c.col_idx), std::invalid_argument)
+        << c.what;
+    // The pooled path validates before touching anything: a rejected
+    // rebuild leaves the graph, and its remembered sprank, as they were.
+    BipartiteGraph pooled = make_cycle(4);
+    pooled.remember_sprank(4);
+    EXPECT_THROW(pooled.assign_csr(c.rows, c.cols, c.row_ptr, c.col_idx),
+                 std::invalid_argument)
+        << c.what;
+    EXPECT_TRUE(pooled.structurally_equal(make_cycle(4))) << c.what;
+    EXPECT_EQ(pooled.known_sprank(), std::optional<vid_t>(4)) << c.what;
+  }
 }
 
 TEST(BipartiteGraph, CscMirrorsCsr) {

@@ -210,9 +210,10 @@ TEST(DmFine, BlockIdsGiveLowerTriangularOrder) {
     for (vid_t i = 0; i < g.num_rows(); ++i) {
       if (dm.row_part[static_cast<std::size_t>(i)] != DmPart::Square) continue;
       for (const vid_t j : g.row_neighbors(i))
-        if (dm.col_part[static_cast<std::size_t>(j)] == DmPart::Square)
+        if (dm.col_part[static_cast<std::size_t>(j)] == DmPart::Square) {
           EXPECT_LE(dm.col_block[static_cast<std::size_t>(j)],
                     dm.row_block[static_cast<std::size_t>(i)]);
+        }
     }
   }
 }

@@ -100,7 +100,9 @@ TEST(Registry, EveryAlgorithmValidOnZoo) {
       algorithm.run_ws(g, s, options, ws, m);
       expect_valid(g, m, name.c_str());
       EXPECT_LE(m.cardinality(), optimum) << name;
-      if (algorithm.is_exact()) EXPECT_EQ(m.cardinality(), optimum) << name;
+      if (algorithm.is_exact()) {
+        EXPECT_EQ(m.cardinality(), optimum) << name;
+      }
     }
   }
 }
@@ -182,7 +184,9 @@ TEST(Pipeline, AugmentationReachesTheOptimum) {
 }
 
 TEST(Pipeline, ExactBackendSkipsScaling) {
-  const PipelineResult r = run_pipeline(make_full(64), {.algorithm = "hopcroft_karp"});
+  PipelineConfig config;
+  config.algorithm = "hopcroft_karp";
+  const PipelineResult r = run_pipeline(make_full(64), config);
   EXPECT_TRUE(r.exact);
   EXPECT_EQ(r.cardinality, 64);
   EXPECT_EQ(r.scaling_iterations, 0);  // scale stage ran as identity

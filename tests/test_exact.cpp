@@ -8,6 +8,7 @@
 #include "matching/greedy.hpp"
 #include "matching/hopcroft_karp.hpp"
 #include "matching/mc21.hpp"
+#include "matching/push_relabel.hpp"
 #include "test_helpers.hpp"
 
 namespace bmh {

@@ -11,7 +11,7 @@
 
 #include "graph/generators.hpp"
 #include "graph/stats.hpp"
-#include "matching/hopcroft_karp.hpp"
+#include "matching/push_relabel.hpp"
 #include "util/hash.hpp"
 
 namespace bmh {

@@ -7,7 +7,7 @@
 
 #include "graph/generators_suite.hpp"
 #include "graph/stats.hpp"
-#include "matching/hopcroft_karp.hpp"
+#include "matching/push_relabel.hpp"
 
 namespace bmh {
 namespace {

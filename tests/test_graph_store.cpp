@@ -11,6 +11,7 @@
 
 #include <barrier>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -113,6 +114,51 @@ TEST_F(GraphStoreTest, CorruptFileIsAnErrorNeverServed) {
   EXPECT_TRUE(store.spill("victim", g));
   EXPECT_EQ(store.stats().spill_skips, 0u);  // a real rewrite, not a skip
   const auto healed = store.try_load("victim");
+  ASSERT_NE(healed, nullptr);
+  EXPECT_TRUE(healed->structurally_equal(g));
+}
+
+TEST_F(GraphStoreTest, DuplicateEdgeForgeryIsAContentErrorAndHeals) {
+  // A CRC-valid file whose two orientations are each other's transpose and
+  // keep every degree, but repeat an edge: the full 2x2 pattern rewritten
+  // as rows {0, 0} and {1, 1}, with the CSC to match. Only the per-row
+  // strict ordering check can tell it from a real graph.
+  GraphStore store(dir_);
+  const BipartiteGraph g = make_full(2);
+  ASSERT_TRUE(store.spill("dup", g));
+  const std::string path = store.path_for("dup");
+  std::vector<char> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  GraphFileHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  // Layout: row_ptr[3], col_idx[4], col_ptr[3], row_idx[4] (all 8-aligned).
+  const std::size_t row_ptr_off = (sizeof(GraphFileHeader) + header.key_bytes + 7) / 8 * 8;
+  const std::size_t col_idx_off = row_ptr_off + 3 * sizeof(eid_t);
+  const std::size_t row_idx_off = col_idx_off + 4 * sizeof(vid_t) + 3 * sizeof(eid_t);
+  const vid_t col_idx[4] = {0, 0, 1, 1};
+  const vid_t row_idx[4] = {0, 0, 1, 1};
+  std::memcpy(bytes.data() + col_idx_off, col_idx, sizeof(col_idx));
+  std::memcpy(bytes.data() + row_idx_off, row_idx, sizeof(row_idx));
+  header.payload_crc32 =
+      crc32_ieee(bytes.data() + sizeof(header), bytes.size() - sizeof(header));
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  EXPECT_EQ(store.try_load("dup"), nullptr);
+  EXPECT_EQ(store.stats().content_errors, 1u);
+  EXPECT_EQ(store.stats().io_errors, 0u);
+  EXPECT_NE(store.last_error().find("strictly ascending"), std::string::npos)
+      << store.last_error();
+  EXPECT_FALSE(fs::exists(path));
+  EXPECT_EQ(store.stats().healed, 1u);
+  ASSERT_TRUE(store.spill("dup", g));
+  const auto healed = store.try_load("dup");
   ASSERT_NE(healed, nullptr);
   EXPECT_TRUE(healed->structurally_equal(g));
 }

@@ -5,7 +5,7 @@
 
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
-#include "matching/hopcroft_karp.hpp"
+#include "matching/push_relabel.hpp"
 #include "test_helpers.hpp"
 
 namespace bmh {

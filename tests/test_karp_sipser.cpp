@@ -7,8 +7,8 @@
 #include <string>
 
 #include "graph/generators.hpp"
-#include "matching/hopcroft_karp.hpp"
 #include "matching/karp_sipser.hpp"
+#include "matching/push_relabel.hpp"
 #include "test_helpers.hpp"
 
 namespace bmh {

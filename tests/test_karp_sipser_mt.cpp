@@ -12,7 +12,7 @@
 #include "core/karp_sipser_mt.hpp"
 #include "core/two_sided.hpp"
 #include "graph/generators.hpp"
-#include "matching/hopcroft_karp.hpp"
+#include "matching/push_relabel.hpp"
 #include "scaling/sinkhorn_knopp.hpp"
 #include "test_helpers.hpp"
 #include "util/threading.hpp"

@@ -9,7 +9,7 @@
 #include "graph/generators.hpp"
 #include "graph/mmio.hpp"
 #include "graph/transform.hpp"
-#include "matching/hopcroft_karp.hpp"
+#include "matching/push_relabel.hpp"
 
 namespace bmh {
 namespace {

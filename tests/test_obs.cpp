@@ -407,8 +407,9 @@ TEST(ObsEngine, SnapshotsAreConsistentWhileServing) {
       // (not ASSERT): an early return here would skip runner.join().
       const obs::HistogramData* job_hist = d.histogram("job");
       EXPECT_NE(job_hist, nullptr) << "worker " << d.instance;
-      if (job_hist != nullptr)
+      if (job_hist != nullptr) {
         EXPECT_EQ(job_hist->count, run) << "worker " << d.instance;
+      }
     }
   }
   runner.join();

@@ -8,7 +8,7 @@
 #include "core/choice.hpp"
 #include "core/one_sided.hpp"
 #include "graph/generators.hpp"
-#include "matching/hopcroft_karp.hpp"
+#include "matching/push_relabel.hpp"
 #include "scaling/sinkhorn_knopp.hpp"
 #include "test_helpers.hpp"
 

@@ -8,7 +8,6 @@
 #include "core/one_sided.hpp"
 #include "core/two_sided.hpp"
 #include "graph/generators.hpp"
-#include "matching/hopcroft_karp.hpp"
 #include "scaling/sinkhorn_knopp.hpp"
 #include "test_helpers.hpp"
 #include "util/threading.hpp"

@@ -11,6 +11,7 @@
 #include "graph/generators.hpp"
 #include "graph/transform.hpp"
 #include "matching/hopcroft_karp.hpp"
+#include "matching/push_relabel.hpp"
 #include "test_helpers.hpp"
 
 namespace bmh {

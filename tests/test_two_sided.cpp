@@ -7,8 +7,8 @@
 #include "analysis/quality.hpp"
 #include "core/two_sided.hpp"
 #include "graph/generators.hpp"
-#include "matching/hopcroft_karp.hpp"
 #include "matching/karp_sipser.hpp"
+#include "matching/push_relabel.hpp"
 #include "scaling/sinkhorn_knopp.hpp"
 #include "test_helpers.hpp"
 
