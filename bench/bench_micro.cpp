@@ -179,6 +179,20 @@ void BM_GraphAssembly(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphAssembly)->Arg(1 << 14)->Arg(1 << 17);
 
+// cold_build's instance, planted n = 2^17 with extra = 3, built the way the
+// engine builds a job's graph on a cache miss: generate, assemble, validate,
+// CSC. A new seed each iteration, like the workload's distinct instances.
+void BM_PlantedBuild(benchmark::State& state) {
+  const GraphSpec spec =
+      parse_graph_spec("gen:planted:n=" + std::to_string(state.range(0)) + ",extra=3");
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(build_graph(spec, ++seed));
+  }
+  state.SetItemsProcessed(state.iterations() * 4 * state.range(0));
+}
+BENCHMARK(BM_PlantedBuild)->Arg(1 << 17)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 void BM_CscConstruction(benchmark::State& state) {
   const auto n = static_cast<vid_t>(state.range(0));
   const BipartiteGraph& g = er_graph(n, 8);

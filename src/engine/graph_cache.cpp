@@ -132,7 +132,9 @@ std::shared_ptr<const BipartiteGraph> GraphCache::get_or_build(const GraphSpec& 
   }
   if (!loaded_from_store) {
     BMH_SPAN("graph_build");
+    const std::uint64_t start = obs::now_ns();
     built = std::make_shared<const BipartiteGraph>(build_graph(spec, seed));
+    build_latency_.record(obs::now_ns() - start);
   }
   const std::size_t bytes = built->memory_bytes();
 

@@ -152,6 +152,8 @@ private:
   obs::Counter& uncacheable_ = domain_.counter("uncacheable");
   obs::Counter& race_discards_ = domain_.counter("race_discards");
   obs::Counter& insert_failures_ = domain_.counter("insert_failures");
+  /// Wall time of build_graph on a miss the store did not serve.
+  obs::Histogram& build_latency_ = domain_.histogram("build");
   obs::Gauge& entries_gauge_ = domain_.gauge("entries");
   obs::Gauge& bytes_gauge_ = domain_.gauge("bytes");
 };

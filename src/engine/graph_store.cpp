@@ -106,6 +106,7 @@ std::shared_ptr<const BipartiteGraph> GraphStore::try_load(std::string_view key)
     // here models a file that exists but cannot be read, the transient-I/O
     // class that feeds the circuit breaker.
     BMH_FAILPOINT("store.load");
+    const std::uint64_t start = obs::now_ns();
     std::string stored_key;
     auto graph =
         std::make_shared<const BipartiteGraph>(load_graph_mapped(path, &stored_key));
@@ -120,6 +121,7 @@ std::shared_ptr<const BipartiteGraph> GraphStore::try_load(std::string_view key)
     // Best-effort — a failure (read-only directory, concurrent prune)
     // costs nothing but eviction precision.
     (void)::utimensat(AT_FDCWD, path.c_str(), nullptr, 0);
+    load_latency_.record(obs::now_ns() - start);
     hits_.inc();
     record_success();
     return graph;
@@ -171,7 +173,9 @@ bool GraphStore::spill(std::string_view key, const BipartiteGraph& graph) {
   }
   try {
     BMH_FAILPOINT("store.spill");
+    const std::uint64_t start = obs::now_ns();
     save_graph(graph, path, key, options_.fsync);
+    spill_latency_.record(obs::now_ns() - start);
     spills_.inc();
     record_success();
     if (options_.max_bytes > 0) {

@@ -170,6 +170,10 @@ private:
   obs::Counter& breaker_skips_ = domain_.counter("breaker_skips");
   obs::Gauge& breaker_gauge_ = domain_.gauge("breaker_open");
   obs::Counter& pruned_ = domain_.counter("pruned");
+  /// Wall time of each load that hit (map, CRC, validation) and of each
+  /// spill that wrote a file.
+  obs::Histogram& load_latency_ = domain_.histogram("load");
+  obs::Histogram& spill_latency_ = domain_.histogram("spill");
   /// Consecutive I/O errors since the last store success; trips the breaker
   /// at Options::breaker_threshold.
   std::atomic<std::uint32_t> consecutive_io_errors_{0};

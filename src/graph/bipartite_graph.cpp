@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "graph/count_scatter.hpp"
 #include "scaling/scaling.hpp"
 
 namespace bmh {
@@ -34,6 +35,18 @@ std::uint64_t scaling_key_hash(const ScalingKey& key) noexcept {
   return h | 1;
 }
 
+/// validate_csr's per-row tallies: descents at row starts (not errors) and
+/// rows whose first or last id lies outside the column range.
+struct RowEnds {
+  eid_t forgiven = 0;
+  eid_t out_of_range = 0;
+  RowEnds& operator+=(const RowEnds& other) noexcept {
+    forgiven += other.forgiven;
+    out_of_range += other.out_of_range;
+    return *this;
+  }
+};
+
 } // namespace
 
 void BipartiteGraph::validate_csr(vid_t num_rows, vid_t num_cols,
@@ -45,29 +58,47 @@ void BipartiteGraph::validate_csr(vid_t num_rows, vid_t num_cols,
     throw std::invalid_argument("BipartiteGraph: row_ptr size mismatch");
   if (row_ptr.front() != 0 || row_ptr.back() != static_cast<eid_t>(col_idx.size()))
     throw std::invalid_argument("BipartiteGraph: row_ptr bounds mismatch");
-  for (vid_t i = 0; i < num_rows; ++i)
-    if (row_ptr[i] > row_ptr[i + 1])
-      throw std::invalid_argument("BipartiteGraph: row_ptr not monotone");
+  // Each pass is a sum over blocks on the ambient team (inline below
+  // kParallelMinItems); the verdicts, and so the messages, do not depend on
+  // the team size.
+  const eid_t* const ptr = row_ptr.data();
+  const vid_t* const idx = col_idx.data();
+  const auto rows = static_cast<std::size_t>(num_rows);
+  const eid_t descending = parallel_sum<eid_t>(rows, [ptr](std::size_t begin, std::size_t end) {
+    eid_t count = 0;
+    for (std::size_t i = begin; i < end; ++i) count += ptr[i] > ptr[i + 1];
+    return count;
+  });
+  if (descending != 0) throw std::invalid_argument("BipartiteGraph: row_ptr not monotone");
   // Ids strictly ascending within each row (sorted, no duplicate edge):
   // count the ids not above their predecessor in one branch-free pass the
   // compiler vectorizes, then forgive those that start a row. A row checked
   // ascending lies between its first and last id, so only those two need
   // the range check. A branch per edge took several times as long.
-  eid_t descents = 0;
-  for (std::size_t e = 1; e < col_idx.size(); ++e) descents += col_idx[e] <= col_idx[e - 1];
-  bool out_of_range = false;
-  for (vid_t i = 0; i < num_rows; ++i) {
-    const auto begin = static_cast<std::size_t>(row_ptr[i]);
-    const auto end = static_cast<std::size_t>(row_ptr[i + 1]);
-    if (begin == end) continue;
-    if (begin > 0) descents -= col_idx[begin] <= col_idx[begin - 1];
-    out_of_range |= col_idx[begin] < 0 || col_idx[end - 1] >= num_cols;
-  }
-  if (descents != 0)
+  const eid_t descents =
+      parallel_sum<eid_t>(col_idx.size(), [idx](std::size_t begin, std::size_t end) {
+        eid_t count = 0;
+        for (std::size_t e = std::max<std::size_t>(begin, 1); e < end; ++e)
+          count += idx[e] <= idx[e - 1];
+        return count;
+      });
+  const RowEnds ends = parallel_sum<RowEnds>(rows, [ptr, idx, num_cols](std::size_t begin,
+                                                                        std::size_t end) {
+    RowEnds sum;
+    for (std::size_t i = begin; i < end; ++i) {
+      const eid_t first = ptr[i];
+      const eid_t last = ptr[i + 1] - 1;
+      if (first > last) continue;
+      if (first > 0) sum.forgiven += idx[first] <= idx[first - 1];
+      sum.out_of_range += idx[first] < 0 || idx[last] >= num_cols;
+    }
+    return sum;
+  });
+  if (descents != ends.forgiven)
     throw std::invalid_argument(
         "BipartiteGraph: column ids within a row not strictly ascending "
         "(unsorted or duplicate edge)");
-  if (out_of_range)
+  if (ends.out_of_range != 0)
     throw std::invalid_argument("BipartiteGraph: column id out of range");
 }
 
@@ -166,13 +197,14 @@ const ScalingResult& BipartiteGraph::offer_scaling(const ScalingKey& key,
 }
 
 BipartiteGraph::BipartiteGraph(vid_t num_rows, vid_t num_cols,
-                               std::vector<eid_t> row_ptr, std::vector<vid_t> col_idx)
+                               std::vector<eid_t> row_ptr, std::vector<vid_t> col_idx,
+                               DefaultInitVector<eid_t> csc_scratch)
     : num_rows_(num_rows),
       num_cols_(num_cols),
       storage_(OwnedStorage{std::move(row_ptr), std::move(col_idx), {}, {}}) {
   auto& owned = std::get<OwnedStorage>(storage_);
   validate_csr(num_rows_, num_cols_, owned.row_ptr, owned.col_idx);
-  build_csc(num_rows_, num_cols_);
+  build_csc(num_rows_, num_cols_, csc_scratch);
   rebind_views();
 }
 
@@ -267,7 +299,8 @@ std::size_t BipartiteGraph::memory_bytes() const noexcept {
 
 void BipartiteGraph::assign_csr(vid_t num_rows, vid_t num_cols,
                                 std::span<const eid_t> row_ptr,
-                                std::span<const vid_t> col_idx) {
+                                std::span<const vid_t> col_idx,
+                                DefaultInitVector<eid_t>& csc_scratch) {
   validate_csr(num_rows, num_cols, row_ptr, col_idx);  // members untouched on throw
   // New arrays, new rank: a pooled graph rebuilt in place must not serve
   // the previous instance's sprank or scaling.
@@ -300,39 +333,39 @@ void BipartiteGraph::assign_csr(vid_t num_rows, vid_t num_cols,
     owned.row_ptr.assign(row_ptr.begin(), row_ptr.end());
     owned.col_idx.assign(col_idx.begin(), col_idx.end());
   }
-  build_csc(num_rows, num_cols);
+  build_csc(num_rows, num_cols, csc_scratch);
   num_rows_ = num_rows;
   num_cols_ = num_cols;
   rebind_views();
 }
 
-void BipartiteGraph::build_csc(vid_t num_rows, vid_t num_cols) {
-  // Serial count-and-scatter. Reusing col_ptr as the scatter cursor needs no
-  // scratch, so a pooled rebuild allocates nothing once warm. Row ids within
-  // each column come out sorted ascending by construction: rows are
-  // scattered in increasing order.
+void BipartiteGraph::build_csc(vid_t num_rows, vid_t num_cols,
+                               DefaultInitVector<eid_t>& scratch) {
+  // count_scatter over the edges in CSR order, keyed by column: each
+  // column's rows come out in increasing order, sorted ascending by
+  // construction. A thread's scatter slice may start mid-row; it finds that
+  // row by binary search and walks on from there.
   auto& owned = std::get<OwnedStorage>(storage_);
-  const std::vector<eid_t>& row_ptr = owned.row_ptr;
-  const std::vector<vid_t>& col_idx = owned.col_idx;
-  std::vector<eid_t>& col_ptr = owned.col_ptr;
-  std::vector<vid_t>& row_idx = owned.row_idx;
-  const eid_t nnz = row_ptr.empty() ? 0 : row_ptr.back();
-  col_ptr.assign(static_cast<std::size_t>(num_cols) + 1, 0);
-  row_idx.resize(static_cast<std::size_t>(nnz));
-  for (eid_t e = 0; e < nnz; ++e)
-    ++col_ptr[static_cast<std::size_t>(col_idx[static_cast<std::size_t>(e)]) + 1];
-  for (vid_t j = 0; j < num_cols; ++j)
-    col_ptr[static_cast<std::size_t>(j) + 1] += col_ptr[static_cast<std::size_t>(j)];
-  for (vid_t i = 0; i < num_rows; ++i)
-    for (eid_t e = row_ptr[i]; e < row_ptr[i + 1]; ++e) {
-      const auto j = static_cast<std::size_t>(col_idx[static_cast<std::size_t>(e)]);
-      row_idx[static_cast<std::size_t>(col_ptr[j]++)] = i;
-    }
-  // The cursor pass left col_ptr[j] == end(j) == start(j+1); shift right to
-  // restore start offsets (descending, so each read precedes its overwrite).
-  for (vid_t j = num_cols - 1; j > 0; --j)
-    col_ptr[static_cast<std::size_t>(j)] = col_ptr[static_cast<std::size_t>(j) - 1];
-  if (num_cols > 0) col_ptr[0] = 0;
+  const eid_t* const row_ptr = owned.row_ptr.data();
+  const vid_t* const col_idx = owned.col_idx.data();
+  const eid_t nnz = owned.row_ptr.empty() ? 0 : owned.row_ptr.back();
+  owned.col_ptr.resize(static_cast<std::size_t>(num_cols) + 1);
+  owned.row_idx.resize(static_cast<std::size_t>(nnz));
+  count_scatter(
+      static_cast<std::size_t>(nnz), static_cast<std::size_t>(num_cols),
+      [col_idx](std::size_t e) { return col_idx[e]; },
+      [row_ptr, col_idx, num_rows](std::size_t begin, std::size_t end, auto&& sink) {
+        if (begin == end) return;
+        auto row = static_cast<vid_t>(
+            std::upper_bound(row_ptr, row_ptr + num_rows + 1, static_cast<eid_t>(begin)) -
+            row_ptr - 1);
+        for (std::size_t e = begin; e < end; ++row) {
+          const auto row_end =
+              std::min(end, static_cast<std::size_t>(row_ptr[static_cast<std::size_t>(row) + 1]));
+          for (; e < row_end; ++e) sink(col_idx[e], row);
+        }
+      },
+      std::span<eid_t>(owned.col_ptr), std::span<vid_t>(owned.row_idx), scratch);
 }
 
 bool BipartiteGraph::has_edge(vid_t i, vid_t j) const noexcept {

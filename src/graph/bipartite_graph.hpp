@@ -46,6 +46,7 @@
 #include <variant>
 #include <vector>
 
+#include "util/default_init.hpp"
 #include "util/types.hpp"
 
 namespace bmh {
@@ -85,8 +86,10 @@ public:
   /// [0, num_cols), strictly ascending within each row: sorted, without
   /// duplicate edges (GraphBuilder emits them so). Anything else throws
   /// std::invalid_argument. The derived CSC is sorted the same way.
-  BipartiteGraph(vid_t num_rows, vid_t num_cols,
-                 std::vector<eid_t> row_ptr, std::vector<vid_t> col_idx);
+  /// `csc_scratch` is storage for the CSC build's per-thread histograms
+  /// (GraphBuilder::build hands over its own, already paged in).
+  BipartiteGraph(vid_t num_rows, vid_t num_cols, std::vector<eid_t> row_ptr,
+                 std::vector<vid_t> col_idx, DefaultInitVector<eid_t> csc_scratch = {});
 
   /// Constructs a graph viewing external CSR *and* CSC arrays (both are
   /// given: the point of external backing is loading without rebuilding).
@@ -110,12 +113,22 @@ public:
   /// four internal vectors — the pooled-construction path: a graph object
   /// kept in a Workspace can be rebuilt every call without heap traffic once
   /// its buffers have grown to the working-set size (GraphBuilder::build_into
-  /// drives this). Input requirements match the constructor; the spans are
-  /// validated *before* any member is touched, so on throw the graph is
-  /// unchanged. The derived CSC view is identical to the constructor's. An
-  /// externally backed graph switches to (fresh) owned storage.
+  /// drives this). `csc_scratch` holds the parallel CSC build's per-thread
+  /// histograms; a caller that keeps it keeps the rebuild allocation-free.
+  /// Input requirements match the constructor; the spans are validated
+  /// *before* any member is touched, so on throw the graph is unchanged. The
+  /// derived CSC view is identical to the constructor's. An externally
+  /// backed graph switches to (fresh) owned storage.
   void assign_csr(vid_t num_rows, vid_t num_cols,
-                  std::span<const eid_t> row_ptr, std::span<const vid_t> col_idx);
+                  std::span<const eid_t> row_ptr, std::span<const vid_t> col_idx,
+                  DefaultInitVector<eid_t>& csc_scratch);
+
+  /// assign_csr with throwaway CSC scratch, for callers off the pooled path.
+  void assign_csr(vid_t num_rows, vid_t num_cols,
+                  std::span<const eid_t> row_ptr, std::span<const vid_t> col_idx) {
+    DefaultInitVector<eid_t> csc_scratch;
+    assign_csr(num_rows, num_cols, row_ptr, col_idx, csc_scratch);
+  }
 
   [[nodiscard]] vid_t num_rows() const noexcept { return num_rows_; }
   [[nodiscard]] vid_t num_cols() const noexcept { return num_cols_; }
@@ -207,11 +220,13 @@ private:
   // once the enclosing class is complete, which would leave the storage
   // variant believing OwnedStorage is not default-constructible. The empty
   // graph's canonical {0} row_ptr/col_ptr come from reset_empty() instead.
+  /// The CSC arrays are derived here and written in full by build_csc, so
+  /// they skip the zero fill.
   struct OwnedStorage {
     std::vector<eid_t> row_ptr;
     std::vector<vid_t> col_idx;
-    std::vector<eid_t> col_ptr;
-    std::vector<vid_t> row_idx;
+    DefaultInitVector<eid_t> col_ptr;
+    DefaultInitVector<vid_t> row_idx;
   };
 
   static void validate_csr(vid_t num_rows, vid_t num_cols,
@@ -221,9 +236,11 @@ private:
                                 const ExternalStorage& storage);
   void rebind_views() noexcept;
   void reset_empty();
-  /// Takes the dimensions as parameters (rather than members) so assign_csr
-  /// can defer committing num_rows_/num_cols_ until every allocation is done.
-  void build_csc(vid_t num_rows, vid_t num_cols);
+  /// Derives the CSC from the owned CSR on the ambient OpenMP team, the same
+  /// arrays at any team size (graph/count_scatter.hpp). Takes the dimensions
+  /// as parameters (rather than members) so assign_csr can defer committing
+  /// num_rows_/num_cols_ until every allocation is done.
+  void build_csc(vid_t num_rows, vid_t num_cols, DefaultInitVector<eid_t>& scratch);
 
   static constexpr vid_t kUnknownSprank = -1;
 

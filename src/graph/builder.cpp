@@ -1,7 +1,12 @@
 #include "graph/builder.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
+#include <utility>
+
+#include "graph/count_scatter.hpp"
 
 namespace bmh {
 
@@ -19,65 +24,79 @@ void GraphBuilder::reset(vid_t num_rows, vid_t num_cols) {
   edges_.clear();
 }
 
-void GraphBuilder::assemble(std::vector<eid_t>& out_ptr, std::vector<vid_t>& out_idx) {
-  for (const Edge& e : edges_) {
-    if (e.row < 0 || e.row >= num_rows_ || e.col < 0 || e.col >= num_cols_)
-      throw std::out_of_range("GraphBuilder: edge id out of range");
-  }
+void GraphBuilder::assemble() {
+  const Edge* const edges = edges_.data();
+  const std::size_t count = edges_.size();
+  // Unsigned compares: a negative id wraps past any dimension.
+  const auto rows = static_cast<std::uint32_t>(num_rows_);
+  const auto cols = static_cast<std::uint32_t>(num_cols_);
+  const eid_t out_of_range =
+      parallel_sum<eid_t>(count, [edges, rows, cols](std::size_t begin, std::size_t end) {
+        eid_t bad = 0;
+        for (std::size_t e = begin; e < end; ++e)
+          bad += (static_cast<std::uint32_t>(edges[e].row) >= rows) |
+                 (static_cast<std::uint32_t>(edges[e].col) >= cols);
+        return bad;
+      });
+  if (out_of_range != 0) throw std::out_of_range("GraphBuilder: edge id out of range");
 
-  // Counting sort by row.
-  row_ptr_scratch_.assign(static_cast<std::size_t>(num_rows_) + 1, 0);
-  for (const Edge& e : edges_) ++row_ptr_scratch_[static_cast<std::size_t>(e.row) + 1];
-  for (vid_t i = 0; i < num_rows_; ++i)
-    row_ptr_scratch_[static_cast<std::size_t>(i) + 1] +=
-        row_ptr_scratch_[static_cast<std::size_t>(i)];
+  // Counting sort by row, columns kept in input order within each row.
+  row_ptr_.resize(static_cast<std::size_t>(num_rows_) + 1);
+  col_idx_.resize(count);
+  count_scatter(
+      count, static_cast<std::size_t>(num_rows_),
+      [edges](std::size_t e) { return edges[e].row; },
+      [edges](std::size_t begin, std::size_t end, auto&& sink) {
+        for (std::size_t e = begin; e < end; ++e) sink(edges[e].row, edges[e].col);
+      },
+      std::span<eid_t>(row_ptr_), std::span<vid_t>(col_idx_), hist_scratch_);
 
-  col_idx_scratch_.resize(edges_.size());
-  cursor_scratch_.assign(row_ptr_scratch_.begin(), row_ptr_scratch_.end() - 1);
-  for (const Edge& e : edges_)
-    col_idx_scratch_[static_cast<std::size_t>(
-        cursor_scratch_[static_cast<std::size_t>(e.row)]++)] = e.col;
-
-  // Per-row sort + dedup, then compact.
-  out_ptr.assign(static_cast<std::size_t>(num_rows_) + 1, 0);
-#pragma omp parallel for schedule(dynamic, 512)
+  // Per-row sort + dedup. A row's repeats are overwritten with kNil; when
+  // any row had one, a serial pass squeezes them out in place, which moves
+  // less memory than compacting into a second array.
+  vid_t* const idx = col_idx_.data();
+  const eid_t* const ptr = row_ptr_.data();
+  eid_t dropped = 0;
+#pragma omp parallel for schedule(dynamic, 512) reduction(+ : dropped)
   for (vid_t i = 0; i < num_rows_; ++i) {
-    auto* begin = col_idx_scratch_.data() + row_ptr_scratch_[static_cast<std::size_t>(i)];
-    auto* end = col_idx_scratch_.data() + row_ptr_scratch_[static_cast<std::size_t>(i) + 1];
+    vid_t* const begin = idx + ptr[i];
+    vid_t* const end = idx + ptr[i + 1];
     std::sort(begin, end);
-    out_ptr[static_cast<std::size_t>(i) + 1] = std::unique(begin, end) - begin;
+    vid_t* const kept = std::unique(begin, end);
+    std::fill(kept, end, kNil);
+    dropped += end - kept;
   }
-  for (vid_t i = 0; i < num_rows_; ++i)
-    out_ptr[static_cast<std::size_t>(i) + 1] += out_ptr[static_cast<std::size_t>(i)];
-
-  out_idx.resize(static_cast<std::size_t>(out_ptr.back()));
-#pragma omp parallel for schedule(static)
+  if (dropped == 0) return;
+  eid_t write = 0;
   for (vid_t i = 0; i < num_rows_; ++i) {
-    const eid_t count =
-        out_ptr[static_cast<std::size_t>(i) + 1] - out_ptr[static_cast<std::size_t>(i)];
-    std::copy_n(col_idx_scratch_.data() + row_ptr_scratch_[static_cast<std::size_t>(i)],
-                count, out_idx.data() + out_ptr[static_cast<std::size_t>(i)]);
+    const eid_t begin = row_ptr_[static_cast<std::size_t>(i)];
+    const eid_t end = row_ptr_[static_cast<std::size_t>(i) + 1];
+    row_ptr_[static_cast<std::size_t>(i)] = write;
+    for (eid_t e = begin; e < end; ++e) {  // branch-free: repeats follow no pattern
+      idx[write] = idx[e];
+      write += idx[e] != kNil;
+    }
   }
+  row_ptr_.back() = write;
+  col_idx_.resize(static_cast<std::size_t>(write));
 }
 
 BipartiteGraph GraphBuilder::build() {
-  std::vector<eid_t> out_ptr;
-  std::vector<vid_t> out_idx;
-  assemble(out_ptr, out_idx);
+  assemble();
   // One-shot mode: callers are temporaries (generators, readers) building
-  // graphs that dwarf the scratch, so hand the memory back immediately.
+  // graphs that dwarf the scratch, so hand the memory back immediately. The
+  // assembled arrays become the graph's; the histogram scratch serves its
+  // CSC first.
   edges_.clear();
   edges_.shrink_to_fit();
-  row_ptr_scratch_ = {};
-  cursor_scratch_ = {};
-  col_idx_scratch_ = {};
-  return BipartiteGraph(num_rows_, num_cols_, std::move(out_ptr), std::move(out_idx));
+  return BipartiteGraph(num_rows_, num_cols_, std::exchange(row_ptr_, {}),
+                        std::exchange(col_idx_, {}), std::exchange(hist_scratch_, {}));
 }
 
 void GraphBuilder::build_into(BipartiteGraph& out) {
-  assemble(out_ptr_scratch_, out_idx_scratch_);
+  assemble();
   edges_.clear();  // reusable immediately; capacity kept for the next round
-  out.assign_csr(num_rows_, num_cols_, out_ptr_scratch_, out_idx_scratch_);
+  out.assign_csr(num_rows_, num_cols_, row_ptr_, col_idx_, hist_scratch_);
 }
 
 BipartiteGraph graph_from_edges(vid_t num_rows, vid_t num_cols,

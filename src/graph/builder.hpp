@@ -4,7 +4,8 @@
 ///
 /// Generators and file readers produce unsorted (row, col) pairs, possibly
 /// with repeats; `GraphBuilder` assembles them into a `BipartiteGraph` via a
-/// counting sort over rows followed by per-row sort+unique.
+/// counting sort over rows (count_scatter.hpp's, on the ambient OpenMP team)
+/// followed by per-row sort+unique. The result is the same at any team size.
 ///
 /// Two assembly modes:
 ///  * build()      — one-shot: returns a fresh graph and releases all builder
@@ -17,10 +18,13 @@
 ///                   allocations once warm — the k-out subgraph path runs on
 ///                   this.
 
+#include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "graph/bipartite_graph.hpp"
+#include "util/default_init.hpp"
 #include "util/types.hpp"
 
 namespace bmh {
@@ -47,6 +51,16 @@ public:
   /// Appends an edge; ids are validated at build() time.
   void add_edge(vid_t row, vid_t col) { edges_.push_back({row, col}); }
 
+  /// Appends `count` edges for the caller to fill in place and returns them
+  /// (uninitialized; every one must be written before build()). The slice
+  /// is allocated here, so a generator can fill it inside an OpenMP region.
+  /// It stays valid until the next call that adds edges.
+  [[nodiscard]] std::span<Edge> append_edges(std::size_t count) {
+    const std::size_t first = edges_.size();
+    edges_.resize(first + count);
+    return {edges_.data() + first, count};
+  }
+
   void reserve(std::size_t n) { edges_.reserve(n); }
 
   [[nodiscard]] std::size_t pending_edges() const noexcept { return edges_.size(); }
@@ -64,19 +78,18 @@ public:
 
 private:
   /// Counting sort by row + per-row sort/unique + compaction, shared by both
-  /// assembly modes. Fills `out_ptr`/`out_idx` (capacity reused).
-  void assemble(std::vector<eid_t>& out_ptr, std::vector<vid_t>& out_idx);
+  /// assembly modes. Leaves the CSR in row_ptr_/col_idx_ (capacity reused).
+  void assemble();
 
   vid_t num_rows_ = 0;
   vid_t num_cols_ = 0;
-  std::vector<Edge> edges_;
-  // Scratch for assemble(); persists across build_into() calls.
-  std::vector<eid_t> row_ptr_scratch_;
-  std::vector<eid_t> cursor_scratch_;
-  std::vector<vid_t> col_idx_scratch_;
-  // Output staging for build_into() (build() stages in locals it moves from).
-  std::vector<eid_t> out_ptr_scratch_;
-  std::vector<vid_t> out_idx_scratch_;
+  DefaultInitVector<Edge> edges_;
+  // The assembled CSR (build() moves it into the graph, build_into() copies
+  // it) and the count_scatter histograms, which the CSC build reuses; all
+  // persist across build_into() calls.
+  std::vector<eid_t> row_ptr_;
+  std::vector<vid_t> col_idx_;
+  DefaultInitVector<eid_t> hist_scratch_;
 };
 
 /// Convenience: assemble a graph directly from an edge list.

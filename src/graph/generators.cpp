@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -52,12 +52,13 @@ BipartiteGraph make_erdos_renyi(vid_t rows, vid_t cols, eid_t nnz_target,
 
   // Draw edges in parallel chunks with forked per-chunk streams so the result
   // is independent of the thread count. Each chunk fills its own slice of
-  // one buffer allocated up front: an allocation failure throws here, where
-  // the caller can catch it, never inside the parallel region.
+  // the builder's edge buffer, allocated up front: an allocation failure
+  // throws here, where the caller can catch it, never inside the parallel
+  // region.
   constexpr eid_t kChunk = 1 << 16;
   const eid_t num_chunks = (nnz_target + kChunk - 1) / kChunk;
-  const auto edges =
-      std::make_unique_for_overwrite<Edge[]>(static_cast<std::size_t>(nnz_target));
+  GraphBuilder b(rows, cols);
+  const std::span<Edge> edges = b.append_edges(static_cast<std::size_t>(nnz_target));
   const Rng root(seed);
 #pragma omp parallel for schedule(dynamic)
   for (eid_t c = 0; c < num_chunks; ++c) {
@@ -69,13 +70,6 @@ BipartiteGraph make_erdos_renyi(vid_t rows, vid_t cols, eid_t nnz_target,
       const auto j = static_cast<vid_t>(rng.next_below(static_cast<std::uint64_t>(cols)));
       edges[static_cast<std::size_t>(e)] = {i, j};
     }
-  }
-
-  GraphBuilder b(rows, cols);
-  b.reserve(static_cast<std::size_t>(nnz_target));
-  for (eid_t e = 0; e < nnz_target; ++e) {
-    const Edge& edge = edges[static_cast<std::size_t>(e)];
-    b.add_edge(edge.row, edge.col);
   }
   return b.build();
 }
@@ -107,13 +101,18 @@ BipartiteGraph make_planted_perfect(vid_t n, vid_t extra_per_row, std::uint64_t 
     throw std::invalid_argument("make_planted_perfect: negative extra_per_row");
   Rng rng(seed);
   const std::vector<vid_t> perm = random_permutation(n, rng);
+  // Row i owns edges [i * per_row, (i + 1) * per_row) of the buffer and
+  // draws them from its own forked stream, so rows fill in parallel.
+  const std::size_t per_row = 1 + static_cast<std::size_t>(extra_per_row);
   GraphBuilder b(n, n);
-  b.reserve(static_cast<std::size_t>(n) * (1 + static_cast<std::size_t>(extra_per_row)));
+  const std::span<Edge> edges = b.append_edges(static_cast<std::size_t>(n) * per_row);
+#pragma omp parallel for schedule(static)
   for (vid_t i = 0; i < n; ++i) {
-    b.add_edge(i, perm[static_cast<std::size_t>(i)]);
+    Edge* const slot = edges.data() + static_cast<std::size_t>(i) * per_row;
+    slot[0] = {i, perm[static_cast<std::size_t>(i)]};
     Rng local = rng.fork(static_cast<std::uint64_t>(i));
     for (vid_t t = 0; t < extra_per_row; ++t)
-      b.add_edge(i, static_cast<vid_t>(local.next_below(static_cast<std::uint64_t>(n))));
+      slot[1 + t] = {i, static_cast<vid_t>(local.next_below(static_cast<std::uint64_t>(n)))};
   }
   return b.build();
 }

@@ -26,6 +26,23 @@ std::string lower(std::string s) {
                            ": " + what);
 }
 
+/// The most entry lines the rest of `in` can hold, or -1 when the stream
+/// cannot seek to tell.
+long long entry_lines_left(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  if (here == std::istream::pos_type(-1)) return -1;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(here);
+  if (end == std::istream::pos_type(-1) || !in) {
+    in.clear();
+    in.seekg(here);
+    return -1;
+  }
+  // n lines of >= 3 characters, newline-separated, take >= 4n - 1 bytes.
+  return (static_cast<long long>(end - here) + 1) / 4;
+}
+
 } // namespace
 
 BipartiteGraph read_matrix_market(std::istream& in) {
@@ -63,8 +80,13 @@ BipartiteGraph read_matrix_market(std::istream& in) {
       fail(lineno, "bad size line");
   }
 
+  // The size line is a claim, not a budget: reserve no more entries than the
+  // bytes left can hold. An entry line takes at least 4 bytes ("1 1" and its
+  // newline). A stream that cannot tell its length reserves a bounded start.
   GraphBuilder b(static_cast<vid_t>(rows), static_cast<vid_t>(cols));
-  b.reserve(static_cast<std::size_t>(mirror ? 2 * nnz : nnz));
+  const long long fit = entry_lines_left(in);
+  const long long entries = std::min(nnz, fit >= 0 ? fit : 1LL << 20);
+  b.reserve(static_cast<std::size_t>(mirror ? 2 * entries : entries));
   for (long long k = 0; k < nnz; ++k) {
     do {
       if (!std::getline(in, line)) fail(lineno + 1, "unexpected end of file");

@@ -14,6 +14,7 @@
 #include <utility>
 
 #include <fcntl.h>
+#include <omp.h>
 #include <unistd.h>
 
 #include "util/failpoint.hpp"
@@ -118,13 +119,11 @@ std::uint64_t load_u64(const unsigned char* p) noexcept {
   return w;
 }
 
-} // namespace
-
-std::uint32_t crc32_ieee(const void* data, std::size_t size,
-                         std::uint32_t seed) noexcept {
+/// The slicing-by-16 loop over one contiguous run, continuing `seed`.
+std::uint32_t crc32_serial(const unsigned char* bytes, std::size_t size,
+                           std::uint32_t seed) noexcept {
   const auto& t = kCrcTables;
   std::uint32_t crc = ~seed;
-  const auto* bytes = static_cast<const unsigned char*>(data);
   for (; size >= 16; size -= 16, bytes += 16) {
     const std::uint64_t a = load_u64(bytes) ^ crc;
     const std::uint64_t b = load_u64(bytes + 8);
@@ -137,6 +136,72 @@ std::uint32_t crc32_ieee(const void* data, std::size_t size,
   }
   for (; size > 0; --size, ++bytes) crc = (crc >> 8) ^ t[0][(crc ^ *bytes) & 0xFFu];
   return ~crc;
+}
+
+// Joining two CRCs, after zlib's crc32_combine: CRC(A || B) is CRC(A)
+// multiplied by x^(8 |B|) modulo the polynomial, plus CRC(B), in GF(2)
+// with the reflected bit order (bit 31 is x^0).
+constexpr std::uint32_t kCrcPoly = 0xEDB88320u;
+
+constexpr std::uint32_t multiply_mod_poly(std::uint32_t a, std::uint32_t b) noexcept {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) product ^= b;
+    b = (b & 1u) != 0 ? (b >> 1) ^ kCrcPoly : b >> 1;
+  }
+  return product;
+}
+
+/// kCrcPowers[k] is x^(2^k) modulo the polynomial.
+constexpr auto kCrcPowers = [] {
+  std::array<std::uint32_t, 64> p{};
+  p[0] = 1u << 30;  // x^1
+  for (std::size_t k = 1; k < p.size(); ++k) p[k] = multiply_mod_poly(p[k - 1], p[k - 1]);
+  return p;
+}();
+
+/// CRC of A || B from crc_a, crc_b and B's length in bytes.
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::size_t length_b) noexcept {
+  std::uint32_t shift = 1u << 31;  // x^0
+  std::uint64_t bits = static_cast<std::uint64_t>(length_b) << 3;
+  for (std::size_t k = 0; bits != 0; bits >>= 1, ++k)
+    if ((bits & 1u) != 0) shift = multiply_mod_poly(kCrcPowers[k], shift);
+  return multiply_mod_poly(shift, crc_a) ^ crc_b;
+}
+
+/// Buffers this long or longer checksum on the ambient OpenMP team.
+constexpr std::size_t kParallelCrcBytes = std::size_t{1} << 18;
+constexpr std::size_t kMaxCrcChunks = 64;
+
+} // namespace
+
+std::uint32_t crc32_ieee(const void* data, std::size_t size,
+                         std::uint32_t seed) noexcept {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  // One chunk per thread, each at least a quarter of the threshold.
+  const int chunks =
+      size < kParallelCrcBytes
+          ? 1
+          : static_cast<int>(std::min<std::size_t>(
+                {static_cast<std::size_t>(omp_get_max_threads()), kMaxCrcChunks,
+                 size / (kParallelCrcBytes / 4)}));
+  if (chunks <= 1) return crc32_serial(bytes, size, seed);
+  const auto chunk_begin = [size, chunks](int c) {
+    return size * static_cast<std::size_t>(c) / static_cast<std::size_t>(chunks);
+  };
+  // Each chunk is checksummed from a zero seed but the first; the joins
+  // give back the serial value bit for bit.
+  std::array<std::uint32_t, kMaxCrcChunks> crcs{};
+#pragma omp parallel for schedule(static) num_threads(chunks)
+  for (int c = 0; c < chunks; ++c)
+    crcs[static_cast<std::size_t>(c)] = crc32_serial(
+        bytes + chunk_begin(c), chunk_begin(c + 1) - chunk_begin(c), c == 0 ? seed : 0);
+  std::uint32_t crc = crcs[0];
+  for (int c = 1; c < chunks; ++c)
+    crc = crc32_combine(crc, crcs[static_cast<std::size_t>(c)],
+                        chunk_begin(c + 1) - chunk_begin(c));
+  return crc;
 }
 
 std::size_t serialized_graph_bytes(const BipartiteGraph& graph,

@@ -230,6 +230,43 @@ TEST_F(GraphStoreTest, FreshCacheServesFromWarmStoreWithoutBuilding) {
   EXPECT_EQ(warm.stats().hits, 1u);
 }
 
+TEST_F(GraphStoreTest, AcquisitionHistogramsCountWhatTheirCountersCount) {
+  // One latency sample per graph built on a cache miss (graph_cache
+  // `build`), per file written (graph_store `spill`) and per store hit
+  // (graph_store `load`).
+  const auto samples = [](obs::MetricDomain& domain, const char* metric) {
+    const obs::DomainSnapshot snap = domain.snapshot();
+    const obs::HistogramData* hist = snap.histogram(metric);
+    return hist == nullptr ? ~0ull : hist->count;
+  };
+  const std::vector<GraphSpec> specs = {parse_graph_spec("gen:er:n=512,deg=4,seed=3"),
+                                        parse_graph_spec("gen:mesh:nx=20"),
+                                        parse_graph_spec("gen:planted:n=300,seed=2")};
+  GraphCache::Options options;
+  options.store_dir = dir_;
+  {
+    GraphCache cold(options);
+    for (const GraphSpec& spec : specs) (void)cold.get_or_build(spec, 1);
+    (void)cold.get_or_build(specs[0], 1);  // a memory hit: no sample
+    const GraphCache::Stats s = cold.stats();
+    EXPECT_EQ(samples(cold.metric_domain(), "build"), s.misses - s.store_hits);
+    EXPECT_EQ(samples(cold.metric_domain(), "build"), 3u);
+    EXPECT_EQ(samples(cold.store()->metric_domain(), "spill"), s.store_spills);
+    EXPECT_EQ(samples(cold.store()->metric_domain(), "load"), s.store_hits);
+  }
+  GraphCache warm(options);
+  for (const GraphSpec& spec : specs) (void)warm.get_or_build(spec, 1);
+  const GraphCache::Stats s = warm.stats();
+  EXPECT_EQ(samples(warm.metric_domain(), "build"), 0u);
+  EXPECT_EQ(samples(warm.store()->metric_domain(), "load"), s.store_hits);
+  EXPECT_EQ(samples(warm.store()->metric_domain(), "load"), 3u);
+  EXPECT_EQ(samples(warm.store()->metric_domain(), "spill"), s.store_spills);
+
+  GraphCache memory_only;  // no store: every miss builds
+  for (const GraphSpec& spec : specs) (void)memory_only.get_or_build(spec, 1);
+  EXPECT_EQ(samples(memory_only.metric_domain(), "build"), memory_only.stats().misses);
+}
+
 TEST_F(GraphStoreTest, EvictedEntriesAreOnDiskAndReloadable) {
   const GraphSpec spec = parse_graph_spec("gen:er:n=512,deg=4");
   const std::size_t one_graph = build_graph(spec, 0).memory_bytes();

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -87,6 +92,35 @@ TEST(Mmio, RejectsTruncatedFile) {
       "2 2 2\n"
       "1 1\n");
   EXPECT_THROW((void)read_matrix_market(in), std::runtime_error);
+}
+
+TEST(Mmio, RejectsACountTheFileCannotHold) {
+  // Four billion declared entries in a 3-line file: the reader must report
+  // the missing lines, not try to reserve room for them first.
+  const std::string text =
+      "%%MatrixMarket matrix coordinate pattern general\n"
+      "4 4 4000000000\n"
+      "1 1\n";
+  const auto expect_eof = [](std::istream& in) {
+    try {
+      (void)read_matrix_market(in);
+      FAIL() << "expected parse error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unexpected end of file"), std::string::npos)
+          << e.what();
+    }
+  };
+  std::istringstream in(text);
+  expect_eof(in);
+  const std::string path =
+      ::testing::TempDir() + "bmh_mmio_huge_count_" + std::to_string(::getpid()) + ".mtx";
+  {
+    std::ofstream out(path);
+    out << text;
+  }
+  std::ifstream file(path);
+  expect_eof(file);
+  std::remove(path.c_str());
 }
 
 TEST(Mmio, ErrorMentionsLineNumber) {

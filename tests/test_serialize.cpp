@@ -495,6 +495,22 @@ TEST(Crc32, MatchesBitwiseReferenceOnAStoreSizedBuffer) {
   EXPECT_EQ(crc32_ieee(buf.data(), buf.size()), crc32_bitwise(buf.data(), buf.size(), 0));
 }
 
+TEST(Crc32, MatchesBitwiseReferenceAtALengthNoTeamDivides) {
+  // Large enough for one chunk per thread; the odd length leaves every team
+  // size of 2 or more with unequal chunks, and the seed must enter the first
+  // chunk only.
+  const std::vector<unsigned char> buf = random_bytes((3u << 20) + 7, 17);
+  for (const std::uint32_t seed : {0u, 0x9E3779B9u}) {
+    const std::uint32_t whole = crc32_ieee(buf.data(), buf.size(), seed);
+    EXPECT_EQ(whole, crc32_bitwise(buf.data(), buf.size(), seed)) << seed;
+    const std::size_t split = buf.size() / 3 + 1;
+    EXPECT_EQ(crc32_ieee(buf.data() + split, buf.size() - split,
+                         crc32_ieee(buf.data(), split, seed)),
+              whole)
+        << seed;
+  }
+}
+
 // ------------------------------------------------------ format compatibility ---
 
 // tests/data/store_v1_planted256.bmg was spilled by `bmh_engine --graph-store`
