@@ -1,5 +1,6 @@
 #include "core/k_out.hpp"
 
+#include <algorithm>
 #include <span>
 #include <stdexcept>
 
@@ -83,20 +84,34 @@ void sample_col_choices_k(const BipartiteGraph& g, const std::vector<double>& dr
 
 namespace {
 
-/// Feeds both sides' picks into `b` (reset to g's dimensions by the caller).
+/// `k` capped at the largest degree of one side (its `ptr`), but not below
+/// 1, so a bad k (< 1) still reaches sample_k's check. A vertex whose
+/// degree is at most k takes its whole neighbourhood and draws nothing, so
+/// the capped k picks the same subgraph with n·max-degree slots, not n·k.
+int clamp_k(int k, std::span<const eid_t> ptr) {
+  eid_t max_degree = 1;
+  for (std::size_t u = 1; u < ptr.size(); ++u)
+    max_degree = std::max(max_degree, ptr[u] - ptr[u - 1]);
+  return static_cast<int>(std::min(static_cast<eid_t>(k), max_degree));
+}
+
+/// Feeds both sides' picks into `b` (reset to g's dimensions by the
+/// caller); each side's picks are laid out with that side's stride.
 void add_k_out_edges(GraphBuilder& b, const BipartiteGraph& g,
-                     const std::vector<vid_t>& row_picks,
-                     const std::vector<vid_t>& col_picks, int k) {
-  b.reserve((static_cast<std::size_t>(g.num_rows()) + g.num_cols()) *
-            static_cast<std::size_t>(k));
+                     const std::vector<vid_t>& row_picks, int row_k,
+                     const std::vector<vid_t>& col_picks, int col_k) {
+  b.reserve(static_cast<std::size_t>(g.num_rows()) * static_cast<std::size_t>(row_k) +
+            static_cast<std::size_t>(g.num_cols()) * static_cast<std::size_t>(col_k));
   for (vid_t i = 0; i < g.num_rows(); ++i)
-    for (int t = 0; t < k; ++t) {
-      const vid_t j = row_picks[static_cast<std::size_t>(i) * k + static_cast<std::size_t>(t)];
+    for (int t = 0; t < row_k; ++t) {
+      const vid_t j =
+          row_picks[static_cast<std::size_t>(i) * row_k + static_cast<std::size_t>(t)];
       if (j != kNil) b.add_edge(i, j);
     }
   for (vid_t j = 0; j < g.num_cols(); ++j)
-    for (int t = 0; t < k; ++t) {
-      const vid_t i = col_picks[static_cast<std::size_t>(j) * k + static_cast<std::size_t>(t)];
+    for (int t = 0; t < col_k; ++t) {
+      const vid_t i =
+          col_picks[static_cast<std::size_t>(j) * col_k + static_cast<std::size_t>(t)];
       if (i != kNil) b.add_edge(i, j);
     }
 }
@@ -114,11 +129,13 @@ void k_out_subgraph_ws(const BipartiteGraph& g, const ScalingResult& scaling, in
                        std::uint64_t seed, Workspace& ws, BipartiteGraph& out) {
   std::vector<vid_t>& row_picks = ws.buf<vid_t>("kout.row_picks");
   std::vector<vid_t>& col_picks = ws.buf<vid_t>("kout.col_picks");
-  sample_row_choices_k(g, scaling.dc, k, seed, row_picks);
-  sample_col_choices_k(g, scaling.dr, k, seed + 0x9e3779b97f4a7c15ULL, col_picks);
+  const int row_k = clamp_k(k, g.row_ptr());
+  const int col_k = clamp_k(k, g.col_ptr());
+  sample_row_choices_k(g, scaling.dc, row_k, seed, row_picks);
+  sample_col_choices_k(g, scaling.dr, col_k, seed + 0x9e3779b97f4a7c15ULL, col_picks);
   GraphBuilder& b = ws.obj<GraphBuilder>("kout.builder");
   b.reset(g.num_rows(), g.num_cols());
-  add_k_out_edges(b, g, row_picks, col_picks, k);
+  add_k_out_edges(b, g, row_picks, row_k, col_picks, col_k);
   b.build_into(out);
 }
 

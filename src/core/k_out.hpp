@@ -46,7 +46,9 @@ namespace bmh {
                                                       const std::vector<double>& dr,
                                                       int k, std::uint64_t seed);
 
-/// Builds the (k-out ∪ k-in) subgraph from both sides' picks.
+/// Builds the (k-out ∪ k-in) subgraph from both sides' picks. Each side
+/// samples with k capped at its largest degree, which picks the same
+/// subgraph from fewer pick slots.
 [[nodiscard]] BipartiteGraph k_out_subgraph(const BipartiteGraph& g,
                                             const ScalingResult& scaling, int k,
                                             std::uint64_t seed);

@@ -71,6 +71,8 @@ public:
         pool_[idx] = pool_[--pooled];
         if (matched(i) || matched(m_ + j)) continue;
         match_pair(i, m_ + j);
+        reduce_neighbors(i);
+        reduce_neighbors(m_ + j);
         if (stats != nullptr) ++stats->phase2_matches;
         break;
       }
@@ -91,6 +93,7 @@ public:
       const vid_t v = unique_free_neighbor(u);
       if (v == kNil) continue;  // defensive: u has one free neighbour
       match_pair(u, v);
+      reduce_neighbors(v);
       if (stats != nullptr) ++stats->phase1_matches;
     }
   }
@@ -153,6 +156,10 @@ private:
     return kNil;
   }
 
+  /// Matches the free vertices u and v. The caller then reduces the
+  /// neighbours that lost a free neighbour: both endpoints' in Phase 2, only
+  /// v's in Phase 1, where v was u's one free neighbour and u's others are
+  /// all matched already.
   void match_pair(vid_t u, vid_t v) {
     // Both are free, so their states hold their free-neighbour counts: the
     // live edges this match retires are those, less the shared edge (u, v).
@@ -160,17 +167,19 @@ private:
                    static_cast<eid_t>(-1 - state_[static_cast<std::size_t>(v)]) - 1;
     state_[static_cast<std::size_t>(u)] = v;
     state_[static_cast<std::size_t>(v)] = u;
-    reduce_neighbors(u);
-    reduce_neighbors(v);
   }
 
   /// One fewer free neighbour for each free neighbour of the newly matched
-  /// `u`; those left with exactly one go on the Phase 1 stack.
+  /// `u`; those left with exactly one go on the Phase 1 stack. Whether a
+  /// neighbour is matched is a coin flip the branch predictor loses, so the
+  /// decrement is branch-free: a matched state (>= 0) is left as it is and
+  /// is never kFreeDegreeOne.
   void reduce_neighbors(vid_t u) {
     for (const vid_t raw : neighbors(u)) {
-      vid_t& s = state_[static_cast<std::size_t>(to_unified(u, raw))];
-      if (s >= 0) continue;
-      if (++s == kFreeDegreeOne) stack_.push_back(to_unified(u, raw));
+      const vid_t w = to_unified(u, raw);
+      vid_t& s = state_[static_cast<std::size_t>(w)];
+      s += static_cast<vid_t>(s < 0);
+      if (s == kFreeDegreeOne) stack_.push_back(w);
     }
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 #include <vector>
 
 #include "core/workspace.hpp"
@@ -68,7 +69,14 @@ void push_relabel_augment_ws(const BipartiteGraph& g, Matching& m, Workspace& ws
   const vid_t label_cap = n_rows + n_cols + 1;
 
   // Global relabel: BFS from the free columns over the CSC side sets every
-  // label to its exact distance; rows it does not reach get the cap.
+  // label to its exact distance; rows it does not reach get the cap. The
+  // queue names its columns well before their scan, so each one's col_ptr
+  // entry is prefetched kPtrAhead entries ahead and, once that is likely
+  // cached, its first row-index line kAdjacencyAhead ahead.
+  constexpr std::size_t kPtrAhead = 16;
+  constexpr std::size_t kAdjacencyAhead = 8;
+  const std::span<const eid_t> col_ptr = g.col_ptr();
+  const std::span<const vid_t> row_idx = g.row_idx();
   const auto global_relabel = [&] {
     std::fill(psi_row.begin(), psi_row.end(), label_cap);
     std::fill(psi_col.begin(), psi_col.end(), label_cap);
@@ -79,6 +87,11 @@ void push_relabel_augment_ws(const BipartiteGraph& g, Matching& m, Workspace& ws
       bfs.push_back(j);
     }
     for (std::size_t head = 0; head < bfs.size(); ++head) {
+      if (head + kPtrAhead < bfs.size())
+        __builtin_prefetch(&col_ptr[static_cast<std::size_t>(bfs[head + kPtrAhead])]);
+      if (head + kAdjacencyAhead < bfs.size())
+        __builtin_prefetch(
+            row_idx.data() + col_ptr[static_cast<std::size_t>(bfs[head + kAdjacencyAhead])]);
       const vid_t j = bfs[head];
       const vid_t row_label = psi_col[static_cast<std::size_t>(j)] + 1;
       for (const vid_t i : g.col_neighbors(j)) {
@@ -114,17 +127,18 @@ void push_relabel_augment_ws(const BipartiteGraph& g, Matching& m, Workspace& ws
     vid_t& psi_i = psi_row[static_cast<std::size_t>(i)];
     if (psi_i >= label_cap) continue;  // retired by a global relabel
 
-    // Find the admissible (minimum label) column among i's neighbours.
-    // Labels are lower bounds, so no neighbour is below psi_i - 1.
+    // Find the admissible (minimum label) column among i's neighbours: the
+    // first one with the least label. Labels are lower bounds, so no
+    // neighbour is below psi_i - 1 and the first at psi_i - 1 is that
+    // column; scanning on past it picks the same one, and a scan without
+    // data-dependent branches beats an early exit the predictor misses.
     vid_t best_col = kNil;
     vid_t best_label = label_cap;
     for (const vid_t j : g.row_neighbors(i)) {
       const vid_t l = psi_col[static_cast<std::size_t>(j)];
-      if (l < best_label) {
-        best_label = l;
-        best_col = j;
-        if (l + 1 == psi_i) break;  // already admissible
-      }
+      const bool better = l < best_label;
+      best_col = better ? j : best_col;
+      best_label = better ? l : best_label;
     }
     // Relabel the row just above the best column (retire it at the cap),
     // then push: a double push if the column was matched, whose old row

@@ -6,6 +6,10 @@
 # as a build failure and exit with the failed-job status 3, never abort on
 # the uncaught exception.
 #
+# Under the same limit, a k_out job with k = 100000 on an n = 16384 graph,
+# whose pick slots alone would take ~13 GB if k were not capped at each
+# side's largest degree, must succeed with the record of k = 20.
+#
 # Usage: oversize_er.sh BMH_ENGINE
 set -u
 engine=$1
@@ -28,3 +32,15 @@ test "$(grep -c '"error_kind":"build"' "$work/out.jsonl")" -eq 2 ||
   { echo "a record is not classified as a build failure"; exit 1; }
 test "$(grep -c '"error":"std::bad_alloc"' "$work/out.jsonl")" -eq 2 ||
   { echo "a record failed with something other than std::bad_alloc"; exit 1; }
+
+for k in 20 100000; do
+  (
+    ulimit -v 4000000
+    echo "name=kcap input=gen:er:n=16384,deg=4,seed=3 algo=k_out k=$k seed=7" |
+      "$engine" --serve --threads 1 --no-timings --quiet
+  ) > "$work/k$k.jsonl" 2> "$work/k$k.log"
+done
+cat "$work/k100000.jsonl" "$work/k100000.log"
+grep -q '"ok":true' "$work/k20.jsonl" || { echo "the k=20 job failed"; exit 1; }
+cmp "$work/k20.jsonl" "$work/k100000.jsonl" ||
+  { echo "the k=100000 record differs from the k=20 record"; exit 1; }

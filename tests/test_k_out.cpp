@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/k_out.hpp"
 #include "core/two_sided.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/stats.hpp"
 #include "matching/hopcroft_karp.hpp"
 #include "matching/push_relabel.hpp"
 #include "scaling/sinkhorn_knopp.hpp"
@@ -95,6 +99,41 @@ TEST(KOut, RejectsBadK) {
   const BipartiteGraph g = graph_from_rows(2, 2, {{0}, {1}});
   const ScalingResult s = identity_scaling(g);
   EXPECT_THROW((void)k_out_subgraph(g, s, 0, 1), std::invalid_argument);
+}
+
+TEST(KOut, KAboveTheLargestDegreeIsCapped) {
+  // A vertex with at most k neighbours takes them all and draws nothing, so
+  // k is capped at each side's largest degree: k = 1000 gives the subgraph
+  // of k = max degree, from n·max-degree pick slots per side, not n·1000.
+  // The graph is wide, so the two sides' caps differ.
+  const BipartiteGraph g = make_erdos_renyi(500, 2000, 6000, 21);
+  const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
+  const eid_t row_max = row_degree_stats(g).max;
+  const eid_t col_max = col_degree_stats(g).max;
+  ASSERT_NE(row_max, col_max);
+  Workspace ws;
+  BipartiteGraph capped;
+  k_out_subgraph_ws(g, s, 1000, 9, ws, capped);
+  // A lease clears the pick buffers but keeps what they grew to.
+  EXPECT_EQ(ws.buf<vid_t>("kout.row_picks").capacity(),
+            static_cast<std::size_t>(g.num_rows() * row_max));
+  EXPECT_EQ(ws.buf<vid_t>("kout.col_picks").capacity(),
+            static_cast<std::size_t>(g.num_cols() * col_max));
+  const BipartiteGraph at_max =
+      k_out_subgraph(g, s, static_cast<int>(std::max(row_max, col_max)), 9);
+  EXPECT_TRUE(capped.structurally_equal(at_max));
+  // Between the two caps only the smaller side is capped; the subgraph is
+  // still the one the uncapped per-side picks describe.
+  const int k = static_cast<int>(std::min(row_max, col_max)) + 1;
+  const std::vector<vid_t> row_picks = sample_row_choices_k(g, s.dc, k, 9);
+  const std::vector<vid_t> col_picks =
+      sample_col_choices_k(g, s.dr, k, 9 + 0x9e3779b97f4a7c15ULL);
+  GraphBuilder b(g.num_rows(), g.num_cols());
+  for (std::size_t t = 0; t < row_picks.size(); ++t)
+    if (row_picks[t] != kNil) b.add_edge(static_cast<vid_t>(t / k), row_picks[t]);
+  for (std::size_t t = 0; t < col_picks.size(); ++t)
+    if (col_picks[t] != kNil) b.add_edge(col_picks[t], static_cast<vid_t>(t / k));
+  EXPECT_TRUE(k_out_subgraph(g, s, k, 9).structurally_equal(b.build()));
 }
 
 TEST(KOut, WorksOnDeficientGraphs) {

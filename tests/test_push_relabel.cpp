@@ -7,12 +7,14 @@
 
 #include <string>
 
+#include "core/k_out.hpp"
 #include "engine/job.hpp"
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
 #include "matching/hopcroft_karp.hpp"
 #include "matching/mc21.hpp"
 #include "matching/push_relabel.hpp"
+#include "scaling/sinkhorn_knopp.hpp"
 #include "test_helpers.hpp"
 
 namespace bmh {
@@ -137,6 +139,53 @@ TEST(PushRelabel, EmptyAndIsolated) {
   const Matching m = push_relabel(g);
   testing::expect_valid(g, m, "isolated");
   EXPECT_EQ(m.cardinality(), 1);
+}
+
+TEST(PushRelabel, MatchingPinnedAcrossVersions) {
+  // Golden values captured from the solver before its global relabel
+  // prefetched ahead of the BFS queue and its column scan lost the early
+  // exit: both must leave every matching bit-identical. The graphs are
+  // large_warm's three families at 2^14 (the instances of
+  // KarpSipser.OutputPinnedAcrossVersions), each family's 2-out subgraph
+  // (k_out's solve), and sprank-deficient ER deg 4 specs, on which global
+  // relabels retire rows.
+  constexpr vid_t n = 1 << 14;
+  const BipartiteGraph er = make_erdos_renyi(n, n, 8 * static_cast<eid_t>(n), 11);
+  const BipartiteGraph powerlaw = make_power_law(n, 8.0, 1.8, 12);
+  const BipartiteGraph planted = make_planted_perfect(n, 7, 13);
+  const auto two_out = [](const BipartiteGraph& g) {
+    return k_out_subgraph(g, scale_sinkhorn_knopp(g, {5, 0.0}), 2, 7);
+  };
+  const BipartiteGraph er_2out = two_out(er);
+  const BipartiteGraph powerlaw_2out = two_out(powerlaw);
+  const BipartiteGraph planted_2out = two_out(planted);
+  const BipartiteGraph deficient1 =
+      build_graph(parse_graph_spec("gen:er:n=16384,deg=4,seed=1"), 0);
+  const BipartiteGraph deficient2 =
+      build_graph(parse_graph_spec("gen:er:n=16384,deg=4,seed=2"), 0);
+  struct Pin {
+    const char* what;
+    const BipartiteGraph* g;
+    std::uint64_t row_match_fingerprint;
+    vid_t cardinality;
+  };
+  const Pin pins[] = {
+      {"er", &er, 0x9e3062d98a8db9d6ull, 16378},
+      {"powerlaw", &powerlaw, 0x5acb9e0e61abae21ull, 16384},
+      {"planted", &planted, 0xd7fc316849205d29ull, 16384},
+      {"er 2-out", &er_2out, 0xb320842d7d6f7d3eull, 16378},
+      {"powerlaw 2-out", &powerlaw_2out, 0xddbfd3d47ab45121ull, 16384},
+      {"planted 2-out", &planted_2out, 0x553703323d70334dull, 16384},
+      {"er deg 4 seed 1", &deficient1, 0xb754384ccdb7afccull, 16004},
+      {"er deg 4 seed 2", &deficient2, 0x2825f7409fd9fa29ull, 16026},
+  };
+  Workspace ws;
+  for (const Pin& pin : pins) {
+    Matching m;
+    push_relabel_ws(*pin.g, ws, m);  // warm workspace after the first pin
+    EXPECT_EQ(testing::bit_fingerprint(m.row_match), pin.row_match_fingerprint) << pin.what;
+    EXPECT_EQ(m.cardinality(), pin.cardinality) << pin.what;
+  }
 }
 
 } // namespace
