@@ -299,7 +299,7 @@ void Engine::worker_loop(int worker) {
       --queued_;
       // Blocked submitters are woken in one go once half the queue is free,
       // not one per claimed job: a wake per claim cut a one-worker,
-      // four-producer drain (bench_submit) by a third or more.
+      // four-producer drain by a third or more.
       wake_submitters =
           blocked_submitters_ != 0 && queued_ <= slots_.size() / 2;
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -136,6 +137,15 @@ JobSpec parse_job_spec_line(const std::string& line) {
                                     "' for '" + key + "'");
       }
     };
+    // An int field takes only values an int holds; a narrowing cast would
+    // wrap k=-4294967294 into k=2.
+    const auto int_field_value = [&]() -> int {
+      const std::int64_t v = int_value();
+      if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max())
+        throw std::invalid_argument("job spec: value '" + value + "' for '" + key +
+                                    "' is out of range");
+      return static_cast<int>(v);
+    };
 
     if (key == "name") {
       job.name = value;
@@ -150,15 +160,15 @@ JobSpec parse_job_spec_line(const std::string& line) {
     } else if (key == "scaling") {
       job.pipeline.scaling = parse_scaling_method(value);
     } else if (key == "iters") {
-      job.pipeline.scaling_iterations = static_cast<int>(int_value());
+      job.pipeline.scaling_iterations = int_field_value();
     } else if (key == "augment") {
       job.pipeline.augment = int_value() != 0;
     } else if (key == "quality") {
       job.pipeline.compute_quality = int_value() != 0;
     } else if (key == "threads") {
-      job.pipeline.options.threads = static_cast<int>(int_value());
+      job.pipeline.options.threads = int_field_value();
     } else if (key == "k") {
-      job.pipeline.options.k = static_cast<int>(int_value());
+      job.pipeline.options.k = int_field_value();
     } else if (key == "seed") {
       job.seed = static_cast<std::uint64_t>(int_value());
     } else if (key == "timeout_ms") {

@@ -1,49 +1,14 @@
 #pragma once
-/// \file bench_common.hpp
-/// \brief Shared plumbing for the serving-path benches and tests: the
-/// optional global-allocator instrumentation that certifies the Workspace
-/// hot paths are allocation-free, and the engine latency JSON.
+/// \file alloc_counter.hpp
+/// \brief Optional global-allocator instrumentation for the tests that
+/// certify the Workspace, cache and submit hot paths are allocation-free.
 
 #include <atomic>
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <iostream>
 #include <new>
-#include <string>
-#include <vector>
-
-#include "bmh.hpp"
-
-namespace bmh::bench {
-
-/// JSON object (a `"latency": {...}` value for a BENCH_*.json record) with
-/// the p50/p99 of the engine's per-worker latency histograms, merged across
-/// workers — per-job wall time, queue wait, and graph acquisition. Percentiles
-/// come from the obs layer's log-scale buckets (~12.5% worst-case width), so
-/// they are estimates, not exact order statistics.
-inline std::string latency_json(const Engine& engine) {
-  const obs::Snapshot snap = engine.metrics();
-  std::string out = "{";
-  for (const char* metric : {"job", "queue_wait", "graph_acquire"}) {
-    const obs::HistogramData h = snap.histogram_merged("worker", metric);
-    if (out.size() > 1) out += ", ";
-    out += '"';
-    out += metric;
-    out += "\": {\"samples\": ";
-    out += std::to_string(h.count);
-    out += ", \"p50_ms\": ";
-    out += json_number(static_cast<double>(h.p50_ns()) / 1e6);
-    out += ", \"p99_ms\": ";
-    out += json_number(static_cast<double>(h.p99_ns()) / 1e6);
-    out += '}';
-  }
-  out += '}';
-  return out;
-}
-
-} // namespace bmh::bench
 
 // ------------------------------------------------------------------------
 // Global allocation counter (the proof behind "zero allocations per job").

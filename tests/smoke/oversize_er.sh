@@ -10,6 +10,9 @@
 # whose pick slots alone would take ~13 GB if k were not capped at each
 # side's largest degree, must succeed with the record of k = 20.
 #
+# A k or iters outside int's range must fail as a parse record, not wrap
+# into a small value that runs (k=-4294967294 would wrap to k = 2).
+#
 # Usage: oversize_er.sh BMH_ENGINE
 set -u
 engine=$1
@@ -44,3 +47,13 @@ cat "$work/k100000.jsonl" "$work/k100000.log"
 grep -q '"ok":true' "$work/k20.jsonl" || { echo "the k=20 job failed"; exit 1; }
 cmp "$work/k20.jsonl" "$work/k100000.jsonl" ||
   { echo "the k=100000 record differs from the k=20 record"; exit 1; }
+
+printf '%s\n' \
+  "input=gen:er:n=1024,deg=4,seed=3 algo=k_out k=-4294967294" \
+  "input=gen:er:n=1024,deg=4,seed=3 algo=two_sided iters=4294967297" |
+  "$engine" --serve --threads 1 --no-timings --quiet > "$work/range.jsonl"
+status=$?
+cat "$work/range.jsonl"
+test "$status" -eq 3 || { echo "exit status $status, expected 3"; exit 1; }
+test "$(grep -c '"ok":false.*"error_kind":"parse"' "$work/range.jsonl")" -eq 2 ||
+  { echo "an out-of-range value is not a parse record"; exit 1; }

@@ -283,6 +283,10 @@ TEST(JobSpecHostile, MalformedLinesThrowCleanlyNeverCrash) {
       "input=gen:er:n=64 seed=99999999999999999999999999",       // > int64
       "input=gen:er:n=64 iters=-99999999999999999999",           // < int64
       "input=gen:er:n=64 threads=12abc",                         // trailing junk
+      "input=gen:er:n=64 algo=k_out k=-4294967294",              // < int, wraps to 2
+      "input=gen:er:n=64 iters=4294967297",                      // > int, wraps to 1
+      "input=gen:er:n=64 threads=2147483648",                    // > int
+      "input=gen:er:n=64 threads=-2147483649",                   // < int
       "input=gen:er:n=64 seed=1 seed=2",                         // duplicate key
       "input=gen:er:n=64 timeout_ms=-1",                         // negative budget
       std::string("input=gen:er:n=64 na\0me=x", 25),             // embedded NUL key
@@ -293,6 +297,18 @@ TEST(JobSpecHostile, MalformedLinesThrowCleanlyNeverCrash) {
   for (const std::string& line : hostile)
     EXPECT_THROW((void)parse_job_spec_line(line), std::invalid_argument)
         << "line: " << line.substr(0, 80);
+  // An int field out of int's range is named, not wrapped; its extremes parse.
+  try {
+    (void)parse_job_spec_line("input=gen:er:n=64 iters=4294967297");
+    FAIL() << "expected out-of-range error";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'iters'"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(parse_job_spec_line("input=gen:er:n=64 iters=2147483647")
+                .pipeline.scaling_iterations,
+            2147483647);
+  EXPECT_EQ(parse_job_spec_line("input=gen:er:n=64 k=-2147483648").pipeline.options.k,
+            -2147483647 - 1);
   // Size alone is not hostile: an oversized but well-formed value parses.
   const JobSpec big_name = parse_job_spec_line("input=gen:er:n=64 name=" + huge_value);
   EXPECT_EQ(big_name.name.size(), huge_value.size());

@@ -3,14 +3,14 @@
 /// try_submit backpressure, derivation indices under rejection, a
 /// multi-producer drain stress, and the allocation-freedom of the warm
 /// single-job submit path (certified by the global allocation counter from
-/// bench_common.hpp).
+/// alloc_counter.hpp).
 
 // Exactly one TU per binary may define this before including
-// bench_common.hpp: it replaces the global operator new/delete with
+// alloc_counter.hpp: it replaces the global operator new/delete with
 // counting versions.
 #define BMH_COUNT_ALLOCS
 
-#include "../bench/bench_common.hpp"
+#include "alloc_counter.hpp"
 
 #include <gtest/gtest.h>
 

@@ -2,14 +2,14 @@
 /// \brief Tests for the Workspace scratch-arena subsystem: lease semantics,
 /// parity of the `_ws` overloads with the classic entry points, and the
 /// allocation-freedom of the warm batch-serving hot paths (certified by the
-/// global allocation counter from bench_common.hpp).
+/// global allocation counter from alloc_counter.hpp).
 
 // Exactly one TU per binary may define this before including
-// bench_common.hpp: it replaces the global operator new/delete with
+// alloc_counter.hpp: it replaces the global operator new/delete with
 // counting versions.
 #define BMH_COUNT_ALLOCS
 
-#include "../bench/bench_common.hpp"
+#include "alloc_counter.hpp"
 
 #include <gtest/gtest.h>
 
@@ -215,7 +215,7 @@ TEST(WorkspaceParity, PipelineMatchesClassicEntryPoint) {
 
 TEST(WorkspaceHotPath, KernelSteadyStateIsAllocationFree) {
   // Counting is compiled out under TSan (the operator-new replacement
-  // bypasses TSan's allocator interposition — see bench_common.hpp); the
+  // bypasses TSan's allocator interposition — see alloc_counter.hpp); the
   // alloc assertions below then compare zeros while the rest still runs.
 #if !defined(BMH_BENCH_TSAN)
   static_assert(bench::kAllocCountingEnabled);
@@ -300,6 +300,35 @@ TEST(WorkspaceHotPath, CacheServedJobGraphPathIsAllocationFree) {
   const bench::AllocStats after = bench::alloc_stats();
   EXPECT_EQ(after.allocations, before.allocations);
   EXPECT_EQ(after.live_bytes, before.live_bytes);
+}
+
+TEST(WorkspaceHotPath, MappedStoreLoadCopiesNoEdgeArrays) {
+  // The restart path: a fresh cache over a warm store directory serves the
+  // graph as a view of the mapped file. What the load retains on the heap
+  // is a small constant (entry, key, mapping handle), not the edge arrays.
+  const std::string dir = ::bmh::testing::scratch_dir("bmh_ws_store_");
+  std::filesystem::remove_all(dir);
+  const GraphSpec spec = parse_graph_spec("gen:planted:n=4096,seed=7");
+  GraphCache::Options options;
+  options.store_dir = dir;
+  std::size_t file_bytes = 0;
+  {
+    GraphCache spilling(options);  // builds once; write-through spills
+    const auto built = spilling.get_or_build(spec, 1);
+    ASSERT_EQ(spilling.stats().store_spills, 1u);
+    file_bytes = serialized_graph_bytes(*built, canonical_graph_key(spec, 1));
+  }
+  GraphCache restarted(options);
+  const bench::AllocStats before = bench::alloc_stats();
+  const auto mapped = restarted.get_or_build(spec, 1);
+  const bench::AllocStats after = bench::alloc_stats();
+  ASSERT_NE(mapped, nullptr);
+  EXPECT_EQ(restarted.stats().store_hits, 1u);
+  EXPECT_FALSE(mapped->owns_storage());
+  const std::uint64_t growth = after.live_bytes - before.live_bytes;
+  EXPECT_LT(growth, 4096u);
+  EXPECT_LT(growth * 16, file_bytes) << growth << " bytes retained";
+  std::filesystem::remove_all(dir);
 }
 
 TEST(WorkspaceHotPath, UndirectedPipelineSteadyStateIsAllocationFree) {
