@@ -165,6 +165,22 @@ void BM_KOutMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_KOutMatch)->Arg(1 << 17)->Unit(benchmark::kMillisecond)->UseRealTime();
 
+// BM_KOutMatch without the solve: sample 2 picks per side and assemble the
+// subgraph into a workspace-kept graph. A new seed each iteration.
+void BM_KOutSubgraph(benchmark::State& state) {
+  const BipartiteGraph& g = er_graph(static_cast<vid_t>(state.range(0)), 8);
+  const ScalingResult scaling = scale_sinkhorn_knopp(g, {5, 0.0});
+  Workspace ws;
+  BipartiteGraph sub;
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    k_out_subgraph_ws(g, scaling, 2, ++seed, ws, sub);
+    benchmark::DoNotOptimize(sub.col_idx().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_KOutSubgraph)->Arg(1 << 10)->Arg(1 << 17)->UseRealTime();
+
 void BM_HopcroftKarpWarmStarted(benchmark::State& state) {
   const auto n = static_cast<vid_t>(state.range(0));
   const BipartiteGraph& g = er_graph(n, 8);
@@ -231,6 +247,18 @@ void BM_MatchingValidation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MatchingValidation)->Arg(1 << 17);
+
+// The undirected check on the bipartite-union view of the same graph
+// (2n vertices), as kind=undirected-match runs it on every job.
+void BM_UndirectedValidation(benchmark::State& state) {
+  UndirectedGraph view;
+  view.assign_bipartite_union(er_graph(static_cast<vid_t>(state.range(0)), 8));
+  const UndirectedMatching m = undirected_greedy(view, 3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(is_valid_matching(view, m));
+  }
+}
+BENCHMARK(BM_UndirectedValidation)->Arg(1 << 17)->UseRealTime();
 
 // The store workloads' instance: planted n = 2^17, extra = 3 (524,278 edges,
 // a 6.00 MiB file), spilled once under its canonical key.

@@ -6,7 +6,6 @@
 
 #include "core/choice.hpp"
 #include "core/workspace.hpp"
-#include "graph/builder.hpp"
 #include "matching/push_relabel.hpp"
 #include "scaling/sinkhorn_knopp.hpp"
 
@@ -95,25 +94,39 @@ int clamp_k(int k, std::span<const eid_t> ptr) {
   return static_cast<int>(std::min(static_cast<eid_t>(k), max_degree));
 }
 
-/// Feeds both sides' picks into `b` (reset to g's dimensions by the
-/// caller); each side's picks are laid out with that side's stride.
-void add_k_out_edges(GraphBuilder& b, const BipartiteGraph& g,
-                     const std::vector<vid_t>& row_picks, int row_k,
-                     const std::vector<vid_t>& col_picks, int col_k) {
-  b.reserve(static_cast<std::size_t>(g.num_rows()) * static_cast<std::size_t>(row_k) +
-            static_cast<std::size_t>(g.num_cols()) * static_cast<std::size_t>(col_k));
-  for (vid_t i = 0; i < g.num_rows(); ++i)
-    for (int t = 0; t < row_k; ++t) {
-      const vid_t j =
-          row_picks[static_cast<std::size_t>(i) * row_k + static_cast<std::size_t>(t)];
-      if (j != kNil) b.add_edge(i, j);
+/// One side's picks as a set: the `stride` slots of vertex u hold u's
+/// picks (kNil in unused slots, which no vertex id equals). K > 0 fixes the
+/// stride at compile time, so membership is K straight-line compares; K = 0
+/// reads `stride`.
+template <int K>
+struct PickSet {
+  const vid_t* picks;
+  int stride;
+  bool contains(vid_t u, vid_t v) const noexcept {
+    const int k = K > 0 ? K : stride;
+    const vid_t* const slot = picks + static_cast<std::size_t>(u) * static_cast<std::size_t>(k);
+    bool hit = false;
+    for (int t = 0; t < k; ++t) hit |= slot[t] == v;
+    return hit;
+  }
+};
+
+/// Calls fn(rows, cols) with both sides' PickSets: compile-time strides
+/// when both sides share a small one (k = 2 is the registry default), the
+/// runtime stride otherwise.
+template <class Fn>
+void with_pick_sets(const std::vector<vid_t>& row_picks, int row_k,
+                    const std::vector<vid_t>& col_picks, int col_k, const Fn& fn) {
+  const auto fixed = [&]<int K>() {
+    fn(PickSet<K>{row_picks.data(), K}, PickSet<K>{col_picks.data(), K});
+  };
+  if (row_k == col_k) switch (row_k) {
+      case 1: return fixed.template operator()<1>();
+      case 2: return fixed.template operator()<2>();
+      case 3: return fixed.template operator()<3>();
+      default: break;
     }
-  for (vid_t j = 0; j < g.num_cols(); ++j)
-    for (int t = 0; t < col_k; ++t) {
-      const vid_t i =
-          col_picks[static_cast<std::size_t>(j) * col_k + static_cast<std::size_t>(t)];
-      if (i != kNil) b.add_edge(i, j);
-    }
+  fn(PickSet<0>{row_picks.data(), row_k}, PickSet<0>{col_picks.data(), col_k});
 }
 
 } // namespace
@@ -133,10 +146,15 @@ void k_out_subgraph_ws(const BipartiteGraph& g, const ScalingResult& scaling, in
   const int col_k = clamp_k(k, g.col_ptr());
   sample_row_choices_k(g, scaling.dc, row_k, seed, row_picks);
   sample_col_choices_k(g, scaling.dr, col_k, seed + 0x9e3779b97f4a7c15ULL, col_picks);
-  GraphBuilder& b = ws.obj<GraphBuilder>("kout.builder");
-  b.reset(g.num_rows(), g.num_cols());
-  add_k_out_edges(b, g, row_picks, row_k, col_picks, col_k);
-  b.build_into(out);
+  // Every pick is an edge of g, so the subgraph is g filtered by "i picked
+  // j or j picked i": rows and columns come out sorted, without duplicates.
+  std::vector<vid_t>& scratch =
+      ws.vec<vid_t>("kout.subgraph_scratch", static_cast<std::size_t>(g.num_edges()));
+  with_pick_sets(row_picks, row_k, col_picks, col_k, [&](auto rows, auto cols) {
+    out.assign_subgraph(
+        g, [rows, cols](vid_t i, vid_t j) { return rows.contains(i, j) | cols.contains(j, i); },
+        scratch);
+  });
 }
 
 Matching k_out_match(const BipartiteGraph& g, int scaling_iterations, int k,

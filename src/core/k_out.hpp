@@ -22,6 +22,11 @@
 /// subgraph solver is chosen. The trade: more edges and a slower subgraph
 /// solve buy a quality that approaches 1 rapidly with k — quantified by
 /// `bench_paper extension_kout`.
+///
+/// Every pick is a neighbour in G, so the subgraph is G's own adjacency
+/// filtered by "i picked j, or j picked i"
+/// (`BipartiteGraph::assign_subgraph`): no edge list, sort or scatter, and
+/// the same arrays at any OpenMP team size.
 
 #include <cstdint>
 #include <vector>
@@ -59,16 +64,16 @@ namespace bmh {
                                    int k, std::uint64_t seed);
 
 /// Workspace-aware variants. Sampling scratch, the scaling vectors, the
-/// subgraph solver's arrays *and the subgraph's CSR construction* are all
-/// leased from `ws` (pooled `GraphBuilder::build_into` into a workspace-kept
-/// graph), so a warm k-out call performs zero heap allocations — same club
-/// as every other heuristic.
+/// subgraph solver's arrays *and the subgraph itself* are all leased from
+/// `ws` (G filtered into a workspace-kept graph's reused vectors), so a warm
+/// k-out call performs zero heap allocations — same club as every other
+/// heuristic.
 void sample_row_choices_k(const BipartiteGraph& g, const std::vector<double>& dc, int k,
                           std::uint64_t seed, std::vector<vid_t>& out);
 void sample_col_choices_k(const BipartiteGraph& g, const std::vector<double>& dr, int k,
                           std::uint64_t seed, std::vector<vid_t>& out);
-/// Assembles the subgraph into `out`, whose vectors (and the builder
-/// scratch behind them, tags "kout.*") reuse capacity across calls.
+/// Filters the subgraph out of `g` into `out`, whose vectors, like the pick
+/// buffers (tags "kout.*"), reuse their capacity across calls.
 void k_out_subgraph_ws(const BipartiteGraph& g, const ScalingResult& scaling, int k,
                        std::uint64_t seed, Workspace& ws, BipartiteGraph& out);
 /// The k-out heuristic on a pre-scaled matrix: builds the pooled subgraph

@@ -204,7 +204,7 @@ BipartiteGraph::BipartiteGraph(vid_t num_rows, vid_t num_cols,
       storage_(OwnedStorage{std::move(row_ptr), std::move(col_idx), {}, {}}) {
   auto& owned = std::get<OwnedStorage>(storage_);
   validate_csr(num_rows_, num_cols_, owned.row_ptr, owned.col_idx);
-  build_csc(num_rows_, num_cols_, csc_scratch);
+  build_csc(csc_scratch);
   rebind_views();
 }
 
@@ -297,55 +297,49 @@ std::size_t BipartiteGraph::memory_bytes() const noexcept {
   return bytes;
 }
 
-void BipartiteGraph::assign_csr(vid_t num_rows, vid_t num_cols,
-                                std::span<const eid_t> row_ptr,
-                                std::span<const vid_t> col_idx,
-                                DefaultInitVector<eid_t>& csc_scratch) {
-  validate_csr(num_rows, num_cols, row_ptr, col_idx);  // members untouched on throw
+BipartiteGraph::OwnedStorage& BipartiteGraph::begin_rebuild(const BipartiteGraph& g,
+                                                           std::size_t scratch_size) {
+  // The filter reads g while it writes this graph's vectors.
+  if (&g == this)
+    throw std::invalid_argument("BipartiteGraph: a graph cannot be its own subgraph's source");
+  if (scratch_size < static_cast<std::size_t>(g.num_edges()))
+    throw std::invalid_argument("BipartiteGraph: subgraph scratch shorter than the edge count");
   // New arrays, new rank: a pooled graph rebuilt in place must not serve
   // the previous instance's sprank or scaling.
   sprank_memo_.store(kUnknownSprank, std::memory_order_relaxed);
   drop_scaling();
-  // Everything past validation reallocates buffers the view members point
-  // into (or, below, tears down a mapping they point into), and any of it
-  // can throw bad_alloc. Park the object in the consistent empty state
-  // first: if the rebuild is interrupted, the graph reads as 0x0 with empty
-  // spans instead of holding views over freed memory.
+  // Everything past here reallocates buffers the view members point into
+  // (or tears down a mapping they point into), and any of it can throw
+  // bad_alloc. Park the object in the consistent empty state first: if the
+  // rebuild is interrupted, the graph reads as 0x0 with empty spans instead
+  // of holding views over freed memory.
   num_rows_ = 0;
   num_cols_ = 0;
   row_ptr_ = {};
   col_idx_ = {};
   col_ptr_ = {};
   row_idx_ = {};
-  if (!owns_storage()) {
-    // The input spans may alias this graph's own mapped storage (the
-    // natural g.assign_csr(..., g.row_ptr(), g.col_idx()) conversion
-    // idiom), and replacing the variant alternative drops the mapping's
-    // keepalive — possibly munmap-ing the bytes the spans point into. Copy
-    // through a local first; the one-off allocations are fine, an
-    // externally backed graph is never on the pooled rebuild path.
-    OwnedStorage fresh;
-    fresh.row_ptr.assign(row_ptr.begin(), row_ptr.end());
-    fresh.col_idx.assign(col_idx.begin(), col_idx.end());
-    storage_ = std::move(fresh);
-  } else {
-    auto& owned = std::get<OwnedStorage>(storage_);
-    owned.row_ptr.assign(row_ptr.begin(), row_ptr.end());
-    owned.col_idx.assign(col_idx.begin(), col_idx.end());
-  }
-  build_csc(num_rows, num_cols, csc_scratch);
+  if (!owns_storage()) storage_.emplace<OwnedStorage>();
+  return std::get<OwnedStorage>(storage_);
+}
+
+void BipartiteGraph::finish_rebuild(vid_t num_rows, vid_t num_cols) {
+  const auto& owned = std::get<OwnedStorage>(storage_);
+  validate_csr(num_rows, num_cols, owned.row_ptr, owned.col_idx);
+  validate_csr(num_cols, num_rows, owned.col_ptr, owned.row_idx);
   num_rows_ = num_rows;
   num_cols_ = num_cols;
   rebind_views();
 }
 
-void BipartiteGraph::build_csc(vid_t num_rows, vid_t num_cols,
-                               DefaultInitVector<eid_t>& scratch) {
+void BipartiteGraph::build_csc(DefaultInitVector<eid_t>& scratch) {
   // count_scatter over the edges in CSR order, keyed by column: each
   // column's rows come out in increasing order, sorted ascending by
   // construction. A thread's scatter slice may start mid-row; it finds that
   // row by binary search and walks on from there.
   auto& owned = std::get<OwnedStorage>(storage_);
+  const vid_t num_rows = num_rows_;
+  const vid_t num_cols = num_cols_;
   const eid_t* const row_ptr = owned.row_ptr.data();
   const vid_t* const col_idx = owned.col_idx.data();
   const eid_t nnz = owned.row_ptr.empty() ? 0 : owned.row_ptr.back();

@@ -20,23 +20,24 @@
 /// region the graph merely keeps alive (a memory-mapped store file, see
 /// graph/serialize.hpp). The storage choice is invisible to the algorithm
 /// layer: every accessor below returns the same span types either way, and
-/// `memory_bytes()` accounts whichever backing is active. Mutating
-/// operations (`assign_csr`) convert an externally backed graph to owned
-/// storage first, so the immutable mapped bytes are never written.
+/// `memory_bytes()` accounts whichever backing is active. The one mutating
+/// operation (`assign_subgraph`) converts an externally backed graph to
+/// owned storage first, so the immutable mapped bytes are never written.
 ///
 /// A graph can carry its structural rank once someone has solved it
 /// (`known_sprank` / `remember_sprank`): sprank is a pure function of the
 /// arrays, so a graph shared across jobs (a graph-cache entry) pays the
 /// exact solve once. The memo follows the arrays — copies and moves carry
-/// it, `assign_csr` clears it.
+/// it, `assign_subgraph` clears it.
 ///
 /// A graph can also carry one scaling (`known_scaling` / `offer_scaling`):
 /// the multipliers of a Sinkhorn–Knopp or Ruiz run depend only on the
 /// arrays and the (method, iterations, tolerance) key, so a resident graph
 /// scales once per key instead of once per job. The entry is published on
 /// a key's second use and is immutable from then on; moves carry it,
-/// copies and `assign_csr` drop it.
+/// copies and `assign_subgraph` drop it.
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -46,6 +47,7 @@
 #include <variant>
 #include <vector>
 
+#include "graph/count_scatter.hpp"
 #include "util/default_init.hpp"
 #include "util/types.hpp"
 
@@ -109,26 +111,23 @@ public:
   BipartiteGraph& operator=(BipartiteGraph&& other) noexcept;
   ~BipartiteGraph();
 
-  /// In-place re-initialization from CSR arrays, reusing the capacity of all
-  /// four internal vectors — the pooled-construction path: a graph object
-  /// kept in a Workspace can be rebuilt every call without heap traffic once
-  /// its buffers have grown to the working-set size (GraphBuilder::build_into
-  /// drives this). `csc_scratch` holds the parallel CSC build's per-thread
-  /// histograms; a caller that keeps it keeps the rebuild allocation-free.
-  /// Input requirements match the constructor; the spans are validated
-  /// *before* any member is touched, so on throw the graph is unchanged. The
-  /// derived CSC view is identical to the constructor's. An externally
-  /// backed graph switches to (fresh) owned storage.
-  void assign_csr(vid_t num_rows, vid_t num_cols,
-                  std::span<const eid_t> row_ptr, std::span<const vid_t> col_idx,
-                  DefaultInitVector<eid_t>& csc_scratch);
-
-  /// assign_csr with throwaway CSC scratch, for callers off the pooled path.
-  void assign_csr(vid_t num_rows, vid_t num_cols,
-                  std::span<const eid_t> row_ptr, std::span<const vid_t> col_idx) {
-    DefaultInitVector<eid_t> csc_scratch;
-    assign_csr(num_rows, num_cols, row_ptr, col_idx, csc_scratch);
-  }
+  /// In-place re-initialization as the subgraph of `g` whose edges (i, j)
+  /// pass `keep(i, j)`, with g's dimensions — the pooled-construction path:
+  /// a graph kept in a Workspace is refilled every call, without heap
+  /// traffic once its vectors have grown to the working-set size. `keep`
+  /// must be pure and must not throw (it runs inside OpenMP regions).
+  /// `scratch` stages each vertex's kept neighbours and needs at least
+  /// g.num_edges() entries; its contents are clobbered. g's CSR and CSC are
+  /// filtered on the ambient OpenMP team, each by a count per vertex, a
+  /// prefix and a copy, so rows and columns stay sorted, the CSC is the
+  /// exact transpose of the CSR, and the arrays are the same at any team
+  /// size. Both orientations are then validated like a constructed graph's.
+  /// Drops the remembered sprank and scaling; an externally backed graph
+  /// switches to owned storage. Throws std::invalid_argument, leaving the
+  /// graph untouched, when `g` is this graph or `scratch` is too short;
+  /// after any later throw (bad_alloc) the graph reads as 0x0.
+  template <class Keep>
+  void assign_subgraph(const BipartiteGraph& g, const Keep& keep, std::span<vid_t> scratch);
 
   [[nodiscard]] vid_t num_rows() const noexcept { return num_rows_; }
   [[nodiscard]] vid_t num_cols() const noexcept { return num_cols_; }
@@ -192,7 +191,7 @@ public:
 
   /// The scaling remembered for `key`, or nullptr when the graph carries
   /// none or carries another key's. A non-null result stays valid, and
-  /// unchanged, for the graph's lifetime (or until `assign_csr`).
+  /// unchanged, for the graph's lifetime (or until `assign_subgraph`).
   [[nodiscard]] const ScalingResult* known_scaling(const ScalingKey& key) const noexcept;
 
   /// Offers `result`, just computed for `key`, for remembering, and returns
@@ -237,16 +236,27 @@ private:
   void rebind_views() noexcept;
   void reset_empty();
   /// Derives the CSC from the owned CSR on the ambient OpenMP team, the same
-  /// arrays at any team size (graph/count_scatter.hpp). Takes the dimensions
-  /// as parameters (rather than members) so assign_csr can defer committing
-  /// num_rows_/num_cols_ until every allocation is done.
-  void build_csc(vid_t num_rows, vid_t num_cols, DefaultInitVector<eid_t>& scratch);
+  /// arrays at any team size (graph/count_scatter.hpp).
+  void build_csc(DefaultInitVector<eid_t>& scratch);
+  /// assign_subgraph's untemplated halves. begin_rebuild checks the
+  /// arguments, drops both memos, parks the graph as 0x0 with empty views
+  /// and returns its owned storage; finish_rebuild validates both
+  /// orientations and only then commits the dimensions and views.
+  OwnedStorage& begin_rebuild(const BipartiteGraph& g, std::size_t scratch_size);
+  void finish_rebuild(vid_t num_rows, vid_t num_cols);
+  /// Writes into (out_ptr, out_idx) the adjacency (ptr, idx) keeps: each
+  /// vertex u's neighbours v with keep(u, v), in list order, staged in
+  /// `scratch` at u's own offsets.
+  template <class Ptr, class Idx, class Keep>
+  static void filter_adjacency(std::span<const eid_t> ptr, std::span<const vid_t> idx,
+                               const Keep& keep, std::span<vid_t> scratch, Ptr& out_ptr,
+                               Idx& out_idx);
 
   static constexpr vid_t kUnknownSprank = -1;
 
   struct ScalingEntry;  // the key and its multipliers (bipartite_graph.cpp)
   /// Deletes the published scaling and forgets the last offered key. Only
-  /// for a graph no other thread reads (assignment, assign_csr, teardown).
+  /// for a graph no other thread reads (assignment, a rebuild, teardown).
   void drop_scaling() noexcept;
 
   vid_t num_rows_ = 0;
@@ -263,5 +273,59 @@ private:
   std::span<const eid_t> col_ptr_;
   std::span<const vid_t> row_idx_;
 };
+
+template <class Keep>
+void BipartiteGraph::assign_subgraph(const BipartiteGraph& g, const Keep& keep,
+                                     std::span<vid_t> scratch) {
+  OwnedStorage& owned = begin_rebuild(g, scratch.size());
+  filter_adjacency(g.row_ptr_, g.col_idx_, keep, scratch, owned.row_ptr, owned.col_idx);
+  filter_adjacency(
+      g.col_ptr_, g.row_idx_, [&keep](vid_t j, vid_t i) { return keep(i, j); }, scratch,
+      owned.col_ptr, owned.row_idx);
+  finish_rebuild(g.num_rows_, g.num_cols_);
+}
+
+template <class Ptr, class Idx, class Keep>
+void BipartiteGraph::filter_adjacency(std::span<const eid_t> ptr, std::span<const vid_t> idx,
+                                      const Keep& keep, std::span<vid_t> scratch,
+                                      Ptr& out_ptr, Idx& out_idx) {
+  const std::size_t n = ptr.empty() ? 0 : ptr.size() - 1;  // a moved-from g has no offsets
+  const eid_t* const in_ptr = ptr.data();
+  const vid_t* const in_idx = idx.data();
+  vid_t* const staged = scratch.data();
+  // Below kParallelMinItems the loops run inline, with no parallel region.
+  const auto for_each_vertex = [n, team = idx.size() >= kParallelMinItems](const auto& body) {
+    if (team) {
+#pragma omp parallel for schedule(dynamic, 512)
+      for (std::size_t u = 0; u < n; ++u) body(u);
+    } else {
+      for (std::size_t u = 0; u < n; ++u) body(u);
+    }
+  };
+  // Both resizes come before their loop, so no allocation (and no
+  // exception) happens inside a parallel region.
+  out_ptr.resize(n + 1);
+  eid_t* const offsets = out_ptr.data();
+  offsets[0] = 0;
+  // Every neighbour is staged at the cursor, which advances only past kept
+  // ones: no branch on the verdict, and the writes stay inside u's range.
+  for_each_vertex([=, &keep](std::size_t u) {
+    vid_t* const kept = staged + in_ptr[u];
+    eid_t count = 0;
+    for (eid_t e = in_ptr[u]; e < in_ptr[u + 1]; ++e) {
+      const vid_t v = in_idx[e];
+      kept[count] = v;
+      count += keep(static_cast<vid_t>(u), v);
+    }
+    offsets[u + 1] = count;
+  });
+  for (std::size_t u = 0; u < n; ++u) offsets[u + 1] += offsets[u];
+  out_idx.resize(static_cast<std::size_t>(offsets[n]));
+  vid_t* const out = out_idx.data();
+  for_each_vertex([=](std::size_t u) {
+    std::copy(staged + in_ptr[u], staged + in_ptr[u] + (offsets[u + 1] - offsets[u]),
+              out + offsets[u]);
+  });
+}
 
 } // namespace bmh

@@ -16,15 +16,7 @@ GraphBuilder::GraphBuilder(vid_t num_rows, vid_t num_cols)
     throw std::invalid_argument("GraphBuilder: negative dimension");
 }
 
-void GraphBuilder::reset(vid_t num_rows, vid_t num_cols) {
-  if (num_rows < 0 || num_cols < 0)
-    throw std::invalid_argument("GraphBuilder: negative dimension");
-  num_rows_ = num_rows;
-  num_cols_ = num_cols;
-  edges_.clear();
-}
-
-void GraphBuilder::assemble() {
+BipartiteGraph GraphBuilder::build() {
   const Edge* const edges = edges_.data();
   const std::size_t count = edges_.size();
   // Unsigned compares: a negative id wraps past any dimension.
@@ -40,22 +32,24 @@ void GraphBuilder::assemble() {
       });
   if (out_of_range != 0) throw std::out_of_range("GraphBuilder: edge id out of range");
 
-  // Counting sort by row, columns kept in input order within each row.
-  row_ptr_.resize(static_cast<std::size_t>(num_rows_) + 1);
-  col_idx_.resize(count);
+  // Counting sort by row, columns kept in input order within each row. The
+  // histogram scratch serves the graph's CSC build next, already paged in.
+  std::vector<eid_t> row_ptr(static_cast<std::size_t>(num_rows_) + 1);
+  std::vector<vid_t> col_idx(count);
+  DefaultInitVector<eid_t> hist;
   count_scatter(
       count, static_cast<std::size_t>(num_rows_),
       [edges](std::size_t e) { return edges[e].row; },
       [edges](std::size_t begin, std::size_t end, auto&& sink) {
         for (std::size_t e = begin; e < end; ++e) sink(edges[e].row, edges[e].col);
       },
-      std::span<eid_t>(row_ptr_), std::span<vid_t>(col_idx_), hist_scratch_);
+      std::span<eid_t>(row_ptr), std::span<vid_t>(col_idx), hist);
 
   // Per-row sort + dedup. A row's repeats are overwritten with kNil; when
   // any row had one, a serial pass squeezes them out in place, which moves
   // less memory than compacting into a second array.
-  vid_t* const idx = col_idx_.data();
-  const eid_t* const ptr = row_ptr_.data();
+  vid_t* const idx = col_idx.data();
+  const eid_t* const ptr = row_ptr.data();
   eid_t dropped = 0;
 #pragma omp parallel for schedule(dynamic, 512) reduction(+ : dropped)
   for (vid_t i = 0; i < num_rows_; ++i) {
@@ -66,37 +60,27 @@ void GraphBuilder::assemble() {
     std::fill(kept, end, kNil);
     dropped += end - kept;
   }
-  if (dropped == 0) return;
-  eid_t write = 0;
-  for (vid_t i = 0; i < num_rows_; ++i) {
-    const eid_t begin = row_ptr_[static_cast<std::size_t>(i)];
-    const eid_t end = row_ptr_[static_cast<std::size_t>(i) + 1];
-    row_ptr_[static_cast<std::size_t>(i)] = write;
-    for (eid_t e = begin; e < end; ++e) {  // branch-free: repeats follow no pattern
-      idx[write] = idx[e];
-      write += idx[e] != kNil;
+  if (dropped != 0) {
+    eid_t write = 0;
+    for (vid_t i = 0; i < num_rows_; ++i) {
+      const eid_t begin = row_ptr[static_cast<std::size_t>(i)];
+      const eid_t end = row_ptr[static_cast<std::size_t>(i) + 1];
+      row_ptr[static_cast<std::size_t>(i)] = write;
+      for (eid_t e = begin; e < end; ++e) {  // branch-free: repeats follow no pattern
+        idx[write] = idx[e];
+        write += idx[e] != kNil;
+      }
     }
+    row_ptr.back() = write;
+    col_idx.resize(static_cast<std::size_t>(write));
   }
-  row_ptr_.back() = write;
-  col_idx_.resize(static_cast<std::size_t>(write));
-}
-
-BipartiteGraph GraphBuilder::build() {
-  assemble();
-  // One-shot mode: callers are temporaries (generators, readers) building
-  // graphs that dwarf the scratch, so hand the memory back immediately. The
-  // assembled arrays become the graph's; the histogram scratch serves its
-  // CSC first.
+  // The callers are temporaries (generators, readers) building graphs that
+  // dwarf the scratch, so hand the edge memory back before the graph builds
+  // its CSC.
   edges_.clear();
   edges_.shrink_to_fit();
-  return BipartiteGraph(num_rows_, num_cols_, std::exchange(row_ptr_, {}),
-                        std::exchange(col_idx_, {}), std::exchange(hist_scratch_, {}));
-}
-
-void GraphBuilder::build_into(BipartiteGraph& out) {
-  assemble();
-  edges_.clear();  // reusable immediately; capacity kept for the next round
-  out.assign_csr(num_rows_, num_cols_, row_ptr_, col_idx_, hist_scratch_);
+  return BipartiteGraph(num_rows_, num_cols_, std::move(row_ptr), std::move(col_idx),
+                        std::move(hist));
 }
 
 BipartiteGraph graph_from_edges(vid_t num_rows, vid_t num_cols,

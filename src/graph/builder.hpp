@@ -6,21 +6,11 @@
 /// with repeats; `GraphBuilder` assembles them into a `BipartiteGraph` via a
 /// counting sort over rows (count_scatter.hpp's, on the ambient OpenMP team)
 /// followed by per-row sort+unique. The result is the same at any team size.
-///
-/// Two assembly modes:
-///  * build()      — one-shot: returns a fresh graph and releases all builder
-///                   memory (the generators' and readers' shape);
-///  * build_into() — pooled: assembles into a caller-kept graph, reusing the
-///                   builder's scratch and the graph's vectors across calls.
-///                   A long-lived builder (e.g. leased from a Workspace via
-///                   `ws.obj<GraphBuilder>(tag)`) re-used through
-///                   reset()/add_edge()/build_into() performs zero heap
-///                   allocations once warm — the k-out subgraph path runs on
-///                   this.
+/// A subgraph of a graph already built needs none of this:
+/// `BipartiteGraph::assign_subgraph` filters it in place.
 
 #include <cstddef>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "graph/bipartite_graph.hpp"
@@ -38,15 +28,7 @@ struct Edge {
 
 class GraphBuilder {
 public:
-  /// Empty builder (0 x 0); reset() gives it dimensions. Exists so builders
-  /// can live in default-constructed slots (Workspace object leases).
-  GraphBuilder() = default;
-
   GraphBuilder(vid_t num_rows, vid_t num_cols);
-
-  /// Re-dimensions the builder and drops pending edges, keeping every
-  /// buffer's capacity — the warm path between build_into() calls.
-  void reset(vid_t num_rows, vid_t num_cols);
 
   /// Appends an edge; ids are validated at build() time.
   void add_edge(vid_t row, vid_t col) { edges_.push_back({row, col}); }
@@ -66,30 +48,13 @@ public:
   [[nodiscard]] std::size_t pending_edges() const noexcept { return edges_.size(); }
 
   /// Assembles the graph. Duplicate edges collapse to one; throws on
-  /// out-of-range ids. The builder is left empty with its memory released
-  /// (one-shot use by generators and readers).
+  /// out-of-range ids. The builder is left empty with its memory released.
   [[nodiscard]] BipartiteGraph build();
 
-  /// Pooled assembly: same result as build(), but the scratch arrays and
-  /// `out`'s internal vectors reuse their capacity across calls (zero heap
-  /// allocations once warm). Pending edges are cleared, capacity kept, so
-  /// the builder is immediately reusable via reset().
-  void build_into(BipartiteGraph& out);
-
 private:
-  /// Counting sort by row + per-row sort/unique + compaction, shared by both
-  /// assembly modes. Leaves the CSR in row_ptr_/col_idx_ (capacity reused).
-  void assemble();
-
   vid_t num_rows_ = 0;
   vid_t num_cols_ = 0;
   DefaultInitVector<Edge> edges_;
-  // The assembled CSR (build() moves it into the graph, build_into() copies
-  // it) and the count_scatter histograms, which the CSC build reuses; all
-  // persist across build_into() calls.
-  std::vector<eid_t> row_ptr_;
-  std::vector<vid_t> col_idx_;
-  DefaultInitVector<eid_t> hist_scratch_;
 };
 
 /// Convenience: assemble a graph directly from an edge list.

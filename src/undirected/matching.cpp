@@ -6,6 +6,7 @@
 
 #include "core/choice.hpp"
 #include "core/karp_sipser_mt.hpp"
+#include "graph/count_scatter.hpp"
 #include "util/rng.hpp"
 
 namespace bmh {
@@ -46,18 +47,32 @@ std::string describe_violation(const UndirectedGraph& g, const UndirectedMatchin
 }
 
 bool is_valid_matching(const UndirectedGraph& g, const UndirectedMatching& m) {
-  // Direct loop rather than describe_violation().empty(): this runs on the
-  // warm serving path (kind=undirected-match validates every job), so it
-  // must not build strings.
-  if (m.mate.size() != static_cast<std::size_t>(g.num_vertices())) return false;
-  for (vid_t u = 0; u < g.num_vertices(); ++u) {
-    const vid_t v = m.mate[static_cast<std::size_t>(u)];
-    if (v == kNil) continue;
-    if (v < 0 || v >= g.num_vertices()) return false;
-    if (m.mate[static_cast<std::size_t>(v)] != u) return false;
-    if (!g.has_edge(u, v)) return false;
-  }
-  return true;
+  // The same checks as describe_violation(), without the message: this runs
+  // on the warm serving path (kind=undirected-match validates every job), so
+  // it must not build strings. Violations are counted in blocks on the
+  // ambient team; the verdict does not depend on the team size.
+  const vid_t n = g.num_vertices();
+  if (m.mate.size() != static_cast<std::size_t>(n)) return false;
+  const vid_t* const mate = m.mate.data();
+  const eid_t bad = parallel_sum<eid_t>(
+      static_cast<std::size_t>(n), [&g, mate, n](std::size_t begin, std::size_t end) {
+        eid_t count = 0;
+        for (std::size_t u = begin; u < end; ++u) {
+          const vid_t v = mate[u];
+          if (v == kNil) continue;
+          if (v < 0 || v >= n || mate[v] != static_cast<vid_t>(u)) {
+            ++count;
+            continue;
+          }
+          // The whole list, without an early exit: where v sits varies with
+          // every matching, so a search would mispredict.
+          bool found = false;
+          for (const vid_t w : g.neighbors(static_cast<vid_t>(u))) found |= w == v;
+          count += !found;
+        }
+        return count;
+      });
+  return bad == 0;
 }
 
 void scale_symmetric_ws(const UndirectedGraph& g, int iterations, Workspace& ws,

@@ -26,6 +26,7 @@ FIXTURES = [
     "fixtures/bad_failpoint.cpp",
     "fixtures/bad_memory_order.cpp",
     "fixtures/bad_metric_name.cpp",
+    "fixtures/bad_omp_alloc.cpp",
     "fixtures/bad_ws_alloc.cpp",
     "fixtures/clean.cpp",
 ]

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "graph/bipartite_graph.hpp"
@@ -40,16 +42,68 @@ TEST(BipartiteGraph, RejectsMalformedCsr) {
   for (const Case& c : cases) {
     EXPECT_THROW(BipartiteGraph(c.rows, c.cols, c.row_ptr, c.col_idx), std::invalid_argument)
         << c.what;
-    // The pooled path validates before touching anything: a rejected
-    // rebuild leaves the graph, and its remembered sprank, as they were.
-    BipartiteGraph pooled = make_cycle(4);
-    pooled.remember_sprank(4);
-    EXPECT_THROW(pooled.assign_csr(c.rows, c.cols, c.row_ptr, c.col_idx),
-                 std::invalid_argument)
-        << c.what;
-    EXPECT_TRUE(pooled.structurally_equal(make_cycle(4))) << c.what;
-    EXPECT_EQ(pooled.known_sprank(), std::optional<vid_t>(4)) << c.what;
   }
+}
+
+/// The subgraph of `g` that `keep` selects, assembled from an edge list.
+template <class Keep>
+BipartiteGraph built_subgraph(const BipartiteGraph& g, const Keep& keep) {
+  std::vector<Edge> edges;
+  for (vid_t i = 0; i < g.num_rows(); ++i)
+    for (const vid_t j : g.row_neighbors(i))
+      if (keep(i, j)) edges.push_back({i, j});
+  return graph_from_edges(g.num_rows(), g.num_cols(), edges);
+}
+
+TEST(BipartiteGraph, AssignSubgraphMatchesAFreshBuildAcrossReuse) {
+  // One graph object refilled from sources of different shapes, the way a
+  // Workspace-kept graph is: every round must equal an edge-list build of
+  // the same edges, CSC included, whether its vectors grow or shrink.
+  const BipartiteGraph sources[] = {
+      make_erdos_renyi(300, 200, 2400, 3), make_cycle(7), make_erdos_renyi(50, 900, 800, 5),
+      graph_from_rows(3, 4, {{}, {}, {}}), BipartiteGraph()};
+  using Keep = bool (*)(vid_t, vid_t);
+  const Keep keeps[] = {[](vid_t, vid_t) { return true; },
+                        [](vid_t i, vid_t j) { return (i + 2 * j) % 3 == 0; },
+                        [](vid_t, vid_t) { return false; }};
+  BipartiteGraph pooled;
+  std::vector<vid_t> scratch;
+  int round = 0;
+  for (const BipartiteGraph& g : sources)
+    for (const Keep keep : keeps) {
+      scratch.resize(static_cast<std::size_t>(g.num_edges()));
+      pooled.assign_subgraph(g, keep, scratch);
+      testing::expect_same_arrays(pooled, built_subgraph(g, keep),
+                                  "round " + std::to_string(round++));
+    }
+}
+
+TEST(BipartiteGraph, AssignSubgraphDropsTheMemosOfTheOldArrays) {
+  // A rebuilt graph must not serve the previous instance's rank.
+  BipartiteGraph pooled = make_cycle(4);
+  pooled.remember_sprank(4);
+  const BipartiteGraph source = make_full(4);
+  std::vector<vid_t> scratch(16);
+  pooled.assign_subgraph(source, [](vid_t, vid_t j) { return j == 0; }, scratch);
+  EXPECT_FALSE(pooled.known_sprank().has_value());
+  EXPECT_EQ(pooled.num_edges(), 4);
+}
+
+TEST(BipartiteGraph, AssignSubgraphRejectsBadArgumentsAndStaysIntact) {
+  // The rebuilds that throw before they allocate: the graph, and its
+  // remembered sprank, stay as they were.
+  BipartiteGraph pooled = make_cycle(4);
+  pooled.remember_sprank(4);
+  const auto all = [](vid_t, vid_t) { return true; };
+  std::vector<vid_t> scratch(64);
+  EXPECT_THROW(pooled.assign_subgraph(pooled, all, scratch), std::invalid_argument);
+  const BipartiteGraph source = make_full(8);
+  EXPECT_THROW(pooled.assign_subgraph(source, all, std::span(scratch).first(63)),
+               std::invalid_argument);
+  testing::expect_same_arrays(pooled, make_cycle(4), "after the rejected rebuilds");
+  EXPECT_EQ(pooled.known_sprank(), std::optional<vid_t>(4));
+  pooled.assign_subgraph(source, all, scratch);
+  testing::expect_same_arrays(pooled, source, "with enough scratch");
 }
 
 TEST(BipartiteGraph, CscMirrorsCsr) {

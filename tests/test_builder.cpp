@@ -78,57 +78,6 @@ TEST(GraphBuilder, EmptyBuildGivesEmptyGraph) {
   EXPECT_EQ(g.num_edges(), 0);
 }
 
-TEST(GraphBuilder, BuildIntoMatchesBuildAcrossReuse) {
-  // The pooled path must produce graphs identical to build() — CSC view
-  // included — while the target graph object and builder are recycled
-  // through different shapes.
-  GraphBuilder pooled;
-  BipartiteGraph out;
-  for (const int rounds : {0, 1, 2}) {
-    const vid_t n = 4 + 3 * rounds;
-    GraphBuilder fresh(n, n);
-    pooled.reset(n, n);
-    for (vid_t i = 0; i < n; ++i) {
-      fresh.add_edge(i, (i + rounds) % n);
-      pooled.add_edge(i, (i + rounds) % n);
-      fresh.add_edge(i, (i + rounds) % n);  // duplicates collapse in both modes
-      pooled.add_edge(i, (i + rounds) % n);
-      fresh.add_edge(n - 1 - i, i);
-      pooled.add_edge(n - 1 - i, i);
-    }
-    const BipartiteGraph reference = fresh.build();
-    pooled.build_into(out);
-    EXPECT_TRUE(out.structurally_equal(reference)) << "round " << rounds;
-    ASSERT_EQ(out.num_cols(), reference.num_cols());
-    for (vid_t j = 0; j < out.num_cols(); ++j) {
-      const auto a = out.col_neighbors(j);
-      const auto b = reference.col_neighbors(j);
-      EXPECT_EQ(std::vector<vid_t>(a.begin(), a.end()),
-                std::vector<vid_t>(b.begin(), b.end()))
-          << "column " << j << " round " << rounds;
-    }
-  }
-}
-
-TEST(GraphBuilder, BuildIntoValidatesAndLeavesTargetIntactOnThrow) {
-  GraphBuilder b(2, 2);
-  b.add_edge(0, 0);
-  BipartiteGraph out;
-  b.build_into(out);
-  EXPECT_EQ(out.num_edges(), 1);
-  b.reset(2, 2);
-  b.add_edge(0, 5);  // out of range: assemble throws before touching `out`
-  EXPECT_THROW(b.build_into(out), std::out_of_range);
-  EXPECT_EQ(out.num_edges(), 1);
-  EXPECT_TRUE(out.has_edge(0, 0));
-}
-
-TEST(GraphBuilder, ResetRejectsNegativeDimensions) {
-  GraphBuilder b;
-  EXPECT_THROW(b.reset(-1, 2), std::invalid_argument);
-  EXPECT_THROW(b.reset(2, -1), std::invalid_argument);
-}
-
 TEST(GraphFromRows, RowCountMismatchThrows) {
   EXPECT_THROW((void)graph_from_rows(2, 2, {{0}}), std::invalid_argument);
 }

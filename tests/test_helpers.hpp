@@ -24,6 +24,18 @@ inline void expect_valid(const BipartiteGraph& g, const Matching& m,
   EXPECT_TRUE(violation.empty()) << context << ": " << violation;
 }
 
+/// All four arrays of two graphs equal, CSR and CSC, with their dimensions.
+inline void expect_same_arrays(const BipartiteGraph& got, const BipartiteGraph& want,
+                               const std::string& what) {
+  const auto vec = [](auto span) { return std::vector(span.begin(), span.end()); };
+  EXPECT_EQ(got.num_rows(), want.num_rows()) << what;
+  EXPECT_EQ(got.num_cols(), want.num_cols()) << what;
+  EXPECT_EQ(vec(got.row_ptr()), vec(want.row_ptr())) << what;
+  EXPECT_EQ(vec(got.col_idx()), vec(want.col_idx())) << what;
+  EXPECT_EQ(vec(got.col_ptr()), vec(want.col_ptr())) << what;
+  EXPECT_EQ(vec(got.row_idx()), vec(want.row_idx())) << what;
+}
+
 /// FNV-1a over the bytes of `v`: a pin for outputs that must not change by
 /// a single bit (matchings, scaling multipliers). The byte order is the
 /// host's, so the pinned values assume a little-endian machine.

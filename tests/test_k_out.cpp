@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/k_out.hpp"
 #include "core/two_sided.hpp"
@@ -175,6 +178,92 @@ TEST(KOut, SubgraphSolveMatchesHopcroftKarp) {
       EXPECT_EQ(via_match.cardinality(), m.cardinality()) << "graph " << t << " k " << k;
     }
   }
+}
+
+/// The subgraph k_out_subgraph_ws filters out of g, assembled the way it
+/// was before the filter: both sides' picks (k capped at each side's
+/// largest degree, never below 1) as an edge list through GraphBuilder.
+BipartiteGraph builder_subgraph(const BipartiteGraph& g, const ScalingResult& s, int k,
+                                std::uint64_t seed) {
+  const auto cap = [k](eid_t max_degree) {
+    return static_cast<int>(std::min<eid_t>(k, std::max<eid_t>(max_degree, 1)));
+  };
+  const int row_k = cap(row_degree_stats(g).max);
+  const int col_k = cap(col_degree_stats(g).max);
+  const std::vector<vid_t> row_picks = sample_row_choices_k(g, s.dc, row_k, seed);
+  const std::vector<vid_t> col_picks =
+      sample_col_choices_k(g, s.dr, col_k, seed + 0x9e3779b97f4a7c15ULL);
+  GraphBuilder b(g.num_rows(), g.num_cols());
+  for (std::size_t t = 0; t < row_picks.size(); ++t)
+    if (row_picks[t] != kNil) b.add_edge(static_cast<vid_t>(t / row_k), row_picks[t]);
+  for (std::size_t t = 0; t < col_picks.size(); ++t)
+    if (col_picks[t] != kNil) b.add_edge(col_picks[t], static_cast<vid_t>(t / col_k));
+  return b.build();
+}
+
+/// A deficient graph: rows from 2/3 n on and columns from 3/4 n on have no
+/// edge, and the rest is sparse ER.
+BipartiteGraph with_isolated_vertices(vid_t n, std::uint64_t seed) {
+  const BipartiteGraph core = make_erdos_renyi(2 * n / 3, 3 * n / 4, 2 * n, seed);
+  GraphBuilder b(n, n);
+  for (vid_t i = 0; i < core.num_rows(); ++i)
+    for (const vid_t j : core.row_neighbors(i)) b.add_edge(i, j);
+  return b.build();
+}
+
+TEST(KOut, SubgraphEqualsTheBuilderAssemblyOfItsPicks) {
+  // Byte for byte, CSC included, at every team size ctest runs (1, 2, 4).
+  // The er, powerlaw and planted instances have more than
+  // kParallelMinItems edges, so they take the filter's parallel branch.
+  const std::vector<std::pair<std::string, BipartiteGraph>> graphs = {
+      {"er", make_erdos_renyi(8192, 8192, 8 * 8192, 1)},
+      {"powerlaw", make_power_law(8192, 8.0, 1.8, 2)},
+      {"planted", make_planted_perfect(8192, 4, 3)},
+      {"mesh", make_mesh(40, 60)},
+      {"rectangular", make_erdos_renyi(1000, 2500, 6000, 4)},
+      {"isolated", with_isolated_vertices(3000, 5)},
+      {"edgeless", GraphBuilder(300, 200).build()},
+  };
+  Workspace ws;
+  BipartiteGraph pooled;
+  for (const auto& [name, g] : graphs) {
+    const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
+    const int above = static_cast<int>(
+        std::max(row_degree_stats(g).max, col_degree_stats(g).max) + 1);
+    for (const int k : {1, 2, 3, 5, above}) {
+      const std::uint64_t seed = 40 + static_cast<std::uint64_t>(k);
+      k_out_subgraph_ws(g, s, k, seed, ws, pooled);
+      testing::expect_same_arrays(pooled, builder_subgraph(g, s, k, seed),
+                                  name + " k " + std::to_string(k));
+    }
+  }
+}
+
+TEST(KOut, PooledSubgraphReusedAcrossGraphsKeepsNothingOfTheLast) {
+  // One workspace-kept subgraph filled from two different inputs: the
+  // second fill equals a fresh build and carries neither the sprank nor
+  // the scaling remembered for the first.
+  const BipartiteGraph first = make_erdos_renyi(4096, 4096, 8 * 4096, 6);
+  const BipartiteGraph second = make_power_law(3000, 6.0, 2.0, 7);
+  const ScalingResult s1 = scale_sinkhorn_knopp(first, {5, 0.0});
+  const ScalingResult s2 = scale_sinkhorn_knopp(second, {5, 0.0});
+  Workspace ws;
+  BipartiteGraph pooled;
+  k_out_subgraph_ws(first, s1, 2, 8, ws, pooled);
+  testing::expect_same_arrays(pooled, k_out_subgraph(first, s1, 2, 8), "first");
+  pooled.remember_sprank(sprank(pooled));
+  const ScalingKey key{1, 5, 0.0};
+  for (int use = 0; use < 2; ++use) {  // a key's second use publishes
+    ScalingResult scaled = scale_sinkhorn_knopp(pooled, {5, 0.0});
+    (void)pooled.offer_scaling(key, scaled);
+  }
+  ASSERT_NE(pooled.known_scaling(key), nullptr);
+
+  k_out_subgraph_ws(second, s2, 2, 9, ws, pooled);
+  testing::expect_same_arrays(pooled, k_out_subgraph(second, s2, 2, 9), "second");
+  testing::expect_same_arrays(pooled, builder_subgraph(second, s2, 2, 9), "second vs builder");
+  EXPECT_FALSE(pooled.known_sprank().has_value());
+  EXPECT_EQ(pooled.known_scaling(key), nullptr);
 }
 
 } // namespace

@@ -21,27 +21,14 @@
 #include "graph/count_scatter.hpp"
 #include "graph/generators.hpp"
 #include "scaling/sinkhorn_knopp.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 #include "util/threading.hpp"
 
 namespace bmh {
 namespace {
 
-template <typename T>
-std::vector<T> to_vector(std::span<const T> s) {
-  return {s.begin(), s.end()};
-}
-
-/// All four arrays equal, CSR and CSC.
-void expect_same_arrays(const BipartiteGraph& got, const BipartiteGraph& want,
-                        const std::string& what) {
-  EXPECT_EQ(got.num_rows(), want.num_rows()) << what;
-  EXPECT_EQ(got.num_cols(), want.num_cols()) << what;
-  EXPECT_EQ(to_vector(got.row_ptr()), to_vector(want.row_ptr())) << what;
-  EXPECT_EQ(to_vector(got.col_idx()), to_vector(want.col_idx())) << what;
-  EXPECT_EQ(to_vector(got.col_ptr()), to_vector(want.col_ptr())) << what;
-  EXPECT_EQ(to_vector(got.row_idx()), to_vector(want.row_idx())) << what;
-}
+using testing::expect_same_arrays;
 
 /// Builds with `make` on the ambient team and on one thread.
 template <typename Make>
@@ -68,7 +55,7 @@ TEST(ParallelBuild, KOutSubgraphMatchesTheOneThreadBuild) {
   const BipartiteGraph g = make_erdos_renyi(kN, kN, 8LL * kN, 11);
   const ScalingResult s = scale_sinkhorn_knopp(g, {3, 0.0});
   // The pooled path, twice on one workspace: the second build reuses the
-  // builder's histograms and the graph's vectors.
+  // graph's vectors.
   Workspace ws;
   BipartiteGraph pooled;
   for (const std::uint64_t seed : {13u, 17u}) {

@@ -150,31 +150,31 @@ TEST_F(SerializeTest, MappedGraphSupportsTheFullReadApi) {
   testing::expect_valid(copy, matched, "greedy on mapped graph");
 }
 
-TEST_F(SerializeTest, AssignCsrConvertsMappedGraphToOwnedStorage) {
+TEST_F(SerializeTest, AssignSubgraphConvertsMappedGraphToOwnedStorage) {
   const BipartiteGraph g = build_graph(parse_graph_spec("gen:cycle:n=32"), 1);
   const std::string path = file("cycle.bmg");
   save_graph(g, path);
   BipartiteGraph m = load_graph_mapped(path);
   ASSERT_FALSE(m.owns_storage());
-  // Mutation must never write the mapped (read-only) bytes: assign_csr
+  // Mutation must never write the mapped (read-only) bytes: the rebuild
   // switches the graph to fresh owned vectors.
-  const std::vector<eid_t> row_ptr = {0, 1, 2};
-  const std::vector<vid_t> col_idx = {1, 0};
-  m.assign_csr(2, 2, row_ptr, col_idx);
+  const BipartiteGraph source = graph_from_rows(2, 2, {{0, 1}, {0}});
+  std::vector<vid_t> scratch(64);
+  m.assign_subgraph(source, [](vid_t i, vid_t j) { return i != j; }, scratch);
   EXPECT_TRUE(m.owns_storage());
   EXPECT_EQ(m.num_rows(), 2);
   EXPECT_TRUE(m.has_edge(0, 1));
+  EXPECT_EQ(m.num_edges(), 2);
   // The original file still loads intact.
   EXPECT_TRUE(load_graph_mapped(path).structurally_equal(g));
 
-  // The self-conversion idiom: feeding a mapped graph its own spans must
-  // copy them out before the mapping is torn down (ASan guards the
-  // use-after-munmap this would otherwise be).
-  BipartiteGraph self = load_graph_mapped(path);
-  ASSERT_FALSE(self.owns_storage());
-  self.assign_csr(self.num_rows(), self.num_cols(), self.row_ptr(), self.col_idx());
-  EXPECT_TRUE(self.owns_storage());
-  EXPECT_TRUE(self.structurally_equal(g));
+  // A mapped graph is a source like any other: filtered whole, it gives
+  // its own four arrays in an owned graph.
+  const BipartiteGraph mapped = load_graph_mapped(path);
+  BipartiteGraph owned;
+  owned.assign_subgraph(mapped, [](vid_t, vid_t) { return true; }, scratch);
+  EXPECT_TRUE(owned.owns_storage());
+  testing::expect_same_arrays(owned, g, "mapped source");
 }
 
 // ---------------------------------------------------------- hostile inputs ---

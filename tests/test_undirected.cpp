@@ -326,6 +326,57 @@ TEST(UndirectedConversion, BipartiteUnionPreservesMatchingNumber) {
   EXPECT_EQ(brute_force(u), sprank(b));
 }
 
+TEST(UndirectedValidation, VerdictsMatchTheMessagesAtAnyTeamSize) {
+  // A 2^16-vertex union view takes the team branch of the check; ctest runs
+  // this at 1, 2 and 4 threads, and each verdict is also taken on one.
+  UndirectedGraph view;
+  view.assign_bipartite_union(make_erdos_renyi(1 << 15, 1 << 15, 8 << 15, 21));
+  const vid_t n = view.num_vertices();
+  const UndirectedMatching valid = undirected_greedy(view, 3);
+  std::vector<vid_t> free_vertices;
+  for (vid_t u = 0; u < n; ++u)
+    if (valid.mate[static_cast<std::size_t>(u)] == kNil) free_vertices.push_back(u);
+  ASSERT_GE(free_vertices.size(), 2u);
+  const vid_t last_matched = [&] {
+    vid_t u = n - 1;
+    while (valid.mate[static_cast<std::size_t>(u)] == kNil) --u;
+    return u;
+  }();
+
+  struct Case {
+    const char* what;
+    vid_t at;
+    vid_t mate;
+    const char* message;  // a fragment of describe_violation's text
+  };
+  // Out-of-range mates go on free vertices, so no partner's mismatch comes
+  // first in describe_violation's vertex order.
+  const Case cases[] = {
+      {"asymmetric mate", last_matched, free_vertices.front(), "asymmetric mate"},
+      {"out of range above", free_vertices.back(), n, "out of range"},
+      {"out of range below", free_vertices.front(), -7, "out of range"},
+  };
+  EXPECT_TRUE(is_valid_matching(view, valid)) << describe_violation(view, valid);
+  for (const Case& c : cases) {
+    UndirectedMatching bad = valid;
+    bad.mate[static_cast<std::size_t>(c.at)] = c.mate;
+    EXPECT_FALSE(is_valid_matching(view, bad)) << c.what;
+    EXPECT_NE(describe_violation(view, bad).find(c.message), std::string::npos)
+        << c.what << ": " << describe_violation(view, bad);
+    ThreadCountGuard one(1);
+    EXPECT_FALSE(is_valid_matching(view, bad)) << c.what << " on one thread";
+  }
+  // Two free vertices of a greedy (maximal) matching are never adjacent.
+  UndirectedMatching non_edge = valid;
+  non_edge.mate[static_cast<std::size_t>(free_vertices.front())] = free_vertices.back();
+  non_edge.mate[static_cast<std::size_t>(free_vertices.back())] = free_vertices.front();
+  EXPECT_FALSE(is_valid_matching(view, non_edge));
+  EXPECT_NE(describe_violation(view, non_edge).find("is not an edge"), std::string::npos);
+  ThreadCountGuard one(1);
+  EXPECT_TRUE(is_valid_matching(view, valid));
+  EXPECT_FALSE(is_valid_matching(view, non_edge));
+}
+
 TEST(UndirectedWs, WorkspaceOverloadsMatchClassicResults) {
   // Both sides at one OpenMP thread: above that the one-out kernels race by
   // design (concurrent vertex claims), so two runs are only bit-comparable

@@ -19,6 +19,13 @@ express, over the translation units named by a CMake compile database:
                   same or immediately preceding line — acquire/release/
                   seq_cst are protocol statements and must say which
                   protocol.
+  omp-alloc       `#pragma omp parallel` bodies must not allocate: no
+                  reserve/resize/assign/insert/push_back/emplace_back member
+                  call and no `new`/make_unique/make_shared. A bad_alloc
+                  cannot leave an OpenMP region (the runtime terminates), so
+                  buffers are sized before the region. The body is the
+                  pragma's statement, read lexically: functions it calls
+                  are not followed.
   metric-name     obs instrument names (MetricDomain("..."), .counter("..."),
                   .gauge("..."), .histogram("..."), create_domain("..."),
                   record_phase("...")) are lowercase snake_case tokens, so
@@ -47,7 +54,7 @@ import re
 import sys
 from pathlib import Path
 
-RULES = ("ws-alloc", "failpoint-site", "memory-order", "metric-name")
+RULES = ("ws-alloc", "omp-alloc", "failpoint-site", "memory-order", "metric-name")
 
 ALLOW_RE = re.compile(r"bmh-lint:\s*allow\(([a-z-]+)\)\s*(\S?.*)")
 
@@ -268,6 +275,83 @@ def check_ws_alloc(src: SourceFile, findings: list) -> None:
                     "the warm path must not allocate"))
 
 
+# ----------------------------------------------------------------- omp-alloc
+
+OMP_PARALLEL_RE = re.compile(r"^[ \t]*#[ \t]*pragma[ \t]+omp[ \t]+parallel\b", re.MULTILINE)
+OMP_ALLOC_RE = re.compile(
+    r"(?:\.|->)\s*(reserve|resize|assign|insert|push_back|emplace_back)\s*\("
+    r"|\b(new)\b|\b(make_unique|make_shared)\s*<")
+
+
+def skip_space(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
+def statement_end(text: str, pos: int) -> int:
+    """Index just past the C++ statement starting at or after `pos`: a
+    braced block, a for/while/if/switch with its controlled statement (and
+    an if's else), or a simple statement up to its `;`. -1 when unbalanced."""
+    pos = skip_space(text, pos)
+    if pos >= len(text):
+        return -1
+    if text[pos] == "{":
+        return matching(text, pos, "{", "}")
+    keyword = re.match(r"(for|while|if|switch)\b", text[pos:])
+    if keyword:
+        paren = skip_space(text, pos + keyword.end())
+        if paren >= len(text) or text[paren] != "(":
+            return -1
+        close = matching(text, paren, "(", ")")
+        if close < 0:
+            return -1
+        end = statement_end(text, close)
+        if keyword.group(1) == "if" and end >= 0:
+            after = skip_space(text, end)
+            if re.match(r"else\b", text[after:]):
+                return statement_end(text, after + 4)
+        return end
+    depth = 0
+    for i in range(pos, len(text)):
+        c = text[i]
+        if c in "({[":
+            depth += 1
+        elif c in ")}]":
+            depth -= 1
+        elif c == ";" and depth == 0:
+            return i + 1
+    return -1
+
+
+def check_omp_alloc(src: SourceFile, findings: list) -> None:
+    text = src.stripped
+    for m in OMP_PARALLEL_RE.finditer(text):
+        # The pragma runs to the end of its line, backslash continuations
+        # included; its body is the statement after it.
+        line_end = m.end()
+        while True:
+            newline = text.find("\n", line_end)
+            if newline < 0:
+                return
+            if text[line_end:newline].rstrip().endswith("\\"):
+                line_end = newline + 1
+                continue
+            break
+        body_end = statement_end(text, newline + 1)
+        if body_end < 0:
+            continue
+        for am in OMP_ALLOC_RE.finditer(text, newline + 1, body_end):
+            name = am.group(1) or am.group(2) or am.group(3)
+            ln = line_of(text, am.start())
+            if suppressed(src, ln, "omp-alloc", findings):
+                continue
+            findings.append(Finding(
+                src.display, ln, "omp-alloc",
+                f"`{name}` inside a #pragma omp parallel body — size buffers "
+                "before the region (an exception cannot leave it)"))
+
+
 # ------------------------------------------------------------ failpoint-site
 
 FAILPOINT_RE = re.compile(r"\bBMH_FAILPOINT(?:_CORRUPT)?\s*\(\s*\"([^\"]+)\"")
@@ -442,6 +526,7 @@ def main(argv=None) -> int:
     findings: list = []
     for src in sources:
         check_ws_alloc(src, findings)
+        check_omp_alloc(src, findings)
         check_memory_order(src, findings)
         check_metric_names(src, findings)
     check_failpoints(sources, readme, findings)
