@@ -167,8 +167,8 @@ BENCHMARK(BM_KOutMatch)->Arg(1 << 17)->Unit(benchmark::kMillisecond)->UseRealTim
 
 // BM_KOutMatch without the solve: sample 2 picks per side and assemble the
 // subgraph into a workspace-kept graph. A new seed each iteration.
-void BM_KOutSubgraph(benchmark::State& state) {
-  const BipartiteGraph& g = er_graph(static_cast<vid_t>(state.range(0)), 8);
+void k_out_subgraph_loop(benchmark::State& state, eid_t degree) {
+  const BipartiteGraph& g = er_graph(static_cast<vid_t>(state.range(0)), degree);
   const ScalingResult scaling = scale_sinkhorn_knopp(g, {5, 0.0});
   Workspace ws;
   BipartiteGraph sub;
@@ -179,7 +179,11 @@ void BM_KOutSubgraph(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
 }
+void BM_KOutSubgraph(benchmark::State& state) { k_out_subgraph_loop(state, 8); }
 BENCHMARK(BM_KOutSubgraph)->Arg(1 << 10)->Arg(1 << 17)->UseRealTime();
+// Average degree 64: the subgraph keeps about 4 of every 64 edges of g.
+void BM_KOutSubgraphDense(benchmark::State& state) { k_out_subgraph_loop(state, 64); }
+BENCHMARK(BM_KOutSubgraphDense)->Arg(1 << 17)->UseRealTime();
 
 void BM_HopcroftKarpWarmStarted(benchmark::State& state) {
   const auto n = static_cast<vid_t>(state.range(0));
@@ -248,17 +252,28 @@ void BM_MatchingValidation(benchmark::State& state) {
 }
 BENCHMARK(BM_MatchingValidation)->Arg(1 << 17);
 
-// The undirected check on the bipartite-union view of the same graph
-// (2n vertices), as kind=undirected-match runs it on every job.
-void BM_UndirectedValidation(benchmark::State& state) {
+// The undirected check on a bipartite-union view (2n vertices), as
+// kind=undirected-match runs it on every job.
+void undirected_validation_loop(benchmark::State& state, const BipartiteGraph& g) {
   UndirectedGraph view;
-  view.assign_bipartite_union(er_graph(static_cast<vid_t>(state.range(0)), 8));
+  view.assign_bipartite_union(g);
   const UndirectedMatching m = undirected_greedy(view, 3);
   for (auto _ : state) {
     benchmark::DoNotOptimize(is_valid_matching(view, m));
   }
 }
+void BM_UndirectedValidation(benchmark::State& state) {
+  undirected_validation_loop(state, er_graph(static_cast<vid_t>(state.range(0)), 8));
+}
 BENCHMARK(BM_UndirectedValidation)->Arg(1 << 17)->UseRealTime();
+// gen:powerlaw's rows (average degree 8, the default alpha 1.8): hubs with
+// thousands of neighbours, where a matched vertex's list is longest.
+void BM_UndirectedValidationPowerLaw(benchmark::State& state) {
+  static const BipartiteGraph g =
+      make_power_law(static_cast<vid_t>(state.range(0)), 8.0, 1.8, 42);
+  undirected_validation_loop(state, g);
+}
+BENCHMARK(BM_UndirectedValidationPowerLaw)->Arg(1 << 17)->UseRealTime();
 
 // The store workloads' instance: planted n = 2^17, extra = 3 (524,278 edges,
 // a 6.00 MiB file), spilled once under its canonical key.

@@ -23,10 +23,12 @@
 /// solve buy a quality that approaches 1 rapidly with k — quantified by
 /// `bench_paper extension_kout`.
 ///
-/// Every pick is a neighbour in G, so the subgraph is G's own adjacency
-/// filtered by "i picked j, or j picked i"
-/// (`BipartiteGraph::assign_subgraph`): no edge list, sort or scatter, and
-/// the same arrays at any OpenMP team size.
+/// Every pick is a neighbour in G, so each row of the subgraph is G's row
+/// filtered by "i picked j, or j picked i", and equally the row's own picks
+/// merged with the columns that picked it; columns alike. k_out_subgraph_ws
+/// filters sparse G (work in G's edges) and merges on dense G (work in the
+/// picks), straight into a pooled graph (`BipartiteGraph::rebuild`): no
+/// edge list and no sort of it, and the same arrays at any OpenMP team size.
 
 #include <cstdint>
 #include <vector>
@@ -65,15 +67,19 @@ namespace bmh {
 
 /// Workspace-aware variants. Sampling scratch, the scaling vectors, the
 /// subgraph solver's arrays *and the subgraph itself* are all leased from
-/// `ws` (G filtered into a workspace-kept graph's reused vectors), so a warm
+/// `ws` (assembled into a workspace-kept graph's reused vectors), so a warm
 /// k-out call performs zero heap allocations — same club as every other
 /// heuristic.
 void sample_row_choices_k(const BipartiteGraph& g, const std::vector<double>& dc, int k,
                           std::uint64_t seed, std::vector<vid_t>& out);
 void sample_col_choices_k(const BipartiteGraph& g, const std::vector<double>& dr, int k,
                           std::uint64_t seed, std::vector<vid_t>& out);
-/// Filters the subgraph out of `g` into `out`, whose vectors, like the pick
-/// buffers (tags "kout.*"), reuse their capacity across calls.
+/// Assembles the subgraph of `g` into `out` (which must not be `g`: throws
+/// std::invalid_argument), whose vectors, like the pick buffers and the
+/// assembly's scratch (tags "kout.*"), reuse their capacity across calls.
+/// The assembly's scratch is one entry per edge of g when g is sparse (at
+/// most 3 edges per pick slot), otherwise one per pick and one offset per
+/// vertex.
 void k_out_subgraph_ws(const BipartiteGraph& g, const ScalingResult& scaling, int k,
                        std::uint64_t seed, Workspace& ws, BipartiteGraph& out);
 /// The k-out heuristic on a pre-scaled matrix: builds the pooled subgraph

@@ -297,20 +297,14 @@ std::size_t BipartiteGraph::memory_bytes() const noexcept {
   return bytes;
 }
 
-BipartiteGraph::OwnedStorage& BipartiteGraph::begin_rebuild(const BipartiteGraph& g,
-                                                           std::size_t scratch_size) {
-  // The filter reads g while it writes this graph's vectors.
-  if (&g == this)
-    throw std::invalid_argument("BipartiteGraph: a graph cannot be its own subgraph's source");
-  if (scratch_size < static_cast<std::size_t>(g.num_edges()))
-    throw std::invalid_argument("BipartiteGraph: subgraph scratch shorter than the edge count");
+BipartiteGraph::OwnedStorage& BipartiteGraph::begin_rebuild() {
   // New arrays, new rank: a pooled graph rebuilt in place must not serve
   // the previous instance's sprank or scaling.
   sprank_memo_.store(kUnknownSprank, std::memory_order_relaxed);
   drop_scaling();
-  // Everything past here reallocates buffers the view members point into
-  // (or tears down a mapping they point into), and any of it can throw
-  // bad_alloc. Park the object in the consistent empty state first: if the
+  // Everything past here writes or reallocates buffers the view members
+  // point into (or tears down a mapping they point into), and any of it can
+  // throw. Park the object in the consistent empty state first: if the
   // rebuild is interrupted, the graph reads as 0x0 with empty spans instead
   // of holding views over freed memory.
   num_rows_ = 0;

@@ -21,23 +21,22 @@
 /// graph/serialize.hpp). The storage choice is invisible to the algorithm
 /// layer: every accessor below returns the same span types either way, and
 /// `memory_bytes()` accounts whichever backing is active. The one mutating
-/// operation (`assign_subgraph`) converts an externally backed graph to
-/// owned storage first, so the immutable mapped bytes are never written.
+/// operation (`rebuild`) converts an externally backed graph to owned
+/// storage first, so the immutable mapped bytes are never written.
 ///
 /// A graph can carry its structural rank once someone has solved it
 /// (`known_sprank` / `remember_sprank`): sprank is a pure function of the
 /// arrays, so a graph shared across jobs (a graph-cache entry) pays the
 /// exact solve once. The memo follows the arrays — copies and moves carry
-/// it, `assign_subgraph` clears it.
+/// it, `rebuild` clears it.
 ///
 /// A graph can also carry one scaling (`known_scaling` / `offer_scaling`):
 /// the multipliers of a Sinkhorn–Knopp or Ruiz run depend only on the
 /// arrays and the (method, iterations, tolerance) key, so a resident graph
 /// scales once per key instead of once per job. The entry is published on
 /// a key's second use and is immutable from then on; moves carry it,
-/// copies and `assign_subgraph` drop it.
+/// copies and `rebuild` drop it.
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -47,7 +46,6 @@
 #include <variant>
 #include <vector>
 
-#include "graph/count_scatter.hpp"
 #include "util/default_init.hpp"
 #include "util/types.hpp"
 
@@ -111,23 +109,30 @@ public:
   BipartiteGraph& operator=(BipartiteGraph&& other) noexcept;
   ~BipartiteGraph();
 
-  /// In-place re-initialization as the subgraph of `g` whose edges (i, j)
-  /// pass `keep(i, j)`, with g's dimensions — the pooled-construction path:
-  /// a graph kept in a Workspace is refilled every call, without heap
-  /// traffic once its vectors have grown to the working-set size. `keep`
-  /// must be pure and must not throw (it runs inside OpenMP regions).
-  /// `scratch` stages each vertex's kept neighbours and needs at least
-  /// g.num_edges() entries; its contents are clobbered. g's CSR and CSC are
-  /// filtered on the ambient OpenMP team, each by a count per vertex, a
-  /// prefix and a copy, so rows and columns stay sorted, the CSC is the
-  /// exact transpose of the CSR, and the arrays are the same at any team
-  /// size. Both orientations are then validated like a constructed graph's.
-  /// Drops the remembered sprank and scaling; an externally backed graph
-  /// switches to owned storage. Throws std::invalid_argument, leaving the
-  /// graph untouched, when `g` is this graph or `scratch` is too short;
-  /// after any later throw (bad_alloc) the graph reads as 0x0.
-  template <class Keep>
-  void assign_subgraph(const BipartiteGraph& g, const Keep& keep, std::span<vid_t> scratch);
+  /// In-place re-initialization from arrays that
+  /// `fill(row_ptr, col_idx, col_ptr, row_idx)` writes straight into the
+  /// graph's own vectors (contents unspecified on entry) — the
+  /// pooled-construction path: a graph kept in a Workspace is rebuilt every
+  /// call, with no staging copy and no heap traffic once its vectors have
+  /// grown to the working-set size (k_out's subgraph is built this way).
+  /// `fill` writes both orientations, the CSC being the exact transpose of
+  /// the CSR; each is validated like a constructor's CSR, the transpose is
+  /// the caller's to get right. `fill` must not read this graph: its views
+  /// are already parked empty, and a mapping behind them may be gone. Drops
+  /// the remembered sprank and scaling; an externally backed graph switches
+  /// to owned storage. If `fill` or the validation throws, the graph is left
+  /// as the empty 0x0 graph and the exception propagates.
+  template <class Fill>
+  void rebuild(vid_t num_rows, vid_t num_cols, const Fill& fill) {
+    OwnedStorage& owned = begin_rebuild();
+    try {
+      fill(owned.row_ptr, owned.col_idx, owned.col_ptr, owned.row_idx);
+      finish_rebuild(num_rows, num_cols);
+    } catch (...) {
+      reset_empty();
+      throw;
+    }
+  }
 
   [[nodiscard]] vid_t num_rows() const noexcept { return num_rows_; }
   [[nodiscard]] vid_t num_cols() const noexcept { return num_cols_; }
@@ -191,7 +196,7 @@ public:
 
   /// The scaling remembered for `key`, or nullptr when the graph carries
   /// none or carries another key's. A non-null result stays valid, and
-  /// unchanged, for the graph's lifetime (or until `assign_subgraph`).
+  /// unchanged, for the graph's lifetime (or until `rebuild`).
   [[nodiscard]] const ScalingResult* known_scaling(const ScalingKey& key) const noexcept;
 
   /// Offers `result`, just computed for `key`, for remembering, and returns
@@ -238,19 +243,12 @@ private:
   /// Derives the CSC from the owned CSR on the ambient OpenMP team, the same
   /// arrays at any team size (graph/count_scatter.hpp).
   void build_csc(DefaultInitVector<eid_t>& scratch);
-  /// assign_subgraph's untemplated halves. begin_rebuild checks the
-  /// arguments, drops both memos, parks the graph as 0x0 with empty views
-  /// and returns its owned storage; finish_rebuild validates both
-  /// orientations and only then commits the dimensions and views.
-  OwnedStorage& begin_rebuild(const BipartiteGraph& g, std::size_t scratch_size);
+  /// rebuild's halves. begin_rebuild drops both memos, parks the graph as
+  /// 0x0 with empty views and returns its owned storage; finish_rebuild
+  /// validates both orientations and only then commits the dimensions and
+  /// views.
+  OwnedStorage& begin_rebuild();
   void finish_rebuild(vid_t num_rows, vid_t num_cols);
-  /// Writes into (out_ptr, out_idx) the adjacency (ptr, idx) keeps: each
-  /// vertex u's neighbours v with keep(u, v), in list order, staged in
-  /// `scratch` at u's own offsets.
-  template <class Ptr, class Idx, class Keep>
-  static void filter_adjacency(std::span<const eid_t> ptr, std::span<const vid_t> idx,
-                               const Keep& keep, std::span<vid_t> scratch, Ptr& out_ptr,
-                               Idx& out_idx);
 
   static constexpr vid_t kUnknownSprank = -1;
 
@@ -273,59 +271,5 @@ private:
   std::span<const eid_t> col_ptr_;
   std::span<const vid_t> row_idx_;
 };
-
-template <class Keep>
-void BipartiteGraph::assign_subgraph(const BipartiteGraph& g, const Keep& keep,
-                                     std::span<vid_t> scratch) {
-  OwnedStorage& owned = begin_rebuild(g, scratch.size());
-  filter_adjacency(g.row_ptr_, g.col_idx_, keep, scratch, owned.row_ptr, owned.col_idx);
-  filter_adjacency(
-      g.col_ptr_, g.row_idx_, [&keep](vid_t j, vid_t i) { return keep(i, j); }, scratch,
-      owned.col_ptr, owned.row_idx);
-  finish_rebuild(g.num_rows_, g.num_cols_);
-}
-
-template <class Ptr, class Idx, class Keep>
-void BipartiteGraph::filter_adjacency(std::span<const eid_t> ptr, std::span<const vid_t> idx,
-                                      const Keep& keep, std::span<vid_t> scratch,
-                                      Ptr& out_ptr, Idx& out_idx) {
-  const std::size_t n = ptr.empty() ? 0 : ptr.size() - 1;  // a moved-from g has no offsets
-  const eid_t* const in_ptr = ptr.data();
-  const vid_t* const in_idx = idx.data();
-  vid_t* const staged = scratch.data();
-  // Below kParallelMinItems the loops run inline, with no parallel region.
-  const auto for_each_vertex = [n, team = idx.size() >= kParallelMinItems](const auto& body) {
-    if (team) {
-#pragma omp parallel for schedule(dynamic, 512)
-      for (std::size_t u = 0; u < n; ++u) body(u);
-    } else {
-      for (std::size_t u = 0; u < n; ++u) body(u);
-    }
-  };
-  // Both resizes come before their loop, so no allocation (and no
-  // exception) happens inside a parallel region.
-  out_ptr.resize(n + 1);
-  eid_t* const offsets = out_ptr.data();
-  offsets[0] = 0;
-  // Every neighbour is staged at the cursor, which advances only past kept
-  // ones: no branch on the verdict, and the writes stay inside u's range.
-  for_each_vertex([=, &keep](std::size_t u) {
-    vid_t* const kept = staged + in_ptr[u];
-    eid_t count = 0;
-    for (eid_t e = in_ptr[u]; e < in_ptr[u + 1]; ++e) {
-      const vid_t v = in_idx[e];
-      kept[count] = v;
-      count += keep(static_cast<vid_t>(u), v);
-    }
-    offsets[u + 1] = count;
-  });
-  for (std::size_t u = 0; u < n; ++u) offsets[u + 1] += offsets[u];
-  out_idx.resize(static_cast<std::size_t>(offsets[n]));
-  vid_t* const out = out_idx.data();
-  for_each_vertex([=](std::size_t u) {
-    std::copy(staged + in_ptr[u], staged + in_ptr[u] + (offsets[u + 1] - offsets[u]),
-              out + offsets[u]);
-  });
-}
 
 } // namespace bmh

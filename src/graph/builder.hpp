@@ -6,8 +6,8 @@
 /// with repeats; `GraphBuilder` assembles them into a `BipartiteGraph` via a
 /// counting sort over rows (count_scatter.hpp's, on the ambient OpenMP team)
 /// followed by per-row sort+unique. The result is the same at any team size.
-/// A subgraph of a graph already built needs none of this:
-/// `BipartiteGraph::assign_subgraph` filters it in place.
+/// k_out's subgraph needs none of this: it is written in place
+/// (`BipartiteGraph::rebuild`), already sorted, from its picks.
 
 #include <cstddef>
 #include <span>

@@ -45,65 +45,54 @@ TEST(BipartiteGraph, RejectsMalformedCsr) {
   }
 }
 
-/// The subgraph of `g` that `keep` selects, assembled from an edge list.
-template <class Keep>
-BipartiteGraph built_subgraph(const BipartiteGraph& g, const Keep& keep) {
-  std::vector<Edge> edges;
-  for (vid_t i = 0; i < g.num_rows(); ++i)
-    for (const vid_t j : g.row_neighbors(i))
-      if (keep(i, j)) edges.push_back({i, j});
-  return graph_from_edges(g.num_rows(), g.num_cols(), edges);
-}
-
-TEST(BipartiteGraph, AssignSubgraphMatchesAFreshBuildAcrossReuse) {
-  // One graph object refilled from sources of different shapes, the way a
-  // Workspace-kept graph is: every round must equal an edge-list build of
-  // the same edges, CSC included, whether its vectors grow or shrink.
+TEST(BipartiteGraph, RebuildMatchesAFreshBuildAcrossReuse) {
+  // One graph object rebuilt from graphs of different shapes, the way a
+  // Workspace-kept graph is: every round must equal the constructed graph,
+  // CSC included, whether its vectors grow or shrink.
   const BipartiteGraph sources[] = {
       make_erdos_renyi(300, 200, 2400, 3), make_cycle(7), make_erdos_renyi(50, 900, 800, 5),
-      graph_from_rows(3, 4, {{}, {}, {}}), BipartiteGraph()};
-  using Keep = bool (*)(vid_t, vid_t);
-  const Keep keeps[] = {[](vid_t, vid_t) { return true; },
-                        [](vid_t i, vid_t j) { return (i + 2 * j) % 3 == 0; },
-                        [](vid_t, vid_t) { return false; }};
+      graph_from_rows(3, 4, {{}, {}, {}}), BipartiteGraph(), make_erdos_renyi(300, 200, 600, 4)};
   BipartiteGraph pooled;
-  std::vector<vid_t> scratch;
   int round = 0;
-  for (const BipartiteGraph& g : sources)
-    for (const Keep keep : keeps) {
-      scratch.resize(static_cast<std::size_t>(g.num_edges()));
-      pooled.assign_subgraph(g, keep, scratch);
-      testing::expect_same_arrays(pooled, built_subgraph(g, keep),
-                                  "round " + std::to_string(round++));
-    }
+  for (const BipartiteGraph& g : sources) {
+    testing::rebuild_from(pooled, g);
+    testing::expect_same_arrays(pooled, g, "round " + std::to_string(round++));
+  }
 }
 
-TEST(BipartiteGraph, AssignSubgraphDropsTheMemosOfTheOldArrays) {
+TEST(BipartiteGraph, RebuildDropsTheMemosOfTheOldArrays) {
   // A rebuilt graph must not serve the previous instance's rank.
   BipartiteGraph pooled = make_cycle(4);
   pooled.remember_sprank(4);
-  const BipartiteGraph source = make_full(4);
-  std::vector<vid_t> scratch(16);
-  pooled.assign_subgraph(source, [](vid_t, vid_t j) { return j == 0; }, scratch);
+  testing::rebuild_from(pooled, graph_from_rows(4, 4, {{0}, {0}, {0}, {0}}));
   EXPECT_FALSE(pooled.known_sprank().has_value());
   EXPECT_EQ(pooled.num_edges(), 4);
 }
 
-TEST(BipartiteGraph, AssignSubgraphRejectsBadArgumentsAndStaysIntact) {
-  // The rebuilds that throw before they allocate: the graph, and its
-  // remembered sprank, stay as they were.
+TEST(BipartiteGraph, RebuildThatThrowsLeavesTheEmptyGraph) {
+  // A malformed orientation fails the constructor's checks, and a fill
+  // that throws propagates; either way the graph is the valid 0x0 graph,
+  // without the old rank, and takes the next rebuild like any other.
   BipartiteGraph pooled = make_cycle(4);
   pooled.remember_sprank(4);
-  const auto all = [](vid_t, vid_t) { return true; };
-  std::vector<vid_t> scratch(64);
-  EXPECT_THROW(pooled.assign_subgraph(pooled, all, scratch), std::invalid_argument);
+  const auto unsorted_row = [](auto& row_ptr, auto& col_idx, auto& col_ptr, auto& row_idx) {
+    row_ptr.assign({0, 2, 2});
+    col_idx.assign({1, 0});
+    col_ptr.assign({0, 1, 2});
+    row_idx.assign({0, 0});
+  };
+  EXPECT_THROW(pooled.rebuild(2, 2, unsorted_row), std::invalid_argument);
+  testing::expect_same_arrays(pooled, BipartiteGraph(), "after the malformed CSR");
+  EXPECT_FALSE(pooled.known_sprank().has_value());
+  const BipartiteGraph copy = pooled;
+  testing::expect_same_arrays(copy, BipartiteGraph(), "a copy of it");
+  testing::rebuild_from(pooled, make_cycle(4));
+  const auto failing = [](auto&, auto&, auto&, auto&) { throw std::runtime_error("fill failed"); };
+  EXPECT_THROW(pooled.rebuild(4, 4, failing), std::runtime_error);
+  testing::expect_same_arrays(pooled, BipartiteGraph(), "after the failed fill");
   const BipartiteGraph source = make_full(8);
-  EXPECT_THROW(pooled.assign_subgraph(source, all, std::span(scratch).first(63)),
-               std::invalid_argument);
-  testing::expect_same_arrays(pooled, make_cycle(4), "after the rejected rebuilds");
-  EXPECT_EQ(pooled.known_sprank(), std::optional<vid_t>(4));
-  pooled.assign_subgraph(source, all, scratch);
-  testing::expect_same_arrays(pooled, source, "with enough scratch");
+  testing::rebuild_from(pooled, source);
+  testing::expect_same_arrays(pooled, source, "rebuilt again");
 }
 
 TEST(BipartiteGraph, CscMirrorsCsr) {

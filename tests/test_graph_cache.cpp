@@ -269,22 +269,20 @@ TEST(SprankMemo, PooledRebuildForgetsTheOldRank) {
   // One graph object rebuilt in place, the way a Workspace-pooled graph is:
   // the second instance has a different sprank, so a memo that survived
   // the rebuild would serve the wrong denominator.
-  const BipartiteGraph full = make_full(4);
   BipartiteGraph pooled;
   Workspace ws;
   PipelineConfig config;
   config.algorithm = "sprank";
   PipelineResult out;
 
-  std::vector<vid_t> scratch(16);
-  pooled.assign_subgraph(full, [](vid_t i, vid_t j) { return i == j; }, scratch);  // sprank 4
+  testing::rebuild_from(pooled, graph_from_rows(4, 4, {{0}, {1}, {2}, {3}}));  // sprank 4
   run_analyze_pipeline_ws(pooled, config, ws, out);
   ASSERT_EQ(out.sprank, 4);
   EXPECT_EQ(out.sprank_source, SprankSource::kSolved);
   run_analyze_pipeline_ws(pooled, config, ws, out);
   EXPECT_EQ(out.sprank_source, SprankSource::kMemo);
 
-  pooled.assign_subgraph(full, [](vid_t, vid_t j) { return j == 0; }, scratch);  // sprank 1
+  testing::rebuild_from(pooled, graph_from_rows(4, 4, {{0}, {0}, {0}, {0}}));  // sprank 1
   EXPECT_FALSE(pooled.known_sprank().has_value());
   run_analyze_pipeline_ws(pooled, config, ws, out);
   EXPECT_EQ(out.sprank, sprank_ws(pooled, ws));
@@ -446,7 +444,7 @@ TEST(ScalingMemo, PublishesOnTheSecondUseAndASecondKeyNeverOverwrites) {
   EXPECT_EQ(out.scaling_iterations, 0);
 }
 
-TEST(ScalingMemo, AssignSubgraphClearsMovesCarryCopiesDrop) {
+TEST(ScalingMemo, RebuildClearsMovesCarryCopiesDrop) {
   BipartiteGraph g = make_erdos_renyi(300, 300, 1500, 8);
   PipelineConfig config;
   config.algorithm = "k_out";
@@ -478,15 +476,14 @@ TEST(ScalingMemo, AssignSubgraphClearsMovesCarryCopiesDrop) {
   // New arrays, no entry and no record of the old key: the rebuilt graph
   // needs two uses of its own before it publishes.
   const BipartiteGraph other = make_erdos_renyi(300, 300, 1800, 9);
-  std::vector<vid_t> scratch(static_cast<std::size_t>(other.num_edges()));
-  move_target.assign_subgraph(other, [](vid_t, vid_t) { return true; }, scratch);
+  testing::rebuild_from(move_target, other);
   EXPECT_EQ(move_target.known_scaling(key_of(config)), nullptr);
   run_pipeline_ws(move_target, config, ws, out);
   EXPECT_EQ(move_target.known_scaling(key_of(config)), nullptr);
   run_pipeline_ws(move_target, config, ws, out);
   const ScalingResult* rebuilt = move_target.known_scaling(key_of(config));
   ASSERT_NE(rebuilt, nullptr);
-  expect_bit_identical(*rebuilt, fresh_scaling(other, config, 1), "after assign_subgraph");
+  expect_bit_identical(*rebuilt, fresh_scaling(other, config, 1), "after rebuild");
 }
 
 // Several threads make a key's second use at once: each solves, exactly

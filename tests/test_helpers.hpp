@@ -36,6 +36,18 @@ inline void expect_same_arrays(const BipartiteGraph& got, const BipartiteGraph& 
   EXPECT_EQ(vec(got.row_idx()), vec(want.row_idx())) << what;
 }
 
+/// Rebuilds `out` in place (BipartiteGraph::rebuild) with the four arrays
+/// of `source`: the pooled path, checked against `source` itself.
+inline void rebuild_from(BipartiteGraph& out, const BipartiteGraph& source) {
+  out.rebuild(source.num_rows(), source.num_cols(),
+              [&source](auto& row_ptr, auto& col_idx, auto& col_ptr, auto& row_idx) {
+                row_ptr.assign(source.row_ptr().begin(), source.row_ptr().end());
+                col_idx.assign(source.col_idx().begin(), source.col_idx().end());
+                col_ptr.assign(source.col_ptr().begin(), source.col_ptr().end());
+                row_idx.assign(source.row_idx().begin(), source.row_idx().end());
+              });
+}
+
 /// FNV-1a over the bytes of `v`: a pin for outputs that must not change by
 /// a single bit (matchings, scaling multipliers). The byte order is the
 /// host's, so the pinned values assume a little-endian machine.

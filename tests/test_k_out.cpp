@@ -98,10 +98,14 @@ TEST(KOut, OneOutMatchesTwoSidedGuarantee) {
   EXPECT_NEAR(q, kTwoSidedGuarantee, 0.02);
 }
 
-TEST(KOut, RejectsBadK) {
-  const BipartiteGraph g = graph_from_rows(2, 2, {{0}, {1}});
+TEST(KOut, RejectsBadArguments) {
+  BipartiteGraph g = graph_from_rows(2, 2, {{0}, {1}});
   const ScalingResult s = identity_scaling(g);
   EXPECT_THROW((void)k_out_subgraph(g, s, 0, 1), std::invalid_argument);
+  // The assembly reads g while it rewrites its output: g cannot be both.
+  Workspace ws;
+  EXPECT_THROW(k_out_subgraph_ws(g, s, 2, 1, ws, g), std::invalid_argument);
+  testing::expect_same_arrays(g, graph_from_rows(2, 2, {{0}, {1}}), "g after the rejection");
 }
 
 TEST(KOut, KAboveTheLargestDegreeIsCapped) {
@@ -180,9 +184,10 @@ TEST(KOut, SubgraphSolveMatchesHopcroftKarp) {
   }
 }
 
-/// The subgraph k_out_subgraph_ws filters out of g, assembled the way it
-/// was before the filter: both sides' picks (k capped at each side's
-/// largest degree, never below 1) as an edge list through GraphBuilder.
+/// The subgraph k_out_subgraph_ws assembles, built the way it was before
+/// k_out merged each row's picks with its pickers: both sides' picks (k
+/// capped at each side's largest degree, never below 1) as an edge list
+/// through GraphBuilder.
 BipartiteGraph builder_subgraph(const BipartiteGraph& g, const ScalingResult& s, int k,
                                 std::uint64_t seed) {
   const auto cap = [k](eid_t max_degree) {
@@ -213,10 +218,13 @@ BipartiteGraph with_isolated_vertices(vid_t n, std::uint64_t seed) {
 
 TEST(KOut, SubgraphEqualsTheBuilderAssemblyOfItsPicks) {
   // Byte for byte, CSC included, at every team size ctest runs (1, 2, 4).
-  // The er, powerlaw and planted instances have more than
-  // kParallelMinItems edges, so they take the filter's parallel branch.
+  // Sparse graphs are filtered, dense ones merged from the picks, and a
+  // high k turns a graph sparse: er takes the merge at k = 1 and the
+  // filter above it, dense the merge up to k = 5. Both have enough edges
+  // and picks for the parallel branches; the small graphs run inline.
   const std::vector<std::pair<std::string, BipartiteGraph>> graphs = {
-      {"er", make_erdos_renyi(8192, 8192, 8 * 8192, 1)},
+      {"er", make_erdos_renyi(1 << 15, 1 << 15, 8 << 15, 1)},
+      {"dense", make_erdos_renyi(1 << 14, 1 << 14, 24 << 14, 8)},
       {"powerlaw", make_power_law(8192, 8.0, 1.8, 2)},
       {"planted", make_planted_perfect(8192, 4, 3)},
       {"mesh", make_mesh(40, 60)},

@@ -150,7 +150,7 @@ TEST_F(SerializeTest, MappedGraphSupportsTheFullReadApi) {
   testing::expect_valid(copy, matched, "greedy on mapped graph");
 }
 
-TEST_F(SerializeTest, AssignSubgraphConvertsMappedGraphToOwnedStorage) {
+TEST_F(SerializeTest, RebuildConvertsMappedGraphToOwnedStorage) {
   const BipartiteGraph g = build_graph(parse_graph_spec("gen:cycle:n=32"), 1);
   const std::string path = file("cycle.bmg");
   save_graph(g, path);
@@ -158,9 +158,7 @@ TEST_F(SerializeTest, AssignSubgraphConvertsMappedGraphToOwnedStorage) {
   ASSERT_FALSE(m.owns_storage());
   // Mutation must never write the mapped (read-only) bytes: the rebuild
   // switches the graph to fresh owned vectors.
-  const BipartiteGraph source = graph_from_rows(2, 2, {{0, 1}, {0}});
-  std::vector<vid_t> scratch(64);
-  m.assign_subgraph(source, [](vid_t i, vid_t j) { return i != j; }, scratch);
+  testing::rebuild_from(m, graph_from_rows(2, 2, {{1}, {0}}));
   EXPECT_TRUE(m.owns_storage());
   EXPECT_EQ(m.num_rows(), 2);
   EXPECT_TRUE(m.has_edge(0, 1));
@@ -168,11 +166,11 @@ TEST_F(SerializeTest, AssignSubgraphConvertsMappedGraphToOwnedStorage) {
   // The original file still loads intact.
   EXPECT_TRUE(load_graph_mapped(path).structurally_equal(g));
 
-  // A mapped graph is a source like any other: filtered whole, it gives
-  // its own four arrays in an owned graph.
+  // A mapped graph is a source like any other: its arrays, rebuilt into
+  // an owned graph, give its own four arrays.
   const BipartiteGraph mapped = load_graph_mapped(path);
   BipartiteGraph owned;
-  owned.assign_subgraph(mapped, [](vid_t, vid_t) { return true; }, scratch);
+  testing::rebuild_from(owned, mapped);
   EXPECT_TRUE(owned.owns_storage());
   testing::expect_same_arrays(owned, g, "mapped source");
 }

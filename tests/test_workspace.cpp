@@ -232,9 +232,11 @@ TEST(WorkspaceHotPath, KernelSteadyStateIsAllocationFree) {
       two_sided_from_scaling_ws(g, s, static_cast<std::uint64_t>(r), nullptr, ws, out);
       karp_sipser_ws(g, static_cast<std::uint64_t>(r), nullptr, ws, out);
       hopcroft_karp_ws(g, ws, out);
-      // k_out's subgraph is pooled (filtered out of g into a
-      // workspace-kept graph), so it is in the zero-allocation club too.
+      // k_out's subgraph is pooled (written in place into a
+      // workspace-kept graph), so it is in the zero-allocation club too;
+      // on this degree-8 graph k = 2 filters g and k = 1 merges the picks.
       k_out_match_ws(g, 5, 2, static_cast<std::uint64_t>(r), ws, out);
+      k_out_match_ws(g, 5, 1, static_cast<std::uint64_t>(r), ws, out);
     }
   };
   sweep();
