@@ -3,6 +3,10 @@
 /// scaling sweeps, choice sampling, KarpSipserMT phases, exact solvers,
 /// graph assembly, and the graph store's checksum, spill and load. These
 /// are the building blocks behind every table.
+///
+/// Each kernel benchmark holds one Workspace across its iterations, warm
+/// after the first as an engine worker's is, and writes into a result
+/// object made fresh each iteration unless its comment says otherwise.
 
 #include <benchmark/benchmark.h>
 
@@ -34,8 +38,11 @@ void BM_SinkhornKnoppIteration(benchmark::State& state) {
   const auto n = static_cast<vid_t>(state.range(0));
   const auto iterations = static_cast<int>(state.range(1));
   const BipartiteGraph& g = er_graph(n, 8);
+  Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scale_sinkhorn_knopp(g, {iterations, 0.0}));
+    ScalingResult s;
+    scale_sinkhorn_knopp_ws(g, {iterations, 0.0}, ws, s);
+    benchmark::DoNotOptimize(s);
   }
   state.SetItemsProcessed(state.iterations() * iterations * g.num_edges());
 }
@@ -48,8 +55,11 @@ BENCHMARK(BM_SinkhornKnoppIteration)
 void BM_RuizIteration(benchmark::State& state) {
   const auto n = static_cast<vid_t>(state.range(0));
   const BipartiteGraph& g = er_graph(n, 8);
+  Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scale_ruiz(g, {1, 0.0}));
+    ScalingResult s;
+    scale_ruiz_ws(g, {1, 0.0}, ws, s);
+    benchmark::DoNotOptimize(s);
   }
   state.SetItemsProcessed(state.iterations() * g.num_edges());
 }
@@ -58,10 +68,14 @@ BENCHMARK(BM_RuizIteration)->Arg(1 << 17);
 void BM_ChoiceSampling(benchmark::State& state) {
   const auto n = static_cast<vid_t>(state.range(0));
   const BipartiteGraph& g = er_graph(n, 8);
-  const ScalingResult s = scale_sinkhorn_knopp(g, {2, 0.0});
+  Workspace ws;
+  ScalingResult s;
+  scale_sinkhorn_knopp_ws(g, {2, 0.0}, ws, s);
   std::uint64_t seed = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sample_row_choices(g, s.dc, ++seed));
+    std::vector<vid_t> choice;
+    sample_row_choices(g, s.dc, ++seed, choice);
+    benchmark::DoNotOptimize(choice);
   }
   state.SetItemsProcessed(state.iterations() * g.num_edges());
 }
@@ -70,9 +84,12 @@ BENCHMARK(BM_ChoiceSampling)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
 void BM_OneSidedEndToEnd(benchmark::State& state) {
   const auto n = static_cast<vid_t>(state.range(0));
   const BipartiteGraph& g = er_graph(n, 8);
+  Workspace ws;
   std::uint64_t seed = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(one_sided_match(g, 1, ++seed));
+    Matching m;
+    one_sided_match_ws(g, 1, ++seed, ws, m);
+    benchmark::DoNotOptimize(m);
   }
 }
 BENCHMARK(BM_OneSidedEndToEnd)->Arg(1 << 17)->Arg(1 << 20);
@@ -80,12 +97,17 @@ BENCHMARK(BM_OneSidedEndToEnd)->Arg(1 << 17)->Arg(1 << 20);
 void BM_KarpSipserMT(benchmark::State& state) {
   const auto n = static_cast<vid_t>(state.range(0));
   const BipartiteGraph& g = er_graph(n, 8);
-  const ScalingResult s = scale_sinkhorn_knopp(g, {1, 0.0});
-  const TwoSidedChoices ch = sample_two_sided_choices(g, s, 7);
-  const std::vector<vid_t> unified =
-      unify_choices(g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice);
+  Workspace ws;
+  ScalingResult s;
+  scale_sinkhorn_knopp_ws(g, {1, 0.0}, ws, s);
+  TwoSidedChoices ch;
+  sample_two_sided_choices_ws(g, s, 7, ch);
+  std::vector<vid_t> unified;
+  unify_choices(g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice, unified);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(karp_sipser_mt(g.num_rows(), g.num_cols(), unified));
+    Matching m;
+    karp_sipser_mt_ws(g.num_rows(), g.num_cols(), unified, nullptr, ws, m);
+    benchmark::DoNotOptimize(m);
   }
   state.SetItemsProcessed(state.iterations() * (g.num_rows() + g.num_cols()));
 }
@@ -94,9 +116,12 @@ BENCHMARK(BM_KarpSipserMT)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
 void BM_TwoSidedEndToEnd(benchmark::State& state) {
   const auto n = static_cast<vid_t>(state.range(0));
   const BipartiteGraph& g = er_graph(n, 8);
+  Workspace ws;
   std::uint64_t seed = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(two_sided_match(g, 1, ++seed));
+    Matching m;
+    two_sided_match_ws(g, 1, ++seed, nullptr, ws, m);
+    benchmark::DoNotOptimize(m);
   }
 }
 BENCHMARK(BM_TwoSidedEndToEnd)->Arg(1 << 17)->Arg(1 << 20);
@@ -104,9 +129,12 @@ BENCHMARK(BM_TwoSidedEndToEnd)->Arg(1 << 17)->Arg(1 << 20);
 void BM_SequentialKarpSipser(benchmark::State& state) {
   const auto n = static_cast<vid_t>(state.range(0));
   const BipartiteGraph& g = er_graph(n, 8);
+  Workspace ws;
   std::uint64_t seed = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(karp_sipser(g, ++seed));
+    Matching m;
+    karp_sipser_ws(g, ++seed, nullptr, ws, m);
+    benchmark::DoNotOptimize(m);
   }
 }
 BENCHMARK(BM_SequentialKarpSipser)->Arg(1 << 14)->Arg(1 << 17);
@@ -121,8 +149,11 @@ void exact_solver_args(benchmark::internal::Benchmark* b) {
 void BM_HopcroftKarp(benchmark::State& state) {
   const BipartiteGraph& g =
       er_graph(static_cast<vid_t>(state.range(0)), static_cast<eid_t>(state.range(1)));
+  Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(hopcroft_karp(g));
+    Matching m;
+    hopcroft_karp_ws(g, ws, m);
+    benchmark::DoNotOptimize(m);
   }
   state.SetItemsProcessed(state.iterations() * g.num_edges());
 }
@@ -131,8 +162,11 @@ BENCHMARK(BM_HopcroftKarp)->Apply(exact_solver_args);
 void BM_PushRelabel(benchmark::State& state) {
   const BipartiteGraph& g =
       er_graph(static_cast<vid_t>(state.range(0)), static_cast<eid_t>(state.range(1)));
+  Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(push_relabel(g));
+    Matching m;
+    push_relabel_ws(g, ws, m);
+    benchmark::DoNotOptimize(m);
   }
   state.SetItemsProcessed(state.iterations() * g.num_edges());
 }
@@ -141,8 +175,11 @@ BENCHMARK(BM_PushRelabel)->Apply(exact_solver_args);
 void BM_Mc21(benchmark::State& state) {
   const BipartiteGraph& g =
       er_graph(static_cast<vid_t>(state.range(0)), static_cast<eid_t>(state.range(1)));
+  Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mc21(g));
+    Matching m;
+    mc21_ws(g, ws, m);
+    benchmark::DoNotOptimize(m);
   }
   state.SetItemsProcessed(state.iterations() * g.num_edges());
 }
@@ -153,8 +190,9 @@ BENCHMARK(BM_Mc21)->Apply(exact_solver_args);
 // subgraph and solve it with push-relabel. A new seed each iteration.
 void BM_KOutMatch(benchmark::State& state) {
   const BipartiteGraph& g = er_graph(static_cast<vid_t>(state.range(0)), 8);
-  const ScalingResult scaling = scale_sinkhorn_knopp(g, {5, 0.0});
   Workspace ws;
+  ScalingResult scaling;
+  scale_sinkhorn_knopp_ws(g, {5, 0.0}, ws, scaling);
   Matching m;
   std::uint64_t seed = 0;
   for (auto _ : state) {
@@ -169,8 +207,9 @@ BENCHMARK(BM_KOutMatch)->Arg(1 << 17)->Unit(benchmark::kMillisecond)->UseRealTim
 // subgraph into a workspace-kept graph. A new seed each iteration.
 void k_out_subgraph_loop(benchmark::State& state, eid_t degree) {
   const BipartiteGraph& g = er_graph(static_cast<vid_t>(state.range(0)), degree);
-  const ScalingResult scaling = scale_sinkhorn_knopp(g, {5, 0.0});
   Workspace ws;
+  ScalingResult scaling;
+  scale_sinkhorn_knopp_ws(g, {5, 0.0}, ws, scaling);
   BipartiteGraph sub;
   std::uint64_t seed = 0;
   for (auto _ : state) {
@@ -188,9 +227,15 @@ BENCHMARK(BM_KOutSubgraphDense)->Arg(1 << 17)->UseRealTime();
 void BM_HopcroftKarpWarmStarted(benchmark::State& state) {
   const auto n = static_cast<vid_t>(state.range(0));
   const BipartiteGraph& g = er_graph(n, 8);
-  const Matching warm = two_sided_match(g, 3, 7);
+  Workspace ws;
+  Matching warm;
+  two_sided_match_ws(g, 3, 7, nullptr, ws, warm);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(hopcroft_karp(g, &warm));
+    // Copy and check the warm start, as the engine's augment stage does.
+    Matching m = warm;
+    if (!is_valid_matching(g, m)) state.SkipWithError("invalid warm start");
+    hopcroft_karp_augment_ws(g, m, ws);
+    benchmark::DoNotOptimize(m);
   }
 }
 BENCHMARK(BM_HopcroftKarpWarmStarted)->Arg(1 << 14)->Arg(1 << 17);
@@ -199,9 +244,15 @@ BENCHMARK(BM_HopcroftKarpWarmStarted)->Arg(1 << 14)->Arg(1 << 17);
 void BM_PushRelabelWarmStarted(benchmark::State& state) {
   const auto n = static_cast<vid_t>(state.range(0));
   const BipartiteGraph& g = er_graph(n, 8);
-  const Matching warm = two_sided_match(g, 3, 7);
+  Workspace ws;
+  Matching warm;
+  two_sided_match_ws(g, 3, 7, nullptr, ws, warm);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(push_relabel(g, &warm));
+    // Copy and check the warm start, as the engine's augment stage does.
+    Matching m = warm;
+    if (!is_valid_matching(g, m)) state.SkipWithError("invalid warm start");
+    push_relabel_augment_ws(g, m, ws);
+    benchmark::DoNotOptimize(m);
   }
 }
 BENCHMARK(BM_PushRelabelWarmStarted)->Arg(1 << 14)->Arg(1 << 17);
@@ -245,7 +296,9 @@ BENCHMARK(BM_CscConstruction)->Arg(1 << 17)->UseRealTime();
 void BM_MatchingValidation(benchmark::State& state) {
   const auto n = static_cast<vid_t>(state.range(0));
   const BipartiteGraph& g = er_graph(n, 8);
-  const Matching m = two_sided_match(g, 1, 3);
+  Workspace ws;
+  Matching m;
+  two_sided_match_ws(g, 1, 3, nullptr, ws, m);
   for (auto _ : state) {
     benchmark::DoNotOptimize(is_valid_matching(g, m));
   }
@@ -257,7 +310,9 @@ BENCHMARK(BM_MatchingValidation)->Arg(1 << 17);
 void undirected_validation_loop(benchmark::State& state, const BipartiteGraph& g) {
   UndirectedGraph view;
   view.assign_bipartite_union(g);
-  const UndirectedMatching m = undirected_greedy(view, 3);
+  Workspace ws;
+  UndirectedMatching m;
+  undirected_greedy_ws(view, 3, ws, m);
   for (auto _ : state) {
     benchmark::DoNotOptimize(is_valid_matching(view, m));
   }

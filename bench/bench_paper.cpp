@@ -27,6 +27,11 @@ namespace {
 
 using namespace bmh;
 
+/// The driver's one Workspace. Sections run one after another on the main
+/// thread, and every kernel leases its scratch from here, the way an engine
+/// worker's kernels lease from the worker's.
+Workspace ws;
+
 /// The shape claims a section found violated; empty when the shape holds.
 using Violations = std::vector<std::string>;
 
@@ -69,7 +74,29 @@ double time_geomean(Fn&& fn, int runs, int warmup) {
 /// `iters` Sinkhorn-Knopp iterations; at 0, the identity scaling (uniform
 /// sampling, the unscaled heuristics).
 ScalingResult scaling_for(const BipartiteGraph& g, int iters) {
-  return iters > 0 ? scale_sinkhorn_knopp(g, {iters, 0.0}) : identity_scaling(g);
+  ScalingResult s;
+  if (iters > 0)
+    scale_sinkhorn_knopp_ws(g, {iters, 0.0}, ws, s);
+  else
+    identity_scaling_ws(g, ws, s);
+  return s;
+}
+
+/// Algorithm 4 on the choices of TwoSidedMatch under `s` with seed 7, the
+/// fixed input of the KarpSipserMT timings.
+std::vector<vid_t> unified_choices(const BipartiteGraph& g, const ScalingResult& s) {
+  TwoSidedChoices ch;
+  sample_two_sided_choices_ws(g, s, 7, ch);
+  std::vector<vid_t> unified;
+  unify_choices(g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice, unified);
+  return unified;
+}
+
+/// KarpSipserMT on unified choices, into a fresh matching.
+Matching ksmt(vid_t m, vid_t n, const std::vector<vid_t>& unified) {
+  Matching out;
+  karp_sipser_mt_ws(m, n, unified, nullptr, ws, out);
+  return out;
 }
 
 /// The smallest cardinality of `run(args..., seed)` over seeds
@@ -82,10 +109,18 @@ vid_t worst_of(int runs, Run&& run, const Args&... args) {
   return worst;
 }
 
-/// TwoSidedMatch on a given scaling, without the optional KarpSipserMT
-/// counters, so that worst_of can pass it the seed last.
+/// OneSidedMatch and TwoSidedMatch (without the optional KarpSipserMT
+/// counters) on a given scaling, each into a fresh matching, seed last so
+/// that worst_of can pass it.
+Matching one_sided(const BipartiteGraph& g, const ScalingResult& s, std::uint64_t seed) {
+  Matching m;
+  one_sided_from_scaling_ws(g, s, seed, ws, m);
+  return m;
+}
 Matching two_sided(const BipartiteGraph& g, const ScalingResult& s, std::uint64_t seed) {
-  return two_sided_from_scaling(g, s, seed);
+  Matching m;
+  two_sided_from_scaling_ws(g, s, seed, nullptr, ws, m);
+  return m;
 }
 
 double ratio(vid_t part, vid_t whole) {
@@ -142,30 +177,40 @@ Violations ablation_ksmt() {
   for (const auto& name :
        {"cage15_like", "europe_osm_like", "torso1_like", "nlpkkt240_like"}) {
     const BipartiteGraph g = suite_graph(name);
-    const ScalingResult s1 = scale_sinkhorn_knopp(g, {1, 0.0});
-    const TwoSidedChoices ch = sample_two_sided_choices(g, s1, 7);
-    const std::vector<vid_t> unified =
-        unify_choices(g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice);
+    const ScalingResult s1 = scaling_for(g, 1);
+    TwoSidedChoices ch;
+    sample_two_sided_choices_ws(g, s1, 7, ch);
+    std::vector<vid_t> unified;
+    unify_choices(g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice, unified);
     const BipartiteGraph sub =
         materialize_choice_graph(g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice);
-    const auto ksmt = [&](int) { return karp_sipser_mt(g.num_rows(), g.num_cols(), unified); };
+    const auto run_ksmt = [&](int) { return ksmt(g.num_rows(), g.num_cols(), unified); };
+    const auto ks_on_sub = [&](std::uint64_t seed) {
+      Matching m;
+      karp_sipser_ws(sub, seed, nullptr, ws, m);
+      return m;
+    };
+    const auto hk_on_sub = [&] {
+      Matching m;
+      hopcroft_karp_ws(sub, ws, m);
+      return m;
+    };
     const auto time_at = [&](int threads, const auto& fn) {
       ThreadCountGuard guard(threads);
       return time_geomean(fn, runs, 1);
     };
 
-    const double t_ks = time_at(
-        1, [&](int r) { (void)karp_sipser(sub, static_cast<std::uint64_t>(r)); });
-    const double t_hk = time_at(1, [&](int) { (void)hopcroft_karp(sub); });
-    const double t_ksmt1 = time_at(1, ksmt);
-    const double t_ksmtN = time_at(max_t, ksmt);
+    const double t_ks =
+        time_at(1, [&](int r) { (void)ks_on_sub(static_cast<std::uint64_t>(r)); });
+    const double t_hk = time_at(1, [&](int) { (void)hk_on_sub(); });
+    const double t_ksmt1 = time_at(1, run_ksmt);
+    const double t_ksmtN = time_at(max_t, run_ksmt);
     const vid_t ksmt_card = [&] {
       ThreadCountGuard guard(max_t);
-      return ksmt(0).cardinality();
+      return run_ksmt(0).cardinality();
     }();
-    const vid_t exact = hopcroft_karp(sub).cardinality();
-    const bool all_exact =
-        karp_sipser(sub, 1).cardinality() == exact && ksmt_card == exact;
+    const vid_t exact = hk_on_sub().cardinality();
+    const bool all_exact = ks_on_sub(1).cardinality() == exact && ksmt_card == exact;
     if (!all_exact) inexact.emplace_back(name);
 
     table.row()
@@ -201,11 +246,12 @@ Violations ablation_scaling() {
   };
 
   for (const auto& [name, g] : cases) {
-    const vid_t rank = sprank(g);
+    const vid_t rank = sprank_ws(g, ws);
     Table table({"iters", "SK err", "Ruiz err", "SK two-sided qual", "Ruiz two-sided qual"});
     for (const int iters : {1, 2, 5, 10, 20}) {
-      const ScalingResult sk = scale_sinkhorn_knopp(g, {iters, 0.0});
-      const ScalingResult rz = scale_ruiz(g, {iters, 0.0});
+      const ScalingResult sk = scaling_for(g, iters);
+      ScalingResult rz;
+      scale_ruiz_ws(g, {iters, 0.0}, ws, rz);
       table.row()
           .add(iters)
           .add(sk.error, 4)
@@ -215,9 +261,13 @@ Violations ablation_scaling() {
     }
     table.print(std::cout, name);
 
-    const double t_sk =
-        time_geomean([&](int) { (void)scale_sinkhorn_knopp(g, {5, 0.0}); }, runs, 1);
-    const double t_rz = time_geomean([&](int) { (void)scale_ruiz(g, {5, 0.0}); }, runs, 1);
+    const double t_sk = time_geomean([&](int) { (void)scaling_for(g, 5); }, runs, 1);
+    const double t_rz = time_geomean(
+        [&](int) {
+          ScalingResult s;
+          scale_ruiz_ws(g, {5, 0.0}, ws, s);
+        },
+        runs, 1);
     std::cout << "5-iteration cost: SK " << format_double(t_sk * 1e3, 2) << " ms, Ruiz "
               << format_double(t_rz * 1e3, 2) << " ms\n\n";
   }
@@ -228,7 +278,7 @@ Violations ablation_scaling() {
 }
 
 /// The OneSidedMatch row loop with schedule(runtime), so omp_set_schedule
-/// can choose the policy. Mirrors one_sided_from_scaling.
+/// can choose the policy. Mirrors one_sided_from_scaling_ws.
 vid_t one_sided_runtime_schedule(const BipartiteGraph& g, const ScalingResult& s,
                                  std::uint64_t seed) {
   std::vector<vid_t> cmatch(static_cast<std::size_t>(g.num_cols()), kNil);
@@ -285,7 +335,7 @@ Violations ablation_schedule() {
 
   for (const auto& name : {"venturiLevel3_like", "torso1_like"}) {
     const BipartiteGraph g = suite_graph(name);
-    const ScalingResult s = scale_sinkhorn_knopp(g, {1, 0.0});
+    const ScalingResult s = scaling_for(g, 1);
 
     Table table({"policy", "time ms", "vs best"});
     std::vector<double> times;
@@ -352,13 +402,14 @@ Violations conjecture() {
       for (vid_t j = 0; j < n; ++j)
         cchoice[static_cast<std::size_t>(j)] =
             static_cast<vid_t>(rng.next_below(static_cast<std::uint64_t>(n)));
-      const vid_t exact = sprank(materialize_choice_graph(n, n, rchoice, cchoice));
+      const vid_t exact = sprank_ws(materialize_choice_graph(n, n, rchoice, cchoice), ws);
 
       // (2) TwoSidedMatch on the same implicit model: KSMT on the unified
       // choices (uniform choices over all columns ARE the all-ones matrix's
       // scaled distribution, so it need not be materialized).
-      const vid_t heuristic =
-          karp_sipser_mt(n, n, unify_choices(n, n, rchoice, cchoice)).cardinality();
+      std::vector<vid_t> unified;
+      unify_choices(n, n, rchoice, cchoice, unified);
+      const vid_t heuristic = ksmt(n, n, unified).cardinality();
       if (heuristic != exact)
         inexact.push_back("n=" + std::to_string(n) + " run " + std::to_string(r));
       ratio_structural += ratio(exact, n);
@@ -402,12 +453,12 @@ Violations extension_kout() {
     const BipartiteGraph g = std::string(kind) == "planted"
                                  ? make_planted_perfect(n, 4, 7)
                                  : make_erdos_renyi(n, n, 3LL * n, 7);
-    const vid_t rank = sprank(g);
-    const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
+    const vid_t rank = sprank_ws(g, ws);
+    const ScalingResult s = scaling_for(g, 5);
 
     Table table({"k", "subgraph edges", "min quality", "time s"});
-    Workspace ws;
     Matching m;
+    BipartiteGraph sub;
     for (const int k : {1, 2, 3, 4}) {
       vid_t worst = g.num_rows();
       // Times the engine's k_out path: pooled subgraph + its exact solve.
@@ -419,9 +470,10 @@ Violations extension_kout() {
           runs, 1);
       if (k == 2 && ratio(worst, rank) < kTwoOutFloor)
         below_floor.push_back(std::string(kind) + " " + format_double(ratio(worst, rank), 4));
+      k_out_subgraph_ws(g, s, k, 3, ws, sub);
       table.row()
           .add(k)
-          .add(format_count(k_out_subgraph(g, s, k, 3).num_edges()))
+          .add(format_count(sub.num_edges()))
           .add(ratio(worst, rank), 4)
           .add(t, 3);
     }
@@ -461,9 +513,23 @@ Violations extension_undirected() {
   for (const vid_t extra : {1, 2, 4, 8}) {
     const UndirectedGraph g = planted_undirected(n, extra, 7);
     table.row().add(std::int64_t{extra});
-    table.add(ratio(worst_of(runs, undirected_greedy, g), n / 2), 3);
+    table.add(ratio(worst_of(runs,
+                             [&](std::uint64_t seed) {
+                               UndirectedMatching m;
+                               undirected_greedy_ws(g, seed, ws, m);
+                               return m;
+                             }),
+                    n / 2),
+              3);
     for (const int iters : {0, 1, 5})
-      table.add(ratio(worst_of(runs, undirected_one_out_match, g, iters), n / 2), 3);
+      table.add(ratio(worst_of(runs,
+                               [&](std::uint64_t seed) {
+                                 UndirectedMatching m;
+                                 (void)undirected_one_out_match_ws(g, iters, seed, ws, m);
+                                 return m;
+                               }),
+                      n / 2),
+                3);
   }
   table.print(std::cout,
               "planted perfect matching, n=" + std::to_string(n) + ", min quality of " +
@@ -475,11 +541,14 @@ Violations extension_undirected() {
   // matches them), so the loss is the number of odd cycles; the simplest
   // observable is the unmatched fraction, reported here.
   const UndirectedGraph g = planted_undirected(n, 4, 11);
-  const SymmetricScaling s = scale_symmetric(g, 5);
+  SymmetricScaling s;
+  scale_symmetric_ws(g, 5, ws, s);
   double avg_cycle_loss = 0.0;
+  UndirectedMatching m;
   for (int r = 0; r < runs; ++r) {
-    const std::vector<vid_t> choice = sample_choices(g, s.d, static_cast<std::uint64_t>(r));
-    const UndirectedMatching m = one_out_karp_sipser(g.num_vertices(), choice);
+    const std::vector<vid_t>& choice =
+        sample_choices_ws(g, s.d, static_cast<std::uint64_t>(r), ws);
+    one_out_karp_sipser_ws(g.num_vertices(), choice, ws, m);
     avg_cycle_loss +=
         1.0 - 2.0 * static_cast<double>(m.cardinality()) / static_cast<double>(n);
   }
@@ -504,10 +573,11 @@ Violations fig3() {
   for (const auto& name : suite_names()) {
     const BipartiteGraph g = suite_graph(name);
     add_speedups(scale_table.row().add(name), threads, runs,
-                 [&](int) { (void)scale_sinkhorn_knopp(g, {1, 0.0}); });
+                 [&](int) { (void)scaling_for(g, 1); });
     // OneSidedMatch timing includes ScaleSK, as in the paper.
     add_speedups(onesided_table.row().add(name), threads, runs, [&](int r) {
-      (void)one_sided_match(g, 1, static_cast<std::uint64_t>(r));
+      Matching m;
+      one_sided_match_ws(g, 1, static_cast<std::uint64_t>(r), ws, m);
     });
   }
   scale_table.print(std::cout, "(3a) ScaleSK speedup, 1 iteration");
@@ -533,19 +603,17 @@ Violations fig4() {
   for (const auto& name : suite_names()) {
     const BipartiteGraph g = suite_graph(name);
     // Fixed scaled choices so every thread count runs the same KSMT input.
-    const ScalingResult s1 = scale_sinkhorn_knopp(g, {1, 0.0});
-    const TwoSidedChoices choices = sample_two_sided_choices(g, s1, 7);
-    const std::vector<vid_t> unified =
-        unify_choices(g.num_rows(), g.num_cols(), choices.rchoice, choices.cchoice);
-    const auto ksmt = [&](int) { return karp_sipser_mt(g.num_rows(), g.num_cols(), unified); };
+    const std::vector<vid_t> unified = unified_choices(g, scaling_for(g, 1));
+    const auto run_ksmt = [&](int) { return ksmt(g.num_rows(), g.num_cols(), unified); };
 
-    add_speedups(ksmt_table.row().add(name), threads, runs, ksmt);
+    add_speedups(ksmt_table.row().add(name), threads, runs, run_ksmt);
     add_speedups(twosided_table.row().add(name), threads, runs, [&](int r) {
-      (void)two_sided_match(g, 1, static_cast<std::uint64_t>(r));
+      Matching m;
+      two_sided_match_ws(g, 1, static_cast<std::uint64_t>(r), nullptr, ws, m);
     });
     const auto card_at = [&](int t) {
       ThreadCountGuard guard(t);
-      return ksmt(0).cardinality();
+      return run_ksmt(0).cardinality();
     };
     for (const int t : threads)
       if (card_at(t) != card_at(1)) unstable.push_back(name + " t=" + std::to_string(t));
@@ -576,12 +644,12 @@ Violations fig5() {
   int one_below_line = 0, two_below_line = 0, cells = 0;
   for (const auto& name : suite_names()) {
     const BipartiteGraph g = suite_graph(name);
-    const vid_t rank = sprank(g);
+    const vid_t rank = sprank_ws(g, ws);
     one_table.row().add(name).add(ratio(rank, g.num_rows()), 3);
     two_table.row().add(name).add(ratio(rank, g.num_rows()), 3);
     for (const int iters : {0, 1, 5, 15}) {
       const ScalingResult s = scaling_for(g, iters);
-      const double q_one = ratio(worst_of(runs, one_sided_from_scaling, g, s), rank);
+      const double q_one = ratio(worst_of(runs, one_sided, g, s), rank);
       const double q_two = ratio(worst_of(runs, two_sided, g, s), rank);
       one_table.add(q_one, 3);
       two_table.add(q_two, 3);
@@ -613,7 +681,7 @@ Violations jump_start() {
   const auto n = static_cast<vid_t>(scaled(200000, 8192));
   const int runs = repeats(2);
   const BipartiteGraph g = make_erdos_renyi(n, n, 5LL * n, 3);
-  const vid_t optimum = sprank(g);
+  const vid_t optimum = sprank_ws(g, ws);
   std::cout << "instance: ER n=" << n << ", " << format_count(g.num_edges())
             << " edges, sprank " << optimum << "\n\n";
 
@@ -627,9 +695,11 @@ Violations jump_start() {
       {"one-sided(5)", "one_sided"},
       {"two-sided(5)", "two_sided"},
   };
-  using Solver = Matching (*)(const BipartiteGraph&, const Matching*);
+  using Solver = void (*)(const BipartiteGraph&, Matching&, Workspace&);
   const std::pair<const char*, Solver> solvers[] = {
-      {"hopcroft-karp", hopcroft_karp}, {"mc21", mc21}, {"push-relabel", push_relabel}};
+      {"hopcroft-karp", hopcroft_karp_augment_ws},
+      {"mc21", mc21_augment_ws},
+      {"push-relabel", push_relabel_augment_ws}};
 
   Table table({"init", "init quality", "init s", "HK s", "MC21 s", "PR s"});
   std::vector<std::string> suboptimal;
@@ -642,7 +712,8 @@ Violations jump_start() {
       config.options.seed = 1;
       config.scaling_iterations = 5;
       config.compute_quality = false;  // the shared sprank above is reused
-      PipelineResult r = run_pipeline(g, config);
+      PipelineResult r;
+      run_pipeline_ws(g, config, ws, r);
       for (const StageStats& s : r.stages)
         if (s.stage == "scale" || s.stage == "match") init_seconds += s.seconds;
       warm = std::move(r.matching);
@@ -651,7 +722,12 @@ Violations jump_start() {
     for (const auto& [name, solve] : solvers) {
       bool optimal = true;
       table.add(time_geomean(
-                    [&](int) { optimal &= solve(g, &warm).cardinality() == optimum; }, runs, 0),
+                    [&](int) {
+                      Matching m = warm;
+                      solve(g, m, ws);
+                      optimal &= m.cardinality() == optimum;
+                    },
+                    runs, 0),
                 3);
       if (!optimal) suboptimal.push_back(std::string(name) + " from " + label);
     }
@@ -698,7 +774,6 @@ Violations quality_suite() {
   // scaling is computed once and shared across algorithms and runs.
   const MatchingAlgorithm& one_sided = find_algorithm("one_sided");
   const MatchingAlgorithm& two_sided = find_algorithm("two_sided");
-  Workspace ws;
   Matching m;
   const auto worst_quality = [&](const MatchingAlgorithm& algorithm,
                                  const BipartiteGraph& g, const ScalingResult& s) {
@@ -756,7 +831,11 @@ Violations table1() {
   vid_t previous_ks = n;
   for (const vid_t k : {2, 4, 8, 16, 32}) {
     const BipartiteGraph g = make_ks_adversarial(n, k);
-    const vid_t ks = worst_of(runs, [&](std::uint64_t seed) { return karp_sipser(g, seed); });
+    const vid_t ks = worst_of(runs, [&](std::uint64_t seed) {
+      Matching m;
+      karp_sipser_ws(g, seed, nullptr, ws, m);
+      return m;
+    });
     if (ks > previous_ks) ks_rises.push_back("k=" + std::to_string(k));
     previous_ks = ks;
     table.row().add(std::int64_t{k}).add(ratio(ks, n), 3);
@@ -794,11 +873,11 @@ Violations table2() {
   for (const int d : {2, 3, 4, 5}) {
     const BipartiteGraph g =
         make_erdos_renyi(n, n, static_cast<eid_t>(d) * n, 1000 + static_cast<std::uint64_t>(d));
-    const vid_t rank = sprank(g);
+    const vid_t rank = sprank_ws(g, ws);
     double unscaled_one = 0.0;
     for (const int iters : {0, 1, 5, 10}) {
       const ScalingResult s = scaling_for(g, iters);
-      const double q_one = ratio(worst_of(runs, one_sided_from_scaling, g, s), rank);
+      const double q_one = ratio(worst_of(runs, one_sided, g, s), rank);
       const double q_two = ratio(worst_of(runs, two_sided, g, s), rank);
       if (iters == 0) unscaled_one = q_one;
       if (iters == 5 && (q_one < kOneSidedGuarantee || q_two < kTwoSidedGuarantee))
@@ -825,12 +904,12 @@ Violations table2() {
   for (const int d : {3, 5}) {
     const BipartiteGraph g = make_erdos_renyi(
         m_rect, n_rect, static_cast<eid_t>(d) * m_rect, 2000 + static_cast<std::uint64_t>(d));
-    const vid_t rank = sprank(g);
-    const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
+    const vid_t rank = sprank_ws(g, ws);
+    const ScalingResult s = scaling_for(g, 5);
     rect.row()
         .add(d)
         .add(std::int64_t{rank})
-        .add(ratio(worst_of(runs, one_sided_from_scaling, g, s), rank), 3)
+        .add(ratio(worst_of(runs, one_sided, g, s), rank), 3)
         .add(ratio(worst_of(runs, two_sided, g, s), rank), 3);
   }
   rect.print(std::cout, "rectangular " + std::to_string(m_rect) + " x " +
@@ -857,29 +936,25 @@ Violations table3() {
     const BipartiteGraph g = suite_graph(name);
     // Timings take one warm-up (the paper drops the first of 20 runs).
     const double t_scale =
-        time_geomean([&](int) { (void)scale_sinkhorn_knopp(g, {1, 0.0}); }, runs, 1);
-    const ScalingResult s1 = scale_sinkhorn_knopp(g, {1, 0.0});
+        time_geomean([&](int) { (void)scaling_for(g, 1); }, runs, 1);
+    const ScalingResult s1 = scaling_for(g, 1);
     const double t_one = time_geomean(
-        [&](int r) { (void)one_sided_from_scaling(g, s1, static_cast<std::uint64_t>(r)); },
-        runs, 1);
-    const TwoSidedChoices choices = sample_two_sided_choices(g, s1, 7);
-    const std::vector<vid_t> unified =
-        unify_choices(g.num_rows(), g.num_cols(), choices.rchoice, choices.cchoice);
+        [&](int r) { (void)one_sided(g, s1, static_cast<std::uint64_t>(r)); }, runs, 1);
+    const std::vector<vid_t> unified = unified_choices(g, s1);
     const double t_ksmt = time_geomean(
-        [&](int) { (void)karp_sipser_mt(g.num_rows(), g.num_cols(), unified); }, runs, 1);
+        [&](int) { (void)ksmt(g.num_rows(), g.num_cols(), unified); }, runs, 1);
     const double t_two = time_geomean(
-        [&](int r) { (void)two_sided_from_scaling(g, s1, static_cast<std::uint64_t>(r)); },
-        runs, 1);
+        [&](int r) { (void)two_sided(g, s1, static_cast<std::uint64_t>(r)); }, runs, 1);
 
     table.row()
         .add(name)
         .add(format_count(g.num_rows()))
         .add(format_count(g.num_edges()))
         .add(average_degree(g), 1)
-        .add(ratio(sprank(g), g.num_rows()), 3)
+        .add(ratio(sprank_ws(g, ws), g.num_rows()), 3)
         .add(s1.error, 2)
-        .add(scale_sinkhorn_knopp(g, {5, 0.0}).error, 2)
-        .add(scale_sinkhorn_knopp(g, {10, 0.0}).error, 2)
+        .add(scaling_for(g, 5).error, 2)
+        .add(scaling_for(g, 10).error, 2)
         .add(t_scale, 3)
         .add(t_one, 3)
         .add(t_ksmt, 3)

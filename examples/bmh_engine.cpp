@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
              "  --threads N           engine worker threads (default 1;\n"
              "                        0 = one per processor)\n"
              "  --threads-per-job N   OpenMP threads inside each job (default 1;\n"
-             "                        0 = ambient)\n"
+             "                        0 = ambient; capped at the processor count)\n"
              "  --seed S              base seed for per-job RNG derivation (default 1)\n"
              "  --graph-cache-mb N    byte budget of the shared graph cache\n"
              "                        (default 256; 0 rebuilds every job's graph)\n"

@@ -27,20 +27,27 @@ int main(int argc, char** argv) {
   std::cout << "graph: " << graph.num_rows() << " x " << graph.num_cols() << ", "
             << bmh::format_count(graph.num_edges()) << " edges\n";
 
+  // Every kernel leases its scratch from a Workspace and writes its result
+  // into a caller's object; keep one per thread and reuse it, as the
+  // engine's workers do.
+  bmh::Workspace ws;
+
   // 2. Ground truth for quality reporting.
   bmh::Timer timer;
-  const bmh::vid_t exact = bmh::sprank(graph);
+  const bmh::vid_t exact = bmh::sprank_ws(graph, ws);
   std::cout << "sprank (push-relabel): " << exact << "  [" << timer.milliseconds()
             << " ms]\n\n";
 
   // 3. OneSidedMatch — synchronization-free, guarantee 0.632.
   timer.reset();
-  const bmh::Matching one = bmh::one_sided_match(graph, iters, seed);
+  bmh::Matching one;
+  bmh::one_sided_match_ws(graph, iters, seed, ws, one);
   const double t_one = timer.milliseconds();
 
   // 4. TwoSidedMatch — Karp-Sipser on the 1-out/1-in subgraph, ~0.866.
   timer.reset();
-  const bmh::Matching two = bmh::two_sided_match(graph, iters, seed);
+  bmh::Matching two;
+  bmh::two_sided_match_ws(graph, iters, seed, nullptr, ws, two);
   const double t_two = timer.milliseconds();
 
   bmh::Table table({"heuristic", "cardinality", "quality", "guarantee", "ms"});

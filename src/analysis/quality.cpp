@@ -9,10 +9,11 @@ double matching_quality(const Matching& m, vid_t max_cardinality) {
   return static_cast<double>(m.cardinality()) / static_cast<double>(max_cardinality);
 }
 
-QualityReport evaluate_matching(const BipartiteGraph& g, const Matching& m) {
+QualityReport evaluate_matching(const BipartiteGraph& g, const Matching& m,
+                                Workspace& ws) {
   QualityReport r;
   r.cardinality = m.cardinality();
-  r.sprank = sprank(g);
+  r.sprank = sprank_ws(g, ws);
   r.quality = matching_quality(m, r.sprank);
   r.valid = is_valid_matching(g, m);
   return r;

@@ -3,6 +3,7 @@
 /// \brief Matching quality accounting (|M| / sprank), the metric of every
 /// table and figure in the paper's evaluation.
 
+#include "core/workspace.hpp"
 #include "graph/bipartite_graph.hpp"
 #include "matching/matching.hpp"
 
@@ -19,7 +20,9 @@ struct QualityReport {
   bool valid = false;    ///< is_valid_matching held
 };
 
-/// One-stop evaluation of a heuristic result against the exact optimum.
-[[nodiscard]] QualityReport evaluate_matching(const BipartiteGraph& g, const Matching& m);
+/// One-stop evaluation of a heuristic result against the exact optimum
+/// (sprank_ws, its scratch leased from `ws`).
+[[nodiscard]] QualityReport evaluate_matching(const BipartiteGraph& g, const Matching& m,
+                                              Workspace& ws);
 
 } // namespace bmh

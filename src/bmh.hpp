@@ -6,8 +6,11 @@
 /// quality guarantees on shared memory parallel computers" (IPDPS 2014 /
 /// Inria RR-8386). The two headline entry points are:
 ///
-///   bmh::one_sided_match(graph, scaling_iterations, seed)   // >= 0.632
-///   bmh::two_sided_match(graph, scaling_iterations, seed)   // ~= 0.866
+///   bmh::one_sided_match_ws(graph, iterations, seed, ws, out)           // >= 0.632
+///   bmh::two_sided_match_ws(graph, iterations, seed, nullptr, ws, out)  // ~= 0.866
+///
+/// Every kernel has this one form: scratch from a caller's bmh::Workspace,
+/// result into a caller's object (`out`).
 ///
 /// See README.md for a quickstart and the system inventory.
 

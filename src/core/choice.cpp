@@ -23,28 +23,12 @@ void sample_csr_choices(std::span<const eid_t> ptr, std::span<const vid_t> adj,
   }
 }
 
-std::vector<vid_t> sample_row_choices(const BipartiteGraph& g,
-                                      const std::vector<double>& dc,
-                                      std::uint64_t seed) {
-  std::vector<vid_t> choice;
-  sample_row_choices(g, dc, seed, choice);
-  return choice;
-}
-
 void sample_row_choices(const BipartiteGraph& g, const std::vector<double>& dc,
                         std::uint64_t seed, std::vector<vid_t>& out) {
   if (dc.size() != static_cast<std::size_t>(g.num_cols()))
     throw std::invalid_argument("sample_row_choices: dc size mismatch");
   sample_csr_choices(g.row_ptr(), g.col_idx(), dc, seed,
                      0x524f575f5349444full /* "ROW_SIDO" salt: row-side lanes */, out);
-}
-
-std::vector<vid_t> sample_col_choices(const BipartiteGraph& g,
-                                      const std::vector<double>& dr,
-                                      std::uint64_t seed) {
-  std::vector<vid_t> choice;
-  sample_col_choices(g, dr, seed, choice);
-  return choice;
 }
 
 void sample_col_choices(const BipartiteGraph& g, const std::vector<double>& dr,

@@ -57,22 +57,14 @@ void sample_csr_choices(std::span<const eid_t> ptr, std::span<const vid_t> adj,
                         std::span<const double> weight, std::uint64_t seed,
                         std::uint64_t salt, std::vector<vid_t>& out);
 
-/// One column choice per row, sampled ∝ dc over each row's neighbours.
-/// Rows with no neighbours get kNil. Deterministic in (graph, dc, seed) and
-/// independent of the thread count (per-row forked streams).
-[[nodiscard]] std::vector<vid_t> sample_row_choices(const BipartiteGraph& g,
-                                                    const std::vector<double>& dc,
-                                                    std::uint64_t seed);
-
-/// One row choice per column, sampled ∝ dr over each column's neighbours.
-[[nodiscard]] std::vector<vid_t> sample_col_choices(const BipartiteGraph& g,
-                                                    const std::vector<double>& dr,
-                                                    std::uint64_t seed);
-
-/// Allocation-free variants: the choices land in `out` (capacity reused —
-/// pass a workspace-leased vector). Identical output for the same seed.
+/// One column choice per row, sampled ∝ dc over each row's neighbours, into
+/// `out` (capacity reused — pass a workspace-leased vector). Rows with no
+/// neighbours get kNil. Deterministic in (graph, dc, seed) and independent
+/// of the thread count (per-row forked streams).
 void sample_row_choices(const BipartiteGraph& g, const std::vector<double>& dc,
                         std::uint64_t seed, std::vector<vid_t>& out);
+
+/// One row choice per column, sampled ∝ dr over each column's neighbours.
 void sample_col_choices(const BipartiteGraph& g, const std::vector<double>& dr,
                         std::uint64_t seed, std::vector<vid_t>& out);
 

@@ -53,27 +53,11 @@ void sample_k(std::span<const eid_t> ptr, std::span<const vid_t> adj,
 
 } // namespace
 
-std::vector<vid_t> sample_row_choices_k(const BipartiteGraph& g,
-                                        const std::vector<double>& dc, int k,
-                                        std::uint64_t seed) {
-  std::vector<vid_t> out;
-  sample_row_choices_k(g, dc, k, seed, out);
-  return out;
-}
-
 void sample_row_choices_k(const BipartiteGraph& g, const std::vector<double>& dc, int k,
                           std::uint64_t seed, std::vector<vid_t>& out) {
   if (dc.size() != static_cast<std::size_t>(g.num_cols()))
     throw std::invalid_argument("sample_row_choices_k: dc size mismatch");
   sample_k(g.row_ptr(), g.col_idx(), dc, k, seed, 0x6b4f55545f524f57ull, out);
-}
-
-std::vector<vid_t> sample_col_choices_k(const BipartiteGraph& g,
-                                        const std::vector<double>& dr, int k,
-                                        std::uint64_t seed) {
-  std::vector<vid_t> out;
-  sample_col_choices_k(g, dr, k, seed, out);
-  return out;
 }
 
 void sample_col_choices_k(const BipartiteGraph& g, const std::vector<double>& dr, int k,
@@ -272,13 +256,6 @@ void merge_picks(PickSet<K> own, PickSet<K> other, const std::vector<eid_t>& by_
 
 } // namespace
 
-BipartiteGraph k_out_subgraph(const BipartiteGraph& g, const ScalingResult& scaling,
-                              int k, std::uint64_t seed) {
-  BipartiteGraph out;
-  k_out_subgraph_ws(g, scaling, k, seed, Workspace::for_this_thread(), out);
-  return out;
-}
-
 void k_out_subgraph_ws(const BipartiteGraph& g, const ScalingResult& scaling, int k,
                        std::uint64_t seed, Workspace& ws, BipartiteGraph& out) {
   // The assembly reads g while it rewrites out.
@@ -328,13 +305,6 @@ void k_out_subgraph_ws(const BipartiteGraph& g, const ScalingResult& scaling, in
     assemble(PickSet<2>{row_picks.data(), 2}, PickSet<2>{col_picks.data(), 2});
   else
     assemble(PickSet<0>{row_picks.data(), row_k}, PickSet<0>{col_picks.data(), col_k});
-}
-
-Matching k_out_match(const BipartiteGraph& g, int scaling_iterations, int k,
-                     std::uint64_t seed) {
-  Matching m;
-  k_out_match_ws(g, scaling_iterations, k, seed, Workspace::for_this_thread(), m);
-  return m;
 }
 
 void k_out_match_ws(const BipartiteGraph& g, int scaling_iterations, int k,

@@ -42,44 +42,28 @@ namespace bmh {
 
 /// k choices per row, sampled from the scaled density without replacement
 /// (duplicates are re-drawn up to a bounded number of attempts, so rows
-/// with fewer than k neighbours simply contribute all of them).
-/// Result is row-major: picks of row i are choices[i*k .. i*k+k).
-[[nodiscard]] std::vector<vid_t> sample_row_choices_k(const BipartiteGraph& g,
-                                                      const std::vector<double>& dc,
-                                                      int k, std::uint64_t seed);
-
-/// Column-side mirror of sample_row_choices_k.
-[[nodiscard]] std::vector<vid_t> sample_col_choices_k(const BipartiteGraph& g,
-                                                      const std::vector<double>& dr,
-                                                      int k, std::uint64_t seed);
-
-/// Builds the (k-out ∪ k-in) subgraph from both sides' picks. Each side
-/// samples with k capped at its largest degree, which picks the same
-/// subgraph from fewer pick slots.
-[[nodiscard]] BipartiteGraph k_out_subgraph(const BipartiteGraph& g,
-                                            const ScalingResult& scaling, int k,
-                                            std::uint64_t seed);
-
-/// The k-out heuristic: scale, pick k per side, exact-match the subgraph.
-/// k = 1 coincides with TwoSidedMatch up to the subgraph solver used.
-[[nodiscard]] Matching k_out_match(const BipartiteGraph& g, int scaling_iterations,
-                                   int k, std::uint64_t seed);
-
-/// Workspace-aware variants. Sampling scratch, the scaling vectors, the
-/// subgraph solver's arrays *and the subgraph itself* are all leased from
-/// `ws` (assembled into a workspace-kept graph's reused vectors), so a warm
-/// k-out call performs zero heap allocations — same club as every other
-/// heuristic.
+/// with fewer than k neighbours simply contribute all of them), into `out`
+/// (capacity reused). Row-major: picks of row i are out[i*k .. i*k+k).
 void sample_row_choices_k(const BipartiteGraph& g, const std::vector<double>& dc, int k,
                           std::uint64_t seed, std::vector<vid_t>& out);
+
+/// Column-side mirror of sample_row_choices_k.
 void sample_col_choices_k(const BipartiteGraph& g, const std::vector<double>& dr, int k,
                           std::uint64_t seed, std::vector<vid_t>& out);
-/// Assembles the subgraph of `g` into `out` (which must not be `g`: throws
-/// std::invalid_argument), whose vectors, like the pick buffers and the
-/// assembly's scratch (tags "kout.*"), reuse their capacity across calls.
-/// The assembly's scratch is one entry per edge of g when g is sparse (at
-/// most 3 edges per pick slot), otherwise one per pick and one offset per
-/// vertex.
+
+// Sampling scratch, the scaling vectors, the subgraph solver's arrays *and
+// the subgraph itself* are all leased from `ws` (assembled into a
+// workspace-kept graph's reused vectors), so a warm k-out call performs
+// zero heap allocations — same club as every other heuristic.
+
+/// Builds the (k-out ∪ k-in) subgraph of `g` from both sides' picks into
+/// `out` (which must not be `g`: throws std::invalid_argument), whose
+/// vectors, like the pick buffers and the assembly's scratch (tags
+/// "kout.*"), reuse their capacity across calls. Each side samples with k
+/// capped at its largest degree, which picks the same subgraph from fewer
+/// pick slots. The assembly's scratch is one entry per edge of g when g is
+/// sparse (at most 3 edges per pick slot), otherwise one per pick and one
+/// offset per vertex.
 void k_out_subgraph_ws(const BipartiteGraph& g, const ScalingResult& scaling, int k,
                        std::uint64_t seed, Workspace& ws, BipartiteGraph& out);
 /// The k-out heuristic on a pre-scaled matrix: builds the pooled subgraph
@@ -87,6 +71,8 @@ void k_out_subgraph_ws(const BipartiteGraph& g, const ScalingResult& scaling, in
 /// registry's `k_out` and `k_out_match_ws` both run through here.
 void k_out_from_scaling_ws(const BipartiteGraph& g, const ScalingResult& scaling, int k,
                            std::uint64_t seed, Workspace& ws, Matching& out);
+/// The k-out heuristic: scale, pick k per side, exact-match the subgraph.
+/// k = 1 coincides with TwoSidedMatch up to the subgraph solver used.
 void k_out_match_ws(const BipartiteGraph& g, int scaling_iterations, int k,
                     std::uint64_t seed, Workspace& ws, Matching& out);
 

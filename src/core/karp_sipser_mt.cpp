@@ -7,13 +7,6 @@
 
 namespace bmh {
 
-std::vector<vid_t> unify_choices(vid_t m, vid_t n, std::span<const vid_t> rchoice,
-                                 std::span<const vid_t> cchoice) {
-  std::vector<vid_t> choice;
-  unify_choices(m, n, rchoice, cchoice, choice);
-  return choice;
-}
-
 void unify_choices(vid_t m, vid_t n, std::span<const vid_t> rchoice,
                    std::span<const vid_t> cchoice, std::vector<vid_t>& out) {
   if (rchoice.size() != static_cast<std::size_t>(m) ||
@@ -32,13 +25,6 @@ void unify_choices(vid_t m, vid_t n, std::span<const vid_t> rchoice,
       throw std::out_of_range("unify_choices: column choice out of range");
     out[static_cast<std::size_t>(m) + static_cast<std::size_t>(j)] = i;
   }
-}
-
-Matching karp_sipser_mt(vid_t m, vid_t n, std::span<const vid_t> choice,
-                        KarpSipserMTStats* stats) {
-  Matching result;
-  karp_sipser_mt_ws(m, n, choice, stats, Workspace::for_this_thread(), result);
-  return result;
 }
 
 std::vector<vid_t>& out_one_chains_ws(std::span<const vid_t> choice, vid_t m,

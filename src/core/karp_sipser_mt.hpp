@@ -43,14 +43,10 @@ struct KarpSipserMTStats {
 
 /// Runs Algorithm 4. `choice[u]` is a unified vertex id (the partner chosen
 /// by u) or kNil for isolated vertices; `m`/`n` are the row/column counts.
-/// The returned matching is maximum on the choice subgraph regardless of
-/// the number of threads.
-[[nodiscard]] Matching karp_sipser_mt(vid_t m, vid_t n, std::span<const vid_t> choice,
-                                      KarpSipserMTStats* stats = nullptr);
-
-/// Workspace-aware variant of Algorithm 4: the match/deg/mark arrays are
+/// The matching written into `out` is maximum on the choice subgraph
+/// regardless of the number of threads. The match/deg/mark arrays are
 /// leased from `ws` (driven through std::atomic_ref so plain vectors can be
-/// reused) and the result lands in `out`; warm calls allocate nothing.
+/// reused); warm calls allocate nothing.
 void karp_sipser_mt_ws(vid_t m, vid_t n, std::span<const vid_t> choice,
                        KarpSipserMTStats* stats, Workspace& ws, Matching& out);
 
@@ -66,12 +62,8 @@ void karp_sipser_mt_ws(vid_t m, vid_t n, std::span<const vid_t> choice,
                                                     Workspace& ws);
 
 /// Builds the unified choice array from per-side local choices (rchoice[i]
-/// is a column id or kNil; cchoice[j] is a row id or kNil).
-[[nodiscard]] std::vector<vid_t> unify_choices(vid_t m, vid_t n,
-                                               std::span<const vid_t> rchoice,
-                                               std::span<const vid_t> cchoice);
-
-/// Allocation-free variant: writes into `out` (capacity reused).
+/// is a column id or kNil; cchoice[j] is a row id or kNil) into `out`
+/// (capacity reused).
 void unify_choices(vid_t m, vid_t n, std::span<const vid_t> rchoice,
                    std::span<const vid_t> cchoice, std::vector<vid_t>& out);
 

@@ -9,13 +9,6 @@
 
 namespace bmh {
 
-Matching one_sided_from_scaling(const BipartiteGraph& g, const ScalingResult& scaling,
-                                std::uint64_t seed) {
-  Matching m;
-  one_sided_from_scaling_ws(g, scaling, seed, Workspace::for_this_thread(), m);
-  return m;
-}
-
 void one_sided_from_scaling_ws(const BipartiteGraph& g, const ScalingResult& scaling,
                                std::uint64_t seed, Workspace& ws, Matching& out) {
   // Each row's pick; kNil for empty rows.
@@ -36,13 +29,6 @@ void one_sided_from_scaling_ws(const BipartiteGraph& g, const ScalingResult& sca
   }
 
   matching_from_col_view(g.num_rows(), cmatch, out);
-}
-
-Matching one_sided_match(const BipartiteGraph& g, int scaling_iterations,
-                         std::uint64_t seed) {
-  Matching m;
-  one_sided_match_ws(g, scaling_iterations, seed, Workspace::for_this_thread(), m);
-  return m;
 }
 
 void one_sided_match_ws(const BipartiteGraph& g, int scaling_iterations,

@@ -19,25 +19,19 @@
 
 namespace bmh {
 
+// Scratch (choices, the column view, and for one_sided_match_ws the
+// scaling vectors) is leased from `ws` and the result lands in `out`; warm
+// calls are allocation-free.
+
 /// Runs Algorithm 2 on a pre-scaled matrix. The racy `cmatch` writes are
 /// relaxed atomic stores (same machine code as plain stores on x86, but
 /// well-defined under the C++ memory model).
-[[nodiscard]] Matching one_sided_from_scaling(const BipartiteGraph& g,
-                                              const ScalingResult& scaling,
-                                              std::uint64_t seed);
-
-/// Convenience: Sinkhorn–Knopp for `scaling_iterations` then Algorithm 2.
-/// `scaling_iterations = 0` reproduces the "no scaling / uniform pick"
-/// baseline columns of the paper's tables.
-[[nodiscard]] Matching one_sided_match(const BipartiteGraph& g, int scaling_iterations,
-                                       std::uint64_t seed);
-
-/// Workspace-aware variants: scratch (choices, the column view, and for the
-/// convenience form the scaling vectors) is leased from `ws` and the result
-/// lands in `out`; warm calls are allocation-free. Identical output to the
-/// classic entry points for the same seed.
 void one_sided_from_scaling_ws(const BipartiteGraph& g, const ScalingResult& scaling,
                                std::uint64_t seed, Workspace& ws, Matching& out);
+
+/// Sinkhorn–Knopp for `scaling_iterations` then Algorithm 2.
+/// `scaling_iterations = 0` reproduces the "no scaling / uniform pick"
+/// baseline columns of the paper's tables.
 void one_sided_match_ws(const BipartiteGraph& g, int scaling_iterations,
                         std::uint64_t seed, Workspace& ws, Matching& out);
 

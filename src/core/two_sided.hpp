@@ -27,33 +27,23 @@ struct TwoSidedChoices {
 };
 
 /// Samples the two choice vectors from the scaled densities (lines 2–7 of
-/// Algorithm 3). Exposed separately so the analysis module can inspect the
-/// subgraph structure (Lemma 1) and benches can time phases independently.
-[[nodiscard]] TwoSidedChoices sample_two_sided_choices(const BipartiteGraph& g,
-                                                       const ScalingResult& scaling,
-                                                       std::uint64_t seed);
-
-/// Runs Algorithm 3 on a pre-scaled matrix.
-[[nodiscard]] Matching two_sided_from_scaling(const BipartiteGraph& g,
-                                              const ScalingResult& scaling,
-                                              std::uint64_t seed,
-                                              KarpSipserMTStats* stats = nullptr);
-
-/// Convenience: Sinkhorn–Knopp for `scaling_iterations` then Algorithm 3.
-/// `scaling_iterations = 0` gives the uniform-pick baseline of the tables.
-[[nodiscard]] Matching two_sided_match(const BipartiteGraph& g, int scaling_iterations,
-                                       std::uint64_t seed,
-                                       KarpSipserMTStats* stats = nullptr);
-
-/// Workspace-aware variants: choices, the unified array, KarpSipserMT's
-/// arrays (and for the convenience form the scaling vectors) are leased from
-/// `ws`; the result lands in `out`. Warm calls are allocation-free and the
-/// output is identical to the classic entry points for the same seed.
+/// Algorithm 3) into `out` (capacity reused). Exposed separately so the
+/// analysis module can inspect the subgraph structure (Lemma 1) and benches
+/// can time phases independently.
 void sample_two_sided_choices_ws(const BipartiteGraph& g, const ScalingResult& scaling,
                                  std::uint64_t seed, TwoSidedChoices& out);
+
+// Choices, the unified array, KarpSipserMT's arrays (and for
+// two_sided_match_ws the scaling vectors) are leased from `ws`; the result
+// lands in `out`. Warm calls are allocation-free.
+
+/// Runs Algorithm 3 on a pre-scaled matrix.
 void two_sided_from_scaling_ws(const BipartiteGraph& g, const ScalingResult& scaling,
                                std::uint64_t seed, KarpSipserMTStats* stats,
                                Workspace& ws, Matching& out);
+
+/// Sinkhorn–Knopp for `scaling_iterations` then Algorithm 3.
+/// `scaling_iterations = 0` gives the uniform-pick baseline of the tables.
 void two_sided_match_ws(const BipartiteGraph& g, int scaling_iterations,
                         std::uint64_t seed, KarpSipserMTStats* stats, Workspace& ws,
                         Matching& out);

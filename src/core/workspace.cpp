@@ -2,11 +2,6 @@
 
 namespace bmh {
 
-Workspace& Workspace::for_this_thread() {
-  static thread_local Workspace workspace;
-  return workspace;
-}
-
 void Workspace::throw_type_mismatch(std::string_view tag) {
   throw std::logic_error("workspace tag '" + std::string(tag) +
                          "' re-leased with a different type");

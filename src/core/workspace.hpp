@@ -17,10 +17,10 @@
 ///   ScalingResult& scaling = ws.obj<ScalingResult>("p.scaling"); // object
 ///
 /// Rules:
-///  * A Workspace is single-threaded. Use one per worker thread (the batch
-///    runner does) or the per-thread default behind `for_this_thread()`.
-///    Leased buffers may be *filled* by OpenMP parallel regions; only the
-///    lease itself must happen on the owning thread.
+///  * A Workspace is single-threaded. Use one per worker thread (each
+///    engine worker owns one). Leased buffers may be *filled* by OpenMP
+///    parallel regions; only the lease itself must happen on the owning
+///    thread.
 ///  * Tags are namespaced per call site ("hk.dist", "ks.pool", ...). A tag
 ///    is bound to the type of its first lease; re-leasing it with another
 ///    type throws std::logic_error. Two functions may share a tag only if
@@ -28,14 +28,6 @@
 ///    lease is valid until the same tag is leased again).
 ///  * Buffers never shrink; release() drops everything (e.g. between
 ///    differently-sized phases of a long-lived server, or in tests).
-///
-/// Classic and `_ws` twins: most kernels come in two forms. The `_ws` form
-/// (`karp_sipser_ws(g, seed, stats, ws, out)`) is the implementation and
-/// the serving path: scratch from a caller's Workspace, result into a
-/// caller's object. The classic form (`karp_sipser(g, seed)`) is a
-/// by-value convenience that forwards to the `_ws` form over
-/// `for_this_thread()`; it exists for tests, benches and examples, which
-/// call it at hundreds of sites, and carries no logic of its own.
 
 #include <cstddef>
 #include <memory>
@@ -119,10 +111,6 @@ public:
 
   /// Drops every lease and frees the backing memory.
   void release() noexcept { slots_.clear(); }
-
-  /// The calling thread's default workspace; what the classic (non-`_ws`)
-  /// entry points use. Lives until thread exit.
-  [[nodiscard]] static Workspace& for_this_thread();
 
 private:
   struct SlotBase {

@@ -26,8 +26,9 @@ namespace bmh {
 /// deterministic solvers) are ignored by it.
 struct AlgorithmOptions {
   std::uint64_t seed = 1;  ///< RNG seed for randomized algorithms
-  int threads = 0;         ///< OpenMP budget, applied by run_pipeline around
-                           ///< every stage; 0 = ambient. Direct callers of
+  int threads = 0;         ///< OpenMP budget, applied by the pipeline `_ws`
+                           ///< functions around every stage and capped at
+                           ///< num_procs(); 0 = ambient. Direct callers of
                            ///< run_ws() set the ambient count themselves
                            ///< (ThreadCountGuard).
   int k = 2;               ///< choices per side for the k-out extension
@@ -58,7 +59,7 @@ public:
   [[nodiscard]] constexpr bool is_exact() const noexcept { return exact_; }
 
   /// Runs the algorithm. When uses_scaling(), `scaling` must cover `g`
-  /// (identity_scaling(g) when the caller did not scale); otherwise it is
+  /// (identity_scaling_ws when the caller did not scale); otherwise it is
   /// ignored and may hold anything, including empty multipliers.
   void run_ws(const BipartiteGraph& g, const ScalingResult& scaling,
               const AlgorithmOptions& options, Workspace& ws, Matching& out) const {

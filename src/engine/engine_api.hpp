@@ -71,8 +71,9 @@ struct EngineConfig {
   /// auto-detects one per processor; the resolved value is reported by
   /// Engine::threads().
   int threads = 1;
-  /// OpenMP budget inside each job's pipeline stages; 0 = ambient. A
-  /// `threads=` in the job spec wins over this default.
+  /// OpenMP budget inside each job's pipeline stages, capped at the
+  /// processor count; 0 = ambient. A `threads=` in the job spec wins over
+  /// this default.
   int threads_per_job = 1;
   /// Base seed: job index i runs with derive_job_seed(seed, i) unless its
   /// spec pins one.

@@ -190,20 +190,11 @@ void run_stages_ws(const BipartiteGraph& g, const PipelineConfig& config,
 
 } // namespace
 
-PipelineResult run_pipeline(const BipartiteGraph& g, const PipelineConfig& config) {
-  PipelineResult result;
-  run_pipeline_ws(g, config, Workspace::for_this_thread(), result);
-  return result;
-}
-
 void run_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& config,
                      Workspace& ws, PipelineResult& out) {
   // Resolve the algorithm first: an unknown name must fail before any work.
   const MatchingAlgorithm& algorithm = find_algorithm(config.algorithm);
-  // One body for both thread modes: the guard only engages for an explicit
-  // budget (<= 0 keeps the ambient OpenMP count untouched).
-  std::optional<ThreadCountGuard> guard;
-  if (config.options.threads > 0) guard.emplace(config.options.threads);
+  const JobThreadGuard threads(config.options.threads);
   run_stages_ws(g, config, algorithm, ws, out);
 }
 
@@ -211,8 +202,7 @@ void run_undirected_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& c
                                 Workspace& ws, PipelineResult& out) {
   // Resolve first: an unknown name must fail before any work.
   const UndirectedAlgorithm& algorithm = find_undirected_algorithm(config.algorithm);
-  std::optional<ThreadCountGuard> guard;
-  if (config.options.threads > 0) guard.emplace(config.options.threads);
+  const JobThreadGuard threads(config.options.threads);
   out.reset();
 
   UndirectedGraph& ug = ws.obj<UndirectedGraph>("und.graph");
@@ -246,8 +236,7 @@ void run_analyze_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& conf
                              Workspace& ws, PipelineResult& out) {
   const std::string& type = config.algorithm;
   check_analysis_type(type);
-  std::optional<ThreadCountGuard> guard;
-  if (config.options.threads > 0) guard.emplace(config.options.threads);
+  const JobThreadGuard threads(config.options.threads);
   out.reset();
 
   timed_stage(out, config, "analyze", [&] {

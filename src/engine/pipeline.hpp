@@ -157,20 +157,17 @@ struct PipelineResult {
   }
 };
 
-/// Executes the configured pipeline on `g`. Throws std::invalid_argument for
-/// an unknown algorithm name (before any work is done). The stage thread
-/// budget (config.options.threads) applies to every stage, not just match.
-[[nodiscard]] PipelineResult run_pipeline(const BipartiteGraph& g,
-                                          const PipelineConfig& config);
-
-/// Workspace-aware pipeline execution — the batch-serving hot path. Every
-/// stage's scratch (scaling vectors, choice arrays, solver queues, the
-/// sprank matching, k_out's pooled subgraph) is leased from `ws`, the
-/// algorithm is a row of the fixed table (looked up without a lock or an
-/// allocation), and `out` is fully overwritten with its vectors' capacity
-/// reused. A warm worker running same-shaped jobs therefore performs zero
-/// heap allocations per call, whichever algorithms it alternates between.
-/// Results are identical to run_pipeline() for the same config.
+/// Executes the configured pipeline on `g` — the batch-serving hot path.
+/// Throws std::invalid_argument for an unknown algorithm name (before any
+/// work is done). The thread budget (config.options.threads, capped at
+/// num_procs() by JobThreadGuard) applies to every stage, not just match,
+/// here and in the two pipelines below. Every stage's scratch (scaling
+/// vectors, choice arrays, solver queues, the sprank matching, k_out's
+/// pooled subgraph) is leased from `ws`, the algorithm is a row of the
+/// fixed table (looked up without a lock or an allocation), and `out` is
+/// fully overwritten with its vectors' capacity reused. A warm worker
+/// running same-shaped jobs therefore performs zero heap allocations per
+/// call, whichever algorithms it alternates between.
 void run_pipeline_ws(const BipartiteGraph& g, const PipelineConfig& config,
                      Workspace& ws, PipelineResult& out);
 

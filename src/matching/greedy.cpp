@@ -9,12 +9,6 @@
 
 namespace bmh {
 
-Matching match_random_edges(const BipartiteGraph& g, std::uint64_t seed) {
-  Matching m;
-  match_random_edges_ws(g, seed, Workspace::for_this_thread(), m);
-  return m;
-}
-
 void match_random_edges_ws(const BipartiteGraph& g, std::uint64_t seed, Workspace& ws,
                            Matching& out) {
   out.reset(g.num_rows(), g.num_cols());
@@ -45,12 +39,6 @@ void match_random_edges_ws(const BipartiteGraph& g, std::uint64_t seed, Workspac
   }
 }
 
-Matching match_random_vertices(const BipartiteGraph& g, std::uint64_t seed) {
-  Matching m;
-  match_random_vertices_ws(g, seed, Workspace::for_this_thread(), m);
-  return m;
-}
-
 void match_random_vertices_ws(const BipartiteGraph& g, std::uint64_t seed, Workspace& ws,
                               Matching& out) {
   out.reset(g.num_rows(), g.num_cols());
@@ -76,12 +64,6 @@ void match_random_vertices_ws(const BipartiteGraph& g, std::uint64_t seed, Works
     }
     if (picked != kNil) out.match(i, picked);
   }
-}
-
-Matching match_min_degree(const BipartiteGraph& g) {
-  Matching m;
-  match_min_degree_ws(g, Workspace::for_this_thread(), m);
-  return m;
 }
 
 void match_min_degree_ws(const BipartiteGraph& g, Workspace& ws, Matching& out) {

@@ -16,26 +16,22 @@
 
 namespace bmh {
 
+// Each heuristic leases its scratch from `ws` and writes its result into
+// `out` (capacity reused); warm calls are allocation-free.
+
 /// Cheap variant 1: visit the edges in uniformly random order; match the two
 /// endpoints whenever both are still free. Guarantee 1/2 (Dyer–Frieze).
-[[nodiscard]] Matching match_random_edges(const BipartiteGraph& g, std::uint64_t seed);
+void match_random_edges_ws(const BipartiteGraph& g, std::uint64_t seed, Workspace& ws,
+                           Matching& out);
 
 /// Cheap variant 2: repeatedly pick a random free vertex and match it with a
 /// random free neighbour. Guarantee 1/2 + epsilon (Aronson et al.;
 /// Poloczek–Szegedy).
-[[nodiscard]] Matching match_random_vertices(const BipartiteGraph& g, std::uint64_t seed);
+void match_random_vertices_ws(const BipartiteGraph& g, std::uint64_t seed, Workspace& ws,
+                              Matching& out);
 
 /// Static mindegree: process rows by nondecreasing degree, matching each to
 /// its lowest-degree free neighbour. Deterministic.
-[[nodiscard]] Matching match_min_degree(const BipartiteGraph& g);
-
-/// Workspace-aware variants: scratch comes from `ws`, the result is written
-/// into `out` (capacity reused); warm calls are allocation-free. Outputs are
-/// identical to the classic entry points for the same seed.
-void match_random_edges_ws(const BipartiteGraph& g, std::uint64_t seed, Workspace& ws,
-                           Matching& out);
-void match_random_vertices_ws(const BipartiteGraph& g, std::uint64_t seed, Workspace& ws,
-                              Matching& out);
 void match_min_degree_ws(const BipartiteGraph& g, Workspace& ws, Matching& out);
 
 } // namespace bmh

@@ -107,21 +107,13 @@ private:
   std::vector<vid_t>& col_stack_;
 };
 
-/// In-place completion of `m` (a valid matching of `g`, debug-asserted) to
-/// a maximum matching.
+} // namespace
+
 void hopcroft_karp_augment_ws(const BipartiteGraph& g, Matching& m, Workspace& ws) {
   assert(is_valid_matching(g, m));
   greedy_init(g, m);
   HopcroftKarp solver(g, ws);
   solver.solve(m);
-}
-
-} // namespace
-
-Matching hopcroft_karp(const BipartiteGraph& g, const Matching* initial) {
-  Matching m = initial_matching(g, initial, "hopcroft_karp");
-  hopcroft_karp_augment_ws(g, m, Workspace::for_this_thread());
-  return m;
 }
 
 void hopcroft_karp_ws(const BipartiteGraph& g, Workspace& ws, Matching& out) {

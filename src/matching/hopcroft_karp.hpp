@@ -16,14 +16,13 @@
 
 namespace bmh {
 
-/// Computes a maximum matching, optionally warm-started from `initial`
-/// (which must be a valid matching of `g`; pass nullptr for a cold start —
-/// a greedy phase is used internally either way).
-[[nodiscard]] Matching hopcroft_karp(const BipartiteGraph& g,
-                                     const Matching* initial = nullptr);
-
-/// Workspace-aware cold solve into `out` (capacity reused; warm calls are
-/// allocation-free).
+/// Computes a maximum matching into `out` (capacity reused; warm calls are
+/// allocation-free). A greedy phase runs first.
 void hopcroft_karp_ws(const BipartiteGraph& g, Workspace& ws, Matching& out);
+
+/// Warm start: in-place completion of `m` to a maximum matching (the greedy
+/// phase extends it first). `m` must be a valid matching of `g`
+/// (debug-asserted, not checked in release builds).
+void hopcroft_karp_augment_ws(const BipartiteGraph& g, Matching& m, Workspace& ws);
 
 } // namespace bmh

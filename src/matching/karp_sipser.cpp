@@ -199,12 +199,6 @@ private:
 
 } // namespace
 
-Matching karp_sipser(const BipartiteGraph& g, std::uint64_t seed, KarpSipserStats* stats) {
-  Matching m;
-  karp_sipser_ws(g, seed, stats, Workspace::for_this_thread(), m);
-  return m;
-}
-
 void karp_sipser_ws(const BipartiteGraph& g, std::uint64_t seed, KarpSipserStats* stats,
                     Workspace& ws, Matching& out) {
   KsState state(g, seed, ws);

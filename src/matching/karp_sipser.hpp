@@ -43,13 +43,9 @@ struct KarpSipserStats {
 };
 
 /// Runs Karp–Sipser with the given random seed; `stats`, when non-null,
-/// receives the per-phase counters (accumulated, not reset).
-[[nodiscard]] Matching karp_sipser(const BipartiteGraph& g, std::uint64_t seed,
-                                   KarpSipserStats* stats = nullptr);
-
-/// Workspace-aware variant: all scratch is leased from `ws` and the result
-/// is written into `out` (capacity reused), so a warm call performs no heap
-/// allocation. Identical output to karp_sipser() for the same seed.
+/// receives the per-phase counters (accumulated, not reset). All scratch is
+/// leased from `ws` and the result is written into `out` (capacity reused),
+/// so a warm call performs no heap allocation.
 void karp_sipser_ws(const BipartiteGraph& g, std::uint64_t seed, KarpSipserStats* stats,
                     Workspace& ws, Matching& out);
 

@@ -26,20 +26,6 @@ void greedy_init(const BipartiteGraph& g, Matching& m) {
   }
 }
 
-Matching initial_matching(const BipartiteGraph& g, const Matching* initial,
-                          const char* solver) {
-  if (initial == nullptr) return Matching(g.num_rows(), g.num_cols());
-  if (!is_valid_matching(g, *initial))
-    throw std::invalid_argument(std::string(solver) + ": initial matching invalid");
-  return *initial;
-}
-
-Matching matching_from_col_view(vid_t num_rows, const std::vector<vid_t>& col_match) {
-  Matching m;
-  matching_from_col_view(num_rows, col_match, m);
-  return m;
-}
-
 void matching_from_col_view(vid_t num_rows, const std::vector<vid_t>& col_match,
                             Matching& out) {
   out.row_match.assign(static_cast<std::size_t>(num_rows), kNil);

@@ -68,21 +68,11 @@ struct Matching {
 /// half in practice.
 void greedy_init(const BipartiteGraph& g, Matching& m);
 
-/// Where a warm-started exact solve starts: a copy of `initial`, or the
-/// empty matching when it is null. Throws std::invalid_argument naming
-/// `solver` when `initial` is not a valid matching of `g`.
-[[nodiscard]] Matching initial_matching(const BipartiteGraph& g, const Matching* initial,
-                                        const char* solver);
-
 /// Reconstructs the row view from a column view (used by OneSidedMatch,
-/// whose racy writes leave only `cmatch` authoritative). Throws
+/// whose racy writes leave only `cmatch` authoritative) into `out`, reusing
+/// its capacity. `col_match` must not alias `out.col_match`. Throws
 /// std::out_of_range if an entry is neither kNil nor a row id in
 /// [0, num_rows).
-[[nodiscard]] Matching matching_from_col_view(vid_t num_rows,
-                                              const std::vector<vid_t>& col_match);
-
-/// Allocation-free variant: writes the reconstruction into `out` (reusing
-/// its capacity). `col_match` must not alias `out.col_match`.
 void matching_from_col_view(vid_t num_rows, const std::vector<vid_t>& col_match,
                             Matching& out);
 

@@ -96,21 +96,13 @@ private:
   std::uint32_t stamp_ = 0;
 };
 
-/// In-place augmentation of `m` (a valid matching of `g`, debug-asserted)
-/// to a maximum matching.
+} // namespace
+
 void mc21_augment_ws(const BipartiteGraph& g, Matching& m, Workspace& ws) {
   assert(is_valid_matching(g, m));
   Mc21Solver solver(g, ws);
   for (vid_t i = 0; i < g.num_rows(); ++i)
     if (!m.row_matched(i)) solver.augment_from(i, m);
-}
-
-} // namespace
-
-Matching mc21(const BipartiteGraph& g, const Matching* initial) {
-  Matching m = initial_matching(g, initial, "mc21");
-  mc21_augment_ws(g, m, Workspace::for_this_thread());
-  return m;
 }
 
 void mc21_ws(const BipartiteGraph& g, Workspace& ws, Matching& out) {

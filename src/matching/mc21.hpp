@@ -14,12 +14,13 @@
 
 namespace bmh {
 
-/// Computes a maximum matching by successive augmentation, optionally
-/// warm-started from `initial` (must be valid for `g`).
-[[nodiscard]] Matching mc21(const BipartiteGraph& g, const Matching* initial = nullptr);
-
-/// Workspace-aware cold solve into `out` (capacity reused, no validation;
-/// warm calls are allocation-free).
+/// Computes a maximum matching by successive augmentation into `out`
+/// (capacity reused; warm calls are allocation-free).
 void mc21_ws(const BipartiteGraph& g, Workspace& ws, Matching& out);
+
+/// Warm start: in-place augmentation of `m` to a maximum matching. `m` must
+/// be a valid matching of `g` (debug-asserted, not checked in release
+/// builds).
+void mc21_augment_ws(const BipartiteGraph& g, Matching& m, Workspace& ws);
 
 } // namespace bmh

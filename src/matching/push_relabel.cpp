@@ -38,12 +38,6 @@ private:
 
 } // namespace
 
-Matching push_relabel(const BipartiteGraph& g, const Matching* initial) {
-  Matching m = initial_matching(g, initial, "push_relabel");
-  push_relabel_augment_ws(g, m, Workspace::for_this_thread());
-  return m;
-}
-
 void push_relabel_ws(const BipartiteGraph& g, Workspace& ws, Matching& out) {
   out.reset(g.num_rows(), g.num_cols());
   push_relabel_augment_ws(g, out, ws);
@@ -157,10 +151,6 @@ void push_relabel_augment_ws(const BipartiteGraph& g, Matching& m, Workspace& ws
 
     if (old_row != kNil) active.push(old_row);
   }
-}
-
-vid_t sprank(const BipartiteGraph& g) {
-  return sprank_ws(g, Workspace::for_this_thread());
 }
 
 vid_t sprank_ws(const BipartiteGraph& g, Workspace& ws) {

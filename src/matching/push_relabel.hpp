@@ -35,25 +35,19 @@
 
 namespace bmh {
 
-/// Computes a maximum matching with the push-relabel method, optionally
-/// warm-started from `initial` (must be a valid matching of `g`).
-[[nodiscard]] Matching push_relabel(const BipartiteGraph& g,
-                                    const Matching* initial = nullptr);
-
-/// Workspace-aware cold solve into `out` (capacity reused; warm calls are
-/// allocation-free).
+/// Computes a maximum matching with the push-relabel method into `out`
+/// (capacity reused; warm calls are allocation-free).
 void push_relabel_ws(const BipartiteGraph& g, Workspace& ws, Matching& out);
 
-/// In-place completion of `m` to a maximum matching. `m` must be a valid
-/// matching of `g` (debug-asserted, not checked in release builds).
+/// Warm start: in-place completion of `m` to a maximum matching. `m` must
+/// be a valid matching of `g` (debug-asserted, not checked in release
+/// builds).
 void push_relabel_augment_ws(const BipartiteGraph& g, Matching& m, Workspace& ws);
 
 /// Maximum matching cardinality (the structural rank of the matrix): the
 /// denominator of every reported quality |M| / sprank(A) (paper Tables
-/// 1–3). Any maximum matching has the same cardinality.
-[[nodiscard]] vid_t sprank(const BipartiteGraph& g);
-
-/// Workspace-aware sprank; the solved matching itself is kept inside `ws`.
+/// 1–3). Any maximum matching has the same cardinality. The solved
+/// matching itself is kept inside `ws`.
 [[nodiscard]] vid_t sprank_ws(const BipartiteGraph& g, Workspace& ws);
 
 } // namespace bmh

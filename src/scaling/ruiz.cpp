@@ -5,12 +5,6 @@
 
 namespace bmh {
 
-ScalingResult scale_ruiz(const BipartiteGraph& g, const ScalingOptions& opts) {
-  ScalingResult r;
-  scale_ruiz_ws(g, opts, Workspace::for_this_thread(), r);
-  return r;
-}
-
 void scale_ruiz_ws(const BipartiteGraph& g, const ScalingOptions& opts, Workspace& ws,
                    ScalingResult& out) {
   out.dr.assign(static_cast<std::size_t>(g.num_rows()), 1.0);

@@ -13,12 +13,9 @@
 
 namespace bmh {
 
-[[nodiscard]] ScalingResult scale_ruiz(const BipartiteGraph& g,
-                                       const ScalingOptions& opts = {});
-
-/// Workspace-aware variant: sweep scratch is leased from `ws` and the
-/// multipliers land in `out` (capacity reused); warm calls allocate nothing.
-/// Edgeless matrices converge immediately (error 0, zero iterations).
+/// Sweep scratch is leased from `ws` and the multipliers land in `out`
+/// (capacity reused); warm calls allocate nothing. Edgeless matrices
+/// converge immediately (error 0, zero iterations).
 void scale_ruiz_ws(const BipartiteGraph& g, const ScalingOptions& opts, Workspace& ws,
                    ScalingResult& out);
 

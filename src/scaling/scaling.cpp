@@ -5,12 +5,6 @@
 
 namespace bmh {
 
-ScalingResult identity_scaling(const BipartiteGraph& g) {
-  ScalingResult r;
-  identity_scaling_ws(g, Workspace::for_this_thread(), r);
-  return r;
-}
-
 void identity_scaling_ws(const BipartiteGraph& g, Workspace& ws, ScalingResult& out,
                          bool compute_error) {
   out.dr.assign(static_cast<std::size_t>(g.num_rows()), 1.0);
@@ -18,12 +12,6 @@ void identity_scaling_ws(const BipartiteGraph& g, Workspace& ws, ScalingResult& 
   out.iterations = 0;
   out.error = compute_error ? scaling_error_ws(g, out, ws) : 0.0;
   out.converged = false;
-}
-
-std::vector<double> scaled_row_sums(const BipartiteGraph& g, const ScalingResult& s) {
-  std::vector<double> sums;
-  scaled_row_sums(g, s, sums);
-  return sums;
 }
 
 void scaled_row_sums(const BipartiteGraph& g, const ScalingResult& s,
@@ -37,12 +25,6 @@ void scaled_row_sums(const BipartiteGraph& g, const ScalingResult& s,
   }
 }
 
-std::vector<double> scaled_col_sums(const BipartiteGraph& g, const ScalingResult& s) {
-  std::vector<double> sums;
-  scaled_col_sums(g, s, sums);
-  return sums;
-}
-
 void scaled_col_sums(const BipartiteGraph& g, const ScalingResult& s,
                      std::vector<double>& out) {
   out.resize(static_cast<std::size_t>(g.num_cols()));  // every entry is written
@@ -52,10 +34,6 @@ void scaled_col_sums(const BipartiteGraph& g, const ScalingResult& s,
     for (const vid_t i : g.col_neighbors(j)) acc += s.dr[static_cast<std::size_t>(i)];
     out[static_cast<std::size_t>(j)] = acc * s.dc[static_cast<std::size_t>(j)];
   }
-}
-
-double scaling_error(const BipartiteGraph& g, const ScalingResult& s) {
-  return scaling_error_ws(g, s, Workspace::for_this_thread());
 }
 
 double scaling_error_ws(const BipartiteGraph& g, const ScalingResult& s, Workspace& ws) {

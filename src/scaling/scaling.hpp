@@ -43,35 +43,27 @@ struct ScalingResult {
   }
 };
 
-/// Identity scaling (dr = dc = 1): the "0 iterations" rows of the paper's
-/// tables, i.e. sampling neighbours from the uniform distribution.
-[[nodiscard]] ScalingResult identity_scaling(const BipartiteGraph& g);
+/// Identity scaling (dr = dc = 1) into `out`: the "0 iterations" rows of
+/// the paper's tables, i.e. sampling neighbours from the uniform
+/// distribution. `compute_error = false` skips the O(nnz) error sweep for
+/// callers that only need the multipliers (the error field is then 0, not
+/// meaningful).
+void identity_scaling_ws(const BipartiteGraph& g, Workspace& ws, ScalingResult& out,
+                         bool compute_error = true);
 
 /// The paper's scaling error: max over non-empty rows and columns of
 /// |sum(S row/col) - 1|. (After an SK iteration the row sums are exactly 1,
-/// so this reduces to the column-sum error the paper reports.)
-[[nodiscard]] double scaling_error(const BipartiteGraph& g, const ScalingResult& s);
-
-/// Row sums of S = D_R A D_C (length num_rows).
-[[nodiscard]] std::vector<double> scaled_row_sums(const BipartiteGraph& g,
-                                                  const ScalingResult& s);
-
-/// Column sums of S (length num_cols).
-[[nodiscard]] std::vector<double> scaled_col_sums(const BipartiteGraph& g,
-                                                  const ScalingResult& s);
-
-/// Allocation-free variants for the batch-serving hot paths: sums land in
-/// `out` (capacity reused), identity_scaling writes into `out`, and
-/// scaling_error leases its two sum vectors from `ws`.
-void scaled_row_sums(const BipartiteGraph& g, const ScalingResult& s,
-                     std::vector<double>& out);
-void scaled_col_sums(const BipartiteGraph& g, const ScalingResult& s,
-                     std::vector<double>& out);
-/// `compute_error = false` skips the O(nnz) error sweep for callers that
-/// only need the multipliers (the error field is then 0, not meaningful).
-void identity_scaling_ws(const BipartiteGraph& g, Workspace& ws, ScalingResult& out,
-                         bool compute_error = true);
+/// so this reduces to the column-sum error the paper reports.) The two sum
+/// vectors are leased from `ws`.
 [[nodiscard]] double scaling_error_ws(const BipartiteGraph& g, const ScalingResult& s,
                                       Workspace& ws);
+
+/// Row sums of S = D_R A D_C into `out` (length num_rows, capacity reused).
+void scaled_row_sums(const BipartiteGraph& g, const ScalingResult& s,
+                     std::vector<double>& out);
+
+/// Column sums of S into `out` (length num_cols, capacity reused).
+void scaled_col_sums(const BipartiteGraph& g, const ScalingResult& s,
+                     std::vector<double>& out);
 
 } // namespace bmh

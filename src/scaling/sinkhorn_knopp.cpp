@@ -7,12 +7,6 @@
 
 namespace bmh {
 
-ScalingResult scale_sinkhorn_knopp(const BipartiteGraph& g, const ScalingOptions& opts) {
-  ScalingResult r;
-  scale_sinkhorn_knopp_ws(g, opts, Workspace::for_this_thread(), r);
-  return r;
-}
-
 void scale_sinkhorn_knopp_ws(const BipartiteGraph& g, const ScalingOptions& opts,
                              Workspace& ws, ScalingResult& out) {
   out.dr.assign(static_cast<std::size_t>(g.num_rows()), 1.0);

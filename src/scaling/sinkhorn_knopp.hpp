@@ -23,12 +23,10 @@ namespace bmh {
 ///
 /// Empty rows/columns keep multiplier 1 and are excluded from the error.
 /// Edgeless matrices converge immediately (error 0, zero iterations).
-[[nodiscard]] ScalingResult scale_sinkhorn_knopp(const BipartiteGraph& g,
-                                                 const ScalingOptions& opts = {});
-
-/// Workspace-aware variant: the multipliers are written into `out` (whose
-/// vectors' capacity is reused) and the spare dc buffer is leased from `ws`
-/// (tag "sk.next_dc"), so a warm call performs no heap allocation.
+///
+/// The multipliers are written into `out` (whose vectors' capacity is
+/// reused) and the spare dc buffer is leased from `ws` (tag "sk.next_dc"),
+/// so a warm call performs no heap allocation.
 void scale_sinkhorn_knopp_ws(const BipartiteGraph& g, const ScalingOptions& opts,
                              Workspace& ws, ScalingResult& out);
 

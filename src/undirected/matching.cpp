@@ -111,31 +111,20 @@ void scale_symmetric_ws(const UndirectedGraph& g, int iterations, Workspace& ws,
   out.error = err;
 }
 
-SymmetricScaling scale_symmetric(const UndirectedGraph& g, int iterations) {
-  SymmetricScaling s;
-  scale_symmetric_ws(g, iterations, Workspace::for_this_thread(), s);
-  return s;
-}
-
 std::vector<vid_t>& sample_choices_ws(const UndirectedGraph& g,
                                       std::span<const double> d, std::uint64_t seed,
                                       Workspace& ws) {
   if (d.size() != static_cast<std::size_t>(g.num_vertices()))
-    throw std::invalid_argument("sample_choices: multiplier size mismatch");
+    throw std::invalid_argument("sample_choices_ws: multiplier size mismatch");
   auto& choice = ws.buf<vid_t>("und.choice");
   sample_csr_choices(g.ptr(), g.adj(), d, seed, /*salt=*/0, choice);
   return choice;
 }
 
-std::vector<vid_t> sample_choices(const UndirectedGraph& g, std::span<const double> d,
-                                  std::uint64_t seed) {
-  return sample_choices_ws(g, d, seed, Workspace::for_this_thread());
-}
-
 void one_out_karp_sipser_ws(vid_t n, std::span<const vid_t> choice, Workspace& ws,
                             UndirectedMatching& out) {
   if (choice.size() != static_cast<std::size_t>(n))
-    throw std::invalid_argument("one_out_karp_sipser: choice size mismatch");
+    throw std::invalid_argument("one_out_karp_sipser_ws: choice size mismatch");
   const std::vector<vid_t>& match = out_one_chains_ws(choice, /*m=*/kNil, ws);
 
   // Phase 2: survivors form disjoint simple cycles (possibly odd). Walk
@@ -176,12 +165,6 @@ void one_out_karp_sipser_ws(vid_t n, std::span<const vid_t> choice, Workspace& w
   }
 }
 
-UndirectedMatching one_out_karp_sipser(vid_t n, std::span<const vid_t> choice) {
-  UndirectedMatching result;
-  one_out_karp_sipser_ws(n, choice, Workspace::for_this_thread(), result);
-  return result;
-}
-
 const SymmetricScaling& undirected_one_out_match_ws(const UndirectedGraph& g,
                                                     int scaling_iterations,
                                                     std::uint64_t seed, Workspace& ws,
@@ -197,14 +180,6 @@ const SymmetricScaling& undirected_one_out_match_ws(const UndirectedGraph& g,
   const std::vector<vid_t>& choice = sample_choices_ws(g, s.d, seed, ws);
   one_out_karp_sipser_ws(g.num_vertices(), choice, ws, out);
   return s;
-}
-
-UndirectedMatching undirected_one_out_match(const UndirectedGraph& g,
-                                            int scaling_iterations, std::uint64_t seed) {
-  UndirectedMatching m;
-  undirected_one_out_match_ws(g, scaling_iterations, seed,
-                              Workspace::for_this_thread(), m);
-  return m;
 }
 
 void undirected_greedy_ws(const UndirectedGraph& g, std::uint64_t seed, Workspace& ws,
@@ -232,12 +207,6 @@ void undirected_greedy_ws(const UndirectedGraph& g, std::uint64_t seed, Workspac
       out.mate[static_cast<std::size_t>(picked)] = u;
     }
   }
-}
-
-UndirectedMatching undirected_greedy(const UndirectedGraph& g, std::uint64_t seed) {
-  UndirectedMatching m;
-  undirected_greedy_ws(g, seed, Workspace::for_this_thread(), m);
-  return m;
 }
 
 void undirected_two_thirds_ws(const UndirectedGraph& g, std::uint64_t seed,
@@ -276,12 +245,6 @@ void undirected_two_thirds_ws(const UndirectedGraph& g, std::uint64_t seed,
       improved = true;
     }
   }
-}
-
-UndirectedMatching undirected_two_thirds(const UndirectedGraph& g, std::uint64_t seed) {
-  UndirectedMatching m;
-  undirected_two_thirds_ws(g, seed, Workspace::for_this_thread(), m);
-  return m;
 }
 
 } // namespace bmh

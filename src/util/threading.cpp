@@ -2,6 +2,7 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace bmh {
@@ -20,5 +21,9 @@ ThreadCountGuard::ThreadCountGuard(int n) : previous_(omp_get_max_threads()) {
 }
 
 ThreadCountGuard::~ThreadCountGuard() { omp_set_num_threads(previous_); }
+
+JobThreadGuard::JobThreadGuard(int threads) {
+  if (threads > 0) guard_.emplace(std::min(threads, num_procs()));
+}
 
 } // namespace bmh

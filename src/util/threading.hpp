@@ -6,6 +6,8 @@
 /// these helpers let tests and benches sweep thread counts deterministically
 /// without touching environment variables mid-process.
 
+#include <optional>
+
 namespace bmh {
 
 /// Sets the number of OpenMP threads used by subsequent parallel regions.
@@ -27,6 +29,20 @@ public:
 
 private:
   int previous_;
+};
+
+/// A job's thread budget for the guard's lifetime: `threads` > 0 sets the
+/// team to min(threads, num_procs()), `threads` <= 0 keeps the ambient
+/// count. Capped, never rejected, so a spec's `threads=` is valid on every
+/// host; past the processor count a team only oversubscribes, and a huge
+/// one would ask the runtime for that many OS threads. ThreadCountGuard
+/// stays uncapped for deliberate oversubscription (tests, Fig. 4).
+class JobThreadGuard {
+public:
+  explicit JobThreadGuard(int threads);
+
+private:
+  std::optional<ThreadCountGuard> guard_;
 };
 
 } // namespace bmh

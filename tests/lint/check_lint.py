@@ -28,6 +28,7 @@ FIXTURES = [
     "fixtures/bad_metric_name.cpp",
     "fixtures/bad_omp_alloc.cpp",
     "fixtures/bad_ws_alloc.cpp",
+    "fixtures/bad_ws_twin.cpp",
     "fixtures/clean.cpp",
 ]
 

@@ -19,10 +19,12 @@
 namespace bmh {
 namespace {
 
+using testing::run_ws;
+
 TEST(Choice, EveryNonEmptyRowPicksANeighbor) {
   const BipartiteGraph g = make_erdos_renyi(500, 500, 2000, 3);
-  const ScalingResult s = identity_scaling(g);
-  const std::vector<vid_t> choice = sample_row_choices(g, s.dc, 7);
+  const ScalingResult s = run_ws(identity_scaling_ws, g, true);
+  const std::vector<vid_t> choice = run_ws(sample_row_choices, g, s.dc, 7);
   for (vid_t i = 0; i < g.num_rows(); ++i) {
     if (g.row_degree(i) == 0) {
       EXPECT_EQ(choice[static_cast<std::size_t>(i)], kNil);
@@ -34,8 +36,8 @@ TEST(Choice, EveryNonEmptyRowPicksANeighbor) {
 
 TEST(Choice, ColumnSideSymmetric) {
   const BipartiteGraph g = make_erdos_renyi(300, 400, 1500, 5);
-  const ScalingResult s = identity_scaling(g);
-  const std::vector<vid_t> choice = sample_col_choices(g, s.dr, 9);
+  const ScalingResult s = run_ws(identity_scaling_ws, g, true);
+  const std::vector<vid_t> choice = run_ws(sample_col_choices, g, s.dr, 9);
   for (vid_t j = 0; j < g.num_cols(); ++j) {
     if (g.col_degree(j) == 0) {
       EXPECT_EQ(choice[static_cast<std::size_t>(j)], kNil);
@@ -47,9 +49,11 @@ TEST(Choice, ColumnSideSymmetric) {
 
 TEST(Choice, DeterministicInSeed) {
   const BipartiteGraph g = make_erdos_renyi(400, 400, 1600, 1);
-  const ScalingResult s = scale_sinkhorn_knopp(g);
-  EXPECT_EQ(sample_row_choices(g, s.dc, 42), sample_row_choices(g, s.dc, 42));
-  EXPECT_NE(sample_row_choices(g, s.dc, 42), sample_row_choices(g, s.dc, 43));
+  const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{});
+  EXPECT_EQ(run_ws(sample_row_choices, g, s.dc, 42),
+            run_ws(sample_row_choices, g, s.dc, 42));
+  EXPECT_NE(run_ws(sample_row_choices, g, s.dc, 42),
+            run_ws(sample_row_choices, g, s.dc, 43));
 }
 
 TEST(Choice, RowAndColumnStreamsAreIndependent) {
@@ -57,9 +61,9 @@ TEST(Choice, RowAndColumnStreamsAreIndependent) {
   // correlated (different salts). On a symmetric structure correlated
   // streams would produce suspiciously many reciprocal picks.
   const BipartiteGraph g = make_full(200);
-  const ScalingResult s = identity_scaling(g);
-  const std::vector<vid_t> rc = sample_row_choices(g, s.dc, 11);
-  const std::vector<vid_t> cc = sample_col_choices(g, s.dr, 11);
+  const ScalingResult s = run_ws(identity_scaling_ws, g, true);
+  const std::vector<vid_t> rc = run_ws(sample_row_choices, g, s.dc, 11);
+  const std::vector<vid_t> cc = run_ws(sample_col_choices, g, s.dr, 11);
   int reciprocal = 0;
   for (vid_t i = 0; i < 200; ++i)
     if (cc[static_cast<std::size_t>(rc[static_cast<std::size_t>(i)])] == i) ++reciprocal;
@@ -74,7 +78,7 @@ TEST(Choice, FollowsScaledDistribution) {
   int picked_heavy = 0;
   constexpr int kTrials = 2000;
   for (int t = 0; t < kTrials; ++t) {
-    const auto choice = sample_row_choices(g, dc, static_cast<std::uint64_t>(t));
+    const auto choice = run_ws(sample_row_choices, g, dc, static_cast<std::uint64_t>(t));
     if (choice[0] == 1) ++picked_heavy;
   }
   const double freq = static_cast<double>(picked_heavy) / kTrials;
@@ -86,8 +90,10 @@ TEST(Choice, UniformWhenUnscaled) {
   const std::vector<double> dc(4, 1.0);
   std::vector<int> hist(4, 0);
   constexpr int kTrials = 4000;
-  for (int t = 0; t < kTrials; ++t)
-    ++hist[static_cast<std::size_t>(sample_row_choices(g, dc, static_cast<std::uint64_t>(t))[0])];
+  for (int t = 0; t < kTrials; ++t) {
+    const auto choice = run_ws(sample_row_choices, g, dc, static_cast<std::uint64_t>(t));
+    ++hist[static_cast<std::size_t>(choice[0])];
+  }
   for (const int h : hist) EXPECT_NEAR(h, kTrials / 4, 5 * std::sqrt(kTrials / 4.0));
 }
 
@@ -95,7 +101,7 @@ TEST(Choice, ZeroWeightNeighborsAlmostNeverPicked) {
   const BipartiteGraph g = graph_from_rows(1, 3, {{0, 1, 2}});
   const std::vector<double> dc = {0.0, 1.0, 0.0};
   for (int t = 0; t < 50; ++t) {
-    const auto choice = sample_row_choices(g, dc, static_cast<std::uint64_t>(t));
+    const auto choice = run_ws(sample_row_choices, g, dc, static_cast<std::uint64_t>(t));
     EXPECT_EQ(choice[0], 1);
   }
 }
@@ -103,7 +109,7 @@ TEST(Choice, ZeroWeightNeighborsAlmostNeverPicked) {
 TEST(Choice, AllZeroWeightsFallBackToUniform) {
   const BipartiteGraph g = graph_from_rows(1, 3, {{0, 1, 2}});
   const std::vector<double> dc = {0.0, 0.0, 0.0};
-  const auto choice = sample_row_choices(g, dc, 3);
+  const auto choice = run_ws(sample_row_choices, g, dc, 3);
   EXPECT_NE(choice[0], kNil);
   EXPECT_TRUE(g.has_edge(0, choice[0]));
 }
@@ -111,16 +117,17 @@ TEST(Choice, AllZeroWeightsFallBackToUniform) {
 TEST(Choice, SizeMismatchThrows) {
   const BipartiteGraph g = graph_from_rows(2, 2, {{0}, {1}});
   const std::vector<double> wrong(3, 1.0);
-  EXPECT_THROW((void)sample_row_choices(g, wrong, 1), std::invalid_argument);
-  EXPECT_THROW((void)sample_col_choices(g, wrong, 1), std::invalid_argument);
+  EXPECT_THROW((void)run_ws(sample_row_choices, g, wrong, 1), std::invalid_argument);
+  EXPECT_THROW((void)run_ws(sample_col_choices, g, wrong, 1), std::invalid_argument);
 }
 
 /// Multipliers for a pinned case: `iterations` Sinkhorn–Knopp sweeps, the
 /// identity at 0, and at -1 the identity zeroed on every other vertex, so
 /// the vertices whose neighbours all weigh zero take the uniform fallback.
 ScalingResult pinned_scaling(const BipartiteGraph& g, int iterations) {
-  if (iterations > 0) return scale_sinkhorn_knopp(g, {iterations, 0.0});
-  ScalingResult s = identity_scaling(g);
+  if (iterations > 0)
+    return run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{iterations, 0.0});
+  ScalingResult s = run_ws(identity_scaling_ws, g, true);
   if (iterations < 0) {
     for (std::size_t i = 0; i < s.dr.size(); i += 2) s.dr[i] = 0.0;
     for (std::size_t j = 0; j < s.dc.size(); j += 2) s.dc[j] = 0.0;
@@ -130,7 +137,7 @@ ScalingResult pinned_scaling(const BipartiteGraph& g, int iterations) {
 
 /// The undirected counterpart of pinned_scaling on `g`'s bipartite union.
 std::vector<double> pinned_symmetric_scaling(const UndirectedGraph& g, int iterations) {
-  std::vector<double> d = scale_symmetric(g, iterations > 0 ? iterations : 0).d;
+  std::vector<double> d = run_ws(scale_symmetric_ws, g, iterations > 0 ? iterations : 0).d;
   if (iterations < 0)
     for (std::size_t u = 0; u < d.size(); u += 2) d[u] = 0.0;
   return d;
@@ -196,37 +203,37 @@ TEST(Choice, PicksPinnedAcrossVersions) {
     const std::string where = "edges " + std::to_string(g.num_edges()) + ", iters " +
                               std::to_string(pin.iterations);
     EXPECT_EQ(picks_fingerprint([&](std::uint64_t seed) {
-                return sample_row_choices(g, s.dc, seed);
+                return run_ws(sample_row_choices, g, s.dc, seed);
               }),
               pin.row)
         << where << ", row";
     EXPECT_EQ(picks_fingerprint([&](std::uint64_t seed) {
-                return sample_col_choices(g, s.dr, seed);
+                return run_ws(sample_col_choices, g, s.dr, seed);
               }),
               pin.col)
         << where << ", col";
     EXPECT_EQ(picks_fingerprint([&](std::uint64_t seed) {
-                return sample_row_choices_k(g, s.dc, 2, seed);
+                return run_ws(sample_row_choices_k, g, s.dc, 2, seed);
               }),
               pin.row_k2)
         << where << ", row k2";
     EXPECT_EQ(picks_fingerprint([&](std::uint64_t seed) {
-                return sample_row_choices_k(g, s.dc, 3, seed);
+                return run_ws(sample_row_choices_k, g, s.dc, 3, seed);
               }),
               pin.row_k3)
         << where << ", row k3";
     EXPECT_EQ(picks_fingerprint([&](std::uint64_t seed) {
-                return sample_col_choices_k(g, s.dr, 2, seed);
+                return run_ws(sample_col_choices_k, g, s.dr, 2, seed);
               }),
               pin.col_k2)
         << where << ", col k2";
     EXPECT_EQ(picks_fingerprint([&](std::uint64_t seed) {
-                return sample_col_choices_k(g, s.dr, 3, seed);
+                return run_ws(sample_col_choices_k, g, s.dr, 3, seed);
               }),
               pin.col_k3)
         << where << ", col k3";
     EXPECT_EQ(picks_fingerprint([&](std::uint64_t seed) {
-                return sample_choices(u, d, seed);
+                return run_ws(sample_choices_ws, u, d, seed);
               }),
               pin.undirected)
         << where << ", undirected";

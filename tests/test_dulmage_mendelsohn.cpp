@@ -18,9 +18,11 @@
 namespace bmh {
 namespace {
 
+using testing::run_ws;
+
 /// The decomposition from the tests' reference solver.
 DmDecomposition dm_of(const BipartiteGraph& g) {
-  return dulmage_mendelsohn(g, hopcroft_karp(g));
+  return dulmage_mendelsohn(g, run_ws(hopcroft_karp_ws, g));
 }
 
 TEST(Dm, PerfectMatchingGraphIsAllSquare) {
@@ -55,7 +57,7 @@ TEST(Dm, SprankDecomposesAcrossParts) {
 
 TEST(Dm, HorizontalRowsAllMatchedIntoHorizontalColumns) {
   const BipartiteGraph g = make_erdos_renyi(250, 250, 500, 7);
-  const Matching m = hopcroft_karp(g);
+  const Matching m = run_ws(hopcroft_karp_ws, g);
   const DmDecomposition dm = dulmage_mendelsohn(g, m);
   for (vid_t i = 0; i < g.num_rows(); ++i) {
     if (dm.row_part[static_cast<std::size_t>(i)] != DmPart::Horizontal) continue;
@@ -67,7 +69,7 @@ TEST(Dm, HorizontalRowsAllMatchedIntoHorizontalColumns) {
 
 TEST(Dm, VerticalColumnsAllMatchedIntoVerticalRows) {
   const BipartiteGraph g = make_erdos_renyi(250, 250, 500, 8);
-  const Matching m = hopcroft_karp(g);
+  const Matching m = run_ws(hopcroft_karp_ws, g);
   const DmDecomposition dm = dulmage_mendelsohn(g, m);
   for (vid_t j = 0; j < g.num_cols(); ++j) {
     if (dm.col_part[static_cast<std::size_t>(j)] != DmPart::Vertical) continue;
@@ -79,7 +81,7 @@ TEST(Dm, VerticalColumnsAllMatchedIntoVerticalRows) {
 
 TEST(Dm, UnmatchedVerticesLandInTheRightParts) {
   const BipartiteGraph g = make_erdos_renyi(300, 300, 600, 9);
-  const Matching m = hopcroft_karp(g);
+  const Matching m = run_ws(hopcroft_karp_ws, g);
   const DmDecomposition dm = dulmage_mendelsohn(g, m);
   for (vid_t i = 0; i < g.num_rows(); ++i) {
     if (!m.row_matched(i)) {
@@ -270,10 +272,11 @@ TEST(Dm, ResultsDoNotDependOnTheMaximumMatching) {
   inputs.emplace_back("edgeless", graph_from_rows(3, 3, {{}, {}, {}}));
 
   const std::vector<std::pair<const char*, std::function<Matching(const BipartiteGraph&)>>>
-      solvers = {{"mc21", [](const BipartiteGraph& g) { return mc21(g); }},
-                 {"push_relabel", [](const BipartiteGraph& g) { return push_relabel(g); }}};
+      solvers = {{"mc21", [](const BipartiteGraph& g) { return run_ws(mc21_ws, g); }},
+                 {"push_relabel",
+                  [](const BipartiteGraph& g) { return run_ws(push_relabel_ws, g); }}};
   for (const auto& [name, g] : inputs) {
-    const Summary reference = summarize(g, hopcroft_karp(g));
+    const Summary reference = summarize(g, run_ws(hopcroft_karp_ws, g));
     EXPECT_EQ(reference.cover, reference.sprank) << name;
     for (const auto& [solver, solve] : solvers)
       EXPECT_TRUE(summarize(g, solve(g)) == reference) << name << " " << solver;

@@ -13,6 +13,8 @@
 namespace bmh {
 namespace {
 
+using testing::run_ws;
+
 using ::bmh::testing::brute_force_max_matching;
 using ::bmh::testing::expect_valid;
 using ::bmh::testing::run_on_fresh_engine;
@@ -91,7 +93,7 @@ TEST(Registry, EveryAlgorithmValidOnZoo) {
   Workspace ws;
   Matching m;
   for (const BipartiteGraph& g : small_graph_zoo()) {
-    const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
+    const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{5, 0.0});
     const vid_t optimum = brute_force_max_matching(g);
     for (const std::string& name : registered_algorithm_names()) {
       AlgorithmOptions options;
@@ -114,8 +116,8 @@ TEST(Registry, EveryAlgorithmValidOnSuiteGraphs) {
   Matching m;
   for (const auto& instance : make_suite(0.02, /*seed=*/3)) {
     const BipartiteGraph& g = instance.graph;
-    const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
-    const vid_t optimum = sprank(g);
+    const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{5, 0.0});
+    const vid_t optimum = run_ws(sprank_ws, g);
     for (const std::string& name : registered_algorithm_names()) {
       AlgorithmOptions options;
       options.seed = 11;
@@ -144,7 +146,7 @@ TEST(Pipeline, ScalingMethodRoundTrip) {
 TEST(Pipeline, UnknownAlgorithmThrowsBeforeWork) {
   PipelineConfig config;
   config.algorithm = "bogus";
-  EXPECT_THROW((void)run_pipeline(make_full(4), config), std::invalid_argument);
+  EXPECT_THROW((void)run_ws(run_pipeline_ws, make_full(4), config), std::invalid_argument);
 }
 
 TEST(Pipeline, StagesAreTimedAndQualityComputed) {
@@ -152,7 +154,7 @@ TEST(Pipeline, StagesAreTimedAndQualityComputed) {
   PipelineConfig config;
   config.algorithm = "two_sided";
   config.options.seed = 9;
-  const PipelineResult r = run_pipeline(g, config);
+  const PipelineResult r = run_ws(run_pipeline_ws, g, config);
   EXPECT_TRUE(r.valid);
   ASSERT_EQ(r.stages.size(), 3u);
   EXPECT_EQ(r.stages[0].stage, "scale");
@@ -166,12 +168,12 @@ TEST(Pipeline, StagesAreTimedAndQualityComputed) {
 
 TEST(Pipeline, AugmentationReachesTheOptimum) {
   const BipartiteGraph g = make_erdos_renyi(1024, 1024, 4096, 2);
-  const vid_t optimum = sprank(g);
+  const vid_t optimum = run_ws(sprank_ws, g);
   PipelineConfig config;
   config.algorithm = "one_sided";
   config.options.seed = 3;
   config.augment = true;
-  const PipelineResult r = run_pipeline(g, config);
+  const PipelineResult r = run_ws(run_pipeline_ws, g, config);
   EXPECT_TRUE(r.valid);
   EXPECT_TRUE(r.exact);
   EXPECT_EQ(r.cardinality, optimum);
@@ -186,7 +188,7 @@ TEST(Pipeline, AugmentationReachesTheOptimum) {
 TEST(Pipeline, ExactBackendSkipsScaling) {
   PipelineConfig config;
   config.algorithm = "hopcroft_karp";
-  const PipelineResult r = run_pipeline(make_full(64), config);
+  const PipelineResult r = run_ws(run_pipeline_ws, make_full(64), config);
   EXPECT_TRUE(r.exact);
   EXPECT_EQ(r.cardinality, 64);
   EXPECT_EQ(r.scaling_iterations, 0);  // scale stage ran as identity

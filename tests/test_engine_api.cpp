@@ -29,6 +29,8 @@
 namespace bmh {
 namespace {
 
+using testing::run_ws;
+
 namespace fs = std::filesystem;
 
 /// A small fast batch mixing generators, algorithms and pipeline shapes;
@@ -611,7 +613,8 @@ TEST(EngineApi, AnalyzeSprankSharesTheMemoWithMatchJobs) {
   const JobResult probe = run("input=gen:er:n=1024,deg=3,seed=6 kind=analyze algo=sprank");
   ASSERT_TRUE(probe.ok) << probe.error;
   EXPECT_EQ(probe.result.sprank,
-            sprank(build_graph(parse_graph_spec("gen:er:n=1024,deg=3,seed=6"), 0)));
+            run_ws(sprank_ws,
+                   build_graph(parse_graph_spec("gen:er:n=1024,deg=3,seed=6"), 0)));
   EXPECT_EQ(worker_total(engine, "sprank_solves"), 1u);
   const JobResult match = run("input=gen:er:n=1024,deg=3,seed=6 algo=two_sided iters=3");
   ASSERT_TRUE(match.ok) << match.error;
@@ -640,7 +643,8 @@ TEST(EngineApi, AnalyzeDmAndKoenigFillTheSprankMemo) {
   // So whichever comes first, a later quality job hits the memo and the
   // graph is solved at most once.
   const std::string input = "input=gen:er:n=1024,deg=3,seed=6 ";
-  const vid_t expected = sprank(build_graph(parse_graph_spec("gen:er:n=1024,deg=3,seed=6"), 0));
+  const vid_t expected =
+      run_ws(sprank_ws, build_graph(parse_graph_spec("gen:er:n=1024,deg=3,seed=6"), 0));
   for (const std::string first :
        {"kind=analyze algo=dm", "kind=analyze algo=koenig", "kind=analyze algo=sprank",
         "algo=push_relabel", "algo=hopcroft_karp", "algo=mc21",

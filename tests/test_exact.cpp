@@ -14,13 +14,15 @@
 namespace bmh {
 namespace {
 
+using testing::run_ws;
+
 TEST(HopcroftKarp, MatchesBruteForceOnSmallRandomGraphs) {
   for (std::uint64_t seed = 0; seed < 60; ++seed) {
     const vid_t rows = 2 + static_cast<vid_t>(seed % 7);
     const vid_t cols = 2 + static_cast<vid_t>((seed / 7) % 7);
     const BipartiteGraph g =
         make_erdos_renyi(rows, cols, static_cast<eid_t>(rows) * 2, seed);
-    const Matching m = hopcroft_karp(g);
+    const Matching m = run_ws(hopcroft_karp_ws, g);
     testing::expect_valid(g, m, "hk");
     EXPECT_EQ(m.cardinality(), testing::brute_force_max_matching(g))
         << "seed " << seed << " dims " << rows << "x" << cols;
@@ -33,7 +35,7 @@ TEST(Mc21, MatchesBruteForceOnSmallRandomGraphs) {
     const vid_t cols = 2 + static_cast<vid_t>((seed / 6) % 6);
     const BipartiteGraph g =
         make_erdos_renyi(rows, cols, static_cast<eid_t>(rows) * 2, seed + 1000);
-    const Matching m = mc21(g);
+    const Matching m = run_ws(mc21_ws, g);
     testing::expect_valid(g, m, "mc21");
     EXPECT_EQ(m.cardinality(), testing::brute_force_max_matching(g)) << "seed " << seed;
   }
@@ -42,70 +44,69 @@ TEST(Mc21, MatchesBruteForceOnSmallRandomGraphs) {
 TEST(ExactSolvers, AgreeOnMediumRandomGraphs) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     const BipartiteGraph g = make_erdos_renyi(800, 900, 4000, seed);
-    EXPECT_EQ(hopcroft_karp(g).cardinality(), mc21(g).cardinality()) << seed;
+    EXPECT_EQ(run_ws(hopcroft_karp_ws, g).cardinality(),
+              run_ws(mc21_ws, g).cardinality()) << seed;
   }
 }
 
 TEST(ExactSolvers, AgreeOnStructuredInstances) {
   const BipartiteGraph mesh = make_mesh(20, 20);
-  EXPECT_EQ(hopcroft_karp(mesh).cardinality(), mc21(mesh).cardinality());
+  EXPECT_EQ(run_ws(hopcroft_karp_ws, mesh).cardinality(),
+            run_ws(mc21_ws, mesh).cardinality());
   const BipartiteGraph adv = make_ks_adversarial(128, 8);
-  EXPECT_EQ(hopcroft_karp(adv).cardinality(), 128);
-  EXPECT_EQ(mc21(adv).cardinality(), 128);
+  EXPECT_EQ(run_ws(hopcroft_karp_ws, adv).cardinality(), 128);
+  EXPECT_EQ(run_ws(mc21_ws, adv).cardinality(), 128);
 }
 
 TEST(HopcroftKarp, KnownSprankOnDeficientFamilies) {
   // Road-like with drops: sprank is strictly below n but above 0.85n.
   const BipartiteGraph g = make_road_like(3000, 0.0, 0.1, 5);
-  const vid_t rank = sprank(g);
+  const vid_t rank = run_ws(sprank_ws, g);
   EXPECT_LT(rank, 3000);
   EXPECT_GT(rank, 2550);
 }
 
 TEST(HopcroftKarp, WarmStartPreservesOptimality) {
   const BipartiteGraph g = make_erdos_renyi(500, 500, 2500, 13);
-  const vid_t cold = hopcroft_karp(g).cardinality();
-  const Matching warm_init = match_random_vertices(g, 3);
-  const Matching warm = hopcroft_karp(g, &warm_init);
+  const vid_t cold = run_ws(hopcroft_karp_ws, g).cardinality();
+  Matching warm = run_ws(match_random_vertices_ws, g, 3);
+  Workspace ws;
+  hopcroft_karp_augment_ws(g, warm, ws);
   testing::expect_valid(g, warm, "warm hk");
   EXPECT_EQ(warm.cardinality(), cold);
 }
 
 TEST(Mc21, WarmStartPreservesOptimality) {
   const BipartiteGraph g = make_erdos_renyi(500, 500, 2500, 17);
-  const vid_t cold = mc21(g).cardinality();
-  const Matching warm_init = match_min_degree(g);
-  const Matching warm = mc21(g, &warm_init);
+  const vid_t cold = run_ws(mc21_ws, g).cardinality();
+  Matching warm = run_ws(match_min_degree_ws, g);
+  Workspace ws;
+  mc21_augment_ws(g, warm, ws);
+  testing::expect_valid(g, warm, "warm mc21");
   EXPECT_EQ(warm.cardinality(), cold);
-}
-
-TEST(ExactSolvers, RejectInvalidWarmStart) {
-  const BipartiteGraph g = graph_from_rows(2, 2, {{0}, {1}});
-  Matching bad(2, 2);
-  bad.match(0, 1);  // not an edge
-  EXPECT_THROW((void)hopcroft_karp(g, &bad), std::invalid_argument);
-  EXPECT_THROW((void)mc21(g, &bad), std::invalid_argument);
 }
 
 TEST(ExactSolvers, PerfectOnPlantedFamilies) {
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     const BipartiteGraph g = make_planted_perfect(1500, 2, seed);
-    EXPECT_EQ(sprank(g), 1500);
+    EXPECT_EQ(run_ws(sprank_ws, g), 1500);
   }
 }
 
 TEST(ExactSolvers, RectangularWideAndTall) {
   const BipartiteGraph wide = make_erdos_renyi(100, 300, 900, 3);
-  EXPECT_EQ(hopcroft_karp(wide).cardinality(), mc21(wide).cardinality());
+  EXPECT_EQ(run_ws(hopcroft_karp_ws, wide).cardinality(),
+            run_ws(mc21_ws, wide).cardinality());
   const BipartiteGraph tall = make_erdos_renyi(300, 100, 900, 4);
-  EXPECT_EQ(hopcroft_karp(tall).cardinality(), mc21(tall).cardinality());
+  EXPECT_EQ(run_ws(hopcroft_karp_ws, tall).cardinality(),
+            run_ws(mc21_ws, tall).cardinality());
 }
 
 TEST(ExactSolvers, ZooAgreesWithBruteForce) {
   for (const auto& g : testing::small_graph_zoo()) {
     const vid_t expected = testing::brute_force_max_matching(g);
-    EXPECT_EQ(hopcroft_karp(g).cardinality(), expected);
-    EXPECT_EQ(mc21(g).cardinality(), expected);
+    EXPECT_EQ(run_ws(hopcroft_karp_ws, g).cardinality(), expected);
+    EXPECT_EQ(run_ws(mc21_ws, g).cardinality(), expected);
   }
 }
 
@@ -119,7 +120,7 @@ TEST(HopcroftKarp, DeepPathRequiresLongAugmentations) {
     if (i + 1 < n) rows[static_cast<std::size_t>(i)].push_back(i + 1);
   }
   const BipartiteGraph g = graph_from_rows(n, n, rows);
-  EXPECT_EQ(sprank(g), n);  // also exercises the iterative (non-recursive) DFS
+  EXPECT_EQ(run_ws(sprank_ws, g), n);  // also exercises the iterative (non-recursive) DFS
 }
 
 } // namespace

@@ -13,9 +13,12 @@
 #include "graph/stats.hpp"
 #include "matching/push_relabel.hpp"
 #include "util/hash.hpp"
+#include "test_helpers.hpp"
 
 namespace bmh {
 namespace {
+
+using testing::run_ws;
 
 TEST(ErdosRenyi, RespectsDimensionsAndDeterminism) {
   const BipartiteGraph a = make_erdos_renyi(100, 120, 500, 9);
@@ -105,7 +108,7 @@ TEST_P(KsAdversarialTest, HasDocumentedBlockStructure) {
 TEST_P(KsAdversarialTest, HasPerfectMatching) {
   const auto [n, k] = GetParam();
   const BipartiteGraph g = make_ks_adversarial(n, k);
-  EXPECT_EQ(sprank(g), n);
+  EXPECT_EQ(run_ws(sprank_ws, g), n);
 }
 
 INSTANTIATE_TEST_SUITE_P(Family, KsAdversarialTest,
@@ -122,7 +125,7 @@ TEST(KsAdversarial, RejectsOddN) {
 TEST(PlantedPerfect, AlwaysFullSprank) {
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const BipartiteGraph g = make_planted_perfect(200, 3, seed);
-    EXPECT_EQ(sprank(g), 200);
+    EXPECT_EQ(run_ws(sprank_ws, g), 200);
   }
 }
 
@@ -143,17 +146,17 @@ TEST(Mesh, FivePointStencilDegrees) {
   const BipartiteGraph g = make_mesh(10, 10);
   EXPECT_EQ(g.num_rows(), 100);
   // Interior vertices have degree 5; corners 3; edges 4.
-  EXPECT_EQ(g.row_degree(0), 3);        // corner (0,0)
-  EXPECT_EQ(g.row_degree(5), 4);        // boundary
-  EXPECT_EQ(g.row_degree(55), 5);       // interior
-  EXPECT_EQ(sprank(g), 100);            // diagonal makes it full sprank
+  EXPECT_EQ(g.row_degree(0), 3);         // corner (0,0)
+  EXPECT_EQ(g.row_degree(5), 4);         // boundary
+  EXPECT_EQ(g.row_degree(55), 5);        // interior
+  EXPECT_EQ(run_ws(sprank_ws, g), 100);  // diagonal makes it full sprank
 }
 
 TEST(RoadLike, DropFractionCreatesSprankDeficiency) {
   const BipartiteGraph full = make_road_like(5000, 0.2, 0.0, 3);
-  EXPECT_EQ(sprank(full), 5000);  // diagonal + superdiagonal intact
+  EXPECT_EQ(run_ws(sprank_ws, full), 5000);  // diagonal + superdiagonal intact
   const BipartiteGraph deficient = make_road_like(5000, 0.0, 0.10, 3);
-  const double ratio = static_cast<double>(sprank(deficient)) / 5000.0;
+  const double ratio = static_cast<double>(run_ws(sprank_ws, deficient)) / 5000.0;
   EXPECT_LT(ratio, 1.0);
   EXPECT_GT(ratio, 0.85);
 }
@@ -167,7 +170,7 @@ TEST(PowerLaw, HasHighDegreeVariance) {
   const BipartiteGraph g = make_power_law(2000, 20.0, 1.5, 7);
   const DegreeStats rows = row_degree_stats(g);
   EXPECT_GT(rows.variance, 10.0 * rows.mean);  // heavy tail
-  EXPECT_EQ(sprank(g), 2000);                  // permutation planted
+  EXPECT_EQ(run_ws(sprank_ws, g), 2000);       // permutation planted
 }
 
 TEST(PowerLaw, RejectsBadShape) {
@@ -178,7 +181,7 @@ TEST(PowerLaw, RejectsBadShape) {
 TEST(KktLike, IsSquareSymmetricStructureWithFullSprank) {
   const BipartiteGraph g = make_kkt_like(300, 100, 3, 11);
   EXPECT_EQ(g.num_rows(), 400);
-  EXPECT_EQ(sprank(g), 400);
+  EXPECT_EQ(run_ws(sprank_ws, g), 400);
   // Structural symmetry of the saddle-point form: (i,j) edge implies (j,i).
   for (vid_t i = 0; i < g.num_rows(); i += 13)
     for (const vid_t j : g.row_neighbors(i)) EXPECT_TRUE(g.has_edge(j, i));
@@ -204,7 +207,7 @@ TEST(Cycle, IsTwoRegular) {
     EXPECT_EQ(g.row_degree(i), 2);
     EXPECT_EQ(g.col_degree(i), 2);
   }
-  EXPECT_EQ(sprank(g), 9);
+  EXPECT_EQ(run_ws(sprank_ws, g), 9);
 }
 
 TEST(RowRegular, ExactRowDegrees) {
@@ -229,7 +232,7 @@ TEST(DmStructured, BlockSprankComposition) {
   const BipartiteGraph g = make_dm_structured(10, 15, 20, 18, 12, 2, 3);
   EXPECT_EQ(g.num_rows(), 10 + 20 + 18);
   EXPECT_EQ(g.num_cols(), 15 + 20 + 12);
-  EXPECT_EQ(sprank(g), 10 + 20 + 12);
+  EXPECT_EQ(run_ws(sprank_ws, g), 10 + 20 + 12);
 }
 
 TEST(DmStructured, RejectsInvalidShapes) {

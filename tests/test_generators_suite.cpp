@@ -8,9 +8,12 @@
 #include "graph/generators_suite.hpp"
 #include "graph/stats.hpp"
 #include "matching/push_relabel.hpp"
+#include "test_helpers.hpp"
 
 namespace bmh {
 namespace {
+
+using testing::run_ws;
 
 constexpr double kTinyScale = 0.02;  // keep unit tests quick
 
@@ -45,13 +48,13 @@ TEST(Suite, RoadInstancesAreSprankDeficient) {
   // The paper's europe_osm has sprank/n = 0.99 and road_usa 0.95; the
   // stand-ins must reproduce that deficiency class.
   const SuiteInstance europe = make_suite_instance("europe_osm_like", kTinyScale, 42);
-  const double eu_ratio = static_cast<double>(sprank(europe.graph)) /
+  const double eu_ratio = static_cast<double>(run_ws(sprank_ws, europe.graph)) /
                           static_cast<double>(europe.graph.num_rows());
   EXPECT_LT(eu_ratio, 1.0);
   EXPECT_GT(eu_ratio, 0.95);
 
   const SuiteInstance usa = make_suite_instance("road_usa_like", kTinyScale, 42);
-  const double usa_ratio = static_cast<double>(sprank(usa.graph)) /
+  const double usa_ratio = static_cast<double>(run_ws(sprank_ws, usa.graph)) /
                            static_cast<double>(usa.graph.num_rows());
   EXPECT_LT(usa_ratio, 0.99);
   EXPECT_GT(usa_ratio, 0.90);

@@ -20,6 +20,8 @@
 namespace bmh {
 namespace {
 
+using testing::run_ws;
+
 std::uint64_t key_hash(const std::string& spec, std::uint64_t seed, std::string& text) {
   return canonical_graph_key(parse_graph_spec(spec), seed, text);
 }
@@ -296,7 +298,7 @@ TEST(SprankMemo, PooledRebuildForgetsTheOldRank) {
 TEST(SprankMemoStress, ConcurrentFirstTouchAgrees) {
   const auto g = std::make_shared<const BipartiteGraph>(
       build_graph(parse_graph_spec("gen:er:n=2048,deg=3,seed=4"), 1));
-  const vid_t expected = sprank(*g);
+  const vid_t expected = run_ws(sprank_ws, *g);
   ASSERT_FALSE(g->known_sprank().has_value());
 
   constexpr int kThreads = 4;
@@ -339,8 +341,8 @@ ScalingResult fresh_scaling(const BipartiteGraph& g, const PipelineConfig& confi
                             int threads) {
   const ThreadCountGuard guard(threads);
   const ScalingOptions opts{config.scaling_iterations, config.scaling_tolerance};
-  return config.scaling == ScalingMethod::kRuiz ? scale_ruiz(g, opts)
-                                                : scale_sinkhorn_knopp(g, opts);
+  return config.scaling == ScalingMethod::kRuiz ? run_ws(scale_ruiz_ws, g, opts)
+                                                : run_ws(scale_sinkhorn_knopp_ws, g, opts);
 }
 
 void expect_bit_identical(const ScalingResult& a, const ScalingResult& b,

@@ -6,16 +6,66 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "bmh.hpp"
 #include "util/hash.hpp"
 
 namespace bmh::testing {
+
+/// Calls a kernel with a fresh Workspace and returns its output: the one
+/// way the tests reach the `_ws` forms. `args` are the kernel's other
+/// parameters, in order; the helper inserts the Workspace and the output
+/// object right after it (a Matching, ScalingResult, BipartiteGraph, ...),
+/// which it returns. Parameters after the output, such as
+/// identity_scaling_ws's `compute_error`, take the remaining `args`
+/// (defaults do not apply through the pointer). A kernel whose Workspace comes last (sprank_ws,
+/// scaling_error_ws, sample_choices_ws) returns its result instead, copied
+/// here before the Workspace goes. An out-parameter kernel without a
+/// Workspace (sample_row_choices, unify_choices, ...) gets the output as its
+/// last parameter.
+template <typename R, typename... P, typename... A>
+[[nodiscard]] auto run_ws(R (*kernel)(P...), A&&... args) {
+  constexpr std::size_t kParams = sizeof...(P);
+  constexpr bool kIsWorkspace[] = {std::is_same_v<P, Workspace&>..., false};
+  // Where the Workspace sits; kParams when the kernel takes none.
+  constexpr auto kWs = static_cast<std::size_t>(
+      std::ranges::find(kIsWorkspace, true) - std::begin(kIsWorkspace));
+  // How many of `args` go ahead of the inserted Workspace and output.
+  constexpr std::size_t kBefore = kWs < kParams ? kWs : kParams - 1;
+  static_assert(sizeof...(A) >= kBefore, "run_ws: too few arguments");
+  auto in = std::forward_as_tuple(std::forward<A>(args)...);
+  const auto call = [&]<std::size_t... I, std::size_t... J>(
+                        std::index_sequence<I...>, std::index_sequence<J...>,
+                        auto&... inserted) -> decltype(auto) {
+    return kernel(std::get<I>(std::move(in))..., inserted...,
+                  std::get<kBefore + J>(std::move(in))...);
+  };
+  constexpr auto before = std::make_index_sequence<kBefore>{};
+  constexpr auto after = std::make_index_sequence<sizeof...(A) - kBefore>{};
+  Workspace ws;
+  if constexpr (kWs + 1 == kParams) {
+    return std::remove_cvref_t<R>(call(before, after, ws));
+  } else {
+    constexpr std::size_t kOut = kWs < kParams ? kWs + 1 : kParams - 1;
+    std::remove_cvref_t<std::tuple_element_t<kOut, std::tuple<P...>>> out{};
+    if constexpr (kWs < kParams)
+      call(before, after, ws, out);
+    else
+      call(before, after, out);
+    return out;
+  }
+}
 
 /// Asserts validity with a readable failure message.
 inline void expect_valid(const BipartiteGraph& g, const Matching& m,

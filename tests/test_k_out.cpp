@@ -22,11 +22,13 @@
 namespace bmh {
 namespace {
 
+using testing::run_ws;
+
 TEST(KOut, PicksAreDistinctNeighbors) {
   const BipartiteGraph g = make_erdos_renyi(300, 300, 2400, 3);
-  const ScalingResult s = scale_sinkhorn_knopp(g);
+  const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{});
   const int k = 3;
-  const std::vector<vid_t> picks = sample_row_choices_k(g, s.dc, k, 7);
+  const std::vector<vid_t> picks = run_ws(sample_row_choices_k, g, s.dc, k, 7);
   for (vid_t i = 0; i < g.num_rows(); ++i) {
     for (int a = 0; a < k; ++a) {
       const vid_t ja = picks[static_cast<std::size_t>(i) * k + static_cast<std::size_t>(a)];
@@ -41,7 +43,7 @@ TEST(KOut, PicksAreDistinctNeighbors) {
 TEST(KOut, SmallNeighborhoodsTakenWhole) {
   const BipartiteGraph g = graph_from_rows(2, 4, {{0, 1}, {0, 1, 2, 3}});
   const std::vector<double> dc(4, 1.0);
-  const std::vector<vid_t> picks = sample_row_choices_k(g, dc, 3, 1);
+  const std::vector<vid_t> picks = run_ws(sample_row_choices_k, g, dc, 3, 1);
   // Row 0 has only 2 neighbours: both taken, third slot kNil.
   EXPECT_NE(picks[0], kNil);
   EXPECT_NE(picks[1], kNil);
@@ -50,8 +52,8 @@ TEST(KOut, SmallNeighborhoodsTakenWhole) {
 
 TEST(KOut, SubgraphIsSubgraphOfInput) {
   const BipartiteGraph g = make_erdos_renyi(400, 400, 3000, 5);
-  const ScalingResult s = scale_sinkhorn_knopp(g);
-  const BipartiteGraph sub = k_out_subgraph(g, s, 2, 9);
+  const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{});
+  const BipartiteGraph sub = run_ws(k_out_subgraph_ws, g, s, 2, 9);
   EXPECT_EQ(sub.num_rows(), g.num_rows());
   for (vid_t i = 0; i < sub.num_rows(); ++i)
     for (const vid_t j : sub.row_neighbors(i)) EXPECT_TRUE(g.has_edge(i, j));
@@ -61,7 +63,7 @@ TEST(KOut, SubgraphIsSubgraphOfInput) {
 TEST(KOut, MatchingIsValidForOriginalGraph) {
   const BipartiteGraph g = make_erdos_renyi(1000, 1000, 6000, 7);
   for (const int k : {1, 2, 3}) {
-    const Matching m = k_out_match(g, 5, k, 11);
+    const Matching m = run_ws(k_out_match_ws, g, 5, k, 11);
     testing::expect_valid(g, m, "k_out");
   }
 }
@@ -73,11 +75,11 @@ TEST_P(KOutQualityTest, QualityIncreasesWithK) {
   const vid_t n = 2000;
   const BipartiteGraph g = make_planted_perfect(n, 4, seed);
   const double q1 =
-      static_cast<double>(k_out_match(g, 5, 1, seed).cardinality()) / n;
+      static_cast<double>(run_ws(k_out_match_ws, g, 5, 1, seed).cardinality()) / n;
   const double q2 =
-      static_cast<double>(k_out_match(g, 5, 2, seed).cardinality()) / n;
+      static_cast<double>(run_ws(k_out_match_ws, g, 5, 2, seed).cardinality()) / n;
   const double q3 =
-      static_cast<double>(k_out_match(g, 5, 3, seed).cardinality()) / n;
+      static_cast<double>(run_ws(k_out_match_ws, g, 5, 3, seed).cardinality()) / n;
   EXPECT_GE(q2, q1 - 1e-9);
   EXPECT_GE(q3, q2 - 1e-9);
   // Walkup: 2-out random bipartite graphs have perfect matchings a.a.s.
@@ -94,14 +96,14 @@ TEST(KOut, OneOutMatchesTwoSidedGuarantee) {
   const vid_t n = 4000;
   const BipartiteGraph g = make_full(n);
   const double q =
-      static_cast<double>(k_out_match(g, 1, 1, 3).cardinality()) / n;
+      static_cast<double>(run_ws(k_out_match_ws, g, 1, 1, 3).cardinality()) / n;
   EXPECT_NEAR(q, kTwoSidedGuarantee, 0.02);
 }
 
 TEST(KOut, RejectsBadArguments) {
   BipartiteGraph g = graph_from_rows(2, 2, {{0}, {1}});
-  const ScalingResult s = identity_scaling(g);
-  EXPECT_THROW((void)k_out_subgraph(g, s, 0, 1), std::invalid_argument);
+  const ScalingResult s = run_ws(identity_scaling_ws, g, true);
+  EXPECT_THROW((void)run_ws(k_out_subgraph_ws, g, s, 0, 1), std::invalid_argument);
   // The assembly reads g while it rewrites its output: g cannot be both.
   Workspace ws;
   EXPECT_THROW(k_out_subgraph_ws(g, s, 2, 1, ws, g), std::invalid_argument);
@@ -114,7 +116,7 @@ TEST(KOut, KAboveTheLargestDegreeIsCapped) {
   // of k = max degree, from n·max-degree pick slots per side, not n·1000.
   // The graph is wide, so the two sides' caps differ.
   const BipartiteGraph g = make_erdos_renyi(500, 2000, 6000, 21);
-  const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
+  const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{5, 0.0});
   const eid_t row_max = row_degree_stats(g).max;
   const eid_t col_max = col_degree_stats(g).max;
   ASSERT_NE(row_max, col_max);
@@ -127,26 +129,26 @@ TEST(KOut, KAboveTheLargestDegreeIsCapped) {
   EXPECT_EQ(ws.buf<vid_t>("kout.col_picks").capacity(),
             static_cast<std::size_t>(g.num_cols() * col_max));
   const BipartiteGraph at_max =
-      k_out_subgraph(g, s, static_cast<int>(std::max(row_max, col_max)), 9);
+      run_ws(k_out_subgraph_ws, g, s, static_cast<int>(std::max(row_max, col_max)), 9);
   EXPECT_TRUE(capped.structurally_equal(at_max));
   // Between the two caps only the smaller side is capped; the subgraph is
   // still the one the uncapped per-side picks describe.
   const int k = static_cast<int>(std::min(row_max, col_max)) + 1;
-  const std::vector<vid_t> row_picks = sample_row_choices_k(g, s.dc, k, 9);
+  const std::vector<vid_t> row_picks = run_ws(sample_row_choices_k, g, s.dc, k, 9);
   const std::vector<vid_t> col_picks =
-      sample_col_choices_k(g, s.dr, k, 9 + 0x9e3779b97f4a7c15ULL);
+      run_ws(sample_col_choices_k, g, s.dr, k, 9 + 0x9e3779b97f4a7c15ULL);
   GraphBuilder b(g.num_rows(), g.num_cols());
   for (std::size_t t = 0; t < row_picks.size(); ++t)
     if (row_picks[t] != kNil) b.add_edge(static_cast<vid_t>(t / k), row_picks[t]);
   for (std::size_t t = 0; t < col_picks.size(); ++t)
     if (col_picks[t] != kNil) b.add_edge(col_picks[t], static_cast<vid_t>(t / k));
-  EXPECT_TRUE(k_out_subgraph(g, s, k, 9).structurally_equal(b.build()));
+  EXPECT_TRUE(run_ws(k_out_subgraph_ws, g, s, k, 9).structurally_equal(b.build()));
 }
 
 TEST(KOut, WorksOnDeficientGraphs) {
   const BipartiteGraph g = make_erdos_renyi(3000, 3000, 9000, 13);
-  const vid_t rank = sprank(g);
-  const Matching m = k_out_match(g, 5, 2, 17);
+  const vid_t rank = run_ws(sprank_ws, g);
+  const Matching m = run_ws(k_out_match_ws, g, 5, 2, 17);
   testing::expect_valid(g, m, "deficient k-out");
   EXPECT_GE(static_cast<double>(m.cardinality()), 0.95 * static_cast<double>(rank));
 }
@@ -166,7 +168,7 @@ TEST(KOut, SubgraphSolveMatchesHopcroftKarp) {
   Workspace ws;
   for (std::size_t t = 0; t < graphs.size(); ++t) {
     const BipartiteGraph& g = graphs[t];
-    const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
+    const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{5, 0.0});
     for (const int k : {1, 2, 3}) {
       const std::uint64_t seed = 100 + t;
       Matching m;
@@ -174,7 +176,7 @@ TEST(KOut, SubgraphSolveMatchesHopcroftKarp) {
       testing::expect_valid(g, m, "k_out_from_scaling_ws");
       BipartiteGraph sub;
       k_out_subgraph_ws(g, s, k, seed, ws, sub);
-      EXPECT_EQ(m.cardinality(), hopcroft_karp(sub).cardinality())
+      EXPECT_EQ(m.cardinality(), run_ws(hopcroft_karp_ws, sub).cardinality())
           << "graph " << t << " k " << k;
       // The convenience form runs the same entry point after scaling.
       Matching via_match;
@@ -195,9 +197,9 @@ BipartiteGraph builder_subgraph(const BipartiteGraph& g, const ScalingResult& s,
   };
   const int row_k = cap(row_degree_stats(g).max);
   const int col_k = cap(col_degree_stats(g).max);
-  const std::vector<vid_t> row_picks = sample_row_choices_k(g, s.dc, row_k, seed);
+  const std::vector<vid_t> row_picks = run_ws(sample_row_choices_k, g, s.dc, row_k, seed);
   const std::vector<vid_t> col_picks =
-      sample_col_choices_k(g, s.dr, col_k, seed + 0x9e3779b97f4a7c15ULL);
+      run_ws(sample_col_choices_k, g, s.dr, col_k, seed + 0x9e3779b97f4a7c15ULL);
   GraphBuilder b(g.num_rows(), g.num_cols());
   for (std::size_t t = 0; t < row_picks.size(); ++t)
     if (row_picks[t] != kNil) b.add_edge(static_cast<vid_t>(t / row_k), row_picks[t]);
@@ -235,7 +237,7 @@ TEST(KOut, SubgraphEqualsTheBuilderAssemblyOfItsPicks) {
   Workspace ws;
   BipartiteGraph pooled;
   for (const auto& [name, g] : graphs) {
-    const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
+    const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{5, 0.0});
     const int above = static_cast<int>(
         std::max(row_degree_stats(g).max, col_degree_stats(g).max) + 1);
     for (const int k : {1, 2, 3, 5, above}) {
@@ -253,22 +255,23 @@ TEST(KOut, PooledSubgraphReusedAcrossGraphsKeepsNothingOfTheLast) {
   // the scaling remembered for the first.
   const BipartiteGraph first = make_erdos_renyi(4096, 4096, 8 * 4096, 6);
   const BipartiteGraph second = make_power_law(3000, 6.0, 2.0, 7);
-  const ScalingResult s1 = scale_sinkhorn_knopp(first, {5, 0.0});
-  const ScalingResult s2 = scale_sinkhorn_knopp(second, {5, 0.0});
+  const ScalingResult s1 = run_ws(scale_sinkhorn_knopp_ws, first, ScalingOptions{5, 0.0});
+  const ScalingResult s2 = run_ws(scale_sinkhorn_knopp_ws, second, ScalingOptions{5, 0.0});
   Workspace ws;
   BipartiteGraph pooled;
   k_out_subgraph_ws(first, s1, 2, 8, ws, pooled);
-  testing::expect_same_arrays(pooled, k_out_subgraph(first, s1, 2, 8), "first");
-  pooled.remember_sprank(sprank(pooled));
+  testing::expect_same_arrays(pooled, run_ws(k_out_subgraph_ws, first, s1, 2, 8), "first");
+  pooled.remember_sprank(run_ws(sprank_ws, pooled));
   const ScalingKey key{1, 5, 0.0};
   for (int use = 0; use < 2; ++use) {  // a key's second use publishes
-    ScalingResult scaled = scale_sinkhorn_knopp(pooled, {5, 0.0});
+    ScalingResult scaled = run_ws(scale_sinkhorn_knopp_ws, pooled, ScalingOptions{5, 0.0});
     (void)pooled.offer_scaling(key, scaled);
   }
   ASSERT_NE(pooled.known_scaling(key), nullptr);
 
   k_out_subgraph_ws(second, s2, 2, 9, ws, pooled);
-  testing::expect_same_arrays(pooled, k_out_subgraph(second, s2, 2, 9), "second");
+  testing::expect_same_arrays(pooled, run_ws(k_out_subgraph_ws, second, s2, 2, 9),
+                              "second");
   testing::expect_same_arrays(pooled, builder_subgraph(second, s2, 2, 9), "second vs builder");
   EXPECT_FALSE(pooled.known_sprank().has_value());
   EXPECT_EQ(pooled.known_scaling(key), nullptr);

@@ -14,9 +14,11 @@
 namespace bmh {
 namespace {
 
+using testing::run_ws;
+
 TEST(KarpSipser, ValidOnZoo) {
   for (const auto& g : testing::small_graph_zoo()) {
-    const Matching m = karp_sipser(g, 5);
+    const Matching m = run_ws(karp_sipser_ws, g, 5, nullptr);
     testing::expect_valid(g, m, "karp_sipser");
     EXPECT_TRUE(is_maximal_matching(g, m));
   }
@@ -27,8 +29,8 @@ TEST(KarpSipser, ExactOnTrees) {
   const BipartiteGraph path =
       graph_from_rows(4, 4, {{0}, {0, 1}, {1, 2}, {2, 3}});
   KarpSipserStats stats;
-  const Matching m = karp_sipser(path, 1, &stats);
-  EXPECT_EQ(m.cardinality(), sprank(path));
+  const Matching m = run_ws(karp_sipser_ws, path, 1, &stats);
+  EXPECT_EQ(m.cardinality(), run_ws(sprank_ws, path));
   EXPECT_EQ(stats.phase2_matches, 0);
 }
 
@@ -36,7 +38,7 @@ TEST(KarpSipser, ExactOnSingleCycle) {
   // One random pick breaks the cycle; Phase 1 finishes it optimally.
   const BipartiteGraph g = make_cycle(17);
   for (std::uint64_t seed = 0; seed < 5; ++seed)
-    EXPECT_EQ(karp_sipser(g, seed).cardinality(), 17);
+    EXPECT_EQ(run_ws(karp_sipser_ws, g, seed, nullptr).cardinality(), 17);
 }
 
 TEST(KarpSipser, PhaseOneOnlyWhenDegreeOneSeedsExist) {
@@ -44,7 +46,7 @@ TEST(KarpSipser, PhaseOneOnlyWhenDegreeOneSeedsExist) {
   // graph in Phase 1 and is exact.
   const BipartiteGraph g = make_ks_adversarial(64, 1);
   KarpSipserStats stats;
-  const Matching m = karp_sipser(g, 3, &stats);
+  const Matching m = run_ws(karp_sipser_ws, g, 3, &stats);
   EXPECT_EQ(m.cardinality(), 64);
 }
 
@@ -55,7 +57,7 @@ TEST(KarpSipser, DegradesOnAdversarialFamilyAsKGrows) {
   const BipartiteGraph g = make_ks_adversarial(n, 16);
   vid_t worst = n;
   for (std::uint64_t seed = 0; seed < 10; ++seed)
-    worst = std::min(worst, karp_sipser(g, seed).cardinality());
+    worst = std::min(worst, run_ws(karp_sipser_ws, g, seed, nullptr).cardinality());
   const double quality = static_cast<double>(worst) / static_cast<double>(n);
   EXPECT_LT(quality, 0.95);  // measurably sub-optimal
   EXPECT_GE(quality, 0.5);
@@ -65,36 +67,36 @@ TEST(KarpSipser, NearPerfectOnSparseRandomGraphs) {
   // KS matches all but ~O(n^{1/5}) vertices of sparse random graphs; at
   // this size a 2% slack is generous.
   const BipartiteGraph g = make_erdos_renyi(4000, 4000, 3 * 4000, 11);
-  const vid_t opt = sprank(g);
-  const Matching m = karp_sipser(g, 1);
+  const vid_t opt = run_ws(sprank_ws, g);
+  const Matching m = run_ws(karp_sipser_ws, g, 1, nullptr);
   EXPECT_GE(static_cast<double>(m.cardinality()),
             0.98 * static_cast<double>(opt));
 }
 
 TEST(KarpSipser, DeterministicInSeed) {
   const BipartiteGraph g = make_erdos_renyi(500, 500, 2000, 9);
-  const Matching a = karp_sipser(g, 42);
-  const Matching b = karp_sipser(g, 42);
+  const Matching a = run_ws(karp_sipser_ws, g, 42, nullptr);
+  const Matching b = run_ws(karp_sipser_ws, g, 42, nullptr);
   EXPECT_EQ(a.row_match, b.row_match);
 }
 
 TEST(KarpSipser, StatsAccountForAllMatches) {
   const BipartiteGraph g = make_erdos_renyi(300, 300, 1500, 2);
   KarpSipserStats stats;
-  const Matching m = karp_sipser(g, 7, &stats);
+  const Matching m = run_ws(karp_sipser_ws, g, 7, &stats);
   EXPECT_EQ(stats.phase1_matches + stats.phase2_matches, m.cardinality());
 }
 
 TEST(KarpSipser, HandlesRectangularAndDeficient) {
   const BipartiteGraph g = make_erdos_renyi(150, 200, 400, 21);
-  const Matching m = karp_sipser(g, 3);
+  const Matching m = run_ws(karp_sipser_ws, g, 3, nullptr);
   testing::expect_valid(g, m, "rectangular");
-  EXPECT_GE(2 * m.cardinality(), sprank(g));
+  EXPECT_GE(2 * m.cardinality(), run_ws(sprank_ws, g));
 }
 
 TEST(KarpSipser, EmptyGraph) {
   const BipartiteGraph g = graph_from_rows(2, 2, {{}, {}});
-  EXPECT_EQ(karp_sipser(g, 1).cardinality(), 0);
+  EXPECT_EQ(run_ws(karp_sipser_ws, g, 1, nullptr).cardinality(), 0);
 }
 
 TEST(KarpSipser, Phase2RetiresMatchedEdgesFromThePool) {
@@ -106,7 +108,7 @@ TEST(KarpSipser, Phase2RetiresMatchedEdgesFromThePool) {
   const BipartiteGraph g = make_full(48);  // no degree-1 seeds: pure Phase 2
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     KarpSipserStats stats;
-    const Matching m = karp_sipser(g, seed, &stats);
+    const Matching m = run_ws(karp_sipser_ws, g, seed, &stats);
     EXPECT_LE(stats.phase2_draws, g.num_edges()) << "seed " << seed;
     EXPECT_GT(stats.phase2_matches, 0) << "seed " << seed;
     testing::expect_valid(g, m, "dense phase-2");
@@ -122,12 +124,12 @@ TEST(KarpSipser, FixedSeedDenseGraphStaysValidMaximal) {
   // valid, maximal matching with draws bounded by the edge count.
   const BipartiteGraph g = make_erdos_renyi(256, 256, 256 * 48, 17);
   KarpSipserStats stats;
-  const Matching m = karp_sipser(g, 1234, &stats);
+  const Matching m = run_ws(karp_sipser_ws, g, 1234, &stats);
   testing::expect_valid(g, m, "dense er");
   EXPECT_TRUE(is_maximal_matching(g, m));
   EXPECT_LE(stats.phase2_draws, g.num_edges());
   EXPECT_EQ(stats.phase1_matches + stats.phase2_matches, m.cardinality());
-  const Matching repeat = karp_sipser(g, 1234);
+  const Matching repeat = run_ws(karp_sipser_ws, g, 1234, nullptr);
   EXPECT_EQ(m.row_match, repeat.row_match);
 }
 
@@ -161,7 +163,7 @@ TEST(KarpSipser, OutputPinnedAcrossVersions) {
   };
   for (const Pin& pin : pins) {
     KarpSipserStats stats;
-    const Matching m = karp_sipser(*pin.g, pin.seed, &stats);
+    const Matching m = run_ws(karp_sipser_ws, *pin.g, pin.seed, &stats);
     const std::string where = "edges " + std::to_string(pin.g->num_edges()) + ", seed " +
                               std::to_string(pin.seed);
     EXPECT_EQ(testing::bit_fingerprint(m.row_match), pin.row_match_fingerprint) << where;

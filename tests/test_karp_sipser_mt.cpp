@@ -20,6 +20,8 @@
 namespace bmh {
 namespace {
 
+using testing::run_ws;
+
 /// Toy graph of the paper's Figure 1: 9 rows (circles) and 9 columns
 /// (squares) with each vertex's single outgoing choice. Vertex labels 1-18
 /// in the figure map to rows 1..9 -> ids 0..8 and columns 10..18 -> 9..17
@@ -57,7 +59,7 @@ std::vector<vid_t> figure1_like_choice() {
 
 TEST(KarpSipserMT, ExactOnFigure1LikeToyGraph) {
   const std::vector<vid_t> choice = figure1_like_choice();
-  const Matching m = karp_sipser_mt(9, 9, choice);
+  const Matching m = run_ws(karp_sipser_mt_ws, 9, 9, choice, nullptr);
 
   // Materialize and compare against the exact solver.
   std::vector<vid_t> rchoice(9, kNil), cchoice(9, kNil);
@@ -69,18 +71,19 @@ TEST(KarpSipserMT, ExactOnFigure1LikeToyGraph) {
     cchoice[static_cast<std::size_t>(j)] = choice[static_cast<std::size_t>(9 + j)];
   const BipartiteGraph sub = materialize_choice_graph(9, 9, rchoice, cchoice);
   testing::expect_valid(sub, m, "figure1");
-  EXPECT_EQ(m.cardinality(), sprank(sub));
+  EXPECT_EQ(m.cardinality(), run_ws(sprank_ws, sub));
 }
 
 TEST(KarpSipserMT, HandlesAllNilChoices) {
   const std::vector<vid_t> choice(10, kNil);
-  const Matching m = karp_sipser_mt(5, 5, choice);
+  const Matching m = run_ws(karp_sipser_mt_ws, 5, 5, choice, nullptr);
   EXPECT_EQ(m.cardinality(), 0);
 }
 
 TEST(KarpSipserMT, SizeMismatchThrows) {
   const std::vector<vid_t> choice(7, kNil);
-  EXPECT_THROW((void)karp_sipser_mt(5, 5, choice), std::invalid_argument);
+  EXPECT_THROW((void)run_ws(karp_sipser_mt_ws, 5, 5, choice, nullptr),
+               std::invalid_argument);
 }
 
 TEST(KarpSipserMT, SameSideChoiceRejected) {
@@ -88,21 +91,24 @@ TEST(KarpSipserMT, SameSideChoiceRejected) {
   // phase invariants; the algorithm must reject it.
   std::vector<vid_t> choice(4, kNil);
   choice[0] = 1;  // row -> row
-  EXPECT_THROW((void)karp_sipser_mt(2, 2, choice), std::invalid_argument);
+  EXPECT_THROW((void)run_ws(karp_sipser_mt_ws, 2, 2, choice, nullptr),
+               std::invalid_argument);
   choice[0] = kNil;
   choice[2] = 3;  // column -> column
-  EXPECT_THROW((void)karp_sipser_mt(2, 2, choice), std::invalid_argument);
+  EXPECT_THROW((void)run_ws(karp_sipser_mt_ws, 2, 2, choice, nullptr),
+               std::invalid_argument);
   choice[2] = 7;  // out of range entirely
-  EXPECT_THROW((void)karp_sipser_mt(2, 2, choice), std::invalid_argument);
+  EXPECT_THROW((void)run_ws(karp_sipser_mt_ws, 2, 2, choice, nullptr),
+               std::invalid_argument);
 }
 
 TEST(KarpSipserMT, UnifyChoicesValidatesRanges) {
   const std::vector<vid_t> bad_row = {5};   // column 5 does not exist
   const std::vector<vid_t> ok_col = {kNil};
-  EXPECT_THROW((void)unify_choices(1, 1, bad_row, ok_col), std::out_of_range);
+  EXPECT_THROW((void)run_ws(unify_choices, 1, 1, bad_row, ok_col), std::out_of_range);
   const std::vector<vid_t> ok_row = {0};
   const std::vector<vid_t> bad_col = {3};   // row 3 does not exist
-  EXPECT_THROW((void)unify_choices(1, 1, ok_row, bad_col), std::out_of_range);
+  EXPECT_THROW((void)run_ws(unify_choices, 1, 1, ok_row, bad_col), std::out_of_range);
 }
 
 TEST(KarpSipserMT, PureCycleResolvedEntirelyInPhase2) {
@@ -118,7 +124,7 @@ TEST(KarpSipserMT, PureCycleResolvedEntirelyInPhase2) {
   choice[3] = 7;
   choice[7] = 0;
   KarpSipserMTStats stats;
-  const Matching m = karp_sipser_mt(4, 4, choice, &stats);
+  const Matching m = run_ws(karp_sipser_mt_ws, 4, 4, choice, &stats);
   EXPECT_EQ(m.cardinality(), 4);
   EXPECT_EQ(stats.phase1_matches, 0);
   EXPECT_EQ(stats.phase2_matches, 4);
@@ -133,7 +139,7 @@ TEST(KarpSipserMT, PureChainResolvedEntirelyInPhase1) {
   choice[1] = m_rows + 1;  // r1 -> c1
   choice[3] = 1;           // c1 -> r1 (in-one)
   KarpSipserMTStats stats;
-  const Matching m = karp_sipser_mt(2, 2, choice, &stats);
+  const Matching m = run_ws(karp_sipser_mt_ws, 2, 2, choice, &stats);
   EXPECT_EQ(m.cardinality(), 2);
   EXPECT_EQ(stats.phase2_matches, 0);
 }
@@ -154,7 +160,7 @@ TEST(KarpSipserMT, ReciprocalCliqueReachedFromBothSidesCountsOnce) {
   choice[2] = 1;  // column t2 chooses row x
   for (int rep = 0; rep < 50; ++rep) {
     KarpSipserMTStats stats;
-    const Matching m = karp_sipser_mt(2, 2, choice, &stats);
+    const Matching m = run_ws(karp_sipser_mt_ws, 2, 2, choice, &stats);
     EXPECT_EQ(stats.phase1_matches + stats.phase2_matches, m.cardinality()) << rep;
     // The component is a path t1 - y - x - t2 plus the reciprocal edge;
     // its maximum matching has 2 pairs.
@@ -166,25 +172,26 @@ TEST(KarpSipserMT, StatsSumUnderHeavyRepetition) {
   // Stress the counting under real parallel schedules on a large random
   // instance (the configuration above occurs organically here).
   const BipartiteGraph g = make_erdos_renyi(2000, 2000, 8000, 3);
-  const ScalingResult s = scale_sinkhorn_knopp(g);
-  const TwoSidedChoices ch = sample_two_sided_choices(g, s, 5);
+  const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{});
+  const TwoSidedChoices ch = run_ws(sample_two_sided_choices_ws, g, s, 5);
   const std::vector<vid_t> choice =
-      unify_choices(g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice);
+      run_ws(unify_choices, g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice);
   for (int rep = 0; rep < 30; ++rep) {
     KarpSipserMTStats stats;
-    const Matching m = karp_sipser_mt(g.num_rows(), g.num_cols(), choice, &stats);
+    const Matching m =
+        run_ws(karp_sipser_mt_ws, g.num_rows(), g.num_cols(), choice, &stats);
     ASSERT_EQ(stats.phase1_matches + stats.phase2_matches, m.cardinality()) << rep;
   }
 }
 
 TEST(KarpSipserMT, StatsSumToCardinality) {
   const BipartiteGraph g = make_erdos_renyi(2000, 2000, 8000, 3);
-  const ScalingResult s = scale_sinkhorn_knopp(g);
-  const TwoSidedChoices ch = sample_two_sided_choices(g, s, 5);
+  const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{});
+  const TwoSidedChoices ch = run_ws(sample_two_sided_choices_ws, g, s, 5);
   const std::vector<vid_t> choice =
-      unify_choices(g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice);
+      run_ws(unify_choices, g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice);
   KarpSipserMTStats stats;
-  const Matching m = karp_sipser_mt(g.num_rows(), g.num_cols(), choice, &stats);
+  const Matching m = run_ws(karp_sipser_mt_ws, g.num_rows(), g.num_cols(), choice, &stats);
   EXPECT_EQ(stats.phase1_matches + stats.phase2_matches, m.cardinality());
 }
 
@@ -210,16 +217,17 @@ TEST_P(KsmtExactnessTest, MatchesExactSolverOnChoiceSubgraphs) {
   cases.push_back({make_road_like(2000, 0.1, 0.05, seed + 3), "road"});
 
   for (const auto& c : cases) {
-    const ScalingResult s = scale_sinkhorn_knopp(c.g, {5, 0.0});
-    const TwoSidedChoices ch = sample_two_sided_choices(c.g, s, seed + 7);
+    const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, c.g, ScalingOptions{5, 0.0});
+    const TwoSidedChoices ch = run_ws(sample_two_sided_choices_ws, c.g, s, seed + 7);
     const std::vector<vid_t> choice =
-        unify_choices(c.g.num_rows(), c.g.num_cols(), ch.rchoice, ch.cchoice);
+        run_ws(unify_choices, c.g.num_rows(), c.g.num_cols(), ch.rchoice, ch.cchoice);
 
-    const Matching m = karp_sipser_mt(c.g.num_rows(), c.g.num_cols(), choice);
+    const Matching m =
+        run_ws(karp_sipser_mt_ws, c.g.num_rows(), c.g.num_cols(), choice, nullptr);
     const BipartiteGraph sub =
         materialize_choice_graph(c.g.num_rows(), c.g.num_cols(), ch.rchoice, ch.cchoice);
     testing::expect_valid(sub, m, c.name);
-    EXPECT_EQ(m.cardinality(), sprank(sub))
+    EXPECT_EQ(m.cardinality(), run_ws(sprank_ws, sub))
         << c.name << " threads=" << threads << " seed=" << seed;
   }
 }
@@ -230,15 +238,16 @@ INSTANTIATE_TEST_SUITE_P(ThreadsAndSeeds, KsmtExactnessTest,
 
 TEST(KarpSipserMT, CardinalityIndependentOfThreadCount) {
   const BipartiteGraph g = make_erdos_renyi(5000, 5000, 20000, 9);
-  const ScalingResult s = scale_sinkhorn_knopp(g);
-  const TwoSidedChoices ch = sample_two_sided_choices(g, s, 11);
+  const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{});
+  const TwoSidedChoices ch = run_ws(sample_two_sided_choices_ws, g, s, 11);
   const std::vector<vid_t> choice =
-      unify_choices(g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice);
+      run_ws(unify_choices, g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice);
 
   vid_t reference = -1;
   for (const int threads : {1, 2, 4, 8, 16}) {
     ThreadCountGuard guard(threads);
-    const vid_t card = karp_sipser_mt(g.num_rows(), g.num_cols(), choice).cardinality();
+    const Matching m = run_ws(karp_sipser_mt_ws, g.num_rows(), g.num_cols(), choice, nullptr);
+    const vid_t card = m.cardinality();
     if (reference < 0) reference = card;
     EXPECT_EQ(card, reference) << "threads=" << threads;
   }
@@ -270,12 +279,13 @@ TEST(KarpSipserMT, MatchPinnedAcrossVersions) {
       {&sparse, 3, 0x7ad58f9c9d6e8470ull, {939, 1381}},
   };
   for (const Pin& pin : pins) {
-    const ScalingResult s = scale_sinkhorn_knopp(*pin.g, {5, 0.0});
-    const TwoSidedChoices ch = sample_two_sided_choices(*pin.g, s, pin.seed);
+    const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, *pin.g, ScalingOptions{5, 0.0});
+    const TwoSidedChoices ch = run_ws(sample_two_sided_choices_ws, *pin.g, s, pin.seed);
     const std::vector<vid_t> choice =
-        unify_choices(pin.g->num_rows(), pin.g->num_cols(), ch.rchoice, ch.cchoice);
+        run_ws(unify_choices, pin.g->num_rows(), pin.g->num_cols(), ch.rchoice, ch.cchoice);
     KarpSipserMTStats stats;
-    const Matching m = karp_sipser_mt(pin.g->num_rows(), pin.g->num_cols(), choice, &stats);
+    const Matching m =
+        run_ws(karp_sipser_mt_ws, pin.g->num_rows(), pin.g->num_cols(), choice, &stats);
     const std::string where = "edges " + std::to_string(pin.g->num_edges()) + ", seed " +
                               std::to_string(pin.seed);
     if (max_threads() == 1) {
@@ -291,15 +301,16 @@ TEST(KarpSipserMT, RepeatedParallelRunsStayExact) {
   // Stress the Phase-1 races: many repetitions on the same instance at max
   // threads must all remain exact and valid.
   const BipartiteGraph g = make_erdos_renyi(3000, 3000, 9000, 21);
-  const ScalingResult s = scale_sinkhorn_knopp(g);
-  const TwoSidedChoices ch = sample_two_sided_choices(g, s, 13);
+  const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{});
+  const TwoSidedChoices ch = run_ws(sample_two_sided_choices_ws, g, s, 13);
   const std::vector<vid_t> choice =
-      unify_choices(g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice);
+      run_ws(unify_choices, g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice);
   const BipartiteGraph sub =
       materialize_choice_graph(g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice);
-  const vid_t exact = sprank(sub);
+  const vid_t exact = run_ws(sprank_ws, sub);
   for (int rep = 0; rep < 20; ++rep) {
-    const Matching m = karp_sipser_mt(g.num_rows(), g.num_cols(), choice);
+    const Matching m =
+        run_ws(karp_sipser_mt_ws, g.num_rows(), g.num_cols(), choice, nullptr);
     testing::expect_valid(sub, m, "stress");
     EXPECT_EQ(m.cardinality(), exact) << "rep " << rep;
   }

@@ -16,10 +16,12 @@
 namespace bmh {
 namespace {
 
+using testing::run_ws;
+
 TEST(Koenig, CoverOfMaximumMatchingHasMatchingSize) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const BipartiteGraph g = make_erdos_renyi(400, 450, 2000, seed);
-    const Matching m = hopcroft_karp(g);
+    const Matching m = run_ws(hopcroft_karp_ws, g);
     const VertexCover c = koenig_cover(g, m);
     EXPECT_TRUE(is_vertex_cover(g, c)) << seed;
     EXPECT_EQ(c.size(), m.cardinality()) << seed;
@@ -42,9 +44,9 @@ TEST(Koenig, DetectsNonMaximumMatchings) {
 TEST(Koenig, CertifiesAllExactSolvers) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     const BipartiteGraph g = make_erdos_renyi(600, 600, 2500, seed + 40);
-    EXPECT_TRUE(is_maximum_matching(g, hopcroft_karp(g))) << "hk " << seed;
-    EXPECT_TRUE(is_maximum_matching(g, mc21(g))) << "mc21 " << seed;
-    EXPECT_TRUE(is_maximum_matching(g, push_relabel(g))) << "pr " << seed;
+    EXPECT_TRUE(is_maximum_matching(g, run_ws(hopcroft_karp_ws, g))) << "hk " << seed;
+    EXPECT_TRUE(is_maximum_matching(g, run_ws(mc21_ws, g))) << "mc21 " << seed;
+    EXPECT_TRUE(is_maximum_matching(g, run_ws(push_relabel_ws, g))) << "pr " << seed;
   }
 }
 
@@ -54,7 +56,7 @@ TEST(Koenig, HeuristicsAreUsuallyNotMaximum) {
   const BipartiteGraph g = make_ks_adversarial(256, 16);
   int non_max = 0;
   for (std::uint64_t seed = 0; seed < 5; ++seed)
-    if (!is_maximum_matching(g, match_random_edges(g, seed))) ++non_max;
+    if (!is_maximum_matching(g, run_ws(match_random_edges_ws, g, seed))) ++non_max;
   EXPECT_GT(non_max, 0);
 }
 
@@ -63,11 +65,12 @@ TEST(Koenig, CertifiesKarpSipserMTOnChoiceSubgraphs) {
   // property that does not rely on comparing against another solver.
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     const BipartiteGraph g = make_erdos_renyi(2000, 2000, 8000, seed);
-    const ScalingResult s = scale_sinkhorn_knopp(g, {3, 0.0});
-    const TwoSidedChoices ch = sample_two_sided_choices(g, s, seed + 3);
+    const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{3, 0.0});
+    const TwoSidedChoices ch = run_ws(sample_two_sided_choices_ws, g, s, seed + 3);
     const std::vector<vid_t> choice =
-        unify_choices(g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice);
-    const Matching m = karp_sipser_mt(g.num_rows(), g.num_cols(), choice);
+        run_ws(unify_choices, g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice);
+    const Matching m =
+        run_ws(karp_sipser_mt_ws, g.num_rows(), g.num_cols(), choice, nullptr);
     const BipartiteGraph sub =
         materialize_choice_graph(g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice);
     EXPECT_TRUE(is_maximum_matching(sub, m)) << seed;
@@ -76,7 +79,7 @@ TEST(Koenig, CertifiesKarpSipserMTOnChoiceSubgraphs) {
 
 TEST(Koenig, ZooCertificates) {
   for (const auto& g : testing::small_graph_zoo()) {
-    const Matching m = hopcroft_karp(g);
+    const Matching m = run_ws(hopcroft_karp_ws, g);
     EXPECT_TRUE(is_maximum_matching(g, m));
     const VertexCover c = koenig_cover(g, m);
     EXPECT_EQ(c.size(), testing::brute_force_max_matching(g));
@@ -93,8 +96,8 @@ TEST(Koenig, EmptyGraphTrivia) {
 TEST(Koenig, WeakDualityHolds) {
   // Any cover is at least any matching, even non-optimal pairs.
   const BipartiteGraph g = make_erdos_renyi(300, 300, 1200, 9);
-  const Matching heur = karp_sipser(g, 3);
-  const Matching best = hopcroft_karp(g);
+  const Matching heur = run_ws(karp_sipser_ws, g, 3, nullptr);
+  const Matching best = run_ws(hopcroft_karp_ws, g);
   const VertexCover c = koenig_cover(g, best);
   EXPECT_GE(c.size(), heur.cardinality());
 }

@@ -13,6 +13,8 @@
 namespace bmh {
 namespace {
 
+using testing::run_ws;
+
 TEST(Matching, FreshMatchingIsEmptyAndValid) {
   const BipartiteGraph g = graph_from_rows(3, 3, {{0}, {1}, {2}});
   const Matching m(3, 3);
@@ -67,7 +69,7 @@ TEST(Matching, ValidityAgreesWithDescribeAtScale) {
   // the last OpenMP chunk each see one.
   constexpr vid_t n = 1 << 16;
   const BipartiteGraph g = make_planted_perfect(n, 3, 5);
-  const Matching perfect = hopcroft_karp(g);
+  const Matching perfect = run_ws(hopcroft_karp_ws, g);
   ASSERT_EQ(perfect.cardinality(), n);
   ASSERT_TRUE(is_valid_matching(g, perfect));
 
@@ -130,7 +132,7 @@ TEST(Matching, ValidityScansWholeRowsAboveTheParallelSize) {
   constexpr vid_t n = 1 << 14;
   const BipartiteGraph g = make_planted_perfect(n, 15, 9);
   ASSERT_GT(g.num_edges(), eid_t{1} << 16);
-  const Matching perfect = hopcroft_karp(g);
+  const Matching perfect = run_ws(hopcroft_karp_ws, g);
   ASSERT_EQ(perfect.cardinality(), n);
   ASSERT_TRUE(is_valid_matching(g, perfect));
   for (const vid_t p : {vid_t{0}, n / 3, n - 1}) {
@@ -152,7 +154,7 @@ TEST(Matching, ValidityScansWholeRowsAboveTheParallelSize) {
 
 TEST(MatchingFromColView, ReconstructsRowView) {
   // Columns 0 and 2 claim rows 1 and 0 respectively.
-  const Matching m = matching_from_col_view(2, {1, kNil, 0});
+  const Matching m = run_ws(matching_from_col_view, 2, std::vector<vid_t>{1, kNil, 0});
   EXPECT_EQ(m.row_match[0], 2);
   EXPECT_EQ(m.row_match[1], 0);
   EXPECT_EQ(m.cardinality(), 2);
@@ -163,14 +165,16 @@ TEST(MatchingFromColView, SurvivingWriteWins) {
   // inconsistent; the reconstruction keeps the *last* column's claim in the
   // row view. OneSidedMatch never produces that case (each row writes at
   // most one column), which this test documents by construction.
-  const Matching m = matching_from_col_view(1, {0, 0});
+  const Matching m = run_ws(matching_from_col_view, 1, std::vector<vid_t>{0, 0});
   EXPECT_EQ(m.row_match[0], 1);
 }
 
 TEST(MatchingFromColView, RejectsOutOfRangeRowIds) {
-  EXPECT_THROW((void)matching_from_col_view(2, {2}), std::out_of_range);
-  EXPECT_THROW((void)matching_from_col_view(2, {kNil, -7}), std::out_of_range);
-  EXPECT_NO_THROW((void)matching_from_col_view(2, {kNil, 1}));
+  EXPECT_THROW((void)run_ws(matching_from_col_view, 2, std::vector<vid_t>{2}),
+               std::out_of_range);
+  EXPECT_THROW((void)run_ws(matching_from_col_view, 2, std::vector<vid_t>{kNil, -7}),
+               std::out_of_range);
+  EXPECT_NO_THROW((void)run_ws(matching_from_col_view, 2, std::vector<vid_t>{kNil, 1}));
 }
 
 TEST(Maximality, DetectsAugmentableEdge) {

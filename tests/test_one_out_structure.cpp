@@ -7,9 +7,12 @@
 #include "core/two_sided.hpp"
 #include "graph/generators.hpp"
 #include "scaling/sinkhorn_knopp.hpp"
+#include "test_helpers.hpp"
 
 namespace bmh {
 namespace {
+
+using testing::run_ws;
 
 TEST(ChoiceStructure, SingleReciprocalPairIsOneEdge) {
   // r0 <-> c0 reciprocal; a 2-vertex component with exactly 1 edge (tree).
@@ -61,10 +64,10 @@ TEST_P(Lemma1Test, HoldsAcrossFamiliesAndSeeds) {
   graphs.push_back(make_ks_adversarial(256, 8));
 
   for (const auto& g : graphs) {
-    const ScalingResult s = scale_sinkhorn_knopp(g, {3, 0.0});
-    const TwoSidedChoices ch = sample_two_sided_choices(g, s, seed + 5);
+    const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{3, 0.0});
+    const TwoSidedChoices ch = run_ws(sample_two_sided_choices_ws, g, s, seed + 5);
     const std::vector<vid_t> choice =
-        unify_choices(g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice);
+        run_ws(unify_choices, g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice);
     const ChoiceGraphStructure st =
         analyze_choice_graph(g.num_rows(), g.num_cols(), choice);
     EXPECT_TRUE(st.lemma1_holds);
@@ -81,8 +84,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Lemma1Test, ::testing::Range<std::uint64_t>(0, 6
 
 TEST(MaterializeChoiceGraph, ContainsExactlyTheChosenEdges) {
   const BipartiteGraph g = make_erdos_renyi(300, 300, 1500, 3);
-  const ScalingResult s = scale_sinkhorn_knopp(g);
-  const TwoSidedChoices ch = sample_two_sided_choices(g, s, 7);
+  const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{});
+  const TwoSidedChoices ch = run_ws(sample_two_sided_choices_ws, g, s, 7);
   const BipartiteGraph sub =
       materialize_choice_graph(g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice);
   EXPECT_EQ(sub.num_rows(), g.num_rows());
@@ -110,7 +113,7 @@ TEST(OneOutGraph, StructureMatchesWalkupModel) {
   const BipartiteGraph g = make_one_out(20000, 13);
   std::vector<vid_t> rchoice(20000), cchoice(20000, kNil);
   for (vid_t i = 0; i < 20000; ++i) rchoice[static_cast<std::size_t>(i)] = g.row_neighbors(i)[0];
-  const std::vector<vid_t> choice = unify_choices(20000, 20000, rchoice, cchoice);
+  const std::vector<vid_t> choice = run_ws(unify_choices, 20000, 20000, rchoice, cchoice);
   const ChoiceGraphStructure s = analyze_choice_graph(20000, 20000, choice);
   EXPECT_TRUE(s.lemma1_holds);
   EXPECT_EQ(s.num_edges, 20000);

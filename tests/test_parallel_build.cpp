@@ -28,6 +28,8 @@
 namespace bmh {
 namespace {
 
+using testing::run_ws;
+
 using testing::expect_same_arrays;
 
 /// Builds with `make` on the ambient team and on one thread.
@@ -53,7 +55,7 @@ TEST(ParallelBuild, GeneratorsMatchTheOneThreadBuild) {
 
 TEST(ParallelBuild, KOutSubgraphMatchesTheOneThreadBuild) {
   const BipartiteGraph g = make_erdos_renyi(kN, kN, 8LL * kN, 11);
-  const ScalingResult s = scale_sinkhorn_knopp(g, {3, 0.0});
+  const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{3, 0.0});
   // The pooled path, twice on one workspace: the second build reuses the
   // graph's vectors.
   Workspace ws;

@@ -15,17 +15,19 @@
 namespace bmh {
 namespace {
 
+using testing::run_ws;
+
 class ThreadSweepTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ThreadSweepTest, ScalingIsThreadCountInvariant) {
   ThreadCountGuard guard(GetParam());
   const BipartiteGraph g = make_planted_perfect(2000, 4, 3);
-  const ScalingResult r = scale_sinkhorn_knopp(g, {5, 0.0});
+  const ScalingResult r = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{5, 0.0});
   // Reference from a single-threaded run.
   ScalingResult ref;
   {
     ThreadCountGuard inner(1);
-    ref = scale_sinkhorn_knopp(g, {5, 0.0});
+    ref = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{5, 0.0});
   }
   ASSERT_EQ(r.dr.size(), ref.dr.size());
   for (std::size_t i = 0; i < r.dr.size(); ++i)
@@ -36,12 +38,12 @@ TEST_P(ThreadSweepTest, ScalingIsThreadCountInvariant) {
 TEST_P(ThreadSweepTest, ChoiceSamplingIsThreadCountInvariant) {
   ThreadCountGuard guard(GetParam());
   const BipartiteGraph g = make_erdos_renyi(3000, 3000, 12000, 5);
-  const ScalingResult s = scale_sinkhorn_knopp(g, {3, 0.0});
-  const TwoSidedChoices ch = sample_two_sided_choices(g, s, 11);
+  const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{3, 0.0});
+  const TwoSidedChoices ch = run_ws(sample_two_sided_choices_ws, g, s, 11);
   TwoSidedChoices ref;
   {
     ThreadCountGuard inner(1);
-    ref = sample_two_sided_choices(g, s, 11);
+    ref = run_ws(sample_two_sided_choices_ws, g, s, 11);
   }
   EXPECT_EQ(ch.rchoice, ref.rchoice);
   EXPECT_EQ(ch.cchoice, ref.cchoice);
@@ -63,12 +65,12 @@ TEST_P(ThreadSweepTest, OneSidedCardinalityIsThreadCountInvariant) {
   // not depend on which racy write survives.
   ThreadCountGuard guard(GetParam());
   const BipartiteGraph g = make_planted_perfect(3000, 3, 9);
-  const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
-  const vid_t card = one_sided_from_scaling(g, s, 13).cardinality();
+  const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{5, 0.0});
+  const vid_t card = run_ws(one_sided_from_scaling_ws, g, s, 13).cardinality();
   vid_t ref;
   {
     ThreadCountGuard inner(1);
-    ref = one_sided_from_scaling(g, s, 13).cardinality();
+    ref = run_ws(one_sided_from_scaling_ws, g, s, 13).cardinality();
   }
   EXPECT_EQ(card, ref);
 }
@@ -76,12 +78,12 @@ TEST_P(ThreadSweepTest, OneSidedCardinalityIsThreadCountInvariant) {
 TEST_P(ThreadSweepTest, TwoSidedCardinalityIsThreadCountInvariant) {
   ThreadCountGuard guard(GetParam());
   const BipartiteGraph g = make_planted_perfect(3000, 3, 15);
-  const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
-  const vid_t card = two_sided_from_scaling(g, s, 17).cardinality();
+  const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{5, 0.0});
+  const vid_t card = run_ws(two_sided_from_scaling_ws, g, s, 17, nullptr).cardinality();
   vid_t ref;
   {
     ThreadCountGuard inner(1);
-    ref = two_sided_from_scaling(g, s, 17).cardinality();
+    ref = run_ws(two_sided_from_scaling_ws, g, s, 17, nullptr).cardinality();
   }
   EXPECT_EQ(card, ref);
 }
@@ -90,18 +92,20 @@ INSTANTIATE_TEST_SUITE_P(Threads, ThreadSweepTest, ::testing::Values(1, 2, 4, 8,
 
 TEST(RaceStress, OneSidedStaysValidUnderManyParallelRuns) {
   const BipartiteGraph g = make_erdos_renyi(4000, 4000, 16000, 3);
-  const ScalingResult s = scale_sinkhorn_knopp(g, {3, 0.0});
+  const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{3, 0.0});
   for (int rep = 0; rep < 10; ++rep) {
-    const Matching m = one_sided_from_scaling(g, s, static_cast<std::uint64_t>(rep));
+    const Matching m =
+        run_ws(one_sided_from_scaling_ws, g, s, static_cast<std::uint64_t>(rep));
     testing::expect_valid(g, m, "one_sided stress");
   }
 }
 
 TEST(RaceStress, TwoSidedStaysValidAndExactUnderManyParallelRuns) {
   const BipartiteGraph g = make_erdos_renyi(4000, 4000, 16000, 5);
-  const ScalingResult s = scale_sinkhorn_knopp(g, {3, 0.0});
+  const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{3, 0.0});
   for (int rep = 0; rep < 10; ++rep) {
-    const Matching m = two_sided_from_scaling(g, s, static_cast<std::uint64_t>(rep));
+    const Matching m =
+        run_ws(two_sided_from_scaling_ws, g, s, static_cast<std::uint64_t>(rep), nullptr);
     testing::expect_valid(g, m, "two_sided stress");
   }
 }

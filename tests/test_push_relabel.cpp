@@ -20,13 +20,15 @@
 namespace bmh {
 namespace {
 
+using testing::run_ws;
+
 TEST(PushRelabel, MatchesBruteForceOnSmallRandomGraphs) {
   for (std::uint64_t seed = 0; seed < 60; ++seed) {
     const vid_t rows = 2 + static_cast<vid_t>(seed % 7);
     const vid_t cols = 2 + static_cast<vid_t>((seed / 7) % 7);
     const BipartiteGraph g =
         make_erdos_renyi(rows, cols, static_cast<eid_t>(rows) * 2, seed + 500);
-    const Matching m = push_relabel(g);
+    const Matching m = run_ws(push_relabel_ws, g);
     testing::expect_valid(g, m, "push_relabel");
     EXPECT_EQ(m.cardinality(), testing::brute_force_max_matching(g)) << "seed " << seed;
   }
@@ -35,47 +37,45 @@ TEST(PushRelabel, MatchesBruteForceOnSmallRandomGraphs) {
 TEST(PushRelabel, AgreesWithHopcroftKarpOnMediumGraphs) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     const BipartiteGraph g = make_erdos_renyi(800, 850, 4000, seed);
-    EXPECT_EQ(push_relabel(g).cardinality(), hopcroft_karp(g).cardinality()) << seed;
+    EXPECT_EQ(run_ws(push_relabel_ws, g).cardinality(),
+              run_ws(hopcroft_karp_ws, g).cardinality()) << seed;
   }
 }
 
 TEST(PushRelabel, ZooAgreesWithBruteForce) {
   for (const auto& g : testing::small_graph_zoo()) {
-    const Matching m = push_relabel(g);
+    const Matching m = run_ws(push_relabel_ws, g);
     testing::expect_valid(g, m, "zoo");
     EXPECT_EQ(m.cardinality(), testing::brute_force_max_matching(g));
   }
 }
 
 TEST(PushRelabel, StructuredInstances) {
-  EXPECT_EQ(push_relabel(make_ks_adversarial(128, 8)).cardinality(), 128);
-  EXPECT_EQ(push_relabel(make_mesh(15, 15)).cardinality(), 225);
-  EXPECT_EQ(push_relabel(make_cycle(51)).cardinality(), 51);
-  EXPECT_EQ(push_relabel(make_full(32)).cardinality(), 32);
+  EXPECT_EQ(run_ws(push_relabel_ws, make_ks_adversarial(128, 8)).cardinality(), 128);
+  EXPECT_EQ(run_ws(push_relabel_ws, make_mesh(15, 15)).cardinality(), 225);
+  EXPECT_EQ(run_ws(push_relabel_ws, make_cycle(51)).cardinality(), 51);
+  EXPECT_EQ(run_ws(push_relabel_ws, make_full(32)).cardinality(), 32);
 }
 
 TEST(PushRelabel, DeficientAndRectangular) {
   const BipartiteGraph wide = make_erdos_renyi(150, 400, 800, 3);
-  EXPECT_EQ(push_relabel(wide).cardinality(), hopcroft_karp(wide).cardinality());
+  EXPECT_EQ(run_ws(push_relabel_ws, wide).cardinality(),
+            run_ws(hopcroft_karp_ws, wide).cardinality());
   const BipartiteGraph tall = make_erdos_renyi(400, 150, 800, 4);
-  EXPECT_EQ(push_relabel(tall).cardinality(), hopcroft_karp(tall).cardinality());
+  EXPECT_EQ(run_ws(push_relabel_ws, tall).cardinality(),
+            run_ws(hopcroft_karp_ws, tall).cardinality());
   const BipartiteGraph sparse = make_erdos_renyi(1000, 1000, 1500, 5);
-  EXPECT_EQ(push_relabel(sparse).cardinality(), mc21(sparse).cardinality());
+  EXPECT_EQ(run_ws(push_relabel_ws, sparse).cardinality(),
+            run_ws(mc21_ws, sparse).cardinality());
 }
 
 TEST(PushRelabel, WarmStartPreservesOptimality) {
   const BipartiteGraph g = make_erdos_renyi(600, 600, 3000, 9);
-  const Matching init = match_min_degree(g);
-  const Matching warm = push_relabel(g, &init);
+  Matching warm = run_ws(match_min_degree_ws, g);
+  Workspace ws;
+  push_relabel_augment_ws(g, warm, ws);
   testing::expect_valid(g, warm, "warm");
-  EXPECT_EQ(warm.cardinality(), hopcroft_karp(g).cardinality());
-}
-
-TEST(PushRelabel, RejectsInvalidWarmStart) {
-  const BipartiteGraph g = graph_from_rows(2, 2, {{0}, {1}});
-  Matching bad(2, 2);
-  bad.match(0, 1);
-  EXPECT_THROW((void)push_relabel(g, &bad), std::invalid_argument);
+  EXPECT_EQ(warm.cardinality(), run_ws(hopcroft_karp_ws, g).cardinality());
 }
 
 TEST(PushRelabel, LongAugmentingChains) {
@@ -88,7 +88,7 @@ TEST(PushRelabel, LongAugmentingChains) {
     if (i + 1 < n) rows[static_cast<std::size_t>(i)].push_back(i + 1);
   }
   const BipartiteGraph g = graph_from_rows(n, n, rows);
-  EXPECT_EQ(push_relabel(g).cardinality(), n);
+  EXPECT_EQ(run_ws(push_relabel_ws, g).cardinality(), n);
 }
 
 TEST(PushRelabel, DeficientErdosRenyiAtScaleMatchesHopcroftKarp) {
@@ -107,7 +107,7 @@ TEST(PushRelabel, DeficientErdosRenyiAtScaleMatchesHopcroftKarp) {
       Matching m;
       push_relabel_ws(g, ws, m);
       testing::expect_valid(g, m, spec.c_str());
-      const vid_t exact = hopcroft_karp(g).cardinality();
+      const vid_t exact = run_ws(hopcroft_karp_ws, g).cardinality();
       EXPECT_LT(exact, g.num_rows()) << spec;
       EXPECT_EQ(m.cardinality(), exact) << spec;
     }
@@ -128,15 +128,15 @@ TEST(Sprank, MatchesHopcroftKarpEverywhere) {
   Workspace ws;
   for (std::size_t t = 0; t < graphs.size(); ++t) {
     const BipartiteGraph& g = graphs[t];
-    const vid_t exact = hopcroft_karp(g).cardinality();
+    const vid_t exact = run_ws(hopcroft_karp_ws, g).cardinality();
     EXPECT_EQ(sprank_ws(g, ws), exact) << "graph " << t;  // warm workspace
-    EXPECT_EQ(sprank(g), exact) << "graph " << t;
+    EXPECT_EQ(run_ws(sprank_ws, g), exact) << "graph " << t;
   }
 }
 
 TEST(PushRelabel, EmptyAndIsolated) {
   const BipartiteGraph g = graph_from_rows(3, 3, {{}, {1}, {}});
-  const Matching m = push_relabel(g);
+  const Matching m = run_ws(push_relabel_ws, g);
   testing::expect_valid(g, m, "isolated");
   EXPECT_EQ(m.cardinality(), 1);
 }
@@ -154,7 +154,8 @@ TEST(PushRelabel, MatchingPinnedAcrossVersions) {
   const BipartiteGraph powerlaw = make_power_law(n, 8.0, 1.8, 12);
   const BipartiteGraph planted = make_planted_perfect(n, 7, 13);
   const auto two_out = [](const BipartiteGraph& g) {
-    return k_out_subgraph(g, scale_sinkhorn_knopp(g, {5, 0.0}), 2, 7);
+    const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{5, 0.0});
+    return run_ws(k_out_subgraph_ws, g, s, 2, 7);
   };
   const BipartiteGraph er_2out = two_out(er);
   const BipartiteGraph powerlaw_2out = two_out(powerlaw);

@@ -9,9 +9,12 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "matching/greedy.hpp"
+#include "test_helpers.hpp"
 
 namespace bmh {
 namespace {
+
+using testing::run_ws;
 
 TEST(Quality, RatioComputation) {
   Matching m(4, 4);
@@ -28,8 +31,8 @@ TEST(Quality, ZeroSprankIsPerfect) {
 
 TEST(Quality, EvaluateMatchingEndToEnd) {
   const BipartiteGraph g = make_planted_perfect(200, 2, 1);
-  const Matching m = match_min_degree(g);
-  const QualityReport r = evaluate_matching(g, m);
+  const Matching m = run_ws(match_min_degree_ws, g);
+  const QualityReport r = run_ws(evaluate_matching, g, m);
   EXPECT_TRUE(r.valid);
   EXPECT_EQ(r.sprank, 200);
   EXPECT_EQ(r.cardinality, m.cardinality());
@@ -41,7 +44,7 @@ TEST(Quality, FlagsInvalidMatching) {
   const BipartiteGraph g = graph_from_rows(2, 2, {{0}, {1}});
   Matching bad(2, 2);
   bad.match(0, 1);  // not an edge
-  const QualityReport r = evaluate_matching(g, bad);
+  const QualityReport r = run_ws(evaluate_matching, g, bad);
   EXPECT_FALSE(r.valid);
 }
 

@@ -21,6 +21,8 @@
 namespace bmh {
 namespace {
 
+using testing::run_ws;
+
 ScalingOptions iters(int n) {
   ScalingOptions o;
   o.max_iterations = n;
@@ -29,7 +31,7 @@ ScalingOptions iters(int n) {
 
 TEST(IdentityScaling, AllOnesMultipliers) {
   const BipartiteGraph g = make_erdos_renyi(50, 60, 300, 1);
-  const ScalingResult r = identity_scaling(g);
+  const ScalingResult r = run_ws(identity_scaling_ws, g, true);
   EXPECT_EQ(r.iterations, 0);
   for (const double d : r.dr) EXPECT_EQ(d, 1.0);
   for (const double d : r.dc) EXPECT_EQ(d, 1.0);
@@ -39,7 +41,7 @@ TEST(IdentityScaling, ErrorIsMaxDegreeMinusOne) {
   // For an unscaled (0,1)-matrix the row/col sums are the degrees, so the
   // error is max(deg) - 1 (the paper notes n-1 for a full matrix).
   const BipartiteGraph g = make_full(10);
-  const ScalingResult r = identity_scaling(g);
+  const ScalingResult r = run_ws(identity_scaling_ws, g, true);
   EXPECT_NEAR(r.error, 9.0, 1e-12);
 }
 
@@ -47,7 +49,7 @@ TEST(SinkhornKnopp, FullMatrixScalesInOneIteration) {
   // For the all-ones matrix the doubly stochastic limit is s_ij = 1/n,
   // reached immediately.
   const BipartiteGraph g = make_full(8);
-  const ScalingResult r = scale_sinkhorn_knopp(g, iters(1));
+  const ScalingResult r = run_ws(scale_sinkhorn_knopp_ws, g, iters(1));
   for (vid_t i = 0; i < 8; ++i)
     for (vid_t j = 0; j < 8; ++j) EXPECT_NEAR(r.entry(i, j), 1.0 / 8.0, 1e-12);
   EXPECT_NEAR(r.error, 0.0, 1e-12);
@@ -55,23 +57,23 @@ TEST(SinkhornKnopp, FullMatrixScalesInOneIteration) {
 
 TEST(SinkhornKnopp, PermutationMatrixIsFixedPoint) {
   const BipartiteGraph g = graph_from_rows(3, 3, {{1}, {2}, {0}});
-  const ScalingResult r = scale_sinkhorn_knopp(g, iters(3));
+  const ScalingResult r = run_ws(scale_sinkhorn_knopp_ws, g, iters(3));
   EXPECT_NEAR(r.error, 0.0, 1e-12);
   EXPECT_NEAR(r.entry(0, 1), 1.0, 1e-12);
 }
 
 TEST(SinkhornKnopp, RowSumsAreOneAfterEachIteration) {
   const BipartiteGraph g = make_planted_perfect(300, 4, 5);
-  const ScalingResult r = scale_sinkhorn_knopp(g, iters(3));
-  const std::vector<double> rs = scaled_row_sums(g, r);
+  const ScalingResult r = run_ws(scale_sinkhorn_knopp_ws, g, iters(3));
+  const std::vector<double> rs = run_ws(scaled_row_sums, g, r);
   for (const double s : rs) EXPECT_NEAR(s, 1.0, 1e-9);
 }
 
 TEST(SinkhornKnopp, ErrorDecreasesWithIterations) {
   const BipartiteGraph g = make_planted_perfect(500, 5, 11);
-  const double e1 = scale_sinkhorn_knopp(g, iters(1)).error;
-  const double e5 = scale_sinkhorn_knopp(g, iters(5)).error;
-  const double e20 = scale_sinkhorn_knopp(g, iters(20)).error;
+  const double e1 = run_ws(scale_sinkhorn_knopp_ws, g, iters(1)).error;
+  const double e5 = run_ws(scale_sinkhorn_knopp_ws, g, iters(5)).error;
+  const double e20 = run_ws(scale_sinkhorn_knopp_ws, g, iters(20)).error;
   EXPECT_LT(e5, e1);
   EXPECT_LT(e20, e5);
   EXPECT_LT(e20, 0.1);  // rate depends on the 2nd singular value; be lenient
@@ -83,7 +85,7 @@ TEST(SinkhornKnopp, ConvergesOnTotalSupportMatrix) {
   ScalingOptions o;
   o.max_iterations = 200;
   o.tolerance = 1e-10;
-  const ScalingResult r = scale_sinkhorn_knopp(g, o);
+  const ScalingResult r = run_ws(scale_sinkhorn_knopp_ws, g, o);
   EXPECT_TRUE(r.converged);
   EXPECT_LE(r.error, 1e-10);
   // The unique scaling of the 2-regular cycle is s_ij = 1/2 everywhere.
@@ -96,14 +98,14 @@ TEST(SinkhornKnopp, ToleranceStopsEarly) {
   ScalingOptions o;
   o.max_iterations = 1000;
   o.tolerance = 1e-6;
-  const ScalingResult r = scale_sinkhorn_knopp(g, o);
+  const ScalingResult r = run_ws(scale_sinkhorn_knopp_ws, g, o);
   EXPECT_TRUE(r.converged);
   EXPECT_LT(r.iterations, 1000);
 }
 
 TEST(SinkhornKnopp, EmptyRowsAndColumnsAreTolerated) {
   const BipartiteGraph g = graph_from_rows(3, 3, {{0}, {}, {0, 2}});
-  const ScalingResult r = scale_sinkhorn_knopp(g, iters(10));
+  const ScalingResult r = run_ws(scale_sinkhorn_knopp_ws, g, iters(10));
   EXPECT_TRUE(std::isfinite(r.error));
   for (const double d : r.dr) EXPECT_TRUE(std::isfinite(d));
   for (const double d : r.dc) EXPECT_TRUE(std::isfinite(d));
@@ -113,7 +115,7 @@ TEST(SinkhornKnopp, EdgelessGraphConvergesImmediately) {
   // An edgeless matrix is vacuously doubly stochastic; the kernel used to
   // burn max_iterations of no-op sweeps and report converged = false.
   const BipartiteGraph g = graph_from_rows(3, 4, {{}, {}, {}});
-  const ScalingResult r = scale_sinkhorn_knopp(g, iters(50));
+  const ScalingResult r = run_ws(scale_sinkhorn_knopp_ws, g, iters(50));
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.iterations, 0);
   EXPECT_EQ(r.error, 0.0);
@@ -156,7 +158,7 @@ TEST(SinkhornKnopp, MultipliersPinnedAcrossVersions) {
        0x1.3e959905a6dp-6, false},
   };
   for (const Pin& pin : pins) {
-    const ScalingResult r = scale_sinkhorn_knopp(*pin.g, pin.opts);
+    const ScalingResult r = run_ws(scale_sinkhorn_knopp_ws, *pin.g, pin.opts);
     const std::string where = "edges " + std::to_string(pin.g->num_edges()) + ", iters " +
                               std::to_string(pin.opts.max_iterations) + ", tolerance " +
                               std::to_string(pin.opts.tolerance);
@@ -170,7 +172,7 @@ TEST(SinkhornKnopp, MultipliersPinnedAcrossVersions) {
 
 TEST(Ruiz, EdgelessGraphConvergesImmediately) {
   const BipartiteGraph g = graph_from_rows(2, 2, {{}, {}});
-  const ScalingResult r = scale_ruiz(g, iters(50));
+  const ScalingResult r = run_ws(scale_ruiz_ws, g, iters(50));
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.iterations, 0);
   EXPECT_EQ(r.error, 0.0);
@@ -180,7 +182,7 @@ TEST(Ruiz, EdgelessGraphConvergesImmediately) {
 
 TEST(ScalingError, EdgelessGraphIsZero) {
   const BipartiteGraph g = graph_from_rows(3, 3, {{}, {}, {}});
-  EXPECT_EQ(scaling_error(g, identity_scaling(g)), 0.0);
+  EXPECT_EQ(run_ws(scaling_error_ws, g, run_ws(identity_scaling_ws, g, true)), 0.0);
 }
 
 TEST(ScalingError, ZeroDegreeRowsAreExcluded) {
@@ -190,7 +192,8 @@ TEST(ScalingError, ZeroDegreeRowsAreExcluded) {
   ScalingOptions o;
   o.max_iterations = 20;
   o.tolerance = 1e-12;
-  for (const ScalingResult& r : {scale_sinkhorn_knopp(g, o), scale_ruiz(g, o)}) {
+  for (const ScalingResult& r :
+       {run_ws(scale_sinkhorn_knopp_ws, g, o), run_ws(scale_ruiz_ws, g, o)}) {
     EXPECT_TRUE(r.converged);
     EXPECT_LE(r.error, 1e-12);
     EXPECT_EQ(r.dr[1], 1.0);  // untouched empty row
@@ -200,8 +203,8 @@ TEST(ScalingError, ZeroDegreeRowsAreExcluded) {
 TEST(SinkhornKnopp, SuppressesEntriesOutsideMaximumMatchings) {
   // §3.3: on a DM-structured matrix the "*" coupling entries tend to zero.
   const BipartiteGraph g = make_dm_structured(20, 30, 40, 35, 25, 3, 7);
-  const DmDecomposition dm = dulmage_mendelsohn(g, hopcroft_karp(g));
-  const ScalingResult r = scale_sinkhorn_knopp(g, iters(200));
+  const DmDecomposition dm = dulmage_mendelsohn(g, run_ws(hopcroft_karp_ws, g));
+  const ScalingResult r = run_ws(scale_sinkhorn_knopp_ws, g, iters(200));
 
   // The paper's claim is about the coupling ("*") entries: they tend to
   // zero. We check it two ways: absolutely, and relative to each row's
@@ -233,13 +236,13 @@ TEST(Ruiz, ConvergesOnTotalSupportMatrix) {
   ScalingOptions o;
   o.max_iterations = 500;
   o.tolerance = 1e-8;
-  const ScalingResult r = scale_ruiz(g, o);
+  const ScalingResult r = run_ws(scale_ruiz_ws, g, o);
   EXPECT_TRUE(r.converged);
 }
 
 TEST(Ruiz, FullMatrixConvergesImmediately) {
   const BipartiteGraph g = make_full(6);
-  const ScalingResult r = scale_ruiz(g, iters(2));
+  const ScalingResult r = run_ws(scale_ruiz_ws, g, iters(2));
   for (vid_t i = 0; i < 6; ++i)
     for (vid_t j = 0; j < 6; ++j) EXPECT_NEAR(r.entry(i, j), 1.0 / 6.0, 1e-9);
 }
@@ -248,8 +251,8 @@ TEST(Ruiz, SlowerThanSinkhornKnoppOnUnsymmetricMatrix) {
   // The paper (§2.2, citing Knight-Ruiz-Uçar) reports SK converges faster
   // on unsymmetric matrices; verify the error ordering after equal sweeps.
   const BipartiteGraph g = make_planted_perfect(400, 6, 3);
-  const double sk = scale_sinkhorn_knopp(g, iters(5)).error;
-  const double rz = scale_ruiz(g, iters(5)).error;
+  const double sk = run_ws(scale_sinkhorn_knopp_ws, g, iters(5)).error;
+  const double rz = run_ws(scale_ruiz_ws, g, iters(5)).error;
   EXPECT_LT(sk, rz);
 }
 
@@ -258,7 +261,7 @@ class ScalingIterationSweep : public ::testing::TestWithParam<int> {};
 TEST_P(ScalingIterationSweep, ErrorWithinTheoryBoundForErdosRenyi) {
   const int it = GetParam();
   const BipartiteGraph g = make_planted_perfect(1000, 3, 13);
-  const ScalingResult r = scale_sinkhorn_knopp(g, iters(it));
+  const ScalingResult r = run_ws(scale_sinkhorn_knopp_ws, g, iters(it));
   EXPECT_EQ(r.iterations, it);
   EXPECT_GE(r.error, 0.0);
   EXPECT_TRUE(std::isfinite(r.error));

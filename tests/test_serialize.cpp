@@ -24,6 +24,8 @@
 namespace bmh {
 namespace {
 
+using testing::run_ws;
+
 namespace fs = std::filesystem;
 
 class SerializeTest : public ::testing::Test {
@@ -146,7 +148,7 @@ TEST_F(SerializeTest, MappedGraphSupportsTheFullReadApi) {
   const BipartiteGraph copy = m;  // NOLINT(performance-unnecessary-copy-initialization)
   EXPECT_FALSE(copy.owns_storage());
   EXPECT_EQ(copy.row_ptr().data(), m.row_ptr().data());
-  const Matching matched = match_random_vertices(copy, 1);
+  const Matching matched = run_ws(match_random_vertices_ws, copy, 1);
   testing::expect_valid(copy, matched, "greedy on mapped graph");
 }
 

@@ -17,6 +17,8 @@
 namespace bmh {
 namespace {
 
+using testing::run_ws;
+
 TEST(Permute, IdentityIsNoop) {
   const BipartiteGraph g = make_erdos_renyi(50, 60, 300, 1);
   std::vector<vid_t> id_r(50), id_c(60);
@@ -44,7 +46,7 @@ TEST(Permute, SprankIsInvariant) {
   const BipartiteGraph g = make_erdos_renyi(400, 400, 1200, 7);
   const BipartiteGraph p =
       permuted(g, make_permutation(400, 1), make_permutation(400, 2));
-  EXPECT_EQ(sprank(g), sprank(p));
+  EXPECT_EQ(run_ws(sprank_ws, g), run_ws(sprank_ws, p));
 }
 
 TEST(Permute, HeuristicQualityDistributionUnchanged) {
@@ -56,8 +58,9 @@ TEST(Permute, HeuristicQualityDistributionUnchanged) {
   double mean_g = 0.0, mean_p = 0.0;
   constexpr int kRuns = 8;
   for (int r = 0; r < kRuns; ++r) {
-    mean_g += two_sided_match(g, 5, static_cast<std::uint64_t>(r)).cardinality();
-    mean_p += two_sided_match(p, 5, static_cast<std::uint64_t>(r)).cardinality();
+    const auto seed = static_cast<std::uint64_t>(r);
+    mean_g += run_ws(two_sided_match_ws, g, 5, seed, nullptr).cardinality();
+    mean_p += run_ws(two_sided_match_ws, p, 5, seed, nullptr).cardinality();
   }
   mean_g /= kRuns * static_cast<double>(n);
   mean_p /= kRuns * static_cast<double>(n);
@@ -105,22 +108,22 @@ TEST(InducedSubgraph, MaskSizeMismatchThrows) {
 
 TEST(ExtractPart, DmBlocksHaveTheirDocumentedProperties) {
   const BipartiteGraph g = make_dm_structured(15, 25, 30, 28, 18, 2, 3);
-  const DmDecomposition dm = dulmage_mendelsohn(g, hopcroft_karp(g));
+  const DmDecomposition dm = dulmage_mendelsohn(g, run_ws(hopcroft_karp_ws, g));
 
   // H block: wide, row-perfect matching.
   const BipartiteGraph h = extract_part(g, dm.row_part, dm.col_part, DmPart::Horizontal);
   EXPECT_GT(h.num_cols(), h.num_rows());
-  EXPECT_EQ(sprank(h), h.num_rows());
+  EXPECT_EQ(run_ws(sprank_ws, h), h.num_rows());
 
   // S block: square with a perfect matching.
   const BipartiteGraph s = extract_part(g, dm.row_part, dm.col_part, DmPart::Square);
   EXPECT_EQ(s.num_rows(), s.num_cols());
-  EXPECT_EQ(sprank(s), s.num_rows());
+  EXPECT_EQ(run_ws(sprank_ws, s), s.num_rows());
 
   // V block: tall, column-perfect matching.
   const BipartiteGraph v = extract_part(g, dm.row_part, dm.col_part, DmPart::Vertical);
   EXPECT_GT(v.num_rows(), v.num_cols());
-  EXPECT_EQ(sprank(v), v.num_cols());
+  EXPECT_EQ(run_ws(sprank_ws, v), v.num_cols());
 }
 
 } // namespace

@@ -15,9 +15,11 @@
 namespace bmh {
 namespace {
 
+using testing::run_ws;
+
 TEST(TwoSided, ValidOnZoo) {
   for (const auto& g : testing::small_graph_zoo()) {
-    const Matching m = two_sided_match(g, 5, 3);
+    const Matching m = run_ws(two_sided_match_ws, g, 5, 3, nullptr);
     testing::expect_valid(g, m, "two_sided zoo");
   }
 }
@@ -30,7 +32,7 @@ TEST(TwoSided, MeetsConjectureOnFullMatrix) {
   const BipartiteGraph g = make_full(n);
   double worst = 1.0;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    const Matching m = two_sided_match(g, 1, seed);
+    const Matching m = run_ws(two_sided_match_ws, g, 1, seed, nullptr);
     worst = std::min(worst,
                      static_cast<double>(m.cardinality()) / static_cast<double>(n));
   }
@@ -44,7 +46,7 @@ TEST_P(TwoSidedFamilyTest, MeetsConjectureOnPlantedPerfect) {
   const std::uint64_t seed = GetParam();
   const vid_t n = 3000;
   const BipartiteGraph g = make_planted_perfect(n, 3, seed);
-  const Matching m = two_sided_match(g, 10, seed + 5);
+  const Matching m = run_ws(two_sided_match_ws, g, 10, seed + 5, nullptr);
   testing::expect_valid(g, m, "planted");
   EXPECT_GE(static_cast<double>(m.cardinality()) / static_cast<double>(n),
             kTwoSidedGuarantee - 0.02);
@@ -56,8 +58,8 @@ TEST(TwoSided, AlwaysAtLeastOneSidedInExpectationOnRandom) {
   // TwoSided uses strictly more information than OneSided; on random
   // instances its cardinality should dominate clearly.
   const BipartiteGraph g = make_erdos_renyi(3000, 3000, 12000, 3);
-  const vid_t rank = sprank(g);
-  const Matching two = two_sided_match(g, 5, 1);
+  const vid_t rank = run_ws(sprank_ws, g);
+  const Matching two = run_ws(two_sided_match_ws, g, 5, 1, nullptr);
   EXPECT_GE(matching_quality(two, rank), kTwoSidedGuarantee - 0.02);
 }
 
@@ -68,8 +70,9 @@ TEST(TwoSided, BeatsKarpSipserOnAdversarialFamily) {
   const BipartiteGraph g = make_ks_adversarial(n, 16);
   vid_t ks_worst = n, ts_worst = n;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    ks_worst = std::min(ks_worst, karp_sipser(g, seed).cardinality());
-    ts_worst = std::min(ts_worst, two_sided_match(g, 10, seed).cardinality());
+    ks_worst = std::min(ks_worst, run_ws(karp_sipser_ws, g, seed, nullptr).cardinality());
+    ts_worst =
+        std::min(ts_worst, run_ws(two_sided_match_ws, g, 10, seed, nullptr).cardinality());
   }
   EXPECT_GT(ts_worst, ks_worst);
   EXPECT_GE(static_cast<double>(ts_worst) / n, 0.95);
@@ -77,9 +80,9 @@ TEST(TwoSided, BeatsKarpSipserOnAdversarialFamily) {
 
 TEST(TwoSided, WorksOnSprankDeficientGraphs) {
   const BipartiteGraph g = make_erdos_renyi(3000, 3000, 3 * 3000, 7);
-  const vid_t rank = sprank(g);
+  const vid_t rank = run_ws(sprank_ws, g);
   EXPECT_LT(rank, 3000);
-  const Matching m = two_sided_match(g, 5, 2);
+  const Matching m = run_ws(two_sided_match_ws, g, 5, 2, nullptr);
   testing::expect_valid(g, m, "deficient");
   EXPECT_GE(matching_quality(m, rank), kTwoSidedGuarantee - 0.02);
 }
@@ -88,16 +91,16 @@ TEST(TwoSided, WorksOnRectangularGraphs) {
   // §4.1.3: rectangular 100k x 120k reached 0.930 with 5 iterations; at
   // unit-test scale we check the same comfortably-above-0.866 behaviour.
   const BipartiteGraph g = make_erdos_renyi(2000, 2400, 4 * 2000, 11);
-  const vid_t rank = sprank(g);
-  const Matching m = two_sided_match(g, 5, 3);
+  const vid_t rank = run_ws(sprank_ws, g);
+  const Matching m = run_ws(two_sided_match_ws, g, 5, 3, nullptr);
   testing::expect_valid(g, m, "rectangular");
   EXPECT_GE(matching_quality(m, rank), kTwoSidedGuarantee - 0.02);
 }
 
 TEST(TwoSided, ChoicesComeFromTheGraph) {
   const BipartiteGraph g = make_erdos_renyi(500, 500, 2500, 5);
-  const ScalingResult s = scale_sinkhorn_knopp(g);
-  const TwoSidedChoices ch = sample_two_sided_choices(g, s, 9);
+  const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{});
+  const TwoSidedChoices ch = run_ws(sample_two_sided_choices_ws, g, s, 9);
   for (vid_t i = 0; i < g.num_rows(); ++i) {
     if (ch.rchoice[static_cast<std::size_t>(i)] != kNil) {
       EXPECT_TRUE(g.has_edge(i, ch.rchoice[static_cast<std::size_t>(i)]));
@@ -112,9 +115,9 @@ TEST(TwoSided, ChoicesComeFromTheGraph) {
 
 TEST(TwoSided, MatchingUsesOnlyChosenEdges) {
   const BipartiteGraph g = make_erdos_renyi(800, 800, 4000, 13);
-  const ScalingResult s = scale_sinkhorn_knopp(g);
-  const TwoSidedChoices ch = sample_two_sided_choices(g, s, 17);
-  const Matching m = two_sided_from_scaling(g, s, 17);
+  const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{});
+  const TwoSidedChoices ch = run_ws(sample_two_sided_choices_ws, g, s, 17);
+  const Matching m = run_ws(two_sided_from_scaling_ws, g, s, 17, nullptr);
   for (vid_t i = 0; i < g.num_rows(); ++i) {
     const vid_t j = m.row_match[static_cast<std::size_t>(i)];
     if (j == kNil) continue;
@@ -129,7 +132,8 @@ TEST(TwoSided, QualityImprovesWithIterationsOnAdversarial) {
   auto min_quality = [&](int iters) {
     vid_t worst = 1024;
     for (std::uint64_t seed = 0; seed < 5; ++seed)
-      worst = std::min(worst, two_sided_match(g, iters, seed).cardinality());
+      worst = std::min(worst,
+                       run_ws(two_sided_match_ws, g, iters, seed, nullptr).cardinality());
     return static_cast<double>(worst) / 1024.0;
   };
   const double q0 = min_quality(0);

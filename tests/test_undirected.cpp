@@ -23,6 +23,8 @@
 namespace bmh {
 namespace {
 
+using testing::run_ws;
+
 /// Exhaustive maximum matching on a small undirected graph.
 vid_t brute_force(const UndirectedGraph& g) {
   std::vector<bool> used(static_cast<std::size_t>(g.num_vertices()), false);
@@ -74,7 +76,7 @@ TEST(UndirectedGenerators, ShapesAreCorrect) {
 
 TEST(SymmetricScaling, CycleConvergesToHalf) {
   const UndirectedGraph g = make_undirected_cycle(40);
-  const SymmetricScaling s = scale_symmetric(g, 50);
+  const SymmetricScaling s = run_ws(scale_symmetric_ws, g, 50);
   EXPECT_LT(s.error, 1e-6);
   // 2-regular: the doubly stochastic limit has every scaled entry 1/2.
   for (vid_t u = 0; u < 40; ++u)
@@ -85,22 +87,22 @@ TEST(SymmetricScaling, CycleConvergesToHalf) {
 
 TEST(SymmetricScaling, CompleteGraphUniform) {
   const UndirectedGraph g = make_undirected_complete(10);
-  const SymmetricScaling s = scale_symmetric(g, 30);
+  const SymmetricScaling s = run_ws(scale_symmetric_ws, g, 30);
   // K_10 has degree 9; limit entry 1/9.
   EXPECT_NEAR(s.d[0] * s.d[1], 1.0 / 9.0, 1e-6);
 }
 
 TEST(SymmetricScaling, ErrorDecreases) {
   const UndirectedGraph g = make_undirected_erdos_renyi(2000, 6000, 5);
-  const double e1 = scale_symmetric(g, 1).error;
-  const double e10 = scale_symmetric(g, 10).error;
+  const double e1 = run_ws(scale_symmetric_ws, g, 1).error;
+  const double e10 = run_ws(scale_symmetric_ws, g, 10).error;
   EXPECT_LT(e10, e1);
 }
 
 TEST(SampleChoices, PicksAreNeighbors) {
   const UndirectedGraph g = make_undirected_erdos_renyi(500, 1500, 7);
-  const SymmetricScaling s = scale_symmetric(g, 5);
-  const std::vector<vid_t> choice = sample_choices(g, s.d, 11);
+  const SymmetricScaling s = run_ws(scale_symmetric_ws, g, 5);
+  const std::vector<vid_t> choice = run_ws(sample_choices_ws, g, s.d, 11);
   for (vid_t u = 0; u < 500; ++u) {
     if (g.degree(u) == 0) {
       EXPECT_EQ(choice[static_cast<std::size_t>(u)], kNil);
@@ -108,19 +110,19 @@ TEST(SampleChoices, PicksAreNeighbors) {
       EXPECT_TRUE(g.has_edge(u, choice[static_cast<std::size_t>(u)]));
     }
   }
-  EXPECT_EQ(choice, sample_choices(g, s.d, 11));  // deterministic
+  EXPECT_EQ(choice, run_ws(sample_choices_ws, g, s.d, 11));  // deterministic
 }
 
 TEST(OneOutKarpSipser, OddCycleLeavesExactlyOneFree) {
   // choice forms a single directed 5-cycle: 0->1->2->3->4->0.
   std::vector<vid_t> choice = {1, 2, 3, 4, 0};
-  const UndirectedMatching m = one_out_karp_sipser(5, choice);
+  const UndirectedMatching m = run_ws(one_out_karp_sipser_ws, 5, choice);
   EXPECT_EQ(m.cardinality(), 2);  // floor(5/2)
 }
 
 TEST(OneOutKarpSipser, EvenCycleFullyMatched) {
   std::vector<vid_t> choice = {1, 2, 3, 0};
-  const UndirectedMatching m = one_out_karp_sipser(4, choice);
+  const UndirectedMatching m = run_ws(one_out_karp_sipser_ws, 4, choice);
   EXPECT_EQ(m.cardinality(), 2);
 }
 
@@ -128,13 +130,13 @@ TEST(OneOutKarpSipser, ChainWithReciprocalEnd) {
   // 0->1, 1<->2: a path; maximum matching = 1 pair + ... edges {0,1},{1,2};
   // max matching on path of 3 vertices is 1.
   std::vector<vid_t> choice = {1, 2, 1};
-  const UndirectedMatching m = one_out_karp_sipser(3, choice);
+  const UndirectedMatching m = run_ws(one_out_karp_sipser_ws, 3, choice);
   EXPECT_EQ(m.cardinality(), 1);
 }
 
 TEST(OneOutKarpSipser, IsolatedVerticesHandled) {
   std::vector<vid_t> choice = {kNil, kNil, 3, 2};
-  const UndirectedMatching m = one_out_karp_sipser(4, choice);
+  const UndirectedMatching m = run_ws(one_out_karp_sipser_ws, 4, choice);
   EXPECT_EQ(m.cardinality(), 1);
 }
 
@@ -169,9 +171,10 @@ TEST(OneOutKarpSipser, MatePinnedAcrossVersions) {
       {&odd, 3, 0xab840ec7e4808780ull, 7091},
   };
   for (const Pin& pin : pins) {
-    const SymmetricScaling s = scale_symmetric(*pin.g, 5);
-    const std::vector<vid_t> choice = sample_choices(*pin.g, s.d, pin.seed);
-    const UndirectedMatching m = one_out_karp_sipser(pin.g->num_vertices(), choice);
+    const SymmetricScaling s = run_ws(scale_symmetric_ws, *pin.g, 5);
+    const std::vector<vid_t> choice = run_ws(sample_choices_ws, *pin.g, s.d, pin.seed);
+    const UndirectedMatching m =
+        run_ws(one_out_karp_sipser_ws, pin.g->num_vertices(), choice);
     const std::string where = "edges " + std::to_string(pin.g->num_edges()) + ", seed " +
                               std::to_string(pin.seed);
     if (max_threads() == 1) {
@@ -185,11 +188,11 @@ TEST(OneOutKarpSipser, OutOfRangeChoiceThrows) {
   // Each entry must be kNil or a vertex id: a larger id or any other
   // negative one would index past the phase arrays.
   const std::vector<vid_t> too_large = {5, kNil};
-  EXPECT_THROW((void)one_out_karp_sipser(2, too_large), std::invalid_argument);
+  EXPECT_THROW((void)run_ws(one_out_karp_sipser_ws, 2, too_large), std::invalid_argument);
   const std::vector<vid_t> negative = {kNil, -2};
-  EXPECT_THROW((void)one_out_karp_sipser(2, negative), std::invalid_argument);
+  EXPECT_THROW((void)run_ws(one_out_karp_sipser_ws, 2, negative), std::invalid_argument);
   const std::vector<vid_t> at_n = {1, 2};
-  EXPECT_THROW((void)one_out_karp_sipser(2, at_n), std::invalid_argument);
+  EXPECT_THROW((void)run_ws(one_out_karp_sipser_ws, 2, at_n), std::invalid_argument);
 }
 
 class UndirectedOneOutExactness : public ::testing::TestWithParam<std::uint64_t> {};
@@ -200,8 +203,8 @@ TEST_P(UndirectedOneOutExactness, MatchesBruteForceOnChoiceSubgraph) {
   const std::uint64_t seed = GetParam();
   const vid_t n = 14;
   const UndirectedGraph g = make_undirected_erdos_renyi(n, 3 * n, seed);
-  const SymmetricScaling s = scale_symmetric(g, 3);
-  const std::vector<vid_t> choice = sample_choices(g, s.d, seed + 7);
+  const SymmetricScaling s = run_ws(scale_symmetric_ws, g, 3);
+  const std::vector<vid_t> choice = run_ws(sample_choices_ws, g, s.d, seed + 7);
 
   std::vector<std::pair<vid_t, vid_t>> sub_edges;
   for (vid_t u = 0; u < n; ++u)
@@ -209,7 +212,7 @@ TEST_P(UndirectedOneOutExactness, MatchesBruteForceOnChoiceSubgraph) {
       sub_edges.emplace_back(u, choice[static_cast<std::size_t>(u)]);
   const UndirectedGraph sub = UndirectedGraph::from_edges(n, sub_edges);
 
-  const UndirectedMatching m = one_out_karp_sipser(n, choice);
+  const UndirectedMatching m = run_ws(one_out_karp_sipser_ws, n, choice);
   EXPECT_TRUE(is_valid_matching(sub, m)) << describe_violation(sub, m);
   EXPECT_EQ(m.cardinality(), brute_force(sub)) << "seed " << seed;
 }
@@ -219,12 +222,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, UndirectedOneOutExactness,
 
 TEST(UndirectedOneOutMatch, ValidAndNearConjectureOnRandomGraphs) {
   const UndirectedGraph g = make_undirected_erdos_renyi(20000, 100000, 3);
-  const UndirectedMatching m = undirected_one_out_match(g, 5, 7);
+  const UndirectedMatching m = run_ws(undirected_one_out_match_ws, g, 5, 7);
   EXPECT_TRUE(is_valid_matching(g, m)) << describe_violation(g, m);
   // Yardstick: a matching with no length-3 augmenting path is >= 2/3 of
   // optimal, so opt <= 1.5 * |two_thirds|. The one-out heuristic should
   // reach ~0.86 of optimal on such dense-enough random graphs.
-  const UndirectedMatching yard = undirected_two_thirds(g, 7);
+  const UndirectedMatching yard = run_ws(undirected_two_thirds_ws, g, 7);
   const double upper = 1.5 * static_cast<double>(yard.cardinality());
   EXPECT_GE(static_cast<double>(m.cardinality()), 0.80 * static_cast<double>(yard.cardinality()));
   EXPECT_LE(static_cast<double>(m.cardinality()), upper);
@@ -232,12 +235,13 @@ TEST(UndirectedOneOutMatch, ValidAndNearConjectureOnRandomGraphs) {
 
 TEST(UndirectedOneOutMatch, CardinalityThreadCountInvariant) {
   const UndirectedGraph g = make_undirected_erdos_renyi(10000, 40000, 9);
-  const SymmetricScaling s = scale_symmetric(g, 3);
-  const std::vector<vid_t> choice = sample_choices(g, s.d, 5);
+  const SymmetricScaling s = run_ws(scale_symmetric_ws, g, 3);
+  const std::vector<vid_t> choice = run_ws(sample_choices_ws, g, s.d, 5);
   vid_t reference = -1;
   for (const int t : {1, 2, 4, 8}) {
     ThreadCountGuard guard(t);
-    const vid_t card = one_out_karp_sipser(g.num_vertices(), choice).cardinality();
+    const vid_t card =
+        run_ws(one_out_karp_sipser_ws, g.num_vertices(), choice).cardinality();
     if (reference < 0) reference = card;
     EXPECT_EQ(card, reference) << "threads " << t;
   }
@@ -245,7 +249,7 @@ TEST(UndirectedOneOutMatch, CardinalityThreadCountInvariant) {
 
 TEST(UndirectedGreedy, ValidAndMaximalish) {
   const UndirectedGraph g = make_undirected_erdos_renyi(2000, 8000, 1);
-  const UndirectedMatching m = undirected_greedy(g, 3);
+  const UndirectedMatching m = run_ws(undirected_greedy_ws, g, 3);
   EXPECT_TRUE(is_valid_matching(g, m));
   // No edge with two free endpoints may remain.
   for (vid_t u = 0; u < g.num_vertices(); ++u) {
@@ -257,7 +261,7 @@ TEST(UndirectedGreedy, ValidAndMaximalish) {
 TEST(UndirectedTwoThirds, AgreesWithBruteForceWithinFactor) {
   for (std::uint64_t seed = 0; seed < 15; ++seed) {
     const UndirectedGraph g = make_undirected_erdos_renyi(12, 24, seed);
-    const UndirectedMatching m = undirected_two_thirds(g, seed);
+    const UndirectedMatching m = run_ws(undirected_two_thirds_ws, g, seed);
     EXPECT_TRUE(is_valid_matching(g, m));
     const vid_t opt = brute_force(g);
     EXPECT_GE(3 * m.cardinality(), 2 * opt) << "seed " << seed;
@@ -268,12 +272,12 @@ TEST(UndirectedMatching, PathAndCycleOptima) {
   // P_6: optimum 3 edges... wait P_6 has 6 vertices and 5 edges -> max 3.
   const UndirectedGraph p6 = make_undirected_path(6);
   EXPECT_EQ(brute_force(p6), 3);
-  const UndirectedMatching mp = undirected_one_out_match(p6, 3, 1);
+  const UndirectedMatching mp = run_ws(undirected_one_out_match_ws, p6, 3, 1);
   EXPECT_TRUE(is_valid_matching(p6, mp));
   // C_7 (odd cycle): optimum 3.
   const UndirectedGraph c7 = make_undirected_cycle(7);
   EXPECT_EQ(brute_force(c7), 3);
-  const UndirectedMatching mc = undirected_one_out_match(c7, 10, 1);
+  const UndirectedMatching mc = run_ws(undirected_one_out_match_ws, c7, 10, 1);
   EXPECT_TRUE(is_valid_matching(c7, mc));
   EXPECT_LE(mc.cardinality(), 3);
   EXPECT_GE(mc.cardinality(), 2);
@@ -323,7 +327,7 @@ TEST(UndirectedConversion, BipartiteUnionPreservesMatchingNumber) {
     }
   }
   // The undirected matching number of the union IS the bipartite one.
-  EXPECT_EQ(brute_force(u), sprank(b));
+  EXPECT_EQ(brute_force(u), run_ws(sprank_ws, b));
 }
 
 TEST(UndirectedValidation, VerdictsMatchTheMessagesAtAnyTeamSize) {
@@ -332,7 +336,7 @@ TEST(UndirectedValidation, VerdictsMatchTheMessagesAtAnyTeamSize) {
   UndirectedGraph view;
   view.assign_bipartite_union(make_erdos_renyi(1 << 15, 1 << 15, 8 << 15, 21));
   const vid_t n = view.num_vertices();
-  const UndirectedMatching valid = undirected_greedy(view, 3);
+  const UndirectedMatching valid = run_ws(undirected_greedy_ws, view, 3);
   std::vector<vid_t> free_vertices;
   for (vid_t u = 0; u < n; ++u)
     if (valid.mate[static_cast<std::size_t>(u)] == kNil) free_vertices.push_back(u);
@@ -387,29 +391,29 @@ TEST(UndirectedWs, WorkspaceOverloadsMatchClassicResults) {
 
   SymmetricScaling s_ws;
   scale_symmetric_ws(g, 8, ws, s_ws);
-  const SymmetricScaling s = scale_symmetric(g, 8);
+  const SymmetricScaling s = run_ws(scale_symmetric_ws, g, 8);
   EXPECT_EQ(s_ws.d, s.d);
   EXPECT_EQ(s_ws.iterations, s.iterations);
   EXPECT_EQ(s_ws.error, s.error);
 
   const std::vector<vid_t>& choice_ws = sample_choices_ws(g, s_ws.d, 23, ws);
-  EXPECT_EQ(choice_ws, sample_choices(g, s.d, 23));
+  EXPECT_EQ(choice_ws, run_ws(sample_choices_ws, g, s.d, 23));
 
   UndirectedMatching m_ws;
   one_out_karp_sipser_ws(g.num_vertices(), choice_ws, ws, m_ws);
-  EXPECT_EQ(m_ws.mate, one_out_karp_sipser(g.num_vertices(), choice_ws).mate);
+  EXPECT_EQ(m_ws.mate, run_ws(one_out_karp_sipser_ws, g.num_vertices(), choice_ws).mate);
 
   UndirectedMatching one_ws;
   undirected_one_out_match_ws(g, 5, 23, ws, one_ws);
-  EXPECT_EQ(one_ws.mate, undirected_one_out_match(g, 5, 23).mate);
+  EXPECT_EQ(one_ws.mate, run_ws(undirected_one_out_match_ws, g, 5, 23).mate);
 
   UndirectedMatching greedy_ws;
   undirected_greedy_ws(g, 23, ws, greedy_ws);
-  EXPECT_EQ(greedy_ws.mate, undirected_greedy(g, 23).mate);
+  EXPECT_EQ(greedy_ws.mate, run_ws(undirected_greedy_ws, g, 23).mate);
 
   UndirectedMatching thirds_ws;
   undirected_two_thirds_ws(g, 23, ws, thirds_ws);
-  EXPECT_EQ(thirds_ws.mate, undirected_two_thirds(g, 23).mate);
+  EXPECT_EQ(thirds_ws.mate, run_ws(undirected_two_thirds_ws, g, 23).mate);
 }
 
 TEST(UndirectedRegistry, NamesAndDispatch) {
@@ -444,8 +448,8 @@ TEST(UndirectedRegistry, OneOutReportsItsScaling) {
   UndirectedMatching via_table;
   UndirectedRunInfo info;
   find_undirected_algorithm("one_out").run(g, 5, options, ws, via_table, info);
-  EXPECT_EQ(via_table.mate, undirected_one_out_match(g, 5, 3).mate);
-  const SymmetricScaling s = scale_symmetric(g, 5);
+  EXPECT_EQ(via_table.mate, run_ws(undirected_one_out_match_ws, g, 5, 3).mate);
+  const SymmetricScaling s = run_ws(scale_symmetric_ws, g, 5);
   EXPECT_EQ(info.scaling_iterations, s.iterations);
   EXPECT_EQ(info.scaling_error, s.error);
 

@@ -163,5 +163,29 @@ TEST(Threading, SetNumThreadsRejectsNonPositive) {
 
 TEST(Threading, NumProcsPositive) { EXPECT_GE(num_procs(), 1); }
 
+TEST(Threading, JobGuardCapsTheTeamAtTheProcessorCount) {
+  // Only max_threads() is read under the guards: no parallel region runs,
+  // so no team of the requested size is ever started.
+  const int before = max_threads();
+  {
+    const JobThreadGuard guard(2'000'000'000);
+    EXPECT_EQ(max_threads(), num_procs());
+  }
+  EXPECT_EQ(max_threads(), before);
+  {
+    const JobThreadGuard guard(num_procs() + 1);
+    EXPECT_EQ(max_threads(), num_procs());
+  }
+  {
+    const JobThreadGuard guard(1);
+    EXPECT_EQ(max_threads(), 1);
+  }
+  for (const int ambient : {0, -3}) {  // no budget: the ambient count stays
+    const JobThreadGuard guard(ambient);
+    EXPECT_EQ(max_threads(), before);
+  }
+  EXPECT_EQ(max_threads(), before);
+}
+
 } // namespace
 } // namespace bmh

@@ -1,6 +1,6 @@
 /// \file test_workspace.cpp
 /// \brief Tests for the Workspace scratch-arena subsystem: lease semantics,
-/// parity of the `_ws` overloads with the classic entry points, and the
+/// kernel output independent of workspace reuse, and the
 /// allocation-freedom of the warm batch-serving hot paths (certified by the
 /// global allocation counter from alloc_counter.hpp).
 
@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
-#include <thread>
 
 #include "test_helpers.hpp"
 
@@ -23,6 +22,7 @@ namespace {
 
 using ::bmh::testing::expect_valid;
 using ::bmh::testing::run_on_fresh_engine;
+using ::bmh::testing::run_ws;
 using ::bmh::testing::small_graph_zoo;
 
 // ------------------------------------------------------------ workspace ---
@@ -96,118 +96,122 @@ TEST(Workspace, ReleaseDropsEverything) {
   EXPECT_EQ(ws.vec<vid_t>("t.a", 3).size(), 3u);
 }
 
-TEST(Workspace, ThreadLocalInstancesAreDistinct) {
-  Workspace* main_ws = &Workspace::for_this_thread();
-  EXPECT_EQ(main_ws, &Workspace::for_this_thread());  // stable per thread
-  Workspace* other_ws = nullptr;
-  std::thread t([&] { other_ws = &Workspace::for_this_thread(); });
-  t.join();
-  ASSERT_NE(other_ws, nullptr);
-  EXPECT_NE(other_ws, main_ws);
-}
+// ------------------------------------------------------ reuse ----------
 
-// ----------------------------------------------------- `_ws` parity ------
-
-/// The `_ws` overloads must produce bit-identical results to the classic
-/// entry points: they share the same RNG streams and visit orders.
-TEST(WorkspaceParity, HeuristicsMatchClassicEntryPoints) {
-  // Both sides at one OpenMP thread: above that the paper's kernels race
-  // by design (one-sided's last-writer-wins column claims, Karp–Sipser-MT's
+/// Every bipartite `_ws` kernel, run twice through one Workspace reused
+/// across kernels and graphs, must give the output it gives through a fresh
+/// Workspace (run_ws): leases carry stale contents, never results.
+TEST(WorkspaceReuse, KernelsMatchAFreshWorkspace) {
+  // One OpenMP thread: above that the paper's kernels race by design
+  // (one-sided's last-writer-wins column claims, Karp–Sipser-MT's
   // concurrent vertex claims), so two runs are only bit-comparable serially.
   ThreadCountGuard serial(1);
   Workspace ws;
-  Matching out;
+  Matching m;
+  ScalingResult s_out;
+  BipartiteGraph sub;
+  PipelineResult r;
+  const auto twice = [](const auto& run, const auto& check) {
+    for (int pass = 0; pass < 2; ++pass) {
+      run();
+      check(pass);
+    }
+  };
+  const auto same_matching = [&](const char* what, const Matching& fresh, const auto& run) {
+    twice(run, [&](int pass) {
+      EXPECT_EQ(m.row_match, fresh.row_match) << what << " pass " << pass;
+      EXPECT_EQ(m.col_match, fresh.col_match) << what << " pass " << pass;
+    });
+  };
+  const auto same_scaling = [&](const char* what, const ScalingResult& fresh,
+                                const auto& run) {
+    twice(run, [&](int pass) {
+      EXPECT_EQ(s_out.dr, fresh.dr) << what << " pass " << pass;
+      EXPECT_EQ(s_out.dc, fresh.dc) << what << " pass " << pass;
+      EXPECT_EQ(s_out.iterations, fresh.iterations) << what << " pass " << pass;
+      EXPECT_EQ(s_out.error, fresh.error) << what << " pass " << pass;
+    });
+  };
   for (const BipartiteGraph& g : small_graph_zoo()) {
-    const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
+    const ScalingOptions opts{5, 0.0};
+    const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, opts);
 
-    karp_sipser_ws(g, 7, nullptr, ws, out);
-    EXPECT_EQ(out.row_match, karp_sipser(g, 7).row_match);
+    same_scaling("scale_sinkhorn_knopp_ws", s,
+                 [&] { scale_sinkhorn_knopp_ws(g, opts, ws, s_out); });
+    same_scaling("scale_ruiz_ws", run_ws(scale_ruiz_ws, g, opts),
+                 [&] { scale_ruiz_ws(g, opts, ws, s_out); });
+    same_scaling("identity_scaling_ws", run_ws(identity_scaling_ws, g, true),
+                 [&] { identity_scaling_ws(g, ws, s_out); });
+    EXPECT_EQ(scaling_error_ws(g, s, ws), run_ws(scaling_error_ws, g, s));
 
-    match_random_edges_ws(g, 7, ws, out);
-    EXPECT_EQ(out.row_match, match_random_edges(g, 7).row_match);
+    same_matching("karp_sipser_ws", run_ws(karp_sipser_ws, g, 7, nullptr),
+                  [&] { karp_sipser_ws(g, 7, nullptr, ws, m); });
+    same_matching("match_random_edges_ws", run_ws(match_random_edges_ws, g, 7),
+                  [&] { match_random_edges_ws(g, 7, ws, m); });
+    same_matching("match_random_vertices_ws", run_ws(match_random_vertices_ws, g, 7),
+                  [&] { match_random_vertices_ws(g, 7, ws, m); });
+    same_matching("match_min_degree_ws", run_ws(match_min_degree_ws, g),
+                  [&] { match_min_degree_ws(g, ws, m); });
+    same_matching("one_sided_from_scaling_ws", run_ws(one_sided_from_scaling_ws, g, s, 7),
+                  [&] { one_sided_from_scaling_ws(g, s, 7, ws, m); });
+    same_matching("one_sided_match_ws", run_ws(one_sided_match_ws, g, 5, 7),
+                  [&] { one_sided_match_ws(g, 5, 7, ws, m); });
+    same_matching("two_sided_from_scaling_ws",
+                  run_ws(two_sided_from_scaling_ws, g, s, 7, nullptr),
+                  [&] { two_sided_from_scaling_ws(g, s, 7, nullptr, ws, m); });
+    same_matching("two_sided_match_ws", run_ws(two_sided_match_ws, g, 5, 7, nullptr),
+                  [&] { two_sided_match_ws(g, 5, 7, nullptr, ws, m); });
+    const TwoSidedChoices ch = run_ws(sample_two_sided_choices_ws, g, s, 7);
+    const std::vector<vid_t> unified =
+        run_ws(unify_choices, g.num_rows(), g.num_cols(), ch.rchoice, ch.cchoice);
+    same_matching(
+        "karp_sipser_mt_ws",
+        run_ws(karp_sipser_mt_ws, g.num_rows(), g.num_cols(), unified, nullptr),
+        [&] { karp_sipser_mt_ws(g.num_rows(), g.num_cols(), unified, nullptr, ws, m); });
+    same_matching("k_out_from_scaling_ws", run_ws(k_out_from_scaling_ws, g, s, 2, 7),
+                  [&] { k_out_from_scaling_ws(g, s, 2, 7, ws, m); });
+    same_matching("k_out_match_ws", run_ws(k_out_match_ws, g, 5, 2, 7),
+                  [&] { k_out_match_ws(g, 5, 2, 7, ws, m); });
+    const BipartiteGraph fresh_sub = run_ws(k_out_subgraph_ws, g, s, 2, 7);
+    twice([&] { k_out_subgraph_ws(g, s, 2, 7, ws, sub); },
+          [&](int pass) {
+            testing::expect_same_arrays(sub, fresh_sub,
+                                        "k_out_subgraph_ws pass " + std::to_string(pass));
+          });
 
-    match_random_vertices_ws(g, 7, ws, out);
-    EXPECT_EQ(out.row_match, match_random_vertices(g, 7).row_match);
+    // The exact solvers are deterministic too, and their outputs maximum.
+    const vid_t maximum = testing::brute_force_max_matching(g);
+    const auto exact = [&](const char* what, const Matching& fresh, const auto& run) {
+      same_matching(what, fresh, run);
+      expect_valid(g, m, what);
+      EXPECT_EQ(m.cardinality(), maximum) << what;
+    };
+    exact("hopcroft_karp_ws", run_ws(hopcroft_karp_ws, g),
+          [&] { hopcroft_karp_ws(g, ws, m); });
+    exact("mc21_ws", run_ws(mc21_ws, g), [&] { mc21_ws(g, ws, m); });
+    exact("push_relabel_ws", run_ws(push_relabel_ws, g),
+          [&] { push_relabel_ws(g, ws, m); });
+    EXPECT_EQ(sprank_ws(g, ws), maximum);
+    EXPECT_EQ(sprank_ws(g, ws), run_ws(sprank_ws, g));
 
-    match_min_degree_ws(g, ws, out);
-    EXPECT_EQ(out.row_match, match_min_degree(g).row_match);
-
-    one_sided_from_scaling_ws(g, s, 7, ws, out);
-    EXPECT_EQ(out.row_match, one_sided_from_scaling(g, s, 7).row_match);
-
-    two_sided_from_scaling_ws(g, s, 7, nullptr, ws, out);
-    EXPECT_EQ(out.row_match, two_sided_from_scaling(g, s, 7).row_match);
-
-    k_out_match_ws(g, 5, 2, 7, ws, out);
-    EXPECT_EQ(out.row_match, k_out_match(g, 5, 2, 7).row_match);
-
-    hopcroft_karp_ws(g, ws, out);
-    EXPECT_EQ(out.cardinality(), hopcroft_karp(g).cardinality());
-    expect_valid(g, out, "hopcroft_karp_ws");
-
-    mc21_ws(g, ws, out);
-    EXPECT_EQ(out.cardinality(), sprank_ws(g, ws));
-    expect_valid(g, out, "mc21_ws");
-
-    push_relabel_ws(g, ws, out);
-    EXPECT_EQ(out.cardinality(), sprank(g));
-    expect_valid(g, out, "push_relabel_ws");
-  }
-}
-
-TEST(WorkspaceParity, ScalingKernelsMatchClassicEntryPoints) {
-  const BipartiteGraph g = make_planted_perfect(300, 4, 5);
-  Workspace ws;
-  ScalingResult out;
-
-  scale_sinkhorn_knopp_ws(g, {5, 0.0}, ws, out);
-  const ScalingResult sk = scale_sinkhorn_knopp(g, {5, 0.0});
-  EXPECT_EQ(out.dr, sk.dr);
-  EXPECT_EQ(out.dc, sk.dc);
-  EXPECT_EQ(out.iterations, sk.iterations);
-  EXPECT_EQ(out.error, sk.error);
-
-  scale_ruiz_ws(g, {5, 0.0}, ws, out);
-  const ScalingResult rz = scale_ruiz(g, {5, 0.0});
-  EXPECT_EQ(out.dr, rz.dr);
-  EXPECT_EQ(out.dc, rz.dc);
-  EXPECT_EQ(out.error, rz.error);
-
-  identity_scaling_ws(g, ws, out);
-  const ScalingResult id = identity_scaling(g);
-  EXPECT_EQ(out.dr, id.dr);
-  EXPECT_EQ(out.error, id.error);
-  EXPECT_EQ(scaling_error_ws(g, out, ws), scaling_error(g, id));
-}
-
-TEST(WorkspaceParity, PipelineMatchesClassicEntryPoint) {
-  // Both sides at one OpenMP thread: above that the paper's kernels race
-  // by design (one-sided's last-writer-wins column claims, Karp–Sipser-MT's
-  // concurrent vertex claims), so two runs are only bit-comparable serially.
-  ThreadCountGuard serial(1);
-  const BipartiteGraph g = make_erdos_renyi(512, 512, 3072, 11);
-  for (const char* algo : {"two_sided", "one_sided", "karp_sipser", "hopcroft_karp"}) {
-    PipelineConfig config;
-    config.algorithm = algo;
-    config.options.seed = 13;
-    config.augment = (std::string(algo) == "one_sided");
-
-    Workspace ws;
-    PipelineResult out;
-    run_pipeline_ws(g, config, ws, out);
-    // Run twice through the same workspace: results must not depend on
-    // arena warmth.
-    run_pipeline_ws(g, config, ws, out);
-    const PipelineResult fresh = run_pipeline(g, config);
-
-    EXPECT_EQ(out.matching.row_match, fresh.matching.row_match) << algo;
-    EXPECT_EQ(out.cardinality, fresh.cardinality) << algo;
-    EXPECT_EQ(out.heuristic_cardinality, fresh.heuristic_cardinality) << algo;
-    EXPECT_EQ(out.valid, fresh.valid) << algo;
-    EXPECT_EQ(out.exact, fresh.exact) << algo;
-    EXPECT_EQ(out.sprank, fresh.sprank) << algo;
-    EXPECT_EQ(out.scaling_iterations, fresh.scaling_iterations) << algo;
-    EXPECT_EQ(out.stages.size(), fresh.stages.size()) << algo;
+    for (const char* algo : {"two_sided", "one_sided", "karp_sipser", "hopcroft_karp"}) {
+      PipelineConfig config;
+      config.algorithm = algo;
+      config.options.seed = 13;
+      config.augment = std::string(algo) == "one_sided";
+      const PipelineResult fresh = run_ws(run_pipeline_ws, g, config);
+      twice([&] { run_pipeline_ws(g, config, ws, r); },
+            [&](int pass) {
+              EXPECT_EQ(r.matching.row_match, fresh.matching.row_match) << algo << pass;
+              EXPECT_EQ(r.cardinality, fresh.cardinality) << algo << pass;
+              EXPECT_EQ(r.heuristic_cardinality, fresh.heuristic_cardinality) << algo;
+              EXPECT_EQ(r.valid, fresh.valid) << algo << pass;
+              EXPECT_EQ(r.exact, fresh.exact) << algo << pass;
+              EXPECT_EQ(r.sprank, fresh.sprank) << algo << pass;
+              EXPECT_EQ(r.scaling_iterations, fresh.scaling_iterations) << algo << pass;
+              EXPECT_EQ(r.stages.size(), fresh.stages.size()) << algo << pass;
+            });
+    }
   }
 }
 
@@ -221,7 +225,7 @@ TEST(WorkspaceHotPath, KernelSteadyStateIsAllocationFree) {
   static_assert(bench::kAllocCountingEnabled);
 #endif
   const BipartiteGraph g = make_erdos_renyi(1024, 1024, 8192, 42);
-  const ScalingResult s = scale_sinkhorn_knopp(g, {5, 0.0});
+  const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{5, 0.0});
   Workspace ws;
   Matching out;
   // Warm with the same seed sequence the measured pass runs: a previously
@@ -381,7 +385,7 @@ TEST(WorkspaceHotPath, SprankAnalysisSteadyStateIsAllocationFree) {
   const bench::AllocStats after = bench::alloc_stats();
   EXPECT_EQ(after.allocations, before.allocations);
   EXPECT_EQ(after.live_bytes, before.live_bytes);
-  EXPECT_EQ(out.sprank, sprank(g));
+  EXPECT_EQ(out.sprank, run_ws(sprank_ws, g));
   EXPECT_TRUE(out.exact);
 }
 

@@ -26,6 +26,13 @@ express, over the translation units named by a CMake compile database:
                   buffers are sized before the region. The body is the
                   pragma's statement, read lexically: functions it calls
                   are not followed.
+  ws-twin         one entry point per kernel: a free function defined as
+                  `X` where a free `X_ws` is also defined is an allocating
+                  twin of the `_ws` form (its result by value, its scratch
+                  from a Workspace of its own); callers pass a Workspace to
+                  `X_ws` instead. Checked across every linted file, over
+                  unqualified definitions at namespace scope (members are
+                  another class's business).
   metric-name     obs instrument names (MetricDomain("..."), .counter("..."),
                   .gauge("..."), .histogram("..."), create_domain("..."),
                   record_phase("...")) are lowercase snake_case tokens, so
@@ -54,7 +61,8 @@ import re
 import sys
 from pathlib import Path
 
-RULES = ("ws-alloc", "omp-alloc", "failpoint-site", "memory-order", "metric-name")
+RULES = ("ws-alloc", "ws-twin", "omp-alloc", "failpoint-site", "memory-order",
+         "metric-name")
 
 ALLOW_RE = re.compile(r"bmh-lint:\s*allow\(([a-z-]+)\)\s*(\S?.*)")
 
@@ -217,24 +225,31 @@ def template_end(text: str, start: int) -> int:
     return -1
 
 
+def definition_body(text: str, name_end: int) -> int:
+    """Index of the `{` opening the body when the identifier ending at
+    `name_end` (followed by its parameter list) is a function definition;
+    -1 for a declaration or a call."""
+    paren_open = text.find("(", name_end)
+    if paren_open < 0 or text[name_end:paren_open].strip():
+        return -1
+    paren_close = matching(text, paren_open, "(", ")")
+    if paren_close < 0:
+        return -1
+    # Definition = an opening brace after the signature (allowing
+    # qualifiers like const/noexcept/override and a trailing return). `-`
+    # last so the class can't form an accidental range.
+    qualifiers = re.match(r"^[\s\w:&<>,*\[\]-]*\{", text[paren_close:paren_close + 200])
+    if qualifiers is None:
+        return -1
+    return paren_close + qualifiers.end() - 1
+
+
 def check_ws_alloc(src: SourceFile, findings: list) -> None:
     text = src.stripped
     for m in WS_DEF_RE.finditer(text):
-        paren_open = text.index("(", m.end() - 1)
-        paren_close = matching(text, paren_open, "(", ")")
-        if paren_close < 0:
+        brace_open = definition_body(text, m.end() - 1)
+        if brace_open < 0:
             continue
-        # Definition = an opening brace after the signature (allowing
-        # qualifiers like const/noexcept/override and a trailing return).
-        tail = text[paren_close:paren_close + 200]
-        tail_head = tail.lstrip()
-        if not tail_head.startswith("{"):
-            # `-` last so the class can't form an accidental range; covers
-            # const/noexcept/override and `-> T` trailing returns.
-            qualifiers = re.match(r"^[\s\w:&<>,*\[\]-]*\{", tail)
-            if qualifiers is None:
-                continue  # declaration or call, not a definition
-        brace_open = text.index("{", paren_close)
         body_end = matching(text, brace_open, "{", "}")
         if body_end < 0:
             continue
@@ -273,6 +288,52 @@ def check_ws_alloc(src: SourceFile, findings: list) -> None:
                     src.display, ln, "ws-alloc",
                     f"`new` inside {m.group(1)}() — "
                     "the warm path must not allocate"))
+
+
+# ------------------------------------------------------------------- ws-twin
+
+FUNCTION_NAME_RE = re.compile(r"(?<![\w:])([A-Za-z_]\w*)\s*\(")
+NOT_FUNCTIONS = {"if", "for", "while", "switch", "catch", "return", "sizeof",
+                 "alignof", "decltype", "static_assert"}
+NAMESPACE_OPEN_RE = re.compile(r"\bnamespace(?:\s+[\w:]+)?\s*$")
+
+
+def namespace_scope(text: str) -> bytearray:
+    """flags[i] is 1 where every brace enclosing offset i opens a
+    namespace: the scope of free function definitions."""
+    flags = bytearray(len(text) + 1)
+    opened = []  # per open brace: does it open a namespace?
+    other_depth = 0
+    for i, c in enumerate(text):
+        flags[i] = other_depth == 0
+        if c == "{":
+            is_namespace = NAMESPACE_OPEN_RE.search(text, max(0, i - 200), i) is not None
+            opened.append(is_namespace)
+            other_depth += not is_namespace
+        elif c == "}" and opened:
+            other_depth -= not opened.pop()
+    return flags
+
+
+def check_ws_twins(sources: list, findings: list) -> None:
+    defined = []  # (name, src, line) of every free function definition
+    for src in sources:
+        text = src.stripped
+        at_namespace_scope = namespace_scope(text)
+        for m in FUNCTION_NAME_RE.finditer(text):
+            name = m.group(1)
+            if (name in NOT_FUNCTIONS or not at_namespace_scope[m.start()]
+                    or definition_body(text, m.end(1)) < 0):
+                continue
+            defined.append((name, src, line_of(text, m.start())))
+    ws_forms = {name for name, _, _ in defined if name.endswith("_ws")}
+    for name, src, ln in defined:
+        if name + "_ws" not in ws_forms or suppressed(src, ln, "ws-twin", findings):
+            continue
+        findings.append(Finding(
+            src.display, ln, "ws-twin",
+            f"{name}() is defined beside {name}_ws() — keep one entry point "
+            f"per kernel: call {name}_ws with the caller's Workspace"))
 
 
 # ----------------------------------------------------------------- omp-alloc
@@ -530,6 +591,7 @@ def main(argv=None) -> int:
         check_memory_order(src, findings)
         check_metric_names(src, findings)
     check_failpoints(sources, readme, findings)
+    check_ws_twins(sources, findings)
 
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
     for finding in findings:
