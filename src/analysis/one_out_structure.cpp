@@ -1,89 +1,10 @@
 #include "analysis/one_out_structure.hpp"
 
-#include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 #include "graph/builder.hpp"
 
 namespace bmh {
-
-namespace {
-
-/// Union–find with path halving; small and adequate for analysis use.
-class DisjointSets {
-public:
-  explicit DisjointSets(vid_t n) : parent_(static_cast<std::size_t>(n)) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-  }
-
-  vid_t find(vid_t x) {
-    while (parent_[static_cast<std::size_t>(x)] != x) {
-      parent_[static_cast<std::size_t>(x)] =
-          parent_[static_cast<std::size_t>(parent_[static_cast<std::size_t>(x)])];
-      x = parent_[static_cast<std::size_t>(x)];
-    }
-    return x;
-  }
-
-  void unite(vid_t a, vid_t b) { parent_[static_cast<std::size_t>(find(a))] = find(b); }
-
-private:
-  std::vector<vid_t> parent_;
-};
-
-} // namespace
-
-ChoiceGraphStructure analyze_choice_graph(vid_t m, vid_t n,
-                                          std::span<const vid_t> choice) {
-  const vid_t total = m + n;
-  if (choice.size() != static_cast<std::size_t>(total))
-    throw std::invalid_argument("analyze_choice_graph: choice size mismatch");
-
-  ChoiceGraphStructure s;
-  s.num_vertices = total;
-
-  DisjointSets ds(total);
-  for (vid_t u = 0; u < total; ++u) {
-    const vid_t v = choice[static_cast<std::size_t>(u)];
-    if (v != kNil) ds.unite(u, v);
-  }
-
-  // Count distinct edges per component; a reciprocal pair (u chose v and v
-  // chose u) is one edge, counted once via the u < v tie-break.
-  std::vector<vid_t> comp_vertices(static_cast<std::size_t>(total), 0);
-  std::vector<vid_t> comp_edges(static_cast<std::size_t>(total), 0);
-  std::vector<bool> comp_has_vertex_with_edge(static_cast<std::size_t>(total), false);
-  for (vid_t u = 0; u < total; ++u) {
-    const vid_t root = ds.find(u);
-    ++comp_vertices[static_cast<std::size_t>(root)];
-    const vid_t v = choice[static_cast<std::size_t>(u)];
-    if (v == kNil) continue;
-    comp_has_vertex_with_edge[static_cast<std::size_t>(root)] = true;
-    const bool reciprocal = choice[static_cast<std::size_t>(v)] == u;
-    if (!reciprocal || u < v) ++comp_edges[static_cast<std::size_t>(root)];
-  }
-
-  s.lemma1_holds = true;
-  for (vid_t r = 0; r < total; ++r) {
-    const vid_t verts = comp_vertices[static_cast<std::size_t>(r)];
-    if (verts == 0) continue;  // r is not a root representative
-    ++s.num_components;
-    s.max_component_size = std::max(s.max_component_size, verts);
-    const vid_t edges = comp_edges[static_cast<std::size_t>(r)];
-    s.num_edges += edges;
-    if (verts == 1 && !comp_has_vertex_with_edge[static_cast<std::size_t>(r)]) {
-      ++s.num_singletons;
-    } else if (edges == verts - 1) {
-      ++s.num_tree_components;
-    } else if (edges == verts) {
-      ++s.num_unicyclic;
-    } else {
-      s.lemma1_holds = false;  // would contradict Lemma 1
-    }
-  }
-  return s;
-}
 
 BipartiteGraph materialize_choice_graph(vid_t m, vid_t n,
                                         std::span<const vid_t> rchoice,

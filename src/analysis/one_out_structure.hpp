@@ -1,37 +1,18 @@
 #pragma once
 /// \file one_out_structure.hpp
-/// \brief Structural analysis of TwoSidedMatch's choice subgraphs.
+/// \brief TwoSidedMatch's choice subgraph as an explicit graph.
 ///
 /// Lemma 1 of the paper: every connected component of the "1-out ∪ 1-in"
 /// graph built from the row and column choices contains at most one simple
-/// cycle (a component with n' vertices has at most n' edges). This module
-/// verifies that property empirically and classifies the components — the
-/// tests use it to certify the precondition under which KarpSipserMT is an
-/// exact algorithm.
+/// cycle, which is what makes KarpSipserMT exact on it. Materializing that
+/// graph lets an exact solver certify KarpSipserMT's output.
 
 #include <span>
-#include <vector>
 
 #include "graph/bipartite_graph.hpp"
 #include "util/types.hpp"
 
 namespace bmh {
-
-struct ChoiceGraphStructure {
-  vid_t num_vertices = 0;        ///< m + n
-  vid_t num_components = 0;      ///< including singletons
-  vid_t num_singletons = 0;      ///< isolated vertices (no incident choice)
-  vid_t num_tree_components = 0; ///< edges = vertices - 1 (no cycle)
-  vid_t num_unicyclic = 0;       ///< edges = vertices (exactly one cycle)
-  vid_t max_component_size = 0;
-  eid_t num_edges = 0;           ///< distinct edges (reciprocal picks merge)
-  bool lemma1_holds = false;     ///< edges <= vertices in every component
-};
-
-/// Analyzes the implicit graph {{u, choice[u]}} over unified ids (rows
-/// [0, m), columns [m, m+n)); kNil entries contribute no edge.
-[[nodiscard]] ChoiceGraphStructure analyze_choice_graph(vid_t m, vid_t n,
-                                                        std::span<const vid_t> choice);
 
 /// Materializes the choice subgraph as an explicit BipartiteGraph (at most
 /// m + n edges), so exact solvers can certify KarpSipserMT's output.

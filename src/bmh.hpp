@@ -33,7 +33,6 @@
 #include "graph/mmio.hpp"
 #include "graph/serialize.hpp"
 #include "graph/stats.hpp"
-#include "graph/transform.hpp"
 
 // Doubly stochastic scaling
 #include "scaling/ruiz.hpp"

@@ -9,7 +9,6 @@
 #include "core/workspace.hpp"
 #include "graph/count_scatter.hpp"
 #include "matching/push_relabel.hpp"
-#include "scaling/sinkhorn_knopp.hpp"
 
 namespace bmh {
 
@@ -305,13 +304,6 @@ void k_out_subgraph_ws(const BipartiteGraph& g, const ScalingResult& scaling, in
     assemble(PickSet<2>{row_picks.data(), 2}, PickSet<2>{col_picks.data(), 2});
   else
     assemble(PickSet<0>{row_picks.data(), row_k}, PickSet<0>{col_picks.data(), col_k});
-}
-
-void k_out_match_ws(const BipartiteGraph& g, int scaling_iterations, int k,
-                    std::uint64_t seed, Workspace& ws, Matching& out) {
-  ScalingResult& scaling = ws.obj<ScalingResult>("kout.scaling");
-  scale_sinkhorn_knopp_or_identity_ws(g, scaling_iterations, ws, scaling);
-  k_out_from_scaling_ws(g, scaling, k, seed, ws, out);
 }
 
 void k_out_from_scaling_ws(const BipartiteGraph& g, const ScalingResult& scaling, int k,

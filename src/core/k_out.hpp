@@ -67,13 +67,10 @@ void sample_col_choices_k(const BipartiteGraph& g, const std::vector<double>& dr
 void k_out_subgraph_ws(const BipartiteGraph& g, const ScalingResult& scaling, int k,
                        std::uint64_t seed, Workspace& ws, BipartiteGraph& out);
 /// The k-out heuristic on a pre-scaled matrix: builds the pooled subgraph
-/// (workspace tag "kout.subgraph") and matches it exactly into `out`. The
-/// registry's `k_out` and `k_out_match_ws` both run through here.
+/// (workspace tag "kout.subgraph") and matches it exactly into `out`: the
+/// kernel of the registry's `k_out` row. k = 1 coincides with TwoSidedMatch
+/// up to the subgraph solver used.
 void k_out_from_scaling_ws(const BipartiteGraph& g, const ScalingResult& scaling, int k,
                            std::uint64_t seed, Workspace& ws, Matching& out);
-/// The k-out heuristic: scale, pick k per side, exact-match the subgraph.
-/// k = 1 coincides with TwoSidedMatch up to the subgraph solver used.
-void k_out_match_ws(const BipartiteGraph& g, int scaling_iterations, int k,
-                    std::uint64_t seed, Workspace& ws, Matching& out);
 
 } // namespace bmh

@@ -219,15 +219,4 @@ GraphCache::Stats GraphCache::stats() const {
   return total;
 }
 
-void GraphCache::clear() {
-  for (const auto& shard : shards_) {
-    LockGuard lock(shard->mutex);
-    entries_gauge_.add(-static_cast<std::int64_t>(shard->lru.size()));
-    bytes_gauge_.add(-static_cast<std::int64_t>(shard->bytes));
-    shard->map.clear();
-    shard->lru.clear();
-    shard->bytes = 0;
-  }
-}
-
 } // namespace bmh

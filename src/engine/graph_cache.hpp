@@ -130,10 +130,6 @@ public:
   /// The persistent tier, or nullptr when none is configured.
   [[nodiscard]] GraphStore* store() const noexcept { return store_; }
 
-  /// Drops every in-memory entry (counters keep accumulating; the
-  /// persistent tier is untouched).
-  void clear();
-
 private:
   struct Shard;
   struct ShardEntry;

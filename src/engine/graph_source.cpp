@@ -38,14 +38,21 @@ std::map<std::string, double> parse_params(const std::string& text,
     if (params.count(key) != 0)
       throw std::invalid_argument("graph spec '" + spec + "': duplicate key '" + key +
                                   "'");
+    double parsed = 0.0;
     try {
       std::size_t used = 0;
-      params[key] = std::stod(value, &used);
+      parsed = std::stod(value, &used);
       if (used != value.size()) throw std::invalid_argument(value);
     } catch (const std::exception&) {
       throw std::invalid_argument("graph spec '" + spec + "': non-numeric value for '" +
                                   key + "'");
     }
+    // stod accepts "nan" and "inf", which no parameter means, and which
+    // reach the generators' double -> integer casts.
+    if (!std::isfinite(parsed))
+      throw std::invalid_argument("graph spec '" + spec + "': non-finite value for '" +
+                                  key + "'");
+    params[key] = parsed;
   }
   return params;
 }

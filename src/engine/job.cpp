@@ -146,6 +146,14 @@ JobSpec parse_job_spec_line(const std::string& line) {
                                     "' is out of range");
       return static_cast<int>(v);
     };
+    // A count with a floor: iters below 0 and k below 1 describe no run.
+    const auto int_field_at_least = [&](int floor) -> int {
+      const int v = int_field_value();
+      if (v < floor)
+        throw std::invalid_argument("job spec: value '" + value + "' for '" + key +
+                                    "' is below " + std::to_string(floor));
+      return v;
+    };
 
     if (key == "name") {
       job.name = value;
@@ -160,7 +168,7 @@ JobSpec parse_job_spec_line(const std::string& line) {
     } else if (key == "scaling") {
       job.pipeline.scaling = parse_scaling_method(value);
     } else if (key == "iters") {
-      job.pipeline.scaling_iterations = int_field_value();
+      job.pipeline.scaling_iterations = int_field_at_least(0);
     } else if (key == "augment") {
       job.pipeline.augment = int_value() != 0;
     } else if (key == "quality") {
@@ -168,7 +176,7 @@ JobSpec parse_job_spec_line(const std::string& line) {
     } else if (key == "threads") {
       job.pipeline.options.threads = int_field_value();
     } else if (key == "k") {
-      job.pipeline.options.k = int_field_value();
+      job.pipeline.options.k = int_field_at_least(1);
     } else if (key == "seed") {
       job.seed = static_cast<std::uint64_t>(int_value());
     } else if (key == "timeout_ms") {

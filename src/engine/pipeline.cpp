@@ -11,7 +11,6 @@
 #include "analysis/dulmage_mendelsohn.hpp"
 #include "analysis/koenig.hpp"
 #include "analysis/quality.hpp"
-#include "graph/transform.hpp"
 #include "matching/push_relabel.hpp"
 #include "obs/trace.hpp"
 #include "undirected/graph.hpp"
@@ -38,13 +37,13 @@ ScalingMethod parse_scaling_method(const std::string& name) {
                               "' (none|sinkhorn_knopp|ruiz)");
 }
 
-const char* to_string(ScalingMethod method) noexcept {
-  switch (method) {
-    case ScalingMethod::kNone: return "none";
-    case ScalingMethod::kSinkhornKnopp: return "sinkhorn_knopp";
-    case ScalingMethod::kRuiz: return "ruiz";
-  }
-  return "?";
+bool is_pattern_symmetric(const BipartiteGraph& g) {
+  if (g.num_rows() != g.num_cols()) return false;
+  // E is symmetric iff every row's list equals the same-numbered column's;
+  // both views are sorted, so that is a span compare.
+  for (vid_t i = 0; i < g.num_rows(); ++i)
+    if (!std::ranges::equal(g.row_neighbors(i), g.col_neighbors(i))) return false;
+  return true;
 }
 
 namespace {

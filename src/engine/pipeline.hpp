@@ -47,8 +47,11 @@ enum class ScalingMethod {
 /// Throws std::invalid_argument otherwise.
 [[nodiscard]] ScalingMethod parse_scaling_method(const std::string& name);
 
-/// Canonical name of a ScalingMethod ("none"/"sinkhorn_knopp"/"ruiz").
-[[nodiscard]] const char* to_string(ScalingMethod method) noexcept;
+/// True iff the graph is square and its adjacency structure is symmetric
+/// (edge (i, j) present iff (j, i) is): each sorted row list equals the
+/// same-numbered sorted column list. Allocates no scratch: it picks the
+/// conversion rule of every kind=undirected-match job.
+[[nodiscard]] bool is_pattern_symmetric(const BipartiteGraph& g);
 
 /// A job overran its `timeout_ms=` budget. Thrown at stage boundaries (a
 /// running stage is never interrupted — the check costs one clock read per

@@ -356,25 +356,11 @@ void BipartiteGraph::build_csc(DefaultInitVector<eid_t>& scratch) {
       std::span<eid_t>(owned.col_ptr), std::span<vid_t>(owned.row_idx), scratch);
 }
 
-bool BipartiteGraph::has_edge(vid_t i, vid_t j) const noexcept {
-  if (i < 0 || i >= num_rows_ || j < 0 || j >= num_cols_) return false;
-  const auto nbrs = row_neighbors(i);
-  return std::find(nbrs.begin(), nbrs.end(), j) != nbrs.end();
-}
-
 BipartiteGraph BipartiteGraph::transposed() const {
   // The CSC view *is* the transpose's CSR view.
   return BipartiteGraph(num_cols_, num_rows_,
                         std::vector<eid_t>(col_ptr_.begin(), col_ptr_.end()),
                         std::vector<vid_t>(row_idx_.begin(), row_idx_.end()));
-}
-
-bool BipartiteGraph::structurally_equal(const BipartiteGraph& other) const {
-  // Rows are strictly ascending (validate_csr), so equal edge sets are
-  // equal arrays.
-  return num_rows_ == other.num_rows_ && num_cols_ == other.num_cols_ &&
-         std::ranges::equal(row_ptr_, other.row_ptr_) &&
-         std::ranges::equal(col_idx_, other.col_idx_);
 }
 
 } // namespace bmh

@@ -210,14 +210,8 @@ public:
   /// (with `result` untouched) if the entry cannot be allocated.
   const ScalingResult& offer_scaling(const ScalingKey& key, ScalingResult& result) const;
 
-  /// True iff edge (i, j) exists. O(deg) scan; intended for tests/examples.
-  [[nodiscard]] bool has_edge(vid_t i, vid_t j) const noexcept;
-
   /// The transpose graph: rows become columns and vice versa.
   [[nodiscard]] BipartiteGraph transposed() const;
-
-  /// Structural equality (same dims and same sorted adjacency).
-  [[nodiscard]] bool structurally_equal(const BipartiteGraph& other) const;
 
 private:
   // No default member initializers: NSDMIs of a nested class are parsed only

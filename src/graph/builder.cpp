@@ -83,22 +83,4 @@ BipartiteGraph GraphBuilder::build() {
                         std::move(hist));
 }
 
-BipartiteGraph graph_from_edges(vid_t num_rows, vid_t num_cols,
-                                const std::vector<Edge>& edges) {
-  GraphBuilder b(num_rows, num_cols);
-  b.reserve(edges.size());
-  for (const Edge& e : edges) b.add_edge(e.row, e.col);
-  return b.build();
-}
-
-BipartiteGraph graph_from_rows(vid_t num_rows, vid_t num_cols,
-                               const std::vector<std::vector<vid_t>>& rows) {
-  if (rows.size() != static_cast<std::size_t>(num_rows))
-    throw std::invalid_argument("graph_from_rows: row count mismatch");
-  GraphBuilder b(num_rows, num_cols);
-  for (vid_t i = 0; i < num_rows; ++i)
-    for (const vid_t j : rows[static_cast<std::size_t>(i)]) b.add_edge(i, j);
-  return b.build();
-}
-
 } // namespace bmh

@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "graph/bipartite_graph.hpp"
 #include "util/default_init.hpp"
@@ -56,14 +55,5 @@ private:
   vid_t num_cols_ = 0;
   DefaultInitVector<Edge> edges_;
 };
-
-/// Convenience: assemble a graph directly from an edge list.
-[[nodiscard]] BipartiteGraph graph_from_edges(vid_t num_rows, vid_t num_cols,
-                                              const std::vector<Edge>& edges);
-
-/// Convenience: dense adjacency given as initializer rows of column ids,
-/// e.g. `graph_from_rows(3, 3, {{0,1},{1},{0,2}})`. Intended for tests.
-[[nodiscard]] BipartiteGraph graph_from_rows(vid_t num_rows, vid_t num_cols,
-                                             const std::vector<std::vector<vid_t>>& rows);
 
 } // namespace bmh

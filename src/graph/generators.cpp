@@ -277,76 +277,4 @@ BipartiteGraph make_row_regular(vid_t n, vid_t d, std::uint64_t seed) {
   return b.build();
 }
 
-BipartiteGraph make_block_diagonal(const std::vector<BipartiteGraph>& blocks) {
-  eid_t rows = 0, cols = 0, nnz = 0;
-  for (const auto& g : blocks) {
-    rows += g.num_rows();
-    cols += g.num_cols();
-    nnz += g.num_edges();
-  }
-  GraphBuilder b(checked_dimension(rows, "make_block_diagonal: total rows"),
-                 checked_dimension(cols, "make_block_diagonal: total cols"));
-  b.reserve(static_cast<std::size_t>(nnz));
-  vid_t row_off = 0, col_off = 0;
-  for (const auto& g : blocks) {
-    for (vid_t i = 0; i < g.num_rows(); ++i)
-      for (const vid_t j : g.row_neighbors(i)) b.add_edge(row_off + i, col_off + j);
-    row_off += g.num_rows();
-    col_off += g.num_cols();
-  }
-  return b.build();
-}
-
-BipartiteGraph make_dm_structured(vid_t h_rows, vid_t h_cols, vid_t s_n, vid_t v_rows,
-                                  vid_t v_cols, vid_t coupling_per_row,
-                                  std::uint64_t seed) {
-  if (h_rows < 0 || h_cols < h_rows || s_n < 0 || v_cols < 0 || v_rows < v_cols)
-    throw std::invalid_argument("make_dm_structured: block shape invalid");
-  Rng rng(seed);
-  const vid_t rows = checked_dimension(static_cast<eid_t>(h_rows) + s_n + v_rows,
-                                       "make_dm_structured: h_rows + s_n + v_rows");
-  const vid_t cols = checked_dimension(static_cast<eid_t>(h_cols) + s_n + v_cols,
-                                       "make_dm_structured: h_cols + s_n + v_cols");
-  GraphBuilder b(rows, cols);
-
-  // Horizontal block: row i matched to column i, plus wrap-around extra
-  // columns so every column of H is used by some row (keeps H connected
-  // enough to have a row-perfect matching spread over all its columns).
-  for (vid_t i = 0; i < h_rows; ++i) {
-    b.add_edge(i, i);
-    b.add_edge(i, h_rows + (i % std::max<vid_t>(1, h_cols - h_rows)));
-  }
-  // Square block with total support: a cycle (diagonal + superdiagonal).
-  const vid_t s_row0 = h_rows, s_col0 = h_cols;
-  for (vid_t i = 0; i < s_n; ++i) {
-    b.add_edge(s_row0 + i, s_col0 + i);
-    b.add_edge(s_row0 + i, s_col0 + (i + 1) % s_n);
-  }
-  // Vertical block: column j matched to row j, with a forward chain
-  // (r_j, c_{j+1}) so the alternating BFS from the unmatched extra rows
-  // reaches *every* V column — otherwise the tail columns would form
-  // isolated matched pairs that canonically belong to S, not V.
-  const vid_t v_row0 = h_rows + s_n, v_col0 = h_cols + s_n;
-  for (vid_t j = 0; j < v_cols; ++j) {
-    b.add_edge(v_row0 + j, v_col0 + j);
-    if (j + 1 < v_cols) b.add_edge(v_row0 + j, v_col0 + j + 1);
-  }
-  for (vid_t i = v_cols; i < v_rows; ++i)
-    b.add_edge(v_row0 + i, v_col0 + (i % std::max<vid_t>(1, v_cols)));
-
-  // "*" coupling entries: strictly above the block diagonal in the coarse
-  // form (H rows to S/V columns; S rows to V columns). These can never be in
-  // a maximum matching; Sinkhorn–Knopp must drive them to zero (§3.3).
-  for (vid_t i = 0; i < h_rows + s_n; ++i) {
-    Rng local = rng.fork(static_cast<std::uint64_t>(i));
-    const vid_t first_allowed = (i < h_rows) ? h_cols : h_cols + s_n;
-    const vid_t span = cols - first_allowed;
-    if (span <= 0) continue;
-    for (vid_t t = 0; t < coupling_per_row; ++t)
-      b.add_edge(i, first_allowed +
-                        static_cast<vid_t>(local.next_below(static_cast<std::uint64_t>(span))));
-  }
-  return b.build();
-}
-
 } // namespace bmh

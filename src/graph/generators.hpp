@@ -82,19 +82,4 @@ namespace bmh {
 /// columns (d <= n). Degrees on the column side are near-Poisson.
 [[nodiscard]] BipartiteGraph make_row_regular(vid_t n, vid_t d, std::uint64_t seed);
 
-/// Block-diagonal composition of `blocks` copies of an inner generator call;
-/// used to build block matrices with each block fully indecomposable.
-[[nodiscard]] BipartiteGraph make_block_diagonal(const std::vector<BipartiteGraph>& blocks);
-
-/// A matrix in explicit Dulmage–Mendelsohn coarse form: an `h_rows`×`h_cols`
-/// horizontal block (h_cols > h_rows, row-perfect matching planted), a
-/// square block of size `s_n` with total support, and a vertical block
-/// (`v_rows` > `v_cols`, column-perfect matching planted). The "*" coupling
-/// entries above the diagonal blocks are filled randomly with
-/// `coupling_per_row` entries; scaling must drive them to zero (§3.3).
-[[nodiscard]] BipartiteGraph make_dm_structured(vid_t h_rows, vid_t h_cols, vid_t s_n,
-                                                vid_t v_rows, vid_t v_cols,
-                                                vid_t coupling_per_row,
-                                                std::uint64_t seed);
-
 } // namespace bmh

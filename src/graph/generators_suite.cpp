@@ -97,11 +97,4 @@ SuiteInstance make_suite_instance(const std::string& name, double scale,
   throw std::invalid_argument("make_suite_instance: unknown instance '" + name + "'");
 }
 
-std::vector<SuiteInstance> make_suite(double scale, std::uint64_t seed) {
-  std::vector<SuiteInstance> suite;
-  for (const auto& name : suite_names())
-    suite.push_back(make_suite_instance(name, scale, seed));
-  return suite;
-}
-
 } // namespace bmh

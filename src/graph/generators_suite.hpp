@@ -25,13 +25,9 @@ struct SuiteInstance {
   BipartiteGraph graph;
 };
 
-/// Builds the full 12-instance suite. `scale` multiplies vertex counts
-/// (clamped so every instance stays non-trivial). Deterministic in `seed`.
-[[nodiscard]] std::vector<SuiteInstance> make_suite(double scale = 1.0,
-                                                    std::uint64_t seed = 42);
-
-/// Builds one named suite instance ("atmosmodl_like", ...). Throws if the
-/// name is unknown.
+/// Builds one named suite instance ("atmosmodl_like", ...). `scale`
+/// multiplies vertex counts (clamped so every instance stays non-trivial).
+/// Deterministic in `seed`. Throws if the name is unknown.
 [[nodiscard]] SuiteInstance make_suite_instance(const std::string& name,
                                                 double scale = 1.0,
                                                 std::uint64_t seed = 42);

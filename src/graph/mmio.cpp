@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "graph/builder.hpp"
-#include "graph/transform.hpp"
 
 namespace bmh {
 
@@ -123,46 +122,6 @@ BipartiteGraph read_matrix_market_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open '" + path + "'");
   return read_matrix_market(in);
-}
-
-void write_matrix_market(std::ostream& out, const BipartiteGraph& g) {
-  out << "%%MatrixMarket matrix coordinate pattern general\n";
-  out << "% written by bmh\n";
-  out << g.num_rows() << ' ' << g.num_cols() << ' ' << g.num_edges() << '\n';
-  for (vid_t i = 0; i < g.num_rows(); ++i)
-    for (const vid_t j : g.row_neighbors(i))
-      out << (i + 1) << ' ' << (j + 1) << '\n';
-}
-
-void write_matrix_market_file(const std::string& path, const BipartiteGraph& g) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open '" + path + "' for writing");
-  write_matrix_market(out, g);
-}
-
-void write_matrix_market_symmetric(std::ostream& out, const BipartiteGraph& g) {
-  if (!is_pattern_symmetric(g))
-    throw std::invalid_argument(
-        "write_matrix_market_symmetric: graph is not square pattern-symmetric");
-  // Count and emit the lower triangle (j <= i), diagonal included — the
-  // reader mirrors every off-diagonal entry back.
-  eid_t lower = 0;
-  for (vid_t i = 0; i < g.num_rows(); ++i)
-    for (const vid_t j : g.row_neighbors(i))
-      if (j <= i) ++lower;
-  out << "%%MatrixMarket matrix coordinate pattern symmetric\n";
-  out << "% written by bmh\n";
-  out << g.num_rows() << ' ' << g.num_cols() << ' ' << lower << '\n';
-  for (vid_t i = 0; i < g.num_rows(); ++i)
-    for (const vid_t j : g.row_neighbors(i))
-      if (j <= i) out << (i + 1) << ' ' << (j + 1) << '\n';
-}
-
-void write_matrix_market_symmetric_file(const std::string& path,
-                                        const BipartiteGraph& g) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open '" + path + "' for writing");
-  write_matrix_market_symmetric(out, g);
 }
 
 } // namespace bmh

@@ -1,6 +1,6 @@
 #pragma once
 /// \file mmio.hpp
-/// \brief Matrix Market (pattern) reader/writer.
+/// \brief Matrix Market reader.
 ///
 /// The paper evaluates on matrices from the UFL (SuiteSparse) collection,
 /// which ship in Matrix Market format. We read `matrix coordinate`
@@ -22,18 +22,5 @@ namespace bmh {
 /// otherwise silently drop entries).
 [[nodiscard]] BipartiteGraph read_matrix_market(std::istream& in);
 [[nodiscard]] BipartiteGraph read_matrix_market_file(const std::string& path);
-
-/// Writes the structure as `matrix coordinate pattern general`.
-void write_matrix_market(std::ostream& out, const BipartiteGraph& g);
-void write_matrix_market_file(const std::string& path, const BipartiteGraph& g);
-
-/// Writes the structure as `matrix coordinate pattern symmetric`: only the
-/// lower triangle (including the diagonal) is emitted, halving the file and
-/// round-tripping through the reader's mirroring to the identical graph.
-/// Throws std::invalid_argument unless the graph is square with a
-/// symmetric pattern (see is_pattern_symmetric in graph/transform.hpp).
-void write_matrix_market_symmetric(std::ostream& out, const BipartiteGraph& g);
-void write_matrix_market_symmetric_file(const std::string& path,
-                                        const BipartiteGraph& g);
 
 } // namespace bmh

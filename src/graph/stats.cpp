@@ -43,10 +43,6 @@ DegreeStats row_degree_stats(const BipartiteGraph& g) {
   return stats_from_ptr(g.row_ptr(), g.num_rows());
 }
 
-DegreeStats col_degree_stats(const BipartiteGraph& g) {
-  return stats_from_ptr(g.col_ptr(), g.num_cols());
-}
-
 double average_degree(const BipartiteGraph& g) {
   const double verts = static_cast<double>(g.num_rows()) + static_cast<double>(g.num_cols());
   if (verts == 0.0) return 0.0;

@@ -24,9 +24,6 @@ struct DegreeStats {
 /// Degree statistics of the row side.
 [[nodiscard]] DegreeStats row_degree_stats(const BipartiteGraph& g);
 
-/// Degree statistics of the column side.
-[[nodiscard]] DegreeStats col_degree_stats(const BipartiteGraph& g);
-
 /// Average degree over both sides, the "Avg. deg." column of Table 3.
 [[nodiscard]] double average_degree(const BipartiteGraph& g);
 

@@ -47,52 +47,8 @@ void matching_from_col_view(vid_t num_rows, const std::vector<vid_t>& col_match,
   }
 }
 
-std::string describe_matching_violation(const BipartiteGraph& g, const Matching& m) {
-  std::ostringstream os;
-  if (m.row_match.size() != static_cast<std::size_t>(g.num_rows())) {
-    os << "row_match size " << m.row_match.size() << " != num_rows " << g.num_rows();
-    return os.str();
-  }
-  if (m.col_match.size() != static_cast<std::size_t>(g.num_cols())) {
-    os << "col_match size " << m.col_match.size() << " != num_cols " << g.num_cols();
-    return os.str();
-  }
-  for (vid_t i = 0; i < g.num_rows(); ++i) {
-    const vid_t j = m.row_match[static_cast<std::size_t>(i)];
-    if (j == kNil) continue;
-    if (j < 0 || j >= g.num_cols()) {
-      os << "row " << i << " matched to out-of-range column " << j;
-      return os.str();
-    }
-    if (m.col_match[static_cast<std::size_t>(j)] != i) {
-      os << "row " << i << " matched to column " << j << " but col_match[" << j
-         << "] = " << m.col_match[static_cast<std::size_t>(j)];
-      return os.str();
-    }
-    if (!g.has_edge(i, j)) {
-      os << "matched pair (" << i << ", " << j << ") is not an edge";
-      return os.str();
-    }
-  }
-  for (vid_t j = 0; j < g.num_cols(); ++j) {
-    const vid_t i = m.col_match[static_cast<std::size_t>(j)];
-    if (i == kNil) continue;
-    if (i < 0 || i >= g.num_rows()) {
-      os << "column " << j << " matched to out-of-range row " << i;
-      return os.str();
-    }
-    if (m.row_match[static_cast<std::size_t>(i)] != j) {
-      os << "column " << j << " matched to row " << i << " but row_match[" << i
-         << "] = " << m.row_match[static_cast<std::size_t>(i)];
-      return os.str();
-    }
-  }
-  return {};
-}
-
 bool is_valid_matching(const BipartiteGraph& g, const Matching& m) {
-  // The same checks as describe_matching_violation(), without the message:
-  // each side in one parallel loop, any violation sets `bad`.
+  // Each side in one parallel loop; any violation sets `bad`.
   if (m.row_match.size() != static_cast<std::size_t>(g.num_rows()) ||
       m.col_match.size() != static_cast<std::size_t>(g.num_cols()))
     return false;
@@ -120,15 +76,6 @@ bool is_valid_matching(const BipartiteGraph& g, const Matching& m) {
       bad = true;
   }
   return !bad;
-}
-
-bool is_maximal_matching(const BipartiteGraph& g, const Matching& m) {
-  for (vid_t i = 0; i < g.num_rows(); ++i) {
-    if (m.row_matched(i)) continue;
-    for (const vid_t j : g.row_neighbors(i))
-      if (!m.col_matched(j)) return false;
-  }
-  return true;
 }
 
 } // namespace bmh

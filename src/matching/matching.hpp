@@ -3,7 +3,6 @@
 /// \brief The Matching value type and validity checking.
 
 #include <cassert>
-#include <string>
 #include <vector>
 
 #include "graph/bipartite_graph.hpp"
@@ -76,21 +75,10 @@ void greedy_init(const BipartiteGraph& g, Matching& m);
 void matching_from_col_view(vid_t num_rows, const std::vector<vid_t>& col_match,
                             Matching& out);
 
-/// Checks that `m` is a valid matching of `g`: sizes agree, views are
+/// True iff `m` is a valid matching of `g`: sizes agree, views are
 /// mutually consistent, every matched pair is an edge of `g`, and no vertex
-/// appears twice. Returns an empty string when valid, else a description of
-/// the first violation (handy in test failure messages).
-[[nodiscard]] std::string describe_matching_violation(const BipartiteGraph& g,
-                                                      const Matching& m);
-
-/// True iff describe_matching_violation() would return an empty string. The
-/// same checks run as two OpenMP loops (rows, then columns) that build no
-/// message; describe_matching_violation() stays the one source of error
-/// text.
+/// appears twice. Runs as two OpenMP loops (rows, then columns) that build
+/// no message.
 [[nodiscard]] bool is_valid_matching(const BipartiteGraph& g, const Matching& m);
-
-/// True iff `m` is maximal in `g` (no edge joins two free vertices). Every
-/// maximal matching is at least half of maximum — the classic cheap bound.
-[[nodiscard]] bool is_maximal_matching(const BipartiteGraph& g, const Matching& m);
 
 } // namespace bmh

@@ -158,18 +158,4 @@ void export_json_lines(const Snapshot& snapshot, std::ostream& out,
   out << json_lines_text(snapshot, ts_ms);
 }
 
-std::string trace_json_lines(const std::vector<TraceEvent>& events) {
-  std::string out;
-  for (const TraceEvent& event : events) {
-    out += "{\"record\":\"span\",\"name\":\"";
-    json_escape_into(out, event.name != nullptr ? event.name : "");
-    out += "\",\"id\":" + std::to_string(event.id);
-    out += ",\"depth\":" + std::to_string(event.depth);
-    out += ",\"start_ns\":" + std::to_string(event.start_ns);
-    out += ",\"dur_ns\":" + std::to_string(event.dur_ns);
-    out += "}\n";
-  }
-  return out;
-}
-
 } // namespace bmh::obs

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace bmh::obs {
 
@@ -42,9 +41,5 @@ void export_prometheus(const Snapshot& snapshot, std::ostream& out);
                                           std::int64_t ts_ms = 0);
 void export_json_lines(const Snapshot& snapshot, std::ostream& out,
                        std::int64_t ts_ms = 0);
-
-/// One JSON object per trace event ({"record":"span",...}) — the journal
-/// companion to the metric lines.
-[[nodiscard]] std::string trace_json_lines(const std::vector<TraceEvent>& events);
 
 } // namespace bmh::obs

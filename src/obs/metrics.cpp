@@ -42,13 +42,6 @@ std::uint64_t DomainSnapshot::counter_or(std::string_view metric,
   return fallback;
 }
 
-std::int64_t DomainSnapshot::gauge_or(std::string_view metric,
-                                      std::int64_t fallback) const noexcept {
-  for (const auto& [name, value] : gauges)
-    if (name == metric) return value;
-  return fallback;
-}
-
 const HistogramData* DomainSnapshot::histogram(std::string_view metric) const noexcept {
   for (const auto& [name, data] : histograms)
     if (name == metric) return &data;
@@ -92,12 +85,6 @@ Snapshot Snapshot::aggregated() const {
     }
   }
   return out;
-}
-
-const DomainSnapshot* Snapshot::domain(std::string_view name) const noexcept {
-  for (const DomainSnapshot& d : domains)
-    if (d.name == name) return &d;
-  return nullptr;
 }
 
 std::uint64_t Snapshot::counter_total(std::string_view domain_name,

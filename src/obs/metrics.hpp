@@ -199,8 +199,6 @@ struct DomainSnapshot {
 
   [[nodiscard]] std::uint64_t counter_or(std::string_view metric,
                                          std::uint64_t fallback = 0) const noexcept;
-  [[nodiscard]] std::int64_t gauge_or(std::string_view metric,
-                                      std::int64_t fallback = 0) const noexcept;
   /// nullptr when the domain has no histogram of that name.
   [[nodiscard]] const HistogramData* histogram(std::string_view metric) const noexcept;
 
@@ -217,9 +215,6 @@ struct Snapshot {
   /// Merges same-named domains (the per-worker "worker" instances become
   /// one), preserving first-seen order; `instance` becomes -1.
   [[nodiscard]] Snapshot aggregated() const;
-
-  /// First domain of that name, or nullptr.
-  [[nodiscard]] const DomainSnapshot* domain(std::string_view name) const noexcept;
 
   /// Sum of `metric` over every domain named `domain_name`.
   [[nodiscard]] std::uint64_t counter_total(std::string_view domain_name,

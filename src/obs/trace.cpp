@@ -77,8 +77,6 @@ thread_local std::uint32_t t_depth = 0;
 
 void bind_thread_journal(TraceJournal* journal) noexcept { t_journal = journal; }
 
-TraceJournal* thread_journal() noexcept { return t_journal; }
-
 void record_phase(const char* name, std::uint64_t start_ns,
                   std::uint64_t dur_ns) noexcept {
   if (t_journal != nullptr) t_journal->record(name, start_ns, dur_ns, t_depth + 1);

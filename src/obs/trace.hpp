@@ -91,9 +91,6 @@ private:
 /// Binds `journal` as the calling thread's span sink (nullptr unbinds).
 void bind_thread_journal(TraceJournal* journal) noexcept;
 
-/// The calling thread's bound journal, or nullptr.
-[[nodiscard]] TraceJournal* thread_journal() noexcept;
-
 /// Records a phase measured externally (queue wait, which has no scope on
 /// the recording thread) into the bound journal at the current depth + 1.
 void record_phase(const char* name, std::uint64_t start_ns,

@@ -33,7 +33,7 @@ void scale_sinkhorn_knopp_ws(const BipartiteGraph& g, const ScalingOptions& opts
 /// The heuristics' scaling step: `iterations` > 0 runs exactly that many
 /// Sinkhorn–Knopp iterations (no early exit); otherwise the multipliers are
 /// the identity and the error sweep is skipped (error 0). The front of
-/// `one_sided_match_ws`, `two_sided_match_ws` and `k_out_match_ws`.
+/// `one_sided_match_ws` and `two_sided_match_ws`.
 void scale_sinkhorn_knopp_or_identity_ws(const BipartiteGraph& g, int iterations,
                                          Workspace& ws, ScalingResult& out);
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/rng.hpp"
-
 namespace bmh {
 
 UndirectedGraph UndirectedGraph::from_edges(
@@ -39,19 +37,13 @@ UndirectedGraph UndirectedGraph::from_edges(
   return g;
 }
 
-bool UndirectedGraph::has_edge(vid_t u, vid_t v) const noexcept {
-  if (u < 0 || u >= n_ || v < 0 || v >= n_) return false;
-  const auto nbrs = neighbors(u);
-  return std::binary_search(nbrs.begin(), nbrs.end(), v);
-}
-
 void UndirectedGraph::assign_symmetric_view(const BipartiteGraph& g) {
   const vid_t n = g.num_rows();
   if (n != g.num_cols())
     throw std::invalid_argument("assign_symmetric_view: graph is not square");
   // Under the pattern-symmetry precondition column u lists the same sorted
-  // neighbours as row u, so each adjacency list lands sorted, which
-  // has_edge's binary_search requires.
+  // neighbours as row u, so each adjacency list lands sorted, as
+  // from_edges leaves them.
   n_ = n;
   ptr_.resize(static_cast<std::size_t>(n) + 1);
   ptr_[0] = 0;
@@ -94,50 +86,6 @@ void UndirectedGraph::assign_bipartite_union(const BipartiteGraph& g) {
     for (const vid_t i : g.col_neighbors(j))
       adj_[static_cast<std::size_t>(cursor++)] = i;
   }
-}
-
-BipartiteGraph UndirectedGraph::as_bipartite() const {
-  std::vector<eid_t> row_ptr(ptr_.begin(), ptr_.end());
-  std::vector<vid_t> col_idx(adj_.begin(), adj_.end());
-  return BipartiteGraph(n_, n_, std::move(row_ptr), std::move(col_idx));
-}
-
-UndirectedGraph make_undirected_erdos_renyi(vid_t n, eid_t edge_target,
-                                            std::uint64_t seed) {
-  if (n <= 1) throw std::invalid_argument("make_undirected_erdos_renyi: n must be > 1");
-  Rng rng(seed);
-  std::vector<std::pair<vid_t, vid_t>> edges;
-  edges.reserve(static_cast<std::size_t>(edge_target));
-  for (eid_t e = 0; e < edge_target; ++e) {
-    const auto u = static_cast<vid_t>(rng.next_below(static_cast<std::uint64_t>(n)));
-    auto v = static_cast<vid_t>(rng.next_below(static_cast<std::uint64_t>(n)));
-    if (u == v) v = (v + 1) % n;
-    edges.emplace_back(u, v);
-  }
-  return UndirectedGraph::from_edges(n, edges);
-}
-
-UndirectedGraph make_undirected_cycle(vid_t n) {
-  if (n < 3) throw std::invalid_argument("make_undirected_cycle: n must be >= 3");
-  std::vector<std::pair<vid_t, vid_t>> edges;
-  edges.reserve(static_cast<std::size_t>(n));
-  for (vid_t u = 0; u < n; ++u) edges.emplace_back(u, (u + 1) % n);
-  return UndirectedGraph::from_edges(n, edges);
-}
-
-UndirectedGraph make_undirected_path(vid_t n) {
-  if (n < 2) throw std::invalid_argument("make_undirected_path: n must be >= 2");
-  std::vector<std::pair<vid_t, vid_t>> edges;
-  for (vid_t u = 0; u + 1 < n; ++u) edges.emplace_back(u, u + 1);
-  return UndirectedGraph::from_edges(n, edges);
-}
-
-UndirectedGraph make_undirected_complete(vid_t n) {
-  if (n < 2) throw std::invalid_argument("make_undirected_complete: n must be >= 2");
-  std::vector<std::pair<vid_t, vid_t>> edges;
-  for (vid_t u = 0; u < n; ++u)
-    for (vid_t v = u + 1; v < n; ++v) edges.emplace_back(u, v);
-  return UndirectedGraph::from_edges(n, edges);
 }
 
 } // namespace bmh

@@ -40,22 +40,17 @@ public:
   [[nodiscard]] eid_t degree(vid_t u) const noexcept {
     return ptr_[static_cast<std::size_t>(u) + 1] - ptr_[static_cast<std::size_t>(u)];
   }
-  [[nodiscard]] bool has_edge(vid_t u, vid_t v) const noexcept;
 
   /// Raw CSR arrays (offsets of length n + 1, symmetric adjacency), for
   /// kernels shared with one side of a BipartiteGraph.
   [[nodiscard]] std::span<const eid_t> ptr() const noexcept { return ptr_; }
   [[nodiscard]] std::span<const vid_t> adj() const noexcept { return adj_; }
 
-  /// The symmetric (0,1)-adjacency matrix as a square bipartite graph
-  /// (rows = columns = vertices); used to reuse the scaling kernels.
-  [[nodiscard]] BipartiteGraph as_bipartite() const;
-
   /// In-place rebuild as the *symmetric view* of a square pattern-symmetric
   /// bipartite graph: vertex u's neighbours are row u's columns, diagonal
   /// entries dropped (self-loops cannot be matched). Preconditions
   /// (squareness, is_pattern_symmetric) are the caller's — see
-  /// graph/transform.hpp; violating them yields an asymmetric adjacency.
+  /// engine/pipeline.hpp; violating them yields an asymmetric adjacency.
   /// Capacity is reused, so warm calls on same-shaped graphs are
   /// allocation-free (the kind=undirected-match serving path).
   void assign_symmetric_view(const BipartiteGraph& g);
@@ -72,19 +67,5 @@ private:
   std::vector<eid_t> ptr_{0};
   std::vector<vid_t> adj_;
 };
-
-/// Erdős–Rényi G(n, m)-style random undirected graph (m edge draws,
-/// duplicates collapse, self-loops skipped). Deterministic in the seed.
-[[nodiscard]] UndirectedGraph make_undirected_erdos_renyi(vid_t n, eid_t edge_target,
-                                                          std::uint64_t seed);
-
-/// Cycle graph C_n.
-[[nodiscard]] UndirectedGraph make_undirected_cycle(vid_t n);
-
-/// Path graph P_n.
-[[nodiscard]] UndirectedGraph make_undirected_path(vid_t n);
-
-/// Complete graph K_n.
-[[nodiscard]] UndirectedGraph make_undirected_complete(vid_t n);
 
 } // namespace bmh

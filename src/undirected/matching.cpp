@@ -1,7 +1,6 @@
 #include "undirected/matching.hpp"
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/choice.hpp"
@@ -20,37 +19,10 @@ vid_t UndirectedMatching::cardinality() const noexcept {
   return twice / 2;
 }
 
-std::string describe_violation(const UndirectedGraph& g, const UndirectedMatching& m) {
-  std::ostringstream os;
-  if (m.mate.size() != static_cast<std::size_t>(g.num_vertices())) {
-    os << "mate size " << m.mate.size() << " != num_vertices " << g.num_vertices();
-    return os.str();
-  }
-  for (vid_t u = 0; u < g.num_vertices(); ++u) {
-    const vid_t v = m.mate[static_cast<std::size_t>(u)];
-    if (v == kNil) continue;
-    if (v < 0 || v >= g.num_vertices()) {
-      os << "vertex " << u << " matched out of range (" << v << ")";
-      return os.str();
-    }
-    if (m.mate[static_cast<std::size_t>(v)] != u) {
-      os << "asymmetric mate: mate[" << u << "]=" << v << " but mate[" << v
-         << "]=" << m.mate[static_cast<std::size_t>(v)];
-      return os.str();
-    }
-    if (!g.has_edge(u, v)) {
-      os << "matched pair (" << u << ", " << v << ") is not an edge";
-      return os.str();
-    }
-  }
-  return {};
-}
-
 bool is_valid_matching(const UndirectedGraph& g, const UndirectedMatching& m) {
-  // The same checks as describe_violation(), without the message: this runs
-  // on the warm serving path (kind=undirected-match validates every job), so
-  // it must not build strings. Violations are counted in blocks on the
-  // ambient team; the verdict does not depend on the team size.
+  // This runs on the warm serving path (kind=undirected-match validates
+  // every job), so it must not build strings. Violations are counted in
+  // blocks on the ambient team; the verdict does not depend on the team size.
   const vid_t n = g.num_vertices();
   if (m.mate.size() != static_cast<std::size_t>(n)) return false;
   const vid_t* const mate = m.mate.data();

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/workspace.hpp"
@@ -51,11 +50,9 @@ struct UndirectedMatching {
   }
 };
 
-/// Empty string when valid; otherwise a description of the violation.
-[[nodiscard]] std::string describe_violation(const UndirectedGraph& g,
-                                             const UndirectedMatching& m);
-/// Allocation-free validity check (the serving path's per-job verifier);
-/// describe_violation is the diagnostic counterpart.
+/// True iff `m` is a valid matching of `g`: one mate per vertex, mates
+/// mutual, every pair an edge. Allocation-free: the serving path's per-job
+/// verifier.
 [[nodiscard]] bool is_valid_matching(const UndirectedGraph& g,
                                      const UndirectedMatching& m);
 

@@ -36,10 +36,4 @@ std::int64_t CliArgs::get_int(const std::string& key, std::int64_t fallback) con
   return std::strtoll(it->second.c_str(), nullptr, 10);
 }
 
-double CliArgs::get_double(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
-}
-
 } // namespace bmh

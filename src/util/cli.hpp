@@ -19,7 +19,6 @@ public:
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
-  [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept { return positional_; }
 
 private:

@@ -26,12 +26,6 @@ std::int64_t env_int(const char* name, std::int64_t fallback) {
   return (end != nullptr && *end == '\0') ? parsed : fallback;
 }
 
-std::string env_string(const char* name, const std::string& fallback) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env lookup (see above).
-  const char* v = std::getenv(name);
-  return (v == nullptr || *v == '\0') ? fallback : std::string(v);
-}
-
 double bench_scale() {
   return std::clamp(env_double("BMH_SCALE", 1.0), 0.01, 100.0);
 }

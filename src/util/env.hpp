@@ -10,7 +10,6 @@
 ///   BMH_REPEATS      — overrides the number of repetitions per data point.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace bmh {
@@ -20,9 +19,6 @@ double env_double(const char* name, double fallback);
 
 /// Reads an integer from the environment; returns `fallback` when unset/bad.
 std::int64_t env_int(const char* name, std::int64_t fallback);
-
-/// Reads a string from the environment; returns `fallback` when unset.
-std::string env_string(const char* name, const std::string& fallback);
 
 /// BMH_SCALE, clamped to [0.01, 100].
 double bench_scale();

@@ -101,7 +101,4 @@ private:
   std::uint64_t s_[4] = {};
 };
 
-/// Hash of a (seed, a, b) triple; handy for seeding per-object generators.
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t a, std::uint64_t b = 0) noexcept;
-
 } // namespace bmh

@@ -49,7 +49,6 @@ Table& Table::add(const char* cell) { return add(std::string(cell)); }
 Table& Table::add(double value, int precision) { return add(format_double(value, precision)); }
 Table& Table::add(std::int64_t value) { return add(std::to_string(value)); }
 Table& Table::add(int value) { return add(std::to_string(value)); }
-Table& Table::add(std::size_t value) { return add(std::to_string(value)); }
 
 void Table::print(std::ostream& os, const std::string& title) const {
   std::vector<std::size_t> width(header_.size());

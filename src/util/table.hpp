@@ -25,7 +25,6 @@ public:
   Table& add(double value, int precision = 3);
   Table& add(std::int64_t value);
   Table& add(int value);
-  Table& add(std::size_t value);
 
   /// Renders with padded columns, a header rule, and optional title.
   void print(std::ostream& os, const std::string& title = "") const;

@@ -23,21 +23,4 @@ double RunStats::geomean(std::size_t warmup) const {
   return std::exp(log_sum / static_cast<double>(n));
 }
 
-double RunStats::min(std::size_t warmup) const {
-  check_window(samples_.size(), warmup);
-  return *std::min_element(samples_.begin() + static_cast<std::ptrdiff_t>(warmup),
-                           samples_.end());
-}
-
-double RunStats::mean(std::size_t warmup) const {
-  check_window(samples_.size(), warmup);
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (std::size_t i = warmup; i < samples_.size(); ++i) {
-    sum += samples_[i];
-    ++n;
-  }
-  return sum / static_cast<double>(n);
-}
-
 } // namespace bmh

@@ -38,12 +38,6 @@ public:
   /// Geometric mean of all samples after skipping the first `warmup`.
   [[nodiscard]] double geomean(std::size_t warmup = 0) const;
 
-  /// Arithmetic minimum over all samples after skipping the first `warmup`.
-  [[nodiscard]] double min(std::size_t warmup = 0) const;
-
-  /// Arithmetic mean after skipping the first `warmup`.
-  [[nodiscard]] double mean(std::size_t warmup = 0) const;
-
 private:
   std::vector<double> samples_;
 };

@@ -18,7 +18,7 @@
 namespace bmh {
 namespace {
 
-using testing::run_ws;
+using namespace testing;
 
 /// The decomposition from the tests' reference solver.
 DmDecomposition dm_of(const BipartiteGraph& g) {

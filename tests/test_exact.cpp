@@ -14,7 +14,7 @@
 namespace bmh {
 namespace {
 
-using testing::run_ws;
+using namespace testing;
 
 TEST(HopcroftKarp, MatchesBruteForceOnSmallRandomGraphs) {
   for (std::uint64_t seed = 0; seed < 60; ++seed) {

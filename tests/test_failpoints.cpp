@@ -24,6 +24,8 @@
 namespace bmh {
 namespace {
 
+using namespace testing;
+
 namespace fs = std::filesystem;
 
 // ------------------------------------------------------------ the grammar ---
@@ -254,7 +256,7 @@ TEST_F(FailpointInjection, StoreLoadErrorDegradesToBuildNotFailure) {
   // fault and builds. The caller cannot tell; the counters can.
   const auto g = cache.get_or_build(spec, 1);
   ASSERT_NE(g, nullptr);
-  EXPECT_TRUE(g->structurally_equal(build_graph(spec, 1)));
+  EXPECT_TRUE(structurally_equal(*g, build_graph(spec, 1)));
   const GraphCache::Stats s = cache.stats();
   EXPECT_EQ(s.store_hits, 0ull);
   EXPECT_GE(s.store_errors, 1ull);
@@ -326,7 +328,7 @@ TEST_F(FailpointInjection, ContentCorruptionNeverFeedsTheBreaker) {
   ASSERT_TRUE(store.spill(key, g));
   const auto healed = store.try_load(key);
   ASSERT_NE(healed, nullptr);
-  EXPECT_TRUE(healed->structurally_equal(g));
+  EXPECT_TRUE(structurally_equal(*healed, g));
 }
 
 TEST_F(FailpointInjection, SpillErrorLeavesNoTmpResidue) {

@@ -13,7 +13,7 @@
 namespace bmh {
 namespace {
 
-using testing::run_ws;
+using namespace testing;
 
 constexpr double kTinyScale = 0.02;  // keep unit tests quick
 
@@ -41,7 +41,7 @@ TEST(Suite, EveryInstanceBuildsAtTinyScale) {
 TEST(Suite, GenerationIsDeterministic) {
   const SuiteInstance a = make_suite_instance("cage15_like", kTinyScale, 42);
   const SuiteInstance b = make_suite_instance("cage15_like", kTinyScale, 42);
-  EXPECT_TRUE(a.graph.structurally_equal(b.graph));
+  EXPECT_TRUE(structurally_equal(a.graph, b.graph));
 }
 
 TEST(Suite, RoadInstancesAreSprankDeficient) {
@@ -86,13 +86,6 @@ TEST(Suite, ScaleGrowsInstances) {
   const SuiteInstance small = make_suite_instance("Hamrle3_like", 0.02, 42);
   const SuiteInstance large = make_suite_instance("Hamrle3_like", 0.08, 42);
   EXPECT_GT(large.graph.num_rows(), 2 * small.graph.num_rows());
-}
-
-TEST(Suite, MakeSuiteReturnsAllInstancesInOrder) {
-  const auto suite = make_suite(kTinyScale, 42);
-  ASSERT_EQ(suite.size(), 12u);
-  const auto names = suite_names();
-  for (std::size_t i = 0; i < suite.size(); ++i) EXPECT_EQ(suite[i].name, names[i]);
 }
 
 } // namespace

@@ -19,6 +19,8 @@
 namespace bmh {
 namespace {
 
+using namespace testing;
+
 namespace fs = std::filesystem;
 
 std::string fixture(const char* name) {
@@ -133,7 +135,7 @@ TEST(MmSource, BuildMatchesMmioReader) {
   const BipartiteGraph direct = read_matrix_market_file(path);
   const BipartiteGraph via_source =
       build_graph(parse_graph_spec("mm:path=" + path), 7);
-  EXPECT_TRUE(direct.structurally_equal(via_source));
+  EXPECT_TRUE(structurally_equal(direct, via_source));
   EXPECT_EQ(via_source.num_rows(), 4);
   EXPECT_EQ(via_source.num_cols(), 6);
 }

@@ -23,6 +23,8 @@
 namespace bmh {
 namespace {
 
+using namespace testing;
+
 namespace fs = std::filesystem;
 
 /// Flips one byte in place (read-XOR-write, so the corruption can never be
@@ -65,7 +67,7 @@ TEST_F(GraphStoreTest, SpillThenLoadRoundTrips) {
 
   const auto loaded = store.try_load(key);
   ASSERT_NE(loaded, nullptr);
-  EXPECT_TRUE(loaded->structurally_equal(g));
+  EXPECT_TRUE(structurally_equal(*loaded, g));
   EXPECT_FALSE(loaded->owns_storage());  // mmap view, not a rebuild
 
   // Write-once: a second spill of the same key is a skip, not a rewrite.
@@ -88,7 +90,7 @@ TEST_F(GraphStoreTest, StoreSurvivesReopenLikeAProcessRestart) {
   GraphStore reopened(dir_);  // fresh object, same directory
   const auto loaded = reopened.try_load("mesh-key");
   ASSERT_NE(loaded, nullptr);
-  EXPECT_TRUE(loaded->structurally_equal(g));
+  EXPECT_TRUE(structurally_equal(*loaded, g));
 }
 
 TEST_F(GraphStoreTest, CorruptFileIsAnErrorNeverServed) {
@@ -115,7 +117,7 @@ TEST_F(GraphStoreTest, CorruptFileIsAnErrorNeverServed) {
   EXPECT_EQ(store.stats().spill_skips, 0u);  // a real rewrite, not a skip
   const auto healed = store.try_load("victim");
   ASSERT_NE(healed, nullptr);
-  EXPECT_TRUE(healed->structurally_equal(g));
+  EXPECT_TRUE(structurally_equal(*healed, g));
 }
 
 TEST_F(GraphStoreTest, DuplicateEdgeForgeryIsAContentErrorAndHeals) {
@@ -160,7 +162,7 @@ TEST_F(GraphStoreTest, DuplicateEdgeForgeryIsAContentErrorAndHeals) {
   ASSERT_TRUE(store.spill("dup", g));
   const auto healed = store.try_load("dup");
   ASSERT_NE(healed, nullptr);
-  EXPECT_TRUE(healed->structurally_equal(g));
+  EXPECT_TRUE(structurally_equal(*healed, g));
 }
 
 TEST_F(GraphStoreTest, FilenamesUseTheCanonicalKeyHash) {
@@ -218,7 +220,7 @@ TEST_F(GraphStoreTest, FreshCacheServesFromWarmStoreWithoutBuilding) {
   ASSERT_NE(loaded, nullptr);
   EXPECT_FALSE(loaded->owns_storage());  // mmap view — no rebuild
   EXPECT_EQ(loaded->memory_bytes(), file_bytes);
-  EXPECT_TRUE(loaded->structurally_equal(build_graph(spec, 1)));
+  EXPECT_TRUE(structurally_equal(*loaded, build_graph(spec, 1)));
   GraphCache::Stats s = warm.stats();
   EXPECT_EQ(s.misses, 1u);       // memory tier was cold...
   EXPECT_EQ(s.store_hits, 1u);   // ...the store tier was not
@@ -307,7 +309,7 @@ TEST_F(GraphStoreTest, CorruptStoreFileFallsBackToBuilding) {
   const auto g = cache.get_or_build(spec, 1);  // must not throw, must be right
   ASSERT_NE(g, nullptr);
   EXPECT_TRUE(g->owns_storage());  // rebuilt, the mapped path was rejected
-  EXPECT_TRUE(g->structurally_equal(build_graph(spec, 1)));
+  EXPECT_TRUE(structurally_equal(*g, build_graph(spec, 1)));
   EXPECT_EQ(cache.stats().store_errors, 1u);
 }
 

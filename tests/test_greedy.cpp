@@ -11,7 +11,7 @@
 namespace bmh {
 namespace {
 
-using testing::run_ws;
+using namespace testing;
 
 using GreedyFn = void (*)(const BipartiteGraph&, std::uint64_t, Workspace&, Matching&);
 

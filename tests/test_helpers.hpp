@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -20,6 +21,8 @@
 
 #include "bmh.hpp"
 #include "util/hash.hpp"
+
+#include "builders.hpp"
 
 namespace bmh::testing {
 
@@ -65,6 +68,78 @@ template <typename R, typename... P, typename... A>
       call(before, after, out);
     return out;
   }
+}
+
+/// The engine's k_out job without the engine: the SK-or-identity scale
+/// stage, then the `k_out` table row, its scaling leased from `ws` like the
+/// rest of its scratch.
+inline void run_k_out_ws(const BipartiteGraph& g, int scaling_iterations, int k,
+                         std::uint64_t seed, Workspace& ws, Matching& out) {
+  ScalingResult& scaling = ws.obj<ScalingResult>("test.kout.scaling");
+  scale_sinkhorn_knopp_or_identity_ws(g, scaling_iterations, ws, scaling);
+  AlgorithmOptions options;
+  options.seed = seed;
+  options.k = k;
+  find_algorithm("k_out").run_ws(g, scaling, options, ws, out);
+}
+
+/// Checks that `m` is a valid matching of `g`: sizes agree, views are
+/// mutually consistent, every matched pair is an edge of `g`, and no vertex
+/// appears twice. Returns an empty string when valid, else a description of
+/// the first violation. `is_valid_matching` makes the same checks.
+[[nodiscard]] inline std::string describe_matching_violation(const BipartiteGraph& g,
+                                                             const Matching& m) {
+  std::ostringstream os;
+  if (m.row_match.size() != static_cast<std::size_t>(g.num_rows())) {
+    os << "row_match size " << m.row_match.size() << " != num_rows " << g.num_rows();
+    return os.str();
+  }
+  if (m.col_match.size() != static_cast<std::size_t>(g.num_cols())) {
+    os << "col_match size " << m.col_match.size() << " != num_cols " << g.num_cols();
+    return os.str();
+  }
+  for (vid_t i = 0; i < g.num_rows(); ++i) {
+    const vid_t j = m.row_match[static_cast<std::size_t>(i)];
+    if (j == kNil) continue;
+    if (j < 0 || j >= g.num_cols()) {
+      os << "row " << i << " matched to out-of-range column " << j;
+      return os.str();
+    }
+    if (m.col_match[static_cast<std::size_t>(j)] != i) {
+      os << "row " << i << " matched to column " << j << " but col_match[" << j
+         << "] = " << m.col_match[static_cast<std::size_t>(j)];
+      return os.str();
+    }
+    if (!has_edge(g, i, j)) {
+      os << "matched pair (" << i << ", " << j << ") is not an edge";
+      return os.str();
+    }
+  }
+  for (vid_t j = 0; j < g.num_cols(); ++j) {
+    const vid_t i = m.col_match[static_cast<std::size_t>(j)];
+    if (i == kNil) continue;
+    if (i < 0 || i >= g.num_rows()) {
+      os << "column " << j << " matched to out-of-range row " << i;
+      return os.str();
+    }
+    if (m.row_match[static_cast<std::size_t>(i)] != j) {
+      os << "column " << j << " matched to row " << i << " but row_match[" << i
+         << "] = " << m.row_match[static_cast<std::size_t>(i)];
+      return os.str();
+    }
+  }
+  return {};
+}
+
+/// True iff `m` is maximal in `g` (no edge joins two free vertices). Every
+/// maximal matching is at least half of maximum — the classic cheap bound.
+[[nodiscard]] inline bool is_maximal_matching(const BipartiteGraph& g, const Matching& m) {
+  for (vid_t i = 0; i < g.num_rows(); ++i) {
+    if (m.row_matched(i)) continue;
+    for (const vid_t j : g.row_neighbors(i))
+      if (!m.col_matched(j)) return false;
+  }
+  return true;
 }
 
 /// Asserts validity with a readable failure message.

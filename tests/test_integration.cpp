@@ -13,7 +13,7 @@
 namespace bmh {
 namespace {
 
-using testing::run_ws;
+using namespace testing;
 
 TEST(Integration, FullPipelineOnSuiteInstances) {
   // Tiny-scale run of the Table 3 pipeline over a representative subset.
@@ -47,17 +47,6 @@ TEST(Integration, JumpStartReducesAugmentationWork) {
   // The heuristic must have done at least the conjectured share of the work.
   EXPECT_GE(static_cast<double>(already),
             (kTwoSidedGuarantee - 0.02) * static_cast<double>(optimum));
-}
-
-TEST(Integration, MatrixMarketRoundTripThroughHeuristics) {
-  const BipartiteGraph g = make_planted_perfect(400, 3, 9);
-  std::stringstream buffer;
-  write_matrix_market(buffer, g);
-  const BipartiteGraph loaded = read_matrix_market(buffer);
-  ASSERT_TRUE(g.structurally_equal(loaded));
-  const Matching m = run_ws(two_sided_match_ws, loaded, 5, 2, nullptr);
-  testing::expect_valid(loaded, m, "mtx roundtrip");
-  EXPECT_GE(matching_quality(m, 400), kTwoSidedGuarantee - 0.02);
 }
 
 TEST(Integration, ScalingQualityChainOnAdversarial) {

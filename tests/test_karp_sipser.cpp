@@ -14,7 +14,7 @@
 namespace bmh {
 namespace {
 
-using testing::run_ws;
+using namespace testing;
 
 TEST(KarpSipser, ValidOnZoo) {
   for (const auto& g : testing::small_graph_zoo()) {

@@ -16,7 +16,7 @@
 namespace bmh {
 namespace {
 
-using testing::run_ws;
+using namespace testing;
 
 TEST(Koenig, CoverOfMaximumMatchingHasMatchingSize) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {

@@ -13,7 +13,7 @@
 namespace bmh {
 namespace {
 
-using testing::run_ws;
+using namespace testing;
 
 TEST(Matching, FreshMatchingIsEmptyAndValid) {
   const BipartiteGraph g = graph_from_rows(3, 3, {{0}, {1}, {2}});
@@ -114,7 +114,7 @@ TEST(Matching, ValidityAgreesWithDescribeAtScale) {
     // Both views agree on a pair that is not an edge: swap p's partner with
     // that of the first row r whose partner is not a neighbour of p.
     vid_t r = 0;
-    while (r == p || g.has_edge(p, perfect.row_match[at(r)])) ++r;
+    while (r == p || has_edge(g, p, perfect.row_match[at(r)])) ++r;
     m = perfect;
     const vid_t jp = perfect.row_match[at(p)];
     const vid_t jr = perfect.row_match[at(r)];
@@ -139,7 +139,7 @@ TEST(Matching, ValidityScansWholeRowsAboveTheParallelSize) {
     // Move row p onto column j, a column it has no edge to, and free the
     // row that held j so both views stay consistent.
     vid_t j = 0;
-    while (g.has_edge(p, j)) ++j;
+    while (has_edge(g, p, j)) ++j;
     Matching m = perfect;
     const vid_t holder = m.col_match[static_cast<std::size_t>(j)];
     m.row_match[static_cast<std::size_t>(holder)] = kNil;

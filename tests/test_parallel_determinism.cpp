@@ -15,7 +15,7 @@
 namespace bmh {
 namespace {
 
-using testing::run_ws;
+using namespace testing;
 
 class ThreadSweepTest : public ::testing::TestWithParam<int> {};
 
@@ -57,7 +57,7 @@ TEST_P(ThreadSweepTest, GeneratorsAreThreadCountInvariant) {
     ThreadCountGuard inner(1);
     ref = make_erdos_renyi(2000, 2000, 10000, 7);
   }
-  EXPECT_TRUE(g.structurally_equal(ref));
+  EXPECT_TRUE(structurally_equal(g, ref));
 }
 
 TEST_P(ThreadSweepTest, OneSidedCardinalityIsThreadCountInvariant) {

@@ -20,7 +20,7 @@
 namespace bmh {
 namespace {
 
-using testing::run_ws;
+using namespace testing;
 
 TEST(PushRelabel, MatchesBruteForceOnSmallRandomGraphs) {
   for (std::uint64_t seed = 0; seed < 60; ++seed) {

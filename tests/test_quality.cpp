@@ -14,7 +14,26 @@
 namespace bmh {
 namespace {
 
-using testing::run_ws;
+using namespace testing;
+
+struct QualityReport {
+  vid_t cardinality = 0;
+  vid_t sprank = 0;
+  double quality = 0.0;  ///< cardinality / sprank
+  bool valid = false;    ///< is_valid_matching held
+};
+
+/// A heuristic's result against the exact optimum (sprank_ws, its scratch
+/// leased from `ws`).
+[[nodiscard]] QualityReport evaluate_matching(const BipartiteGraph& g,
+                                              const Matching& m, Workspace& ws) {
+  QualityReport r;
+  r.cardinality = m.cardinality();
+  r.sprank = sprank_ws(g, ws);
+  r.quality = matching_quality(m, r.sprank);
+  r.valid = is_valid_matching(g, m);
+  return r;
+}
 
 TEST(Quality, RatioComputation) {
   Matching m(4, 4);

@@ -110,13 +110,6 @@ TEST(Rng, MeanOfUniformDrawsIsHalf) {
   EXPECT_NEAR(sum / kDraws, 0.5, 0.005);
 }
 
-TEST(MixSeed, DistinctInputsDistinctOutputs) {
-  std::set<std::uint64_t> seen;
-  for (std::uint64_t a = 0; a < 50; ++a)
-    for (std::uint64_t b = 0; b < 50; ++b) seen.insert(mix_seed(1, a, b));
-  EXPECT_EQ(seen.size(), 2500u);
-}
-
 TEST(Rng, SatisfiesUniformRandomBitGeneratorContract) {
   EXPECT_EQ(Rng::min(), 0u);
   EXPECT_EQ(Rng::max(), ~0ULL);

@@ -21,7 +21,7 @@
 namespace bmh {
 namespace {
 
-using testing::run_ws;
+using namespace testing;
 
 ScalingOptions iters(int n) {
   ScalingOptions o;

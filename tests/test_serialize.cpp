@@ -24,7 +24,7 @@
 namespace bmh {
 namespace {
 
-using testing::run_ws;
+using namespace testing;
 
 namespace fs = std::filesystem;
 
@@ -92,7 +92,7 @@ TEST_F(SerializeTest, RoundTripIsExactAcrossTheZoo) {
     EXPECT_EQ(to_vector(loaded.col_idx()), to_vector(g.col_idx()));
     EXPECT_EQ(to_vector(loaded.col_ptr()), to_vector(g.col_ptr()));
     EXPECT_EQ(to_vector(loaded.row_idx()), to_vector(g.row_idx()));
-    EXPECT_TRUE(loaded.structurally_equal(g));
+    EXPECT_TRUE(structurally_equal(loaded, g));
     // memory_bytes accounts the mapped file, and the recorded size matches.
     EXPECT_EQ(loaded.memory_bytes(), fs::file_size(path));
     EXPECT_EQ(serialized_graph_bytes(g, "zoo-key"), fs::file_size(path));
@@ -106,7 +106,7 @@ TEST_F(SerializeTest, RoundTripBiggerGeneratedGraph) {
   std::string key;
   const BipartiteGraph loaded = load_graph_mapped(path, &key);
   EXPECT_TRUE(key.empty());
-  EXPECT_TRUE(loaded.structurally_equal(g));
+  EXPECT_TRUE(structurally_equal(loaded, g));
   EXPECT_EQ(to_vector(loaded.col_ptr()), to_vector(g.col_ptr()));
   EXPECT_EQ(to_vector(loaded.row_idx()), to_vector(g.row_idx()));
 }
@@ -124,7 +124,7 @@ TEST_F(SerializeTest, EmptyAndEdgelessGraphsRoundTrip) {
   const BipartiteGraph edgeless(3, 5, {0, 0, 0, 0}, {});
   const std::string path2 = file("edgeless.bmg");
   save_graph(edgeless, path2);
-  EXPECT_TRUE(load_graph_mapped(path2).structurally_equal(edgeless));
+  EXPECT_TRUE(structurally_equal(load_graph_mapped(path2), edgeless));
 }
 
 // ------------------------------------------- mapped graphs behave normally ---
@@ -140,8 +140,8 @@ TEST_F(SerializeTest, MappedGraphSupportsTheFullReadApi) {
   }
   for (vid_t j = 0; j < g.num_cols(); ++j)
     EXPECT_EQ(to_vector(m.col_neighbors(j)), to_vector(g.col_neighbors(j)));
-  EXPECT_TRUE(m.transposed().structurally_equal(g.transposed()));
-  EXPECT_EQ(m.has_edge(0, 0), g.has_edge(0, 0));
+  EXPECT_TRUE(structurally_equal(m.transposed(), g.transposed()));
+  EXPECT_EQ(has_edge(m, 0, 0), has_edge(g, 0, 0));
 
   // Copies of a mapped graph share the mapping (cheap) and stay external;
   // the matching pipeline runs on them like on any owned graph.
@@ -163,10 +163,10 @@ TEST_F(SerializeTest, RebuildConvertsMappedGraphToOwnedStorage) {
   testing::rebuild_from(m, graph_from_rows(2, 2, {{1}, {0}}));
   EXPECT_TRUE(m.owns_storage());
   EXPECT_EQ(m.num_rows(), 2);
-  EXPECT_TRUE(m.has_edge(0, 1));
+  EXPECT_TRUE(has_edge(m, 0, 1));
   EXPECT_EQ(m.num_edges(), 2);
   // The original file still loads intact.
-  EXPECT_TRUE(load_graph_mapped(path).structurally_equal(g));
+  EXPECT_TRUE(structurally_equal(load_graph_mapped(path), g));
 
   // A mapped graph is a source like any other: its arrays, rebuilt into
   // an owned graph, give its own four arrays.

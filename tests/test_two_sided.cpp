@@ -15,7 +15,7 @@
 namespace bmh {
 namespace {
 
-using testing::run_ws;
+using namespace testing;
 
 TEST(TwoSided, ValidOnZoo) {
   for (const auto& g : testing::small_graph_zoo()) {
@@ -103,12 +103,12 @@ TEST(TwoSided, ChoicesComeFromTheGraph) {
   const TwoSidedChoices ch = run_ws(sample_two_sided_choices_ws, g, s, 9);
   for (vid_t i = 0; i < g.num_rows(); ++i) {
     if (ch.rchoice[static_cast<std::size_t>(i)] != kNil) {
-      EXPECT_TRUE(g.has_edge(i, ch.rchoice[static_cast<std::size_t>(i)]));
+      EXPECT_TRUE(has_edge(g, i, ch.rchoice[static_cast<std::size_t>(i)]));
     }
   }
   for (vid_t j = 0; j < g.num_cols(); ++j) {
     if (ch.cchoice[static_cast<std::size_t>(j)] != kNil) {
-      EXPECT_TRUE(g.has_edge(ch.cchoice[static_cast<std::size_t>(j)], j));
+      EXPECT_TRUE(has_edge(g, ch.cchoice[static_cast<std::size_t>(j)], j));
     }
   }
 }

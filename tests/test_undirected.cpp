@@ -5,15 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/workspace.hpp"
 #include "engine/registry.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "graph/transform.hpp"
 #include "matching/push_relabel.hpp"
 #include "test_helpers.hpp"
 #include "undirected/graph.hpp"
@@ -23,7 +24,87 @@
 namespace bmh {
 namespace {
 
-using testing::run_ws;
+using namespace testing;
+
+using testing::has_edge;  // the bipartite overload, beside this one
+
+/// True iff the undirected edge {u, v} exists; ids out of range give false.
+[[nodiscard]] bool has_edge(const UndirectedGraph& g, vid_t u, vid_t v) {
+  if (u < 0 || u >= g.num_vertices() || v < 0 || v >= g.num_vertices()) return false;
+  return std::ranges::find(g.neighbors(u), v) != g.neighbors(u).end();
+}
+
+/// Erdős–Rényi G(n, m)-style random undirected graph (m edge draws,
+/// duplicates collapse, self-loops skipped). Deterministic in the seed.
+[[nodiscard]] UndirectedGraph make_undirected_erdos_renyi(vid_t n, eid_t edge_target,
+                                                          std::uint64_t seed) {
+  if (n <= 1) throw std::invalid_argument("make_undirected_erdos_renyi: n must be > 1");
+  Rng rng(seed);
+  std::vector<std::pair<vid_t, vid_t>> edges;
+  edges.reserve(static_cast<std::size_t>(edge_target));
+  for (eid_t e = 0; e < edge_target; ++e) {
+    const auto u = static_cast<vid_t>(rng.next_below(static_cast<std::uint64_t>(n)));
+    auto v = static_cast<vid_t>(rng.next_below(static_cast<std::uint64_t>(n)));
+    if (u == v) v = (v + 1) % n;
+    edges.emplace_back(u, v);
+  }
+  return UndirectedGraph::from_edges(n, edges);
+}
+
+/// Cycle graph C_n.
+[[nodiscard]] UndirectedGraph make_undirected_cycle(vid_t n) {
+  if (n < 3) throw std::invalid_argument("make_undirected_cycle: n must be >= 3");
+  std::vector<std::pair<vid_t, vid_t>> edges;
+  edges.reserve(static_cast<std::size_t>(n));
+  for (vid_t u = 0; u < n; ++u) edges.emplace_back(u, (u + 1) % n);
+  return UndirectedGraph::from_edges(n, edges);
+}
+
+/// Path graph P_n.
+[[nodiscard]] UndirectedGraph make_undirected_path(vid_t n) {
+  if (n < 2) throw std::invalid_argument("make_undirected_path: n must be >= 2");
+  std::vector<std::pair<vid_t, vid_t>> edges;
+  for (vid_t u = 0; u + 1 < n; ++u) edges.emplace_back(u, u + 1);
+  return UndirectedGraph::from_edges(n, edges);
+}
+
+/// Complete graph K_n.
+[[nodiscard]] UndirectedGraph make_undirected_complete(vid_t n) {
+  if (n < 2) throw std::invalid_argument("make_undirected_complete: n must be >= 2");
+  std::vector<std::pair<vid_t, vid_t>> edges;
+  for (vid_t u = 0; u < n; ++u)
+    for (vid_t v = u + 1; v < n; ++v) edges.emplace_back(u, v);
+  return UndirectedGraph::from_edges(n, edges);
+}
+
+/// Empty string when `m` is a valid matching of the undirected `g`;
+/// otherwise a description of the first violation.
+[[nodiscard]] std::string describe_violation(const UndirectedGraph& g,
+                                             const UndirectedMatching& m) {
+  std::ostringstream os;
+  if (m.mate.size() != static_cast<std::size_t>(g.num_vertices())) {
+    os << "mate size " << m.mate.size() << " != num_vertices " << g.num_vertices();
+    return os.str();
+  }
+  for (vid_t u = 0; u < g.num_vertices(); ++u) {
+    const vid_t v = m.mate[static_cast<std::size_t>(u)];
+    if (v == kNil) continue;
+    if (v < 0 || v >= g.num_vertices()) {
+      os << "vertex " << u << " matched out of range (" << v << ")";
+      return os.str();
+    }
+    if (m.mate[static_cast<std::size_t>(v)] != u) {
+      os << "asymmetric mate: mate[" << u << "]=" << v << " but mate[" << v
+         << "]=" << m.mate[static_cast<std::size_t>(v)];
+      return os.str();
+    }
+    if (!has_edge(g, u, v)) {
+      os << "matched pair (" << u << ", " << v << ") is not an edge";
+      return os.str();
+    }
+  }
+  return {};
+}
 
 /// Exhaustive maximum matching on a small undirected graph.
 vid_t brute_force(const UndirectedGraph& g) {
@@ -48,23 +129,15 @@ vid_t brute_force(const UndirectedGraph& g) {
 TEST(UndirectedGraph, FromEdgesSymmetrizesAndDedups) {
   const UndirectedGraph g = UndirectedGraph::from_edges(4, {{0, 1}, {1, 0}, {2, 3}});
   EXPECT_EQ(g.num_edges(), 2);
-  EXPECT_TRUE(g.has_edge(0, 1));
-  EXPECT_TRUE(g.has_edge(1, 0));
-  EXPECT_TRUE(g.has_edge(3, 2));
-  EXPECT_FALSE(g.has_edge(0, 2));
+  EXPECT_TRUE(has_edge(g, 0, 1));
+  EXPECT_TRUE(has_edge(g, 1, 0));
+  EXPECT_TRUE(has_edge(g, 3, 2));
+  EXPECT_FALSE(has_edge(g, 0, 2));
 }
 
 TEST(UndirectedGraph, RejectsSelfLoopsAndBadIds) {
   EXPECT_THROW((void)UndirectedGraph::from_edges(3, {{1, 1}}), std::invalid_argument);
   EXPECT_THROW((void)UndirectedGraph::from_edges(3, {{0, 3}}), std::out_of_range);
-}
-
-TEST(UndirectedGraph, AsBipartiteIsSymmetric) {
-  const UndirectedGraph g = make_undirected_erdos_renyi(50, 120, 3);
-  const BipartiteGraph b = g.as_bipartite();
-  EXPECT_EQ(b.num_rows(), 50);
-  for (vid_t u = 0; u < 50; ++u)
-    for (const vid_t v : b.row_neighbors(u)) EXPECT_TRUE(b.has_edge(v, u));
 }
 
 TEST(UndirectedGenerators, ShapesAreCorrect) {
@@ -107,7 +180,7 @@ TEST(SampleChoices, PicksAreNeighbors) {
     if (g.degree(u) == 0) {
       EXPECT_EQ(choice[static_cast<std::size_t>(u)], kNil);
     } else {
-      EXPECT_TRUE(g.has_edge(u, choice[static_cast<std::size_t>(u)]));
+      EXPECT_TRUE(has_edge(g, u, choice[static_cast<std::size_t>(u)]));
     }
   }
   EXPECT_EQ(choice, run_ws(sample_choices_ws, g, s.d, 11));  // deterministic
@@ -284,10 +357,13 @@ TEST(UndirectedMatching, PathAndCycleOptima) {
 }
 
 TEST(UndirectedConversion, SymmetricViewOfAdjacencyRoundTrips) {
-  // as_bipartite() of an undirected graph is square pattern-symmetric with
-  // no diagonal; its symmetric view must reproduce the original graph.
+  // The adjacency matrix of an undirected graph is square pattern-symmetric
+  // with no diagonal; its symmetric view must reproduce the original graph.
   const UndirectedGraph g = make_undirected_erdos_renyi(60, 150, 4);
-  const BipartiteGraph b = g.as_bipartite();
+  std::vector<Edge> adjacency;
+  for (vid_t u = 0; u < g.num_vertices(); ++u)
+    for (const vid_t v : g.neighbors(u)) adjacency.push_back({u, v});
+  const BipartiteGraph b = graph_from_edges(g.num_vertices(), g.num_vertices(), adjacency);
   ASSERT_TRUE(is_pattern_symmetric(b));
   UndirectedGraph view;
   view.assign_symmetric_view(b);
@@ -296,7 +372,7 @@ TEST(UndirectedConversion, SymmetricViewOfAdjacencyRoundTrips) {
   for (vid_t u = 0; u < g.num_vertices(); ++u) {
     const auto nb = view.neighbors(u);
     EXPECT_TRUE(std::is_sorted(nb.begin(), nb.end()));  // has_edge contract
-    for (const vid_t v : g.neighbors(u)) EXPECT_TRUE(view.has_edge(u, v));
+    for (const vid_t v : g.neighbors(u)) EXPECT_TRUE(has_edge(view, u, v));
   }
 }
 
@@ -307,8 +383,8 @@ TEST(UndirectedConversion, SymmetricViewDropsDiagonal) {
   UndirectedGraph view;
   view.assign_symmetric_view(b);
   EXPECT_EQ(view.num_edges(), 1);  // only the off-diagonal pair survives
-  EXPECT_TRUE(view.has_edge(0, 1));
-  EXPECT_FALSE(view.has_edge(0, 0));
+  EXPECT_TRUE(has_edge(view, 0, 1));
+  EXPECT_FALSE(has_edge(view, 0, 0));
 }
 
 TEST(UndirectedConversion, BipartiteUnionPreservesMatchingNumber) {
@@ -323,7 +399,7 @@ TEST(UndirectedConversion, BipartiteUnionPreservesMatchingNumber) {
     EXPECT_TRUE(std::is_sorted(nb.begin(), nb.end()));
     for (const vid_t v : nb) {
       ASSERT_GE(v, 14);
-      EXPECT_TRUE(b.has_edge(r, v - 14));
+      EXPECT_TRUE(has_edge(b, r, v - 14));
     }
   }
   // The undirected matching number of the union IS the bipartite one.

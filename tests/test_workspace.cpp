@@ -21,6 +21,7 @@ namespace bmh {
 namespace {
 
 using ::bmh::testing::expect_valid;
+using ::bmh::testing::run_k_out_ws;
 using ::bmh::testing::run_on_fresh_engine;
 using ::bmh::testing::run_ws;
 using ::bmh::testing::small_graph_zoo;
@@ -170,8 +171,8 @@ TEST(WorkspaceReuse, KernelsMatchAFreshWorkspace) {
         [&] { karp_sipser_mt_ws(g.num_rows(), g.num_cols(), unified, nullptr, ws, m); });
     same_matching("k_out_from_scaling_ws", run_ws(k_out_from_scaling_ws, g, s, 2, 7),
                   [&] { k_out_from_scaling_ws(g, s, 2, 7, ws, m); });
-    same_matching("k_out_match_ws", run_ws(k_out_match_ws, g, 5, 2, 7),
-                  [&] { k_out_match_ws(g, 5, 2, 7, ws, m); });
+    same_matching("k_out row", run_ws(run_k_out_ws, g, 5, 2, 7),
+                  [&] { run_k_out_ws(g, 5, 2, 7, ws, m); });
     const BipartiteGraph fresh_sub = run_ws(k_out_subgraph_ws, g, s, 2, 7);
     twice([&] { k_out_subgraph_ws(g, s, 2, 7, ws, sub); },
           [&](int pass) {
@@ -239,8 +240,8 @@ TEST(WorkspaceHotPath, KernelSteadyStateIsAllocationFree) {
       // k_out's subgraph is pooled (written in place into a
       // workspace-kept graph), so it is in the zero-allocation club too;
       // on this degree-8 graph k = 2 filters g and k = 1 merges the picks.
-      k_out_match_ws(g, 5, 2, static_cast<std::uint64_t>(r), ws, out);
-      k_out_match_ws(g, 5, 1, static_cast<std::uint64_t>(r), ws, out);
+      run_k_out_ws(g, 5, 2, static_cast<std::uint64_t>(r), ws, out);
+      run_k_out_ws(g, 5, 1, static_cast<std::uint64_t>(r), ws, out);
     }
   };
   sweep();
