@@ -8,13 +8,16 @@ void sample_csr_choices(std::span<const eid_t> ptr, std::span<const vid_t> adj,
                         std::span<const double> weight, std::uint64_t seed,
                         std::uint64_t salt, std::vector<vid_t>& out) {
   const auto n = static_cast<vid_t>(ptr.empty() ? 0 : ptr.size() - 1);
-  out.assign(static_cast<std::size_t>(n), kNil);
+  out.resize(static_cast<std::size_t>(n));
   const Rng root(seed);
 #pragma omp parallel for schedule(dynamic, 512)
   for (vid_t u = 0; u < n; ++u) {
     const auto first = static_cast<std::size_t>(ptr[static_cast<std::size_t>(u)]);
     const auto last = static_cast<std::size_t>(ptr[static_cast<std::size_t>(u) + 1]);
-    if (first == last) continue;
+    if (first == last) {
+      out[static_cast<std::size_t>(u)] = kNil;
+      continue;
+    }
     const std::span<const vid_t> nbrs = adj.subspan(first, last - first);
     Rng rng = root.fork(salt ^ static_cast<std::uint64_t>(u));
     double total = 0.0;

@@ -45,8 +45,10 @@ struct KarpSipserMTStats {
 /// by u) or kNil for isolated vertices; `m`/`n` are the row/column counts.
 /// The matching written into `out` is maximum on the choice subgraph
 /// regardless of the number of threads. The match/deg/mark arrays are
-/// leased from `ws` (driven through std::atomic_ref so plain vectors can be
-/// reused); warm calls allocate nothing.
+/// plain vectors leased from `ws` (accesses two threads can share go
+/// through std::atomic_ref); warm calls allocate nothing. `out` is sized,
+/// not reset, and filled on the team, so a reused Matching costs no serial
+/// pass.
 void karp_sipser_mt_ws(vid_t m, vid_t n, std::span<const vid_t> choice,
                        KarpSipserMTStats* stats, Workspace& ws, Matching& out);
 
@@ -63,7 +65,10 @@ void karp_sipser_mt_ws(vid_t m, vid_t n, std::span<const vid_t> choice,
 
 /// Builds the unified choice array from per-side local choices (rchoice[i]
 /// is a column id or kNil; cchoice[j] is a row id or kNil) into `out`
-/// (capacity reused).
+/// (resized; a vector already of size m + n is not refilled first). Runs on
+/// the ambient team from kParallelMinItems entries, inline below. An entry
+/// out of range throws std::out_of_range, naming the row side if both are
+/// bad.
 void unify_choices(vid_t m, vid_t n, std::span<const vid_t> rchoice,
                    std::span<const vid_t> cchoice, std::vector<vid_t>& out);
 

@@ -17,7 +17,10 @@ void two_sided_from_scaling_ws(const BipartiteGraph& g, const ScalingResult& sca
                                Workspace& ws, Matching& out) {
   TwoSidedChoices& choices = ws.obj<TwoSidedChoices>("ts.choices");
   sample_two_sided_choices_ws(g, scaling, seed, choices);
-  std::vector<vid_t>& unified = ws.buf<vid_t>("ts.unified");
+  // Sized here, so unify_choices's resize is a no-op on a warm workspace.
+  std::vector<vid_t>& unified =
+      ws.vec<vid_t>("ts.unified", static_cast<std::size_t>(g.num_rows()) +
+                                      static_cast<std::size_t>(g.num_cols()));
   unify_choices(g.num_rows(), g.num_cols(), choices.rchoice, choices.cchoice, unified);
   karp_sipser_mt_ws(g.num_rows(), g.num_cols(), unified, stats, ws, out);
 }

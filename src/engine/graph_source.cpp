@@ -81,8 +81,12 @@ vid_t param_vid(const GraphSpec& s, const char* key, double fallback,
 /// against the *same* random instance.
 std::uint64_t effective_seed(const GraphSpec& spec, std::uint64_t seed) {
   const auto pinned = spec.params.find("seed");
-  return pinned != spec.params.end() ? static_cast<std::uint64_t>(pinned->second)
-                                     : seed;
+  if (pinned == spec.params.end()) return seed;
+  // Reject before casting: double -> uint64 is UB outside [0, 2^64).
+  if (!(pinned->second >= 0.0 && pinned->second < 18446744073709551616.0))
+    throw std::invalid_argument("graph spec '" + spec.spec +
+                                "': 'seed' is not in [0, 2^64)");
+  return static_cast<std::uint64_t>(pinned->second);
 }
 
 /// Shared NAME[:key=val,...] parsing for the generator-shaped schemes.
@@ -200,8 +204,13 @@ public:
     if (g == "mesh") return make_mesh(as_vid("nx"), as_vid("ny"));
     if (g == "road")
       return make_road_like(as_vid("n"), r.get("shortcut"), r.get("drop"), seed);
-    if (g == "powerlaw")
+    if (g == "powerlaw") {
+      const double nnz = r.get("avg") * r.get("n");
+      if (!(nnz < 9.0e18))
+        throw std::invalid_argument("graph spec '" + spec.spec +
+                                    "': 'avg' * n is not a valid edge count");
       return make_power_law(as_vid("n"), r.get("avg"), r.get("alpha"), seed);
+    }
     if (g == "kkt") return make_kkt_like(as_vid("m"), as_vid("p"), as_vid("d"), seed);
     if (g == "cycle") return make_cycle(as_vid("n"));
     if (g == "regular") return make_row_regular(as_vid("n"), as_vid("d"), seed);

@@ -1,7 +1,9 @@
 #include "graph/bipartite_graph.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
@@ -46,6 +48,103 @@ struct RowEnds {
     return *this;
   }
 };
+
+/// validate_external's transpose check, on two halves validate_csr has
+/// accepted with the same edge count. The CSC must be the exact transpose of
+/// the CSR in the canonical layout this library produces (row ids within
+/// each column sorted ascending): sweeping CSR rows in order, each edge
+/// (i, j) must be the next unconsumed CSC entry of column j. No column then
+/// holds fewer CSC entries than CSR edges, and the totals agree, so every
+/// column is used up. Unlike a degree-only cross-check this rejects
+/// degree-preserving forgeries, so even a CRC-valid tampered store file
+/// cannot serve mismatched orientations.
+///
+/// On a team the rows split into blocks of about equal edge counts. A
+/// counting pass gives every block but the last its edges per column; in
+/// block order they become each block's 32-bit offset into the column (a
+/// column holds at most one entry per row). Once the earlier blocks fit in
+/// every column, no cursor of theirs can leave its column, so each block
+/// walks its rows from its own offsets and only the last one checks the
+/// column's end, as the serial sweep does. Blocks are fixed before the
+/// region and each thread loops over its share, so a smaller team from the
+/// runtime still covers every block. A single block (small inputs, a team
+/// of one) is the serial sweep, inline.
+bool csc_is_transpose(std::size_t rows, std::size_t cols, const eid_t* row_ptr,
+                      const vid_t* col_idx, const eid_t* col_ptr, const vid_t* row_idx) {
+  const auto nnz = static_cast<std::size_t>(row_ptr[rows]);
+  // As count_scatter's: team × cols counters stay within the edge count.
+  const auto blocks = static_cast<std::size_t>(count_scatter_team(nnz, cols));
+  DefaultInitVector<std::uint32_t> scratch(blocks * cols);
+  std::uint32_t* const cursors = scratch.data();
+  // First row of block b: the first row at or past b's share of the edges.
+  const auto first_row = [=](std::size_t b) {
+    if (b == blocks) return rows;
+    const auto target = static_cast<eid_t>(nnz * b / blocks);
+    return static_cast<std::size_t>(std::lower_bound(row_ptr, row_ptr + rows, target) -
+                                    row_ptr);
+  };
+  // overfull is set only in the placement pass and read after its barrier,
+  // so every thread takes the same branch past it.
+  std::atomic<bool> overfull{false};
+  std::atomic<bool> mismatch{false};
+
+  const auto count = [&](std::size_t t, std::size_t size) {
+    for (std::size_t b = t; b + 1 < blocks; b += size) {
+      std::uint32_t* const mine = cursors + b * cols;
+      std::fill_n(mine, cols, 0u);
+      const auto end = static_cast<std::size_t>(row_ptr[first_row(b + 1)]);
+      for (auto e = static_cast<std::size_t>(row_ptr[first_row(b)]); e < end; ++e)
+        ++mine[static_cast<std::size_t>(col_idx[e])];
+    }
+  };
+  const auto place = [&](std::size_t t, std::size_t size) {
+    bool fits = true;
+    for (std::size_t j = cols * t / size; j < cols * (t + 1) / size; ++j) {
+      std::uint32_t offset = 0;
+      for (std::size_t b = 0; b + 1 < blocks; ++b) {
+        const std::uint32_t edges = cursors[b * cols + j];
+        cursors[b * cols + j] = offset;
+        offset += edges;
+      }
+      cursors[(blocks - 1) * cols + j] = offset;
+      fits = fits && static_cast<eid_t>(offset) <= col_ptr[j + 1] - col_ptr[j];
+    }
+    if (!fits) overfull.store(true, std::memory_order_relaxed);
+  };
+  const auto walk = [&](std::size_t t, std::size_t size) {
+    for (std::size_t b = t; b < blocks; b += size) {
+      std::uint32_t* const cursor = cursors + b * cols;
+      const bool last = b + 1 == blocks;
+      for (std::size_t i = first_row(b), end = first_row(b + 1); i < end; ++i)
+        for (eid_t e = row_ptr[i]; e < row_ptr[i + 1]; ++e) {
+          const auto j = static_cast<std::size_t>(col_idx[e]);
+          const eid_t at = col_ptr[j] + cursor[j]++;
+          if ((last && at == col_ptr[j + 1]) ||
+              row_idx[static_cast<std::size_t>(at)] != static_cast<vid_t>(i)) {
+            mismatch.store(true, std::memory_order_relaxed);
+            return;
+          }
+        }
+    }
+  };
+
+  if (blocks == 1) {
+    place(0, 1);
+    walk(0, 1);
+  } else {
+#pragma omp parallel num_threads(static_cast<int>(blocks))
+    {
+      const auto size = static_cast<std::size_t>(omp_get_num_threads());
+      const auto t = static_cast<std::size_t>(omp_get_thread_num());
+      count(t, size);
+#pragma omp barrier
+      place(t, size);
+#pragma omp barrier
+      if (!overfull.load(std::memory_order_relaxed)) walk(t, size);
+    }
+  }
+  return !overfull.load(std::memory_order_relaxed) && !mismatch.load(std::memory_order_relaxed);
+}
 
 } // namespace
 
@@ -107,27 +206,11 @@ void BipartiteGraph::validate_external(vid_t num_rows, vid_t num_cols,
   // The CSR half, then the CSC half (which is the transpose's CSR).
   validate_csr(num_rows, num_cols, storage.row_ptr, storage.col_idx);
   validate_csr(num_cols, num_rows, storage.col_ptr, storage.row_idx);
-  // The CSC must be the exact transpose of the CSR in the canonical layout
-  // this library produces (row ids within each column sorted ascending):
-  // sweeping CSR rows in order, each edge (i, j) must be the next unconsumed
-  // CSC entry of column j. O(edges) time, O(cols) scratch — and unlike a
-  // degree-only cross-check it rejects degree-preserving forgeries, so even
-  // a CRC-valid tampered store file cannot serve mismatched orientations.
-  std::vector<eid_t> cursor(storage.col_ptr.begin(), storage.col_ptr.end() - 1);
-  for (vid_t i = 0; i < num_rows; ++i)
-    for (eid_t e = storage.row_ptr[static_cast<std::size_t>(i)];
-         e < storage.row_ptr[static_cast<std::size_t>(i) + 1]; ++e) {
-      const auto j = static_cast<std::size_t>(storage.col_idx[static_cast<std::size_t>(e)]);
-      if (cursor[j] == storage.col_ptr[j + 1] ||
-          storage.row_idx[static_cast<std::size_t>(cursor[j])] != i)
-        throw std::invalid_argument(
-            "BipartiteGraph: CSC is not the transpose of the CSR");
-      ++cursor[j];
-    }
-  for (vid_t j = 0; j < num_cols; ++j)
-    if (cursor[static_cast<std::size_t>(j)] != storage.col_ptr[static_cast<std::size_t>(j) + 1])
-      throw std::invalid_argument(
-          "BipartiteGraph: CSC is not the transpose of the CSR");
+  if (storage.col_idx.size() != storage.row_idx.size() ||
+      !csc_is_transpose(static_cast<std::size_t>(num_rows), static_cast<std::size_t>(num_cols),
+                        storage.row_ptr.data(), storage.col_idx.data(), storage.col_ptr.data(),
+                        storage.row_idx.data()))
+    throw std::invalid_argument("BipartiteGraph: CSC is not the transpose of the CSR");
 }
 
 void BipartiteGraph::rebind_views() noexcept {

@@ -98,7 +98,8 @@ public:
   /// edge), and the CSC being the exact transpose of the CSR — so a corrupt
   /// or forged region is rejected
   /// (std::invalid_argument) rather than served. Validation reads the
-  /// arrays but never copies them.
+  /// arrays but never copies them; from 2^15 edges it runs on the ambient
+  /// OpenMP team, with the same verdicts and messages at any team size.
   BipartiteGraph(vid_t num_rows, vid_t num_cols, ExternalStorage storage);
 
   // Spans view the storage variant, so copies/moves rebind them rather than

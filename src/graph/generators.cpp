@@ -192,7 +192,10 @@ BipartiteGraph make_power_law(vid_t n, double avg_degree, double alpha,
   // Choose x_m so the mean is ~avg_degree: mean of Pareto = x_m*alpha/(alpha-1).
   const double x_m = avg_degree * (alpha - 1.0) / alpha;
   GraphBuilder b(n, n);
-  b.reserve(static_cast<std::size_t>(avg_degree * static_cast<double>(n)) +
+  // No row exceeds n draws, so neither does the mean: the cast stays in
+  // range for any avg_degree.
+  b.reserve(static_cast<std::size_t>(std::min(avg_degree, static_cast<double>(n)) *
+                                     static_cast<double>(n)) +
             static_cast<std::size_t>(n));
   for (vid_t i = 0; i < n; ++i) {
     b.add_edge(i, perm[static_cast<std::size_t>(i)]);

@@ -36,8 +36,28 @@ void scale_sinkhorn_knopp_ws(const BipartiteGraph& g, const ScalingOptions& opts
   std::span<double> dc = out.dc;
   std::span<double> spare = ws.vec<double>("sk.next_dc", out.dc.size());
 
-  for (int it = 0;; ++it) {
-    // Column sums under the current dr. After a row balance, row sums are
+  // The first column sweep reads no edge: under dr ≡ 1 a column's sum is
+  // its degree, exactly (integers below 2^53 add up exactly in doubles),
+  // and the identity's error is never read.
+#pragma omp parallel for schedule(static)
+  for (vid_t j = 0; j < g.num_cols(); ++j) {
+    const auto degree = static_cast<double>(g.col_degree(j));
+    spare[static_cast<std::size_t>(j)] = degree > 0.0 ? 1.0 / degree : 1.0;
+  }
+
+  for (int it = 1;; ++it) {
+    std::swap(dc, spare);
+
+    // Balance rows: dr[i] <- 1 / (sum of dc over the row's columns).
+#pragma omp parallel for schedule(dynamic, 512)
+    for (vid_t i = 0; i < g.num_rows(); ++i) {
+      double rsum = 0.0;
+      for (const vid_t j : g.row_neighbors(i)) rsum += dc[static_cast<std::size_t>(j)];
+      if (rsum > 0.0) out.dr[static_cast<std::size_t>(i)] = 1.0 / rsum;
+    }
+    out.iterations = it;
+
+    // Column sums under the new dr. After a row balance, row sums are
     // exactly 1, so the column sums' max deviation from 1 is the paper's
     // error for the iteration just finished.
     double err = 0.0;
@@ -49,25 +69,12 @@ void scale_sinkhorn_knopp_ws(const BipartiteGraph& g, const ScalingOptions& opts
       spare[c] = csum > 0.0 ? 1.0 / csum : dc[c];
       if (g.col_degree(j) != 0) err = std::max(err, std::abs(csum * dc[c] - 1.0));
     }
-
-    if (it > 0) {
-      out.error = err;
-      if (opts.tolerance > 0.0 && err <= opts.tolerance) {
-        out.converged = true;
-        break;
-      }
-      if (it == opts.max_iterations) break;
+    out.error = err;
+    if (opts.tolerance > 0.0 && err <= opts.tolerance) {
+      out.converged = true;
+      break;
     }
-    std::swap(dc, spare);
-
-    // Balance rows: dr[i] <- 1 / (sum of dc over the row's columns).
-#pragma omp parallel for schedule(dynamic, 512)
-    for (vid_t i = 0; i < g.num_rows(); ++i) {
-      double rsum = 0.0;
-      for (const vid_t j : g.row_neighbors(i)) rsum += dc[static_cast<std::size_t>(j)];
-      if (rsum > 0.0) out.dr[static_cast<std::size_t>(i)] = 1.0 / rsum;
-    }
-    out.iterations = it + 1;
+    if (it == opts.max_iterations) break;
   }
 
   if (dc.data() != out.dc.data()) std::copy(dc.begin(), dc.end(), out.dc.begin());

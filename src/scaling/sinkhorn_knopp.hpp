@@ -15,11 +15,12 @@ namespace bmh {
 ///
 /// Edge sweeps: the error of an iteration is measured by the next
 /// iteration's column sweep, whose sums under the new dr give both that
-/// error (against the committed dc) and the next dc = 1 / csum. A run of k
-/// iterations therefore sweeps the edges 2k + 1 times (11 at the engine's
-/// default of 5), not 3k. An early stop on `tolerance` returns the dr and
-/// dc of the iteration that converged, bit-identical to measuring the
-/// error in a separate sweep.
+/// error (against the committed dc) and the next dc = 1 / csum. The first
+/// column sweep reads only the column degrees: under dr ≡ 1 they are the
+/// sums, exactly. A run of k iterations therefore sweeps the edges 2k
+/// times (10 at the engine's default of 5), not 3k. An early stop on
+/// `tolerance` returns the dr and dc of the iteration that converged,
+/// bit-identical to measuring the error in a separate sweep.
 ///
 /// Empty rows/columns keep multiplier 1 and are excluded from the error.
 /// Edgeless matrices converge immediately (error 0, zero iterations).

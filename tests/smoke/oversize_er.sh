@@ -11,7 +11,9 @@
 # side's largest degree, must succeed with the record of k = 20.
 #
 # A k or iters outside int's range must fail as a parse record, not wrap
-# into a small value that runs (k=-4294967294 would wrap to k = 2).
+# into a small value that runs (k=-4294967294 would wrap to k = 2). So must
+# a powerlaw avg whose avg * n is no edge count, and a pinned seed outside
+# [0, 2^64).
 #
 # Usage: oversize_er.sh BMH_ENGINE
 set -u
@@ -50,10 +52,13 @@ cmp "$work/k20.jsonl" "$work/k100000.jsonl" ||
 
 printf '%s\n' \
   "input=gen:er:n=1024,deg=4,seed=3 algo=k_out k=-4294967294" \
-  "input=gen:er:n=1024,deg=4,seed=3 algo=two_sided iters=4294967297" |
+  "input=gen:er:n=1024,deg=4,seed=3 algo=two_sided iters=4294967297" \
+  "input=gen:powerlaw:n=1000,avg=1e300 algo=greedy" \
+  "input=gen:er:n=64,seed=-5 algo=greedy" \
+  "input=gen:er:n=64,seed=1e30 algo=greedy" |
   "$engine" --serve --threads 1 --no-timings --quiet > "$work/range.jsonl"
 status=$?
 cat "$work/range.jsonl"
 test "$status" -eq 3 || { echo "exit status $status, expected 3"; exit 1; }
-test "$(grep -c '"ok":false.*"error_kind":"parse"' "$work/range.jsonl")" -eq 2 ||
+test "$(grep -c '"ok":false.*"error_kind":"parse"' "$work/range.jsonl")" -eq 5 ||
   { echo "an out-of-range value is not a parse record"; exit 1; }

@@ -327,7 +327,9 @@ TEST(JobSpecHostile, HostileNumericsFailAsParseRecordsNotCrashes) {
   Engine engine(config);
   for (const char* input :
        {"input=gen:er:n=1e300", "input=gen:er:n=1e300000", "input=gen:er:n=nan",
-        "input=gen:er:n=64,deg=1e18", "input=gen:er:n=64,deg=-1"}) {
+        "input=gen:er:n=64,deg=1e18", "input=gen:er:n=64,deg=-1",
+        "input=gen:powerlaw:n=1000,avg=1e300", "input=gen:er:n=64,seed=-5",
+        "input=gen:er:n=64,seed=1e30"}) {
     JobSpec job;
     try {
       job = parse_job_spec_line(input);
@@ -339,6 +341,29 @@ TEST(JobSpecHostile, HostileNumericsFailAsParseRecordsNotCrashes) {
     EXPECT_EQ(r.error_kind, ErrorKind::kParse) << input << ": " << r.error;
     EXPECT_FALSE(r.error.empty()) << input;
   }
+}
+
+TEST(JobSpecHostile, OutOfRangeAvgAndSeedNameTheirKey) {
+  // A double that passes the parameter parser but has no integer value to
+  // cast to is rejected by name before the cast.
+  EngineConfig config;
+  config.threads = 1;
+  Engine engine(config);
+  const std::pair<const char*, const char*> cases[] = {
+      {"input=gen:powerlaw:n=1000,avg=1e300", "'avg'"},
+      {"input=gen:er:n=64,seed=-5", "'seed'"},
+      {"input=gen:er:n=64,seed=1e30", "'seed'"},
+      {"input=suite:torso1_like:seed=18446744073709551616", "'seed'"},
+  };
+  for (const auto& [input, key] : cases) {
+    const JobResult r = engine.submit(parse_job_spec_line(input)).get();
+    EXPECT_FALSE(r.ok) << input;
+    EXPECT_EQ(r.error_kind, ErrorKind::kParse) << input << ": " << r.error;
+    EXPECT_NE(r.error.find(key), std::string::npos) << input << ": " << r.error;
+  }
+  // The largest seeds below 2^64 still run.
+  const JobResult ok = engine.submit(parse_job_spec_line("input=gen:er:n=64,seed=1e19")).get();
+  EXPECT_TRUE(ok.ok) << ok.error;
 }
 
 TEST(JobSpecHostile, GeneratorDimensionOverflowsAreParseRecords) {

@@ -109,6 +109,35 @@ TEST(KarpSipserMT, UnifyChoicesValidatesRanges) {
   const std::vector<vid_t> ok_row = {0};
   const std::vector<vid_t> bad_col = {3};   // row 3 does not exist
   EXPECT_THROW((void)run_ws(unify_choices, 1, 1, ok_row, bad_col), std::out_of_range);
+
+  // Past 2^15 entries the sides are unified on the team: the same array,
+  // and the row side named first when both sides hold a bad entry.
+  const vid_t m = 1 << 15;
+  const vid_t n = m + 3;
+  std::vector<vid_t> rows(static_cast<std::size_t>(m));
+  std::vector<vid_t> cols(static_cast<std::size_t>(n));
+  for (vid_t i = 0; i < m; ++i) rows[static_cast<std::size_t>(i)] = i % 7 == 0 ? kNil : (i * 5) % n;
+  for (vid_t j = 0; j < n; ++j) cols[static_cast<std::size_t>(j)] = j % 5 == 0 ? kNil : (j * 3) % m;
+  const std::vector<vid_t> unified = run_ws(unify_choices, m, n, rows, cols);
+  ASSERT_EQ(unified.size(), static_cast<std::size_t>(m + n));
+  for (vid_t i = 0; i < m; ++i) {
+    const vid_t j = rows[static_cast<std::size_t>(i)];
+    ASSERT_EQ(unified[static_cast<std::size_t>(i)], j == kNil ? kNil : m + j) << i;
+  }
+  for (vid_t j = 0; j < n; ++j)
+    ASSERT_EQ(unified[static_cast<std::size_t>(m + j)], cols[static_cast<std::size_t>(j)]) << j;
+  const auto message = [&] {
+    try {
+      (void)run_ws(unify_choices, m, n, rows, cols);
+    } catch (const std::out_of_range& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  cols[0] = m;
+  EXPECT_NE(message().find("column choice"), std::string::npos) << message();
+  rows[static_cast<std::size_t>(m) - 1] = -2;
+  EXPECT_NE(message().find("row choice"), std::string::npos) << message();
 }
 
 TEST(KarpSipserMT, PureCycleResolvedEntirelyInPhase2) {

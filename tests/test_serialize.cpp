@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -397,6 +398,114 @@ TEST_F(SerializeTest, RejectsDegreePreservingCscForgery) {
         }
       },
       std::runtime_error);
+}
+
+TEST_F(SerializeTest, TransposeCheckRejectsLargeForgeriesAtEveryTeamSize) {
+  // Past 2^15 edges the transpose check splits the rows into one block per
+  // thread, balanced by edges (row 0 is always in the first block, the last
+  // row in the last). Each forgery below keeps both halves valid on their
+  // own, keeps the edge total, and is CRC-restamped, so only the transpose
+  // check can reject it; it must at every team size, with the same message.
+  const BipartiteGraph g = make_planted_perfect(8192, 4, 3);
+  ASSERT_GE(g.num_edges(), eid_t{1} << 15);
+  const auto rows = static_cast<std::size_t>(g.num_rows());
+  const auto cols = static_cast<std::size_t>(g.num_cols());
+  const auto nnz = static_cast<std::size_t>(g.num_edges());
+  const std::string path = file("large.bmg");
+  save_graph(g, path);
+  const std::vector<char> pristine = read_all(path);
+  // Keyless layout: header, row_ptr, col_idx + pad to 8, col_ptr, row_idx.
+  const std::size_t col_ptr_off =
+      (sizeof(GraphFileHeader) + (rows + 1) * sizeof(eid_t) + nnz * sizeof(vid_t) + 7) / 8 *
+      8;
+  const std::size_t row_idx_off = col_ptr_off + (cols + 1) * sizeof(eid_t);
+  const std::vector<eid_t> col_ptr = to_vector(g.col_ptr());
+  const std::vector<vid_t> row_idx = to_vector(g.row_idx());
+  ASSERT_EQ(std::memcmp(pristine.data() + row_idx_off, row_idx.data(),
+                        nnz * sizeof(vid_t)),
+            0);
+  const auto forge = [&](const std::vector<eid_t>& forged_ptr,
+                         const std::vector<vid_t>& forged_idx) {
+    std::vector<char> bytes = pristine;
+    std::memcpy(bytes.data() + col_ptr_off, forged_ptr.data(), (cols + 1) * sizeof(eid_t));
+    std::memcpy(bytes.data() + row_idx_off, forged_idx.data(), nnz * sizeof(vid_t));
+    restamp_crc(bytes);
+    return bytes;
+  };
+  const auto column = [&](std::vector<vid_t>& idx, std::size_t j) {
+    return std::span<vid_t>(idx).subspan(
+        static_cast<std::size_t>(col_ptr[j]), static_cast<std::size_t>(col_ptr[j + 1] - col_ptr[j]));
+  };
+  const auto has_edge = [&](std::size_t i, std::size_t j) {
+    const std::span<const vid_t> nbrs = g.row_neighbors(static_cast<vid_t>(i));
+    return std::find(nbrs.begin(), nbrs.end(), static_cast<vid_t>(j)) != nbrs.end();
+  };
+
+  std::vector<std::pair<const char*, std::vector<char>>> forgeries;
+  {
+    // One column, mid-graph: an entry moves to the next row, still sorted,
+    // so the edge (r, j) becomes (r + 1, j).
+    std::vector<vid_t> idx = row_idx;
+    std::size_t j = cols / 2;
+    while (true) {
+      const std::span<vid_t> c = column(idx, j);
+      if (c.size() >= 2 && c[0] + 1 < c[1]) {
+        ++c[0];
+        break;
+      }
+      ++j;
+      ASSERT_LT(j, cols);
+    }
+    forgeries.emplace_back("one column", forge(col_ptr, idx));
+  }
+  {
+    // Edges (0, j1) and (last, j2) become (last, j1) and (0, j2): every
+    // degree holds, and the two rows sit in the first and last blocks.
+    const std::size_t last = rows - 1;
+    std::size_t j1 = 0;
+    while (!has_edge(0, j1) || has_edge(last, j1)) ++j1;
+    std::size_t j2 = 0;
+    while (!has_edge(last, j2) || has_edge(0, j2)) ++j2;
+    std::vector<vid_t> idx = row_idx;
+    const std::span<vid_t> c1 = column(idx, j1);
+    const std::span<vid_t> c2 = column(idx, j2);
+    *std::find(c1.begin(), c1.end(), vid_t{0}) = static_cast<vid_t>(last);
+    *std::find(c2.begin(), c2.end(), static_cast<vid_t>(last)) = 0;
+    std::sort(c1.begin(), c1.end());
+    std::sort(c2.begin(), c2.end());
+    forgeries.emplace_back("across blocks", forge(col_ptr, idx));
+  }
+  {
+    // A column boundary moves by one: column j hands its last row to column
+    // j + 1, whose rows all lie above it, so both stay sorted while their
+    // counts no longer match the CSR's.
+    std::vector<eid_t> ptr = col_ptr;
+    std::size_t j = cols / 3;
+    while (col_ptr[j + 1] == col_ptr[j] ||
+           (col_ptr[j + 2] > col_ptr[j + 1] &&
+            row_idx[static_cast<std::size_t>(col_ptr[j + 1]) - 1] >=
+                row_idx[static_cast<std::size_t>(col_ptr[j + 1])]))
+      ++j;
+    --ptr[j + 1];
+    forgeries.emplace_back("column counts", forge(ptr, row_idx));
+  }
+
+  for (const int team : {1, 2, 3, 4}) {
+    const ThreadCountGuard guard(team);
+    write_all(path, pristine);
+    EXPECT_TRUE(structurally_equal(load_graph_mapped(path), g)) << "team " << team;
+    for (const auto& [name, bytes] : forgeries) {
+      write_all(path, bytes);
+      try {
+        (void)load_graph_mapped(path);
+        ADD_FAILURE() << name << " loaded at team " << team;
+      } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(path), std::string::npos) << name << ": " << what;
+        EXPECT_NE(what.find("transpose"), std::string::npos) << name << ": " << what;
+      }
+    }
+  }
 }
 
 TEST_F(SerializeTest, RejectsAstronomicalEdgeCountWithoutCrashing) {
