@@ -65,21 +65,44 @@ void BM_RuizIteration(benchmark::State& state) {
 }
 BENCHMARK(BM_RuizIteration)->Arg(1 << 17);
 
+// One pick per row of er deg 8 into a kept vector, a new seed each
+// iteration. Real time: the picks run on the OpenMP team, whose work the
+// main thread's CPU time would hide.
 void BM_ChoiceSampling(benchmark::State& state) {
   const auto n = static_cast<vid_t>(state.range(0));
   const BipartiteGraph& g = er_graph(n, 8);
   Workspace ws;
   ScalingResult s;
   scale_sinkhorn_knopp_ws(g, {2, 0.0}, ws, s);
+  std::vector<vid_t> choice;
   std::uint64_t seed = 0;
   for (auto _ : state) {
-    std::vector<vid_t> choice;
     sample_row_choices(g, s.dc, ++seed, choice);
-    benchmark::DoNotOptimize(choice);
+    benchmark::DoNotOptimize(choice.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * g.num_edges());
 }
-BENCHMARK(BM_ChoiceSampling)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
+BENCHMARK(BM_ChoiceSampling)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20)->UseRealTime();
+
+// BM_ChoiceSampling's k-pick twin: k_out's row side, 2 distinct picks per
+// row under 5 Sinkhorn–Knopp iterations (as BM_KOutSubgraph samples).
+void BM_KOutSampling(benchmark::State& state) {
+  const auto n = static_cast<vid_t>(state.range(0));
+  const BipartiteGraph& g = er_graph(n, 8);
+  Workspace ws;
+  ScalingResult s;
+  scale_sinkhorn_knopp_ws(g, {5, 0.0}, ws, s);
+  std::vector<vid_t> picks;
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    sample_row_choices_k(g, s.dc, 2, ++seed, picks);
+    benchmark::DoNotOptimize(picks.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_edges());
+}
+BENCHMARK(BM_KOutSampling)->Arg(1 << 10)->Arg(1 << 17)->UseRealTime();
 
 void BM_OneSidedEndToEnd(benchmark::State& state) {
   const auto n = static_cast<vid_t>(state.range(0));

@@ -20,9 +20,7 @@ void sample_csr_choices(std::span<const eid_t> ptr, std::span<const vid_t> adj,
     }
     const std::span<const vid_t> nbrs = adj.subspan(first, last - first);
     Rng rng = root.fork(salt ^ static_cast<std::uint64_t>(u));
-    double total = 0.0;
-    for (const vid_t v : nbrs) total += weight[static_cast<std::size_t>(v)];
-    out[static_cast<std::size_t>(u)] = weighted_pick(nbrs, weight, total, rng);
+    out[static_cast<std::size_t>(u)] = WeightedPick(nbrs, weight)(rng);
   }
 }
 

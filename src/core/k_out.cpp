@@ -15,7 +15,7 @@ namespace bmh {
 namespace {
 
 /// The k-pick loop over one CSR side (the layout of sample_csr_choices):
-/// k draws of weighted_pick per vertex with bounded-retry de-duplication.
+/// k draws of one WeightedPick per vertex with bounded-retry de-duplication.
 /// Writes into `out` (capacity reused by workspace-leased callers).
 void sample_k(std::span<const eid_t> ptr, std::span<const vid_t> adj,
               std::span<const double> weight, int k, std::uint64_t seed,
@@ -38,11 +38,10 @@ void sample_k(std::span<const eid_t> ptr, std::span<const vid_t> adj,
       for (std::size_t t = 0; t < nbrs.size(); ++t) slot[t] = nbrs[t];
       continue;
     }
-    double total = 0.0;
-    for (const vid_t v : nbrs) total += weight[static_cast<std::size_t>(v)];
+    const WeightedPick pick(nbrs, weight);
     int filled = 0;
     for (int attempt = 0; attempt < 8 * k && filled < k; ++attempt) {
-      const vid_t picked = weighted_pick(nbrs, weight, total, rng);
+      const vid_t picked = pick(rng);
       bool duplicate = false;
       for (int t = 0; t < filled; ++t) duplicate |= (slot[t] == picked);
       if (!duplicate) slot[filled++] = picked;

@@ -9,7 +9,8 @@
 /// and finds a maximum matching of the resulting ≤ 2kn-edge subgraph.
 ///
 /// Each of the k picks is the one weighted pick of choice.hpp
-/// (`weighted_pick`, the §3.1 inverse-CDF walk); only the k-pick loop
+/// (`WeightedPick`, the §3.1 inverse-CDF draw), built once per vertex, so
+/// its k draws share one pass over the weights; only the k-pick loop
 /// around it (whole neighbourhood when it has ≤ k vertices, bounded-retry
 /// de-duplication otherwise) lives here, apart from the 1-pick
 /// `sample_csr_choices`, so the heuristics' sampling loop carries none of

@@ -238,7 +238,13 @@ public:
                                           std::uint64_t seed) const override {
     ResolvedGraphSpec r;
     r.seed = effective_seed(spec, seed);
-    r.add("scale", param(spec, "scale", 0.1));
+    // make_suite_instance honours scales in [0.001, 1000]; it would clamp
+    // anything else into that range and build a graph nobody asked for.
+    const double scale = param(spec, "scale", 0.1);
+    if (!(scale >= 0.001 && scale <= 1000.0))
+      throw std::invalid_argument("graph spec '" + spec.spec +
+                                  "': 'scale' is not in [0.001, 1000]");
+    r.add("scale", scale);
     r.seeded = true;
     return r;
   }

@@ -9,8 +9,6 @@ namespace bmh {
 
 void scale_sinkhorn_knopp_ws(const BipartiteGraph& g, const ScalingOptions& opts,
                              Workspace& ws, ScalingResult& out) {
-  out.dr.assign(static_cast<std::size_t>(g.num_rows()), 1.0);
-  out.dc.assign(static_cast<std::size_t>(g.num_cols()), 1.0);
   out.iterations = 0;
   out.error = 0.0;
   out.converged = false;
@@ -18,23 +16,35 @@ void scale_sinkhorn_knopp_ws(const BipartiteGraph& g, const ScalingOptions& opts
   // An edgeless matrix is already (vacuously) doubly stochastic: every
   // row/column sum constraint is over an empty support. Report immediate
   // convergence instead of burning max_iterations no-op sweeps.
-  if (g.num_edges() == 0) {
-    out.converged = true;
+  if (g.num_edges() == 0 || opts.max_iterations <= 0) {
+    out.dr.assign(static_cast<std::size_t>(g.num_rows()), 1.0);
+    out.dc.assign(static_cast<std::size_t>(g.num_cols()), 1.0);
+    if (g.num_edges() == 0)
+      out.converged = true;
+    else if (opts.max_iterations == 0)
+      // Zero iterations report the identity's error; a negative cap runs none.
+      out.error = scaling_error_ws(g, out, ws);
     return;
   }
-  if (opts.max_iterations <= 0) {
-    // Zero iterations report the identity's error; a negative cap runs none.
-    if (opts.max_iterations == 0) out.error = scaling_error_ws(g, out, ws);
-    return;
-  }
+
+  // Every entry of dr and dc is written by the sweeps before it is read:
+  // the first row sweep writes each dr (1 where a row sum is 0, the
+  // identity's value), and each column sweep writes every entry of its
+  // target. A kept ScalingResult of the same shape resizes for free.
+  out.dr.resize(static_cast<std::size_t>(g.num_rows()));
+  out.dc.resize(static_cast<std::size_t>(g.num_cols()));
 
   // Each iteration's column sweep writes the balancing dc' = 1 / csum into
   // `spare` and, from the same sums, measures the previous iteration's
   // error against the committed `dc`, which an early stop returns as is.
-  // The two buffers then trade roles; the committed one is copied into
-  // out.dc at the end when it is the leased one.
-  std::span<double> dc = out.dc;
-  std::span<double> spare = ws.vec<double>("sk.next_dc", out.dc.size());
+  // The two buffers then trade roles, so after an odd number of iterations
+  // the committed one is the buffer the first sweep wrote. The first sweep
+  // writes out.dc when max_iterations is odd, so a run to the cap ends
+  // with the committed dc in place; only an early stop of the other parity
+  // copies it over, on the team.
+  std::span<double> dc = ws.vec<double>("sk.next_dc", out.dc.size());
+  std::span<double> spare = out.dc;
+  if (opts.max_iterations % 2 == 0) std::swap(dc, spare);
 
   // The first column sweep reads no edge: under dr ≡ 1 a column's sum is
   // its degree, exactly (integers below 2^53 add up exactly in doubles),
@@ -53,7 +63,10 @@ void scale_sinkhorn_knopp_ws(const BipartiteGraph& g, const ScalingOptions& opts
     for (vid_t i = 0; i < g.num_rows(); ++i) {
       double rsum = 0.0;
       for (const vid_t j : g.row_neighbors(i)) rsum += dc[static_cast<std::size_t>(j)];
-      if (rsum > 0.0) out.dr[static_cast<std::size_t>(i)] = 1.0 / rsum;
+      if (rsum > 0.0)
+        out.dr[static_cast<std::size_t>(i)] = 1.0 / rsum;
+      else if (it == 1)
+        out.dr[static_cast<std::size_t>(i)] = 1.0;
     }
     out.iterations = it;
 
@@ -77,7 +90,10 @@ void scale_sinkhorn_knopp_ws(const BipartiteGraph& g, const ScalingOptions& opts
     if (it == opts.max_iterations) break;
   }
 
-  if (dc.data() != out.dc.data()) std::copy(dc.begin(), dc.end(), out.dc.begin());
+  if (dc.data() != out.dc.data()) {
+#pragma omp parallel for schedule(static)
+    for (std::size_t j = 0; j < dc.size(); ++j) out.dc[j] = dc[j];
+  }
 }
 
 void scale_sinkhorn_knopp_or_identity_ws(const BipartiteGraph& g, int iterations,

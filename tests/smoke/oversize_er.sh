@@ -12,8 +12,8 @@
 #
 # A k or iters outside int's range must fail as a parse record, not wrap
 # into a small value that runs (k=-4294967294 would wrap to k = 2). So must
-# a powerlaw avg whose avg * n is no edge count, and a pinned seed outside
-# [0, 2^64).
+# a powerlaw avg whose avg * n is no edge count, a pinned seed outside
+# [0, 2^64), and a suite scale outside [0.001, 1000].
 #
 # Usage: oversize_er.sh BMH_ENGINE
 set -u
@@ -55,10 +55,13 @@ printf '%s\n' \
   "input=gen:er:n=1024,deg=4,seed=3 algo=two_sided iters=4294967297" \
   "input=gen:powerlaw:n=1000,avg=1e300 algo=greedy" \
   "input=gen:er:n=64,seed=-5 algo=greedy" \
-  "input=gen:er:n=64,seed=1e30 algo=greedy" |
+  "input=gen:er:n=64,seed=1e30 algo=greedy" \
+  "input=suite:cage15_like:scale=1e300 algo=greedy" \
+  "input=suite:cage15_like:scale=-1 algo=greedy" \
+  "input=suite:cage15_like:scale=0 algo=greedy" |
   "$engine" --serve --threads 1 --no-timings --quiet > "$work/range.jsonl"
 status=$?
 cat "$work/range.jsonl"
 test "$status" -eq 3 || { echo "exit status $status, expected 3"; exit 1; }
-test "$(grep -c '"ok":false.*"error_kind":"parse"' "$work/range.jsonl")" -eq 5 ||
+test "$(grep -c '"ok":false.*"error_kind":"parse"' "$work/range.jsonl")" -eq 8 ||
   { echo "an out-of-range value is not a parse record"; exit 1; }

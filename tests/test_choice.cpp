@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -121,6 +124,91 @@ TEST(Choice, SizeMismatchThrows) {
   EXPECT_THROW((void)run_ws(sample_col_choices, g, wrong, 1), std::invalid_argument);
 }
 
+/// The inverse-CDF walk the samplers used before they kept running sums:
+/// every pick re-adds the weights until the sum reaches r.
+vid_t walk_pick(std::span<const vid_t> nbrs, const std::vector<double>& weight, double total,
+                Rng& rng) {
+  if (total <= 0.0) return nbrs[static_cast<std::size_t>(rng.next_below(nbrs.size()))];
+  const double r = rng.next_double_open0() * total;
+  double acc = 0.0;
+  for (const vid_t v : nbrs) {
+    acc += weight[static_cast<std::size_t>(v)];
+    if (acc >= r) return v;
+  }
+  return nbrs.back();
+}
+
+/// The row side of sample_row_choices (k = 1) and sample_row_choices_k
+/// (k > 1) over walk_pick: the same lane salts, forks, whole-neighbourhood
+/// rule and bounded-retry de-duplication.
+std::vector<vid_t> walk_row_choices(const BipartiteGraph& g, const std::vector<double>& dc,
+                                    int k, std::uint64_t seed) {
+  const std::uint64_t salt = k == 1 ? 0x524f575f5349444full : 0x6b4f55545f524f57ull;
+  const auto width = static_cast<std::size_t>(k);
+  std::vector<vid_t> out(static_cast<std::size_t>(g.num_rows()) * width, kNil);
+  const Rng root(seed);
+  for (vid_t u = 0; u < g.num_rows(); ++u) {
+    const std::span<const vid_t> nbrs = g.row_neighbors(u);
+    if (nbrs.empty()) continue;
+    vid_t* const slot = out.data() + static_cast<std::size_t>(u) * width;
+    if (k > 1 && width >= nbrs.size()) {
+      std::copy(nbrs.begin(), nbrs.end(), slot);
+      continue;
+    }
+    Rng rng = root.fork(salt ^ static_cast<std::uint64_t>(u));
+    double total = 0.0;
+    for (const vid_t v : nbrs) total += dc[static_cast<std::size_t>(v)];
+    int filled = 0;
+    for (int attempt = 0; attempt < 8 * k && filled < k; ++attempt) {
+      const vid_t picked = walk_pick(nbrs, dc, total, rng);
+      if (std::find(slot, slot + filled, picked) == slot + filled) slot[filled++] = picked;
+    }
+  }
+  return out;
+}
+
+TEST(Choice, StoredSumsPickWhatTheWalkPicks) {
+  // One row per case, each over its own columns, so a row's weights are
+  // the dc of its columns in order.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto ramp = [](std::size_t degree) {
+    std::vector<double> w(degree);
+    for (std::size_t t = 0; t < degree; ++t) w[t] = 0.25 + static_cast<double>(t % 7);
+    return w;
+  };
+  const std::vector<std::vector<double>> cases = {
+      {0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.5, 0.0},  // zeros: equal running sums
+      {0.0, 0.0, 0.0, 0.0, 0.0},                      // all zero: the uniform fallback
+      {1e-12, 1e-12, 1e12, 1e-12, 1e-12},             // one dominant weight
+      {3.0},                                          // degree 1
+      ramp(kPrefixPickMaxDegree),                     // at the cap
+      ramp(kPrefixPickMaxDegree + 1),                 // past it: the walk
+      ramp(200),
+      {1.0, 2.0, kNaN, 1.0, 3.0, 1.0},  // a NaN sum lands on the last neighbour
+      {1.0, 2.0, kInf, 1.0, 3.0, 1.0},  // an infinite one on the infinite weight
+      {1.0, 1.0, 1.0, 1.0},
+  };
+  std::vector<std::vector<vid_t>> rows;
+  std::vector<double> dc;
+  for (const std::vector<double>& weights : cases) {
+    rows.emplace_back();
+    for (const double w : weights) {
+      rows.back().push_back(static_cast<vid_t>(dc.size()));
+      dc.push_back(w);
+    }
+  }
+  const BipartiteGraph g =
+      graph_from_rows(static_cast<vid_t>(rows.size()), static_cast<vid_t>(dc.size()), rows);
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    EXPECT_EQ(run_ws(sample_row_choices, g, dc, seed), walk_row_choices(g, dc, 1, seed))
+        << "k 1, seed " << seed;
+    for (const int k : {2, 3})
+      EXPECT_EQ(run_ws(sample_row_choices_k, g, dc, k, seed), walk_row_choices(g, dc, k, seed))
+          << "k " << k << ", seed " << seed;
+  }
+}
+
 /// Multipliers for a pinned case: `iterations` Sinkhorn–Knopp sweeps, the
 /// identity at 0, and at -1 the identity zeroed on every other vertex, so
 /// the vertices whose neighbours all weigh zero take the uniform fallback.
@@ -158,11 +246,15 @@ TEST(Choice, PicksPinnedAcrossVersions) {
   // Golden values captured from the samplers before the row, column, k-out
   // and undirected loops shared one weighted pick: every pick of every
   // sampler must stay bit-identical at any thread count. `sparse` has empty
-  // rows and columns; the undirected sampler runs on each graph's
-  // bipartite union with the symmetric scaling of the same iterations.
+  // rows and columns; `power`'s hub rows (276 of them, up to degree 830)
+  // pass kPrefixPickMaxDegree and keep the walk; its rows were captured
+  // before the samplers kept running sums. The undirected sampler runs on
+  // each graph's bipartite union with the symmetric scaling of the same
+  // iterations.
   const BipartiteGraph er = make_erdos_renyi(1 << 14, 1 << 14, 8 << 14, 11);
   const BipartiteGraph planted = make_planted_perfect(1 << 14, 7, 13);
   const BipartiteGraph sparse = make_erdos_renyi(4096, 5000, 4096, 14);
+  const BipartiteGraph power = make_power_law(1 << 14, 8, 1.8, 17);
   struct Pin {
     const BipartiteGraph* g;
     int iterations;
@@ -193,6 +285,14 @@ TEST(Choice, PicksPinnedAcrossVersions) {
        0x2f679e1108a83156ull, 0x776de38109982d97ull, 0x5011f17c0b995784ull, 0xe4caa7e8dd605fffull},
       {&sparse, 5, 0x4e89055095e1c494ull, 0x63eefd3b99492a22ull, 0x60d27b20d9ee99e4ull,
        0xadb1268994b573b4ull, 0x9a1ebe10755db4a4ull, 0xe46a67010747b9dcull, 0x46109b51fcb7feafull},
+      {&power, -1, 0x349bd68ad47834d5ull, 0xa85da059f81985ffull, 0x5cb52810c72a7b6eull,
+       0x6aa16482d6ee2116ull, 0xe48b75b5a02df4ebull, 0x0e279d5a7184972cull, 0xdcbfc6881a4693d6ull},
+      {&power, 0, 0x901bdf3201c88c6cull, 0x2484c566693a1b4dull, 0x6da3913bcd223413ull,
+       0x8596b6fb16b026f2ull, 0xb6dcbbcc883e2516ull, 0xa9965ab2a63a7a8full, 0x329af5315b06e9b3ull},
+      {&power, 1, 0xced99d663cc9924dull, 0xf1c969f1306e7669ull, 0x2ff7f2a484c67467ull,
+       0x0240d80287ccf4bfull, 0x0737ec8f04cff194ull, 0x3cc33df853a2927aull, 0x6ae963e1c4b1258dull},
+      {&power, 5, 0xffb41b220c7601b9ull, 0xc6c70b99e6351770ull, 0x53f59df7d09b53b1ull,
+       0x2bb0e15ba0abbb74ull, 0xd3a057ce619bb40aull, 0xeb1548070059c6e5ull, 0x966b3838629d8eb1ull},
   };
   for (const Pin& pin : pins) {
     const BipartiteGraph& g = *pin.g;

@@ -329,7 +329,8 @@ TEST(JobSpecHostile, HostileNumericsFailAsParseRecordsNotCrashes) {
        {"input=gen:er:n=1e300", "input=gen:er:n=1e300000", "input=gen:er:n=nan",
         "input=gen:er:n=64,deg=1e18", "input=gen:er:n=64,deg=-1",
         "input=gen:powerlaw:n=1000,avg=1e300", "input=gen:er:n=64,seed=-5",
-        "input=gen:er:n=64,seed=1e30"}) {
+        "input=gen:er:n=64,seed=1e30", "input=suite:cage15_like:scale=1e300",
+        "input=suite:cage15_like:scale=-1", "input=suite:cage15_like:scale=0"}) {
     JobSpec job;
     try {
       job = parse_job_spec_line(input);
@@ -343,7 +344,7 @@ TEST(JobSpecHostile, HostileNumericsFailAsParseRecordsNotCrashes) {
   }
 }
 
-TEST(JobSpecHostile, OutOfRangeAvgAndSeedNameTheirKey) {
+TEST(JobSpecHostile, OutOfRangeValuesNameTheirKey) {
   // A double that passes the parameter parser but has no integer value to
   // cast to is rejected by name before the cast.
   EngineConfig config;
@@ -354,6 +355,9 @@ TEST(JobSpecHostile, OutOfRangeAvgAndSeedNameTheirKey) {
       {"input=gen:er:n=64,seed=-5", "'seed'"},
       {"input=gen:er:n=64,seed=1e30", "'seed'"},
       {"input=suite:torso1_like:seed=18446744073709551616", "'seed'"},
+      {"input=suite:cage15_like:scale=1e300", "'scale'"},
+      {"input=suite:cage15_like:scale=-1", "'scale'"},
+      {"input=suite:cage15_like:scale=0", "'scale'"},
   };
   for (const auto& [input, key] : cases) {
     const JobResult r = engine.submit(parse_job_spec_line(input)).get();
@@ -361,9 +365,11 @@ TEST(JobSpecHostile, OutOfRangeAvgAndSeedNameTheirKey) {
     EXPECT_EQ(r.error_kind, ErrorKind::kParse) << input << ": " << r.error;
     EXPECT_NE(r.error.find(key), std::string::npos) << input << ": " << r.error;
   }
-  // The largest seeds below 2^64 still run.
-  const JobResult ok = engine.submit(parse_job_spec_line("input=gen:er:n=64,seed=1e19")).get();
-  EXPECT_TRUE(ok.ok) << ok.error;
+  // The largest seeds below 2^64 and the smallest scale still run.
+  for (const char* input : {"input=gen:er:n=64,seed=1e19", "input=suite:cage15_like:scale=0.001"}) {
+    const JobResult ok = engine.submit(parse_job_spec_line(input)).get();
+    EXPECT_TRUE(ok.ok) << input << ": " << ok.error;
+  }
 }
 
 TEST(JobSpecHostile, GeneratorDimensionOverflowsAreParseRecords) {

@@ -103,6 +103,22 @@ TEST(SinkhornKnopp, ToleranceStopsEarly) {
   EXPECT_LT(r.iterations, 1000);
 }
 
+TEST(SinkhornKnopp, EarlyStopOfEitherParityMatchesTheCappedRun) {
+  // A tolerance stop returns the multipliers of a run capped at the same
+  // iteration, whichever buffer the stop leaves them in: caps of both
+  // parities around the same stop.
+  const BipartiteGraph g = make_planted_perfect(1 << 14, 7, 13);
+  const ScalingResult capped = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{38, 0.0});
+  for (const int cap : {100, 101}) {
+    const ScalingResult r = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{cap, 0.05});
+    ASSERT_TRUE(r.converged) << cap;
+    ASSERT_EQ(r.iterations, 38) << cap;
+    EXPECT_EQ(r.dr, capped.dr) << cap;
+    EXPECT_EQ(r.dc, capped.dc) << cap;
+    EXPECT_EQ(r.error, capped.error) << cap;
+  }
+}
+
 TEST(SinkhornKnopp, EmptyRowsAndColumnsAreTolerated) {
   const BipartiteGraph g = graph_from_rows(3, 3, {{0}, {}, {0, 2}});
   const ScalingResult r = run_ws(scale_sinkhorn_knopp_ws, g, iters(10));
