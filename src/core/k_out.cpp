@@ -16,36 +16,38 @@ namespace {
 
 /// The k-pick loop over one CSR side (the layout of sample_csr_choices):
 /// k draws of one WeightedPick per vertex with bounded-retry de-duplication.
-/// Writes into `out` (capacity reused by workspace-leased callers).
+/// Writes into `out` (capacity reused by workspace-leased callers): each
+/// vertex writes all of its k slots, its picks and then kNil, inside the
+/// parallel loop.
 void sample_k(std::span<const eid_t> ptr, std::span<const vid_t> adj,
               std::span<const double> weight, int k, std::uint64_t seed,
               std::uint64_t salt, std::vector<vid_t>& out) {
   if (k < 1) throw std::invalid_argument("sample_k: k must be >= 1");
   const auto n = static_cast<vid_t>(ptr.empty() ? 0 : ptr.size() - 1);
-  out.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(k), kNil);
+  out.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(k));
   const Rng root(seed);
 #pragma omp parallel for schedule(dynamic, 512)
   for (vid_t u = 0; u < n; ++u) {
     const auto first = static_cast<std::size_t>(ptr[static_cast<std::size_t>(u)]);
     const auto last = static_cast<std::size_t>(ptr[static_cast<std::size_t>(u) + 1]);
-    if (first == last) continue;
     const std::span<const vid_t> nbrs = adj.subspan(first, last - first);
-    Rng rng = root.fork(salt ^ static_cast<std::uint64_t>(u));
     auto* slot = out.data() + static_cast<std::size_t>(u) * static_cast<std::size_t>(k);
-
+    std::size_t filled = 0;
     if (static_cast<std::size_t>(k) >= nbrs.size()) {
-      // Take the whole neighbourhood.
-      for (std::size_t t = 0; t < nbrs.size(); ++t) slot[t] = nbrs[t];
-      continue;
+      // Take the whole neighbourhood (none for an isolated vertex).
+      filled = nbrs.size();
+      std::copy(nbrs.begin(), nbrs.end(), slot);
+    } else {
+      Rng rng = root.fork(salt ^ static_cast<std::uint64_t>(u));
+      const WeightedPick pick(nbrs, weight);
+      for (int attempt = 0; attempt < 8 * k && filled < static_cast<std::size_t>(k); ++attempt) {
+        const vid_t picked = pick(rng);
+        bool duplicate = false;
+        for (std::size_t t = 0; t < filled; ++t) duplicate |= (slot[t] == picked);
+        if (!duplicate) slot[filled++] = picked;
+      }
     }
-    const WeightedPick pick(nbrs, weight);
-    int filled = 0;
-    for (int attempt = 0; attempt < 8 * k && filled < k; ++attempt) {
-      const vid_t picked = pick(rng);
-      bool duplicate = false;
-      for (int t = 0; t < filled; ++t) duplicate |= (slot[t] == picked);
-      if (!duplicate) slot[filled++] = picked;
-    }
+    std::fill(slot + filled, slot + k, kNil);
   }
 }
 
@@ -82,9 +84,9 @@ int clamp_k(int k, std::span<const eid_t> ptr) {
 /// k_out filters its subgraph out of g; denser graphs merge it from the
 /// picks instead. Filtering reads every edge of g in order, merging
 /// scatters every pick. On er at n = 2^17 and k = 2 (4 slots per row) the
-/// two cross between average degree 8 and 12 at one thread and between 16
-/// and 24 at three (BENCH_micro.json, `k_out_subgraph`, `crossover`); 3 is
-/// degree 12.
+/// two cross near average degree 12 at one thread and between 8 and 12 at
+/// three, since the scatter runs on the team (BENCH_micro.json,
+/// `key_block_sort`, `crossover`); 3 is degree 12.
 constexpr eid_t kFilterMaxEdgesPerPick = 3;
 
 /// Runs body(u) for every u in [0, n): on the ambient team when `team`,
@@ -170,11 +172,12 @@ void filter_adjacency(std::span<const eid_t> ptr, std::span<const vid_t> idx, co
 /// side that picked v: on return by[ptr[v] .. ptr[v + 1]) are v's pickers
 /// in ascending order (a stable counting sort of the pick slots keyed by
 /// the picked vertex; kNil slots fall in an extra bucket past the last
-/// vertex), the same arrays at any team size.
+/// vertex), the same arrays at any team size. `counts` and `staging` are
+/// count_scatter's scratch.
 template <int K>
 void picks_by_target(PickSet<K> picks, std::size_t num_slots, vid_t num_targets,
                      std::vector<eid_t>& ptr, std::vector<vid_t>& by,
-                     DefaultInitVector<eid_t>& hist) {
+                     DefaultInitVector<eid_t>& counts, DefaultInitVector<Edge>& staging) {
   const vid_t nil_bucket = num_targets;
   ptr.resize(static_cast<std::size_t>(num_targets) + 2);
   by.resize(num_slots);
@@ -194,7 +197,7 @@ void picks_by_target(PickSet<K> picks, std::size_t num_slots, vid_t num_targets,
           }
         }
       },
-      ptr, by, hist);
+      ptr, by, counts, staging);
 }
 
 /// One orientation of the subgraph by merging: writes into (out_ptr,
@@ -288,10 +291,11 @@ void k_out_subgraph_ws(const BipartiteGraph& g, const ScalingResult& scaling, in
       }
       std::vector<eid_t>& by_ptr = ws.buf<eid_t>("kout.pickers_ptr");
       std::vector<vid_t>& by = ws.buf<vid_t>("kout.pickers");
-      auto& hist = ws.obj<DefaultInitVector<eid_t>>("kout.pickers_hist");
-      picks_by_target(cols, col_picks.size(), g.num_rows(), by_ptr, by, hist);
+      auto& counts = ws.obj<DefaultInitVector<eid_t>>("kout.pickers_counts");
+      auto& staging = ws.obj<DefaultInitVector<Edge>>("kout.pickers_staging");
+      picks_by_target(cols, col_picks.size(), g.num_rows(), by_ptr, by, counts, staging);
       merge_picks(rows, cols, by_ptr, by, row_ptr, col_idx);
-      picks_by_target(rows, row_picks.size(), g.num_cols(), by_ptr, by, hist);
+      picks_by_target(rows, row_picks.size(), g.num_cols(), by_ptr, by, counts, staging);
       merge_picks(cols, rows, by_ptr, by, col_ptr, row_idx);
     };
     out.rebuild(g.num_rows(), g.num_cols(), fill);

@@ -72,8 +72,13 @@ struct RowEnds {
 bool csc_is_transpose(std::size_t rows, std::size_t cols, const eid_t* row_ptr,
                       const vid_t* col_idx, const eid_t* col_ptr, const vid_t* row_idx) {
   const auto nnz = static_cast<std::size_t>(row_ptr[rows]);
-  // As count_scatter's: team × cols counters stay within the edge count.
-  const auto blocks = static_cast<std::size_t>(count_scatter_team(nnz, cols));
+  // One block per thread of the ambient team, but few enough that blocks ×
+  // cols cursors stay within the edge count; one below kParallelMinItems.
+  const std::size_t blocks =
+      nnz < kParallelMinItems
+          ? 1
+          : std::clamp<std::size_t>(nnz / std::max<std::size_t>(cols, 1), 1,
+                                    static_cast<std::size_t>(omp_get_max_threads()));
   DefaultInitVector<std::uint32_t> scratch(blocks * cols);
   std::uint32_t* const cursors = scratch.data();
   // First row of block b: the first row at or past b's share of the edges.
@@ -280,14 +285,14 @@ const ScalingResult& BipartiteGraph::offer_scaling(const ScalingKey& key,
 }
 
 BipartiteGraph::BipartiteGraph(vid_t num_rows, vid_t num_cols,
-                               std::vector<eid_t> row_ptr, std::vector<vid_t> col_idx,
-                               DefaultInitVector<eid_t> csc_scratch)
+                               DefaultInitVector<eid_t> row_ptr, DefaultInitVector<vid_t> col_idx,
+                               DefaultInitVector<Edge> csc_staging)
     : num_rows_(num_rows),
       num_cols_(num_cols),
       storage_(OwnedStorage{std::move(row_ptr), std::move(col_idx), {}, {}}) {
   auto& owned = std::get<OwnedStorage>(storage_);
   validate_csr(num_rows_, num_cols_, owned.row_ptr, owned.col_idx);
-  build_csc(csc_scratch);
+  build_csc(csc_staging);
   rebind_views();
 }
 
@@ -409,7 +414,7 @@ void BipartiteGraph::finish_rebuild(vid_t num_rows, vid_t num_cols) {
   rebind_views();
 }
 
-void BipartiteGraph::build_csc(DefaultInitVector<eid_t>& scratch) {
+void BipartiteGraph::build_csc(DefaultInitVector<Edge>& staging) {
   // count_scatter over the edges in CSR order, keyed by column: each
   // column's rows come out in increasing order, sorted ascending by
   // construction. A thread's scatter slice may start mid-row; it finds that
@@ -422,6 +427,7 @@ void BipartiteGraph::build_csc(DefaultInitVector<eid_t>& scratch) {
   const eid_t nnz = owned.row_ptr.empty() ? 0 : owned.row_ptr.back();
   owned.col_ptr.resize(static_cast<std::size_t>(num_cols) + 1);
   owned.row_idx.resize(static_cast<std::size_t>(nnz));
+  DefaultInitVector<eid_t> counts;
   count_scatter(
       static_cast<std::size_t>(nnz), static_cast<std::size_t>(num_cols),
       [col_idx](std::size_t e) { return col_idx[e]; },
@@ -436,14 +442,14 @@ void BipartiteGraph::build_csc(DefaultInitVector<eid_t>& scratch) {
           for (; e < row_end; ++e) sink(col_idx[e], row);
         }
       },
-      std::span<eid_t>(owned.col_ptr), std::span<vid_t>(owned.row_idx), scratch);
+      std::span<eid_t>(owned.col_ptr), std::span<vid_t>(owned.row_idx), counts, staging);
 }
 
 BipartiteGraph BipartiteGraph::transposed() const {
   // The CSC view *is* the transpose's CSR view.
   return BipartiteGraph(num_cols_, num_rows_,
-                        std::vector<eid_t>(col_ptr_.begin(), col_ptr_.end()),
-                        std::vector<vid_t>(row_idx_.begin(), row_idx_.end()));
+                        DefaultInitVector<eid_t>(col_ptr_.begin(), col_ptr_.end()),
+                        DefaultInitVector<vid_t>(row_idx_.begin(), row_idx_.end()));
 }
 
 } // namespace bmh

@@ -81,15 +81,16 @@ public:
 
   BipartiteGraph();
 
-  /// Constructs from ready-made CSR arrays; the CSC view is derived.
-  /// `row_ptr` has `num_rows+1` entries; `col_idx` holds column ids in
-  /// [0, num_cols), strictly ascending within each row: sorted, without
-  /// duplicate edges (GraphBuilder emits them so). Anything else throws
-  /// std::invalid_argument. The derived CSC is sorted the same way.
-  /// `csc_scratch` is storage for the CSC build's per-thread histograms
-  /// (GraphBuilder::build hands over its own, already paged in).
-  BipartiteGraph(vid_t num_rows, vid_t num_cols, std::vector<eid_t> row_ptr,
-                 std::vector<vid_t> col_idx, DefaultInitVector<eid_t> csc_scratch = {});
+  /// Constructs from ready-made CSR arrays, which the graph keeps; the CSC
+  /// view is derived. `row_ptr` has `num_rows+1` entries; `col_idx` holds
+  /// column ids in [0, num_cols), strictly ascending within each row:
+  /// sorted, without duplicate edges (GraphBuilder emits them so). Anything
+  /// else throws std::invalid_argument. The derived CSC is sorted the same
+  /// way. `csc_staging` is the CSC build's staging buffer
+  /// (graph/count_scatter.hpp), released once the CSC is built;
+  /// GraphBuilder::build hands over its spent edge buffer, already paged in.
+  BipartiteGraph(vid_t num_rows, vid_t num_cols, DefaultInitVector<eid_t> row_ptr,
+                 DefaultInitVector<vid_t> col_idx, DefaultInitVector<Edge> csc_staging = {});
 
   /// Constructs a graph viewing external CSR *and* CSC arrays (both are
   /// given: the point of external backing is loading without rebuilding).
@@ -219,11 +220,11 @@ private:
   // once the enclosing class is complete, which would leave the storage
   // variant believing OwnedStorage is not default-constructible. The empty
   // graph's canonical {0} row_ptr/col_ptr come from reset_empty() instead.
-  /// The CSC arrays are derived here and written in full by build_csc, so
-  /// they skip the zero fill.
+  /// Every array is written in full by whoever fills it (GraphBuilder,
+  /// build_csc, a rebuild's `fill`), so none takes a zero fill.
   struct OwnedStorage {
-    std::vector<eid_t> row_ptr;
-    std::vector<vid_t> col_idx;
+    DefaultInitVector<eid_t> row_ptr;
+    DefaultInitVector<vid_t> col_idx;
     DefaultInitVector<eid_t> col_ptr;
     DefaultInitVector<vid_t> row_idx;
   };
@@ -237,7 +238,7 @@ private:
   void reset_empty();
   /// Derives the CSC from the owned CSR on the ambient OpenMP team, the same
   /// arrays at any team size (graph/count_scatter.hpp).
-  void build_csc(DefaultInitVector<eid_t>& scratch);
+  void build_csc(DefaultInitVector<Edge>& staging);
   /// rebuild's halves. begin_rebuild drops both memos, parks the graph as
   /// 0x0 with empty views and returns its owned storage; finish_rebuild
   /// validates both orientations and only then commits the dimensions and

@@ -10,6 +10,42 @@
 
 namespace bmh {
 
+namespace {
+
+/// Rows up to this long are sorted and deduplicated by rank counting.
+constexpr std::ptrdiff_t kShortRow = 16;
+
+/// Sorts [begin, end) ascending and drops repeats in place; returns the
+/// number kept. A short row, the common case, ranks each first occurrence
+/// by the distinct values below it: d² compares with no data-dependent
+/// branch, where std::sort's insertion sort mispredicts about once per
+/// entry.
+eid_t sort_unique(vid_t* begin, vid_t* end) {
+  const std::ptrdiff_t d = end - begin;
+  if (d > kShortRow) {
+    std::sort(begin, end);
+    return std::unique(begin, end) - begin;
+  }
+  vid_t row[kShortRow];
+  bool repeat[kShortRow];
+  std::copy(begin, end, row);
+  eid_t kept = 0;
+  for (std::ptrdiff_t i = 0; i < d; ++i) {
+    bool seen = false;
+    for (std::ptrdiff_t j = 0; j < i; ++j) seen |= row[j] == row[i];
+    repeat[i] = seen;
+    kept += !seen;
+  }
+  for (std::ptrdiff_t i = 0; i < d; ++i) {
+    std::ptrdiff_t rank = 0;
+    for (std::ptrdiff_t j = 0; j < d; ++j) rank += !repeat[j] & (row[j] < row[i]);
+    if (!repeat[i]) begin[rank] = row[i];
+  }
+  return kept;
+}
+
+} // namespace
+
 GraphBuilder::GraphBuilder(vid_t num_rows, vid_t num_cols)
     : num_rows_(num_rows), num_cols_(num_cols) {
   if (num_rows < 0 || num_cols < 0)
@@ -32,55 +68,50 @@ BipartiteGraph GraphBuilder::build() {
       });
   if (out_of_range != 0) throw std::out_of_range("GraphBuilder: edge id out of range");
 
-  // Counting sort by row, columns kept in input order within each row. The
-  // histogram scratch serves the graph's CSC build next, already paged in.
-  std::vector<eid_t> row_ptr(static_cast<std::size_t>(num_rows_) + 1);
-  std::vector<vid_t> col_idx(count);
-  DefaultInitVector<eid_t> hist;
-  count_scatter(
-      count, static_cast<std::size_t>(num_rows_),
-      [edges](std::size_t e) { return edges[e].row; },
-      [edges](std::size_t begin, std::size_t end, auto&& sink) {
-        for (std::size_t e = begin; e < end; ++e) sink(edges[e].row, edges[e].col);
-      },
-      std::span<eid_t>(row_ptr), std::span<vid_t>(col_idx), hist);
-
-  // Per-row sort + dedup. A row's repeats are overwritten with kNil; when
-  // any row had one, a serial pass squeezes them out in place, which moves
-  // less memory than compacting into a second array.
-  vid_t* const idx = col_idx.data();
-  const eid_t* const ptr = row_ptr.data();
-  eid_t dropped = 0;
-#pragma omp parallel for schedule(dynamic, 512) reduction(+ : dropped)
-  for (vid_t i = 0; i < num_rows_; ++i) {
-    vid_t* const begin = idx + ptr[i];
-    vid_t* const end = idx + ptr[i + 1];
-    std::sort(begin, end);
-    vid_t* const kept = std::unique(begin, end);
-    std::fill(kept, end, kNil);
-    dropped += end - kept;
-  }
-  if (dropped != 0) {
-    eid_t write = 0;
-    for (vid_t i = 0; i < num_rows_; ++i) {
-      const eid_t begin = row_ptr[static_cast<std::size_t>(i)];
-      const eid_t end = row_ptr[static_cast<std::size_t>(i) + 1];
-      row_ptr[static_cast<std::size_t>(i)] = write;
-      for (eid_t e = begin; e < end; ++e) {  // branch-free: repeats follow no pattern
-        idx[write] = idx[e];
-        write += idx[e] != kNil;
-      }
+  // Bucket the columns by row, each row's in input order (a stable counting
+  // sort, graph/count_scatter.hpp): by_row[row_start[i] .. row_start[i + 1])
+  // are row i's columns. Sort and dedup each row there, its kept count into
+  // row_ptr[i + 1]; a prefix turns the counts into offsets, and the kept
+  // columns are copied out once, into a col_idx of exactly their number.
+  // The scratch is released before the graph builds its CSC.
+  const auto row_count = static_cast<std::size_t>(num_rows_);
+  DefaultInitVector<eid_t> row_ptr(row_count + 1);
+  DefaultInitVector<vid_t> col_idx;
+  {
+    DefaultInitVector<eid_t> row_start(row_count + 1);
+    DefaultInitVector<vid_t> by_row(count);
+    {
+      DefaultInitVector<eid_t> counts;
+      DefaultInitVector<Edge> staging;
+      count_scatter(
+          count, row_count, [edges](std::size_t e) { return edges[e].row; },
+          [edges](std::size_t begin, std::size_t end, auto&& sink) {
+            for (std::size_t e = begin; e < end; ++e) sink(edges[e].row, edges[e].col);
+          },
+          std::span<eid_t>(row_start), std::span<vid_t>(by_row), counts, staging);
     }
-    row_ptr.back() = write;
-    col_idx.resize(static_cast<std::size_t>(write));
+    const bool team = count >= kParallelMinItems;
+    vid_t* const bucket = by_row.data();
+    const eid_t* const start = row_start.data();
+    eid_t* const ptr = row_ptr.data();
+    ptr[0] = 0;
+#pragma omp parallel for schedule(dynamic, 512) if (team)
+    for (std::size_t i = 0; i < row_count; ++i)
+      ptr[i + 1] = sort_unique(bucket + start[i], bucket + start[i + 1]);
+    for (std::size_t i = 0; i < row_count; ++i) ptr[i + 1] += ptr[i];
+    col_idx.resize(static_cast<std::size_t>(ptr[row_count]));
+    vid_t* const idx = col_idx.data();
+#pragma omp parallel for schedule(dynamic, 512) if (team)
+    for (std::size_t i = 0; i < row_count; ++i) {
+      // A plain loop: rows are a few entries long, too short for memmove.
+      const vid_t* const kept = bucket + start[i];
+      for (eid_t e = 0; e < ptr[i + 1] - ptr[i]; ++e) idx[ptr[i] + e] = kept[e];
+    }
   }
-  // The callers are temporaries (generators, readers) building graphs that
-  // dwarf the scratch, so hand the edge memory back before the graph builds
-  // its CSC.
-  edges_.clear();
-  edges_.shrink_to_fit();
+  // The spent edge buffer is the CSC build's staging, already paged in; the
+  // graph releases it once its CSC is built.
   return BipartiteGraph(num_rows_, num_cols_, std::move(row_ptr), std::move(col_idx),
-                        std::move(hist));
+                        std::exchange(edges_, {}));
 }
 
 } // namespace bmh

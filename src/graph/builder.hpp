@@ -5,7 +5,9 @@
 /// Generators and file readers produce unsorted (row, col) pairs, possibly
 /// with repeats; `GraphBuilder` assembles them into a `BipartiteGraph` via a
 /// counting sort over rows (count_scatter.hpp's, on the ambient OpenMP team)
-/// followed by per-row sort+unique. The result is the same at any team size.
+/// into scratch, a per-row sort+unique there, and one copy of the kept
+/// columns into the graph's exact-size CSR. Its spent edge buffer then
+/// stages the graph's CSC build. The result is the same at any team size.
 /// k_out's subgraph needs none of this: it is written in place
 /// (`BipartiteGraph::rebuild`), already sorted, from its picks.
 
@@ -17,13 +19,6 @@
 #include "util/types.hpp"
 
 namespace bmh {
-
-/// A single (row, column) structural nonzero.
-struct Edge {
-  vid_t row;
-  vid_t col;
-  friend bool operator==(const Edge&, const Edge&) = default;
-};
 
 class GraphBuilder {
 public:

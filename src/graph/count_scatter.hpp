@@ -1,25 +1,46 @@
 #pragma once
 /// \file count_scatter.hpp
-/// \brief The deterministic parallel counting sort behind graph assembly and
-/// the CSC view, and the block sum behind their validation passes.
+/// \brief The deterministic parallel counting sort behind graph assembly,
+/// the CSC view and k_out's merge path, and the block sum behind their
+/// validation passes.
 ///
 /// `count_scatter` places n keyed items into key order, keeping input order
-/// within each key (a stable counting sort). Each thread of the ambient
-/// OpenMP team takes a contiguous slice of the input and counts its keys
-/// into its own histogram; a prefix over (key, thread) then gives every
-/// slice its own run of positions inside each key's bucket. Slices are in
-/// input order and so are their runs, so the output is exactly the serial
-/// scatter's, at any team size.
+/// within each key (a stable counting sort), with the same output at any
+/// team size. From kParallelMinItems items it runs on the ambient OpenMP
+/// team, of any size, as a two-pass key-block sort (Polychroniou and Ross,
+/// SIGMOD 2014):
 ///
-/// A team of one runs the serial count-and-scatter with the offsets array as
-/// its cursor, and needs no scratch. So does any input below
-/// kParallelMinItems, and any input whose team × keys histograms would
-/// outnumber its items (a wide, sparse graph): scratch stays bounded by the
-/// item count. Histogram scratch is the caller's vector, resized before the
-/// parallel region, so a pooled caller allocates nothing once warm and no
-/// exception can leave the region.
+///   * The keys split into at most kMaxKeyBlocks blocks of 2^shift
+///     consecutive keys. Each thread takes a contiguous slice of the input
+///     and counts its items per block.
+///   * Pass 1: a prefix over (block, thread) gives every slice its own run
+///     inside each block's range of a staging buffer, and each thread
+///     copies its items there as (key, value) pairs. Slices are in input
+///     order and so are their runs, so each block's range holds its items
+///     in input order.
+///   * Pass 2: threads take whole blocks and finish the sort inside them: a
+///     counting sort of the block's staged items by key, straight into the
+///     block's range of the output and its keys' offsets.
+///
+/// Pass 1 writes each cache line of the staging from one thread, but for
+/// the lines where two runs meet, and pass 2 each line of the output, so
+/// no thread writes into another's key range as a per-key scatter would.
+/// A block's items and counters fit in the core's cache, so the two passes
+/// also beat the per-key scatter on one thread. When the count finds the
+/// keys already in order, the sort is the identity: each thread copies its
+/// slice's values to the same positions and writes the offsets of the keys
+/// its slice covers, with no staging.
+///
+/// Scratch is team × blocks counters, which stay within the item count,
+/// and a staging buffer of n `Edge`s (key in `row`, value in `col`). Both
+/// are the caller's vectors, grown before the parallel region, so no
+/// exception can leave it; GraphBuilder hands its spent edge buffer to the
+/// CSC build as the staging, and k_out keeps its own in a Workspace. Below
+/// kParallelMinItems the serial count-and-scatter runs, with the offsets
+/// array as its cursor, and touches neither.
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <span>
 
@@ -34,16 +55,9 @@ namespace bmh {
 /// region: entering one costs more than it saves below this size.
 inline constexpr std::size_t kParallelMinItems = std::size_t{1} << 15;
 
-/// The team count_scatter runs `items` items over `num_keys` keys on: the
-/// ambient OpenMP team, shrunk until team × num_keys histogram counters fit
-/// in `items`; 1 (the serial loop) for small inputs.
-[[nodiscard]] inline int count_scatter_team(std::size_t items,
-                                            std::size_t num_keys) noexcept {
-  if (items < kParallelMinItems) return 1;
-  const std::size_t fit = items / std::max<std::size_t>(num_keys, 1);
-  return static_cast<int>(std::clamp<std::size_t>(
-      fit, 1, static_cast<std::size_t>(omp_get_max_threads())));
-}
+/// The most key blocks count_scatter's pass 1 writes to: with one run per
+/// block open on each thread, its write cursors stay in the core's cache.
+inline constexpr std::size_t kMaxKeyBlocks = 512;
 
 /// The sum (T's +=) of body(begin, end) over contiguous blocks covering
 /// [0, n): one block per thread of the ambient OpenMP team when
@@ -70,14 +84,14 @@ template <class T, class Body>
 /// for each item in [begin, end), in input order. Neither may throw. On
 /// return `offsets` (num_keys + 1 entries) holds each key's first position
 /// and n at the end, and out[offsets[k] ..] holds the values of key k in
-/// input order. `hist` is the parallel branch's scratch, team ×
-/// (num_keys + 1) counters.
+/// input order. `counts` and `staging` are the two-pass sort's scratch:
+/// team × blocks counters (at most n) and n staged items; a staging already
+/// that large is used as it is.
 template <class Key, class Visit>
 void count_scatter(std::size_t n, std::size_t num_keys, const Key& key,
                    const Visit& visit, std::span<eid_t> offsets, std::span<vid_t> out,
-                   DefaultInitVector<eid_t>& hist) {
-  const int team = count_scatter_team(n, num_keys);
-  if (team <= 1) {
+                   DefaultInitVector<eid_t>& counts, DefaultInitVector<Edge>& staging) {
+  if (n < kParallelMinItems) {
     // Count into offsets[k + 1], prefix, scatter with offsets[k] as the
     // cursor, which leaves offsets[k] at the end of bucket k; shifting right
     // restores the starts.
@@ -91,44 +105,98 @@ void count_scatter(std::size_t n, std::size_t num_keys, const Key& key,
     offsets[0] = 0;
     return;
   }
-  // One histogram per thread, then one block total per thread.
-  hist.resize(static_cast<std::size_t>(team) * (num_keys + 1));
-  eid_t* const counts = hist.data();
-  eid_t* const block = counts + static_cast<std::size_t>(team) * num_keys;
-#pragma omp parallel num_threads(team)
+  const auto team = static_cast<std::size_t>(omp_get_max_threads());
+  // The fewest blocks of 2^shift keys within kMaxKeyBlocks, and within n
+  // counters over the team (n >= kParallelMinItems leaves room for 64
+  // threads at kMaxKeyBlocks).
+  const std::size_t max_blocks = std::clamp<std::size_t>(n / team, 1, kMaxKeyBlocks);
+  const std::size_t last_key = std::max<std::size_t>(num_keys, 1) - 1;
+  unsigned shift = 0;
+  while ((last_key >> shift) + 1 > max_blocks) ++shift;
+  const std::size_t blocks = (last_key >> shift) + 1;
+  counts.resize(team * blocks);
+  if (staging.size() < n) staging.resize(n);
+  eid_t* const cursors = counts.data();
+  Edge* const staged = staging.data();
+  std::atomic<bool> unordered{false};
+#pragma omp parallel num_threads(static_cast<int>(team))
   {
     // The runtime may grant fewer threads than asked; slice by what it gave.
     const auto size = static_cast<std::size_t>(omp_get_num_threads());
     const auto t = static_cast<std::size_t>(omp_get_thread_num());
-    eid_t* const mine = counts + t * num_keys;
     const std::size_t begin = n * t / size;
     const std::size_t end = n * (t + 1) / size;
-    std::fill_n(mine, num_keys, 0);
-    for (std::size_t i = begin; i < end; ++i) ++mine[static_cast<std::size_t>(key(i))];
+    eid_t* const mine = cursors + t * blocks;
+    std::fill_n(mine, blocks, 0);
+    // Count the slice per block, and check its keys against their
+    // predecessors, the first against the previous slice's last.
+    std::size_t last = begin == 0 ? 0 : static_cast<std::size_t>(key(begin - 1));
+    bool ordered = true;
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto k = static_cast<std::size_t>(key(i));
+      ++mine[k >> shift];
+      ordered &= k >= last;
+      last = k;
+    }
+    // Relaxed: read only after the barrier, which orders it.
+    if (!ordered) unordered.store(true, std::memory_order_relaxed);
 #pragma omp barrier
-    // Each thread owns a key range: its total first, then, once every
-    // total is in, its bucket starts and each slice's run inside them.
-    const std::size_t key_begin = num_keys * t / size;
-    const std::size_t key_end = num_keys * (t + 1) / size;
-    eid_t total = 0;
-    for (std::size_t k = key_begin; k < key_end; ++k)
-      for (std::size_t s = 0; s < size; ++s) total += counts[s * num_keys + k];
-    block[t] = total;
+    if (!unordered.load(std::memory_order_relaxed)) {
+      // Keys in order: item i stays at position i. Each thread writes the
+      // offsets of the keys after its predecessor's up to its own last.
+      std::size_t next = begin == 0 ? 0 : static_cast<std::size_t>(key(begin - 1)) + 1;
+      std::size_t at = begin;
+      visit(begin, end, [offsets, out, &next, &at](vid_t k, vid_t value) {
+        for (; next <= static_cast<std::size_t>(k); ++next) offsets[next] = static_cast<eid_t>(at);
+        out[at++] = value;
+      });
+      if (t + 1 == size)
+        for (; next < num_keys; ++next) offsets[next] = static_cast<eid_t>(n);
+    } else {
+      // Block b's run for slice s starts after all of the earlier blocks
+      // and after the earlier slices' runs in b.
+#pragma omp single
+      {
+        eid_t running = 0;
+        for (std::size_t b = 0; b < blocks; ++b)
+          for (std::size_t s = 0; s < size; ++s) {
+            const eid_t count = cursors[s * blocks + b];
+            cursors[s * blocks + b] = running;
+            running += count;
+          }
+      }
+      visit(begin, end, [mine, staged, shift](vid_t k, vid_t value) {
+        staged[mine[static_cast<std::size_t>(k) >> shift]++] = Edge{k, value};
+      });
 #pragma omp barrier
-    eid_t running = 0;
-    for (std::size_t s = 0; s < t; ++s) running += block[s];
-    for (std::size_t k = key_begin; k < key_end; ++k) {
-      offsets[k] = running;
-      for (std::size_t s = 0; s < size; ++s) {
-        const eid_t count = counts[s * num_keys + k];
-        counts[s * num_keys + k] = running;
-        running += count;
+      // The last slice's cursors now end each block. Within block b the
+      // keys' offsets count, prefix from the block's start, serve as the
+      // scatter's cursors and shift back to their starts, as in the serial
+      // loop; every key of the block is the block's own.
+      eid_t* const ends = cursors + (size - 1) * blocks;
+#pragma omp for schedule(dynamic, 1)
+      for (std::size_t b = 0; b < blocks; ++b) {
+        const eid_t lo = b == 0 ? 0 : ends[b - 1];
+        const eid_t hi = ends[b];
+        const std::size_t first_key = b << shift;
+        const std::size_t width = std::min(num_keys - first_key, std::size_t{1} << shift);
+        eid_t* const cursor = offsets.data() + first_key;
+        std::fill_n(cursor, width, 0);
+        for (eid_t e = lo; e < hi; ++e)
+          ++cursor[static_cast<std::size_t>(staged[e].row) - first_key];
+        eid_t running = lo;
+        for (std::size_t k = 0; k < width; ++k) {
+          const eid_t count = cursor[k];
+          cursor[k] = running;
+          running += count;
+        }
+        for (eid_t e = lo; e < hi; ++e)
+          out[static_cast<std::size_t>(
+              cursor[static_cast<std::size_t>(staged[e].row) - first_key]++)] = staged[e].col;
+        for (std::size_t k = width; k-- > 1;) cursor[k] = cursor[k - 1];
+        cursor[0] = lo;
       }
     }
-#pragma omp barrier
-    visit(begin, end, [mine, out](vid_t k, vid_t value) {
-      out[static_cast<std::size_t>(mine[static_cast<std::size_t>(k)]++)] = value;
-    });
   }
   offsets[num_keys] = static_cast<eid_t>(n);
 }

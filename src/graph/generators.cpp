@@ -119,16 +119,25 @@ BipartiteGraph make_planted_perfect(vid_t n, vid_t extra_per_row, std::uint64_t 
 
 BipartiteGraph make_full(vid_t n) {
   require_positive(n, "make_full: n");
-  std::vector<eid_t> row_ptr(static_cast<std::size_t>(n) + 1);
-  std::vector<vid_t> col_idx(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-  for (vid_t i = 0; i <= n; ++i)
-    row_ptr[static_cast<std::size_t>(i)] = static_cast<eid_t>(i) * n;
+  // K_{n,n}'s CSC is its CSR, so both are written directly: deriving the
+  // CSC would stage all n^2 edges again.
+  const auto side = static_cast<std::size_t>(n);
+  const auto write = [side, n](auto& ptr, auto& idx) {
+    ptr.resize(side + 1);
+    idx.resize(side * side);
+    for (std::size_t i = 0; i <= side; ++i) ptr[i] = static_cast<eid_t>(i * side);
+    vid_t* const out = idx.data();
 #pragma omp parallel for schedule(static)
-  for (vid_t i = 0; i < n; ++i)
-    for (vid_t j = 0; j < n; ++j)
-      col_idx[static_cast<std::size_t>(i) * static_cast<std::size_t>(n) +
-              static_cast<std::size_t>(j)] = j;
-  return BipartiteGraph(n, n, std::move(row_ptr), std::move(col_idx));
+    for (vid_t i = 0; i < n; ++i)
+      for (vid_t j = 0; j < n; ++j)
+        out[static_cast<std::size_t>(i) * side + static_cast<std::size_t>(j)] = j;
+  };
+  BipartiteGraph g;
+  g.rebuild(n, n, [&write](auto& row_ptr, auto& col_idx, auto& col_ptr, auto& row_idx) {
+    write(row_ptr, col_idx);
+    write(col_ptr, row_idx);
+  });
+  return g;
 }
 
 BipartiteGraph make_mesh(vid_t sx, vid_t sy) {
@@ -241,8 +250,8 @@ BipartiteGraph make_kkt_like(vid_t m, vid_t p, vid_t d, std::uint64_t seed) {
 
 BipartiteGraph make_one_out(vid_t n, std::uint64_t seed) {
   require_positive(n, "make_one_out: n");
-  std::vector<eid_t> row_ptr(static_cast<std::size_t>(n) + 1);
-  std::vector<vid_t> col_idx(static_cast<std::size_t>(n));
+  DefaultInitVector<eid_t> row_ptr(static_cast<std::size_t>(n) + 1);
+  DefaultInitVector<vid_t> col_idx(static_cast<std::size_t>(n));
   for (vid_t i = 0; i <= n; ++i) row_ptr[static_cast<std::size_t>(i)] = i;
   const Rng root(seed);
 #pragma omp parallel for schedule(static)

@@ -1,6 +1,7 @@
 #pragma once
 /// \file types.hpp
-/// \brief Fundamental integer types and constants used across the library.
+/// \brief Fundamental integer types, the edge record and constants used
+/// across the library.
 
 #include <cstdint>
 
@@ -12,6 +13,14 @@ using vid_t = std::int32_t;
 
 /// Edge identifier / CSR offset. 64-bit so that edge counts beyond 2^31 work.
 using eid_t = std::int64_t;
+
+/// A single (row, column) structural nonzero. count_scatter's staging holds
+/// its items as edges too, the key in `row` and the value in `col`.
+struct Edge {
+  vid_t row;
+  vid_t col;
+  friend bool operator==(const Edge&, const Edge&) = default;
+};
 
 /// Sentinel meaning "no vertex" / "unmatched" (the paper's NIL).
 inline constexpr vid_t kNil = -1;

@@ -30,8 +30,8 @@ TEST(BipartiteGraph, RejectsMalformedCsr) {
   struct Case {
     const char* what;
     vid_t rows, cols;
-    std::vector<eid_t> row_ptr;
-    std::vector<vid_t> col_idx;
+    DefaultInitVector<eid_t> row_ptr;
+    DefaultInitVector<vid_t> col_idx;
   };
   const Case cases[] = {
       {"row_ptr size", 2, 2, {0, 1}, {0}},

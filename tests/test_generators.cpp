@@ -140,6 +140,14 @@ TEST(Full, IsCompleteBipartite) {
   const BipartiteGraph g = make_full(7);
   EXPECT_EQ(g.num_edges(), 49);
   for (vid_t i = 0; i < 7; ++i) EXPECT_EQ(g.row_degree(i), 7);
+  // Both orientations are written directly; they must be what the builder
+  // derives from the edge list, on a graph past the parallel cutoff too.
+  for (const vid_t n : {7, 200}) {
+    GraphBuilder b(n, n);
+    for (vid_t i = 0; i < n; ++i)
+      for (vid_t j = 0; j < n; ++j) b.add_edge(i, j);
+    expect_same_arrays(make_full(n), b.build(), "full " + std::to_string(n));
+  }
 }
 
 TEST(Mesh, FivePointStencilDegrees) {

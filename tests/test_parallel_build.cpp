@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -73,55 +74,97 @@ TEST(ParallelBuild, KOutSubgraphMatchesTheOneThreadBuild) {
   }
 }
 
-TEST(ParallelBuild, CountScatterIsAStableSortAtAnyTeam) {
-  // 100003 items over 1000 keys: no team size divides either count, and
-  // some keys stay empty.
-  const std::size_t n = 100003;
-  const std::size_t keys = 1000;
-  std::vector<vid_t> key(n);
-  Rng rng(19);
-  for (vid_t& k : key) k = static_cast<vid_t>(rng.next_below(keys - 10));
-  const auto visit = [&key](std::size_t begin, std::size_t end, auto&& sink) {
-    for (std::size_t i = begin; i < end; ++i) sink(key[i], static_cast<vid_t>(i));
-  };
-  std::vector<eid_t> offsets(keys + 1);
-  std::vector<vid_t> out(n);
-  DefaultInitVector<eid_t> hist;
-  count_scatter(
-      n, keys, [&key](std::size_t i) { return key[i]; }, visit, std::span<eid_t>(offsets),
-      std::span<vid_t>(out), hist);
-
+/// count_scatter of items whose values are their indices, at teams 1 to 4,
+/// against std::stable_sort of the indices by key: the same values, the
+/// same offsets, and counters within the item count.
+void expect_stable_sort(const std::vector<vid_t>& key, std::size_t num_keys,
+                        const std::string& what) {
+  const std::size_t n = key.size();
   std::vector<vid_t> want(n);
   std::iota(want.begin(), want.end(), 0);
   std::stable_sort(want.begin(), want.end(),
                    [&key](vid_t a, vid_t b) { return key[a] < key[b]; });
-  EXPECT_EQ(out, want);
-  for (std::size_t k = 0; k < keys; ++k)
-    for (eid_t p = offsets[k]; p < offsets[k + 1]; ++p)
-      ASSERT_EQ(static_cast<std::size_t>(key[static_cast<std::size_t>(out[p])]), k) << p;
-  EXPECT_EQ(offsets.front(), 0);
-  EXPECT_EQ(offsets.back(), static_cast<eid_t>(n));
-  EXPECT_LE(hist.size(), n);
+  std::vector<eid_t> want_offsets(num_keys + 1, 0);
+  for (const vid_t k : key) ++want_offsets[static_cast<std::size_t>(k) + 1];
+  std::partial_sum(want_offsets.begin(), want_offsets.end(), want_offsets.begin());
+
+  const auto visit = [&key](std::size_t begin, std::size_t end, auto&& sink) {
+    for (std::size_t i = begin; i < end; ++i) sink(key[i], static_cast<vid_t>(i));
+  };
+  for (int team = 1; team <= 4; ++team) {
+    ThreadCountGuard guard(team);
+    std::vector<eid_t> offsets(num_keys + 1, -1);
+    std::vector<vid_t> out(n, kNil);
+    DefaultInitVector<eid_t> counts;
+    DefaultInitVector<Edge> staging;
+    count_scatter(
+        n, num_keys, [&key](std::size_t i) { return key[i]; }, visit, std::span<eid_t>(offsets),
+        std::span<vid_t>(out), counts, staging);
+    EXPECT_EQ(out, want) << what << ", team " << team;
+    EXPECT_EQ(offsets, want_offsets) << what << ", team " << team;
+    EXPECT_LE(counts.size(), n) << what << ", team " << team;
+  }
+}
+
+std::vector<vid_t> random_keys(std::size_t n, std::size_t num_keys, std::uint64_t seed) {
+  std::vector<vid_t> key(n);
+  Rng rng(seed);
+  for (vid_t& k : key) k = static_cast<vid_t>(rng.next_below(num_keys));
+  return key;
+}
+
+TEST(ParallelBuild, CountScatterIsAStableSortAtAnyTeam) {
+  // 100003 items over 1000 keys: no team size divides either count, and
+  // the last keys stay empty.
+  const std::size_t n = 100003;
+  const std::size_t keys = 1000;
+  expect_stable_sort(random_keys(n, keys - 10, 19), keys, "random");
+
+  // Already in key order, with empty keys at both ends and between: the
+  // identity path. A single descent where two slices meet (half of the
+  // input at teams 2 and 4) must send it down the sorting path.
+  std::vector<vid_t> sorted = random_keys(n, keys - 20, 29);
+  for (vid_t& k : sorted) k += 10;
+  std::sort(sorted.begin(), sorted.end());
+  expect_stable_sort(sorted, keys, "sorted");
+  std::swap(sorted[n / 2 - 1], sorted[n / 2]);
+  sorted[n / 2 - 1] = sorted[n / 2] + 1;
+  expect_stable_sort(sorted, keys, "sorted but at the middle");
+
+  // One hot key holds all but a few items, so one block does the work.
+  std::vector<vid_t> hot(n, 517);
+  for (std::size_t i = 0; i < n; i += 997) hot[i] = static_cast<vid_t>(i % keys);
+  expect_stable_sort(hot, keys, "one hot key");
+
+  // Far more keys than items: 2^21 keys over 2^16 items.
+  expect_stable_sort(random_keys(std::size_t{1} << 16, std::size_t{1} << 21, 31),
+                     std::size_t{1} << 21, "keys >> items");
+
+  // Just below the cutoff (the serial loop at every team) and just above.
+  expect_stable_sort(random_keys(kParallelMinItems - 1, 5000, 37), 5000, "below the cutoff");
+  expect_stable_sort(random_keys(kParallelMinItems + 1, 5000, 41), 5000, "above the cutoff");
 }
 
 TEST(ParallelBuild, WideSparseGraphsTakeNoTeamByColumnsScratch) {
-  // 2^16 edges over 2^21 columns: team x columns histograms would be
-  // 32 times the edge count, so the scatter runs on one thread.
+  // 2^16 edges over 2^21 columns: team x columns histograms would be 32
+  // times the edge count. The key-block sort keeps its counters within the
+  // item count and stages in the caller's buffer when it is large enough.
   const vid_t cols = 1 << 21;
-  EXPECT_EQ(count_scatter_team(kN, static_cast<std::size_t>(cols)), 1);
-  std::vector<vid_t> key(kN);
-  Rng rng(23);
-  for (vid_t& k : key) k = static_cast<vid_t>(rng.next_below(cols));
+  const std::vector<vid_t> key = random_keys(kN, static_cast<std::size_t>(cols), 23);
   std::vector<eid_t> offsets(static_cast<std::size_t>(cols) + 1);
   std::vector<vid_t> out(kN);
-  DefaultInitVector<eid_t> hist;
+  DefaultInitVector<eid_t> counts;
+  DefaultInitVector<Edge> staging(kN);
+  const Edge* const staged = staging.data();
   count_scatter(
       kN, static_cast<std::size_t>(cols), [&key](std::size_t i) { return key[i]; },
       [&key](std::size_t begin, std::size_t end, auto&& sink) {
         for (std::size_t i = begin; i < end; ++i) sink(key[i], static_cast<vid_t>(i));
       },
-      std::span<eid_t>(offsets), std::span<vid_t>(out), hist);
-  EXPECT_EQ(hist.capacity(), 0u);
+      std::span<eid_t>(offsets), std::span<vid_t>(out), counts, staging);
+  EXPECT_LE(counts.capacity(), static_cast<std::size_t>(kN));
+  EXPECT_EQ(staging.data(), staged);
+  EXPECT_EQ(staging.size(), static_cast<std::size_t>(kN));
 
   // The same shape through the builder and the CSC, on the ambient team.
   expect_team_invariant(
@@ -133,10 +176,51 @@ TEST(ParallelBuild, WideSparseGraphsTakeNoTeamByColumnsScratch) {
       "wide");
 }
 
+TEST(ParallelBuild, DuplicatesAcrossThreadSlicesCollapseAtAnyTeam) {
+  // 2 kN random edges, a quarter of them in row kN / 2, then the same edges
+  // reversed, so every edge's repeat lies in the other half of the buffer,
+  // across a slice boundary at every team from 2 to 4. Stably ordered by
+  // row, the same buffer takes count_scatter's identity path, and the hot
+  // row spans the middle of it. Either way the graph holds each edge once.
+  Rng rng(43);
+  std::vector<Edge> edges(2 * static_cast<std::size_t>(kN));
+  for (std::size_t e = 0; e < edges.size(); ++e)
+    edges[e] = {e % 4 == 0 ? kN / 2 : static_cast<vid_t>(rng.next_below(kN)),
+                static_cast<vid_t>(rng.next_below(kN))};
+  edges.insert(edges.end(), edges.rbegin(), edges.rend());
+  std::vector<Edge> by_row = edges;
+  std::stable_sort(by_row.begin(), by_row.end(),
+                   [](const Edge& a, const Edge& b) { return a.row < b.row; });
+
+  std::vector<std::set<vid_t>> rows(kN);
+  for (const Edge& e : edges) rows[static_cast<std::size_t>(e.row)].insert(e.col);
+  DefaultInitVector<eid_t> row_ptr(1, 0);
+  DefaultInitVector<vid_t> col_idx;
+  for (const auto& row : rows) {
+    col_idx.insert(col_idx.end(), row.begin(), row.end());
+    row_ptr.push_back(static_cast<eid_t>(col_idx.size()));
+  }
+  BipartiteGraph want;
+  {
+    ThreadCountGuard one(1);
+    want = BipartiteGraph(kN, kN, std::move(row_ptr), std::move(col_idx));
+  }
+  for (const std::vector<Edge>* input : {&edges, &by_row}) {
+    const std::string what = input == &edges ? "repeats mirrored" : "row order";
+    for (int team = 1; team <= 4; ++team) {
+      ThreadCountGuard guard(team);
+      GraphBuilder b(kN, kN);
+      const std::span<Edge> slots = b.append_edges(input->size());
+      std::copy(input->begin(), input->end(), slots.begin());
+      expect_same_arrays(b.build(), want, what + ", team " + std::to_string(team));
+    }
+  }
+}
+
 /// A valid CSR above the cutoff: kN rows of 2 ascending columns each.
 struct Csr {
-  std::vector<eid_t> row_ptr;
-  std::vector<vid_t> col_idx;
+  DefaultInitVector<eid_t> row_ptr;
+  DefaultInitVector<vid_t> col_idx;
 };
 
 Csr two_per_row() {
