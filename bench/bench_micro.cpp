@@ -93,7 +93,7 @@ void BM_KOutSampling(benchmark::State& state) {
   Workspace ws;
   ScalingResult s;
   scale_sinkhorn_knopp_ws(g, {5, 0.0}, ws, s);
-  std::vector<vid_t> picks;
+  DefaultInitVector<vid_t> picks;
   std::uint64_t seed = 0;
   for (auto _ : state) {
     sample_row_choices_k(g, s.dc, 2, ++seed, picks);

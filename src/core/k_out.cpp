@@ -16,12 +16,12 @@ namespace {
 
 /// The k-pick loop over one CSR side (the layout of sample_csr_choices):
 /// k draws of one WeightedPick per vertex with bounded-retry de-duplication.
-/// Writes into `out` (capacity reused by workspace-leased callers): each
-/// vertex writes all of its k slots, its picks and then kNil, inside the
-/// parallel loop.
+/// Writes into `out` (capacity reused by workspace-leased callers), which
+/// grows without a fill: each vertex writes all of its k slots, its picks
+/// and then kNil, inside the parallel loop.
 void sample_k(std::span<const eid_t> ptr, std::span<const vid_t> adj,
               std::span<const double> weight, int k, std::uint64_t seed,
-              std::uint64_t salt, std::vector<vid_t>& out) {
+              std::uint64_t salt, DefaultInitVector<vid_t>& out) {
   if (k < 1) throw std::invalid_argument("sample_k: k must be >= 1");
   const auto n = static_cast<vid_t>(ptr.empty() ? 0 : ptr.size() - 1);
   out.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(k));
@@ -54,14 +54,14 @@ void sample_k(std::span<const eid_t> ptr, std::span<const vid_t> adj,
 } // namespace
 
 void sample_row_choices_k(const BipartiteGraph& g, const std::vector<double>& dc, int k,
-                          std::uint64_t seed, std::vector<vid_t>& out) {
+                          std::uint64_t seed, DefaultInitVector<vid_t>& out) {
   if (dc.size() != static_cast<std::size_t>(g.num_cols()))
     throw std::invalid_argument("sample_row_choices_k: dc size mismatch");
   sample_k(g.row_ptr(), g.col_idx(), dc, k, seed, 0x6b4f55545f524f57ull, out);
 }
 
 void sample_col_choices_k(const BipartiteGraph& g, const std::vector<double>& dr, int k,
-                          std::uint64_t seed, std::vector<vid_t>& out) {
+                          std::uint64_t seed, DefaultInitVector<vid_t>& out) {
   if (dr.size() != static_cast<std::size_t>(g.num_rows()))
     throw std::invalid_argument("sample_col_choices_k: dr size mismatch");
   sample_k(g.col_ptr(), g.row_idx(), dr, k, seed, 0x6b4f55545f434f4cull, out);
@@ -197,7 +197,9 @@ void picks_by_target(PickSet<K> picks, std::size_t num_slots, vid_t num_targets,
           }
         }
       },
-      ptr, by, counts, staging);
+      std::span<eid_t>(ptr),
+      [picker_of = by.data()](std::size_t at, vid_t, vid_t picker) { picker_of[at] = picker; },
+      counts, staging);
 }
 
 /// One orientation of the subgraph by merging: writes into (out_ptr,
@@ -261,8 +263,8 @@ void k_out_subgraph_ws(const BipartiteGraph& g, const ScalingResult& scaling, in
                        std::uint64_t seed, Workspace& ws, BipartiteGraph& out) {
   // The assembly reads g while it rewrites out.
   if (&out == &g) throw std::invalid_argument("k_out_subgraph_ws: out must not be g");
-  std::vector<vid_t>& row_picks = ws.buf<vid_t>("kout.row_picks");
-  std::vector<vid_t>& col_picks = ws.buf<vid_t>("kout.col_picks");
+  auto& row_picks = ws.obj<DefaultInitVector<vid_t>>("kout.row_picks");
+  auto& col_picks = ws.obj<DefaultInitVector<vid_t>>("kout.col_picks");
   const int row_k = clamp_k(k, g.row_ptr());
   const int col_k = clamp_k(k, g.col_ptr());
   sample_row_choices_k(g, scaling.dc, row_k, seed, row_picks);

@@ -38,6 +38,7 @@
 #include "graph/bipartite_graph.hpp"
 #include "matching/matching.hpp"
 #include "scaling/scaling.hpp"
+#include "util/default_init.hpp"
 
 namespace bmh {
 
@@ -46,11 +47,11 @@ namespace bmh {
 /// with fewer than k neighbours simply contribute all of them), into `out`
 /// (capacity reused). Row-major: picks of row i are out[i*k .. i*k+k).
 void sample_row_choices_k(const BipartiteGraph& g, const std::vector<double>& dc, int k,
-                          std::uint64_t seed, std::vector<vid_t>& out);
+                          std::uint64_t seed, DefaultInitVector<vid_t>& out);
 
 /// Column-side mirror of sample_row_choices_k.
 void sample_col_choices_k(const BipartiteGraph& g, const std::vector<double>& dr, int k,
-                          std::uint64_t seed, std::vector<vid_t>& out);
+                          std::uint64_t seed, DefaultInitVector<vid_t>& out);
 
 // Sampling scratch, the scaling vectors, the subgraph solver's arrays *and
 // the subgraph itself* are all leased from `ws` (assembled into a

@@ -442,7 +442,9 @@ void BipartiteGraph::build_csc(DefaultInitVector<Edge>& staging) {
           for (; e < row_end; ++e) sink(col_idx[e], row);
         }
       },
-      std::span<eid_t>(owned.col_ptr), std::span<vid_t>(owned.row_idx), counts, staging);
+      std::span<eid_t>(owned.col_ptr),
+      [row_idx = owned.row_idx.data()](std::size_t at, vid_t, vid_t row) { row_idx[at] = row; },
+      counts, staging);
 }
 
 BipartiteGraph BipartiteGraph::transposed() const {

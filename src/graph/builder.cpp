@@ -10,42 +10,6 @@
 
 namespace bmh {
 
-namespace {
-
-/// Rows up to this long are sorted and deduplicated by rank counting.
-constexpr std::ptrdiff_t kShortRow = 16;
-
-/// Sorts [begin, end) ascending and drops repeats in place; returns the
-/// number kept. A short row, the common case, ranks each first occurrence
-/// by the distinct values below it: d² compares with no data-dependent
-/// branch, where std::sort's insertion sort mispredicts about once per
-/// entry.
-eid_t sort_unique(vid_t* begin, vid_t* end) {
-  const std::ptrdiff_t d = end - begin;
-  if (d > kShortRow) {
-    std::sort(begin, end);
-    return std::unique(begin, end) - begin;
-  }
-  vid_t row[kShortRow];
-  bool repeat[kShortRow];
-  std::copy(begin, end, row);
-  eid_t kept = 0;
-  for (std::ptrdiff_t i = 0; i < d; ++i) {
-    bool seen = false;
-    for (std::ptrdiff_t j = 0; j < i; ++j) seen |= row[j] == row[i];
-    repeat[i] = seen;
-    kept += !seen;
-  }
-  for (std::ptrdiff_t i = 0; i < d; ++i) {
-    std::ptrdiff_t rank = 0;
-    for (std::ptrdiff_t j = 0; j < d; ++j) rank += !repeat[j] & (row[j] < row[i]);
-    if (!repeat[i]) begin[rank] = row[i];
-  }
-  return kept;
-}
-
-} // namespace
-
 GraphBuilder::GraphBuilder(vid_t num_rows, vid_t num_cols)
     : num_rows_(num_rows), num_cols_(num_cols) {
   if (num_rows < 0 || num_cols < 0)
@@ -53,7 +17,7 @@ GraphBuilder::GraphBuilder(vid_t num_rows, vid_t num_cols)
 }
 
 BipartiteGraph GraphBuilder::build() {
-  const Edge* const edges = edges_.data();
+  Edge* const edges = edges_.data();
   const std::size_t count = edges_.size();
   // Unsigned compares: a negative id wraps past any dimension.
   const auto rows = static_cast<std::uint32_t>(num_rows_);
@@ -68,18 +32,17 @@ BipartiteGraph GraphBuilder::build() {
       });
   if (out_of_range != 0) throw std::out_of_range("GraphBuilder: edge id out of range");
 
-  // Bucket the columns by row, each row's in input order (a stable counting
-  // sort, graph/count_scatter.hpp): by_row[row_start[i] .. row_start[i + 1])
-  // are row i's columns. Sort and dedup each row there, its kept count into
+  // Order the edge buffer by row in place, each row's edges in input order
+  // (a stable counting sort, graph/count_scatter.hpp): edges[row_start[i] ..
+  // row_start[i + 1]) are row i's. Its staging is freed before anything
+  // else is allocated. Sort and dedup each row there, its kept count into
   // row_ptr[i + 1]; a prefix turns the counts into offsets, and the kept
   // columns are copied out once, into a col_idx of exactly their number.
-  // The scratch is released before the graph builds its CSC.
   const auto row_count = static_cast<std::size_t>(num_rows_);
   DefaultInitVector<eid_t> row_ptr(row_count + 1);
   DefaultInitVector<vid_t> col_idx;
   {
     DefaultInitVector<eid_t> row_start(row_count + 1);
-    DefaultInitVector<vid_t> by_row(count);
     {
       DefaultInitVector<eid_t> counts;
       DefaultInitVector<Edge> staging;
@@ -88,28 +51,34 @@ BipartiteGraph GraphBuilder::build() {
           [edges](std::size_t begin, std::size_t end, auto&& sink) {
             for (std::size_t e = begin; e < end; ++e) sink(edges[e].row, edges[e].col);
           },
-          std::span<eid_t>(row_start), std::span<vid_t>(by_row), counts, staging);
+          std::span<eid_t>(row_start),
+          [edges](std::size_t at, vid_t row, vid_t col) { edges[at] = Edge{row, col}; }, counts,
+          staging);
     }
     const bool team = count >= kParallelMinItems;
-    vid_t* const bucket = by_row.data();
     const eid_t* const start = row_start.data();
     eid_t* const ptr = row_ptr.data();
     ptr[0] = 0;
+    // A row's edges share their row, so ordering by column orders them.
+    const auto by_col = [](const Edge& a, const Edge& b) { return a.col < b.col; };
 #pragma omp parallel for schedule(dynamic, 512) if (team)
-    for (std::size_t i = 0; i < row_count; ++i)
-      ptr[i + 1] = sort_unique(bucket + start[i], bucket + start[i + 1]);
+    for (std::size_t i = 0; i < row_count; ++i) {
+      Edge* const begin = edges + start[i];
+      Edge* const end = edges + start[i + 1];
+      std::sort(begin, end, by_col);
+      ptr[i + 1] = std::unique(begin, end) - begin;
+    }
     for (std::size_t i = 0; i < row_count; ++i) ptr[i + 1] += ptr[i];
     col_idx.resize(static_cast<std::size_t>(ptr[row_count]));
     vid_t* const idx = col_idx.data();
 #pragma omp parallel for schedule(dynamic, 512) if (team)
     for (std::size_t i = 0; i < row_count; ++i) {
-      // A plain loop: rows are a few entries long, too short for memmove.
-      const vid_t* const kept = bucket + start[i];
-      for (eid_t e = 0; e < ptr[i + 1] - ptr[i]; ++e) idx[ptr[i] + e] = kept[e];
+      const Edge* const kept = edges + start[i];
+      for (eid_t e = 0; e < ptr[i + 1] - ptr[i]; ++e) idx[ptr[i] + e] = kept[e].col;
     }
   }
-  // The spent edge buffer is the CSC build's staging, already paged in; the
-  // graph releases it once its CSC is built.
+  // The spent edge buffer, at least nnz long and already paged in, is the
+  // CSC build's staging; the graph releases it once its CSC is built.
   return BipartiteGraph(num_rows_, num_cols_, std::move(row_ptr), std::move(col_idx),
                         std::exchange(edges_, {}));
 }

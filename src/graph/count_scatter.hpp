@@ -32,12 +32,15 @@
 /// its slice covers, with no staging.
 ///
 /// Scratch is team × blocks counters, which stay within the item count,
-/// and a staging buffer of n `Edge`s (key in `row`, value in `col`). Both
-/// are the caller's vectors, grown before the parallel region, so no
-/// exception can leave it; GraphBuilder hands its spent edge buffer to the
-/// CSC build as the staging, and k_out keeps its own in a Workspace. Below
-/// kParallelMinItems the serial count-and-scatter runs, with the offsets
-/// array as its cursor, and touches neither.
+/// and a staging buffer of n `Edge`s (key in `row`, value in `col`), 8 bytes
+/// an item. Both are the caller's vectors, grown before the parallel
+/// region, so no exception can leave it. Every item is read before any is
+/// placed, so the output may overwrite the input: GraphBuilder sorts its
+/// edge buffer in place this way and then hands that buffer to the CSC
+/// build as its staging; k_out keeps its staging in a Workspace. Below
+/// kParallelMinItems one thread counts, stages each item at its sorted
+/// position, with the offsets array as its cursor, and copies the staging
+/// out, with no parallel region.
 
 #include <algorithm>
 #include <atomic>
@@ -81,28 +84,35 @@ template <class T, class Body>
 
 /// Stable counting sort of items [0, n) by key. `key(i)` is item i's key,
 /// in [0, num_keys); `visit(begin, end, sink)` must call `sink(key, value)`
-/// for each item in [begin, end), in input order. Neither may throw. On
-/// return `offsets` (num_keys + 1 entries) holds each key's first position
-/// and n at the end, and out[offsets[k] ..] holds the values of key k in
-/// input order. `counts` and `staging` are the two-pass sort's scratch:
-/// team × blocks counters (at most n) and n staged items; a staging already
-/// that large is used as it is.
-template <class Key, class Visit>
+/// for each item in [begin, end), in input order; `place(pos, key, value)`
+/// stores an item at output position pos. None may throw. On return
+/// `offsets` (num_keys + 1 entries) holds each key's first position and n
+/// at the end, and positions offsets[k] .. of the output hold the items of
+/// key k in input order. An item is placed only after the whole input has
+/// been read, or, when the input is already in key order, at its own
+/// position right after it has been read, so `place` may write over the
+/// input. `counts` and `staging` are the scratch: team × blocks counters
+/// (at most n) and n staged items; a staging already that large is used as
+/// it is.
+template <class Key, class Visit, class Place>
 void count_scatter(std::size_t n, std::size_t num_keys, const Key& key,
-                   const Visit& visit, std::span<eid_t> offsets, std::span<vid_t> out,
+                   const Visit& visit, std::span<eid_t> offsets, const Place& place,
                    DefaultInitVector<eid_t>& counts, DefaultInitVector<Edge>& staging) {
+  if (staging.size() < n) staging.resize(n);
+  Edge* const staged = staging.data();
   if (n < kParallelMinItems) {
-    // Count into offsets[k + 1], prefix, scatter with offsets[k] as the
+    // Count into offsets[k + 1], prefix, stage with offsets[k] as the
     // cursor, which leaves offsets[k] at the end of bucket k; shifting right
     // restores the starts.
     std::fill(offsets.begin(), offsets.end(), 0);
     for (std::size_t i = 0; i < n; ++i) ++offsets[static_cast<std::size_t>(key(i)) + 1];
     for (std::size_t k = 0; k < num_keys; ++k) offsets[k + 1] += offsets[k];
-    visit(std::size_t{0}, n, [offsets, out](vid_t k, vid_t value) {
-      out[static_cast<std::size_t>(offsets[static_cast<std::size_t>(k)]++)] = value;
+    visit(std::size_t{0}, n, [offsets, staged](vid_t k, vid_t value) {
+      staged[offsets[static_cast<std::size_t>(k)]++] = Edge{k, value};
     });
     for (std::size_t k = num_keys; k-- > 1;) offsets[k] = offsets[k - 1];
     offsets[0] = 0;
+    for (std::size_t i = 0; i < n; ++i) place(i, staged[i].row, staged[i].col);
     return;
   }
   const auto team = static_cast<std::size_t>(omp_get_max_threads());
@@ -115,9 +125,7 @@ void count_scatter(std::size_t n, std::size_t num_keys, const Key& key,
   while ((last_key >> shift) + 1 > max_blocks) ++shift;
   const std::size_t blocks = (last_key >> shift) + 1;
   counts.resize(team * blocks);
-  if (staging.size() < n) staging.resize(n);
   eid_t* const cursors = counts.data();
-  Edge* const staged = staging.data();
   std::atomic<bool> unordered{false};
 #pragma omp parallel num_threads(static_cast<int>(team))
   {
@@ -129,8 +137,10 @@ void count_scatter(std::size_t n, std::size_t num_keys, const Key& key,
     eid_t* const mine = cursors + t * blocks;
     std::fill_n(mine, blocks, 0);
     // Count the slice per block, and check its keys against their
-    // predecessors, the first against the previous slice's last.
-    std::size_t last = begin == 0 ? 0 : static_cast<std::size_t>(key(begin - 1));
+    // predecessors, the first against the previous slice's last, read now:
+    // after the barrier its owner may be placing it.
+    const std::size_t before = begin == 0 ? 0 : static_cast<std::size_t>(key(begin - 1));
+    std::size_t last = before;
     bool ordered = true;
     for (std::size_t i = begin; i < end; ++i) {
       const auto k = static_cast<std::size_t>(key(i));
@@ -144,11 +154,11 @@ void count_scatter(std::size_t n, std::size_t num_keys, const Key& key,
     if (!unordered.load(std::memory_order_relaxed)) {
       // Keys in order: item i stays at position i. Each thread writes the
       // offsets of the keys after its predecessor's up to its own last.
-      std::size_t next = begin == 0 ? 0 : static_cast<std::size_t>(key(begin - 1)) + 1;
+      std::size_t next = begin == 0 ? 0 : before + 1;
       std::size_t at = begin;
-      visit(begin, end, [offsets, out, &next, &at](vid_t k, vid_t value) {
+      visit(begin, end, [offsets, &place, &next, &at](vid_t k, vid_t value) {
         for (; next <= static_cast<std::size_t>(k); ++next) offsets[next] = static_cast<eid_t>(at);
-        out[at++] = value;
+        place(at++, k, value);
       });
       if (t + 1 == size)
         for (; next < num_keys; ++next) offsets[next] = static_cast<eid_t>(n);
@@ -191,8 +201,9 @@ void count_scatter(std::size_t n, std::size_t num_keys, const Key& key,
           running += count;
         }
         for (eid_t e = lo; e < hi; ++e)
-          out[static_cast<std::size_t>(
-              cursor[static_cast<std::size_t>(staged[e].row) - first_key]++)] = staged[e].col;
+          place(static_cast<std::size_t>(
+                    cursor[static_cast<std::size_t>(staged[e].row) - first_key]++),
+                staged[e].row, staged[e].col);
         for (std::size_t k = width; k-- > 1;) cursor[k] = cursor[k - 1];
         cursor[0] = lo;
       }

@@ -203,9 +203,11 @@ TEST(Choice, StoredSumsPickWhatTheWalkPicks) {
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     EXPECT_EQ(run_ws(sample_row_choices, g, dc, seed), walk_row_choices(g, dc, 1, seed))
         << "k 1, seed " << seed;
-    for (const int k : {2, 3})
-      EXPECT_EQ(run_ws(sample_row_choices_k, g, dc, k, seed), walk_row_choices(g, dc, k, seed))
+    for (const int k : {2, 3}) {
+      const DefaultInitVector<vid_t> picks = run_ws(sample_row_choices_k, g, dc, k, seed);
+      EXPECT_EQ(std::vector<vid_t>(picks.begin(), picks.end()), walk_row_choices(g, dc, k, seed))
           << "k " << k << ", seed " << seed;
+    }
   }
 }
 
@@ -236,7 +238,7 @@ template <typename Sample>
 std::uint64_t picks_fingerprint(Sample&& sample) {
   std::vector<vid_t> all;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const std::vector<vid_t> picks = sample(seed);
+    const auto picks = sample(seed);
     all.insert(all.end(), picks.begin(), picks.end());
   }
   return testing::bit_fingerprint(all);

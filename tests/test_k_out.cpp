@@ -28,7 +28,7 @@ TEST(KOut, PicksAreDistinctNeighbors) {
   const BipartiteGraph g = make_erdos_renyi(300, 300, 2400, 3);
   const ScalingResult s = run_ws(scale_sinkhorn_knopp_ws, g, ScalingOptions{});
   const int k = 3;
-  const std::vector<vid_t> picks = run_ws(sample_row_choices_k, g, s.dc, k, 7);
+  const DefaultInitVector<vid_t> picks = run_ws(sample_row_choices_k, g, s.dc, k, 7);
   for (vid_t i = 0; i < g.num_rows(); ++i) {
     for (int a = 0; a < k; ++a) {
       const vid_t ja = picks[static_cast<std::size_t>(i) * k + static_cast<std::size_t>(a)];
@@ -43,7 +43,7 @@ TEST(KOut, PicksAreDistinctNeighbors) {
 TEST(KOut, SmallNeighborhoodsTakenWhole) {
   const BipartiteGraph g = graph_from_rows(2, 4, {{0, 1}, {0, 1, 2, 3}});
   const std::vector<double> dc(4, 1.0);
-  const std::vector<vid_t> picks = run_ws(sample_row_choices_k, g, dc, 3, 1);
+  const DefaultInitVector<vid_t> picks = run_ws(sample_row_choices_k, g, dc, 3, 1);
   // Row 0 has only 2 neighbours: both taken, third slot kNil.
   EXPECT_NE(picks[0], kNil);
   EXPECT_NE(picks[1], kNil);
@@ -123,10 +123,10 @@ TEST(KOut, KAboveTheLargestDegreeIsCapped) {
   Workspace ws;
   BipartiteGraph capped;
   k_out_subgraph_ws(g, s, 1000, 9, ws, capped);
-  // A lease clears the pick buffers but keeps what they grew to.
-  EXPECT_EQ(ws.buf<vid_t>("kout.row_picks").capacity(),
+  // The pick buffers stay in the workspace at the size they grew to.
+  EXPECT_EQ(ws.obj<DefaultInitVector<vid_t>>("kout.row_picks").capacity(),
             static_cast<std::size_t>(g.num_rows() * row_max));
-  EXPECT_EQ(ws.buf<vid_t>("kout.col_picks").capacity(),
+  EXPECT_EQ(ws.obj<DefaultInitVector<vid_t>>("kout.col_picks").capacity(),
             static_cast<std::size_t>(g.num_cols() * col_max));
   const BipartiteGraph at_max =
       run_ws(k_out_subgraph_ws, g, s, static_cast<int>(std::max(row_max, col_max)), 9);
@@ -134,8 +134,8 @@ TEST(KOut, KAboveTheLargestDegreeIsCapped) {
   // Between the two caps only the smaller side is capped; the subgraph is
   // still the one the uncapped per-side picks describe.
   const int k = static_cast<int>(std::min(row_max, col_max)) + 1;
-  const std::vector<vid_t> row_picks = run_ws(sample_row_choices_k, g, s.dc, k, 9);
-  const std::vector<vid_t> col_picks =
+  const DefaultInitVector<vid_t> row_picks = run_ws(sample_row_choices_k, g, s.dc, k, 9);
+  const DefaultInitVector<vid_t> col_picks =
       run_ws(sample_col_choices_k, g, s.dr, k, 9 + 0x9e3779b97f4a7c15ULL);
   GraphBuilder b(g.num_rows(), g.num_cols());
   for (std::size_t t = 0; t < row_picks.size(); ++t)
@@ -197,8 +197,8 @@ BipartiteGraph builder_subgraph(const BipartiteGraph& g, const ScalingResult& s,
   };
   const int row_k = cap(row_degree_stats(g).max);
   const int col_k = cap(row_degree_stats(g.transposed()).max);
-  const std::vector<vid_t> row_picks = run_ws(sample_row_choices_k, g, s.dc, row_k, seed);
-  const std::vector<vid_t> col_picks =
+  const DefaultInitVector<vid_t> row_picks = run_ws(sample_row_choices_k, g, s.dc, row_k, seed);
+  const DefaultInitVector<vid_t> col_picks =
       run_ws(sample_col_choices_k, g, s.dr, col_k, seed + 0x9e3779b97f4a7c15ULL);
   GraphBuilder b(g.num_rows(), g.num_cols());
   for (std::size_t t = 0; t < row_picks.size(); ++t)

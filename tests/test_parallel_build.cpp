@@ -76,7 +76,8 @@ TEST(ParallelBuild, KOutSubgraphMatchesTheOneThreadBuild) {
 
 /// count_scatter of items whose values are their indices, at teams 1 to 4,
 /// against std::stable_sort of the indices by key: the same values, the
-/// same offsets, and counters within the item count.
+/// same offsets, and counters within the item count; and the same sort
+/// placed in place over its own input, as GraphBuilder runs it.
 void expect_stable_sort(const std::vector<vid_t>& key, std::size_t num_keys,
                         const std::string& what) {
   const std::size_t n = key.size();
@@ -99,10 +100,24 @@ void expect_stable_sort(const std::vector<vid_t>& key, std::size_t num_keys,
     DefaultInitVector<Edge> staging;
     count_scatter(
         n, num_keys, [&key](std::size_t i) { return key[i]; }, visit, std::span<eid_t>(offsets),
-        std::span<vid_t>(out), counts, staging);
+        [&out](std::size_t at, vid_t, vid_t value) { out[at] = value; }, counts, staging);
     EXPECT_EQ(out, want) << what << ", team " << team;
     EXPECT_EQ(offsets, want_offsets) << what << ", team " << team;
     EXPECT_LE(counts.size(), n) << what << ", team " << team;
+
+    std::vector<Edge> items(n);
+    for (std::size_t i = 0; i < n; ++i) items[i] = Edge{key[i], static_cast<vid_t>(i)};
+    count_scatter(
+        n, num_keys, [&items](std::size_t i) { return items[i].row; },
+        [&items](std::size_t begin, std::size_t end, auto&& sink) {
+          for (std::size_t i = begin; i < end; ++i) sink(items[i].row, items[i].col);
+        },
+        std::span<eid_t>(offsets),
+        [&items](std::size_t at, vid_t k, vid_t value) { items[at] = Edge{k, value}; }, counts,
+        staging);
+    for (std::size_t i = 0; i < n; ++i) out[i] = items[i].col;
+    EXPECT_EQ(out, want) << what << " in place, team " << team;
+    EXPECT_EQ(offsets, want_offsets) << what << " in place, team " << team;
   }
 }
 
@@ -161,7 +176,8 @@ TEST(ParallelBuild, WideSparseGraphsTakeNoTeamByColumnsScratch) {
       [&key](std::size_t begin, std::size_t end, auto&& sink) {
         for (std::size_t i = begin; i < end; ++i) sink(key[i], static_cast<vid_t>(i));
       },
-      std::span<eid_t>(offsets), std::span<vid_t>(out), counts, staging);
+      std::span<eid_t>(offsets), [&out](std::size_t at, vid_t, vid_t value) { out[at] = value; },
+      counts, staging);
   EXPECT_LE(counts.capacity(), static_cast<std::size_t>(kN));
   EXPECT_EQ(staging.data(), staged);
   EXPECT_EQ(staging.size(), static_cast<std::size_t>(kN));
