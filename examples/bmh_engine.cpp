@@ -34,7 +34,9 @@
 /// same instance (same canonical spec + effective seed) share one immutable
 /// graph; the summary reports the cache counters plus the engine's cold
 /// graph builds. `--graph-store DIR` adds the persistent tier (spill on
-/// build, mmap-load on later runs — byte-identical output);
+/// build, mmap-load on later runs — byte-identical output). The store's
+/// writer thread spills behind the jobs; the process waits for it before
+/// the summary and `--metrics-out`, so every file is on disk by exit.
 /// `--graph-store-budget-mb` prunes the directory LRU-by-mtime when spills
 /// push it over budget, and `--store-fsync` makes each spill durable
 /// against unclean shutdown. `--threads 0` auto-detects one worker per
@@ -401,6 +403,9 @@ int main(int argc, char** argv) {
         progress(r);
       });
     }
+    // The summary's and the metrics file's spill counts cover every build:
+    // nothing is left in the store's write-behind backlog.
+    if (engine.store() != nullptr) engine.store()->flush();
     if (args.has("out") && !quiet)
       std::cerr << "wrote " << total << " records to " << args.get("out", "")
                 << '\n';

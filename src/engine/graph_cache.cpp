@@ -16,11 +16,24 @@
 
 namespace bmh {
 
-struct GraphCache::ShardEntry {
+namespace {
+
+struct ShardEntry {
   std::string key;
   std::shared_ptr<const BipartiteGraph> graph;
   std::size_t bytes = 0;  ///< memory_bytes() when last charged
 };
+
+/// Hands evicted entries to the store's writer, which re-spills those whose
+/// file went missing (no-op without a store). Called after the shard's lock
+/// is released.
+void hand_off_victims(GraphStore* store, std::vector<ShardEntry>& victims) {
+  if (store == nullptr) return;
+  for (ShardEntry& victim : victims)
+    store->spill_async(std::move(victim.key), std::move(victim.graph));
+}
+
+} // namespace
 
 struct GraphCache::Shard {
   using Lru = std::list<ShardEntry>;
@@ -101,7 +114,7 @@ std::shared_ptr<const BipartiteGraph> GraphCache::get_or_build(const GraphSpec& 
       ShardEntry& entry = *it->second;
       // Re-charge: the graph grows once a job publishes its remembered
       // scaling. Growth happens once per entry, so only then can a hit
-      // evict (and, past the lock, re-spill) anything.
+      // evict (and, past the lock, hand off) anything.
       const std::size_t bytes = entry.graph->memory_bytes();
       if (bytes == entry.bytes) return entry.graph;
       grown = entry.graph;
@@ -115,7 +128,7 @@ std::shared_ptr<const BipartiteGraph> GraphCache::get_or_build(const GraphSpec& 
     }
   }
   if (grown != nullptr) {
-    spill_victims(victims);
+    hand_off_victims(store_, victims);
     return grown;
   }
 
@@ -141,19 +154,19 @@ std::shared_ptr<const BipartiteGraph> GraphCache::get_or_build(const GraphSpec& 
   // Failure domain: if inserting into the shard fails (injected here; a
   // real allocation failure would surface the same way), the job is served
   // its graph uncached — correctness never depends on residency, the next
-  // lookup just rebuilds. Write-through still runs so the persistent tier
-  // keeps the build.
+  // lookup just rebuilds. The build is still handed to the store so the
+  // persistent tier keeps it.
   try {
     BMH_FAILPOINT("cache.insert");
   } catch (const std::exception&) {
     insert_failures_.inc();
-    if (store_ != nullptr && !loaded_from_store) (void)store_->spill(key, *built);
+    if (store_ != nullptr && !loaded_from_store) store_->spill_async(key, built);
     return built;
   }
 
-  // Evicted entries leave under the lock but spill after it: store I/O on
-  // victims (normally a no-op existence probe — builds write through below)
-  // must not serialize the shard.
+  // Evicted entries leave under the lock but are handed off after it: a
+  // full store backlog makes the hand-off wait, which must not serialize
+  // the shard.
   {
     LockGuard lock(shard.mutex);
     const auto raced = shard.map.find(std::string_view(key));
@@ -181,18 +194,11 @@ std::shared_ptr<const BipartiteGraph> GraphCache::get_or_build(const GraphSpec& 
     }
   }
 
-  // Write-through for fresh builds (uncacheable ones included — the next
-  // process mmaps them instead of rebuilding).
-  if (store_ != nullptr && !loaded_from_store) (void)store_->spill(key, *built);
-  spill_victims(victims);
+  // Fresh builds go to the store's writer (uncacheable ones included — the
+  // next process mmaps them instead of rebuilding).
+  if (store_ != nullptr && !loaded_from_store) store_->spill_async(key, built);
+  hand_off_victims(store_, victims);
   return built;
-}
-
-void GraphCache::spill_victims(const std::vector<ShardEntry>& victims) {
-  // Evictions re-spill only if their file vanished, which the store's
-  // existence probe makes cheap.
-  if (store_ == nullptr) return;
-  for (const ShardEntry& victim : victims) (void)store_->spill(victim.key, *victim.graph);
 }
 
 GraphCache::Stats GraphCache::stats() const {

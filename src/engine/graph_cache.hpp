@@ -38,10 +38,12 @@
 /// Persistence: an optional second tier, a file-backed GraphStore sharing
 /// the same canonical keys. Memory misses consult the store before
 /// building (a hit is a zero-copy mmap view, no CSR rebuild); graphs built
-/// cold are written through to the store, and evicted entries re-spill if
-/// their file went missing — so a restarted process (whose memory tier is
-/// necessarily empty) serves repeated specs warm from its first job. All
-/// store I/O happens outside the shard locks.
+/// cold are handed to the store's writer thread (GraphStore::spill_async),
+/// and so are evicted entries, which re-spill if their file went missing —
+/// so a restarted process (whose memory tier is necessarily empty) serves
+/// repeated specs warm from its first job. A job never waits for a write
+/// unless the store's backlog is full. All hand-offs happen outside the
+/// shard locks.
 
 #include <cstddef>
 #include <cstdint>
@@ -132,10 +134,6 @@ public:
 
 private:
   struct Shard;
-  struct ShardEntry;
-  /// Re-spills evicted entries whose store file vanished (no-op without a
-  /// store). Called after the shard's lock is released.
-  void spill_victims(const std::vector<ShardEntry>& victims);
   std::size_t shard_budget_;
   std::size_t shard_mask_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -17,6 +17,7 @@
 #include "obs/trace.hpp"
 #include "util/failpoint.hpp"
 #include "util/hash.hpp"
+#include "util/threading.hpp"
 
 namespace bmh {
 
@@ -55,6 +56,32 @@ bool is_stale_temporary(const fs::directory_entry& entry) {
   return fs::file_time_type::clock::now() - mtime > kStaleTemporaryAge;
 }
 
+std::int64_t steady_now_ns() noexcept {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Breaker gate for try_load/spill: true = skip the disk this call. Past
+/// the deadline in `open_until_ns` the breaker is half-open: one CAS winner
+/// closes it and resets the I/O error `streak`, so the next disk error
+/// re-trips it only after a full threshold's worth of errors.
+bool breaker_blocks(std::atomic<std::int64_t>& open_until_ns,
+                    std::atomic<std::uint32_t>& streak, obs::Counter& skips,
+                    obs::Gauge& open_gauge) noexcept {
+  std::int64_t until = open_until_ns.load(std::memory_order_relaxed);
+  if (until == 0) return false;
+  if (steady_now_ns() < until) {
+    skips.inc();
+    return true;
+  }
+  if (open_until_ns.compare_exchange_strong(until, 0, std::memory_order_relaxed)) {
+    streak.store(0, std::memory_order_relaxed);
+    open_gauge.set(0);
+  }
+  return false;
+}
+
 } // namespace
 
 GraphStore::GraphStore(std::string dir) : GraphStore(std::move(dir), Options{}) {}
@@ -83,6 +110,16 @@ GraphStore::GraphStore(std::string dir, Options options)
     }
   }
   approx_bytes_.store(bytes, std::memory_order_relaxed);
+  writer_ = std::thread([this] { write_behind(); });
+}
+
+GraphStore::~GraphStore() {
+  {
+    LockGuard lock(backlog_mutex_);
+    stopping_ = true;
+  }
+  work_ready_.notify_one();
+  writer_.join();
 }
 
 std::string GraphStore::path_for(std::string_view key) const {
@@ -91,7 +128,9 @@ std::string GraphStore::path_for(std::string_view key) const {
 
 std::shared_ptr<const BipartiteGraph> GraphStore::try_load(std::string_view key) {
   BMH_SPAN("store_load");
-  if (breaker_blocks()) return nullptr;
+  if (breaker_blocks(breaker_open_until_ns_, consecutive_io_errors_, breaker_skips_,
+                     breaker_gauge_))
+    return nullptr;
   const std::string path = path_for(key);
   // Identity of the file we are about to map, for the self-heal check
   // below; a missing file is the common cold-store case — a miss, never an
@@ -123,7 +162,7 @@ std::shared_ptr<const BipartiteGraph> GraphStore::try_load(std::string_view key)
     (void)::utimensat(AT_FDCWD, path.c_str(), nullptr, 0);
     load_latency_.record(obs::now_ns() - start);
     hits_.inc();
-    record_success();
+    consecutive_io_errors_.store(0, std::memory_order_relaxed);
     return graph;
   } catch (const GraphFileError& e) {
     record_content_error(e.what());
@@ -161,7 +200,9 @@ std::shared_ptr<const BipartiteGraph> GraphStore::try_load(std::string_view key)
 
 bool GraphStore::spill(std::string_view key, const BipartiteGraph& graph) {
   BMH_SPAN("store_spill");
-  if (breaker_blocks()) return false;
+  if (breaker_blocks(breaker_open_until_ns_, consecutive_io_errors_, breaker_skips_,
+                     breaker_gauge_))
+    return false;
   const std::string path = path_for(key);
   std::error_code ec;
   if (fs::exists(path, ec)) {
@@ -177,7 +218,7 @@ bool GraphStore::spill(std::string_view key, const BipartiteGraph& graph) {
     save_graph(graph, path, key, options_.fsync);
     spill_latency_.record(obs::now_ns() - start);
     spills_.inc();
-    record_success();
+    consecutive_io_errors_.store(0, std::memory_order_relaxed);
     if (options_.max_bytes > 0) {
       const std::size_t written = serialized_graph_bytes(graph, key);
       const std::size_t total =
@@ -189,6 +230,64 @@ bool GraphStore::spill(std::string_view key, const BipartiteGraph& graph) {
     record_io_error(e.what());
     return false;
   }
+}
+
+void GraphStore::spill_async(std::string key, std::shared_ptr<const BipartiteGraph> graph) {
+  {
+    UniqueLock lock(backlog_mutex_);
+    bool waited = false;
+    for (;;) {
+      // Re-checked after every wait: another thread may have handed off the
+      // same key meanwhile.
+      if (pending(key)) {
+        spill_skips_.inc();
+        return;
+      }
+      if (backlog_.size() < kMaxBacklog) break;
+      if (!waited) spill_waits_.inc();
+      waited = true;
+      written_.wait(lock);
+    }
+    backlog_.push_back(Pending{std::move(key), std::move(graph)});
+    backlog_gauge_.set(static_cast<std::int64_t>(backlog_.size()));
+  }
+  work_ready_.notify_one();
+}
+
+void GraphStore::flush() {
+  UniqueLock lock(backlog_mutex_);
+  while (!backlog_.empty()) written_.wait(lock);
+}
+
+void GraphStore::write_behind() {
+  // crc32_ieee checksums on the ambient team: the writer keeps to its own
+  // thread rather than open a second team beside a running job's.
+  set_num_threads(1);
+  UniqueLock lock(backlog_mutex_);
+  for (;;) {
+    while (backlog_.empty() && !stopping_) work_ready_.wait(lock);
+    if (backlog_.empty()) return;
+    // Only this thread pops, and a push_back leaves references to the
+    // deque's elements valid, so `next` stays put while the lock is down.
+    const Pending& next = backlog_.front();
+    lock.unlock();
+    try {
+      (void)spill(next.key, *next.graph);
+    } catch (const std::exception& e) {
+      // spill() records its own I/O errors; only an allocation failure
+      // before its guard lands here, and it must not end the process.
+      record_io_error(e.what());
+    }
+    lock.lock();
+    backlog_.pop_front();
+    backlog_gauge_.set(static_cast<std::int64_t>(backlog_.size()));
+    written_.notify_all();
+  }
+}
+
+bool GraphStore::pending(std::string_view key) const {
+  return std::any_of(backlog_.begin(), backlog_.end(),
+                     [key](const Pending& p) { return p.key == key; });
 }
 
 std::size_t GraphStore::prune(std::size_t max_bytes) {
@@ -270,6 +369,7 @@ GraphStore::Stats GraphStore::stats() const {
   out.breaker_trips = breaker_trips_.value();
   out.breaker_skips = breaker_skips_.value();
   out.pruned = pruned_.value();
+  out.spill_waits = spill_waits_.value();
   return out;
 }
 
@@ -285,29 +385,6 @@ bool GraphStore::breaker_open() const noexcept {
              std::chrono::nanoseconds(until);
 }
 
-bool GraphStore::breaker_blocks() noexcept {
-  const std::int64_t until = breaker_open_until_ns_.load(std::memory_order_relaxed);
-  if (until == 0) return false;
-  const std::int64_t now_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count();
-  if (now_ns < until) {
-    breaker_skips_.inc();
-    return true;
-  }
-  // Cooldown over: half-open. One CAS winner closes the breaker and resets
-  // the error streak; the next disk error re-trips it immediately at
-  // threshold 1's worth of margin (the streak restarts from zero).
-  std::int64_t expected = until;
-  if (breaker_open_until_ns_.compare_exchange_strong(expected, 0,
-                                                     std::memory_order_relaxed)) {
-    consecutive_io_errors_.store(0, std::memory_order_relaxed);
-    breaker_gauge_.set(0);
-  }
-  return false;
-}
-
 void GraphStore::record_io_error(const std::string& message) {
   io_errors_.inc();
   {
@@ -318,12 +395,8 @@ void GraphStore::record_io_error(const std::string& message) {
   const std::uint32_t streak =
       consecutive_io_errors_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (streak < options_.breaker_threshold) return;
-  const std::int64_t now_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count();
   const std::int64_t until =
-      now_ns + static_cast<std::int64_t>(options_.breaker_cooldown_ms) * 1'000'000;
+      steady_now_ns() + static_cast<std::int64_t>(options_.breaker_cooldown_ms) * 1'000'000;
   // Only the trip that transitions closed->open logs and counts; racing
   // errors while already open just extend nothing.
   std::int64_t expected = 0;
@@ -346,10 +419,6 @@ void GraphStore::record_content_error(const std::string& message) {
   content_errors_.inc();
   LockGuard lock(mutex_);
   last_error_ = message;
-}
-
-void GraphStore::record_success() noexcept {
-  consecutive_io_errors_.store(0, std::memory_order_relaxed);
 }
 
 } // namespace bmh

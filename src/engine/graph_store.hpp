@@ -21,6 +21,16 @@
 /// process-unique temporary and an atomic rename, so concurrent spillers
 /// (threads or whole processes sharing the directory) are safe.
 ///
+/// Write-behind: each store owns one writer thread. `spill_async` hands it
+/// a graph and returns at once; the writer runs `spill` on it, so the file
+/// is the same bytes an inline spill writes. A key already in the backlog
+/// is not queued again, so each key is written once; until its file is
+/// written, `try_load` misses it. The backlog holds at most `kMaxBacklog`
+/// hand-offs; past that the caller waits (`spill_waits`), so no write is
+/// ever dropped. `flush()` waits until the backlog is empty, and the
+/// destructor flushes before it joins the writer: once the store is gone,
+/// every hand-off is on disk. A crash loses at most the backlog.
+///
 /// Repeated *I/O* errors (never content rejections) trip a circuit
 /// breaker: after `Options::breaker_threshold` consecutive failures the
 /// store tier disables itself for `Options::breaker_cooldown_ms` — loads
@@ -40,10 +50,13 @@
 /// also sweep temporaries older than a grace period.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <thread>
 
 #include "graph/bipartite_graph.hpp"
 #include "obs/metrics.hpp"
@@ -83,6 +96,7 @@ public:
     std::uint64_t breaker_trips = 0;  ///< circuit-breaker openings
     std::uint64_t breaker_skips = 0;  ///< loads/spills skipped while open
     std::uint64_t pruned = 0;         ///< files evicted by the byte budget
+    std::uint64_t spill_waits = 0;    ///< hand-offs that waited for backlog room
 
     /// Lumped error total, for callers that only care "did anything fail".
     [[nodiscard]] std::uint64_t errors_total() const noexcept {
@@ -90,10 +104,17 @@ public:
     }
   };
 
-  /// Opens (creating if needed) the store directory. Throws
-  /// std::runtime_error if the directory cannot be created.
+  /// Hand-offs the writer's backlog holds, the one being written included.
+  static constexpr std::size_t kMaxBacklog = 8;
+
+  /// Opens (creating if needed) the store directory and starts the writer
+  /// thread. Throws std::runtime_error if the directory cannot be created.
   explicit GraphStore(std::string dir);  // default Options
   GraphStore(std::string dir, Options options);
+  /// Flushes the backlog, then joins the writer.
+  ~GraphStore();
+  GraphStore(const GraphStore&) = delete;
+  GraphStore& operator=(const GraphStore&) = delete;
 
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
   [[nodiscard]] const Options& options() const noexcept { return options_; }
@@ -127,6 +148,17 @@ public:
   /// rebuild-only). Thread-safe.
   bool spill(std::string_view key, const BipartiteGraph& graph);
 
+  /// Hands `graph` to the writer thread, which spills it under `key`, and
+  /// returns without waiting for the write. A key already in the backlog
+  /// counts as a `spill_skips` and is not queued again, so it is written
+  /// once. With kMaxBacklog hand-offs pending the caller waits for room,
+  /// counted in `spill_waits`. Thread-safe.
+  void spill_async(std::string key, std::shared_ptr<const BipartiteGraph> graph);
+
+  /// Waits until the backlog is empty: every hand-off made before the call
+  /// has been written, skipped or failed. Thread-safe.
+  void flush();
+
   /// Evicts `.bmg` files, least-recently-modified first, until the
   /// directory's payload is <= max_bytes (0 empties it). Scans the
   /// directory, so other processes' spills are accounted too. Returns the
@@ -150,11 +182,18 @@ public:
   [[nodiscard]] bool breaker_open() const noexcept;
 
 private:
+  struct Pending {
+    std::string key;
+    std::shared_ptr<const BipartiteGraph> graph;
+  };
+
   void record_io_error(const std::string& message);
   void record_content_error(const std::string& message);
-  void record_success() noexcept;
-  /// Breaker gate for try_load/spill: true = skip the disk this call.
-  [[nodiscard]] bool breaker_blocks() noexcept;
+  /// The writer thread's body: spills the backlog front to back until the
+  /// store is destroyed with nothing left to write.
+  void write_behind();
+  /// Whether `key` is in the backlog.
+  [[nodiscard]] bool pending(std::string_view key) const BMH_REQUIRES(backlog_mutex_);
 
   std::string dir_;
   Options options_;
@@ -170,6 +209,8 @@ private:
   obs::Counter& breaker_skips_ = domain_.counter("breaker_skips");
   obs::Gauge& breaker_gauge_ = domain_.gauge("breaker_open");
   obs::Counter& pruned_ = domain_.counter("pruned");
+  obs::Counter& spill_waits_ = domain_.counter("spill_waits");
+  obs::Gauge& backlog_gauge_ = domain_.gauge("spill_backlog");
   /// Wall time of each load that hit (map, CRC, validation) and of each
   /// spill that wrote a file.
   obs::Histogram& load_latency_ = domain_.histogram("load");
@@ -187,6 +228,14 @@ private:
   /// decisions always use real directory contents.
   std::atomic<std::size_t> approx_bytes_{0};
   std::string last_error_ BMH_GUARDED_BY(mutex_);
+  Mutex backlog_mutex_;
+  /// Hand-offs in order; the front one stays while the writer writes it, so
+  /// a second hand-off of its key is still a skip.
+  std::deque<Pending> backlog_ BMH_GUARDED_BY(backlog_mutex_);
+  bool stopping_ BMH_GUARDED_BY(backlog_mutex_) = false;
+  std::condition_variable_any work_ready_;  ///< writer: a hand-off or shutdown
+  std::condition_variable_any written_;     ///< flushers and waiters: room
+  std::thread writer_;  ///< last: starts once every other member is built
 };
 
 } // namespace bmh

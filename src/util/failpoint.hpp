@@ -49,7 +49,7 @@
 /// Compiled-in sites (grep for the literals):
 ///   store.load            GraphStore::try_load, after the stat   (error/delay)
 ///   store.load.crc        serialized-payload CRC check           (corrupt/error)
-///   store.spill           GraphStore::spill entry                (error/delay)
+///   store.spill           GraphStore::spill entry, on the writer (error/delay)
 ///   store.prune           GraphStore::prune entry                (error/delay)
 ///   serialize.load        load_graph_mapped entry                (error/delay)
 ///   serialize.save.write  save_graph piece write                 (error/delay)

@@ -895,6 +895,7 @@ TEST_F(EngineStoreTest, EngineConfigWiresBudgetAndSecondBatchServesFromStore) {
     EXPECT_EQ(engine.store()->options().max_bytes, config.store_budget_mb << 20);
     EXPECT_TRUE(engine.store()->options().fsync);
     first_jsonl = jsonl(engine.run_collect(jobs));
+    engine.store()->flush();
     EXPECT_EQ(engine.store()->stats().spills, 2u);
     EXPECT_EQ(engine.store()->stats().pruned, 0u);
   }

@@ -4,8 +4,10 @@
 /// error or a miss, never a served graph), the GraphCache two-tier flow — a
 /// fresh cache over a warm directory serves from disk instead of building —
 /// restart-warm batch byte-parity through EngineConfig::graph_store_dir, and
-/// the race_discards counter's exact accounting under a 2-thread same-key
-/// stress.
+/// the write-behind contract (flushed files byte-equal to an inline save, a
+/// key pending or raced written once, the breaker and backpressure on the
+/// writer thread), and the race_discards counter's exact accounting under a
+/// 2-thread same-key stress.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -203,7 +207,9 @@ TEST_F(GraphStoreTest, FreshCacheServesFromWarmStoreWithoutBuilding) {
     GraphCache cold(options);
     const auto built = cold.get_or_build(spec, 1);
     ASSERT_NE(built, nullptr);
-    EXPECT_TRUE(built->owns_storage());  // built from spec, write-through spilled
+    EXPECT_TRUE(built->owns_storage());  // built from spec, spilled behind
+    ASSERT_NE(cold.store(), nullptr);
+    cold.store()->flush();
     const GraphCache::Stats s = cold.stats();
     EXPECT_EQ(s.misses, 1u);
     EXPECT_EQ(s.store_misses, 1u);
@@ -250,6 +256,7 @@ TEST_F(GraphStoreTest, AcquisitionHistogramsCountWhatTheirCountersCount) {
     GraphCache cold(options);
     for (const GraphSpec& spec : specs) (void)cold.get_or_build(spec, 1);
     (void)cold.get_or_build(specs[0], 1);  // a memory hit: no sample
+    cold.store()->flush();
     const GraphCache::Stats s = cold.stats();
     EXPECT_EQ(samples(cold.metric_domain(), "build"), s.misses - s.store_hits);
     EXPECT_EQ(samples(cold.metric_domain(), "build"), 3u);
@@ -279,10 +286,11 @@ TEST_F(GraphStoreTest, EvictedEntriesAreOnDiskAndReloadable) {
   options.store_dir = dir_;
   GraphCache cache(options);
   for (std::uint64_t s = 0; s < 5; ++s) (void)cache.get_or_build(spec, s);
+  cache.store()->flush();
 
   const GraphCache::Stats stats = cache.stats();
   EXPECT_GE(stats.evictions, 3u);
-  // Write-through put every build on disk regardless of eviction order.
+  // Every build was handed off, so it is on disk regardless of eviction order.
   EXPECT_EQ(stats.store_spills, 5u);
   std::size_t files = 0;
   for ([[maybe_unused]] const auto& entry : fs::directory_iterator(dir_)) ++files;
@@ -354,6 +362,220 @@ TEST_F(GraphStoreTest, RestartedProcessServesByteIdenticalBatchFromWarmStore) {
   EXPECT_GT(stats.store_hits, 0u);   // served from disk...
   EXPECT_EQ(stats.store_spills, 0u); // ...built nothing new
   EXPECT_EQ(stats.store_errors, 0u);
+}
+
+// ------------------------------------------------------------ write-behind ---
+
+/// The `.bmg` files in `dir`; fails the test on a spill temporary left beside
+/// them.
+std::size_t count_store_files(const std::string& dir) {
+  std::size_t files = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp."), std::string::npos)
+        << entry.path();
+    if (entry.path().extension() == ".bmg") ++files;
+  }
+  return files;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+std::int64_t spill_backlog(GraphStore& store) {
+  const obs::DomainSnapshot snap = store.metric_domain().snapshot();
+  for (const auto& [name, value] : snap.gauges)
+    if (name == "spill_backlog") return value;
+  return -1;
+}
+
+std::shared_ptr<const BipartiteGraph> shared_build(const std::string& spec) {
+  return std::make_shared<const BipartiteGraph>(build_graph(parse_graph_spec(spec), 1));
+}
+
+/// Failpoints are process-wide, and these tests slow or fail the writer's
+/// spills with them: each test starts and ends with every site disarmed.
+class WriteBehindTest : public GraphStoreTest {
+protected:
+  void SetUp() override {
+    fp::clear_all();
+    GraphStoreTest::SetUp();
+  }
+  void TearDown() override {
+    fp::clear_all();
+    GraphStoreTest::TearDown();
+  }
+};
+
+TEST_F(WriteBehindTest, FlushLeavesOneFileByteEqualToAnInlineSave) {
+  const std::vector<GraphSpec> specs = {parse_graph_spec("gen:er:n=512,deg=4,seed=3"),
+                                        parse_graph_spec("gen:mesh:nx=20"),
+                                        parse_graph_spec("gen:planted:n=300,seed=2")};
+  GraphCache::Options options;
+  options.store_dir = dir_;
+  GraphCache cache(options);
+  for (const GraphSpec& spec : specs) (void)cache.get_or_build(spec, 1);
+  cache.store()->flush();
+  EXPECT_EQ(spill_backlog(*cache.store()), 0);
+  EXPECT_EQ(cache.stats().store_spills, specs.size());
+  EXPECT_EQ(count_store_files(dir_), specs.size());
+  const std::string inline_path = dir_ + ".inline.bmg";
+  for (const GraphSpec& spec : specs) {
+    const std::string key = canonical_graph_key(spec, 1);
+    save_graph(build_graph(spec, 1), inline_path, key);
+    EXPECT_EQ(read_file(cache.store()->path_for(key)), read_file(inline_path)) << key;
+  }
+  fs::remove(inline_path);
+}
+
+TEST_F(WriteBehindTest, DestroyedStoreWithABacklogLeavesEveryFile) {
+  std::vector<std::string> keys;
+  std::vector<std::shared_ptr<const BipartiteGraph>> graphs;
+  for (int i = 0; i < 4; ++i) {
+    const std::string spec = "gen:er:n=256,deg=4,seed=" + std::to_string(i);
+    keys.push_back(canonical_graph_key(parse_graph_spec(spec), 1));
+    graphs.push_back(shared_build(spec));
+  }
+  {
+    // A slow disk: the hand-offs are still queued when the store goes away.
+    fp::configure("store.spill", fp::parse_config("delay(20ms)"));
+    GraphStore store(dir_);
+    for (std::size_t i = 0; i < keys.size(); ++i) store.spill_async(keys[i], graphs[i]);
+    EXPECT_GT(spill_backlog(store), 0);
+  }
+  fp::clear_all();
+  EXPECT_EQ(count_store_files(dir_), keys.size());
+  GraphStore reopened(dir_);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const auto loaded = reopened.try_load(keys[i]);
+    ASSERT_NE(loaded, nullptr) << keys[i];
+    EXPECT_FALSE(loaded->owns_storage());
+    EXPECT_TRUE(structurally_equal(*loaded, *graphs[i]));
+  }
+  EXPECT_EQ(reopened.stats().hits, keys.size());
+}
+
+TEST_F(WriteBehindTest, APendingKeyIsQueuedAndWrittenOnce) {
+  fp::configure("store.spill", fp::parse_config("delay(100ms)"));
+  GraphStore store(dir_);
+  const auto g = shared_build("gen:mesh:nx=12");
+  for (int i = 0; i < 3; ++i) store.spill_async("mesh", g);
+  EXPECT_EQ(spill_backlog(store), 1);
+  store.flush();
+  GraphStore::Stats s = store.stats();
+  EXPECT_EQ(s.spills, 1u);
+  EXPECT_EQ(s.spill_skips, 2u);
+  // Written already: a further hand-off is the writer's existence probe.
+  store.spill_async("mesh", g);
+  store.flush();
+  s = store.stats();
+  EXPECT_EQ(s.spills, 1u);
+  EXPECT_EQ(s.spill_skips, 3u);
+  EXPECT_EQ(count_store_files(dir_), 1u);
+  fp::clear_all();
+  const auto loaded = store.try_load("mesh");
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_TRUE(structurally_equal(*loaded, *g));
+}
+
+TEST_F(WriteBehindTest, EvictedAndReacquiredWhilePendingIsWrittenOnce) {
+  const GraphSpec spec = parse_graph_spec("gen:er:n=512,deg=4");
+  const std::size_t one_graph = build_graph(spec, 0).memory_bytes();
+  GraphCache::Options options;
+  options.shards = 1;
+  options.max_bytes = one_graph + one_graph / 2;  // room for one
+  options.store_dir = dir_;
+  GraphCache cache(options);
+  fp::configure("store.spill", fp::parse_config("delay(100ms)"));
+  (void)cache.get_or_build(spec, 0);
+  (void)cache.get_or_build(spec, 1);  // evicts seed 0, still pending
+  (void)cache.get_or_build(spec, 0);  // re-acquired: no file yet, so rebuilt
+  cache.store()->flush();
+  const GraphCache::Stats s = cache.stats();
+  const GraphStore::Stats t = cache.store()->stats();
+  EXPECT_EQ(s.misses, 3u);
+  EXPECT_EQ(s.store_hits, 0u);
+  EXPECT_EQ(s.evictions, 2u);
+  EXPECT_EQ(t.spills, 2u);  // one write per distinct key
+  // Every hand-off (three builds, one per eviction) is a write or a skip.
+  EXPECT_EQ(t.spills + t.spill_skips, 3u + s.evictions);
+  EXPECT_EQ(count_store_files(dir_), 2u);
+}
+
+TEST_F(WriteBehindTest, RacedColdKeysAreWrittenOnce) {
+  // Two threads on each cold key: the insert's loser hands nothing off.
+  constexpr std::uint64_t kRounds = 50;
+  GraphCache::Options options;
+  options.store_dir = dir_;
+  GraphCache cache(options);
+  const GraphSpec spec = parse_graph_spec("gen:er:n=64,deg=4");
+  std::barrier<> gate(2);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < 2; ++t) {
+    pool.emplace_back([&] {
+      for (std::uint64_t round = 0; round < kRounds; ++round) {
+        gate.arrive_and_wait();
+        EXPECT_NE(cache.get_or_build(spec, round), nullptr);
+      }
+    });
+  }
+  for (auto& t : pool) t.join();
+  cache.store()->flush();
+  const GraphStore::Stats t = cache.store()->stats();
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(t.spills, kRounds);
+  EXPECT_EQ(t.spill_skips, 0u);
+  EXPECT_EQ(count_store_files(dir_), kRounds);
+}
+
+TEST_F(WriteBehindTest, SpillErrorsOnTheWriterTripTheBreakerAsInlineSpillsDo) {
+  GraphStore::Options options;
+  options.breaker_threshold = 3;
+  options.breaker_cooldown_ms = 60'000;
+  const std::string inline_dir = dir_ + "_inline";
+  fs::remove_all(inline_dir);
+  const auto g = shared_build("gen:cycle:n=64");
+  const std::uint64_t fires_before = fp::fires("store.spill");  // monotone
+  fp::configure("store.spill", fp::parse_config("error"));
+  GraphStore::Stats inline_stats;
+  {
+    GraphStore inline_store(inline_dir, options);
+    for (int i = 0; i < 5; ++i) EXPECT_FALSE(inline_store.spill("key" + std::to_string(i), *g));
+    inline_stats = inline_store.stats();
+  }
+  GraphStore store(dir_, options);
+  for (int i = 0; i < 5; ++i) store.spill_async("key" + std::to_string(i), g);
+  store.flush();
+  const GraphStore::Stats s = store.stats();
+  EXPECT_EQ(s.io_errors, 3u);
+  EXPECT_EQ(s.breaker_trips, 1u);
+  EXPECT_EQ(s.breaker_skips, 2u);
+  EXPECT_EQ(s.spills, 0u);
+  EXPECT_TRUE(store.breaker_open());
+  EXPECT_EQ(s.io_errors, inline_stats.io_errors);
+  EXPECT_EQ(s.breaker_trips, inline_stats.breaker_trips);
+  EXPECT_EQ(s.breaker_skips, inline_stats.breaker_skips);
+  EXPECT_EQ(s.spills, inline_stats.spills);
+  EXPECT_EQ(fp::fires("store.spill") - fires_before, 6u);  // three on each path
+  EXPECT_EQ(count_store_files(dir_), 0u);
+  fs::remove_all(inline_dir);
+}
+
+TEST_F(WriteBehindTest, AFullBacklogMakesTheCallerWaitAndCountsIt) {
+  fp::configure("store.spill", fp::parse_config("delay(30ms)"));
+  GraphStore store(dir_);
+  const auto g = shared_build("gen:cycle:n=64");
+  constexpr std::size_t kHandOffs = GraphStore::kMaxBacklog + 2;
+  for (std::size_t i = 0; i < kHandOffs; ++i) {
+    store.spill_async("key" + std::to_string(i), g);
+    EXPECT_LE(spill_backlog(store), static_cast<std::int64_t>(GraphStore::kMaxBacklog));
+  }
+  EXPECT_GE(store.stats().spill_waits, 1u);
+  store.flush();
+  EXPECT_EQ(store.stats().spills, kHandOffs);  // a wait drops nothing
+  EXPECT_EQ(spill_backlog(store), 0);
+  EXPECT_EQ(count_store_files(dir_), kHandOffs);
 }
 
 // -------------------------------------------------- race_discards counter ---

@@ -320,8 +320,9 @@ TEST(WorkspaceHotPath, MappedStoreLoadCopiesNoEdgeArrays) {
   options.store_dir = dir;
   std::size_t file_bytes = 0;
   {
-    GraphCache spilling(options);  // builds once; write-through spills
+    GraphCache spilling(options);  // builds once and spills
     const auto built = spilling.get_or_build(spec, 1);
+    spilling.store()->flush();
     ASSERT_EQ(spilling.stats().store_spills, 1u);
     file_bytes = serialized_graph_bytes(*built, canonical_graph_key(spec, 1));
   }
